@@ -167,8 +167,19 @@
 // stage, bit-for-bit equal to the plain GEMM over pre-widened
 // weights.
 //
-// Benchmarks: `go test -bench GEMM ./internal/tensor/ ./internal/nn/`
-// reports achieved GFLOP/s (against the pre-blocking streaming
-// baseline, BenchmarkGEMMStream); `make bench` records the numbers
-// into BENCH_gemm.json for the cross-PR perf trajectory.
+// The non-GEMM passes that used to dominate a step run through one
+// AVX2 elementwise family with scalar twins (tensor/gelu.go):
+// tensor.GELU and GELUBackward evaluate the tanh GELU as x·σ(2u) from
+// one float32 exp(−|2u|) and one divide per lane (nn.GELU's Forward,
+// Backward and Infer all call it), and FlashAttnBwd forms P and dS
+// eight lanes at a time in place over its score tiles. Every element
+// goes through identical arithmetic wherever parallel.Range cuts the
+// buffer, and the assembly matches the scalar lanes bitwise, so
+// results depend on neither GOMAXPROCS nor the build.
+//
+// Benchmarks: `go test -bench 'GEMM|GELU' ./internal/tensor/
+// ./internal/nn/` reports achieved GFLOP/s (against the pre-blocking
+// streaming baseline, BenchmarkGEMMStream) and GB/s for the
+// elementwise kernels; `make bench` records the numbers into
+// BENCH_gemm.json for the cross-PR perf trajectory.
 package repro

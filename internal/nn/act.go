@@ -1,17 +1,16 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/tensor"
 
 // GELU is the Gaussian Error Linear Unit with the tanh approximation
 // used by the original ViT/MAE code:
 //
 //	gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))
 //
-// The layer is stateless apart from caching its input for backward.
+// evaluated by the float32 tensor.GELU kernel — Forward, Backward and
+// Infer all call the one kernel, so serving equals training bitwise by
+// construction. The layer is stateless apart from caching its input
+// for backward.
 type GELU struct {
 	x     []float32
 	y, dx []float32
@@ -26,34 +25,18 @@ func (g *GELU) Release() { g.x, g.y, g.dx = nil, nil, nil }
 // Params returns nil: GELU has no trainable parameters.
 func (g *GELU) Params() []*Param { return nil }
 
-const geluC = 0.7978845608028654 // √(2/π)
-
 // Forward applies the activation elementwise.
 func (g *GELU) Forward(x []float32, rows int) []float32 {
 	g.x = x
 	g.y = grow(g.y, len(x))
-	parallel.Range(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := float64(x[i])
-			g.y[i] = float32(0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v))))
-		}
-	})
+	tensor.GELU(g.y, x)
 	return g.y
 }
 
-// Backward multiplies dy by the activation derivative.
+// Backward multiplies dy by the activation derivative, recomputed
+// from the cached input.
 func (g *GELU) Backward(dy []float32) []float32 {
 	g.dx = grow(g.dx, len(dy))
-	x := g.x
-	parallel.Range(len(dy), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := float64(x[i])
-			u := geluC * (v + 0.044715*v*v*v)
-			t := math.Tanh(u)
-			du := geluC * (1 + 3*0.044715*v*v)
-			d := 0.5*(1+t) + 0.5*v*(1-t*t)*du
-			g.dx[i] = dy[i] * float32(d)
-		}
-	})
+	tensor.GELUBackward(g.dx, dy, g.x)
 	return g.dx
 }

@@ -71,13 +71,7 @@ func (l *Linear) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	} else {
 		tensor.MatMul(y, x, l.W.Value.Data, rows, l.In, l.Out, false)
 	}
-	b := l.B.Value.Data
-	for i := 0; i < rows; i++ {
-		yi := y[i*l.Out : (i+1)*l.Out]
-		for j := range yi {
-			yi[j] += b[j]
-		}
-	}
+	addBias(y, l.B.Value.Data)
 	return y
 }
 
@@ -118,12 +112,7 @@ func (ln *LayerNorm) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 // Infer applies the activation elementwise without caching the input.
 func (g *GELU) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	y := ctx.Take(len(x))
-	parallel.Range(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := float64(x[i])
-			y[i] = float32(0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v))))
-		}
-	})
+	tensor.GELU(y, x)
 	return y
 }
 

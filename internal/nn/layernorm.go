@@ -94,18 +94,21 @@ func (ln *LayerNorm) Backward(dy []float32) []float32 {
 	ln.dx = grow(ln.dx, rows*d)
 	g := ln.Gamma.Value.Data
 
-	// Parameter grads are accumulated serially per feature to avoid
-	// atomic contention; rows dominate cost, handled below in parallel.
-	dg := ln.Gamma.Grad.Data
-	db := ln.Beta.Grad.Data
-	for r := 0; r < rows; r++ {
-		dyr := dy[r*d : (r+1)*d]
-		xh := ln.xhat[r*d : (r+1)*d]
-		for j := range dyr {
-			dg[j] += dyr[j] * xh[j]
-			db[j] += dyr[j]
+	// Parameter grads are column reductions: each worker owns a feature
+	// range and adds the rows in order (the serial summation order, no
+	// atomics).
+	parallel.RangeGrain(d, colGrain(rows), func(lo, hi int) {
+		dg := ln.Gamma.Grad.Data[lo:hi]
+		db := ln.Beta.Grad.Data[lo:hi]
+		for r := 0; r < rows; r++ {
+			dyr := dy[r*d+lo : r*d+hi]
+			xh := ln.xhat[r*d+lo : r*d+hi]
+			for j := range dyr {
+				dg[j] += dyr[j] * xh[j]
+				db[j] += dyr[j]
+			}
 		}
-	}
+	})
 
 	parallel.RangeGrain(rows, 1+parallel.MinGrain/(d+1), func(lo, hi int) {
 		for r := lo; r < hi; r++ {

@@ -101,17 +101,56 @@ func TestLayerNormOutputMoments(t *testing.T) {
 	}
 }
 
+// TestGELUKnownValues pins the activation's edges through all three
+// layer entry points: gelu(±0) = ±0, saturation at ±100 without exp
+// overflow, denormals halve, huge finite inputs stay finite in both
+// passes, and NaN/±Inf poison the output (the bf16 loss scaler's
+// HasNonFinite skip depends on that).
 func TestGELUKnownValues(t *testing.T) {
-	g := NewGELU()
-	y := g.Forward([]float32{0, 100, -100}, 1)
-	if y[0] != 0 {
-		t.Fatalf("gelu(0)=%v", y[0])
+	bits := math.Float32bits
+	gelu := func(x float32) (y, d float32) {
+		g := NewGELU()
+		y = g.Forward([]float32{x}, 1)[0]
+		d = g.Backward([]float32{1})[0]
+		if yi := g.Infer(NewInferCtx(), []float32{x}, 1)[0]; bits(yi) != bits(y) && !math.IsNaN(float64(y)) {
+			t.Errorf("Infer(%g) = %g, Forward = %g", x, yi, y)
+		}
+		return y, d
 	}
-	if math.Abs(float64(y[1]-100)) > 1e-3 {
-		t.Fatalf("gelu(100)=%v, want ≈100", y[1])
+	zero := float32(0)
+	for _, x := range []float32{0, -zero} {
+		if y, d := gelu(x); bits(y) != bits(x) || bits(d) != bits(0.5) {
+			t.Errorf("gelu(%g) = %g, gelu' = %g; want %g, 0.5", x, y, d, x)
+		}
 	}
-	if math.Abs(float64(y[2])) > 1e-3 {
-		t.Fatalf("gelu(-100)=%v, want ≈0", y[2])
+	if y, d := gelu(100); bits(y) != bits(100) || bits(d) != bits(1) {
+		t.Errorf("gelu(100) = %g, gelu' = %g; want 100, 1", y, d)
+	}
+	if y, d := gelu(-100); math.Abs(float64(y)) > 1e-30 || math.Abs(float64(d)) > 1e-30 {
+		t.Errorf("gelu(-100) = %g, gelu' = %g; want 0, 0", y, d)
+	}
+	for _, x := range []float32{1e-45, -1e-45, 1e-40, -1e-40, 1e-38} {
+		if y, d := gelu(x); bits(y) != bits(x*0.5) || math.Abs(float64(d)-0.5) > 1e-6 {
+			t.Errorf("gelu(%g) = %g, gelu' = %g; want %g, 0.5", x, y, d, x*0.5)
+		}
+	}
+	for _, x := range []float32{1e10, -1e10, 1e15, -1e15, 3e19, -3e19, math.MaxFloat32, -math.MaxFloat32} {
+		wantY, wantD := x, float32(1)
+		if x < 0 {
+			wantY, wantD = 0, 0
+		}
+		if y, d := gelu(x); math.Abs(float64(y-wantY)) > 0 || math.Abs(float64(d-wantD)) > 0 {
+			t.Errorf("gelu(%g) = %g, gelu' = %g; want %g, %g", x, y, d, wantY, wantD)
+		}
+	}
+	inf := float32(math.Inf(1))
+	for _, x := range []float32{float32(math.NaN()), inf, -inf} {
+		y, d := gelu(x)
+		for _, v := range []float32{y, d} {
+			if !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) {
+				t.Errorf("gelu/gelu'(%g) = %g, want non-finite", x, v)
+			}
+		}
 	}
 }
 

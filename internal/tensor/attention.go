@@ -266,7 +266,6 @@ func FlashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 	clear(dkAcc)
 	clear(dvAcc)
 
-	var eRow [faBk]float32
 	for i0 := 0; i0 < t; i0 += faBq {
 		bq := min(faBq, t-i0)
 		bqPad := roundUp(bq, mr)
@@ -295,54 +294,22 @@ func FlashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 			}
 			// Recompute P from the cached (m, l) statistics — the S
 			// tile above is bitwise the forward tile (same packing,
-			// same kernel) — and form dS = P∘(dP − D)·scale in the
-			// same pass, scattering both straight into the packed
-			// A-panel layouts their gradient products consume: P into
-			// transposed panels (dV += Pᵀ·dO), dS into both normal
-			// (dQ += dS·K) and transposed (dK += dSᵀ·Q) panels. No
-			// row-major P/dS tile exists, and no separate packing pass
-			// re-reads the tile.
+			// same kernel) — and form dS = P∘(dP − D)·scale, both in
+			// place and eight lanes at a time: the S tile becomes P, the
+			// dP tile becomes dS.
 			for r := 0; r < bq; r++ {
 				i := i0 + r
-				mi := stats[2*i]
-				invL := 1 / stats[2*i+1]
-				di := dVec[i]
-				expScaledSub(eRow[:jw], sT[r*faBk:r*faBk+jw], scale, mi)
-				dprow := dpT[r*faBk:]
-				rr := r % mr
-				dsPan := dsA[(r/mr)*mr*jw:]
-				// Walk the transposed panels in mr-wide runs so the
-				// pTA/dsTA writes for one run are contiguous.
-				for jp := 0; jp*mr < jw; jp++ {
-					base := jp*mr*bq + r*mr
-					jn := min(mr, jw-jp*mr)
-					for jj := 0; jj < jn; jj++ {
-						j := jp*mr + jj
-						p := eRow[j] * invL
-						ds := p * (dprow[j] - di) * scale
-						pTA[base+jj] = p
-						dsTA[base+jj] = ds
-						dsPan[j*mr+rr] = ds
-					}
-				}
+				prow := sT[r*faBk : r*faBk+jw]
+				expScaledSub(prow, prow, scale, stats[2*i])
+				softmaxJacobianRow(prow, dpT[r*faBk:r*faBk+jw], 1/stats[2*i+1], dVec[i], scale)
 			}
-			// Zero the panel padding the packing routines used to
-			// provide: ragged Q-block rows in dsA, ragged tile columns
-			// in pTA/dsTA.
-			for r := bq; r < bqPad; r++ {
-				dsPan := dsA[(r/mr)*mr*jw:]
-				rr := r % mr
-				for j := 0; j < jw; j++ {
-					dsPan[j*mr+rr] = 0
-				}
-			}
-			for j := jw; j < jwPadMr; j++ {
-				base := (j/mr)*mr*bq + j%mr
-				for kk := 0; kk < bq; kk++ {
-					pTA[base+kk*mr] = 0
-					dsTA[base+kk*mr] = 0
-				}
-			}
+			// Pack the tiles into the A-panel layouts their gradient
+			// products consume, zero-padding ragged edges: P transposed
+			// (dV += Pᵀ·dO), dS both transposed (dK += dSᵀ·Q) and
+			// normal (dQ += dS·K).
+			packABlockT(pTA, sT, 0, jw, 0, bq, faBk)
+			packABlockT(dsTA, dpT, 0, jw, 0, bq, faBk)
+			packABlockN(dsA, dpT, 0, bq, 0, jw, faBk)
 
 			for jp := 0; jp < dPadN/nr; jp++ {
 				// dQ_blk += dS·K_tile

@@ -52,6 +52,10 @@ const (
 	smallGEMMFlops = 1 << 15
 )
 
+// The A-panel packers' full-panel fast paths (packABlockN/T) name the
+// mr rows of a panel one by one.
+var _ = [1]struct{}{}[mr-6]
+
 // gemmGrainFlops is the minimum number of multiply-adds worth of work
 // per parallel task when splitting a GEMM across workers; below it the
 // kernel runs serially. Expressed in output rows: rows × k × n.
@@ -336,11 +340,27 @@ func packBPanelT(dst, b []float32, kcEff, ldb, p0, j0, jw int) {
 
 // packABlockN packs rows [i0, i0+mcEff) × K strip [p0, p0+kcEff) of
 // row-major A into mr-row micro-panels: ap[ip*mr*kcEff + kk*mr + r].
-// Rows past the block edge are zero-filled.
+// Rows past the block edge are zero-filled. Full panels interleave
+// their mr source rows in one pass with contiguous stores; only a
+// ragged last panel takes the row-at-a-time strided path.
 func packABlockN(ap, a []float32, i0, mcEff, p0, kcEff, lda int) {
 	mPanels := (mcEff + mr - 1) / mr
 	for ip := 0; ip < mPanels; ip++ {
-		dst := ap[ip*mr*kcEff:]
+		dst := ap[ip*mr*kcEff : (ip+1)*mr*kcEff]
+		if (ip+1)*mr <= mcEff {
+			base := (i0+ip*mr)*lda + p0
+			r0 := a[base : base+kcEff]
+			r1 := a[base+lda:][:len(r0)]
+			r2 := a[base+2*lda:][:len(r0)]
+			r3 := a[base+3*lda:][:len(r0)]
+			r4 := a[base+4*lda:][:len(r0)]
+			r5 := a[base+5*lda:][:len(r0)]
+			for kk := range r0 {
+				d := (*[mr]float32)(dst[kk*mr:])
+				d[0], d[1], d[2], d[3], d[4], d[5] = r0[kk], r1[kk], r2[kk], r3[kk], r4[kk], r5[kk]
+			}
+			continue
+		}
 		for r := 0; r < mr; r++ {
 			gr := ip*mr + r
 			if gr >= mcEff {
@@ -359,13 +379,21 @@ func packABlockN(ap, a []float32, i0, mcEff, p0, kcEff, lda int) {
 
 // packABlockT packs the same logical block when A is stored transposed
 // (k×m): logical A[i, kk] lives at a[kk*lda + i], so each K step reads
-// mr contiguous elements.
+// mr contiguous elements — one mr-float run copy for a full panel.
 func packABlockT(ap, a []float32, i0, mcEff, p0, kcEff, lda int) {
 	mPanels := (mcEff + mr - 1) / mr
 	for ip := 0; ip < mPanels; ip++ {
 		dst := ap[ip*mr*kcEff:]
 		base := i0 + ip*mr
 		rw := min(mr, mcEff-ip*mr)
+		if rw == mr {
+			for kk := 0; kk < kcEff; kk++ {
+				s := (*[mr]float32)(a[(p0+kk)*lda+base:])
+				d := (*[mr]float32)(dst[kk*mr:])
+				d[0], d[1], d[2], d[3], d[4], d[5] = s[0], s[1], s[2], s[3], s[4], s[5]
+			}
+			continue
+		}
 		for kk := 0; kk < kcEff; kk++ {
 			src := a[(p0+kk)*lda+base:]
 			d := dst[kk*mr : kk*mr+mr]

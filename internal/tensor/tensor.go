@@ -29,6 +29,19 @@
 // use an 8-lane AVX2 polynomial (fastexp_amd64.s) with a scalar
 // fallback sharing the same Cephes reduction (fastexp.go).
 //
+// # Elementwise kernel family
+//
+// GELU/GELUBackward and the attention backward's softmax-Jacobian row
+// pass (gelu.go) run eight lanes at a time in AVX2 assembly
+// (gelu_amd64.s) with scalar twins. GELU is evaluated as x·σ(2u),
+// u = √(2/π)(x + 0.044715x³), with σ built from one float32
+// exp(−|2u|) and one divide per lane. Two rules hold: every element
+// goes through identical arithmetic wherever a caller cuts the buffer
+// (ragged tails run the 8-lane body on a padded stack buffer), so
+// results do not depend on GOMAXPROCS; and the assembly uses unfused
+// multiplies and adds in the scalar lanes' order, so both builds agree
+// bitwise.
+//
 // # bf16 compute GEMM
 //
 // MatMulBF16 (bf16gemm.go) accepts the B operand as packed bfloat16

@@ -3,6 +3,7 @@ package train
 import (
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
@@ -171,7 +172,11 @@ func overlapBenchConfig(overlap bool, accum int) (DistConfig, int) {
 // congested simulated link, the 8-rank overlapped run must show
 // strictly lower exposed-communication time than the synchronous run —
 // the same bytes moved, the same bitwise trajectory, less of the step
-// spent stalled on the wire.
+// spent stalled on the wire. The trajectory and byte equalities are
+// hermetic and always run; the exposed-time comparisons race 8 ranks
+// against the OS scheduler, so like the calib and serve timing suites
+// they are not part of tier-1: set OVERLAP_VALIDATE=1 to run them (CI's
+// calibrate job does).
 func TestOverlapHidesExposedCommOnCongestedLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test (throttled link)")
@@ -196,6 +201,9 @@ func TestOverlapHidesExposedCommOnCongestedLink(t *testing.T) {
 	if on.Comm.ReduceScatter.MeasuredWireBytes != off.Comm.ReduceScatter.MeasuredWireBytes ||
 		on.Comm.AllGather.MeasuredWireBytes != off.Comm.AllGather.MeasuredWireBytes {
 		t.Fatalf("overlap changed the wire bytes")
+	}
+	if os.Getenv("OVERLAP_VALIDATE") == "" {
+		t.Skip("wall-clock assertions; set OVERLAP_VALIDATE=1 to run")
 	}
 	if off.ExposedCommSec <= 0 {
 		t.Fatalf("synchronous run exposed no communication (%.3fs) — throttle inert?", off.ExposedCommSec)
