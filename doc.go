@@ -153,31 +153,47 @@
 // directly against the fused QKV buffers, with no rearrangement
 // copies in the backward pass.
 //
-// Attention itself runs fused by default (nn.SetFusedAttention
-// toggles back to the materialized reference path):
-// tensor.FlashAttnFwd/FlashAttnBwd stream K/V tiles against Q blocks
-// through the same packed micro-kernels, maintain the softmax online
-// (running row max and exp-sum, the 1/√d scale folded into the tile
-// pass, exponentials via an 8-lane AVX2 polynomial with a scalar
-// fallback), and keep only O(T) per-row statistics — the backward
-// recomputes probability tiles from them, so the T×T score matrix is
-// never materialized in either direction. For bf16-stored weights the
-// inference path multiplies packed bf16 operands directly:
+// Attention runs fused — nn.MultiHeadAttention has one path, and the
+// materialized form exists only as the tests' oracle:
+// tensor.FlashAttnFwd/FlashAttnBwd stream K/V in tiles through the
+// same packed micro-kernel, maintain the softmax online (running max
+// and exp-sum per query, the 1/√d scale folded into the tile pass),
+// and keep only O(T) per-row statistics — the backward recomputes
+// probabilities from them bitwise, so the T×T score matrix is never
+// materialized in either direction. Heads are narrow and sequences
+// long, so the kernels are oriented around the micro-kernel's shape:
+// the head dimension rides its 6-row axis, tokens ride its 16 lanes,
+// and score tiles are stored panel-major (16 tokens to a row) — the
+// layout the micro-kernel both writes with ldc = 16 and reads as a
+// B-panel. The forward computes Sᵀ = K·Qᵀ, runs the online softmax
+// down the tile's columns with 16 queries on the lanes (AVX2 assembly
+// with a scalar twin, exponentials in place), and feeds the tile as it
+// lies to Oᵀ += Vᵀ·Pᵀ; the backward turns recomputed S/dP strips into
+// P and dS in one pass per strip, feeds them as they lie to
+// dVᵀ += dOᵀ·P and dKᵀ += Qᵀ·dS, and transposes dS in 16×16 blocks —
+// the one repack of a probability-sized operand — for dQᵀ += Kᵀ·dSᵀ.
+// Non-finite scores reach the output instead of being flushed, which
+// the bf16 loss scaler's skip decision depends on. For bf16-stored
+// weights the inference path multiplies packed bf16 operands directly:
 // tensor.MatMulBF16 widens bf16 to fp32 inside the panel-packing
 // stage, bit-for-bit equal to the plain GEMM over pre-widened
 // weights.
 //
 // The non-GEMM passes that used to dominate a step run through one
-// AVX2 elementwise family with scalar twins (tensor/gelu.go):
-// tensor.GELU and GELUBackward evaluate the tanh GELU as x·σ(2u) from
-// one float32 exp(−|2u|) and one divide per lane (nn.GELU's Forward,
-// Backward and Infer all call it), and FlashAttnBwd forms P and dS
-// eight lanes at a time in place over its score tiles. Every element
-// goes through identical arithmetic wherever parallel.Range cuts the
-// buffer, and the assembly matches the scalar lanes bitwise, so
-// results depend on neither GOMAXPROCS nor the build.
+// AVX2 elementwise family with scalar twins (tensor/gelu.go,
+// tensor/layernorm.go): tensor.GELU and GELUBackward evaluate the tanh
+// GELU as x·σ(2u) from one float32 exp(−|2u|) and one divide per lane,
+// and tensor.LayerNorm, LayerNormBackward and LayerNormParamGrads
+// reduce each row as eight float32 lane sums folded in one fixed tree
+// (the dγ/dβ sums run down the columns in row order). nn.GELU's and
+// nn.LayerNorm's Forward, Backward and Infer all call the one kernel,
+// so serving equals training by construction. Every element — every
+// row, for LayerNorm — goes through identical arithmetic wherever
+// parallel.Range cuts the buffer, and the assembly matches the scalar
+// lanes bitwise, so results depend on neither GOMAXPROCS nor the
+// build.
 //
-// Benchmarks: `go test -bench 'GEMM|GELU' ./internal/tensor/
+// Benchmarks: `go test -bench 'GEMM|GELU|LayerNorm' ./internal/tensor/
 // ./internal/nn/` reports achieved GFLOP/s (against the pre-blocking
 // streaming baseline, BenchmarkGEMMStream) and GB/s for the
 // elementwise kernels; `make bench` records the numbers into

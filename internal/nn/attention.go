@@ -14,16 +14,15 @@ import (
 // whose FLOP profile internal/perfmodel mirrors for the Frontier
 // simulator).
 //
-// The layer owns its fused QKV projection and output projection.
-// By default both passes run the fused tiled kernels
+// The layer owns its fused QKV projection and output projection. Both
+// passes — and Infer — run the fused tiled kernels
 // (tensor.FlashAttnFwd / FlashAttnBwd): online softmax over K/V
 // tiles, the 1/√d scale folded into the tile loop, and only the
 // per-row (max, exp-sum) statistics cached between forward and
 // backward — O(B·H·T) state instead of the O(B·H·T²) probability
-// matrices. SetFusedAttention(false) routes through the materialized
-// reference path, which forms the full per-head score matrix with the
-// blocked GEMM kernels and the scale-folded softmax ops; it is the
-// oracle the fused path is property-tested against. Either way the
+// matrices. The materialized form (full per-head score matrix through
+// the blocked GEMM and the softmax ops) lives only in the tests, as
+// the oracle the fused path is property-tested against. The
 // head-interleaved operands (dO inside the upstream (B·T × W)
 // gradient, the per-head thirds of the fused (B·T × 3W) QKV gradient)
 // are addressed in place via strided entry points, so no per-token
@@ -37,39 +36,16 @@ type MultiHeadAttention struct {
 	batch, tokens int
 
 	// [b·h][t][d] contiguous rearrangements of the fused QKV output,
-	// kept packed because both the forward S = Q·Kᵀ and four of the
-	// backward products re-read them.
+	// kept packed because the forward and the backward kernels both
+	// re-read them.
 	q, k, v []float32
-	// fused path: per-row online softmax statistics, 2 per (b·h, t).
+	// per-row online softmax statistics, 2 per (b·h, t).
 	stats []float32
-	// materialized path only: cached softmax probabilities, one (T×T)
-	// matrix per (b,h), plus the dP/dS backward intermediates.
-	probs  []float32
-	dp, ds []float32
-	// scratch shared by both paths: forward output (re-read by the
-	// fused backward) and the fused QKV gradient.
+	// forward output (re-read by the backward) and the fused QKV
+	// gradient.
 	attnOut []float32
 	dqkv    []float32
 }
-
-// fusedAttention selects the tiled kernel path; the materialized
-// reference stays available as the testing oracle.
-var fusedAttention = true
-
-// SetFusedAttention routes MultiHeadAttention (Forward/Backward and
-// Infer) through the fused tiled kernels (true, the default) or the
-// materialized reference path (false), returning the previous
-// setting. It is a process-wide dispatch switch for tests and
-// benchmarks, not a per-layer mode; flip it only around paired
-// forward/backward calls.
-func SetFusedAttention(on bool) bool {
-	prev := fusedAttention
-	fusedAttention = on
-	return prev
-}
-
-// FusedAttentionEnabled reports the current dispatch setting.
-func FusedAttentionEnabled() bool { return fusedAttention }
 
 // NewMultiHeadAttention builds the layer; width must be divisible by
 // heads.
@@ -100,62 +76,53 @@ func (a *MultiHeadAttention) PackBF16() {
 // Forward runs self-attention over batch sequences of tokens tokens
 // each; x has shape (batch·tokens × width).
 func (a *MultiHeadAttention) Forward(x []float32, batch, tokens int) []float32 {
-	w, h, d := a.Width, a.Heads, a.HeadDim
+	w, d := a.Width, a.HeadDim
 	checkRows(len(x), batch*tokens, w, "MultiHeadAttention.Forward")
 	a.batch, a.tokens = batch, tokens
 	qkv := a.QKV.Forward(x, batch*tokens)
 
-	bh := batch * h
+	bh := batch * a.Heads
 	a.q = grow(a.q, bh*tokens*d)
 	a.k = grow(a.k, bh*tokens*d)
 	a.v = grow(a.v, bh*tokens*d)
 	a.attnOut = grow(a.attnOut, batch*tokens*w)
-
-	// Rearrange fused (B·T × 3W) into per-(b,h) contiguous (T × D).
-	parallel.ForGrain(bh, 1, func(i int) {
-		b, hh := i/h, i%h
-		for t := 0; t < tokens; t++ {
-			src := qkv[(b*tokens+t)*3*w:]
-			dst := i*tokens*d + t*d
-			copy(a.q[dst:dst+d], src[hh*d:hh*d+d])
-			copy(a.k[dst:dst+d], src[w+hh*d:w+hh*d+d])
-			copy(a.v[dst:dst+d], src[2*w+hh*d:2*w+hh*d+d])
-		}
-	})
-
-	scale := float32(1 / math.Sqrt(float64(d)))
-	if fusedAttention {
-		a.stats = grow(a.stats, bh*2*tokens)
-		parallel.ForGrain(bh, 1, func(i int) {
-			q := a.q[i*tokens*d : (i+1)*tokens*d]
-			k := a.k[i*tokens*d : (i+1)*tokens*d]
-			v := a.v[i*tokens*d : (i+1)*tokens*d]
-			// O written as a strided (T × D) tile straight into the
-			// (B·T × W) layout; only the (m, l) stats are cached.
-			b, hh := i/h, i%h
-			tensor.FlashAttnFwd(a.attnOut[(b*tokens)*w+hh*d:], w, q, k, v,
-				tokens, d, scale, a.stats[i*2*tokens:(i+1)*2*tokens])
-		})
-	} else {
-		a.probs = grow(a.probs, bh*tokens*tokens)
-		parallel.ForGrain(bh, 1, func(i int) {
-			q := a.q[i*tokens*d : (i+1)*tokens*d]
-			k := a.k[i*tokens*d : (i+1)*tokens*d]
-			v := a.v[i*tokens*d : (i+1)*tokens*d]
-			p := a.probs[i*tokens*tokens : (i+1)*tokens*tokens]
-			// S = Q·Kᵀ, softmaxed in place into the probs cache with
-			// the 1/√d scale folded into the softmax pass.
-			tensor.MatMulTB(p, q, k, tokens, d, tokens, false)
-			tensor.SoftmaxScaled(p, p, tokens, tokens, scale)
-			// Per-head output O = P·V, written as a strided (T × D)
-			// tile straight into the (B·T × W) layout.
-			b, hh := i/h, i%h
-			tensor.MatMulLd(a.attnOut[(b*tokens)*w+hh*d:], p, v,
-				tokens, tokens, d, tokens, d, w, false)
-		})
-	}
+	a.stats = grow(a.stats, bh*2*tokens)
+	a.attend(a.attnOut, a.stats, a.q, a.k, a.v, qkv, batch, tokens)
 
 	return a.Out.Forward(a.attnOut, batch*tokens)
+}
+
+// attend is the attention core shared by Forward and Infer: it splits
+// the fused (B·T × 3W) projection into per-(b,h) contiguous (T × D)
+// q, k, v and runs the fused forward kernel per head, writing each
+// head's O as a strided (T × D) tile straight into the (B·T × W)
+// attnOut and its (m, l) statistics into stats. Each head is computed
+// by one serial kernel call, so the result does not depend on how the
+// pool splits the heads.
+func (a *MultiHeadAttention) attend(attnOut, stats, q, k, v, qkv []float32, batch, tokens int) {
+	w, h, d := a.Width, a.Heads, a.HeadDim
+	scale := float32(1 / math.Sqrt(float64(d)))
+	parallel.ForGrain(batch*h, 1, func(i int) {
+		b, hh := i/h, i%h
+		qi := q[i*tokens*d : (i+1)*tokens*d]
+		ki := k[i*tokens*d : (i+1)*tokens*d]
+		vi := v[i*tokens*d : (i+1)*tokens*d]
+		a.splitHead(qi, ki, vi, qkv[b*tokens*3*w:], hh, tokens)
+		tensor.FlashAttnFwd(attnOut[(b*tokens)*w+hh*d:], w, qi, ki, vi,
+			tokens, d, scale, stats[i*2*tokens:(i+1)*2*tokens])
+	})
+}
+
+// splitHead copies head hh's thirds of one sequence's fused
+// (T × 3W) projection into contiguous (T × D) q, k, v.
+func (a *MultiHeadAttention) splitHead(q, k, v, qkv []float32, hh, tokens int) {
+	w, d := a.Width, a.HeadDim
+	for t := 0; t < tokens; t++ {
+		src := qkv[t*3*w:]
+		copy(q[t*d:t*d+d], src[hh*d:hh*d+d])
+		copy(k[t*d:t*d+d], src[w+hh*d:w+hh*d+d])
+		copy(v[t*d:t*d+d], src[2*w+hh*d:2*w+hh*d+d])
+	}
 }
 
 // Backward propagates through the attention layer, accumulating
@@ -166,62 +133,24 @@ func (a *MultiHeadAttention) Backward(dy []float32) []float32 {
 	checkRows(len(dy), batch*tokens, w, "MultiHeadAttention.Backward")
 	dAttn := a.Out.Backward(dy) // (B·T × W)
 
-	bh := batch * h
 	a.dqkv = grow(a.dqkv, batch*tokens*3*w)
-
 	scale := float32(1 / math.Sqrt(float64(d)))
-	if fusedAttention {
-		parallel.ForGrain(bh, 1, func(i int) {
-			b, hh := i/h, i%h
-			q := a.q[i*tokens*d : (i+1)*tokens*d]
-			k := a.k[i*tokens*d : (i+1)*tokens*d]
-			v := a.v[i*tokens*d : (i+1)*tokens*d]
-			// This head's dO and O are strided (T × D) views; its dQ,
-			// dK, dV are the strided thirds of the fused (B·T × 3W)
-			// gradient. Probability tiles are recomputed inside the
-			// kernel from the cached (m, l) statistics.
-			do := dAttn[(b*tokens)*w+hh*d:]
-			o := a.attnOut[(b*tokens)*w+hh*d:]
-			dqkvH := a.dqkv[(b*tokens)*3*w:]
-			tensor.FlashAttnBwd(dqkvH[hh*d:], dqkvH[w+hh*d:], dqkvH[2*w+hh*d:], 3*w,
-				do, o, w, q, k, v, tokens, d, scale,
-				a.stats[i*2*tokens:(i+1)*2*tokens])
-		})
-		return a.QKV.Backward(a.dqkv)
-	}
-
-	a.dp = grow(a.dp, bh*tokens*tokens)
-	a.ds = grow(a.ds, bh*tokens*tokens)
-	parallel.ForGrain(bh, 1, func(i int) {
+	parallel.ForGrain(batch*h, 1, func(i int) {
 		b, hh := i/h, i%h
 		q := a.q[i*tokens*d : (i+1)*tokens*d]
 		k := a.k[i*tokens*d : (i+1)*tokens*d]
 		v := a.v[i*tokens*d : (i+1)*tokens*d]
-		p := a.probs[i*tokens*tokens : (i+1)*tokens*tokens]
-		dp := a.dp[i*tokens*tokens : (i+1)*tokens*tokens]
-		ds := a.ds[i*tokens*tokens : (i+1)*tokens*tokens]
-		// This head's dO is a strided (T × D) view of dAttn; its dQ,
-		// dK, dV are strided (T × D) tiles of the fused (B·T × 3W)
-		// gradient. Addressing them in place replaces the old
-		// rearrange/reassemble copy passes.
+		// This head's dO and O are strided (T × D) views; its dQ,
+		// dK, dV are the strided thirds of the fused (B·T × 3W)
+		// gradient. Probability tiles are recomputed inside the
+		// kernel from the cached (m, l) statistics.
 		do := dAttn[(b*tokens)*w+hh*d:]
+		o := a.attnOut[(b*tokens)*w+hh*d:]
 		dqkvH := a.dqkv[(b*tokens)*3*w:]
-
-		// dV = Pᵀ·dO, written into the V third of the fused gradient.
-		tensor.MatMulTALd(dqkvH[2*w+hh*d:], p, do,
-			tokens, tokens, d, tokens, w, 3*w, false)
-		// dP = dO·Vᵀ
-		tensor.MatMulTBLd(dp, do, v, tokens, d, tokens, w, d, tokens, false)
-		// dS = softmax backward with the 1/√d scale folded into its
-		// write pass (bitwise equal to the old separate scale sweep).
-		tensor.SoftmaxBackwardScaled(ds, p, dp, tokens, tokens, scale)
-		// dQ = dS·K into the Q third; dK = dSᵀ·Q into the K third.
-		tensor.MatMulLd(dqkvH[hh*d:], ds, k,
-			tokens, tokens, d, tokens, d, 3*w, false)
-		tensor.MatMulTALd(dqkvH[w+hh*d:], ds, q,
-			tokens, tokens, d, tokens, d, 3*w, false)
+		tensor.FlashAttnBwd(dqkvH[hh*d:], dqkvH[w+hh*d:], dqkvH[2*w+hh*d:], 3*w,
+			do, o, w, q, k, v, tokens, d, scale,
+			a.stats[i*2*tokens:(i+1)*2*tokens])
 	})
-
 	return a.QKV.Backward(a.dqkv)
 }
 
@@ -232,7 +161,6 @@ func (a *MultiHeadAttention) Backward(dy []float32) []float32 {
 // needs; weights are untouched.
 func (a *MultiHeadAttention) Release() {
 	a.q, a.k, a.v, a.stats = nil, nil, nil, nil
-	a.probs, a.dp, a.ds = nil, nil, nil
 	a.attnOut, a.dqkv = nil, nil
 	a.QKV.Release()
 	a.Out.Release()

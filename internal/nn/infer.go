@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -75,37 +73,13 @@ func (l *Linear) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	return y
 }
 
-// Infer normalizes rows of x exactly as Forward does (same float64
-// accumulation, same parallel grain) without caching x̂ or 1/σ.
+// Infer normalizes rows of x through the same kernel as Forward,
+// without caching x̂ or 1/σ.
 func (ln *LayerNorm) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	d := ln.Dim
 	checkRows(len(x), rows, d, "LayerNorm.Infer")
 	y := ctx.Take(rows * d)
-	g := ln.Gamma.Value.Data
-	b := ln.Beta.Value.Data
-	parallel.RangeGrain(rows, 1+parallel.MinGrain/(d+1), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xi := x[r*d : (r+1)*d]
-			var mean float64
-			for _, v := range xi {
-				mean += float64(v)
-			}
-			mean /= float64(d)
-			var variance float64
-			for _, v := range xi {
-				dv := float64(v) - mean
-				variance += dv * dv
-			}
-			variance /= float64(d)
-			inv := float32(1 / math.Sqrt(variance+float64(ln.Eps)))
-			yi := y[r*d : (r+1)*d]
-			m := float32(mean)
-			for j, v := range xi {
-				h := (v - m) * inv
-				yi[j] = g[j]*h + b[j]
-			}
-		}
-	})
+	tensor.LayerNorm(y, nil, nil, x, ln.Gamma.Value.Data, ln.Beta.Value.Data, rows, d, ln.Eps)
 	return y
 }
 
@@ -125,59 +99,23 @@ func (m *MLP) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 
 // Infer runs self-attention with every intermediate (fused QKV, the
 // per-head Q/K/V rearrangement, the merged head output) in the arena.
-// It follows the same fused/materialized dispatch as Forward and runs
-// the identical per-head kernels, so the output is bitwise equal to
-// the training path. On the fused path the arena never holds a (T×T)
+// It runs the same attend core as Forward, so the output is bitwise
+// equal to the training path, and the arena never holds a (T×T)
 // buffer — only the O(B·H·T) statistics — which is what keeps a
 // serving worker's steady-state footprint independent of the score
 // matrix size.
 func (a *MultiHeadAttention) Infer(ctx *InferCtx, x []float32, batch, tokens int) []float32 {
-	w, h, d := a.Width, a.Heads, a.HeadDim
+	w, d := a.Width, a.HeadDim
 	checkRows(len(x), batch*tokens, w, "MultiHeadAttention.Infer")
 	qkv := a.QKV.Infer(ctx, x, batch*tokens)
 
-	bh := batch * h
+	bh := batch * a.Heads
 	q := ctx.Take(bh * tokens * d)
 	k := ctx.Take(bh * tokens * d)
 	v := ctx.Take(bh * tokens * d)
 	attnOut := ctx.Take(batch * tokens * w)
-
-	parallel.ForGrain(bh, 1, func(i int) {
-		b, hh := i/h, i%h
-		for t := 0; t < tokens; t++ {
-			src := qkv[(b*tokens+t)*3*w:]
-			dst := i*tokens*d + t*d
-			copy(q[dst:dst+d], src[hh*d:hh*d+d])
-			copy(k[dst:dst+d], src[w+hh*d:w+hh*d+d])
-			copy(v[dst:dst+d], src[2*w+hh*d:2*w+hh*d+d])
-		}
-	})
-
-	scale := float32(1 / math.Sqrt(float64(d)))
-	if fusedAttention {
-		stats := ctx.Take(bh * 2 * tokens)
-		parallel.ForGrain(bh, 1, func(i int) {
-			qi := q[i*tokens*d : (i+1)*tokens*d]
-			ki := k[i*tokens*d : (i+1)*tokens*d]
-			vi := v[i*tokens*d : (i+1)*tokens*d]
-			b, hh := i/h, i%h
-			tensor.FlashAttnFwd(attnOut[(b*tokens)*w+hh*d:], w, qi, ki, vi,
-				tokens, d, scale, stats[i*2*tokens:(i+1)*2*tokens])
-		})
-	} else {
-		probs := ctx.Take(bh * tokens * tokens)
-		parallel.ForGrain(bh, 1, func(i int) {
-			qi := q[i*tokens*d : (i+1)*tokens*d]
-			ki := k[i*tokens*d : (i+1)*tokens*d]
-			vi := v[i*tokens*d : (i+1)*tokens*d]
-			p := probs[i*tokens*tokens : (i+1)*tokens*tokens]
-			tensor.MatMulTB(p, qi, ki, tokens, d, tokens, false)
-			tensor.SoftmaxScaled(p, p, tokens, tokens, scale)
-			b, hh := i/h, i%h
-			tensor.MatMulLd(attnOut[(b*tokens)*w+hh*d:], p, vi,
-				tokens, tokens, d, tokens, d, w, false)
-		})
-	}
+	stats := ctx.Take(bh * 2 * tokens)
+	a.attend(attnOut, stats, q, k, v, qkv, batch, tokens)
 
 	return a.Out.Infer(ctx, attnOut, batch*tokens)
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/tensor"
 
 // LayerNorm normalizes each row of the input to zero mean and unit
 // variance, then applies a learned per-feature affine transform
@@ -52,82 +48,18 @@ func (ln *LayerNorm) Forward(x []float32, rows int) []float32 {
 	ln.xhat = grow(ln.xhat, rows*d)
 	ln.invStd = grow(ln.invStd, rows)
 	ln.y = grow(ln.y, rows*d)
-	g := ln.Gamma.Value.Data
-	b := ln.Beta.Value.Data
-	parallel.RangeGrain(rows, 1+parallel.MinGrain/(d+1), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xi := x[r*d : (r+1)*d]
-			var mean float64
-			for _, v := range xi {
-				mean += float64(v)
-			}
-			mean /= float64(d)
-			var variance float64
-			for _, v := range xi {
-				dv := float64(v) - mean
-				variance += dv * dv
-			}
-			variance /= float64(d)
-			inv := float32(1 / math.Sqrt(variance+float64(ln.Eps)))
-			ln.invStd[r] = inv
-			xh := ln.xhat[r*d : (r+1)*d]
-			yi := ln.y[r*d : (r+1)*d]
-			m := float32(mean)
-			for j, v := range xi {
-				h := (v - m) * inv
-				xh[j] = h
-				yi[j] = g[j]*h + b[j]
-			}
-		}
-	})
+	tensor.LayerNorm(ln.y, ln.xhat, ln.invStd, x, ln.Gamma.Value.Data, ln.Beta.Value.Data, rows, d, ln.Eps)
 	return ln.y
 }
 
-// Backward computes the LayerNorm gradient. Using x̂ and 1/σ cached by
-// Forward:
-//
-//	dx = (1/σ)/D · (D·dx̂ − Σdx̂ − x̂·Σ(dx̂·x̂)),  dx̂ = dy·γ
+// Backward computes the LayerNorm gradient from the x̂ and 1/σ cached
+// by Forward (tensor.LayerNormBackward), accumulating dγ and dβ.
 func (ln *LayerNorm) Backward(dy []float32) []float32 {
 	d := ln.Dim
 	rows := ln.rows
 	checkRows(len(dy), rows, d, "LayerNorm.Backward")
 	ln.dx = grow(ln.dx, rows*d)
-	g := ln.Gamma.Value.Data
-
-	// Parameter grads are column reductions: each worker owns a feature
-	// range and adds the rows in order (the serial summation order, no
-	// atomics).
-	parallel.RangeGrain(d, colGrain(rows), func(lo, hi int) {
-		dg := ln.Gamma.Grad.Data[lo:hi]
-		db := ln.Beta.Grad.Data[lo:hi]
-		for r := 0; r < rows; r++ {
-			dyr := dy[r*d+lo : r*d+hi]
-			xh := ln.xhat[r*d+lo : r*d+hi]
-			for j := range dyr {
-				dg[j] += dyr[j] * xh[j]
-				db[j] += dyr[j]
-			}
-		}
-	})
-
-	parallel.RangeGrain(rows, 1+parallel.MinGrain/(d+1), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			dyr := dy[r*d : (r+1)*d]
-			xh := ln.xhat[r*d : (r+1)*d]
-			dxr := ln.dx[r*d : (r+1)*d]
-			var sumDxh, sumDxhXh float64
-			for j := range dyr {
-				dxh := float64(dyr[j]) * float64(g[j])
-				sumDxh += dxh
-				sumDxhXh += dxh * float64(xh[j])
-			}
-			invN := 1 / float64(d)
-			inv := float64(ln.invStd[r])
-			for j := range dyr {
-				dxh := float64(dyr[j]) * float64(g[j])
-				dxr[j] = float32(inv * (dxh - invN*sumDxh - float64(xh[j])*invN*sumDxhXh))
-			}
-		}
-	})
+	tensor.LayerNormParamGrads(ln.Gamma.Grad.Data, ln.Beta.Grad.Data, dy, ln.xhat, rows, d)
+	tensor.LayerNormBackward(ln.dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value.Data, rows, d)
 	return ln.dx
 }

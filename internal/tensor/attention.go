@@ -7,53 +7,113 @@ import (
 )
 
 // Fused tiled attention (FlashAttention-style) on top of the packed
-// GEMM micro-kernels.
+// GEMM micro-kernel.
 //
-// The materialized attention path forms the full (T×T) score matrix
-// S = scale·Q·Kᵀ per head, softmaxes it, and multiplies by V — three
-// O(T²) memory sweeps over a buffer that stops fitting in cache right
-// where the paper's long-sequence ViT shapes live. The fused kernels
-// below stream K/V in faBk-row tiles against faBq-row blocks of Q,
-// maintain the softmax online (running row max m and exp-sum l, with
-// an exp(mPrev−mNext) correction applied to the output accumulator
-// whenever the max advances), and never materialize S or P: score
-// tiles live in a (faBq×faBk) scratch tile and the exponentiated
-// probabilities are written directly into the packed A-panel layout
-// that the P·V micro-kernel consumes. The only per-row state that
-// survives the forward pass is the (m, l) statistics pair — 2 floats
-// per row instead of T — which is exactly what the backward pass needs
-// to recompute any probability tile bitwise:
+// The materialized form of attention builds the full (T×T) score
+// matrix S = scale·Q·Kᵀ per head, softmaxes it, and multiplies by V —
+// three O(T²) memory sweeps over a buffer that stops fitting in cache
+// right where the paper's long-sequence ViT shapes live. The fused
+// kernels below stream K/V in tiles, keep the softmax online (running
+// max m and exp-sum l per query, with an exp(mPrev−mNew) correction
+// applied to l and the output accumulator whenever the max advances),
+// and never materialize S or P. The only per-row state that survives
+// the forward pass is the (m, l) pair — 2 floats per row instead of T
+// — which is exactly what the backward pass needs to recompute any
+// probability bitwise:
 //
 //	P[i][j] = exp(scale·S[i][j] − m_i) / l_i
 //
-// The backward kernel re-runs the S tiles (same packing, same
-// micro-kernel, so the recomputation matches the forward tile
-// bitwise), forms dP = dO·Vᵀ tile-wise, applies the softmax Jacobian
-// dS = P∘(dP − D)·scale with D_i = Σ_j dO[i][j]·O[i][j], and
-// accumulates the three gradient GEMMs (dQ += dS·K, dK += dSᵀ·Q,
-// dV += Pᵀ·dO) per tile. The 1/√d scale is folded into the online
-// max/exp pass — there is no separate O(T²) scaling sweep anywhere on
-// the fused path.
+// Orientation. The micro-kernel computes an mr×nr = 6×16 tile per
+// call, and a head is narrow (6–64 wide) while sequences are long, so
+// every product that has the head dimension d as an output axis puts
+// it on the 6-row axis and puts tokens on the 16 lanes; d is only ever
+// padded up to a multiple of 6. Score tiles are stored panel-major, nr
+// tokens to a row, which is at once the micro-kernel's C layout with
+// ldc = nr and its B-panel layout — a tile is written by one product
+// and read by the next as it lies. Score tiles, whose depth is only d,
+// come from microKernPanels: the micro-kernel's k loop over a run of A
+// panels against one B panel, storing instead of accumulating, one
+// call per strip. The products:
 //
-// All tile products run through the same packed panels and mr×nr
-// micro-kernel as the blocked GEMM driver (gemm.go): K and V are
-// packed once per call into the B-panel layouts each product needs,
-// Q/dO blocks and probability tiles into A-panels. Panels are
-// zero-padded, so edge tiles of odd T or d cost only a few zero
-// multiply-adds instead of a scalar cleanup path. Exponentials use the
-// float32 polynomial expf32 (fastexp.go); the materialized reference
-// path keeps float64 math.Exp, and the documented fused-vs-reference
-// tolerance (see the property tests) covers both the exp swap and the
-// deferred 1/l normalization.
+//	forward   Sᵀ  = K·Qᵀ     K rows on the row axis, queries on lanes (d is the depth)
+//	          Oᵀ += Vᵀ·Pᵀ    d on the row axis, queries on lanes; B-panel = the tile
+//	backward  S   = Q·Kᵀ     query rows on the row axis, keys on lanes (d is the depth)
+//	          dP  = dO·Vᵀ    the same, dO and V for Q and K
+//	          dVᵀ += dOᵀ·P   d on the row axis, keys on lanes; B-panel = the P strip
+//	          dKᵀ += Qᵀ·dS   d on the row axis, keys on lanes; B-panel = the dS strip
+//	          dQᵀ += Kᵀ·dSᵀ  d on the row axis, queries on lanes; B-panel = dSᵀ
+//
+// Forward: one nr-query panel at a time walks the keys in faFwdBk-row
+// tiles. flashSoftmaxCols (flashkern.go) runs the online softmax down
+// the tile's columns — 16 queries on the lanes, max and exp-sum as
+// vectors, the 1/√d scale folded into the same two passes,
+// exponentials written in place — and the tile then feeds Oᵀ += Vᵀ·Pᵀ
+// unchanged. The d×nr accumulator is transposed back only on the
+// final 1/l write-out.
+//
+// Backward: per faBq-query block and nr-key panel, the S and dP strips
+// are recomputed — the same k-ordered FMA chain per score as the
+// forward, and FMA(a,b,c) = FMA(b,a,c), so swapping which operand
+// rides the row axis does not change a bit — turned into P and
+// dS = P∘(dP − D)·scale in place by flashJacobian (one call per strip,
+// per-row m, 1/l and D_i = Σ_j dO[i][j]·O[i][j] from an array), and
+// consumed as B-panels by the dVᵀ and dKᵀ products. dQ needs dS with
+// queries on the lanes, so each strip is also transposed in 16×16
+// blocks into a dSᵀ tile — the single repack of a probability-sized
+// operand on the fused path — and dQᵀ += Kᵀ·dSᵀ runs once per faBk-key
+// tile. The three gradients accumulate transposed (d × T) and are
+// transposed back on the final write-out.
+//
+// Padding. Operand panels are zero-padded, so ragged T or d costs a
+// few zero multiply-adds instead of a scalar cleanup path. What a pad
+// produces is never read into a kept result: key rows past a forward
+// tile and query rows past a backward block sit beyond the row counts
+// the softmax and the products are given, and padded lanes — queries
+// in the forward, keys in the backward — only ever reach accumulator
+// columns past T, because no kernel here mixes lanes. Each head is one
+// serial call, so results do not depend on GOMAXPROCS.
+//
+// Exponentials use the float32 polynomial of flashkern.go and exp-sums
+// accumulate in float32 lanes; the materialized reference keeps
+// float64 math.Exp and sums, and the documented fused-vs-reference
+// tolerance (see the property tests) covers that and the deferred 1/l
+// normalization. Non-finite scores propagate to the output (see
+// flashkern.go).
 const (
-	// faBq is the Q-block height: a multiple of the micro-kernel's mr
-	// so every interior panel boundary is kernel-aligned.
+	// faFwdBk is the forward key-tile height: a multiple of mr (keys
+	// ride the micro-kernel's row axis there), sized so one nr-query
+	// score tile stays L1-resident.
+	faFwdBk = 288
+	// faBq is the backward query-block height: a multiple of mr (query
+	// rows are the A-panels of the S/dP recompute) and of nr (dS is
+	// transposed in nr×nr blocks).
 	faBq = 48
-	// faBk is the K/V tile width: a multiple of nr, sized so one
-	// (faBq×faBk) score tile plus the packed K/V panels it reads stay
-	// L1/L2-resident.
+	// faBk is the backward key-tile width, a multiple of nr: the dSᵀ
+	// tile (faBq×faBk) is the one probability-sized buffer kept across
+	// a tile's key panels.
 	faBk = 128
 )
+
+// The attention layouts lean on the micro-kernel's shape beyond what
+// the GEMM driver needs: the head dimension rides the mr = 6 row axis
+// in mr-row panels ([d panel][token][mr], which for d = mr is the
+// operand's own row-major memory), tokens ride the nr = 16 lanes in
+// [token panel][·][nr] tiles that the two-YMM panel kernels
+// (flashkern.go) and the 16×16 dS transpose walk, and a backward query
+// block is whole panels on both axes.
+var (
+	_ = [1]struct{}{}[mr-6]
+	_ = [1]struct{}{}[nr-16]
+	_ = [1]struct{}{}[faBq%mr+faBq%nr+faBk%nr+faFwdBk%mr]
+)
+
+// flashTileHook, when non-nil, observes every score tile before
+// (stage 's') and after (stage 'p') the softmax stage: in the forward
+// a [key][nr queries] tile of the query panel at i0 and key tile at
+// j0, in the backward a [query][nr keys] strip of the query block at
+// i0 and key panel at j0. Tests use it to hold the backward's
+// recomputation to the forward bitwise; production passes nil.
+type flashTileHook func(stage byte, i0, j0 int, tile []float32)
 
 // FlashAttnFwd computes one attention head O = softmax(scale·Q·Kᵀ)·V
 // without materializing the (t×t) score matrix. q, k, v are contiguous
@@ -64,6 +124,10 @@ const (
 // scores of row i, stats[2i+1] the exp-sum — and must have length
 // ≥ 2t; FlashAttnBwd consumes it to recompute probabilities exactly.
 func FlashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32) {
+	flashAttnFwd(o, ldo, q, k, v, t, d, scale, stats, nil)
+}
+
+func flashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32, hook flashTileHook) {
 	checkFlashAttn("FlashAttnFwd", t, d, q, k, v)
 	if ldo < d || len(o) < (t-1)*ldo+d {
 		panic("tensor: FlashAttnFwd output buffer too small")
@@ -71,127 +135,67 @@ func FlashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float
 	if len(stats) < 2*t {
 		panic("tensor: FlashAttnFwd stats buffer too small")
 	}
-	tPadN := roundUp(t, nr)
-	dPadN := roundUp(d, nr)
-	bqCap := faBq
-	if t < faBq {
-		bqCap = roundUp(t, mr)
-	}
+	tPadM, tPadN, dPadM := roundUp(t, mr), roundUp(t, nr), roundUp(d, mr)
+	tileRows := min(faFwdBk, tPadM)
 
-	buf := getPack(&flashPool, d*tPadN+t*dPadN+bqCap*d+2*bqCap*faBk+bqCap*dPadN)
+	buf := getPack(&flashPool, tPadM*d+dPadM*t+d*tPadN+tileRows*nr+dPadM*nr)
 	sc := *buf
 	next := func(n int) []float32 { s := sc[:n]; sc = sc[n:]; return s }
-	kT := next(d * tPadN) // K in B-panel-T layout for S = Q·Kᵀ
-	vN := next(t * dPadN) // V in per-tile B-panel-N layout for O += P·V
-	qA := next(bqCap * d) // current Q block in A-panel layout
-	pA := next(bqCap * faBk)
-	sT := next(bqCap * faBk)
-	acc := next(bqCap * dPadN)
+	kA := next(tPadM * d)     // K rows as A-panels [key panel][kk][mr]: Sᵀ = K·Qᵀ
+	vA := next(dPadM * t)     // Vᵀ as A-panels [d panel][key][mr]:      Oᵀ += Vᵀ·Pᵀ
+	qT := next(d * tPadN)     // Q as B-panels [query panel][kk][nr]
+	sT := next(tileRows * nr) // score → probability tile [key][nr queries]
+	acc := next(dPadM * nr)   // Oᵀ accumulator [d][nr queries]
 
-	for jp := 0; jp*nr < t; jp++ {
-		packBPanelT(kT[jp*d*nr:], k, d, d, 0, jp*nr, min(nr, t-jp*nr))
-	}
-	for j0 := 0; j0 < t; j0 += faBk {
-		jw := min(faBk, t-j0)
-		for jp := 0; jp*nr < dPadN; jp++ {
-			packBPanelN(vN[j0*dPadN+jp*jw*nr:], v[j0*d:], jw, d, jp*nr, min(nr, d-jp*nr))
-		}
+	packABlockN(kA, k, 0, t, 0, d, d)
+	packABlockT(vA, v, 0, d, 0, t, d)
+	for ip := 0; ip*nr < t; ip++ {
+		packBPanelT(qT[ip*d*nr:], q, d, d, 0, ip*nr, min(nr, t-ip*nr))
 	}
 
-	var mRow [faBq]float32
-	var lRow [faBq]float64
-	var eRow [faBk]float32
-	for i0 := 0; i0 < t; i0 += faBq {
-		bq := min(faBq, t-i0)
-		bqPad := roundUp(bq, mr)
-		mPanels := bqPad / mr
-		packABlockN(qA, q, i0, bq, 0, d, d)
-		negInf := float32(math.Inf(-1))
-		for r := 0; r < bq; r++ {
-			mRow[r] = negInf
-			lRow[r] = 0
+	negInf := float32(math.Inf(-1))
+	var ml [2 * nr]float32 // running max, then exp-sum, per query lane
+	for i0 := 0; i0 < t; i0 += nr {
+		qPanel := &qT[i0*d]
+		for lane := 0; lane < nr; lane++ {
+			ml[lane], ml[nr+lane] = negInf, 0
 		}
-		clear(acc[:bqPad*dPadN])
+		clear(acc)
 
-		for j0 := 0; j0 < t; j0 += faBk {
-			jw := min(faBk, t-j0)
-			jwPadN := roundUp(jw, nr)
-			clear(sT[:bqPad*faBk])
-			for jp := 0; jp < jwPadN/nr; jp++ {
-				bpanel := &kT[(j0/nr+jp)*d*nr]
-				for ip := 0; ip < mPanels; ip++ {
-					microKern(d, &qA[ip*mr*d], bpanel, &sT[ip*mr*faBk+jp*nr], faBk)
-				}
+		for j0 := 0; j0 < t; j0 += faFwdBk {
+			jw := min(faFwdBk, t-j0)
+			// Sᵀ tile: each mr-key panel of K against the query panel
+			// gives mr rows of nr query lanes, stored (ldc = nr). Key
+			// rows past jw in the last panel are scores against zero
+			// padding; the softmax and the P·V product stop at jw and
+			// never read them. Padded query lanes (zero Q columns)
+			// carry finite garbage that stays in its own lane and is
+			// not written out.
+			tile := sT[:roundUp(jw, mr)*nr]
+			microKernPanels(d, &kA[j0*d], qPanel, &tile[0], len(tile)/(mr*nr))
+			if hook != nil {
+				hook('s', i0, j0, tile[:jw*nr])
 			}
-			// Online softmax over the tile: advance the row max, write
-			// exp(scale·s − m) straight into P's packed A-panels, and
-			// rescale the accumulator by exp(mPrev − mCur) when the max
-			// moved. The scale multiply happens inside the vectorized
-			// max and exp passes — no separate sweep. (Rounding is
-			// monotone, so scale·max(s) = max(scale·s) for scale ≥ 0.)
-			for r := 0; r < bq; r++ {
-				srow := sT[r*faBk : r*faBk+jw]
-				mPrev := mRow[r]
-				mCur := mPrev
-				if scale >= 0 {
-					if c := scale * maxFloat32(srow); c > mCur {
-						mCur = c
-					}
-				} else {
-					for _, sv := range srow {
-						if v := scale * sv; v > mCur {
-							mCur = v
-						}
-					}
-				}
-				expScaledSub(eRow[:jw], srow, scale, mCur)
-				pan := pA[(r/mr)*mr*jw:]
-				rr := r % mr
-				var rowSum float64
-				for j, e := range eRow[:jw] {
-					pan[j*mr+rr] = e
-					rowSum += float64(e)
-				}
-				if mCur > mPrev {
-					alpha := expf32(mPrev - mCur)
-					lRow[r] = float64(alpha)*lRow[r] + rowSum
-					mRow[r] = mCur
-					//statgate:allow floateq — exact: alpha is expf32(0) == 1 when the running max did not move
-					if alpha != 1 {
-						arow := acc[r*dPadN : r*dPadN+d]
-						for j := range arow {
-							arow[j] *= alpha
-						}
-					}
-				} else {
-					lRow[r] += rowSum
-				}
+			flashSoftmaxCols(tile, jw, scale, &ml, acc)
+			if hook != nil {
+				hook('p', i0, j0, tile[:jw*nr])
 			}
-			for r := bq; r < bqPad; r++ {
-				pan := pA[(r/mr)*mr*jw:]
-				rr := r % mr
-				for j := 0; j < jw; j++ {
-					pan[j*mr+rr] = 0
-				}
-			}
-			for jp := 0; jp < dPadN/nr; jp++ {
-				bpanel := &vN[j0*dPadN+jp*jw*nr]
-				for ip := 0; ip < mPanels; ip++ {
-					microKern(jw, &pA[ip*mr*jw], bpanel, &acc[ip*mr*dPadN+jp*nr], dPadN)
-				}
+			// The tile as it lies is the B-panel of Oᵀ += Vᵀ·Pᵀ.
+			for dp := 0; dp < dPadM; dp += mr {
+				microKern(jw, &vA[dp*t+j0*mr], &tile[0], &acc[dp*nr], nr)
 			}
 		}
 
-		// Deferred normalization: one 1/l multiply per output element.
-		for r := 0; r < bq; r++ {
-			invL := 1 / float32(lRow[r])
-			orow := o[(i0+r)*ldo : (i0+r)*ldo+d]
-			arow := acc[r*dPadN:]
+		// Deferred normalization on the transposing write-out: one
+		// 1/l multiply per output element.
+		for lane := 0; lane < min(nr, t-i0); lane++ {
+			i := i0 + lane
+			invL := 1 / ml[nr+lane]
+			orow := o[i*ldo : i*ldo+d]
 			for j := range orow {
-				orow[j] = arow[j] * invL
+				orow[j] = acc[j*nr+lane] * invL
 			}
-			stats[2*(i0+r)] = mRow[r]
-			stats[2*(i0+r)+1] = float32(lRow[r])
+			stats[2*i], stats[2*i+1] = ml[lane], ml[nr+lane]
 		}
 	}
 	flashPool.Put(buf)
@@ -205,6 +209,10 @@ func FlashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float
 // statistics FlashAttnFwd produced; probability tiles are recomputed
 // from them, so no O(t²) state is carried between the passes.
 func FlashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32) {
+	flashAttnBwd(dq, dk, dv, ldqkv, do_, o, ldo, q, k, v, t, d, scale, stats, nil)
+}
+
+func flashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32, hook flashTileHook) {
 	checkFlashAttn("FlashAttnBwd", t, d, q, k, v)
 	if ldqkv < d || len(dq) < (t-1)*ldqkv+d || len(dk) < (t-1)*ldqkv+d || len(dv) < (t-1)*ldqkv+d {
 		panic("tensor: FlashAttnBwd gradient buffer too small")
@@ -215,121 +223,97 @@ func FlashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 	if len(stats) < 2*t {
 		panic("tensor: FlashAttnBwd stats buffer too small")
 	}
-	tPadN := roundUp(t, nr)
-	dPadN := roundUp(d, nr)
-	bqCap := faBq
-	if t < faBq {
-		bqCap = roundUp(t, mr)
-	}
-	tPadMr := roundUp(t, mr)
-	tAccRows := tPadMr + mr // micro-kernel row spill past a tile edge
-	tileRowsPad := roundUp(min(faBk, t), mr)
+	tPadM, tPadN, dPadM := roundUp(t, mr), roundUp(t, nr), roundUp(d, mr)
+	tileCols := min(faBk, tPadN)
 
-	need := 2*d*tPadN + t*dPadN + 2*bqCap*d + 2*bqCap*dPadN +
-		2*bqCap*faBk + 2*tileRowsPad*bqCap + bqCap*faBk +
-		3*tAccRows*dPadN + t
-	buf := getPack(&flashPool, need)
+	buf := getPack(&flashPool, 2*d*tPadN+2*tPadM*d+3*dPadM*t+2*faBq*nr+faBq*tileCols+3*dPadM*tPadN+3*t)
 	sc := *buf
 	next := func(n int) []float32 { s := sc[:n]; sc = sc[n:]; return s }
-	kT := next(d * tPadN)      // K panels for recomputing S
-	vT := next(d * tPadN)      // V panels for dP = dO·Vᵀ
-	kN := next(t * dPadN)      // K panels for dQ += dS·K
-	qA := next(bqCap * d)      // Q block A-panels (S recompute)
-	doA := next(bqCap * d)     // dO block A-panels (dP)
-	qB := next(bqCap * dPadN)  // Q block B-panels (dK += dSᵀ·Q)
-	doB := next(bqCap * dPadN) // dO block B-panels (dV += Pᵀ·dO)
-	sT := next(bqCap * faBk)
-	dpT := next(bqCap * faBk)
-	pTA := next(tileRowsPad * bqCap)
-	dsTA := next(tileRowsPad * bqCap)
-	dsA := next(bqCap * faBk)
-	dqAcc := next(tAccRows * dPadN)
-	dkAcc := next(tAccRows * dPadN)
-	dvAcc := next(tAccRows * dPadN)
-	dVec := next(t) // D_i = Σ_j dO[i][j]·O[i][j]
+	kT := next(d * tPadN)        // K as B-panels [key panel][kk][nr]:   S  = Q·Kᵀ
+	vT := next(d * tPadN)        // V as B-panels:                       dP = dO·Vᵀ
+	qA := next(tPadM * d)        // Q rows as A-panels [query panel][kk][mr]
+	doA := next(tPadM * d)       // dO rows as A-panels
+	qTA := next(dPadM * t)       // Qᵀ as A-panels [d panel][query][mr]:  dKᵀ += Qᵀ·dS
+	doTA := next(dPadM * t)      // dOᵀ as A-panels:                      dVᵀ += dOᵀ·P
+	kTA := next(dPadM * t)       // Kᵀ as A-panels [d panel][key][mr]:    dQᵀ += Kᵀ·dSᵀ
+	sP := next(faBq * nr)        // score → P strip [query][nr keys]
+	dpP := next(faBq * nr)       // dP → dS strip
+	dsT := next(faBq * tileCols) // dSᵀ tile [query panel][key][nr queries]
+	dqT := next(dPadM * tPadN)   // gradient accumulators, transposed [d][token]
+	dkT := next(dPadM * tPadN)
+	dvT := next(dPadM * tPadN)
+	rowStat := next(3 * t) // (m, 1/l, D) per query, D_i = Σ_j dO[i][j]·O[i][j]
 
 	for jp := 0; jp*nr < t; jp++ {
 		jw := min(nr, t-jp*nr)
 		packBPanelT(kT[jp*d*nr:], k, d, d, 0, jp*nr, jw)
 		packBPanelT(vT[jp*d*nr:], v, d, d, 0, jp*nr, jw)
 	}
-	for j0 := 0; j0 < t; j0 += faBk {
-		jw := min(faBk, t-j0)
-		for jp := 0; jp*nr < dPadN; jp++ {
-			packBPanelN(kN[j0*dPadN+jp*jw*nr:], k[j0*d:], jw, d, jp*nr, min(nr, d-jp*nr))
-		}
-	}
+	packABlockN(qA, q, 0, t, 0, d, d)
+	packABlockN(doA, do_, 0, t, 0, d, ldo)
+	packABlockT(qTA, q, 0, d, 0, t, d)
+	packABlockT(doTA, do_, 0, d, 0, t, ldo)
+	packABlockT(kTA, k, 0, d, 0, t, d)
 	for i := 0; i < t; i++ {
-		dVec[i] = dot(do_[i*ldo:i*ldo+d], o[i*ldo:i*ldo+d])
+		rowStat[3*i] = stats[2*i]
+		rowStat[3*i+1] = 1 / stats[2*i+1]
+		rowStat[3*i+2] = dot(do_[i*ldo:i*ldo+d], o[i*ldo:i*ldo+d])
 	}
-	clear(dqAcc)
-	clear(dkAcc)
-	clear(dvAcc)
+	clear(dqT)
+	clear(dkT)
+	clear(dvT)
 
 	for i0 := 0; i0 < t; i0 += faBq {
 		bq := min(faBq, t-i0)
-		bqPad := roundUp(bq, mr)
-		mPanels := bqPad / mr
-		packABlockN(qA, q, i0, bq, 0, d, d)
-		packABlockN(doA, do_, i0, bq, 0, d, ldo)
-		for jp := 0; jp*nr < dPadN; jp++ {
-			jwd := min(nr, d-jp*nr)
-			packBPanelN(qB[jp*bq*nr:], q[i0*d:], bq, d, jp*nr, jwd)
-			packBPanelN(doB[jp*bq*nr:], do_[i0*ldo:], bq, ldo, jp*nr, jwd)
-		}
-
 		for j0 := 0; j0 < t; j0 += faBk {
 			jw := min(faBk, t-j0)
-			jwPadN := roundUp(jw, nr)
-			jwPadMr := roundUp(jw, mr)
-			clear(sT[:bqPad*faBk])
-			clear(dpT[:bqPad*faBk])
-			for jp := 0; jp < jwPadN/nr; jp++ {
-				kPanel := &kT[(j0/nr+jp)*d*nr]
-				vPanel := &vT[(j0/nr+jp)*d*nr]
-				for ip := 0; ip < mPanels; ip++ {
-					microKern(d, &qA[ip*mr*d], kPanel, &sT[ip*mr*faBk+jp*nr], faBk)
-					microKern(d, &doA[ip*mr*d], vPanel, &dpT[ip*mr*faBk+jp*nr], faBk)
+			tileStride := roundUp(jw, nr) * nr // one query panel of dsT
+			for c0 := j0; c0 < j0+jw; c0 += nr {
+				// Recompute the S and dP strips of this key panel: the
+				// same k-ordered FMA chain per score as the forward
+				// (operand roles swapped, which FMA does not see), so
+				// the strip is bitwise the forward's scores. Rows past
+				// bq and key lanes past t are products with zero
+				// padding or stale scratch; no product below reads them
+				// into a kept result (row counts stop at bq and jw, and
+				// lanes never mix).
+				strip, dstrip := sP[:roundUp(bq, mr)*nr], dpP[:roundUp(bq, mr)*nr]
+				microKernPanels(d, &qA[i0*d], &kT[c0*d], &strip[0], len(strip)/(mr*nr))
+				microKernPanels(d, &doA[i0*d], &vT[c0*d], &dstrip[0], len(dstrip)/(mr*nr))
+				if hook != nil {
+					hook('s', i0, c0, strip[:bq*nr])
+				}
+				// P from the cached (m, 1/l) and dS = P∘(dP − D)·scale,
+				// both in place: the S strip becomes P, the dP strip dS.
+				flashJacobian(strip, dstrip, bq, scale, rowStat[3*i0:])
+				if hook != nil {
+					hook('p', i0, c0, strip[:bq*nr])
+				}
+				// The strips as they lie are the B-panels of
+				// dVᵀ += dOᵀ·P and dKᵀ += Qᵀ·dS.
+				for dp := 0; dp < dPadM; dp += mr {
+					microKern(bq, &doTA[dp*t+i0*mr], &strip[0], &dvT[dp*tPadN+c0], tPadN)
+					microKern(bq, &qTA[dp*t+i0*mr], &dstrip[0], &dkT[dp*tPadN+c0], tPadN)
+				}
+				// The one repack: dS transposed into the dSᵀ tile.
+				for ip := 0; ip*nr < bq; ip++ {
+					flashTranspose16(dsT[ip*tileStride+(c0-j0)*nr:], dpP[ip*nr*nr:])
 				}
 			}
-			// Recompute P from the cached (m, l) statistics — the S
-			// tile above is bitwise the forward tile (same packing,
-			// same kernel) — and form dS = P∘(dP − D)·scale, both in
-			// place and eight lanes at a time: the S tile becomes P, the
-			// dP tile becomes dS.
-			for r := 0; r < bq; r++ {
-				i := i0 + r
-				prow := sT[r*faBk : r*faBk+jw]
-				expScaledSub(prow, prow, scale, stats[2*i])
-				softmaxJacobianRow(prow, dpT[r*faBk:r*faBk+jw], 1/stats[2*i+1], dVec[i], scale)
-			}
-			// Pack the tiles into the A-panel layouts their gradient
-			// products consume, zero-padding ragged edges: P transposed
-			// (dV += Pᵀ·dO), dS both transposed (dK += dSᵀ·Q) and
-			// normal (dQ += dS·K).
-			packABlockT(pTA, sT, 0, jw, 0, bq, faBk)
-			packABlockT(dsTA, dpT, 0, jw, 0, bq, faBk)
-			packABlockN(dsA, dpT, 0, bq, 0, jw, faBk)
-
-			for jp := 0; jp < dPadN/nr; jp++ {
-				// dQ_blk += dS·K_tile
-				bpanel := &kN[j0*dPadN+jp*jw*nr]
-				for ip := 0; ip < mPanels; ip++ {
-					microKern(jw, &dsA[ip*mr*jw], bpanel, &dqAcc[(i0+ip*mr)*dPadN+jp*nr], dPadN)
-				}
-				// dV_tile += Pᵀ·dO_blk and dK_tile += dSᵀ·Q_blk
-				for ip := 0; ip < jwPadMr/mr; ip++ {
-					microKern(bq, &pTA[ip*mr*bq], &doB[jp*bq*nr], &dvAcc[(j0+ip*mr)*dPadN+jp*nr], dPadN)
-					microKern(bq, &dsTA[ip*mr*bq], &qB[jp*bq*nr], &dkAcc[(j0+ip*mr)*dPadN+jp*nr], dPadN)
+			// dQᵀ += Kᵀ·dSᵀ over the tile's jw keys.
+			for ip := 0; ip*nr < bq; ip++ {
+				for dp := 0; dp < dPadM; dp += mr {
+					microKern(jw, &kTA[dp*t+j0*mr], &dsT[ip*tileStride], &dqT[dp*tPadN+i0+ip*nr], tPadN)
 				}
 			}
 		}
 	}
 
 	for i := 0; i < t; i++ {
-		copy(dq[i*ldqkv:i*ldqkv+d], dqAcc[i*dPadN:i*dPadN+d])
-		copy(dk[i*ldqkv:i*ldqkv+d], dkAcc[i*dPadN:i*dPadN+d])
-		copy(dv[i*ldqkv:i*ldqkv+d], dvAcc[i*dPadN:i*dPadN+d])
+		qrow, krow, vrow := dq[i*ldqkv:i*ldqkv+d], dk[i*ldqkv:i*ldqkv+d], dv[i*ldqkv:i*ldqkv+d]
+		for j := range qrow {
+			qrow[j], krow[j], vrow[j] = dqT[j*tPadN+i], dkT[j*tPadN+i], dvT[j*tPadN+i]
+		}
 	}
 	flashPool.Put(buf)
 }

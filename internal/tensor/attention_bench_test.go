@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,11 +20,17 @@ func attnCoreFlops(t, d int) float64 { return 4 * float64(t) * float64(t) * floa
 // 224²/16² (+CLS), T=784 is the 224²/8² high-resolution grid the
 // paper's Swin comparison scales toward. The fused path's advantage
 // is fewer memory passes — it never writes the (T×T) scores to memory
-// — so it grows with T.
+// — so it grows with T. The last three shapes are the heads the
+// end-to-end benchmark (bench/) runs: the MAE decoder (T=256, d=6),
+// the masked encoder (T=64, d=12) and the serving encoder (T=256,
+// d=16).
 func BenchmarkFlashAttnGEMM(b *testing.B) {
 	shapes := []struct{ t, d int }{
 		{197, 64},
 		{784, 64},
+		{256, 6},
+		{64, 12},
+		{256, 16},
 	}
 	for _, s := range shapes {
 		t, d := s.t, s.d
@@ -34,7 +41,7 @@ func BenchmarkFlashAttnGEMM(b *testing.B) {
 		do := randSlice(r, t*d, 1)
 		o := make([]float32, t*d)
 		stats := make([]float32, 2*t)
-		scale := float32(0.125)
+		scale := float32(1 / math.Sqrt(float64(d)))
 		name := fmt.Sprintf("T%dD%d", t, d)
 
 		b.Run("Fused/Fwd/"+name, func(b *testing.B) {

@@ -48,62 +48,84 @@ func randSlice(r *rand.Rand, n int, scale float64) []float32 {
 	return s
 }
 
+// checkFlashAgainstRef runs fused forward+backward on seeded random
+// operands and holds every output to the materialized reference.
+func checkFlashAgainstRef(t *testing.T, tok, d int, scale float32, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	q := randSlice(r, tok*d, 1)
+	k := randSlice(r, tok*d, 1)
+	v := randSlice(r, tok*d, 1)
+	do_ := randSlice(r, tok*d, 1)
+
+	oRef := make([]float32, tok*d)
+	p := refAttnFwd(oRef, q, k, v, tok, d, scale)
+
+	oF := make([]float32, tok*d)
+	stats := make([]float32, 2*tok)
+	FlashAttnFwd(oF, d, q, k, v, tok, d, scale, stats)
+	if i, ok := relClose(oF, oRef, flashFwdTol); !ok {
+		t.Fatalf("T=%d d=%d scale=%g: fused forward diverged at %d: %v vs %v", tok, d, scale, i, oF[i], oRef[i])
+	}
+	// stats invariant: exp-sums are finite and at least 1 (the row
+	// maximum contributes exp(0)), up to rounding.
+	for i := 0; i < tok; i++ {
+		l := float64(stats[2*i+1])
+		if !(l > 0.999) || math.IsInf(l, 0) || math.IsInf(float64(stats[2*i]), 0) {
+			t.Fatalf("T=%d d=%d scale=%g: bad stats[%d] = (%v, %v)", tok, d, scale, i, stats[2*i], l)
+		}
+	}
+
+	dqRef := make([]float32, tok*d)
+	dkRef := make([]float32, tok*d)
+	dvRef := make([]float32, tok*d)
+	refAttnBwd(dqRef, dkRef, dvRef, do_, p, q, k, v, tok, d, scale)
+
+	dq := make([]float32, tok*d)
+	dk := make([]float32, tok*d)
+	dv := make([]float32, tok*d)
+	FlashAttnBwd(dq, dk, dv, d, do_, oF, d, q, k, v, tok, d, scale, stats)
+	for _, pair := range []struct {
+		name      string
+		got, want []float32
+	}{{"dQ", dq, dqRef}, {"dK", dk, dkRef}, {"dV", dv, dvRef}} {
+		if i, ok := relClose(pair.got, pair.want, flashBwdTol); !ok {
+			t.Fatalf("T=%d d=%d scale=%g: fused %s diverged at %d: %v vs %v",
+				tok, d, scale, pair.name, i, pair.got[i], pair.want[i])
+		}
+	}
+}
+
+// benchShapes are the heads the end-to-end benchmark runs: the MAE
+// decoder and serving encoder at 256 tokens, the masked encoder at 64,
+// and the 2-rank workloads' 16- and 4-token sequences.
+var benchShapes = []struct{ tok, d int }{{256, 6}, {64, 12}, {256, 16}, {16, 6}, {4, 12}}
+
 // TestFlashAttnProperty holds fused forward+backward to the
-// materialized reference across shapes chosen to hit every tile
-// remainder: T below/at/above the Q block (48) and K/V tile (128)
-// sizes, odd T and d, d below/at/above the micro-kernel width.
+// materialized reference across shapes chosen to hit every pad edge:
+// T below/at/above the lane width (16), the backward query block (48),
+// its key tile (128) and the forward key tile (288); d below/at/above
+// one and two row panels (6, 12) and the lane width; the benchmark's
+// own shapes; and zero and negative scales.
 func TestFlashAttnProperty(t *testing.T) {
 	shapes := []struct{ tok, d int }{
 		{1, 1}, {2, 3}, {5, 4}, {7, 16}, {13, 8},
 		{31, 5}, {47, 64}, {48, 32}, {49, 17},
 		{96, 64}, {127, 48}, {128, 64}, {129, 33},
-		{197, 64}, {200, 80},
+		{197, 64}, {200, 80}, {287, 9}, {289, 6}, {300, 12},
 	}
-	r := rand.New(rand.NewSource(7))
-	for _, sh := range shapes {
-		tok, d := sh.tok, sh.d
-		scale := float32(1 / math.Sqrt(float64(d)))
-		q := randSlice(r, tok*d, 1)
-		k := randSlice(r, tok*d, 1)
-		v := randSlice(r, tok*d, 1)
-		do_ := randSlice(r, tok*d, 1)
-
-		oRef := make([]float32, tok*d)
-		p := refAttnFwd(oRef, q, k, v, tok, d, scale)
-
-		oF := make([]float32, tok*d)
-		stats := make([]float32, 2*tok)
-		FlashAttnFwd(oF, d, q, k, v, tok, d, scale, stats)
-		if i, ok := relClose(oF, oRef, flashFwdTol); !ok {
-			t.Fatalf("T=%d d=%d: fused forward diverged at %d: %v vs %v", tok, d, i, oF[i], oRef[i])
+	shapes = append(shapes, benchShapes...)
+	for _, d := range []int{5, 6, 7, 11, 12, 13, 18} {
+		for _, tok := range []int{1, 15, 16, 17, 47, 49, 129} {
+			shapes = append(shapes, struct{ tok, d int }{tok, d})
 		}
-		// stats invariant: exp-sums are positive and finite, maxes are
-		// the row maxima of the scaled scores.
-		for i := 0; i < tok; i++ {
-			l := float64(stats[2*i+1])
-			if !(l > 0) || math.IsInf(l, 0) {
-				t.Fatalf("T=%d d=%d: bad exp-sum stats[%d]=%v", tok, d, i, l)
-			}
-		}
-
-		dqRef := make([]float32, tok*d)
-		dkRef := make([]float32, tok*d)
-		dvRef := make([]float32, tok*d)
-		refAttnBwd(dqRef, dkRef, dvRef, do_, p, q, k, v, tok, d, scale)
-
-		dq := make([]float32, tok*d)
-		dk := make([]float32, tok*d)
-		dv := make([]float32, tok*d)
-		FlashAttnBwd(dq, dk, dv, d, do_, oF, d, q, k, v, tok, d, scale, stats)
-		for _, pair := range []struct {
-			name      string
-			got, want []float32
-		}{{"dQ", dq, dqRef}, {"dK", dk, dkRef}, {"dV", dv, dvRef}} {
-			if i, ok := relClose(pair.got, pair.want, flashBwdTol); !ok {
-				t.Fatalf("T=%d d=%d: fused %s diverged at %d: %v vs %v",
-					tok, d, pair.name, i, pair.got[i], pair.want[i])
-			}
-		}
+	}
+	for i, sh := range shapes {
+		checkFlashAgainstRef(t, sh.tok, sh.d, float32(1/math.Sqrt(float64(sh.d))), int64(7+i))
+	}
+	for i, sh := range []struct{ tok, d int }{{1, 6}, {17, 6}, {49, 12}, {130, 7}, {256, 6}} {
+		checkFlashAgainstRef(t, sh.tok, sh.d, 0, int64(100+i))
+		checkFlashAgainstRef(t, sh.tok, sh.d, -0.3, int64(200+i))
 	}
 }
 
@@ -182,139 +204,152 @@ func TestFlashAttnPanics(t *testing.T) {
 	})
 }
 
-// FuzzFlashAttn fuzzes shapes and data seeds through fused-vs-
-// reference forward and backward agreement, extending the GEMM
-// property-fuzz pattern to the fused attention path.
+// FuzzFlashAttn fuzzes shapes, scales and data seeds through
+// fused-vs-reference forward and backward agreement, extending the
+// GEMM property-fuzz pattern to the fused attention path.
 func FuzzFlashAttn(f *testing.F) {
-	f.Add(uint16(5), uint8(4), int64(1))
-	f.Add(uint16(49), uint8(16), int64(2))
-	f.Add(uint16(130), uint8(7), int64(3))
-	f.Fuzz(func(t *testing.T, tokRaw uint16, dRaw uint8, seed int64) {
-		tok := int(tokRaw)%150 + 1
+	f.Add(uint16(4), uint8(3), uint8(0), int64(1))
+	f.Add(uint16(48), uint8(15), uint8(0), int64(2))
+	f.Add(uint16(129), uint8(6), uint8(0), int64(3))
+	for i, sh := range benchShapes {
+		f.Add(uint16(sh.tok-1), uint8(sh.d-1), uint8(0), int64(10+i))
+	}
+	f.Add(uint16(16), uint8(5), uint8(1), int64(20))   // scale 0
+	f.Add(uint16(130), uint8(11), uint8(2), int64(21)) // negative scale
+	f.Fuzz(func(t *testing.T, tokRaw uint16, dRaw, scaleSel uint8, seed int64) {
+		tok := int(tokRaw)%300 + 1
 		d := int(dRaw)%72 + 1
 		scale := float32(1 / math.Sqrt(float64(d)))
-		r := rand.New(rand.NewSource(seed))
-		q := randSlice(r, tok*d, 1)
-		k := randSlice(r, tok*d, 1)
-		v := randSlice(r, tok*d, 1)
-		do_ := randSlice(r, tok*d, 1)
-
-		oRef := make([]float32, tok*d)
-		p := refAttnFwd(oRef, q, k, v, tok, d, scale)
-		o := make([]float32, tok*d)
-		stats := make([]float32, 2*tok)
-		FlashAttnFwd(o, d, q, k, v, tok, d, scale, stats)
-		if i, ok := relClose(o, oRef, flashFwdTol); !ok {
-			t.Fatalf("T=%d d=%d: forward diverged at %d: %v vs %v", tok, d, i, o[i], oRef[i])
+		switch scaleSel % 3 {
+		case 1:
+			scale = 0
+		case 2:
+			scale = -scale
 		}
-
-		dqRef := make([]float32, tok*d)
-		dkRef := make([]float32, tok*d)
-		dvRef := make([]float32, tok*d)
-		refAttnBwd(dqRef, dkRef, dvRef, do_, p, q, k, v, tok, d, scale)
-		dq := make([]float32, tok*d)
-		dk := make([]float32, tok*d)
-		dv := make([]float32, tok*d)
-		FlashAttnBwd(dq, dk, dv, d, do_, o, d, q, k, v, tok, d, scale, stats)
-		for _, pair := range []struct {
-			name      string
-			got, want []float32
-		}{{"dQ", dq, dqRef}, {"dK", dk, dkRef}, {"dV", dv, dvRef}} {
-			if i, ok := relClose(pair.got, pair.want, flashBwdTol); !ok {
-				t.Fatalf("T=%d d=%d: %s diverged at %d: %v vs %v",
-					tok, d, pair.name, i, pair.got[i], pair.want[i])
-			}
-		}
+		checkFlashAgainstRef(t, tok, d, scale, seed)
 	})
 }
 
-// TestFastExp holds the polynomial float32 exponential to math.Exp
-// over the full softmax argument range plus the denormal/overflow
-// boundaries.
-// TestExpScaledSub checks the batched exponential (vectorized on
-// AVX2 builds, scalar elsewhere) against scalar expf32 at 4e-6
-// relative accuracy across lengths that exercise the 8-lane body and
-// the tail, and pins the flush-to-zero cutoff.
-func TestExpScaledSub(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 3, 7, 8, 9, 16, 31, 128} {
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(r.Float64()*60 - 50) // exp args in [-56, 16) after scale/shift
-		}
-		dst := make([]float32, n)
-		const scale, m = 0.73, 5.5
-		expScaledSub(dst, src, scale, m)
-		for i, sv := range src {
-			want := expf32(scale*sv - m)
-			diff := math.Abs(float64(dst[i] - want))
-			if diff > 4e-6*math.Abs(float64(want)) {
-				t.Fatalf("n=%d expScaledSub[%d](%v) = %v, scalar %v", n, i, sv, dst[i], want)
+// flashTiles collects what a flashTileHook sees into dense (T×T)
+// matrices indexed [query][key], one per stage.
+type flashTiles struct {
+	tok  int
+	bwd  bool
+	s, p []float32
+}
+
+func newFlashTiles(tok int, bwd bool) *flashTiles {
+	return &flashTiles{tok: tok, bwd: bwd, s: make([]float32, tok*tok), p: make([]float32, tok*tok)}
+}
+
+func (ft *flashTiles) hook(stage byte, i0, j0 int, tile []float32) {
+	dst := ft.s
+	if stage == 'p' {
+		dst = ft.p
+	}
+	for r := 0; r*nr < len(tile); r++ {
+		for lane := 0; lane < nr; lane++ {
+			// forward tiles are [key][query lane], backward strips
+			// [query][key lane]
+			i, j := i0+lane, j0+r
+			if ft.bwd {
+				i, j = i0+r, j0+lane
 			}
-		}
-	}
-	// Below the cutoff both paths flush to exact zero.
-	src := make([]float32, 16)
-	for i := range src {
-		src[i] = -200
-	}
-	dst := make([]float32, 16)
-	expScaledSub(dst, src, 1, 0)
-	for i, v := range dst {
-		if v != 0 {
-			t.Fatalf("expScaledSub(-200)[%d] = %v, want exact 0", i, v)
+			if i < ft.tok && j < ft.tok {
+				dst[i*ft.tok+j] = tile[r*nr+lane]
+			}
 		}
 	}
 }
 
-// TestMaxFloat32 checks the vectorized max against a scalar scan,
-// including max-in-tail and negative-only inputs.
-func TestMaxFloat32(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 100} {
-		x := make([]float32, n)
-		for i := range x {
-			x[i] = float32(r.NormFloat64()) - 3
-		}
-		want := x[0]
-		for _, v := range x[1:] {
-			if v > want {
-				want = v
+// TestFlashBwdRecomputesFwdBitwise pins the invariant the fused
+// backward rests on. Its recomputed score tiles are bitwise the
+// forward's at every shape, although the two passes swap which operand
+// rides the micro-kernel's row axis (same k order per score, and
+// FMA(a,b,c) = FMA(b,a,c)). And where one forward tile covers the
+// sequence — so the forward's running max is already the final one —
+// the backward's probabilities are bitwise the forward's exponentials
+// times 1/l.
+func TestFlashBwdRecomputesFwdBitwise(t *testing.T) {
+	shapes := append([]struct{ tok, d int }{{1, 1}, {17, 5}, {49, 13}, {129, 7}, {197, 64}, {300, 6}}, benchShapes...)
+	for i, sh := range shapes {
+		tok, d := sh.tok, sh.d
+		scale := float32(1 / math.Sqrt(float64(d)))
+		r := rand.New(rand.NewSource(int64(31 + i)))
+		q, k, v, do_ := randSlice(r, tok*d, 1), randSlice(r, tok*d, 1), randSlice(r, tok*d, 1), randSlice(r, tok*d, 1)
+		o := make([]float32, tok*d)
+		stats := make([]float32, 2*tok)
+		fwd := newFlashTiles(tok, false)
+		flashAttnFwd(o, d, q, k, v, tok, d, scale, stats, fwd.hook)
+		dq, dk, dv := make([]float32, tok*d), make([]float32, tok*d), make([]float32, tok*d)
+		bwd := newFlashTiles(tok, true)
+		flashAttnBwd(dq, dk, dv, d, do_, o, d, q, k, v, tok, d, scale, stats, bwd.hook)
+
+		for idx := range fwd.s {
+			if math.Float32bits(fwd.s[idx]) != math.Float32bits(bwd.s[idx]) {
+				t.Fatalf("T=%d d=%d: score [%d][%d] forward %v, backward recompute %v",
+					tok, d, idx/tok, idx%tok, fwd.s[idx], bwd.s[idx])
 			}
 		}
-		if got := maxFloat32(x); got != want {
-			t.Fatalf("maxFloat32(n=%d) = %v, want %v", n, got, want)
+		if tok > faFwdBk {
+			continue
+		}
+		for idx := range fwd.p {
+			want := fwd.p[idx] * (1 / stats[2*(idx/tok)+1])
+			if math.Float32bits(bwd.p[idx]) != math.Float32bits(want) {
+				t.Fatalf("T=%d d=%d: P[%d][%d] backward %v, forward exponential/l %v",
+					tok, d, idx/tok, idx%tok, bwd.p[idx], want)
+			}
 		}
 	}
 }
 
-func TestFastExp(t *testing.T) {
-	for x := -87.0; x <= 2.0; x += 0.0037 {
-		got := float64(expf32(float32(x)))
-		want := math.Exp(x)
-		if math.Abs(got-want) > 4e-6*want {
-			t.Fatalf("expf32(%v) = %v, want %v", x, got, want)
+// TestFlashAttnPoisonPropagates: a NaN or ±Inf anywhere in Q, K or V
+// must surface as a non-finite output (and gradient) — the bf16 loss
+// scaler's skip-step decision reads nothing else. A NaN in Q poisons
+// exactly that query's row; a NaN in K or V poisons every row.
+func TestFlashAttnPoisonPropagates(t *testing.T) {
+	nonFinite := func(x []float32) int {
+		n := 0
+		for _, v := range x {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				n++
+			}
 		}
+		return n
 	}
-	// Below the normal-range cutoff the result flushes to zero (the
-	// subnormal tail contributes nothing to a softmax sum).
-	if got := expf32(-87.4); got != 0 {
-		t.Fatalf("expf32(-87.4) = %v, want flushed 0", got)
-	}
-	if got := expf32(float32(math.Inf(-1))); got != 0 {
-		t.Fatalf("expf32(-Inf) = %v, want 0", got)
-	}
-	if got := expf32(-1000); got != 0 {
-		t.Fatalf("expf32(-1000) = %v, want 0", got)
-	}
-	if got := expf32(0); got != 1 {
-		t.Fatalf("expf32(0) = %v, want 1", got)
-	}
-	if got := expf32(200); !math.IsInf(float64(got), 1) {
-		t.Fatalf("expf32(200) = %v, want +Inf", got)
-	}
-	if got := expf32(float32(math.NaN())); !math.IsNaN(float64(got)) {
-		t.Fatalf("expf32(NaN) = %v, want NaN", got)
+	poisons := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for _, sh := range []struct{ tok, d int }{{5, 6}, {16, 6}, {50, 12}, {131, 7}, {300, 16}} {
+		tok, d := sh.tok, sh.d
+		scale := float32(1 / math.Sqrt(float64(d)))
+		for which := 0; which < 3; which++ {
+			for pi, poison := range poisons {
+				r := rand.New(rand.NewSource(int64(41 + which)))
+				ops := [3][]float32{randSlice(r, tok*d, 1), randSlice(r, tok*d, 1), randSlice(r, tok*d, 1)}
+				do_ := randSlice(r, tok*d, 1)
+				row := tok / 2
+				ops[which][row*d+d/2] = poison
+				o := make([]float32, tok*d)
+				stats := make([]float32, 2*tok)
+				FlashAttnFwd(o, d, ops[0], ops[1], ops[2], tok, d, scale, stats)
+				if nonFinite(o) == 0 {
+					t.Fatalf("T=%d d=%d: %v in operand %d left the output finite", tok, d, poison, which)
+				}
+				if pi == 0 {
+					if which == 0 && nonFinite(o) != d {
+						t.Fatalf("T=%d d=%d: NaN in Q row %d poisoned %d outputs, want that row's %d", tok, d, row, nonFinite(o), d)
+					}
+					if which == 1 && nonFinite(o) != tok*d {
+						t.Fatalf("T=%d d=%d: NaN in K poisoned %d of %d outputs", tok, d, nonFinite(o), tok*d)
+					}
+				}
+				dq, dk, dv := make([]float32, tok*d), make([]float32, tok*d), make([]float32, tok*d)
+				FlashAttnBwd(dq, dk, dv, d, do_, o, d, ops[0], ops[1], ops[2], tok, d, scale, stats)
+				if nonFinite(dq)+nonFinite(dk)+nonFinite(dv) == 0 {
+					t.Fatalf("T=%d d=%d: %v in operand %d left every gradient finite", tok, d, poison, which)
+				}
+			}
+		}
 	}
 }
 

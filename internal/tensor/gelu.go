@@ -6,17 +6,20 @@ import (
 	"repro/internal/parallel"
 )
 
-// Elementwise kernel family: GELU forward/backward and the softmax
-// Jacobian row pass of the fused attention backward. On amd64 with
-// AVX2 the bodies run eight lanes at a time in assembly
-// (gelu_amd64.s); elsewhere (or with -tags purego) the scalar lane
-// functions below run. Two rules hold for every kernel in the family:
+// Elementwise kernel family: GELU forward/backward here, the
+// LayerNorm kernels in layernorm.go. On amd64 with AVX2 the bodies
+// run eight lanes at a time in assembly (gelu_amd64.s,
+// layernorm_amd64.s); elsewhere (or with -tags purego) the scalar
+// lane functions run. Two rules hold for every kernel in the family:
 //
-//   - Chunk independence. Every element goes through the same
-//     arithmetic wherever a caller — parallel.Range included — cuts
-//     the buffer: ragged tails run the 8-lane body on a zero-padded
-//     stack buffer, never a different scalar formula, so results do
-//     not depend on GOMAXPROCS, slice offset or length.
+//   - Chunk independence. Every element (every row, for LayerNorm)
+//     goes through the same arithmetic wherever a caller —
+//     parallel.Range included — cuts the buffer, so results do not
+//     depend on GOMAXPROCS, slice offset or length. GELU's ragged
+//     tails run the 8-lane body on a zero-padded stack buffer, never
+//     a different scalar formula; LayerNorm rows the assembly does
+//     not take run the scalar lanes, which the next rule makes the
+//     same bits.
 //   - Twin equality. The assembly uses separate multiplies and adds
 //     (no FMA contraction) in the same order as the scalar lanes, and
 //     the scalar lanes round every product explicitly (float32(a*b))
@@ -27,7 +30,7 @@ import (
 // function, gelu(x) = x·σ(2u) with u = √(2/π)·(x + 0.044715·x³),
 // which is algebraically 0.5·x·(1 + tanh u) without the cancellation
 // near tanh u = −1. σ is evaluated from q = exp(−|2u|) ∈ [0, 1] (the
-// Cephes reduction of fastexp.go, argument never positive so it can
+// Cephes reduction of flashkern.go, argument never positive so it can
 // not overflow) as r = 1/(1+q) for x ≥ 0 and q·r for x < 0: one exp
 // and one divide per lane, all in float32.
 
@@ -108,9 +111,9 @@ func geluSigma(x float32) (sig, g, r, x2 float32) {
 	return r, g, r, x2
 }
 
-// geluFwdGo, geluBwdGo and softmaxJacobianRowGo are the portable
-// scalar loops — the reference the amd64 assembly is held to
-// bit-for-bit by the property tests.
+// geluFwdGo and geluBwdGo are the portable scalar loops — the
+// reference the amd64 assembly is held to bit-for-bit by the property
+// tests.
 func geluFwdGo(dst, x []float32) {
 	for i, v := range x {
 		sig, _, _, _ := geluSigma(v)
@@ -127,13 +130,5 @@ func geluBwdGo(dx, dy, x []float32) {
 		w := float32(geluK1*x2) + geluK0
 		h := float32(float32(float32(g*r)*v) * w)
 		dx[i] = dy[i] * (sig + h)
-	}
-}
-
-func softmaxJacobianRowGo(e, dp []float32, invL, di, scale float32) {
-	for j := range e {
-		p := e[j] * invL
-		e[j] = p
-		dp[j] = p * (dp[j] - di) * scale
 	}
 }

@@ -142,34 +142,3 @@ bwdloop:
 
 	VZEROUPPER
 	RET
-
-// func softmaxJacobianAVX2(e, dp *float32, n int, invL, di, scale float32)
-//
-// In place over n floats (a positive multiple of 8): e ← p = e·invL,
-// dp ← ds = p·(dp − di)·scale, multiplied left to right like the
-// scalar lane.
-TEXT ·softmaxJacobianAVX2(SB), NOSPLIT, $0-36
-	MOVQ e+0(FP), SI
-	MOVQ dp+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSS invL+24(FP), Y13
-	VBROADCASTSS di+28(FP), Y14
-	VBROADCASTSS scale+32(FP), Y15
-	SHRQ $3, CX
-
-jacloop:
-	VMOVUPS (SI), Y0
-	VMULPS  Y13, Y0, Y0
-	VMOVUPS (DI), Y1
-	VSUBPS  Y14, Y1, Y1
-	VMULPS  Y1, Y0, Y1
-	VMULPS  Y15, Y1, Y1
-	VMOVUPS Y0, (SI)
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     jacloop
-
-	VZEROUPPER
-	RET

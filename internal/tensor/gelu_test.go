@@ -144,28 +144,3 @@ func TestGELUChunkIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestSoftmaxJacobianRowBitwise holds the row pass to the scalar loop
-// FlashAttnBwd ran before it, for every row length a tile can have.
-func TestSoftmaxJacobianRowBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for n := 1; n <= faBk+2; n++ {
-		e, dp := randSlice(r, n, 1), randSlice(r, n, 1)
-		for i := range e {
-			e[i] = float32(math.Exp(-math.Abs(float64(e[i])) * 20)) // (0, 1], some denormal/zero
-		}
-		invL, di, scale := float32(1/(1+r.Float64()*50)), float32(r.NormFloat64()), float32(0.125)
-		wantP, wantDS := make([]float32, n), make([]float32, n)
-		for j := range e {
-			p := e[j] * invL
-			ds := p * (dp[j] - di) * scale
-			wantP[j], wantDS[j] = p, ds
-		}
-		softmaxJacobianRow(e, dp, invL, di, scale)
-		for j := range e {
-			if math.Float32bits(e[j]) != math.Float32bits(wantP[j]) || math.Float32bits(dp[j]) != math.Float32bits(wantDS[j]) {
-				t.Fatalf("n=%d j=%d: (p, ds) = (%g, %g), scalar loop gives (%g, %g)", n, j, e[j], dp[j], wantP[j], wantDS[j])
-			}
-		}
-	}
-}

@@ -64,3 +64,15 @@ func kern6x16go(kc int, apf, bpf, cpf *float32, ldc int) {
 		}
 	}
 }
+
+// kern6x16PanelsGo is the portable form of the attention score-strip
+// kernel: it zeroes the n panel-major tiles at cpf and runs the
+// portable micro-kernel once per A panel.
+func kern6x16PanelsGo(kc int, apf, bpf, cpf *float32, n int) {
+	ap := unsafe.Slice(apf, n*kc*mr)
+	c := unsafe.Slice(cpf, n*mr*nr)
+	clear(c)
+	for p := 0; p < n; p++ {
+		kern6x16go(kc, &ap[p*kc*mr], bpf, &c[p*mr*nr], nr)
+	}
+}

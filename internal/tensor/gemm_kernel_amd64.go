@@ -11,6 +11,13 @@ import "repro/internal/hw"
 //go:noescape
 func kern6x16(kc int, ap, bp, cp *float32, ldc int)
 
+// kern6x16Panels is the store form the attention score strips use
+// (gemm_kernel_amd64.s): n ≥ 1 consecutive A panels against one B
+// panel, each 6×16 product written panel-major at cp + p·mr·nr.
+//
+//go:noescape
+func kern6x16Panels(kc int, ap, bp, cp *float32, n int)
+
 // haveFMA reports whether the CPU and OS support AVX2 and FMA (and the
 // OS saves YMM state), gating the assembly micro-kernel. The probe
 // lives in hw.Detect so the kernel dispatch and the calibration
@@ -30,4 +37,16 @@ func microKern(kc int, ap, bp, cp *float32, ldc int) {
 		return
 	}
 	kern6x16go(kc, ap, bp, cp, ldc)
+}
+
+// microKernPanels computes n consecutive A panels (kc·mr floats apart)
+// against one B panel and stores the n mr×nr tiles panel-major,
+// contiguous at cp: tile p is A_p·B with row stride nr. Each element
+// is bitwise what microKern accumulates into a zeroed tile.
+func microKernPanels(kc int, ap, bp, cp *float32, n int) {
+	if haveFMA {
+		kern6x16Panels(kc, ap, bp, cp, n)
+		return
+	}
+	kern6x16PanelsGo(kc, ap, bp, cp, n)
 }

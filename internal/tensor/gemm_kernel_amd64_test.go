@@ -35,6 +35,40 @@ func TestAsmKernelMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestAsmPanelsKernel holds the score-strip kernel to its two
+// contracts: every tile is bitwise what kern6x16 accumulates into a
+// zeroed tile (the fused attention backward recomputes forward scores
+// through it), whatever the destination held before, and it agrees
+// with the portable form like the micro-kernel pair does.
+func TestAsmPanelsKernel(t *testing.T) {
+	if !haveFMA {
+		t.Skip("no AVX2+FMA on this CPU")
+	}
+	r := rng.New(6)
+	for _, kc := range []int{1, 5, 6, 12, 16, 64, 80} {
+		for _, n := range []int{1, 2, 3, 8, 48} {
+			ap := randMat(r, n*kc*mr)
+			bp := randMat(r, kc*nr)
+			got := randMat(r, n*mr*nr) // stale contents must not survive
+			want := make([]float32, n*mr*nr)
+			portable := randMat(r, n*mr*nr)
+			kern6x16Panels(kc, &ap[0], &bp[0], &got[0], n)
+			kern6x16PanelsGo(kc, &ap[0], &bp[0], &portable[0], n)
+			for p := 0; p < n; p++ {
+				kern6x16(kc, &ap[p*kc*mr], &bp[0], &want[p*mr*nr], nr)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("kc=%d n=%d: element %d = %v, kern6x16 into a zeroed tile gives %v", kc, n, i, got[i], want[i])
+				}
+			}
+			if i, ok := relClose(got, portable, relTol); !ok {
+				t.Fatalf("kc=%d n=%d: asm/generic mismatch at %d: %v vs %v", kc, n, i, got[i], portable[i])
+			}
+		}
+	}
+}
+
 func TestDetectFMAConsistent(t *testing.T) {
 	// Re-querying the shared feature record must agree with the gate
 	// captured at package init (hw.Detect memoizes one CPUID probe).

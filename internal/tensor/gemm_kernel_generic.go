@@ -13,3 +13,10 @@ const haveFastKernel = false
 func microKern(kc int, ap, bp, cp *float32, ldc int) {
 	kern6x16go(kc, ap, bp, cp, ldc)
 }
+
+// microKernPanels computes n consecutive A panels (kc·mr floats apart)
+// against one B panel and stores the n mr×nr tiles panel-major,
+// contiguous at cp: tile p is A_p·B with row stride nr.
+func microKernPanels(kc int, ap, bp, cp *float32, n int) {
+	kern6x16PanelsGo(kc, ap, bp, cp, n)
+}

@@ -1,0 +1,15 @@
+//go:build !amd64 || purego
+
+package tensor
+
+func layerNormRows(y, xhat, invStd, x, g, b []float32, rows, d int, eps float32) {
+	layerNormRowsGo(y, xhat, invStd, x, g, b, rows, d, eps)
+}
+
+func layerNormBwdRows(dx, dy, xhat, invStd, g []float32, rows, d int) {
+	layerNormBwdRowsGo(dx, dy, xhat, invStd, g, rows, d)
+}
+
+func layerNormColSums(dg, db, dy, xhat []float32, rows, ld int) {
+	layerNormColSumsGo(dg, db, dy, xhat, rows, ld)
+}

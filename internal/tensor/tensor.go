@@ -18,29 +18,36 @@
 // # Fused tiled attention
 //
 // FlashAttnFwd/FlashAttnBwd (attention.go) implement attention without
-// materializing the (T×T) score matrix: K/V are streamed in tiles
-// against blocks of Q, the softmax is maintained online (running row
-// max and exp-sum, with an exp(mPrev−mNext) correction applied to the
-// output accumulator when the max advances), the 1/√d scale is folded
-// into the tile pass, and only the per-row (max, exp-sum) statistics
-// survive the forward — O(T) state from which the backward recomputes
-// any probability tile exactly. Score and probability tiles ride the
-// same packed mr×nr micro-kernels as the blocked GEMM; exponentials
-// use an 8-lane AVX2 polynomial (fastexp_amd64.s) with a scalar
-// fallback sharing the same Cephes reduction (fastexp.go).
+// materializing the (T×T) score matrix: K/V are streamed in tiles, the
+// softmax is maintained online (running max and exp-sum per query,
+// with an exp(mPrev−mNew) correction applied to the output accumulator
+// when the max advances), the 1/√d scale is folded into the tile pass,
+// and only the per-row (max, exp-sum) statistics survive the forward —
+// O(T) state from which the backward recomputes any probability
+// exactly. Heads are narrow and sequences long, so the head dimension
+// rides the micro-kernel's mr = 6 row axis and tokens its nr = 16
+// lanes: score tiles are stored panel-major, 16 tokens to a row, which
+// is both what the micro-kernel writes with ldc = nr and what it reads
+// as a B-panel, so P and dS feed their products as they lie and the
+// only repack is one 16×16-block transpose of dS for dQ. The panel
+// kernels — the column-wise online softmax, the backward's
+// P/dS strip pass, the block transpose (flashkern.go) — run in AVX2
+// assembly (flashkern_amd64.s) with scalar twins sharing the same
+// Cephes exponential.
 //
 // # Elementwise kernel family
 //
-// GELU/GELUBackward and the attention backward's softmax-Jacobian row
-// pass (gelu.go) run eight lanes at a time in AVX2 assembly
-// (gelu_amd64.s) with scalar twins. GELU is evaluated as x·σ(2u),
-// u = √(2/π)(x + 0.044715x³), with σ built from one float32
-// exp(−|2u|) and one divide per lane. Two rules hold: every element
-// goes through identical arithmetic wherever a caller cuts the buffer
-// (ragged tails run the 8-lane body on a padded stack buffer), so
-// results do not depend on GOMAXPROCS; and the assembly uses unfused
-// multiplies and adds in the scalar lanes' order, so both builds agree
-// bitwise.
+// GELU/GELUBackward (gelu.go) and LayerNorm/LayerNormBackward/
+// LayerNormParamGrads (layernorm.go) run eight lanes at a time in AVX2
+// assembly (gelu_amd64.s, layernorm_amd64.s) with scalar twins. GELU
+// is evaluated as x·σ(2u), u = √(2/π)(x + 0.044715x³), with σ built
+// from one float32 exp(−|2u|) and one divide per lane; LayerNorm's row
+// reductions are eight float32 lane sums folded in one fixed tree, its
+// dγ/dβ reductions run down the columns in row order. Two rules hold:
+// every element (every row, for LayerNorm) goes through identical
+// arithmetic wherever a caller cuts the buffer, so results do not
+// depend on GOMAXPROCS; and the assembly uses unfused multiplies and
+// adds in the scalar lanes' order, so both builds agree bitwise.
 //
 // # bf16 compute GEMM
 //
