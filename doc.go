@@ -56,19 +56,20 @@
 //
 // # Communication–computation overlap (executed)
 //
-// The async handle protocol (internal/dist): a rank launches a
-// collective with AllReduceAsync / ReduceScatterAsync / AllGatherAsync
-// (fp32, or the *BF16Async twins over the uint16 wire) and receives a
-// Handle; the ring machinery runs on a per-(rank, group) worker
-// goroutine fed by an issue queue, FIFO per group, while the rank
-// keeps computing. Handle.Wait blocks until that operation (and every
-// operation issued before it on the same group) has completed and
-// returns the reduce-scatter shard view; buffers handed to an async
-// call are owned by the collective until Wait. The ...After variants
-// order an operation behind a handle from another group's queue — how
-// HYBRID_SHARD chains a gradient bucket's replica-group all-reduce
-// behind its shard-group reduce-scatter. A peer rank's failure aborts
-// in-flight handles with dist.ErrAborted, re-raised by Wait.
+// The one-call protocol (internal/dist): a rank issues every data
+// collective with Group.Do(rank, Collective{Op, Buf, Wire, Root,
+// After}) — Wire nil for the fp32 wire, a uint16 scratch for bf16 —
+// and receives a Handle; the ring machinery runs on a per-(rank,
+// group) worker goroutine fed by an issue queue, FIFO per group, while
+// the rank keeps computing. Handle.Wait blocks until that operation
+// (and every operation issued before it on the same group) has
+// completed and returns the reduce-scatter shard view; Buf and Wire
+// are owned by the collective until Wait, and a synchronous collective
+// is Do(...).Wait(). After orders an operation behind a handle from
+// another group's queue — how HYBRID_SHARD chains a gradient bucket's
+// replica-group all-reduce behind its shard-group reduce-scatter. A
+// peer rank's failure aborts in-flight handles with dist.ErrAborted,
+// re-raised by Wait.
 //
 // train.PretrainDistributed drives the protocol from the
 // layer-granular backward (mae.BackwardStepLayers /
@@ -108,8 +109,8 @@
 // exactly half the fp32 bytes. Reductions accumulate in fp32: each
 // ring hop widens the incoming bf16 chunk, adds it into the local
 // float32 partial, and re-rounds the chunk it forwards, so results are
-// deterministic and bit-identical on every rank
-// (dist.AllReduceBF16/ReduceScatterBF16/AllGatherBF16).
+// deterministic and bit-identical on every rank (dist.Collective.Wire
+// selects the wire format of any call).
 //
 // Master-weight layout: each rank's ShardedAdamW owns an fp32 master
 // copy plus fp32 Adam moments for its contiguous flat shard [lo, hi);

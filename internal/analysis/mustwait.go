@@ -5,21 +5,21 @@ import (
 	"go/types"
 )
 
-// distPkgPath is the package whose async handles mustwait tracks.
+// distPkgPath is the package whose collective handles mustwait tracks.
 const distPkgPath = "repro/internal/dist"
 
-// MustWait enforces the PR 5 async-collective contract: a locally
-// created *dist.Handle must reach Wait — directly, or by being passed
-// to a ...After chain — or escape the function, on every path. The
-// runtime backstop fails abandoned handles with ErrAborted only at
-// rank exit; this catches the drop at compile time, where the fix is
-// cheap.
+// MustWait enforces the dist one-call contract: a locally created
+// *dist.Handle (Group.Do is the only constructor) must reach Wait —
+// directly, or stored as another Collective's After — or escape the
+// function, on every path. The runtime backstop fails abandoned handles
+// with ErrAborted only at rank exit; this catches the drop — including
+// a forgotten Wait on a would-be synchronous call — at compile time.
 var MustWait = &Analyzer{
 	Name: "mustwait",
-	Doc:  "a locally created dist async handle must reach Wait/...After or escape on every path",
+	Doc:  "a locally created dist collective handle must reach Wait/After or escape on every path",
 	Run: func(pass *Pass) {
 		checkPairs(pass, []*pairSpec{{
-			resource: "dist async handle",
+			resource: "dist collective handle",
 			verb:     "Wait",
 			acquireCall: func(pass *Pass, call *ast.CallExpr) bool {
 				return returnsHandle(pass, call)

@@ -28,7 +28,7 @@ import (
 
 // A pairSpec describes one acquire/release invariant.
 type pairSpec struct {
-	// resource names the tracked thing in messages ("dist async handle").
+	// resource names the tracked thing in messages ("dist collective handle").
 	resource string
 	// verb names the required release in messages ("Wait", "Recycle").
 	verb string

@@ -1,24 +1,24 @@
-// Package mustwait is a statgate fixture: dist async handles that are
-// dropped, leaked, chained, waited, and escaped.
+// Package mustwait is a statgate fixture: dist collective handles that
+// are dropped, leaked, chained, waited, and escaped.
 package mustwait
 
 import "repro/internal/dist"
 
 func dropped(g *dist.Group, r *dist.Rank, buf []float32) {
-	g.AllReduceAsync(r, buf) // want `dropped`
+	g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `dropped`
 }
 
 func blanked(g *dist.Group, r *dist.Rank, buf []float32) {
-	_ = g.AllReduceAsync(r, buf) // want `assigned to _`
+	_ = g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `assigned to _`
 }
 
 func leaked(g *dist.Group, r *dist.Rank, buf []float32) {
-	h := g.AllReduceAsync(r, buf) // want `function ends without Wait`
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `function ends without Wait`
 	_ = h
 }
 
 func earlyReturn(g *dist.Group, r *dist.Rank, buf []float32, cond bool) {
-	h := g.AllReduceAsync(r, buf) // want `this path returns without Wait`
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `this path returns without Wait`
 	if cond {
 		return
 	}
@@ -26,38 +26,42 @@ func earlyReturn(g *dist.Group, r *dist.Rank, buf []float32, cond bool) {
 }
 
 func overwritten(g *dist.Group, r *dist.Rank, buf []float32) {
-	h := g.AllReduceAsync(r, buf) // want `overwrites`
-	h = g.AllReduceAsync(r, buf)
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `overwrites`
+	h = g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	h.Wait()
 }
 
+func waitedAtOnce(g *dist.Group, r *dist.Rank, buf []float32) []float32 {
+	return g.Do(r, dist.Collective{Op: dist.OpReduceScatter, Buf: buf}).Wait()
+}
+
 func waited(g *dist.Group, r *dist.Rank, buf []float32) {
-	h := g.AllReduceAsync(r, buf)
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	h.Wait()
 }
 
 func chained(g *dist.Group, r *dist.Rank, buf, buf2 []float32) []float32 {
-	h := g.ReduceScatterAsync(r, buf)
-	h2 := g.AllReduceAsyncAfter(r, buf2, h)
+	h := g.Do(r, dist.Collective{Op: dist.OpReduceScatter, Buf: buf})
+	h2 := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf2, After: h})
 	return h2.Wait()
 }
 
 func branchesBothWait(g *dist.Group, r *dist.Rank, buf []float32, bf16 bool, wire []uint16) {
 	var h *dist.Handle
 	if bf16 {
-		h = g.AllReduceBF16Async(r, buf, wire)
+		h = g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf, Wire: wire})
 	} else {
-		h = g.AllReduceAsync(r, buf)
+		h = g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	}
 	h.Wait()
 }
 
 func escapesReturn(g *dist.Group, r *dist.Rank, buf []float32) *dist.Handle {
-	return g.AllReduceAsync(r, buf)
+	return g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 }
 
 func escapesVarReturn(g *dist.Group, r *dist.Rank, buf []float32) *dist.Handle {
-	h := g.AllReduceAsync(r, buf)
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	return h
 }
 
@@ -66,18 +70,18 @@ type carrier struct {
 }
 
 func escapesField(g *dist.Group, r *dist.Rank, buf []float32, c *carrier) {
-	h := g.AllReduceAsync(r, buf)
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	c.h = h
 }
 
 func escapesClosure(g *dist.Group, r *dist.Rank, buf []float32, run func(func())) {
-	h := g.AllReduceAsync(r, buf)
+	h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 	run(func() { h.Wait() })
 }
 
 func loopLeak(g *dist.Group, r *dist.Rank, buf []float32, n int) {
 	for i := 0; i < n; i++ {
-		h := g.AllReduceAsync(r, buf) // want `this continue ends the iteration`
+		h := g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf}) // want `this continue ends the iteration`
 		if i == 0 {
 			continue
 		}
@@ -87,5 +91,5 @@ func loopLeak(g *dist.Group, r *dist.Rank, buf []float32, n int) {
 
 func allowed(g *dist.Group, r *dist.Rank, buf []float32) {
 	//statgate:allow mustwait — fixture: rank-exit backstop fails this handle deliberately
-	g.AllReduceAsync(r, buf)
+	g.Do(r, dist.Collective{Op: dist.OpAllReduce, Buf: buf})
 }

@@ -89,15 +89,15 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 		dtype  string
 		phases float64
 		bytes  float64 // payload bytes per element
-		run    func(r *dist.Rank, buf []float32, wire []uint16)
+		kind   dist.Op
 	}
 	specs := []opSpec{
-		{"allreduce", "fp32", 2, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.AllReduce(buf) }},
-		{"reducescatter", "fp32", 1, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.ReduceScatter(buf) }},
-		{"allgather", "fp32", 1, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.AllGather(buf, nil) }},
-		{"allreduce", "bf16", 2, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.AllReduceBF16(buf, wire) }},
-		{"reducescatter", "bf16", 1, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.ReduceScatterBF16(buf, wire) }},
-		{"allgather", "bf16", 1, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.AllGatherBF16(buf, nil, wire) }},
+		{"allreduce", "fp32", 2, 4, dist.OpAllReduce},
+		{"reducescatter", "fp32", 1, 4, dist.OpReduceScatter},
+		{"allgather", "fp32", 1, 4, dist.OpAllGather},
+		{"allreduce", "bf16", 2, 2, dist.OpAllReduce},
+		{"reducescatter", "bf16", 1, 2, dist.OpReduceScatter},
+		{"allgather", "bf16", 1, 2, dist.OpAllGather},
 	}
 
 	// times[spec][size]: rank 0's best per-call seconds.
@@ -108,6 +108,11 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 	maxSize := sizes[len(sizes)-1]
 
 	w := dist.New(ranks, dist.Options{Link: dist.DefaultLink(ranks)})
+	all := make([]int, ranks)
+	for i := range all {
+		all[i] = i
+	}
+	g := w.Subgroup(all) // the world ring
 	err := w.Run(func(r *dist.Rank) error {
 		buf := make([]float32, maxSize)
 		wire := make([]uint16, maxSize)
@@ -116,26 +121,21 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 		}
 		for si, sp := range specs {
 			for zi, size := range sizes {
-				b := buf[:size]
-				wr := wire[:size]
-				sp.run(r, b, wr) // warm this op's path
-				best := 0.0
+				c := dist.Collective{Op: sp.kind, Buf: buf[:size]}
+				if sp.dtype == "bf16" {
+					c.Wire = wire[:size]
+				}
+				g.Do(r, c).Wait() // warm this op's path
 				for win := 0; win < windows; win++ {
 					r.Barrier()
 					t0 := time.Now()
 					for i := 0; i < reps; i++ {
-						sp.run(r, b, wr)
+						g.Do(r, c).Wait()
 					}
 					r.Barrier()
-					if r.ID() == 0 {
-						//statgate:allow floateq — 0 is the explicit unset sentinel; best only ever holds stored measurements
-						if el := time.Since(t0).Seconds() / float64(reps); best == 0 || el < best {
-							best = el
-						}
+					if el := time.Since(t0).Seconds() / float64(reps); r.ID() == 0 && (win == 0 || el < times[si][zi]) {
+						times[si][zi] = el
 					}
-				}
-				if r.ID() == 0 {
-					times[si][zi] = best
 				}
 			}
 		}
@@ -149,14 +149,12 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 	for si, sp := range specs {
 		f := CollectiveFit{Op: sp.op, DType: sp.dtype, Ranks: ranks, Phases: sp.phases}
 		xs := make([]float64, len(sizes))
-		ys := make([]float64, len(sizes))
 		for zi, size := range sizes {
 			xs[zi] = float64(size) * sp.bytes
-			ys[zi] = times[si][zi]
-			f.Points = append(f.Points, SweepPoint{Bytes: xs[zi], Sec: ys[zi]})
+			f.Points = append(f.Points, SweepPoint{Bytes: xs[zi], Sec: times[si][zi]})
 		}
 		var ferr error
-		f.Alpha, f.Beta, ferr = FitAlphaBeta(xs, ys)
+		f.Alpha, f.Beta, ferr = FitAlphaBeta(xs, times[si])
 		if ferr != nil {
 			return nil, fmt.Errorf("calib: fitting %s/%s: %w", sp.op, sp.dtype, ferr)
 		}

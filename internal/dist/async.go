@@ -6,45 +6,43 @@ import (
 	"sync/atomic"
 )
 
-// Asynchronous collective handles: the executed analog of launching a
-// collective on a side communication stream and synchronizing on its
-// completion event later. A rank issues a collective and keeps
-// computing; the ring machinery runs on a per-(rank, group) worker
-// goroutine fed by an issue queue, and Wait blocks until the operation
-// — and every operation issued before it on the same group — has
-// completed. This is the mechanism the overlapped training path
-// (train.PretrainDistributed with Overlap) uses to hide gradient
-// reductions behind the remaining backward compute, exactly as FSDP
-// overlaps per-unit reduce-scatters on Frontier.
+// One call issues every data collective: Group.Do takes a Collective
+// descriptor, enqueues it on the issuing rank's FIFO queue for that
+// group and returns a Handle — the executed analog of launching a
+// collective on a communication stream and synchronizing on its
+// completion event. The ring machinery runs on a per-(rank, group)
+// worker goroutine; the rank keeps computing until it Waits. This is
+// how the overlapped training path (train.PretrainDistributed with
+// Overlap) hides gradient reductions behind the remaining backward
+// compute, exactly as FSDP overlaps per-unit reduce-scatters on
+// Frontier; a synchronous collective is the same call waited at once.
 //
 // # Protocol
 //
-//	h := grp.ReduceScatterAsync(rank, bucket)
+//	h := grp.Do(rank, dist.Collective{Op: dist.OpReduceScatter, Buf: bucket})
 //	... keep computing on other buffers ...
 //	shard := h.Wait()
 //
-// Rules, mirroring a CUDA/RCCL side stream:
+// Rules, mirroring a CUDA/RCCL stream:
 //
 //   - Issue order is execution order. Operations issued by one rank on
 //     one group run strictly FIFO; every member of the group must issue
 //     the same operations in the same order (the usual SPMD collective
-//     contract, now per queue).
-//   - The buffers handed to an async call (buf, shard, wire) are owned
-//     by the collective until Wait returns. Reading or writing them
-//     earlier is a data race.
-//   - Synchronous collectives on the same group must not run while an
-//     async operation on it is still in flight — Wait everything first.
-//     Collectives on *other* groups (and scalar/barrier traffic, which
-//     uses a separate slot table) are unaffected.
-//   - The ...After variants order an operation behind a handle from a
-//     *different* group's queue — how HYBRID_SHARD chains each
-//     gradient bucket's replica-group all-reduce behind its
-//     shard-group reduce-scatter without serializing the two queues.
+//     contract, per queue). Queues of different groups — and
+//     scalar/barrier traffic, which uses a separate slot table — run
+//     independently.
+//   - Buf and Wire are owned by the collective until Wait returns.
+//     Reading or writing them earlier is a data race.
+//   - After orders an operation behind a handle from a *different*
+//     group's queue — how HYBRID_SHARD chains each gradient bucket's
+//     replica-group all-reduce behind its shard-group reduce-scatter
+//     without serializing the two queues.
+//   - Arguments are validated at issue, on the calling goroutine: a
+//     malformed Collective panics there and enqueues nothing.
 //
-// Determinism: the worker executes the identical ring algorithms as
-// the synchronous calls, in the identical order, so an overlapped
-// schedule produces bit-for-bit the same buffers and the same
-// measured/modeled byte accounting as its synchronous twin.
+// Determinism: the ring fixes the accumulation order and bf16 rounding
+// is a pure function, so for a given group size every member computes
+// bit-identical results, whenever the handles are waited.
 //
 // A rank that returns from World.Run with operations still queued —
 // a protocol violation, since Wait-ing every handle implies an empty
@@ -52,9 +50,38 @@ import (
 // ErrAborted instead of executing a collective on behalf of an exited
 // rank (an operation already mid-ring cannot be stopped). A peer
 // rank failing while an operation is parked in the ring unblocks it
-// with ErrAborted, re-raised by Wait.
+// with ErrAborted, re-raised by Wait; an operation whose After
+// dependency failed fails the same way.
 
-// Handle is one in-flight asynchronous collective.
+// Collective describes one data collective over a group's ring.
+type Collective struct {
+	// Op is OpAllReduce, OpReduceScatter, OpAllGather or OpBroadcast.
+	Op Op
+	// Buf is the fp32 payload, reduced or filled in place. For the three
+	// chunked ops its length must be a multiple of the group size
+	// (callers pad; see opt.PadTo): member i owns chunk i — the shard a
+	// reduce-scatter leaves fully reduced (the other chunks end as
+	// partial sums, garbage to the caller) and the contribution an
+	// all-gather publishes. A broadcast takes any length.
+	Buf []float32
+	// Wire selects the wire format. nil moves float32 views of Buf
+	// (4 bytes per element). A uint16 scratch with len(Wire) ==
+	// len(Buf) moves bf16 payloads — exactly half the bytes, measured
+	// and modeled — while the reduction accumulates in fp32: how RCCL
+	// moves bf16 gradients on Frontier. Each forwarded chunk is the
+	// round-nearest-even image of the sender's fp32 partial sum, and an
+	// all-gather rewrites every chunk of Buf, the caller's own included,
+	// with its widened bf16 value. Not available for broadcast.
+	Wire []uint16
+	// Root is the group-local rank whose Buf an OpBroadcast copies to
+	// every member.
+	Root int
+	// After, when non-nil, is a handle from another group's queue that
+	// must complete before this operation starts.
+	After *Handle
+}
+
+// Handle is one issued collective.
 type Handle struct {
 	done  chan struct{}
 	shard []float32 // result view (reduce-scatter), nil otherwise
@@ -62,8 +89,8 @@ type Handle struct {
 }
 
 // Wait blocks until the collective completes and returns its result
-// view: the caller's fully reduced shard for reduce-scatter variants,
-// nil for all-reduce/all-gather. If the world aborted (a peer rank
+// view: the caller's fully reduced shard (chunk RankOf(r) of Buf) for a
+// reduce-scatter, nil otherwise. If the world aborted (a peer rank
 // died) Wait re-raises ErrAborted, which World.Run recovers like any
 // collective abort.
 func (h *Handle) Wait() []float32 {
@@ -74,51 +101,75 @@ func (h *Handle) Wait() []float32 {
 	return h.shard
 }
 
-// asyncOp is one queued collective: run executes the ring machinery on
-// the worker goroutine once dep (if any) has completed.
-type asyncOp struct {
-	h   *Handle
-	dep *Handle
-	run func() []float32
+// Do issues c on g's ring on behalf of member r and returns its handle;
+// g.Do(r, c).Wait() is the synchronous form. See the protocol above.
+func (g *Group) Do(r *Rank, c Collective) *Handle {
+	m := g.on(r)
+	switch {
+	case c.Op == OpBroadcast:
+		if c.Root < 0 || c.Root >= g.n {
+			panic(fmt.Sprintf("dist: broadcast root %d outside group of %d", c.Root, g.n))
+		}
+		if c.Wire != nil {
+			panic("dist: broadcast has no bf16 wire")
+		}
+	case c.Op != OpAllReduce && c.Op != OpReduceScatter && c.Op != OpAllGather:
+		panic(fmt.Sprintf("dist: %v is not a data collective", c.Op))
+	case len(c.Buf)%g.n != 0:
+		panic(fmt.Sprintf("dist: %v buffer length %d not divisible by group size %d (pad the buffer)",
+			c.Op, len(c.Buf), g.n))
+	case c.Wire != nil && len(c.Wire) != len(c.Buf):
+		panic(fmt.Sprintf("dist: %v bf16 wire scratch length %d, want %d", c.Op, len(c.Wire), len(c.Buf)))
+	}
+	m.enter(c.Op)
+	h := &Handle{done: make(chan struct{})}
+	r.queue(g).ops <- queuedOp{h: h, m: m, c: c}
+	return h
 }
 
-// asyncQueue is the issue queue of one (rank, group) pair plus its
-// worker goroutine — the rank's private lane into the group's comm
-// "stream".
-type asyncQueue struct {
-	ops chan asyncOp
+// queuedOp is one issued collective waiting for its turn on the ring.
+type queuedOp struct {
+	h *Handle
+	m member
+	c Collective
+}
+
+// opQueue is the issue queue of one (rank, group) pair plus its worker
+// goroutine — the rank's private lane into the group's comm "stream".
+type opQueue struct {
+	ops chan queuedOp
 	// closing is set before the queue closes so the worker abandons
 	// still-queued operations (failing their handles with ErrAborted)
 	// instead of executing them against a rank that already exited.
 	closing atomic.Bool
 }
 
-// asyncQueueDepth bounds how many collectives a rank can have issued
-// but not yet executed; beyond it the issuing rank blocks (backpressure
-// like a full hardware launch queue).
-const asyncQueueDepth = 64
+// queueDepth bounds how many collectives a rank can have issued but not
+// yet executed; beyond it the issuing rank blocks (backpressure like a
+// full hardware launch queue).
+const queueDepth = 64
 
 // queue resolves (and lazily starts) the rank's worker for g. Called
 // from the rank's own goroutine only.
-func (r *Rank) queue(g *Group) *asyncQueue {
+func (r *Rank) queue(g *Group) *opQueue {
 	if r.queues == nil {
-		r.queues = make(map[*Group]*asyncQueue)
+		r.queues = make(map[*Group]*opQueue)
 	}
 	q, ok := r.queues[g]
 	if !ok {
-		q = &asyncQueue{ops: make(chan asyncOp, asyncQueueDepth)}
+		q = &opQueue{ops: make(chan queuedOp, queueDepth)}
 		r.queues[g] = q
 		go q.loop(r.w)
 	}
 	return q
 }
 
-// closeAsync shuts down the rank's workers when its Run function
+// closeQueues shuts down the rank's workers when its Run function
 // returns; a fresh Run lazily restarts them. In a correct program the
 // queues are empty here — every issued operation was Waited, so it
 // completed before the rank returned; anything still queued is a
 // protocol violation and is abandoned rather than executed.
-func (r *Rank) closeAsync() {
+func (r *Rank) closeQueues() {
 	for _, q := range r.queues {
 		q.closing.Store(true)
 		close(q.ops)
@@ -126,7 +177,7 @@ func (r *Rank) closeAsync() {
 	r.queues = nil
 }
 
-func (q *asyncQueue) loop(w *World) {
+func (q *opQueue) loop(w *World) {
 	for op := range q.ops {
 		q.exec(w, op)
 	}
@@ -134,7 +185,7 @@ func (q *asyncQueue) loop(w *World) {
 
 // abandoned reports whether the op must not run: the world died, or
 // the issuing rank exited with the op still queued.
-func (q *asyncQueue) abandoned(w *World) bool {
+func (q *opQueue) abandoned(w *World) bool {
 	if q.closing.Load() {
 		return true
 	}
@@ -149,7 +200,7 @@ func (q *asyncQueue) abandoned(w *World) bool {
 // exec runs one queued collective, converting panics (ErrAborted from
 // a dying peer, or a genuine bug) into the handle's error so Wait can
 // re-raise them on the issuing rank's goroutine.
-func (q *asyncQueue) exec(w *World, op asyncOp) {
+func (q *opQueue) exec(w *World, op queuedOp) {
 	defer func() {
 		if p := recover(); p != nil {
 			if err, ok := p.(error); ok && errors.Is(err, ErrAborted) {
@@ -157,19 +208,19 @@ func (q *asyncQueue) exec(w *World, op asyncOp) {
 			} else if err, ok := p.(error); ok {
 				// %w keeps the chain intact so Wait re-raises an error
 				// callers can still match sentinels against.
-				op.h.err = fmt.Errorf("dist: async collective panicked: %w", err)
+				op.h.err = fmt.Errorf("dist: collective panicked: %w", err)
 				w.doAbort()
 			} else {
-				op.h.err = fmt.Errorf("dist: async collective panicked: %v", p)
+				op.h.err = fmt.Errorf("dist: collective panicked: %v", p)
 				w.doAbort()
 			}
 		}
 		close(op.h.done)
 	}()
-	if op.dep != nil {
+	if dep := op.c.After; dep != nil {
 		select {
-		case <-op.dep.done:
-			if op.dep.err != nil {
+		case <-dep.done:
+			if dep.err != nil {
 				panic(ErrAborted)
 			}
 		case <-w.abort:
@@ -179,99 +230,5 @@ func (q *asyncQueue) exec(w *World, op asyncOp) {
 	if q.abandoned(w) {
 		panic(ErrAborted)
 	}
-	op.h.shard = op.run()
-}
-
-// issue validates membership eagerly (on the issuing goroutine, so a
-// non-member fails fast), counts the collective entry against the
-// issuing rank's fault sequence, and enqueues the operation.
-func (g *Group) issue(r *Rank, dep *Handle, op Op, run func(m member) []float32) *Handle {
-	m := g.on(r).enter(op)
-	h := &Handle{done: make(chan struct{})}
-	r.queue(g).ops <- asyncOp{h: h, dep: dep, run: func() []float32 { return run(m) }}
-	return h
-}
-
-// AllReduceAsync launches the group all-reduce of buf asynchronously;
-// Wait returns nil and buf holds the identical full result on every
-// member. len(buf) must be a multiple of the group size.
-func (g *Group) AllReduceAsync(r *Rank, buf []float32) *Handle {
-	return g.issue(r, nil, OpAllReduce, func(m member) []float32 { m.allReduce(buf); return nil })
-}
-
-// AllReduceAsyncAfter is AllReduceAsync ordered behind after (a handle
-// from another group's queue): the operation executes only once after
-// completes. Used by HYBRID_SHARD to chain a bucket's replica-group
-// all-reduce behind its shard-group reduce-scatter.
-func (g *Group) AllReduceAsyncAfter(r *Rank, buf []float32, after *Handle) *Handle {
-	return g.issue(r, after, OpAllReduce, func(m member) []float32 { m.allReduce(buf); return nil })
-}
-
-// ReduceScatterAsync launches the group reduce-scatter of buf
-// asynchronously; Wait returns the caller's fully reduced shard (chunk
-// RankOf(r) of buf). The other chunks are garbage after completion.
-func (g *Group) ReduceScatterAsync(r *Rank, buf []float32) *Handle {
-	return g.issue(r, nil, OpReduceScatter, func(m member) []float32 {
-		return m.reduceScatter(buf, OpReduceScatter, true)
-	})
-}
-
-// AllGatherAsync launches the group all-gather of buf asynchronously
-// (shard semantics as AllGather); Wait returns nil.
-func (g *Group) AllGatherAsync(r *Rank, buf, shard []float32) *Handle {
-	return g.issue(r, nil, OpAllGather, func(m member) []float32 {
-		m.allGatherOp(buf, shard, OpAllGather, true)
-		return nil
-	})
-}
-
-// AllReduceBF16Async is AllReduceAsync over the bf16 wire (payloads at
-// 2 bytes per element, fp32 ring accumulation; see AllReduceBF16).
-// wire is uint16 scratch with len(wire) == len(buf), owned by the
-// collective until Wait.
-func (g *Group) AllReduceBF16Async(r *Rank, buf []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpAllReduce, func(m member) []float32 { m.allReduceBF16(buf, wire); return nil })
-}
-
-// AllReduceBF16AsyncAfter is AllReduceBF16Async ordered behind a
-// handle from another group's queue.
-func (g *Group) AllReduceBF16AsyncAfter(r *Rank, buf []float32, wire []uint16, after *Handle) *Handle {
-	return g.issue(r, after, OpAllReduce, func(m member) []float32 { m.allReduceBF16(buf, wire); return nil })
-}
-
-// ReduceScatterBF16Async is ReduceScatterAsync over the bf16 wire;
-// Wait returns the caller's fp32-accumulated shard.
-func (g *Group) ReduceScatterBF16Async(r *Rank, buf []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpReduceScatter, func(m member) []float32 {
-		return m.reduceScatterBF16(buf, wire, OpReduceScatter, true)
-	})
-}
-
-// AllGatherBF16Async is AllGatherAsync over the bf16 wire (every
-// contribution rounded to bf16 before travelling; see AllGatherBF16).
-func (g *Group) AllGatherBF16Async(r *Rank, buf, shard []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpAllGather, func(m member) []float32 {
-		m.allGatherBF16(buf, shard, wire, OpAllGather, true)
-		return nil
-	})
-}
-
-// AllReduceAsync launches the world-group all-reduce asynchronously.
-func (r *Rank) AllReduceAsync(buf []float32) *Handle { return r.w.root.AllReduceAsync(r, buf) }
-
-// ReduceScatterAsync launches the world-group reduce-scatter
-// asynchronously.
-func (r *Rank) ReduceScatterAsync(buf []float32) *Handle {
-	return r.w.root.ReduceScatterAsync(r, buf)
-}
-
-// AllGatherAsync launches the world-group all-gather asynchronously.
-func (r *Rank) AllGatherAsync(buf, shard []float32) *Handle {
-	return r.w.root.AllGatherAsync(r, buf, shard)
-}
-
-// AllReduceBF16Async launches the world-group bf16 all-reduce
-// asynchronously.
-func (r *Rank) AllReduceBF16Async(buf []float32, wire []uint16) *Handle {
-	return r.w.root.AllReduceBF16Async(r, buf, wire)
+	op.h.shard = op.m.run(op.c)
 }

@@ -3,7 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,143 +11,96 @@ import (
 	"repro/internal/rng"
 )
 
-// TestAsyncAllReduceMatchesSyncBitwise: a bucketed async all-reduce
-// schedule (issue everything, wait at the end) must leave every rank
-// with bit-for-bit the buffers of the synchronous bucket loop, and the
-// measured byte accounting must be identical — the keystone of the
-// overlapped training path.
-func TestAsyncAllReduceMatchesSyncBitwise(t *testing.T) {
-	const n, elems, buckets = 4, 64, 4
-	mk := func() [][]float32 {
-		g := rng.New(7)
-		out := make([][]float32, n)
-		for r := range out {
-			out[r] = make([]float32, elems)
-			g.FillNormal(out[r], 0, 1)
-		}
-		return out
+// normalInputs draws per-rank vectors whose sums round differently in
+// every association — the inputs that would expose a schedule whose
+// arithmetic depended on when its handles were waited.
+func normalInputs(seed uint64, n, elems int) [][]float32 {
+	g := rng.New(seed)
+	out := make([][]float32, n)
+	for r := range out {
+		out[r] = make([]float32, elems)
+		g.FillNormal(out[r], 0, 1)
 	}
+	return out
+}
 
-	run := func(async bool) ([][]float32, Stats) {
-		bufs := mk()
-		w := New(n, Options{})
-		err := w.Run(func(r *Rank) error {
-			be := elems / buckets
-			if async {
-				var hs []*Handle
-				for off := 0; off < elems; off += be {
-					hs = append(hs, r.AllReduceAsync(bufs[r.ID()][off:off+be]))
+// TestIssueStylesBitwiseEqual is the keystone of the overlapped
+// training path: over every cell of Op × wire × communicator shape, a
+// bucketed schedule waited later (everything in flight at once) or
+// chained behind another group's queue leaves every rank with
+// bit-for-bit the buffers — and the world with exactly the byte
+// accounting — of the same schedule waited at once. Each style is a
+// fresh world, so this is also the determinism test: the rounding
+// points are fixed by the ring, not by timing.
+func TestIssueStylesBitwiseEqual(t *testing.T) {
+	const elems = tableBuckets * 6 * 4
+	inputs := normalInputs(7, tableWorld, elems)
+	for _, op := range tableOps {
+		for shape, sh := range tableShapes {
+			for _, bf16 := range []bool{false, true} {
+				if bf16 && op == OpBroadcast {
+					continue
 				}
-				for _, h := range hs {
-					h.Wait()
-				}
-			} else {
-				for off := 0; off < elems; off += be {
-					r.AllReduce(bufs[r.ID()][off : off+be])
+				base, baseStats := runTable(t, op, bf16, shape, 0, inputs)
+				for style := 1; style < len(tableStyles); style++ {
+					name := fmt.Sprintf("%v/%s/bf16=%v/%s", op, sh.name, bf16, tableStyles[style])
+					got, st := runTable(t, op, bf16, shape, style, inputs)
+					for id := range got {
+						if !sameBits(got[id], base[id]) {
+							t.Fatalf("%s: rank %d differs from the schedule waited at once", name, id)
+						}
+					}
+					a, b := st.ByOp(op), baseStats.ByOp(op)
+					if a.MeasuredWireBytes != b.MeasuredWireBytes || a.ModelWireBytes != b.ModelWireBytes ||
+						(op != OpBroadcast && a.Calls != b.Calls) { // the chained style's gates are broadcasts
+						t.Fatalf("%s: accounting %+v != waited-at-once %+v", name, a, b)
+					}
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		return bufs, w.Stats()
-	}
-
-	sync, syncStats := run(false)
-	asy, asyStats := run(true)
-	for r := range sync {
-		for i := range sync[r] {
-			if math.Float32bits(sync[r][i]) != math.Float32bits(asy[r][i]) {
-				t.Fatalf("rank %d element %d: async %v != sync %v", r, i, asy[r][i], sync[r][i])
-			}
-		}
-	}
-	if asyStats.AllReduce.MeasuredWireBytes != syncStats.AllReduce.MeasuredWireBytes ||
-		asyStats.AllReduce.Calls != syncStats.AllReduce.Calls ||
-		asyStats.AllReduce.ModelWireBytes != syncStats.AllReduce.ModelWireBytes {
-		t.Fatalf("async accounting %+v != sync %+v", asyStats.AllReduce, syncStats.AllReduce)
 	}
 }
 
-// TestAsyncReduceScatterShard: the handle's Wait returns the caller's
-// fully reduced shard — the same view the synchronous call returns.
-func TestAsyncReduceScatterShard(t *testing.T) {
-	const n, elems = 4, 32
-	w := New(n, Options{})
-	err := w.Run(func(r *Rank) error {
-		buf := make([]float32, elems)
-		for i := range buf {
-			buf[i] = float32(r.ID()*elems + i)
-		}
-		h := r.ReduceScatterAsync(buf)
-		shard := h.Wait()
-		cs := elems / n
-		for i := range shard {
-			var want float32
-			for peer := 0; peer < n; peer++ {
-				want += float32(peer*elems + r.ID()*cs + i)
-			}
-			if shard[i] != want {
-				return fmt.Errorf("rank %d shard[%d] = %v, want %v", r.ID(), i, shard[i], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAsyncTwoLevelChaining exercises the HYBRID_SHARD composite: a
-// shard-group reduce-scatter chained (via ...After) into a
-// replica-group all-reduce must equal the synchronous two-level
-// schedule bitwise — including when several buckets are in flight at
-// once.
-func TestAsyncTwoLevelChaining(t *testing.T) {
+// TestTwoLevelChaining exercises the HYBRID_SHARD composite: a
+// shard-group reduce-scatter chained (via After) into a replica-group
+// all-reduce must equal the same two-level schedule waited step by
+// step, bitwise, on either wire — including when several buckets are in
+// flight at once.
+func TestTwoLevelChaining(t *testing.T) {
 	const n, g, elems, buckets = 4, 2, 48, 3
-	repl := n / g
-	mk := func() [][]float32 {
-		gen := rng.New(11)
-		out := make([][]float32, n)
-		for r := range out {
-			out[r] = make([]float32, elems)
-			gen.FillNormal(out[r], 0, 1)
-		}
-		return out
-	}
-	run := func(async bool) [][]float32 {
-		bufs := mk()
+	be := elems / buckets
+	cl := be / g
+	run := func(chained, bf16 bool) [][]float32 {
+		bufs := normalInputs(11, n, elems)
 		w := New(n, Options{})
 		err := w.Run(func(r *Rank) error {
 			first := r.ID() / g * g
-			shardRanks := []int{first, first + 1}
-			peers := make([]int, repl)
-			for i := range peers {
-				peers[i] = r.ID()%g + i*g
-			}
-			sg := w.Subgroup(shardRanks)
-			rg := w.Subgroup(peers)
+			sg := w.Subgroup([]int{first, first + 1})
+			rg := w.Subgroup([]int{r.ID() % g, r.ID()%g + g})
 			idx := r.ID() - first
-			be := elems / buckets
-			cl := be / g
 			buf := bufs[r.ID()]
-			if async {
-				var hs []*Handle
-				for b := buckets - 1; b >= 0; b-- {
-					span := buf[b*be : (b+1)*be]
-					rs := sg.ReduceScatterAsync(r, span)
-					hs = append(hs, rg.AllReduceAsyncAfter(r, span[idx*cl:(idx+1)*cl], rs))
+			var wire []uint16
+			if bf16 {
+				wire = make([]uint16, elems)
+			}
+			var hs []*Handle
+			for b := buckets - 1; b >= 0; b-- {
+				rs := Collective{Op: OpReduceScatter, Buf: buf[b*be : (b+1)*be]}
+				ar := Collective{Op: OpAllReduce, Buf: rs.Buf[idx*cl : (idx+1)*cl]}
+				if bf16 {
+					rs.Wire = wire[b*be : (b+1)*be]
+					ar.Wire = rs.Wire[idx*cl : (idx+1)*cl]
 				}
-				for _, h := range hs {
-					h.Wait()
+				if chained {
+					ar.After = sg.Do(r, rs)
+					hs = append(hs, rg.Do(r, ar))
+				} else {
+					sg.Do(r, rs).Wait()
+					rg.Do(r, ar).Wait()
 				}
-			} else {
-				for b := buckets - 1; b >= 0; b-- {
-					span := buf[b*be : (b+1)*be]
-					shard := sg.ReduceScatter(r, span)
-					rg.AllReduce(r, shard)
-				}
+			}
+			for _, h := range hs {
+				h.Wait()
 			}
 			return nil
 		})
@@ -156,75 +109,26 @@ func TestAsyncTwoLevelChaining(t *testing.T) {
 		}
 		return bufs
 	}
-	sync := run(false)
-	asy := run(true)
-	// Compare each rank's owned chunk of each bucket (the rest is ring
-	// garbage in both schedules).
-	be := elems / buckets
-	cl := be / g
-	for r := 0; r < n; r++ {
-		idx := r % g
-		for b := 0; b < buckets; b++ {
-			for i := 0; i < cl; i++ {
-				at := b*be + idx*cl + i
-				if math.Float32bits(sync[r][at]) != math.Float32bits(asy[r][at]) {
-					t.Fatalf("rank %d bucket %d chunk elem %d: async %v != sync %v",
-						r, b, i, asy[r][at], sync[r][at])
+	for _, bf16 := range []bool{false, true} {
+		stepwise := run(false, bf16)
+		chained := run(true, bf16)
+		// Compare each rank's owned chunk of each bucket (the rest is ring
+		// garbage in both schedules).
+		for r := 0; r < n; r++ {
+			for b := 0; b < buckets; b++ {
+				lo := b*be + r%g*cl
+				if !sameBits(stepwise[r][lo:lo+cl], chained[r][lo:lo+cl]) {
+					t.Fatalf("bf16=%v rank %d bucket %d: chained schedule differs", bf16, r, b)
 				}
 			}
 		}
 	}
 }
 
-// TestAsyncBF16MatchesSync: the bf16 wire variants stay bit-identical
-// between async and sync issue, and move exactly half the fp32 bytes.
-func TestAsyncBF16MatchesSync(t *testing.T) {
-	const n, elems = 4, 64
-	mk := func() [][]float32 {
-		g := rng.New(3)
-		out := make([][]float32, n)
-		for r := range out {
-			out[r] = make([]float32, elems)
-			g.FillNormal(out[r], 0, 1)
-		}
-		return out
-	}
-	run := func(async bool) ([][]float32, Stats) {
-		bufs := mk()
-		w := New(n, Options{})
-		err := w.Run(func(r *Rank) error {
-			wire := make([]uint16, elems)
-			if async {
-				r.AllReduceBF16Async(bufs[r.ID()], wire).Wait()
-			} else {
-				r.AllReduceBF16(bufs[r.ID()], wire)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bufs, w.Stats()
-	}
-	sync, _ := run(false)
-	asy, st := run(true)
-	for r := range sync {
-		for i := range sync[r] {
-			if math.Float32bits(sync[r][i]) != math.Float32bits(asy[r][i]) {
-				t.Fatalf("rank %d element %d differs", r, i)
-			}
-		}
-	}
-	want := 2 * float64(n-1) / float64(n) * float64(elems) * 2
-	if st.AllReduce.MeasuredWireBytes != want {
-		t.Fatalf("bf16 async bytes %v, want %v", st.AllReduce.MeasuredWireBytes, want)
-	}
-}
-
-// TestAsyncAbort: a rank that fails while peers have collectives in
-// flight must unblock their Wait with ErrAborted instead of
+// TestAbortUnblocksWait: a rank that fails while peers have collectives
+// in flight must unblock their Wait with ErrAborted instead of
 // deadlocking.
-func TestAsyncAbort(t *testing.T) {
+func TestAbortUnblocksWait(t *testing.T) {
 	w := New(2, Options{})
 	boom := errors.New("boom")
 	err := w.Run(func(r *Rank) error {
@@ -232,7 +136,7 @@ func TestAsyncAbort(t *testing.T) {
 			return boom
 		}
 		buf := make([]float32, 8)
-		h := r.AllReduceAsync(buf)
+		h := w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf})
 		defer func() {
 			if p := recover(); p == nil {
 				t.Error("Wait did not re-raise the abort")
@@ -248,13 +152,13 @@ func TestAsyncAbort(t *testing.T) {
 	}
 }
 
-// TestAsyncAbortHybridSubgroups: a rank dying mid-collective in a
-// two-level (hybrid) world must unblock every peer parked in a shard
-// *or* replica subgroup with ErrAborted — including handles the victim
-// abandoned un-Waited — and Run must return the originating error.
-// Run under -race in CI: the abort path crosses the async workers of
-// four ranks over four subgroups concurrently.
-func TestAsyncAbortHybridSubgroups(t *testing.T) {
+// TestAbortHybridSubgroups: a rank dying mid-collective in a two-level
+// (hybrid) world must unblock every peer parked in a shard *or* replica
+// subgroup with ErrAborted — including handles the victim abandoned
+// un-Waited — and Run must return the originating error. Run under
+// -race in CI: the abort path crosses the queue workers of four ranks
+// over four subgroups concurrently.
+func TestAbortHybridSubgroups(t *testing.T) {
 	const n, g = 4, 2
 	boom := errors.New("boom")
 	w := New(n, Options{})
@@ -267,7 +171,7 @@ func TestAsyncAbortHybridSubgroups(t *testing.T) {
 		if r.ID() == 3 {
 			// The victim: issue a shard-group collective it will never
 			// Wait (abandoned at exit), then die "mid-step".
-			sg.ReduceScatterAsync(r, buf)
+			sg.Do(r, Collective{Op: OpReduceScatter, Buf: buf})
 			panic(boom)
 		}
 		defer func() {
@@ -282,14 +186,14 @@ func TestAsyncAbortHybridSubgroups(t *testing.T) {
 		}()
 		// Every survivor has work in flight on both levels: the chained
 		// replica all-reduce can only complete if rank 3 participates.
-		rs := sg.ReduceScatterAsync(r, buf)
-		ar := rg.AllReduceAsyncAfter(r, buf[:4], rs)
+		rs := sg.Do(r, Collective{Op: OpReduceScatter, Buf: buf})
+		ar := rg.Do(r, Collective{Op: OpAllReduce, Buf: buf[:4], After: rs})
 		rs.Wait()
 		ar.Wait()
 		// Ranks whose groups exclude rank 3 entirely (rank 0's shard
 		// group {0,1} and replica group {0,2}) may get this far; the
 		// next world-group collective parks them until the abort.
-		r.AllReduce(buf[:4])
+		w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf[:4]}).Wait()
 		return nil
 	})
 	if !errors.Is(err, boom) {
@@ -302,28 +206,56 @@ func TestAsyncAbortHybridSubgroups(t *testing.T) {
 	}
 }
 
-// TestAsyncFIFOOrdering: operations issued on one group execute in
-// issue order — a later all-gather observes the earlier all-reduce's
-// result.
-func TestAsyncFIFOOrdering(t *testing.T) {
+// TestAfterDependencyFailed: an operation ordered behind a handle that
+// failed must fail with ErrAborted without touching the ring — even
+// when its own group is healthy and the world has not (yet) aborted.
+func TestAfterDependencyFailed(t *testing.T) {
+	w := New(2, Options{})
+	failed := &Handle{done: make(chan struct{}), err: ErrAborted}
+	close(failed.done)
+	err := w.Run(func(r *Rank) error {
+		if r.ID() == 1 {
+			return nil
+		}
+		solo := w.Subgroup([]int{0}) // completes on its own if it ever runs
+		h := solo.Do(r, Collective{Op: OpAllReduce, Buf: make([]float32, 4), After: failed})
+		defer func() {
+			if e, ok := recover().(error); !ok || !errors.Is(e, ErrAborted) {
+				t.Errorf("Wait on a handle with a failed dependency: %v, want ErrAborted", e)
+			}
+		}()
+		h.Wait()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls := w.Stats().AllReduce.Calls; calls != 0 {
+		t.Fatalf("the dependent collective ran (%d calls)", calls)
+	}
+}
+
+// TestFIFOOrdering: operations issued on one queue execute in issue
+// order — the all-reduce observes the earlier broadcast's result
+// (7·n everywhere); the other order would leave 7+(n−1).
+func TestFIFOOrdering(t *testing.T) {
 	const n = 3
 	w := New(n, Options{})
 	err := w.Run(func(r *Rank) error {
-		sum := make([]float32, n)
-		for i := range sum {
-			sum[i] = 1
+		buf := make([]float32, n)
+		for i := range buf {
+			buf[i] = 1
+			if r.ID() == 0 {
+				buf[i] = 7
+			}
 		}
-		gathered := make([]float32, n)
-		h1 := r.AllReduceAsync(sum)
-		// The all-gather contribution reads sum's chunk — legal only
-		// because FIFO guarantees h1 ran first. (sum[r] == n after the
-		// all-reduce.)
-		h2 := r.AllGatherAsync(gathered, sum[r.ID():r.ID()+1])
+		h1 := w.root.Do(r, Collective{Op: OpBroadcast, Buf: buf})
+		h2 := w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf})
 		h1.Wait()
 		h2.Wait()
-		for i, v := range gathered {
-			if v != n {
-				return fmt.Errorf("rank %d gathered[%d] = %v, want %v", r.ID(), i, v, float32(n))
+		for i, v := range buf {
+			if v != 7*n {
+				return fmt.Errorf("rank %d buf[%d] = %v, want %v", r.ID(), i, v, float32(7*n))
 			}
 		}
 		return nil
@@ -338,18 +270,17 @@ func TestAsyncFIFOOrdering(t *testing.T) {
 func TestThrottleRealizesModeledTime(t *testing.T) {
 	link := comm.Params{Bandwidth: 1e6, HopLat: 1e-6, Launch: 1e-5} // 1 MB/s: 64 KiB AR ≈ 0.2 s
 	w := New(2, Options{Link: link, Throttle: 1})
-	buf := make([]float32, 16384)
+	const elems = 16384
 	start := time.Now()
 	err := w.Run(func(r *Rank) error {
-		local := make([]float32, len(buf))
-		r.AllReduce(local)
+		w.root.Do(r, Collective{Op: OpAllReduce, Buf: make([]float32, elems)}).Wait()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start).Seconds()
-	want := comm.AllReduce(float64(len(buf)*4), 2, link).Time
+	want := comm.AllReduce(float64(elems*4), 2, link).Time
 	if elapsed < want {
 		t.Fatalf("throttled all-reduce took %.3fs, model predicts at least %.3fs", elapsed, want)
 	}
@@ -358,14 +289,13 @@ func TestThrottleRealizesModeledTime(t *testing.T) {
 	}
 }
 
-// TestAsyncWorldReuse: queues restart cleanly across Runs of the same
-// world.
-func TestAsyncWorldReuse(t *testing.T) {
+// TestWorldReuse: queues restart cleanly across Runs of the same world.
+func TestWorldReuse(t *testing.T) {
 	w := New(2, Options{})
 	for run := 0; run < 3; run++ {
 		err := w.Run(func(r *Rank) error {
 			buf := []float32{1, 2}
-			r.AllReduceAsync(buf).Wait()
+			w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf}).Wait()
 			if buf[0] != 2 {
 				return fmt.Errorf("run %d: got %v", run, buf[0])
 			}
@@ -377,5 +307,60 @@ func TestAsyncWorldReuse(t *testing.T) {
 	}
 	if got := w.Stats().AllReduce.Calls; got != 3 {
 		t.Fatalf("calls %d, want 3", got)
+	}
+}
+
+// TestConcurrentGroupsSameOpAccounting: two overlapping groups of the
+// same ranks keep the same op in flight at once, so each rank's two
+// queue workers count bytes against one per-rank counter concurrently.
+// No update may be lost (run under -race in CI: a plain += here is a
+// data race).
+func TestConcurrentGroupsSameOpAccounting(t *testing.T) {
+	const n, elems, rounds = 4, 64, 200
+	w := New(n, Options{})
+	reversed := w.Subgroup([]int{3, 2, 1, 0})
+	err := w.Run(func(r *Rank) error {
+		a, b := make([]float32, elems), make([]float32, elems)
+		for i := 0; i < rounds; i++ {
+			ha := w.root.Do(r, Collective{Op: OpAllReduce, Buf: a})
+			hb := reversed.Do(r, Collective{Op: OpAllReduce, Buf: b})
+			ha.Wait()
+			hb.Wait()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats().AllReduce
+	want := wantWire(OpAllReduce, n, 2*rounds, elems*4)
+	if st.MeasuredWireBytes != want || st.ModelWireBytes != want || st.Calls != 2*rounds {
+		t.Fatalf("measured %v modeled %v bytes over %d calls, want %v over %d",
+			st.MeasuredWireBytes, st.ModelWireBytes, st.Calls, want, 2*rounds)
+	}
+}
+
+// TestQueueOnlyExecutionOnOneP: every data collective runs on a queue
+// worker, so a rank blocked in Wait must yield to it — a chained
+// two-level schedule completes with a single P.
+func TestQueueOnlyExecutionOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, elems = 4, 16
+	w := New(n, Options{})
+	err := w.Run(func(r *Rank) error {
+		pair := w.Subgroup([]int{r.ID() / 2 * 2, r.ID()/2*2 + 1})
+		buf := make([]float32, elems)
+		for i := range buf {
+			buf[i] = 1
+		}
+		for i := 0; i < 50; i++ {
+			rs := pair.Do(r, Collective{Op: OpReduceScatter, Buf: buf})
+			w.root.Do(r, Collective{Op: OpBroadcast, Buf: buf[elems/2:], After: rs}).Wait()
+			w.root.Do(r, Collective{Op: OpAllGather, Buf: buf, Wire: make([]uint16, elems)}).Wait()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

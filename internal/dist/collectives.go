@@ -1,36 +1,35 @@
 package dist
 
 import (
-	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/tensor"
 )
 
 // Rank is one participant's handle into the World. A Rank must only be
-// used from the goroutine World.Run assigned it to. Its collective
-// methods run on the world group (all ranks); Group methods run the
-// same algorithms scoped to a subgroup.
+// used from the goroutine World.Run assigned it to; it issues data
+// collectives through Group.Do.
 type Rank struct {
 	w  *World
 	id int
 
 	// sentBytes counts what this rank physically sent to a ring
 	// successor — in the world ring or any subgroup ring — per
-	// collective kind: the measured side of Stats. Written either by
-	// the rank's own goroutine (synchronous collectives) or by its
-	// async queue workers; Handle.Wait orders the two, so the counters
-	// are race-free under the async protocol's ownership rules.
-	sentBytes [numOps]int64
+	// collective kind: the measured side of Stats. The rank's queue
+	// workers (one per group) run concurrently and may execute the same
+	// Op at the same moment, so the counters are atomic.
+	sentBytes [numOps]atomic.Int64
 
-	// queues are the rank's per-group async issue queues (lazily
-	// started worker goroutines; see async.go). Touched only from the
-	// rank's own goroutine.
-	queues map[*Group]*asyncQueue
+	// queues are the rank's per-group issue queues (lazily started
+	// worker goroutines; see async.go). Touched only from the rank's
+	// own goroutine.
+	queues map[*Group]*opQueue
 
-	// collectives counts collective entries (sync calls + async
-	// issues) on this rank — the deterministic sequence a FaultPlan
-	// indexes; see fault.go. Touched only from the rank's goroutine.
+	// collectives counts collective entries on this rank — the
+	// deterministic sequence a FaultPlan indexes; see fault.go. Touched
+	// only from the rank's goroutine.
 	collectives int64
 }
 
@@ -43,35 +42,6 @@ func (r *Rank) Size() int { return r.w.n }
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier() { r.w.root.bar.wait() }
 
-// ReduceScatter sums buf element-wise across all ranks and leaves this
-// rank with its fully reduced shard: chunk r.ID() of the n uniform
-// chunks of buf, returned as a view into buf. After the call the other
-// chunks of buf hold partial sums and must be treated as garbage.
-// len(buf) must be a multiple of the world size.
-func (r *Rank) ReduceScatter(buf []float32) []float32 {
-	return r.w.root.ReduceScatter(r, buf)
-}
-
-// AllGather fills buf with every rank's shard: rank i contributes chunk
-// i. If shard is non-nil it is copied into this rank's chunk first
-// (shard may alias that chunk); if nil the chunk is assumed to already
-// hold this rank's contribution. len(buf) must be a multiple of the
-// world size and len(shard), when non-nil, must equal len(buf)/Size.
-func (r *Rank) AllGather(buf []float32, shard []float32) {
-	r.w.root.AllGather(r, buf, shard)
-}
-
-// AllReduce sums buf element-wise across all ranks, leaving every rank
-// with the identical full result (ring reduce-scatter followed by ring
-// all-gather, the same algorithm RCCL runs). len(buf) must be a
-// multiple of the world size.
-func (r *Rank) AllReduce(buf []float32) { r.w.root.AllReduce(r, buf) }
-
-// Broadcast copies root's buf to every rank's buf via a pipelined ring:
-// each rank forwards the payload to its successor, so ranks 0..n−2 each
-// put the full buffer on the wire once. Any length is allowed.
-func (r *Rank) Broadcast(buf []float32, root int) { r.w.root.Broadcast(r, buf, root) }
-
 // AllReduceScalar sums a float64 control value across ranks (loss
 // averaging, global gradient norms) and returns the identical total on
 // every rank. The sum is accumulated in rank order, so the result is
@@ -82,38 +52,58 @@ func (r *Rank) AllReduceScalar(v float64) float64 {
 	return r.w.root.AllReduceScalar(r, v)
 }
 
-// abortable channel operations: every blocking ring edge also watches
-// the world's abort channel, so a peer's death surfaces as an
-// ErrAborted panic (recovered by World.Run) instead of a deadlock.
-func (r *Rank) sendView(ch chan []float32, v []float32) {
+// The four world-group forms bench/probes.go calls, pinned until the
+// next benchmark PR moves the probes onto Group.Do; nothing else may
+// use them.
+
+// AllReduce is Do(OpAllReduce) on the world group, waited.
+func (r *Rank) AllReduce(buf []float32) { r.AllReduceAsync(buf).Wait() }
+
+// AllReduceAsync is Do(OpAllReduce) on the world group.
+func (r *Rank) AllReduceAsync(buf []float32) *Handle {
+	return r.w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf})
+}
+
+// ReduceScatterBF16 is Do(OpReduceScatter) over the bf16 wire on the
+// world group, waited.
+func (r *Rank) ReduceScatterBF16(buf []float32, wire []uint16) []float32 {
+	return r.w.root.Do(r, Collective{Op: OpReduceScatter, Buf: buf, Wire: wire}).Wait()
+}
+
+// AllGatherBF16 is Do(OpAllGather) over the bf16 wire on the world
+// group, waited. The second argument (a separate contribution shard no
+// caller ever passed) is ignored.
+func (r *Rank) AllGatherBF16(buf, _ []float32, wire []uint16) {
+	r.w.root.Do(r, Collective{Op: OpAllGather, Buf: buf, Wire: wire}).Wait()
+}
+
+// view is what crosses a ring edge: a read-only chunk in the call's
+// wire format — float32 elements, or their bf16 images at half the
+// bytes. Exactly one field is set.
+type view struct {
+	f32 []float32
+	u16 []uint16
+}
+
+func (v view) bytes() int64 { return int64(len(v.f32))*4 + int64(len(v.u16))*2 }
+
+// send and recv are the abortable edge operations: every blocking ring
+// edge also watches the world's abort channel, so a peer's death
+// surfaces as an ErrAborted panic (recovered by World.Run or the queue
+// worker) instead of a deadlock.
+func send[T any](w *World, ch chan T, v T) {
 	select {
 	case ch <- v:
-	case <-r.w.abort:
+	case <-w.abort:
 		panic(ErrAborted)
 	}
 }
 
-func (r *Rank) recvView(ch chan []float32) []float32 {
+func recv[T any](w *World, ch chan T) T {
 	select {
 	case v := <-ch:
 		return v
-	case <-r.w.abort:
-		panic(ErrAborted)
-	}
-}
-
-func (r *Rank) sendSig(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	case <-r.w.abort:
-		panic(ErrAborted)
-	}
-}
-
-func (r *Rank) recvSig(ch chan struct{}) {
-	select {
-	case <-ch:
-	case <-r.w.abort:
+	case <-w.abort:
 		panic(ErrAborted)
 	}
 }
@@ -127,38 +117,78 @@ type member struct {
 	id int // group-local ring position
 }
 
-// ring-edge channels for this member.
-func (m member) sendCh() chan []float32 { return m.g.data[m.id] }
-func (m member) recvCh() chan []float32 { return m.g.data[(m.id-1+m.g.n)%m.g.n] }
-func (m member) ackSend() chan struct{} { return m.g.ack[(m.id-1+m.g.n)%m.g.n] }
-func (m member) ackRecv() chan struct{} { return m.g.ack[m.id] }
+func (m member) pred() int { return (m.id - 1 + m.g.n) % m.g.n }
+
+// publish puts v on the edge to the successor and counts its bytes;
+// consumed blocks until the successor has acknowledged it, after which
+// the published memory may be rewritten.
+func (m member) publish(op Op, v view) {
+	m.r.sentBytes[op].Add(v.bytes())
+	send(m.g.w, m.g.data[m.id], v)
+}
+
+func (m member) consumed() { recv(m.g.w, m.g.ack[m.id]) }
+
+// receive takes the predecessor's view; release acknowledges that this
+// member no longer reads it.
+func (m member) receive() view { return recv(m.g.w, m.g.data[m.pred()]) }
+
+func (m member) release() { send(m.g.w, m.g.ack[m.pred()], struct{}{}) }
 
 // exchange performs one synchronized ring step: publish a read-only
 // view to the successor, receive the predecessor's view, let process
 // consume it, acknowledge, and wait for the successor's acknowledgement
-// so the published view may be rewritten afterwards. The send channels
+// so the published view may be rewritten afterwards. The edge channels
 // have capacity 1 and the acknowledgement gates the next step, so no
 // edge ever holds more than one in-flight view and a view is never read
 // after its step completes.
-func (m member) exchange(op Op, view []float32, process func(recv []float32)) {
-	m.r.sentBytes[op] += int64(len(view)) * 4
-	m.r.sendView(m.sendCh(), view)
-	recv := m.r.recvView(m.recvCh())
-	process(recv)
-	m.r.sendSig(m.ackSend())
-	m.r.recvSig(m.ackRecv())
+func (m member) exchange(op Op, out view, process func(in view)) {
+	m.publish(op, out)
+	process(m.receive())
+	m.release()
+	m.consumed()
 }
 
-// chunkOf returns the c-th of n uniform chunks of buf.
-func chunkOf(buf []float32, c, n int) []float32 {
-	cs := len(buf) / n
-	return buf[c*cs : (c+1)*cs]
+// chunkOf returns the c-th of n uniform chunks of s.
+func chunkOf[T any](s []T, c, n int) []T {
+	cs := len(s) / n
+	return s[c*cs : (c+1)*cs]
 }
 
-func (m member) checkDivisible(buf []float32, op Op) {
-	if len(buf)%m.g.n != 0 {
-		panic(fmt.Sprintf("dist: %v buffer length %d not divisible by group size %d (pad the buffer)",
-			op, len(buf), m.g.n))
+// outgoing is chunk c of the call in its wire format. On the bf16 wire
+// the view is the chunk's slot of the Wire scratch, refreshed from the
+// fp32 chunk (round-nearest-even) when round is set and sent as it
+// lies otherwise.
+func (c Collective) outgoing(chunk, n int, round bool) view {
+	if c.Wire == nil {
+		return view{f32: chunkOf(c.Buf, chunk, n)}
+	}
+	w := chunkOf(c.Wire, chunk, n)
+	if round {
+		tensor.ToBF16(w, chunkOf(c.Buf, chunk, n))
+	}
+	return view{u16: w}
+}
+
+// accumulate adds a received chunk into acc. bf16 payloads are widened
+// through the vector kernel in stack-buffer blocks and added in fp32 —
+// this loop is every ring hop of every bf16 gradient reduction.
+func accumulate(acc []float32, in view) {
+	if in.u16 == nil {
+		for j, v := range in.f32 {
+			acc[j] += v
+		}
+		return
+	}
+	var wide [512]float32
+	for off := 0; off < len(in.u16); off += len(wide) {
+		end := min(off+len(wide), len(in.u16))
+		w := wide[:end-off]
+		tensor.FromBF16(w, in.u16[off:end])
+		a := acc[off:end]
+		for j := range a {
+			a[j] += w[j]
+		}
 	}
 }
 
@@ -189,106 +219,97 @@ func (m member) end(op Op, c comm.Cost, t0 time.Time) {
 	}
 }
 
-func (m member) reduceScatter(buf []float32, op Op, account bool) []float32 {
-	m.checkDivisible(buf, op)
+// run executes one validated collective on the member's ring and prices
+// it once: an all-reduce is a reduce-scatter followed by an all-gather
+// (the algorithm RCCL runs) accounted as a single call. The result is
+// the member's reduced shard for a reduce-scatter, nil otherwise.
+func (m member) run(c Collective) (shard []float32) {
+	n, link := m.g.n, m.g.link
+	elemBytes := 4
+	if c.Wire != nil {
+		elemBytes = 2
+	}
+	wireBytes := float64(len(c.Buf) * elemBytes)
+	t0 := m.begin()
+	var cost comm.Cost
+	switch c.Op {
+	case OpAllReduce:
+		m.reduceScatter(c)
+		m.allGather(c)
+		cost = comm.AllReduce(wireBytes, n, link)
+	case OpReduceScatter:
+		m.reduceScatter(c)
+		shard = chunkOf(c.Buf, m.id, n)
+		cost = comm.ReduceScatter(wireBytes, n, link)
+	case OpAllGather:
+		m.allGather(c)
+		cost = comm.AllGather(wireBytes, n, link)
+	case OpBroadcast:
+		m.broadcast(c)
+		cost = comm.Broadcast(wireBytes, n, link)
+	}
+	m.end(c.Op, cost, t0)
+	return shard
+}
+
+// reduceScatter is the ring reduce-scatter: at step s member i sends
+// chunk (i−1−s) mod n — the chunk it finished accumulating in the
+// previous step, on the bf16 wire the round-nearest-even image of that
+// fp32 partial sum — and accumulates the received chunk (i−2−s) mod n
+// into its fp32 buffer. After n−1 steps chunk i on member i carries
+// every member's contribution; the other chunks hold partial sums.
+func (m member) reduceScatter(c Collective) {
 	n := m.g.n
-	if n == 1 {
-		if account {
-			t0 := m.begin()
-			m.end(op, comm.ReduceScatter(float64(len(buf)*4), 1, m.g.link), t0)
-		}
-		return buf
-	}
-	var t0 time.Time
-	if account {
-		t0 = m.begin()
-	}
-	// Ring reduce-scatter: at step s member i sends chunk (i−1−s) mod n —
-	// the chunk it finished accumulating in the previous step — and
-	// accumulates the received chunk (i−2−s) mod n into its buffer.
-	// After n−1 steps chunk i on member i carries every member's
-	// contribution.
 	for s := 0; s < n-1; s++ {
-		send := chunkOf(buf, mod(m.id-1-s, n), n)
-		m.exchange(op, send, func(recv []float32) {
-			acc := chunkOf(buf, mod(m.id-2-s, n), n)
-			for j := range acc {
-				acc[j] += recv[j]
-			}
+		m.exchange(c.Op, c.outgoing(mod(m.id-1-s, n), n, true), func(in view) {
+			accumulate(chunkOf(c.Buf, mod(m.id-2-s, n), n), in)
 		})
 	}
-	if account {
-		m.end(op, comm.ReduceScatter(float64(len(buf)*4), n, m.g.link), t0)
-	}
-	return chunkOf(buf, m.id, n)
 }
 
-func (m member) allGatherOp(buf []float32, shard []float32, op Op, account bool) {
-	m.checkDivisible(buf, op)
+// allGather is the ring all-gather: at step s member i forwards chunk
+// (i−s) mod n (its own chunk first, then whatever it received last
+// step) and copies the received chunk (i−1−s) mod n into place. On the
+// bf16 wire the local contribution is rounded once and its widened
+// image replaces the fp32 chunk, so every member — owner included —
+// ends with the same bits; chunks then ride the ring verbatim (no
+// re-rounding at hops), landing in the Wire scratch to be forwarded and
+// widened into Buf.
+func (m member) allGather(c Collective) {
 	n := m.g.n
-	own := chunkOf(buf, m.id, n)
-	if shard != nil {
-		if len(shard) != len(own) {
-			panic(fmt.Sprintf("dist: all-gather shard length %d, want %d", len(shard), len(own)))
-		}
-		copy(own, shard)
+	if c.Wire != nil {
+		own := c.outgoing(m.id, n, true)
+		tensor.FromBF16(chunkOf(c.Buf, m.id, n), own.u16)
 	}
-	if n == 1 {
-		if account {
-			t0 := m.begin()
-			m.end(op, comm.AllGather(float64(len(buf)*4), 1, m.g.link), t0)
-		}
-		return
-	}
-	var t0 time.Time
-	if account {
-		t0 = m.begin()
-	}
-	// Ring all-gather: at step s member i forwards chunk (i−s) mod n
-	// (its own chunk first, then whatever it received last step) and
-	// copies the received chunk (i−1−s) mod n into place.
 	for s := 0; s < n-1; s++ {
-		send := chunkOf(buf, mod(m.id-s, n), n)
-		m.exchange(op, send, func(recv []float32) {
-			copy(chunkOf(buf, mod(m.id-1-s, n), n), recv)
+		m.exchange(c.Op, c.outgoing(mod(m.id-s, n), n, false), func(in view) {
+			dst := mod(m.id-1-s, n)
+			if c.Wire == nil {
+				copy(chunkOf(c.Buf, dst, n), in.f32)
+				return
+			}
+			w := chunkOf(c.Wire, dst, n)
+			copy(w, in.u16)
+			tensor.FromBF16(chunkOf(c.Buf, dst, n), w)
 		})
 	}
-	if account {
-		m.end(op, comm.AllGather(float64(len(buf)*4), n, m.g.link), t0)
-	}
 }
 
-func (m member) allReduce(buf []float32) {
-	t0 := m.begin()
-	m.reduceScatter(buf, OpAllReduce, false)
-	m.allGatherOp(buf, nil, OpAllReduce, false)
-	m.end(OpAllReduce, comm.AllReduce(float64(len(buf)*4), m.g.n, m.g.link), t0)
-}
-
-func (m member) broadcast(buf []float32, root int) {
+// broadcast is the pipelined ring broadcast: every member but the root
+// receives the payload from its predecessor, and every member but the
+// last along the ring forwards it, so n−1 members each put the full
+// buffer on the wire once.
+func (m member) broadcast(c Collective) {
 	n := m.g.n
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("dist: broadcast root %d outside group of %d", root, n))
+	pos := mod(m.id-c.Root, n) // distance from root along the ring
+	if pos > 0 {
+		copy(c.Buf, m.receive().f32)
+		m.release()
 	}
-	t0 := m.begin()
-	if n > 1 {
-		pos := mod(m.id-root, n) // distance from root along the ring
-		if pos == 0 {
-			m.r.sentBytes[OpBroadcast] += int64(len(buf)) * 4
-			m.r.sendView(m.sendCh(), buf)
-			m.r.recvSig(m.ackRecv())
-		} else {
-			recv := m.r.recvView(m.recvCh())
-			copy(buf, recv)
-			m.r.sendSig(m.ackSend())
-			if pos < n-1 {
-				m.r.sentBytes[OpBroadcast] += int64(len(buf)) * 4
-				m.r.sendView(m.sendCh(), buf)
-				m.r.recvSig(m.ackRecv())
-			}
-		}
+	if pos < n-1 {
+		m.publish(c.Op, view{f32: c.Buf})
+		m.consumed()
 	}
-	m.end(OpBroadcast, comm.Broadcast(float64(len(buf)*4), n, m.g.link), t0)
 }
 
 func (m member) allReduceScalar(v float64) float64 {
@@ -307,7 +328,7 @@ func (m member) allReduceScalar(v float64) float64 {
 		total += x
 	}
 	g.bar.wait() // the slot table may be reused after every member has read it
-	m.r.sentBytes[OpScalar] += 8
+	m.r.sentBytes[OpScalar].Add(8)
 	m.end(OpScalar, comm.AllReduce(8, g.n, g.link), t0)
 	return total
 }

@@ -1,9 +1,9 @@
 // Package dist executes real multi-rank data-parallel training inside
 // one process: a World of N goroutine "ranks" connected in a ring, with
-// working collectives on []float32 — ring AllReduce, ReduceScatter and
-// AllGather, a pipelined ring Broadcast, a Barrier, and a float64
-// scalar all-reduce for control values (loss averaging, global gradient
-// norms).
+// working collectives on []float32 — ring all-reduce, reduce-scatter
+// and all-gather and a pipelined ring broadcast, all issued through one
+// call (Group.Do) — plus a Barrier and a float64 scalar all-reduce for
+// control values (loss averaging, global gradient norms).
 //
 // Where internal/comm *models* the cost of a collective and
 // internal/fsdp *simulates* a training step's schedule, this package
@@ -38,21 +38,31 @@
 //	all-reduce:                   2(n−1)/n · V
 //	broadcast:                    V   (ranks 0..n−2 each forward V)
 //
-// AllReduce, ReduceScatter and AllGather require len(buf) to be a
-// multiple of the world size so chunks are uniform and the measured
-// volume matches the model exactly; callers pad (see opt.PadTo).
+// The three chunked ops require len(Buf) to be a multiple of the group
+// size so chunks are uniform and the measured volume matches the model
+// exactly; callers pad (see opt.PadTo). On the bf16 wire (Collective.Wire)
+// V counts 2 bytes per element, measured and modeled alike.
 //
-// # Asynchronous handles
+// # One call
 //
-// Every collective also exists in an asynchronous form
-// (AllReduceAsync, ReduceScatterAsync, AllGatherAsync and their BF16
-// twins, plus ...After chaining across groups): the ring machinery
-// runs on a per-(rank, group) worker goroutine fed by a FIFO issue
-// queue, and Handle.Wait synchronizes — the executed analog of a GPU
-// side stream, which the overlapped training path uses to hide
-// gradient reductions behind backward compute. Async and synchronous
-// issue run the identical deterministic rings, so results and byte
-// accounting are bit-for-bit the same; see async.go for the protocol.
+// g.Do(r, Collective{Op, Buf, Wire, Root, After}) issues a data
+// collective and returns a *Handle; the wire format, the broadcast root
+// and cross-queue ordering are attributes of the call, and a
+// synchronous collective is g.Do(r, c).Wait(). The contract:
+//
+//   - FIFO per (rank, group): every call is enqueued on the issuing
+//     rank's queue for that group and executed in issue order by the
+//     queue's worker goroutine — the executed analog of a GPU comm
+//     stream, which the overlapped training path uses to hide gradient
+//     reductions behind backward compute. Every member must issue the
+//     same operations in the same order; queues of different groups run
+//     independently.
+//   - Buf and Wire belong to the collective until Wait returns.
+//   - After orders a call behind a handle from another group's queue.
+//   - Arguments are validated at issue, on the calling goroutine.
+//
+// The rings are deterministic, so results and byte accounting are
+// bit-for-bit the same whenever the handles are waited; see async.go.
 // Options.Throttle additionally realizes each collective's α–β modeled
 // time as executed delay, making hidden versus exposed communication
 // measurable in wall-clock.
@@ -109,8 +119,8 @@ type Options struct {
 	// ThrottleSkew scales Throttle per world rank (straggler mode): a
 	// rank listed here sleeps skew × Throttle × modeled time after each
 	// collective instead of 1 × Throttle. Because the collectives are
-	// synchronous-lockstep, one skewed rank delays every peer at the
-	// next synchronization point — the executed analog of one slow GPU
+	// lockstep, one skewed rank delays every peer at the next
+	// synchronization point — the executed analog of one slow GPU
 	// (thermal throttling, a degraded link) holding back a whole job,
 	// which the straggler tests hold to the α–β lockstep prediction.
 	// Ranks not present (or with non-positive skew) run at plain
@@ -225,8 +235,8 @@ type World struct {
 
 	ranks []*Rank
 
-	// root is the world-wide Group (all ranks); Rank's collective
-	// methods delegate to it.
+	// root is the world-wide Group (all ranks): what Subgroup of the
+	// identity sequence returns and Rank's control-plane methods use.
 	root *Group
 
 	// subgroup registry: memoized by rank sequence so every member's
@@ -328,9 +338,9 @@ func (w *World) Run(fn func(r *Rank) error) error {
 					w.doAbort()
 				}
 			}()
-			// Async issue queues live for one Run: whatever fn leaves
-			// queued is abandoned when the rank exits.
-			defer r.closeAsync()
+			// Issue queues live for one Run: whatever fn leaves queued
+			// is abandoned when the rank exits.
+			defer r.closeQueues()
 			errs[r.id] = fn(r)
 		}(w.ranks[i])
 	}
@@ -382,7 +392,7 @@ func (w *World) Stats() Stats {
 	fill := func(o Op) OpStats {
 		var maxSent float64
 		for _, r := range w.ranks {
-			if b := float64(r.sentBytes[o]); b > maxSent {
+			if b := float64(r.sentBytes[o].Load()); b > maxSent {
 				maxSent = b
 			}
 		}

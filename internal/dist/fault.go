@@ -10,14 +10,14 @@ import (
 // machinery (doAbort / ErrAborted) through exactly the path a real
 // mid-training rank death takes — the victim dies, every peer parked
 // in a collective on any group unblocks with ErrAborted, abandoned
-// async handles fail, and World.Run returns the victim's error.
+// handles fail, and World.Run returns the victim's error.
 //
-// Entries are counted on the issuing rank's own goroutine — at the
-// top of every synchronous collective call and at async issue time —
-// so the fault index is deterministic: the same program kills at the
-// same point on every run, regardless of how the async queue workers
-// interleave. Sync and async issue, fp32 and bf16 wire modes, world
-// and subgroup collectives all count against the one per-rank
+// Entries are counted on the issuing rank's own goroutine — in Do,
+// once the call has validated, and at the top of every scalar
+// all-reduce — so the fault index is deterministic: the same program
+// kills at the same point on every run, regardless of how the queue
+// workers interleave or when handles are waited. Either wire format,
+// world and subgroup collectives all count against the one per-rank
 // sequence; barriers do not (they are not collectives in Stats
 // either).
 //
@@ -37,9 +37,8 @@ type FaultPlan struct {
 	// Rank is the world rank to kill.
 	Rank int
 	// Call is the 1-based index of the collective entry at which the
-	// rank dies, counted across every collective the rank enters (sync
-	// call or async issue, any group, any wire mode). Call <= 0
-	// disables the plan.
+	// rank dies, counted across every collective the rank enters (any
+	// group, either wire format). Call <= 0 disables the plan.
 	Call int64
 }
 
@@ -70,7 +69,7 @@ func (e *InjectedFault) Unwrap() error { return ErrInjectedFault }
 // enter counts one collective entry on the calling rank's own
 // goroutine and fires the world's FaultPlan when this entry is the
 // planned one. Returns the member unchanged so call sites chain:
-// g.on(r).enter(op).allReduce(buf).
+// g.on(r).enter(OpScalar).allReduceScalar(v).
 func (m member) enter(op Op) member {
 	r := m.r
 	r.collectives++
@@ -81,9 +80,9 @@ func (m member) enter(op Op) member {
 }
 
 // CollectiveCalls returns how many collectives this rank has entered
-// (sync calls plus async issues) since the World was created — the
-// sequence a FaultPlan.Call indexes into. Read it after World.Run
-// returns; the counter is owned by the rank's goroutine while running.
+// since the World was created — the sequence a FaultPlan.Call indexes
+// into. Read it after World.Run returns; the counter is owned by the
+// rank's goroutine while running.
 func (r *Rank) CollectiveCalls() int64 { return r.collectives }
 
 // CollectiveCalls returns rank's entry count (see Rank.CollectiveCalls)

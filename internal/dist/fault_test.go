@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestFaultPlanKillsAtIndex(t *testing.T) {
 	err := w.Run(func(r *Rank) error {
 		buf := make([]float32, 4*n)
 		for i := 0; i < 10; i++ {
-			r.AllReduce(buf)
+			w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf}).Wait()
 		}
 		return nil
 	})
@@ -41,80 +42,90 @@ func TestFaultPlanKillsAtIndex(t *testing.T) {
 }
 
 // TestFaultPlanMatrix drives the injected death through every path the
-// elastic driver has to survive: synchronous and asynchronous issue,
-// fp32 and bf16 wire, world-group and subgroup collectives. Each case
-// must surface ErrInjectedFault from Run with no deadlock.
+// elastic driver has to survive — fp32 and bf16 wire, world-group and
+// two-level subgroup schedules — in each issue style (waited at once,
+// waited later, chained After). Entries are counted at issue on the
+// rank's own goroutine, so for one schedule the death site is the same
+// in every style: ErrInjectedFault from Run, at the planned index, with
+// no deadlock.
 func TestFaultPlanMatrix(t *testing.T) {
-	const n = 4
-	cases := []struct {
+	const n, iters, call = 4, 8, 6
+	// issue runs iters steps of step (each on buffers of its own, so
+	// several may be in flight), waiting each step's handle at once or
+	// all of them at the end.
+	issue := func(later bool, step func() *Handle) {
+		var hs []*Handle
+		for i := 0; i < iters; i++ {
+			if h := step(); later {
+				hs = append(hs, h)
+			} else {
+				h.Wait()
+			}
+		}
+		for _, h := range hs {
+			h.Wait()
+		}
+	}
+	schedules := []struct {
 		name string
-		body func(w *World, r *Rank)
+		step func(w *World, r *Rank, chained bool) func() *Handle
 	}{
-		{"sync/fp32", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			for i := 0; i < 8; i++ {
-				r.AllReduce(buf)
+		{"world/fp32", func(w *World, r *Rank, _ bool) func() *Handle {
+			return func() *Handle {
+				return w.root.Do(r, Collective{Op: OpAllReduce, Buf: make([]float32, 4*n)})
 			}
 		}},
-		{"sync/bf16", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			wire := make([]uint16, len(buf))
-			for i := 0; i < 8; i++ {
-				r.AllReduceBF16(buf, wire)
+		{"world/bf16", func(w *World, r *Rank, _ bool) func() *Handle {
+			return func() *Handle {
+				return w.root.Do(r, Collective{Op: OpAllReduce, Buf: make([]float32, 4*n), Wire: make([]uint16, 4*n)})
 			}
 		}},
-		{"async/fp32", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			for i := 0; i < 8; i++ {
-				r.AllReduceAsync(buf).Wait()
-			}
-		}},
-		{"async/bf16", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			wire := make([]uint16, len(buf))
-			for i := 0; i < 8; i++ {
-				r.AllReduceBF16Async(buf, wire).Wait()
-			}
-		}},
-		{"subgroup/two-level", func(w *World, r *Rank) {
+		{"subgroup/two-level", func(w *World, r *Rank, chained bool) func() *Handle {
 			// The hybrid shape: reduce-scatter in consecutive pairs,
 			// all-reduce across the strided replica pairs.
 			first := r.ID() / 2 * 2
 			sg := w.Subgroup([]int{first, first + 1})
 			rg := w.Subgroup([]int{r.ID() % 2, r.ID()%2 + 2})
-			buf := make([]float32, 8)
-			for i := 0; i < 8; i++ {
-				shard := sg.ReduceScatter(r, buf)
-				rg.AllReduce(r, shard)
-			}
-		}},
-		{"subgroup/async-chained", func(w *World, r *Rank) {
-			first := r.ID() / 2 * 2
-			sg := w.Subgroup([]int{first, first + 1})
-			rg := w.Subgroup([]int{r.ID() % 2, r.ID()%2 + 2})
-			buf := make([]float32, 8)
-			for i := 0; i < 8; i++ {
-				rs := sg.ReduceScatterAsync(r, buf)
-				rg.AllReduceAsyncAfter(r, buf[:4], rs).Wait()
+			return func() *Handle {
+				buf := make([]float32, 8)
+				shard := buf[(r.ID()-first)*4:][:4]
+				rs := sg.Do(r, Collective{Op: OpReduceScatter, Buf: buf})
+				if !chained {
+					rs.Wait()
+					rs = nil
+				}
+				return rg.Do(r, Collective{Op: OpAllReduce, Buf: shard, After: rs})
 			}
 		}},
 	}
-	for _, c := range cases {
+	styles := []struct {
+		name           string
+		later, chained bool
+	}{{"waited at once", false, false}, {"waited later", true, false}, {"chained After", true, true}}
+	for _, sc := range schedules {
 		for _, victim := range []int{0, 3} {
-			t.Run(fmt.Sprintf("%s/rank=%d", c.name, victim), func(t *testing.T) {
-				w := New(n, Options{Fault: FaultPlan{Rank: victim, Call: 6}})
-				err := w.Run(func(r *Rank) error {
-					c.body(w, r)
-					return nil
+			var site string
+			for _, st := range styles {
+				t.Run(fmt.Sprintf("%s/%s/rank=%d", sc.name, st.name, victim), func(t *testing.T) {
+					w := New(n, Options{Fault: FaultPlan{Rank: victim, Call: call}})
+					err := w.Run(func(r *Rank) error {
+						issue(st.later, sc.step(w, r, st.chained))
+						return nil
+					})
+					if !errors.Is(err, ErrInjectedFault) {
+						t.Fatalf("Run returned %v, want ErrInjectedFault", err)
+					}
+					var f *InjectedFault
+					if !errors.As(err, &f) || f.Rank != victim || f.Call != call {
+						t.Fatalf("fault detail %v, want rank %d call %d", err, victim, call)
+					}
+					if site == "" {
+						site = err.Error()
+					} else if err.Error() != site {
+						t.Fatalf("death site depends on the issue style:\n  %s\n  %v", site, err)
+					}
 				})
-				if !errors.Is(err, ErrInjectedFault) {
-					t.Fatalf("Run returned %v, want ErrInjectedFault", err)
-				}
-				var f *InjectedFault
-				if !errors.As(err, &f) || f.Rank != victim || f.Call != 6 {
-					t.Fatalf("fault detail %v, want rank %d call 6", err, victim)
-				}
-			})
+			}
 		}
 	}
 }
@@ -128,7 +139,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		return w.Run(func(r *Rank) error {
 			buf := make([]float32, 3)
 			for i := 0; i < 6; i++ {
-				r.AllReduce(buf)
+				w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf}).Wait()
 				r.AllReduceScalar(1)
 			}
 			return nil
@@ -154,8 +165,7 @@ func TestFaultPlanDisarmed(t *testing.T) {
 	for _, plan := range []FaultPlan{{}, {Rank: 1, Call: 1000}} {
 		w := New(2, Options{Fault: plan})
 		err := w.Run(func(r *Rank) error {
-			buf := make([]float32, 2)
-			r.AllReduce(buf)
+			w.root.Do(r, Collective{Op: OpAllReduce, Buf: make([]float32, 2)}).Wait()
 			return nil
 		})
 		if err != nil {
@@ -183,7 +193,11 @@ func TestFaultPlanValidation(t *testing.T) {
 // TestThrottleSkewStraggler: one rank with a throttle skew slows every
 // peer to its pace — the synchronous-lockstep cost the simulator's α–β
 // model predicts. The skewed run's wall clock must carry at least the
-// straggler's modeled collective time, and the baseline must not.
+// straggler's modeled collective time: time.Sleep never returns early,
+// so that floor is exact and always checked. That the baseline stays
+// below it (the cost is attributable to the skew) races the OS
+// scheduler, so those comparisons run only under OVERLAP_VALIDATE=1
+// (CI's calibrate job).
 func TestThrottleSkewStraggler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -201,7 +215,7 @@ func TestThrottleSkewStraggler(t *testing.T) {
 		err := w.Run(func(r *Rank) error {
 			buf := make([]float32, elems)
 			for i := 0; i < rounds; i++ {
-				r.AllReduce(buf)
+				w.root.Do(r, Collective{Op: OpAllReduce, Buf: buf}).Wait()
 			}
 			return nil
 		})
@@ -222,6 +236,12 @@ func TestThrottleSkewStraggler(t *testing.T) {
 	if skewedWall.Seconds() < skew*modeled {
 		t.Errorf("skewed wall %.3fs below the lockstep prediction %.3fs",
 			skewedWall.Seconds(), skew*modeled)
+	}
+	if base.Seconds() < modeled {
+		t.Errorf("baseline wall %.3fs below its own modeled collective time %.3fs", base.Seconds(), modeled)
+	}
+	if os.Getenv("OVERLAP_VALIDATE") == "" {
+		return
 	}
 	if base.Seconds() >= skew*modeled {
 		t.Errorf("baseline wall %.3fs already at the skewed prediction %.3fs — straggler cost not measurable",

@@ -6,20 +6,21 @@ import (
 	"repro/internal/comm"
 )
 
-// Group is a communicator scoped to a subset of a World's ranks: the
-// same ring collectives as the World, running over the group's own
-// per-edge channels, so collectives on disjoint groups proceed
-// concurrently without interfering (the communicator structure behind
-// HYBRID_SHARD's two-level scheme: FULL_SHARD collectives inside each
-// shard group, gradient all-reduce across each replica group).
+// Group is a communicator scoped to a subset of a World's ranks: one
+// ring over the group's own per-edge channels, so collectives on
+// disjoint groups proceed concurrently without interfering (the
+// communicator structure behind HYBRID_SHARD's two-level scheme:
+// FULL_SHARD collectives inside each shard group, gradient all-reduce
+// across each replica group). Do issues the data collectives (see
+// async.go); Barrier and AllReduceScalar are the control plane.
 //
 // A Group's accounting composes with the parent World's Stats: every
 // byte a member puts on a group ring edge is counted against that
 // member's world rank, and calls are priced by the same α–β model,
 // recorded from world rank 0's perspective (see Stats).
 //
-// The World itself is the degenerate Group over all ranks — Rank's
-// collective methods delegate to it.
+// The World itself is the degenerate Group over all ranks:
+// Subgroup of the identity sequence returns it.
 type Group struct {
 	w    *World
 	n    int
@@ -29,12 +30,9 @@ type Group struct {
 	index   map[int]int // world rank id → group-local rank
 
 	// data[i] carries views from member i to member (i+1)%n; ack[i]
-	// carries the matching consumption acknowledgements back. dataU16
-	// is the same edge in the bf16 wire mode (uint16 payloads); the ack
-	// channels are shared because a group runs one collective at a time.
-	data    []chan []float32
-	dataU16 []chan []uint16
-	ack     []chan struct{}
+	// carries the matching consumption acknowledgements back.
+	data []chan view
+	ack  []chan struct{}
 
 	bar     barrier
 	scalars []float64
@@ -47,8 +45,7 @@ func newGroup(w *World, members []int, link comm.Params) *Group {
 		link:    link,
 		members: append([]int(nil), members...),
 		index:   make(map[int]int, len(members)),
-		data:    make([]chan []float32, len(members)),
-		dataU16: make([]chan []uint16, len(members)),
+		data:    make([]chan view, len(members)),
 		ack:     make([]chan struct{}, len(members)),
 		scalars: make([]float64, len(members)),
 	}
@@ -57,8 +54,7 @@ func newGroup(w *World, members []int, link comm.Params) *Group {
 	}
 	g.bar.init(g.n)
 	for i := range g.data {
-		g.data[i] = make(chan []float32, 1)
-		g.dataU16[i] = make(chan []uint16, 1)
+		g.data[i] = make(chan view, 1)
 		g.ack[i] = make(chan struct{}, 1)
 	}
 	return g
@@ -142,34 +138,6 @@ func (g *Group) on(r *Rank) member {
 		panic(fmt.Sprintf("dist: rank %d is not a member of subgroup %v", r.id, g.members))
 	}
 	return member{g: g, r: r, id: id}
-}
-
-// AllReduce sums buf element-wise across the group's members, leaving
-// every member with the identical full result. len(buf) must be a
-// multiple of the group size.
-func (g *Group) AllReduce(r *Rank, buf []float32) { g.on(r).enter(OpAllReduce).allReduce(buf) }
-
-// ReduceScatter sums buf element-wise across the group and leaves the
-// calling member with its fully reduced shard: chunk RankOf(r) of the
-// Size() uniform chunks of buf, returned as a view into buf. The other
-// chunks hold partial sums afterwards and must be treated as garbage.
-// len(buf) must be a multiple of the group size.
-func (g *Group) ReduceScatter(r *Rank, buf []float32) []float32 {
-	return g.on(r).enter(OpReduceScatter).reduceScatter(buf, OpReduceScatter, true)
-}
-
-// AllGather fills buf with every member's shard: member i contributes
-// chunk i. If shard is non-nil it is copied into the caller's chunk
-// first; if nil the chunk is assumed to already hold the contribution.
-// len(buf) must be a multiple of the group size.
-func (g *Group) AllGather(r *Rank, buf, shard []float32) {
-	g.on(r).enter(OpAllGather).allGatherOp(buf, shard, OpAllGather, true)
-}
-
-// Broadcast copies the group-local root member's buf to every member
-// via a pipelined ring. Any length is allowed.
-func (g *Group) Broadcast(r *Rank, buf []float32, root int) {
-	g.on(r).enter(OpBroadcast).broadcast(buf, root)
 }
 
 // Barrier blocks until every member has entered it.

@@ -53,7 +53,7 @@ type DistConfig struct {
 	Precision Precision
 	// Overlap launches each gradient bucket's collective the moment the
 	// layer-granular backward finalizes its range, on internal/dist's
-	// async issue queues, and waits on all handles only before
+	// issue queues, and waits on all handles only before
 	// clipping/optimizer — the executed form of FSDP hiding collective
 	// latency behind backward compute. Overlap on and off run the
 	// identical operations in the identical issue order, so they are
@@ -169,7 +169,7 @@ type DistResult struct {
 	Traffic fsdp.Traffic
 	// WallSec is rank 0's wall-clock inside the training loop;
 	// ExposedCommSec is the part it spent blocked in per-step
-	// collectives or waiting on their async handles — communication
+	// collectives or waiting on their handles — communication
 	// not hidden behind compute — and ComputeSec is the remainder
 	// (forward/backward/optimizer plus the input pipeline). This is
 	// the executed counterpart of the fsdp simulator's
@@ -449,7 +449,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			if r.ID() == 0 {
 				opt.PackValues(initBuf, params)
 			}
-			r.Broadcast(initBuf, 0)
+			world.Subgroup(allRanks).Do(r, dist.Collective{Op: dist.OpBroadcast, Buf: initBuf}).Wait()
 			opt.UnpackValues(params, initBuf)
 		} else {
 			// Every rank restores the identical fp32 master snapshot
@@ -471,7 +471,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		if r.ID() == 0 {
 			timer = &phaseTimer{}
 		}
-		eng, err := newSyncEngine(r, model, params, mode, bf16, cfg.Overlap,
+		eng, err := newSyncEngine(r, model, params, mode, cfg.Overlap,
 			gradGroup, replGroup, group, flatG, wire, timer,
 			bucketElemsFor(cfg.BucketBytes, plan.DDPBucketBytes,
 				plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded))
@@ -607,6 +607,15 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			})
 		loader.SkipEpochs(startEpoch)
 
+		// shardGroupSum totals a per-member value over the shard group,
+		// whose members hold disjoint spans covering the whole flat space
+		// — so their sums of squares all-reduce to the total the
+		// single-rank clip computes.
+		shardGroupSum := func(v float64) (total float64) {
+			timer.comm(func() { total = gradGroup.AllReduceScalar(r, v) })
+			return total
+		}
+
 		invN := float32(1) / float32(n)
 		invAccum := float64(1) / float64(accum)
 		loopStart := time.Now()
@@ -695,31 +704,17 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 					// already the global one.
 					if !scaler.Update(opt.HasNonFinite(flatG)) {
 						tensor.Scale(flatG, flatG, invScale)
-						if cfg.ClipNorm > 0 {
-							if norm := math.Sqrt(sumSq(flatG[:dim])); norm > cfg.ClipNorm && norm > 0 {
-								tensor.Scale(flatG, flatG, float32(cfg.ClipNorm/norm))
-							}
-						}
+						// Every rank holds the whole gradient: the local
+						// sum of squares is the global one. (The pad tail
+						// is zero, before and after any scaling.)
+						clipGradNorm(flatG[:dim], cfg.ClipNorm, func(sq float64) float64 { return sq })
 						shardOpt.Step(lr, master, flatG)
 						tensor.RoundBF16(flatW, master)
 						opt.UnpackValues(params, flatW)
 					}
 				case !bf16: // sharded FP32
 					eng.gatherShard(gBuf)
-					if cfg.ClipNorm > 0 {
-						// Global-norm clipping over the sharded
-						// gradient: the shard group's members hold
-						// disjoint spans covering the whole flat
-						// space, so their sums of squares all-reduce to
-						// the same total the single-rank clip computes.
-						var norm float64
-						timer.comm(func() {
-							norm = math.Sqrt(gradGroup.AllReduceScalar(r, sumSq(gBuf)))
-						})
-						if norm > cfg.ClipNorm && norm > 0 {
-							tensor.Scale(gBuf, gBuf, float32(cfg.ClipNorm/norm))
-						}
-					}
+					clipGradNorm(gBuf, cfg.ClipNorm, shardGroupSum)
 					opt.GatherSpans(wBuf, flatW, ownSpans)
 					shardOpt.Step(lr, wBuf, gBuf)
 					opt.ScatterSpans(flatW, wBuf, ownSpans)
@@ -739,15 +734,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 					})
 					if !scaler.Update(overflow) {
 						tensor.Scale(gBuf, gBuf, invScale)
-						if cfg.ClipNorm > 0 {
-							var norm float64
-							timer.comm(func() {
-								norm = math.Sqrt(gradGroup.AllReduceScalar(r, sumSq(gBuf)))
-							})
-							if norm > cfg.ClipNorm && norm > 0 {
-								tensor.Scale(gBuf, gBuf, float32(cfg.ClipNorm/norm))
-							}
-						}
+						clipGradNorm(gBuf, cfg.ClipNorm, shardGroupSum)
 						shardOpt.Step(lr, master, gBuf)
 						off := 0
 						for _, sp := range ownSpans {
@@ -847,6 +834,18 @@ func boolFlag(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// clipGradNorm is global-norm clipping over this rank's gradient shard
+// g: reduce turns the shard's sum of squares into the global one, and g
+// is scaled by clip/norm when the norm exceeds clip (0 disables).
+func clipGradNorm(g []float32, clip float64, reduce func(float64) float64) {
+	if clip <= 0 {
+		return
+	}
+	if norm := math.Sqrt(reduce(sumSq(g))); norm > clip && norm > 0 {
+		tensor.Scale(g, g, float32(clip/norm))
+	}
 }
 
 // sumSq accumulates Σx² in float64, matching nn.GradL2Norm's

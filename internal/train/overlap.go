@@ -15,7 +15,7 @@ import (
 // flat gradient space is split into wire buckets, the layer-granular
 // backward (mae.BackwardStepLayers) reports each unit's gradients the
 // moment they are final, and the engine launches the covering buckets'
-// collectives on internal/dist's async issue queues while the
+// collectives on internal/dist's issue queues while the
 // remaining layers keep computing — FSDP's per-unit overlapped
 // reduce-scatter, executed. With Overlap off the identical operations
 // run at the identical points but are waited immediately, so the two
@@ -89,10 +89,9 @@ func (t *phaseTimer) comm(f func()) {
 // clipping/optimizer, and the parameter all-gathers after it.
 type syncEngine struct {
 	r       *dist.Rank
-	mode    execMode
-	bf16    bool
 	overlap bool
 
+	reduceOp  dist.Op     // what a gradient bucket runs: all-reduce (replicated) or reduce-scatter (sharded)
 	gradGroup *dist.Group // collective group for gradient buckets (world for replicated, shard group otherwise)
 	replGroup *dist.Group // HYBRID replica-dimension all-reduce (nil otherwise)
 
@@ -122,15 +121,18 @@ type syncEngine struct {
 // newSyncEngine builds the bucket layout and validates the model's
 // backward-segment contract against the flat packing order.
 func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param,
-	mode execMode, bf16, overlap bool,
+	mode execMode, overlap bool,
 	gradGroup, replGroup *dist.Group, group int,
 	flatG []float32, wire []uint16, timer *phaseTimer, bucketElems int) (*syncEngine, error) {
 
 	padded := len(flatG)
 	e := &syncEngine{
-		r: r, mode: mode, bf16: bf16, overlap: overlap,
-		gradGroup: gradGroup, replGroup: replGroup,
+		r: r, overlap: overlap,
+		reduceOp: dist.OpAllReduce, gradGroup: gradGroup, replGroup: replGroup,
 		params: params, flatG: flatG, wire: wire, timer: timer,
+	}
+	if mode != execReplicated {
+		e.reduceOp = dist.OpReduceScatter
 	}
 	for _, sp := range makeBuckets(padded, bucketElems) {
 		b := gradBucket{span: sp}
@@ -202,13 +204,21 @@ func (e *syncEngine) onSegment(k int) {
 	}
 }
 
+// wireOf is the bf16 wire scratch behind a flat span; nil (the fp32
+// wire) when the run is not mixed-precision.
+func (e *syncEngine) wireOf(sp opt.Span) []uint16 {
+	if e.wire == nil {
+		return nil
+	}
+	return e.wire[sp.Lo:sp.Hi]
+}
+
 // launch packs, scales and issues one bucket's gradient collective(s):
 // an all-reduce for the replicated schedule, a shard-group
 // reduce-scatter (chained into a replica-group all-reduce under
-// HYBRID) for the sharded ones — over the bf16 wire when the run is
-// mixed-precision. With Overlap off the handle is waited immediately
-// (the synchronous schedule); either way completion order and
-// arithmetic are identical.
+// HYBRID) for the sharded ones. With Overlap off the handle is waited
+// immediately (the synchronous schedule); either way completion order
+// and arithmetic are identical.
 func (e *syncEngine) launch(b gradBucket) {
 	sp := b.span
 	view := e.flatG[sp.Lo:sp.Hi]
@@ -216,23 +226,10 @@ func (e *syncEngine) launch(b gradBucket) {
 	if e.scaleGrads {
 		tensor.Scale(view, view, e.gScale)
 	}
-	var h *dist.Handle
-	switch {
-	case e.mode == execReplicated && !e.bf16:
-		h = e.gradGroup.AllReduceAsync(e.r, view)
-	case e.mode == execReplicated && e.bf16:
-		h = e.gradGroup.AllReduceBF16Async(e.r, view, e.wire[sp.Lo:sp.Hi])
-	case !e.bf16:
-		h = e.gradGroup.ReduceScatterAsync(e.r, view)
-		if e.replGroup != nil {
-			h = e.replGroup.AllReduceAsyncAfter(e.r, e.flatG[b.piece.Lo:b.piece.Hi], h)
-		}
-	default:
-		h = e.gradGroup.ReduceScatterBF16Async(e.r, view, e.wire[sp.Lo:sp.Hi])
-		if e.replGroup != nil {
-			h = e.replGroup.AllReduceBF16AsyncAfter(e.r,
-				e.flatG[b.piece.Lo:b.piece.Hi], e.wire[b.piece.Lo:b.piece.Hi], h)
-		}
+	h := e.gradGroup.Do(e.r, dist.Collective{Op: e.reduceOp, Buf: view, Wire: e.wireOf(sp)})
+	if e.replGroup != nil {
+		h = e.replGroup.Do(e.r, dist.Collective{Op: dist.OpAllReduce,
+			Buf: e.flatG[b.piece.Lo:b.piece.Hi], Wire: e.wireOf(b.piece), After: h})
 	}
 	if !e.overlap {
 		e.timer.comm(func() { h.Wait() })
@@ -269,11 +266,8 @@ func (e *syncEngine) gatherShard(dst []float32) {
 func (e *syncEngine) allGatherParams(flatW []float32) {
 	e.timer.comm(func() {
 		for _, b := range e.buckets {
-			if e.bf16 {
-				e.gradGroup.AllGatherBF16(e.r, flatW[b.span.Lo:b.span.Hi], nil, e.wire[b.span.Lo:b.span.Hi])
-			} else {
-				e.gradGroup.AllGather(e.r, flatW[b.span.Lo:b.span.Hi], nil)
-			}
+			e.gradGroup.Do(e.r, dist.Collective{Op: dist.OpAllGather,
+				Buf: flatW[b.span.Lo:b.span.Hi], Wire: e.wireOf(b.span)}).Wait()
 		}
 	})
 }

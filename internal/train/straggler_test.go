@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/comm"
@@ -13,8 +14,11 @@ import (
 // rank's collectives throttled ×skew on a congested link, the whole
 // run's wall clock must sit at or above skew × the α–β model's total
 // collective time — every peer waits for the straggler at every
-// synchronous collective — while the unskewed baseline must stay below
-// that floor so the cost is actually attributable to the skew.
+// synchronous collective. time.Sleep never returns early, so that
+// floor is exact and always checked, as is the loss-bit equality. That
+// the unskewed baseline stays below the floor (the cost is attributable
+// to the skew) races the OS scheduler: those comparisons run only under
+// OVERLAP_VALIDATE=1 (CI's calibrate job).
 func TestStragglerLockstepCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -45,13 +49,6 @@ func TestStragglerLockstepCost(t *testing.T) {
 		t.Errorf("skewed wall %.3fs below the lockstep floor %.3fs",
 			slow.WallSec, skew*modeled)
 	}
-	if base.WallSec >= skew*modeled {
-		t.Errorf("baseline wall %.3fs already at the skewed floor %.3fs — straggler cost not measurable",
-			base.WallSec, skew*modeled)
-	}
-	if slow.WallSec <= base.WallSec {
-		t.Errorf("skewed run (%.3fs) not slower than baseline (%.3fs)", slow.WallSec, base.WallSec)
-	}
 	// The trajectory is timing-independent: the straggler slows the run
 	// but must not change a single loss bit.
 	if len(base.LossCurve.Y) != len(slow.LossCurve.Y) {
@@ -61,5 +58,15 @@ func TestStragglerLockstepCost(t *testing.T) {
 		if math.Float64bits(base.LossCurve.Y[i]) != math.Float64bits(slow.LossCurve.Y[i]) {
 			t.Fatalf("step %d: straggler changed the loss: %v vs %v", i, base.LossCurve.Y[i], slow.LossCurve.Y[i])
 		}
+	}
+	if os.Getenv("OVERLAP_VALIDATE") == "" {
+		return
+	}
+	if base.WallSec >= skew*modeled {
+		t.Errorf("baseline wall %.3fs already at the skewed floor %.3fs — straggler cost not measurable",
+			base.WallSec, skew*modeled)
+	}
+	if slow.WallSec <= base.WallSec {
+		t.Errorf("skewed run (%.3fs) not slower than baseline (%.3fs)", slow.WallSec, base.WallSec)
 	}
 }
