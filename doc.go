@@ -36,13 +36,12 @@
 // builds on it: seed-identical model replicas synchronized by a
 // parameter broadcast, a rank-sharded sampler that partitions exactly
 // the single-rank batch sequence, lock-step mask streams
-// (mae.DrawMasks), and the full Section III-C strategy matrix —
-// bucketed gradient all-reduce with a replicated AdamW (DDP/NO_SHARD),
-// reduce-scattered gradients with rank-sharded AdamW state and an
-// all-gather of updated parameters (ZeRO-1, FSDP's SHARD_GRAD_OP),
-// FULL_SHARD (parameters resharded after forward and re-gathered in
-// backward), and HYBRID_kGPUs (FULL_SHARD inside k-rank shard groups,
-// gradient-shard all-reduce across world/k replica groups).
+// (mae.DrawMasks), and the full Section III-C strategy matrix as one
+// optimizer step: every rank runs one opt.ShardedAdamW over the flat
+// spans it owns — the whole space under DDP/NO_SHARD/HYBRID_1GPU, its
+// chunk of every gradient bucket under SHARD_GRAD_OP, FULL_SHARD and
+// HYBRID_kGPUs — and fsdp.Plan (ShardRanks, RegathersInBackward) is the
+// one place that says what each strategy shards and gathers.
 // An N-rank run reproduces the single-rank loss trajectory to within
 // float reassociation for every strategy, and every executed
 // collective is counted and simultaneously priced by the internal/comm

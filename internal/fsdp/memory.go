@@ -32,23 +32,16 @@ func MemoryPerGPU(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) floa
 	gathered := 2 * maxUnit * cBytes
 
 	base := w.ActivationBytes() + frameworkBytes
-	switch plan.Strategy {
-	case DDP:
+	shards := float64(plan.ShardRanks(world))
+	switch {
+	case plan.Strategy == DDP:
 		// Replicated state + bucket copies of the gradients.
 		return state + p*cBytes + base
-	case NoShard:
-		return state + base
-	case FullShard:
-		return state/float64(world) + gathered + base
-	case ShardGradOp:
+	case plan.Strategy == ShardGradOp:
 		// Compute-precision params stay resident; the rest shards.
-		return p*cBytes + (state-p*cBytes)/float64(world) + base
-	case HybridShard:
-		g := float64(plan.GroupSize)
-		if plan.GroupSize <= 1 {
-			return state + base
-		}
-		return state/g + gathered + base
+		return p*cBytes + (state-p*cBytes)/shards + base
+	case plan.RegathersInBackward():
+		return state/shards + gathered + base
 	default:
 		return state + base
 	}

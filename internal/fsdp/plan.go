@@ -5,20 +5,8 @@
 // the limit_all_gathers rate limiter, and DDP's fixed-size gradient
 // buckets — as a discrete-event task graph over one compute stream and
 // one communication stream per rank (ranks are symmetric, so one
-// representative rank is simulated).
-//
-// Sharding strategies follow Section III-C of the paper:
-//
-//	NO_SHARD       – pure data parallel through FSDP (≈ DDP semantics)
-//	FULL_SHARD     – params, grads and optimizer state sharded over all
-//	                 ranks; params re-gathered in forward AND backward
-//	SHARD_GRAD_OP  – grads and optimizer state sharded; params gathered
-//	                 in forward and kept until backward
-//	HYBRID_SHARD   – FULL_SHARD within a sharding group of GroupSize
-//	                 GPUs, replication with gradient all-reduce across
-//	                 groups (HYBRID_1GPU, HYBRID_2GPUs, … in the paper)
-//	DDP            – classic DistributedDataParallel with fixed-size
-//	                 gradient buckets, the baseline of Figure 3
+// representative rank is simulated). The Section III-C strategy matrix
+// and what each strategy shards are documented once, on Plan.
 package fsdp
 
 import (
@@ -79,7 +67,29 @@ func (p Prefetch) String() string {
 	}
 }
 
-// Plan is one distributed-training configuration.
+// Plan is one distributed-training configuration. The strategies of the
+// paper's Section III-C matrix differ in exactly two facts, which
+// ShardRanks and RegathersInBackward own — the simulator (Simulate,
+// TrafficPerStep, MemoryPerGPU) and the executed training loop
+// (internal/train.PretrainDistributed) both read them from here:
+//
+//	plan                        ShardRanks  regathers  per optimizer step
+//	DDP, NO_SHARD, HYBRID_1GPU  1           no         gradient all-reduce over the world
+//	                                                   (DDP in DDPBucketBytes buckets);
+//	                                                   every rank keeps the whole state
+//	SHARD_GRAD_OP (ZeRO-1)      world       no         gradient reduce-scatter, sharded
+//	                                                   optimizer, one parameter all-gather
+//	FULL_SHARD (ZeRO-3)         world       yes        as SHARD_GRAD_OP, plus parameters
+//	                                                   dropped after forward and gathered
+//	                                                   again for backward
+//	HYBRID_kGPUs (k>1)          k           yes        FULL_SHARD inside each k-rank group,
+//	                                                   then a gradient-shard all-reduce
+//	                                                   across the world/k replica groups
+//
+// Collectives run over ShardRanks-rank shard groups (consecutive ranks)
+// and world/ShardRanks-rank replica groups (strided across them); flat
+// buffers pad to a multiple of the world so they chunk uniformly on
+// both.
 type Plan struct {
 	Strategy Strategy
 	// GroupSize is the sharding-group size for HybridShard (the paper's
@@ -168,23 +178,11 @@ func (p Plan) ShardRanks(world int) int {
 	}
 }
 
-// shardsParams reports whether forward needs per-unit all-gathers.
-func (p Plan) shardsParams(world int) bool {
-	return p.ShardRanks(world) > 1
-}
-
-// regathersInBackward reports whether parameters are re-gathered during
-// backward: FULL_SHARD and HYBRID (>1) reshard after forward;
-// SHARD_GRAD_OP keeps parameters resident.
-func (p Plan) regathersInBackward(world int) bool {
-	switch p.Strategy {
-	case FullShard:
-		return true
-	case HybridShard:
-		return p.GroupSize > 1
-	default:
-		return false
-	}
+// RegathersInBackward reports whether parameters are dropped after
+// forward and gathered again for backward (FULL_SHARD, HYBRID_kGPUs
+// with k>1); the other strategies keep them resident.
+func (p Plan) RegathersInBackward() bool {
+	return p.Strategy == FullShard || p.Strategy == HybridShard && p.GroupSize > 1
 }
 
 // DefaultDDP returns the Figure 3 DDP baseline configuration.

@@ -105,8 +105,10 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 		straggle += stragglerPerDoubling * math.Log2(float64(nodes))
 	}
 
-	// Link parameters for the sharding-group collectives.
+	// Link parameters for the sharding-group collectives; a sharded
+	// plan's forward needs per-unit all-gathers.
 	shardRanks := plan.ShardRanks(world)
+	sharded := shardRanks > 1
 	shardRPN := shardRanks
 	if shardRPN > m.GPUsPerNode {
 		shardRPN = m.GPUsPerNode
@@ -137,7 +139,7 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 
 	agParams := comm.Params{Bandwidth: shardBW, HopLat: shardLat, ChunkOverheadBytes: shardChunk,
 		Launch: m.CollectiveLaunch + hostOverhead}
-	if !m.Calibrated && !plan.LimitAllGathers && plan.shardsParams(world) {
+	if !m.Calibrated && !plan.LimitAllGathers && sharded {
 		agParams.Bandwidth *= noLimitBWFactor
 		agParams.Launch += noLimitExtraLaunch
 	}
@@ -163,7 +165,6 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	// ------------------------------ forward ------------------------------
 	cf := make([]*sim.Task, l)
 	agf := make([]*sim.Task, l)
-	sharded := plan.shardsParams(world)
 	for i := 0; i < l; i++ {
 		var deps []*sim.Task
 		if sharded {
@@ -196,7 +197,7 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	//	               reduce-scatter to finish — full serialization.
 	cb := make([]*sim.Task, l)
 	lastComm := make([]*sim.Task, l) // final grad-sync comm task per unit
-	regather := plan.regathersInBackward(world)
+	regather := plan.RegathersInBackward()
 	agb := make([]*sim.Task, l)
 
 	agTask := func(i int, deps ...*sim.Task) *sim.Task {
@@ -233,19 +234,20 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 		}
 
 		// Gradient synchronization for this unit.
-		switch plan.Strategy {
-		case NoShard:
-			// handled after the loop: NO_SHARD's gradient all-reduce runs
-			// in FSDP's synchronous post-backward path with no compute
-			// overlap — the implementation difference from HYBRID_1GPU
-			// (identical algorithm, overlapped per-unit reduction) that
-			// the paper observes in Figures 1 and 3.
-		case HybridShard:
-			if plan.GroupSize == 1 {
-				lastComm[i] = addComm(fmt.Sprintf("ar%d", i),
-					comm.AllReduce(unitBytes(i), world, arParams), cb[i])
-				break
-			}
+		switch {
+		case plan.Strategy == DDP || plan.Strategy == NoShard:
+			// Handled after the loop: DDP reduces fixed-size buckets, and
+			// NO_SHARD's gradient all-reduce runs in FSDP's synchronous
+			// post-backward path with no compute overlap — the
+			// implementation difference from HYBRID_1GPU (identical
+			// algorithm, overlapped per-unit reduction) that the paper
+			// observes in Figures 1 and 3.
+		case plan.Strategy == HybridShard && shardRanks == 1:
+			lastComm[i] = addComm(fmt.Sprintf("ar%d", i),
+				comm.AllReduce(unitBytes(i), world, arParams), cb[i])
+		default:
+			// Reduce-scatter inside the shard group, then all-reduce the
+			// shard across the replica groups if there is more than one.
 			rs := addComm(fmt.Sprintf("rs%d", i),
 				comm.ReduceScatter(unitBytes(i), shardRanks, rsParams), cb[i])
 			lastComm[i] = rs
@@ -253,11 +255,6 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 				lastComm[i] = addComm(fmt.Sprintf("arr%d", i),
 					comm.AllReduce(unitBytes(i)/float64(shardRanks), replicaRanks, arParams), rs)
 			}
-		case FullShard, ShardGradOp:
-			lastComm[i] = addComm(fmt.Sprintf("rs%d", i),
-				comm.ReduceScatter(unitBytes(i), shardRanks, rsParams), cb[i])
-		case DDP:
-			// handled below via buckets
 		}
 
 		// BACKWARD_POST / None: the next gather is submitted after this

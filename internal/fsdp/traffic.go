@@ -5,10 +5,9 @@ package fsdp
 // event simulator charges to the communication stream, exposed in
 // closed form so the real execution layer (internal/dist driven by
 // internal/train.PretrainDistributed) is held to the same numbers:
-// for every strategy of the Section III-C matrix — DDP/NO_SHARD,
-// SHARD_GRAD_OP, FULL_SHARD and HYBRID_kGPUs — tests assert the bytes
-// each rank *actually sent* around its rings equal this prediction
-// exactly, per step.
+// for every strategy of the Section III-C matrix (see Plan) tests
+// assert the bytes each rank *actually sent* around its rings equal
+// this prediction exactly, per step.
 type Traffic struct {
 	// AllReduceBytes is the gradient all-reduce volume (DDP-style
 	// replicated strategies).
@@ -27,83 +26,46 @@ func (t Traffic) Total() float64 {
 	return t.AllReduceBytes + t.ReduceScatterBytes + t.AllGatherBytes
 }
 
-// TrafficPerStep returns the per-rank bytes one training step puts on
+// TrafficPerStep returns the per-rank bytes one optimizer step puts on
 // the wire for a model of paramElems parameters under plan p on a world
 // of the given size, with each element travelling as elemBytes wire
-// bytes — 4 for fp32, 2 for the bf16 mixed-precision mode, whose
-// gradient reductions and parameter gathers all move bf16 payloads (the
-// fp32 master weights and Adam state never cross the wire; the only
-// fp32 traffic the executed loop sends is the one-time init broadcast,
-// which is not per-step and not accounted here). elemBytes ≤ 0 defaults
-// to 4. The formulas use the ring-algorithm volumes of internal/comm:
+// bytes — 4 for fp32, 2 for the bf16 mixed-precision mode (≤ 0 defaults
+// to 4; the fp32 master weights, Adam state and the one-time init
+// broadcast are not per-step traffic and not accounted). It is the
+// schedule of Plan's table priced at the ring volumes of internal/comm
+// over g = ShardRanks shard-group ranks and world/g replica-group ranks:
 //
-//	reduce-scatter / all-gather:  (n−1)/n · V
-//	all-reduce:                   2(n−1)/n · V
+//	reduce-scatter, each all-gather:  (g−1)/g · V
+//	replica all-reduce of one shard:  2(r−1)/r · V/g,   r = world/g
 //
-// The element count is padded up to a multiple of the collective group
-// so chunks are uniform — the same padding the executed collectives in
-// internal/dist require — which is why measured and predicted bytes can
+// where a one-member group moves nothing and V is the element count
+// padded up to a multiple of the world — the alignment at which one
+// flat buffer chunks uniformly on the shard ring and each shard on the
+// replica ring, the same padding the executed collectives of
+// internal/dist require, which is why measured and predicted bytes
 // agree exactly rather than approximately.
-//
-// Strategy mapping (matching both Simulate's schedule and the executed
-// PretrainDistributed paths, which internal/train's tests pin to these
-// volumes byte for byte):
-//
-//	DDP, NO_SHARD, HYBRID_1GPU — gradients all-reduced across the world
-//	   (bucketing splits calls but not volume);
-//	SHARD_GRAD_OP — ZeRO-1: gradients reduce-scattered, updated
-//	   parameters all-gathered once per step;
-//	FULL_SHARD — as SHARD_GRAD_OP plus a second parameter all-gather
-//	   (params are re-gathered in backward after resharding);
-//	HYBRID_kGPUs (k>1) — FULL_SHARD volumes within the k-rank shard
-//	   group, plus a gradient-shard all-reduce across the world/k
-//	   replica groups. The element count pads to a multiple of the
-//	   whole world (shard group × replica group), the alignment the
-//	   executed two-level scheme needs so one flat buffer chunks
-//	   uniformly on the group ring AND each shard chunks uniformly on
-//	   the replica ring (opt.NewPartition's quantum).
 func TrafficPerStep(p Plan, world, paramElems, elemBytes int) Traffic {
-	var t Traffic
 	if world <= 1 || paramElems <= 0 {
-		return t
+		return Traffic{}
 	}
 	if elemBytes <= 0 {
 		elemBytes = 4
 	}
-	eb := float64(elemBytes)
+	// A shard group the world cannot tile (non-positive, or larger than
+	// the world — Validate rejects both) is accounted as one group
+	// rather than dividing by zero.
+	g := max(p.ShardRanks(world), 1)
+	repl := max(world/g, 1)
 	ringFrac := func(n int) float64 { return float64(n-1) / float64(n) }
-	pad := func(n, group int) float64 { return float64((n + group - 1) / group * group) }
+	v := float64((paramElems+g*repl-1)/(g*repl)*(g*repl)) * float64(elemBytes)
 
-	switch p.Strategy {
-	case DDP, NoShard:
-		t.AllReduceBytes = 2 * ringFrac(world) * pad(paramElems, world) * eb
-	case ShardGradOp:
-		v := pad(paramElems, world) * eb
-		t.ReduceScatterBytes = ringFrac(world) * v
-		t.AllGatherBytes = ringFrac(world) * v
-	case FullShard:
-		v := pad(paramElems, world) * eb
-		t.ReduceScatterBytes = ringFrac(world) * v
-		t.AllGatherBytes = 2 * ringFrac(world) * v
-	case HybridShard:
-		g := p.GroupSize
-		if g <= 1 {
-			t.AllReduceBytes = 2 * ringFrac(world) * pad(paramElems, world) * eb
-			break
-		}
-		repl := world / g
-		if repl < 1 {
-			// A group larger than the world cannot tile it (Validate
-			// rejects it); account the degenerate single whole-world
-			// group rather than dividing by zero.
-			repl = 1
-		}
-		v := pad(paramElems, g*repl) * eb
-		t.ReduceScatterBytes = ringFrac(g) * v
-		t.AllGatherBytes = 2 * ringFrac(g) * v
-		if repl > 1 {
-			t.AllReduceBytes = 2 * ringFrac(repl) * (v / float64(g))
-		}
+	t := Traffic{
+		AllReduceBytes:     2 * ringFrac(repl) * (v / float64(g)),
+		ReduceScatterBytes: ringFrac(g) * v,
+		AllGatherBytes:     ringFrac(g) * v,
+	}
+	if p.RegathersInBackward() {
+		t.AllGatherBytes *= 2
 	}
 	return t
 }

@@ -112,3 +112,57 @@ func TestTrafficBF16HalvesVolume(t *testing.T) {
 		}
 	}
 }
+
+// TestTrafficTable pins TrafficPerStep to literal per-rank wire bytes
+// for every plan name × world size at a parameter count no world
+// divides (1003, so every padding rule shows) on both wire widths: the
+// regression net under the closed-form arithmetic.
+func TestTrafficTable(t *testing.T) {
+	const elems = 1003
+	cases := []struct {
+		plan       string
+		world      int
+		bf16, fp32 Traffic // {all-reduce, reduce-scatter, all-gather} bytes
+	}{
+		{"DDP", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"DDP", 2, Traffic{2008, 0, 0}, Traffic{4016, 0, 0}},
+		{"DDP", 4, Traffic{3012, 0, 0}, Traffic{6024, 0, 0}},
+		{"DDP", 8, Traffic{3528, 0, 0}, Traffic{7056, 0, 0}},
+		{"NO_SHARD", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"NO_SHARD", 2, Traffic{2008, 0, 0}, Traffic{4016, 0, 0}},
+		{"NO_SHARD", 4, Traffic{3012, 0, 0}, Traffic{6024, 0, 0}},
+		{"NO_SHARD", 8, Traffic{3528, 0, 0}, Traffic{7056, 0, 0}},
+		{"FULL_SHARD", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"FULL_SHARD", 2, Traffic{0, 1004, 2008}, Traffic{0, 2008, 4016}},
+		{"FULL_SHARD", 4, Traffic{0, 1506, 3012}, Traffic{0, 3012, 6024}},
+		{"FULL_SHARD", 8, Traffic{0, 1764, 3528}, Traffic{0, 3528, 7056}},
+		{"SHARD_GRAD_OP", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"SHARD_GRAD_OP", 2, Traffic{0, 1004, 1004}, Traffic{0, 2008, 2008}},
+		{"SHARD_GRAD_OP", 4, Traffic{0, 1506, 1506}, Traffic{0, 3012, 3012}},
+		{"SHARD_GRAD_OP", 8, Traffic{0, 1764, 1764}, Traffic{0, 3528, 3528}},
+		{"HYBRID_1GPU", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"HYBRID_1GPU", 2, Traffic{2008, 0, 0}, Traffic{4016, 0, 0}},
+		{"HYBRID_1GPU", 4, Traffic{3012, 0, 0}, Traffic{6024, 0, 0}},
+		{"HYBRID_1GPU", 8, Traffic{3528, 0, 0}, Traffic{7056, 0, 0}},
+		{"HYBRID_2GPUs", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"HYBRID_2GPUs", 2, Traffic{0, 1004, 2008}, Traffic{0, 2008, 4016}},
+		{"HYBRID_2GPUs", 4, Traffic{1004, 1004, 2008}, Traffic{2008, 2008, 4016}},
+		{"HYBRID_2GPUs", 8, Traffic{1512, 1008, 2016}, Traffic{3024, 2016, 4032}},
+		{"HYBRID_4GPUs", 1, Traffic{0, 0, 0}, Traffic{0, 0, 0}},
+		{"HYBRID_4GPUs", 2, Traffic{0, 1506, 3012}, Traffic{0, 3012, 6024}},
+		{"HYBRID_4GPUs", 4, Traffic{0, 1506, 3012}, Traffic{0, 3012, 6024}},
+		{"HYBRID_4GPUs", 8, Traffic{504, 1512, 3024}, Traffic{1008, 3024, 6048}},
+	}
+	for _, c := range cases {
+		p, err := ParsePlanName(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := TrafficPerStep(p, c.world, elems, 2); got != c.bf16 {
+			t.Errorf("%s world=%d bf16: %+v, want %+v", c.plan, c.world, got, c.bf16)
+		}
+		if got := TrafficPerStep(p, c.world, elems, 4); got != c.fp32 {
+			t.Errorf("%s world=%d fp32: %+v, want %+v", c.plan, c.world, got, c.fp32)
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 // order, padded so the flat length divides evenly across ranks
 // (Partition describes the shard layout, including HYBRID_SHARD's
 // two-level alignment), and a ShardedAdamW instance owns the Adam
-// moments for just one rank's contiguous shard — the ZeRO-1/ZeRO-3
-// partitioning of optimizer state.
+// moments for just the flat spans one rank owns — the ZeRO-1/ZeRO-3
+// partitioning of optimizer state, of which "replicated" is the
+// one-span case covering the whole padded space.
 
 // FlatDim returns the total element count across params — the length
 // of the packed flat vector before padding.
@@ -92,19 +93,6 @@ func (p Partition) Shard(buf []float32, i int) []float32 {
 	return buf[lo:hi]
 }
 
-// ScrubOutside zeroes buf outside [lo, hi) — the executed analog of
-// FSDP freeing non-owned parameter shards when a unit is resharded
-// after forward: the subsequent backward all-gather must genuinely
-// restore the dropped values, so a test of the trained trajectory is a
-// test of the collective.
-func ScrubOutside(buf []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > len(buf) {
-		panic(fmt.Sprintf("opt: scrub range [%d, %d) of %d", lo, hi, len(buf)))
-	}
-	clear(buf[:lo])
-	clear(buf[hi:])
-}
-
 // Span is one contiguous flat range [Lo, Hi). Bucket-granular
 // gradient synchronization (train.PretrainDistributed with gradient
 // buckets) shards each bucket independently, so a rank's ownership is
@@ -136,8 +124,11 @@ func checkSpans(spans []Span, limit int) {
 }
 
 // ScrubOutsideSpans zeroes buf everywhere outside the given spans
-// (ascending, disjoint) — ScrubOutside generalized to bucket-granular
-// ownership.
+// (ascending, disjoint) — the executed analog of FSDP freeing non-owned
+// parameter shards when a unit is resharded after forward: the
+// subsequent backward all-gather must genuinely restore the dropped
+// values, so a test of the trained trajectory is a test of the
+// collective.
 func ScrubOutsideSpans(buf []float32, spans []Span) {
 	checkSpans(spans, len(buf))
 	at := 0
@@ -160,19 +151,6 @@ func GatherSpans(dst, src []float32, spans []Span) {
 	}
 	if at != len(dst) {
 		panic(fmt.Sprintf("opt: gathered %d elements into a buffer of %d", at, len(dst)))
-	}
-}
-
-// ScatterSpans is GatherSpans' inverse: the contiguous src is copied
-// back out into the spans of dst.
-func ScatterSpans(dst, src []float32, spans []Span) {
-	checkSpans(spans, len(dst))
-	at := 0
-	for _, s := range spans {
-		at += copy(dst[s.Lo:s.Hi], src[at:])
-	}
-	if at != len(src) {
-		panic(fmt.Sprintf("opt: scattered %d elements from a buffer of %d", at, len(src)))
 	}
 }
 
@@ -252,14 +230,16 @@ func unpackTensors(src []float32, params []*nn.Param, field func(*nn.Param) []fl
 	}
 }
 
-// ShardedAdamW is AdamW restricted to one contiguous shard [Lo, Hi) of
-// the flat parameter space — the ZeRO-1 optimizer: each rank holds the
-// first and second Adam moments only for its own shard, updates only
-// that slice of the flat weights, and the ranks' updated shards are
-// re-assembled with an all-gather. The update arithmetic is identical,
-// element for element, to AdamW.Step, including the per-parameter
-// NoWeightDecay exclusions (captured at construction as a 0/1 decay
-// mask over the shard) and the shared step count for bias correction.
+// ShardedAdamW is AdamW restricted to the spans of the flat parameter
+// space one rank owns — the ZeRO-1 optimizer: each rank holds the first
+// and second Adam moments only for its own spans, updates only those
+// slices of the flat weights, and the ranks' updated shards are
+// re-assembled with an all-gather. A rank of an unsharded strategy owns
+// the single span [0, padded) and needs no gather. The update
+// arithmetic is identical, element for element, to AdamW.Step,
+// including the per-parameter NoWeightDecay exclusions (captured at
+// construction as the runs of the owned spans that do and do not
+// decay) and the shared step count for bias correction.
 type ShardedAdamW struct {
 	Beta1, Beta2 float64
 	Eps          float64
@@ -267,18 +247,24 @@ type ShardedAdamW struct {
 
 	// Lo and Hi bound the shard in flat coordinates (for bucket-
 	// granular ownership they bound the union of the spans). Hi may
-	// extend past FlatDim into padding; pad elements carry a zero decay
-	// mask and zero gradients, so they stay zero.
+	// extend past FlatDim into padding; pad elements never decay and
+	// carry zero gradients, so they stay zero.
 	Lo, Hi int
 
-	// spans is the owned flat ranges in ascending order; the moment and
-	// decay buffers are their concatenation (shard-local coordinates).
-	spans []Span
-	n     int
+	// runs tiles the owned spans in ascending order; the moment buffers
+	// are their concatenation (shard-local coordinates, n long).
+	runs []decayRun
+	n    int
 
-	m, v  []float32
-	decay []float32 // 1 where decoupled weight decay applies, else 0
-	t     int
+	m, v []float32
+	t    int
+}
+
+// decayRun is a stretch of one owned span with a uniform weight-decay
+// rule: flat range [lo, lo+n), at shard-local offset off.
+type decayRun struct {
+	lo, off, n int
+	decay      bool
 }
 
 // NewShardedAdamW constructs the shard optimizer for flat range
@@ -294,47 +280,47 @@ func NewShardedAdamW(params []*nn.Param, weightDecay float64, lo, hi int) *Shard
 // NewShardedAdamWSpans constructs the shard optimizer for the given
 // owned flat spans (ascending, disjoint) — the bucket-granular
 // ownership of the overlapped executor, where a rank holds chunk i of
-// every gradient bucket. Moments and the weight-decay mask live in
-// shard-local coordinates: the concatenation of the spans in order,
-// exactly the layout GatherSpans produces.
+// every gradient bucket. Moments live in shard-local coordinates: the
+// concatenation of the spans in order, exactly the layout GatherSpans
+// produces.
 func NewShardedAdamWSpans(params []*nn.Param, weightDecay float64, spans []Span) *ShardedAdamW {
 	if len(spans) == 0 {
 		panic("opt: sharded adamw with no spans")
 	}
-	total := SpansLen(spans)
 	a := &ShardedAdamW{
 		Beta1: adamwBeta1, Beta2: adamwBeta2, Eps: adamwEps,
 		WeightDecay: weightDecay,
 		Lo:          spans[0].Lo, Hi: spans[len(spans)-1].Hi,
-		spans: append([]Span(nil), spans...),
-		n:     total,
-		m:     make([]float32, total),
-		v:     make([]float32, total),
-		decay: make([]float32, total),
 	}
-	checkSpans(a.spans, a.Hi)
-	off := 0
-	for _, p := range params {
-		n := p.NumEl()
-		if !p.NoWeightDecay {
-			local := 0
-			for _, sp := range a.spans {
-				// Mark the overlap of [off, off+n) with the span, in
-				// shard-local coordinates.
-				s, e := max(off, sp.Lo), min(off+n, sp.Hi)
-				for i := s; i < e; i++ {
-					a.decay[local+i-sp.Lo] = 1
-				}
-				local += sp.Len()
+	checkSpans(spans, a.Hi)
+	// Cut every span at the parameter boundaries inside it (the pad
+	// tail past the last parameter is one more piece), merging
+	// neighbours that share a decay rule.
+	for _, sp := range spans {
+		at := sp.Lo
+		add := func(hi int, decay bool) {
+			if hi = min(hi, sp.Hi); hi <= at {
+				return
 			}
+			if k := len(a.runs) - 1; k >= 0 && a.runs[k].lo+a.runs[k].n == at && a.runs[k].decay == decay {
+				a.runs[k].n += hi - at
+			} else {
+				a.runs = append(a.runs, decayRun{lo: at, off: a.n, n: hi - at, decay: decay})
+			}
+			a.n += hi - at
+			at = hi
 		}
-		off += n
+		end := 0 // flat end of the parameter being walked
+		for _, p := range params {
+			end += p.NumEl()
+			add(end, !p.NoWeightDecay)
+		}
+		add(sp.Hi, false)
 	}
+	a.m = make([]float32, a.n)
+	a.v = make([]float32, a.n)
 	return a
 }
-
-// Spans returns the owned flat ranges in ascending order.
-func (a *ShardedAdamW) Spans() []Span { return append([]Span(nil), a.spans...) }
 
 // StepCount returns how many updates have been applied.
 func (a *ShardedAdamW) StepCount() int { return a.t }
@@ -342,35 +328,59 @@ func (a *ShardedAdamW) StepCount() int { return a.t }
 // SetStep overrides the step counter (resuming from a checkpoint).
 func (a *ShardedAdamW) SetStep(t int) { a.t = t }
 
-// CopyMoments writes the shard's Adam moments into dstM and dstV, for
-// checkpointing. Destinations shorter than Hi−Lo receive a prefix —
-// how callers strip the zero-valued pad tail of the final shard.
+// clipped returns the run's flat range of a checkpoint tensor, cut off
+// at the tensor's length: checkpoint tensors are FlatDim long, so the
+// zero-valued pad tail never leaves or enters them.
+func (r decayRun) clipped(flat []float32) []float32 {
+	return flat[min(r.lo, len(flat)):min(r.lo+r.n, len(flat))]
+}
+
+// CopyMoments writes the Adam moments of the owned spans into the same
+// spans of the flat checkpoint tensors dstM and dstV, clipped at their
+// length.
 func (a *ShardedAdamW) CopyMoments(dstM, dstV []float32) {
-	copy(dstM, a.m)
-	copy(dstV, a.v)
+	for _, r := range a.runs {
+		copy(r.clipped(dstM), a.m[r.off:])
+		copy(r.clipped(dstV), a.v[r.off:])
+	}
 }
 
-// RestoreMoments loads the shard's Adam moments from srcM and srcV,
-// resuming from a checkpoint. Sources shorter than Hi−Lo fill a prefix
-// and leave the rest untouched (the pad tail stays zero).
+// RestoreMoments is CopyMoments' inverse: it loads the owned spans of
+// the flat checkpoint tensors srcM and srcV, clipped at their length
+// (the pad tail of freshly allocated moments stays zero).
 func (a *ShardedAdamW) RestoreMoments(srcM, srcV []float32) {
-	copy(a.m, srcM)
-	copy(a.v, srcV)
+	for _, r := range a.runs {
+		copy(a.m[r.off:r.off+r.n], r.clipped(srcM))
+		copy(a.v[r.off:r.off+r.n], r.clipped(srcV))
+	}
 }
 
-// Step applies one AdamW update to the shard: w and g are the owned
-// slices of the flat weight and (already averaged) flat gradient in
-// shard-local order — the [Lo, Hi) views for a contiguous shard, or
-// the GatherSpans concatenations for bucket-granular ownership.
+// Step applies one AdamW update to the owned spans. w and g — the
+// weights and the (already averaged) gradient — are each either
+// shard-local (exactly SpansLen long: the owned spans' concatenation,
+// the layout GatherSpans produces) or a whole flat buffer (at least Hi
+// long) whose owned spans are read and updated in place; for a single
+// span starting at 0 the two coincide.
 func (a *ShardedAdamW) Step(lr float64, w, g []float32) {
-	if len(w) != a.n || len(g) != a.n {
-		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads for shard of %d",
-			len(w), len(g), a.n))
+	if len(w) != a.n && len(w) < a.Hi || len(g) != a.n && len(g) < a.Hi {
+		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads for a shard of %d ending at %d",
+			len(w), len(g), a.n, a.Hi))
 	}
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	adamwApply(w, g, a.m, a.v,
-		float32(a.Beta1), float32(a.Beta2), bc1, bc2, lr, a.Eps,
-		float32(lr*a.WeightDecay), a.decay)
+	of := func(buf []float32, r decayRun) []float32 {
+		if len(buf) == a.n {
+			return buf[r.off : r.off+r.n]
+		}
+		return buf[r.lo : r.lo+r.n]
+	}
+	for _, r := range a.runs {
+		decay := float32(0)
+		if r.decay {
+			decay = float32(lr * a.WeightDecay)
+		}
+		adamwApply(of(w, r), of(g, r), a.m[r.off:r.off+r.n], a.v[r.off:r.off+r.n],
+			float32(a.Beta1), float32(a.Beta2), bc1, bc2, lr, a.Eps, decay)
+	}
 }

@@ -44,24 +44,18 @@ const (
 )
 
 // adamwApply runs the AdamW update over one contiguous slice: w, g and
-// the moment buffers m, v advance together. decay is the uniform
-// decoupled-decay factor lr·λ (already zero for NoWeightDecay
-// tensors); mask, when non-nil, scales decay per element (the sharded
-// optimizer's 0/1 mask over its flat shard). Both AdamW.Step and
-// ShardedAdamW.Step are thin wrappers over this kernel, which keeps
-// their arithmetic bit-identical.
-func adamwApply(w, g, m, v []float32, b1, b2 float32, bc1, bc2, lr, eps float64, decay float32, mask []float32) {
+// the moment buffers m, v advance together. decay is the decoupled-decay
+// factor lr·λ (zero for NoWeightDecay tensors and padding). Both
+// AdamW.Step and ShardedAdamW.Step are loops over this kernel, which
+// keeps their arithmetic bit-identical.
+func adamwApply(w, g, m, v []float32, b1, b2 float32, bc1, bc2, lr, eps float64, decay float32) {
 	for i := range w {
 		gi := g[i]
 		m[i] = b1*m[i] + (1-b1)*gi
 		v[i] = b2*v[i] + (1-b2)*gi*gi
 		mhat := float64(m[i]) / bc1
 		vhat := float64(v[i]) / bc2
-		d := decay
-		if mask != nil {
-			d = decay * mask[i]
-		}
-		w[i] -= float32(lr*mhat/(math.Sqrt(vhat)+eps)) + d*w[i]
+		w[i] -= float32(lr*mhat/(math.Sqrt(vhat)+eps)) + decay*w[i]
 	}
 }
 
@@ -83,38 +77,6 @@ func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
 // Params returns the optimized parameters.
 func (a *AdamW) Params() []*nn.Param { return a.params }
 
-// StepCount returns how many updates have been applied.
-func (a *AdamW) StepCount() int { return a.t }
-
-// SetStep overrides the bias-correction step counter (resuming from a
-// checkpoint).
-func (a *AdamW) SetStep(t int) { a.t = t }
-
-// ExportMoments packs the Adam first and second moments into flat
-// buffers in parameter order (the same layout as PackGrads), for
-// checkpointing. len(m) and len(v) must be at least FlatDim(params).
-func (a *AdamW) ExportMoments(m, v []float32) {
-	off := 0
-	for pi, p := range a.params {
-		n := p.NumEl()
-		copy(m[off:off+n], a.m[pi])
-		copy(v[off:off+n], a.v[pi])
-		off += n
-	}
-}
-
-// ImportMoments restores the Adam moments from flat buffers written by
-// ExportMoments.
-func (a *AdamW) ImportMoments(m, v []float32) {
-	off := 0
-	for pi, p := range a.params {
-		n := p.NumEl()
-		copy(a.m[pi], m[off:off+n])
-		copy(a.v[pi], v[off:off+n])
-		off += n
-	}
-}
-
 // Step applies one AdamW update.
 func (a *AdamW) Step(lr float64) {
 	a.t++
@@ -127,7 +89,7 @@ func (a *AdamW) Step(lr float64) {
 			decay = 0
 		}
 		adamwApply(p.Value.Data, p.Grad.Data, a.m[pi], a.v[pi],
-			b1, b2, bc1, bc2, lr, a.Eps, decay, nil)
+			b1, b2, bc1, bc2, lr, a.Eps, decay)
 	}
 }
 

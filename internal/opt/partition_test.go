@@ -109,7 +109,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		if p.Shards > 1 {
 			scrubbed := append([]float32(nil), flat...)
 			lo, hi := p.Range(1)
-			ScrubOutside(scrubbed, lo, hi)
+			ScrubOutsideSpans(scrubbed, []Span{{lo, hi}})
 			for i, v := range scrubbed {
 				if i >= lo && i < hi {
 					if v != flat[i] {
@@ -154,7 +154,7 @@ func TestPartitionPanics(t *testing.T) {
 		"align not multiple": func() { NewPartition(8, 4, 6) },
 		"range out of shard": func() { NewPartition(8, 2, 2).Range(2) },
 		"shard bad buffer":   func() { NewPartition(8, 2, 2).Shard(make([]float32, 4), 0) },
-		"scrub bad range":    func() { ScrubOutside(make([]float32, 4), 2, 8) },
+		"scrub bad range":    func() { ScrubOutsideSpans(make([]float32, 4), []Span{{2, 8}}) },
 	} {
 		func() {
 			defer func() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/nn"
@@ -174,11 +175,28 @@ func LoadTrainState(r io.Reader) (*TrainState, error) {
 	if st.Format != trainStateFormat {
 		return nil, fmt.Errorf("train: unknown train-state format %q", st.Format)
 	}
-	if len(st.OptM) != len(st.Master) || len(st.OptV) != len(st.Master) {
-		return nil, fmt.Errorf("train: train state moments (%d/%d values) do not match master (%d)",
-			len(st.OptM), len(st.OptV), len(st.Master))
+	if err := st.validate(); err != nil {
+		return nil, err
 	}
 	return &st, nil
+}
+
+// validate rejects a state no run could have captured, before anything
+// indexes one of its tensors with another's length or restores an
+// optimizer from its scalars — the check every consumer of a state from
+// outside (LoadTrainState, Reshard, DistConfig.Resume) makes first.
+func (st *TrainState) validate() error {
+	if len(st.OptM) != len(st.Master) || len(st.OptV) != len(st.Master) {
+		return fmt.Errorf("train: state moments (%d/%d values) do not match master (%d)",
+			len(st.OptM), len(st.OptV), len(st.Master))
+	}
+	if st.OptStep < 0 {
+		return fmt.Errorf("train: state has negative optimizer step %d", st.OptStep)
+	}
+	if s := st.LossScale; st.Precision == BF16 && (!(s > 0) || math.IsInf(s, 1)) { // !(s > 0) catches NaN
+		return fmt.Errorf("train: BF16 state has loss scale %v, want finite and positive", st.LossScale)
+	}
+	return nil
 }
 
 // clone deep-copies the state (the tensors included), so a checkpoint

@@ -173,6 +173,36 @@ func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 	}
 }
 
+// TestSingleRankEveryStrategyMatchesPretrain: on a one-rank world every
+// strategy that can tile it — the "sharded" ones included, whose shard
+// group degenerates to a single owner of the whole flat space — runs
+// the same arithmetic as Pretrain and moves no bytes.
+func TestSingleRankEveryStrategyMatchesPretrain(t *testing.T) {
+	ref, err := Pretrain(tinyDistConfig(1, fsdp.DefaultDDP()).PretrainConfig, tinyDataset(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range matrixPlans() {
+		if plan.Validate(1) != nil {
+			continue // HYBRID_kGPUs, k>1, cannot tile one rank
+		}
+		got, err := PretrainDistributed(tinyDistConfig(1, plan), tinyDataset(32))
+		if err != nil {
+			t.Fatalf("%s: %v", plan.Name(), err)
+		}
+		for i := range ref.LossCurve.Y {
+			if got.LossCurve.Y[i] != ref.LossCurve.Y[i] {
+				t.Fatalf("%s: 1-rank distributed differs from Pretrain at step %d: %v vs %v",
+					plan.Name(), i, got.LossCurve.Y[i], ref.LossCurve.Y[i])
+			}
+		}
+		c := got.Comm
+		if got.Traffic.Total() != 0 || c.AllReduce.MeasuredWireBytes+c.ReduceScatter.MeasuredWireBytes+c.AllGather.MeasuredWireBytes != 0 {
+			t.Fatalf("%s: 1-rank world moved bytes: %+v", plan.Name(), got.Traffic)
+		}
+	}
+}
+
 // TestDistributedRejectsInvalidPlans: configurations the executor
 // cannot honor fail fast before any rank spawns.
 func TestDistributedRejectsInvalidPlans(t *testing.T) {

@@ -26,8 +26,7 @@ import (
 // gradBucket is one wire bucket of the padded flat gradient.
 type gradBucket struct {
 	span  opt.Span // flat range [Lo, Hi), a multiple of the world size long
-	piece opt.Span // this rank's owned chunk of the bucket (sharded modes)
-	off   int      // piece offset in shard-local coordinates
+	piece opt.Span // this rank's owned chunk of the bucket (all of it when nothing is sharded)
 }
 
 // makeBuckets tiles [0, padded) with spans of bucketElems (the last
@@ -91,13 +90,16 @@ type syncEngine struct {
 	r       *dist.Rank
 	overlap bool
 
-	reduceOp  dist.Op     // what a gradient bucket runs: all-reduce (replicated) or reduce-scatter (sharded)
-	gradGroup *dist.Group // collective group for gradient buckets (world for replicated, shard group otherwise)
-	replGroup *dist.Group // HYBRID replica-dimension all-reduce (nil otherwise)
+	// A gradient bucket is reduce-scattered over the shard group, then
+	// its owned piece all-reduced over the replica group; a one-member
+	// group has nothing to do, which is the whole difference between
+	// the strategies (replicated: replica group only; ZeRO-1/FULL_SHARD:
+	// shard group only; HYBRID: both).
+	shardGroup *dist.Group
+	replGroup  *dist.Group
 
-	buckets  []gradBucket
-	spans    []opt.Span // owned pieces, ascending (sharded modes)
-	shardLen int
+	buckets []gradBucket
+	own     []opt.Span // owned pieces, ascending, adjacent ones merged
 
 	params []*nn.Param
 	flatG  []float32
@@ -120,31 +122,26 @@ type syncEngine struct {
 
 // newSyncEngine builds the bucket layout and validates the model's
 // backward-segment contract against the flat packing order.
-func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param,
-	mode execMode, overlap bool,
-	gradGroup, replGroup *dist.Group, group int,
+func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap bool,
+	shardGroup, replGroup *dist.Group,
 	flatG []float32, wire []uint16, timer *phaseTimer, bucketElems int) (*syncEngine, error) {
 
-	padded := len(flatG)
 	e := &syncEngine{
-		r: r, overlap: overlap,
-		reduceOp: dist.OpAllReduce, gradGroup: gradGroup, replGroup: replGroup,
+		r: r, overlap: overlap, shardGroup: shardGroup, replGroup: replGroup,
 		params: params, flatG: flatG, wire: wire, timer: timer,
 	}
-	if mode != execReplicated {
-		e.reduceOp = dist.OpReduceScatter
-	}
-	for _, sp := range makeBuckets(padded, bucketElems) {
-		b := gradBucket{span: sp}
-		if mode != execReplicated {
-			cl := sp.Len() / group
-			idx := gradGroup.RankOf(r)
-			b.piece = opt.Span{Lo: sp.Lo + idx*cl, Hi: sp.Lo + (idx+1)*cl}
-			b.off = e.shardLen
-			e.shardLen += cl
-			e.spans = append(e.spans, b.piece)
+	idx := shardGroup.RankOf(r)
+	for _, sp := range makeBuckets(len(flatG), bucketElems) {
+		cl := sp.Len() / shardGroup.Size()
+		piece := opt.Span{Lo: sp.Lo + idx*cl, Hi: sp.Lo + (idx+1)*cl}
+		e.buckets = append(e.buckets, gradBucket{span: sp, piece: piece})
+		// Merging adjacent pieces makes an unsharded rank's ownership
+		// the single span [0, padded).
+		if k := len(e.own) - 1; k >= 0 && e.own[k].Hi == piece.Lo {
+			e.own[k].Hi = piece.Hi
+		} else {
+			e.own = append(e.own, piece)
 		}
-		e.buckets = append(e.buckets, b)
 	}
 
 	// Map backward segments onto the flat space: completion events walk
@@ -214,9 +211,8 @@ func (e *syncEngine) wireOf(sp opt.Span) []uint16 {
 }
 
 // launch packs, scales and issues one bucket's gradient collective(s):
-// an all-reduce for the replicated schedule, a shard-group
-// reduce-scatter (chained into a replica-group all-reduce under
-// HYBRID) for the sharded ones. With Overlap off the handle is waited
+// a shard-group reduce-scatter and/or a replica-group all-reduce of the
+// owned piece chained behind it. With Overlap off the handle is waited
 // immediately (the synchronous schedule); either way completion order
 // and arithmetic are identical.
 func (e *syncEngine) launch(b gradBucket) {
@@ -226,8 +222,11 @@ func (e *syncEngine) launch(b gradBucket) {
 	if e.scaleGrads {
 		tensor.Scale(view, view, e.gScale)
 	}
-	h := e.gradGroup.Do(e.r, dist.Collective{Op: e.reduceOp, Buf: view, Wire: e.wireOf(sp)})
-	if e.replGroup != nil {
+	var h *dist.Handle
+	if e.shardGroup.Size() > 1 {
+		h = e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpReduceScatter, Buf: view, Wire: e.wireOf(sp)})
+	}
+	if e.replGroup.Size() > 1 || h == nil { // a one-rank world still issues its (empty) all-reduce
 		h = e.replGroup.Do(e.r, dist.Collective{Op: dist.OpAllReduce,
 			Buf: e.flatG[b.piece.Lo:b.piece.Hi], Wire: e.wireOf(b.piece), After: h})
 	}
@@ -253,12 +252,6 @@ func (e *syncEngine) finishBackward() {
 	})
 }
 
-// gatherShard assembles the rank's reduced gradient shard (its owned
-// piece of every bucket) into the contiguous dst.
-func (e *syncEngine) gatherShard(dst []float32) {
-	opt.GatherSpans(dst, e.flatG, e.spans)
-}
-
 // allGatherParams re-assembles the updated flat parameters bucket by
 // bucket — the post-optimizer all-gather of the sharded schedules
 // (doubling as the next forward's eager parameter gather), and the
@@ -266,32 +259,8 @@ func (e *syncEngine) gatherShard(dst []float32) {
 func (e *syncEngine) allGatherParams(flatW []float32) {
 	e.timer.comm(func() {
 		for _, b := range e.buckets {
-			e.gradGroup.Do(e.r, dist.Collective{Op: dist.OpAllGather,
+			e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpAllGather,
 				Buf: flatW[b.span.Lo:b.span.Hi], Wire: e.wireOf(b.span)}).Wait()
 		}
 	})
-}
-
-// gatherSpansClipped and scatterSpansClipped move between the
-// shard-local contiguous layout and the unpadded flat checkpoint
-// tensors: each span is clipped at dim so the zero-valued pad tail
-// never leaves (or enters) the state.
-func gatherSpansClipped(dst, src []float32, spans []opt.Span, dim int) {
-	off := 0
-	for _, sp := range spans {
-		if e := min(sp.Hi, dim); sp.Lo < e {
-			copy(dst[off:off+e-sp.Lo], src[sp.Lo:e])
-		}
-		off += sp.Len()
-	}
-}
-
-func scatterSpansClipped(dst, src []float32, spans []opt.Span, dim int) {
-	off := 0
-	for _, sp := range spans {
-		if e := min(sp.Hi, dim); sp.Lo < e {
-			copy(dst[sp.Lo:e], src[off:off+e-sp.Lo])
-		}
-		off += sp.Len()
-	}
 }

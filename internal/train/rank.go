@@ -1,0 +1,443 @@
+package train
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"time"
+
+	"repro/internal/dataload"
+	"repro/internal/dist"
+	"repro/internal/fsdp"
+	"repro/internal/geodata"
+	"repro/internal/mae"
+	"repro/internal/metrics"
+	"repro/internal/nn"
+	"repro/internal/opt"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+	"repro/internal/trace"
+)
+
+// distRun is what the ranks of one PretrainDistributed call share: the
+// resolved configuration and schedule, the world, and the result they
+// fill (rank 0 the telemetry, the owner ranks their disjoint spans of
+// res.State's tensors).
+type distRun struct {
+	cfg  DistConfig
+	plan fsdp.Plan // cfg.Plan, resolved
+	ds   *geodata.Dataset
+
+	accum, stepsPerEpoch  int
+	startEpoch, lastEpoch int
+	sched                 opt.CosineSchedule
+
+	world *dist.World
+	res   *DistResult
+	// stOnce allocates res.State's tensors once a rank knows the flat
+	// dimension.
+	stOnce sync.Once
+}
+
+// rankState is one rank's training state. Strategy and precision are
+// data here, not code paths: every rank owns a span list over the
+// padded flat space — the whole [0, padded) when the plan shards
+// nothing, its chunk of every gradient bucket otherwise — with one
+// ShardedAdamW over those spans, and step runs the same sequence for
+// every cell of the strategy × precision matrix.
+type rankState struct {
+	run    *distRun
+	r      *dist.Rank
+	model  *mae.Model
+	params []*nn.Param
+	eng    *syncEngine
+	timer  *phaseTimer // rank 0's compute/exposed-comm stopwatch, nil elsewhere
+
+	// sharded: the shard group has more than one member, so owned state
+	// is partial — norms and verdicts reduce over the group, updated
+	// parameters are all-gathered.
+	sharded bool
+	own     []opt.Span // owned spans of the padded flat space, ascending
+
+	flatG []float32 // padded flat gradient (the collectives' buffer)
+	flatW []float32 // padded flat working weights: what the model computes on
+	// master is the fp32 master of the owned spans: flatW itself under
+	// FP32, a shard-local buffer (SpansLen(own) long) under BF16, where
+	// flatW holds its bf16 rounding.
+	master []float32
+	optim  *opt.ShardedAdamW
+	scaler *opt.LossScaler // BF16 only
+}
+
+// strided returns count ranks starting at first, stride apart.
+func strided(first, count, stride int) []int {
+	ranks := make([]int, count)
+	for i := range ranks {
+		ranks[i] = first + i*stride
+	}
+	return ranks
+}
+
+// newRank builds rank r's replica, communicators, flat buffers and
+// optimizer, from the init broadcast or from cfg.Resume.
+func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
+	cfg, n, resume := &run.cfg, run.cfg.Ranks, run.cfg.Resume
+	// Every rank builds a replica from the same seed, which locks the
+	// mask streams together.
+	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
+	run.res.replicas[r.ID()] = model
+	params := model.Params()
+	dim := opt.FlatDim(params)
+	run.stOnce.Do(func() {
+		st := run.res.State
+		st.Master, st.OptM, st.OptV = make([]float32, dim), make([]float32, dim), make([]float32, dim)
+	})
+	if resume != nil && len(resume.Master) != dim {
+		return nil, fmt.Errorf("train: resume state has %d master values, model has %d", len(resume.Master), dim)
+	}
+
+	// Shard groups are consecutive rank blocks (the paper's intra-node
+	// placement); replica groups stride across them. Either may be a
+	// single rank: the plan's whole strategy is the two sizes.
+	g := run.plan.ShardRanks(n)
+	s := &rankState{run: run, r: r, model: model, params: params, sharded: g > 1}
+	if r.ID() == 0 {
+		s.timer = &phaseTimer{}
+	}
+	padded := partitionFor(run.plan, n, dim).Padded
+	s.flatG = make([]float32, padded)
+	var wire []uint16
+	if cfg.Precision == BF16 {
+		wire = make([]uint16, padded)
+	}
+	var err error
+	s.eng, err = newSyncEngine(r, model, params, cfg.Overlap,
+		run.world.Subgroup(strided(r.ID()/g*g, g, 1)), run.world.Subgroup(strided(r.ID()%g, n/g, g)),
+		s.flatG, wire, s.timer,
+		bucketElemsFor(cfg.BucketBytes, run.plan.DDPBucketBytes,
+			run.plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded))
+	if err != nil {
+		return nil, err
+	}
+	s.own = s.eng.own
+
+	// The flat working mirror starts as the fp32 state every rank must
+	// agree on: rank 0's initialization, broadcast (whatever each
+	// replica's own init was), or the resumed master snapshot — identical
+	// on every rank already, so resuming sends nothing — with the
+	// deterministic mask stream fast-forwarded past the completed steps
+	// (micro-batches under accumulation).
+	s.flatW = make([]float32, padded)
+	if resume == nil {
+		if r.ID() == 0 {
+			opt.PackValues(s.flatW, params)
+		}
+		run.world.Subgroup(strided(0, n, 1)).Do(r, dist.Collective{Op: dist.OpBroadcast, Buf: s.flatW[:dim]}).Wait()
+	} else {
+		copy(s.flatW, resume.Master)
+		model.SkipMasks(resume.Step*run.accum, cfg.BatchSize)
+	}
+	s.master = s.flatW
+	if cfg.Precision == BF16 {
+		s.scaler = opt.NewLossScaler(cfg.LossScale.Init, cfg.LossScale.Growth,
+			cfg.LossScale.Backoff, cfg.LossScale.Interval)
+		// The whole working copy (own spans included) is bf16-valued so
+		// every rank computes on identical weights.
+		s.master = make([]float32, opt.SpansLen(s.own))
+		opt.GatherSpans(s.master, s.flatW, s.own)
+		tensor.RoundBF16(s.flatW, s.flatW)
+	}
+	opt.UnpackValues(params, s.flatW)
+	s.optim = opt.NewShardedAdamWSpans(params, cfg.WeightDecay, s.own)
+	if resume != nil {
+		s.optim.RestoreMoments(resume.OptM, resume.OptV)
+		s.optim.SetStep(resume.OptStep)
+		if s.scaler != nil {
+			s.scaler.Restore(resume.LossScale, resume.ScaleGoodSteps)
+		}
+	}
+	return s, nil
+}
+
+// train runs the rank's epoch loop from run.startEpoch to run.lastEpoch
+// and captures the end-of-run state.
+func (s *rankState) train() {
+	run, cfg, r, model := s.run, &s.run.cfg, s.r, s.model
+	n, accum, res := cfg.Ranks, run.accum, run.res
+	local := cfg.BatchSize / n
+	loader := dataload.New(
+		dataload.TrainSplit{D: run.ds, Count: run.ds.TrainCount, ImgLen: run.ds.Gen.ImageLen()},
+		dataload.Config{
+			BatchSize:  local,
+			Workers:    cfg.Workers,
+			Shuffle:    true,
+			DropLast:   true,
+			Seed:       cfg.Seed ^ 0xDA7A,
+			ShardRank:  r.ID(),
+			ShardWorld: n,
+		})
+	loader.SkipEpochs(run.startEpoch)
+
+	reshard := s.sharded && run.plan.RegathersInBackward()
+	invN := float32(1) / float32(n)
+	invAccum := float64(1) / float64(accum)
+	loopStart := time.Now()
+	step := run.startEpoch * run.stepsPerEpoch
+	for epoch := run.startEpoch; epoch < run.lastEpoch; epoch++ {
+		var epochLoss metrics.Meter
+		micro := 0
+		var lossSum float64
+		for batch := range loader.EpochN(run.stepsPerEpoch * accum) {
+			// All ranks draw the global batch's masks from their
+			// lock-step streams and keep the local slice, so the mask
+			// sequence matches the single-rank run.
+			keep := model.DrawMasksRange(cfg.BatchSize, r.ID()*local, (r.ID()+1)*local)
+			if micro == 0 {
+				nn.ZeroGrads(s.params)
+			}
+			final := micro == accum-1
+			lossSum += model.ForwardWithMask(batch.Images, batch.Size, keep)
+			if reshard && final {
+				// Reshard once per optimizer step, after the window's
+				// last forward: drop every parameter span this rank does
+				// not own from the flat mirror, exactly as FULL_SHARD
+				// frees gathered units. Backward reads the live tensors
+				// from the re-gathered mirror, so the all-gather must
+				// genuinely restore the dropped spans — if it moved wrong
+				// bytes, the zeros would reach the model and the loss
+				// trajectory (checked against the single-rank run) would
+				// diverge.
+				opt.ScrubOutsideSpans(s.flatW, s.own)
+				s.eng.allGatherParams(s.flatW)
+				opt.UnpackValues(s.params, s.flatW)
+			}
+			if !final {
+				// Accumulation micro-step: gradients pile up in the
+				// parameter tensors; no collective fires and the sharded
+				// modes keep the assembled parameters resident (the
+				// executed no_sync window).
+				model.BackwardStep()
+				loader.Recycle(batch)
+				micro++
+				continue
+			}
+
+			// Final micro-step of the window: the layer-granular backward
+			// launches each bucket's collective the moment its
+			// accumulated gradients are final. The 1/(n·accum) scale
+			// turns the cross-rank sum of per-micro means into the global
+			// mean the single-rank run computes; BF16 additionally
+			// multiplies in the loss scale before gradients hit the
+			// narrow wire.
+			gScale, invScale := invN, float32(1)
+			if s.scaler != nil {
+				// The scale the gradients will carry; Update may move
+				// scaler.Scale before the unscale happens.
+				gScale = float32(s.scaler.Scale) * invN
+				invScale = 1 / float32(s.scaler.Scale)
+			}
+			if accum > 1 {
+				gScale *= 1 / float32(accum)
+			}
+			s.eng.beginStep(gScale, n > 1 || accum > 1 || s.scaler != nil)
+			model.BackwardStepLayers(s.eng.onSegment)
+			loader.Recycle(batch)
+			s.eng.finishBackward()
+			s.step(run.sched.LR(step), invScale)
+
+			var gLoss float64
+			s.timer.comm(func() {
+				gLoss = r.AllReduceScalar(lossSum*invAccum) / float64(n)
+			})
+			lossSum = 0
+			micro = 0
+			if r.ID() == 0 {
+				epochLoss.Add(gLoss)
+				res.LossCurve.Append(float64(step), gLoss)
+			}
+			step++
+		}
+		if r.ID() == 0 {
+			res.EpochLoss.Append(float64(epoch), epochLoss.Mean())
+			if cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "epoch %3d/%d  loss %.4f  lr %.2e  [%d ranks, %s, %s]\n",
+					epoch+1, cfg.Epochs, epochLoss.Mean(), run.sched.LR(step-1), n, run.plan.Name(), cfg.Precision)
+			}
+		}
+		// Periodic checkpoint at the epoch boundary: all ranks write
+		// their state spans, a barrier orders the writes before rank 0
+		// snapshots, a second barrier holds the next epoch's writes back
+		// until the snapshot is taken. No collectives — the fault plan's
+		// indices are checkpoint-invariant.
+		if ce := cfg.CheckpointEvery; ce > 0 && (epoch+1)%ce == 0 && epoch+1 < run.lastEpoch {
+			ckStart := time.Now()
+			s.capture()
+			r.Barrier()
+			if r.ID() == 0 {
+				s.stamp(step, epoch+1)
+				if cfg.OnCheckpoint != nil {
+					cfg.OnCheckpoint(res.State.clone(), time.Since(ckStart))
+				}
+			}
+			r.Barrier()
+		}
+	}
+
+	// End-of-run state: Run's join orders the owner ranks' writes before
+	// the caller reads it.
+	s.capture()
+	if r.ID() == 0 {
+		res.Steps = step - run.startEpoch*run.stepsPerEpoch
+		// One source of truth for the decomposition (incl. the
+		// negative-residual clamp): the trace constructor.
+		b := trace.NewExecBreakdown("", res.Steps, time.Since(loopStart).Seconds(), s.timer.exposed.Seconds())
+		res.WallSec = b.WallSec
+		res.ExposedCommSec = b.ExposedCommSec
+		res.ComputeSec = b.ComputeSec
+		s.stamp(step, run.lastEpoch)
+		if s.scaler != nil {
+			res.FinalLossScale = s.scaler.Scale
+			res.ScaleBackoffs = s.scaler.Backoffs()
+			res.SkippedSteps = s.scaler.Skipped()
+		}
+	}
+}
+
+// step is the optimizer phase of one step, after finishBackward left
+// the reduced gradient of the owned spans in flatG — the same sequence
+// for every strategy and precision: (BF16) overflow verdict and
+// unscale, global-norm clip, AdamW on the owned spans of the fp32
+// master, (BF16) round the master into the working weights, (sharded)
+// all-gather the working weights, unpack them into the model. All
+// shard-local passes walk the owned spans of the flat buffers in place.
+// invScale undoes the loss scale the gradients were packed with.
+func (s *rankState) step(lr float64, invScale float32) {
+	skip := false
+	if s.scaler != nil {
+		overflow := false
+		for _, sp := range s.own {
+			overflow = overflow || opt.HasNonFinite(s.flatG[sp.Lo:sp.Hi])
+		}
+		if s.sharded {
+			// Unsharded, the all-reduce left every rank bit-identical
+			// gradients and the local verdict is already the global one.
+			s.timer.comm(func() { overflow = s.r.AllReduceScalar(boolFlag(overflow)) > 0 })
+		}
+		if skip = s.scaler.Update(overflow); !skip {
+			s.scaleGrads(invScale)
+		}
+	}
+	if !skip {
+		s.clipGradNorm(s.run.cfg.ClipNorm)
+		s.optim.Step(lr, s.master, s.flatG)
+		if s.scaler != nil {
+			off := 0
+			for _, sp := range s.own {
+				tensor.RoundBF16(s.flatW[sp.Lo:sp.Hi], s.master[off:off+sp.Len()])
+				off += sp.Len()
+			}
+		}
+	}
+	if s.sharded {
+		// Re-assemble the updated parameters. For the resharded
+		// strategies this is the next forward's parameter gather executed
+		// eagerly (the executed analog of FSDP's prefetching). It runs
+		// even on skipped steps — idempotently, the working copy being
+		// unchanged — so every optimizer step moves exactly the wire
+		// bytes fsdp.TrafficPerStep charges and ends with bit-identical
+		// assembled replicas.
+		s.eng.allGatherParams(s.flatW)
+	}
+	opt.UnpackValues(s.params, s.flatW)
+}
+
+// scaleGrads multiplies the owned spans of the flat gradient by alpha.
+func (s *rankState) scaleGrads(alpha float32) {
+	for _, sp := range s.own {
+		g := s.flatG[sp.Lo:sp.Hi]
+		tensor.Scale(g, g, alpha)
+	}
+}
+
+// clipGradNorm is global-norm clipping (0 disables): the owned spans'
+// Σg² is the global sum when the rank owns everything; the members of a
+// shard group hold disjoint spans covering the flat space, so theirs
+// all-reduce to it.
+func (s *rankState) clipGradNorm(clip float64) {
+	if clip <= 0 {
+		return
+	}
+	sq := s.gradSumSq()
+	if s.sharded {
+		s.timer.comm(func() { sq = s.eng.shardGroup.AllReduceScalar(s.r, sq) })
+	}
+	if norm := math.Sqrt(sq); norm > clip && norm > 0 {
+		s.scaleGrads(float32(clip / norm))
+	}
+}
+
+// gradSumSq accumulates Σg² over the owned spans in float64, in flat
+// order — nn.GradL2Norm's accumulation exactly (the zero pad tail adds
+// nothing). A function of its own so the accumulator stays in a
+// register: clipGradNorm's sum is captured by the comm-timer closure and
+// lives on the heap.
+func (s *rankState) gradSumSq() float64 {
+	var sq float64
+	for _, sp := range s.own {
+		for _, v := range s.flatG[sp.Lo:sp.Hi] {
+			sq += float64(v) * float64(v)
+		}
+	}
+	return sq
+}
+
+// capture writes this rank's share of the canonical flat training state
+// into res.State: the ranks of the first shard group hold disjoint
+// spans covering the whole flat space (rank 0 alone when nothing is
+// sharded); each span is clipped at the unpadded dimension, so the pad
+// tail never reaches the state. The caller separates these writes from
+// rank 0's read (end of run: Run's join; mid-run checkpoints: an
+// explicit barrier).
+func (s *rankState) capture() {
+	st := s.run.res.State
+	if s.r.ID() >= s.eng.shardGroup.Size() {
+		return
+	}
+	dim, off := len(st.Master), 0
+	for _, sp := range s.own {
+		src := s.flatW[sp.Lo:sp.Hi]
+		if s.scaler != nil {
+			src = s.master[off : off+sp.Len()]
+		}
+		copy(st.Master[min(sp.Lo, dim):min(sp.Hi, dim)], src)
+		off += sp.Len()
+	}
+	s.optim.CopyMoments(st.OptM, st.OptV)
+	if s.r.ID() == 0 {
+		st.OptStep = s.optim.StepCount()
+	}
+}
+
+// stamp fills the scalar fields only rank 0 owns: the progress
+// counters, numeric mode, topology stamps and the loss-scaler freeze.
+func (s *rankState) stamp(stepNow, epochsDone int) {
+	st, cfg := s.run.res.State, &s.run.cfg
+	st.Step = stepNow
+	st.Epoch = epochsDone
+	st.Precision = cfg.Precision
+	st.AccumSteps = s.run.accum
+	st.World = cfg.Ranks
+	st.Strategy = s.run.plan.Name()
+	if s.scaler != nil {
+		st.LossScale = s.scaler.Scale
+		st.ScaleGoodSteps = s.scaler.GoodSteps()
+	}
+}
+
+// boolFlag maps an overflow verdict onto the scalar all-reduce domain.
+func boolFlag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -7,27 +7,13 @@ import (
 	"repro/internal/opt"
 )
 
-// partitionFor returns the flat shard layout a plan executes with at a
-// given world size — the same construction PretrainDistributed's ranks
-// use: the single ranks-aligned shard of the replicated modes
-// (DDP, NO_SHARD, HYBRID_1GPU), or the shard-group partition with
-// HYBRID's pad-to-world two-level alignment (align = group·replicas, so
-// the replica-group ring over one shard also chunks uniformly).
-func partitionFor(plan fsdp.Plan, ranks, dim int) (opt.Partition, error) {
-	if ranks < 1 {
-		return opt.Partition{}, fmt.Errorf("train: non-positive rank count %d", ranks)
-	}
-	if err := plan.Validate(ranks); err != nil {
-		return opt.Partition{}, fmt.Errorf("train: %w", err)
-	}
-	mode, group, err := compilePlan(plan, ranks)
-	if err != nil {
-		return opt.Partition{}, err
-	}
-	if mode == execReplicated {
-		return opt.NewPartition(dim, 1, ranks), nil
-	}
-	return opt.NewPartition(dim, group, group*(ranks/group)), nil
+// partitionFor returns the flat shard layout a (resolved) plan executes
+// with at a given world size — the construction PretrainDistributed's
+// ranks pad with: the plan's shard-group count, padded to a multiple of
+// the whole world so the replica-group ring over one shard also chunks
+// uniformly.
+func partitionFor(plan fsdp.Plan, ranks, dim int) opt.Partition {
+	return opt.NewPartition(dim, plan.ShardRanks(ranks), ranks)
 }
 
 // Reshard remaps a training state captured at one topology (the state's
@@ -49,18 +35,11 @@ func Reshard(st *TrainState, ranks int, plan fsdp.Plan) (*TrainState, error) {
 	if st == nil {
 		return nil, fmt.Errorf("train: resharding a nil state")
 	}
-	dim := len(st.Master)
-	if len(st.OptM) != dim || len(st.OptV) != dim {
-		return nil, fmt.Errorf("train: state moments (%d/%d values) do not match master (%d)",
-			len(st.OptM), len(st.OptV), dim)
+	if err := st.validate(); err != nil {
+		return nil, err
 	}
-	if plan == (fsdp.Plan{}) {
-		plan = fsdp.DefaultDDP()
-	}
-	if plan.Strategy == fsdp.DDP && plan.DDPBucketBytes <= 0 {
-		plan.DDPBucketBytes = fsdp.DefaultDDP().DDPBucketBytes
-	}
-	if _, err := partitionFor(plan, ranks, dim); err != nil {
+	plan, err := resolvePlan(plan, ranks)
+	if err != nil {
 		return nil, err
 	}
 	out := st.clone()
@@ -69,11 +48,10 @@ func Reshard(st *TrainState, ranks int, plan fsdp.Plan) (*TrainState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("train: resharding: %w", err)
 		}
-		oldPart, err := partitionFor(oldPlan, st.World, dim)
-		if err != nil {
+		if oldPlan, err = resolvePlan(oldPlan, st.World); err != nil {
 			return nil, fmt.Errorf("train: resharding from world %d %s: %w", st.World, st.Strategy, err)
 		}
-		shards, err := opt.CutShards(oldPart, st.Master, st.OptM, st.OptV)
+		shards, err := opt.CutShards(partitionFor(oldPlan, st.World, len(st.Master)), st.Master, st.OptM, st.OptV)
 		if err != nil {
 			return nil, fmt.Errorf("train: resharding: %w", err)
 		}

@@ -266,6 +266,35 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := PretrainDistributed(c, tinyDataset(32)); err == nil {
 		t.Error("resume with wrong parameter count accepted")
 	}
+	// Malformed states — moments shorter than the master, a negative
+	// optimizer step, a BF16 state without a usable loss scale — are
+	// named train: errors from the preamble, not a rank's slice-bounds
+	// or NaN-scale failure.
+	for _, bad := range []struct {
+		name, want string
+		prec       Precision
+		corrupt    func(*TrainState)
+	}{
+		{"short OptM", "do not match master", FP32, func(b *TrainState) { b.OptM = make([]float32, 10) }},
+		{"short OptV", "do not match master", FP32, func(b *TrainState) { b.OptV = make([]float32, 10) }},
+		{"negative OptStep", "negative optimizer step", FP32, func(b *TrainState) { b.OptStep = -1 }},
+		{"zero LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = 0 }},
+		{"infinite LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.Inf(1) }},
+		{"NaN LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.NaN() }},
+	} {
+		b := *st
+		b.Precision = bad.prec
+		b.LossScale = opt.DefaultLossScale
+		bad.corrupt(&b)
+		c = cfg
+		c.StopAfterEpoch = 0
+		c.Precision = bad.prec
+		c.Resume = &b
+		_, err := PretrainDistributed(c, tinyDataset(32))
+		if err == nil || !strings.HasPrefix(err.Error(), "train: ") || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want a train: error naming %q", bad.name, err, bad.want)
+		}
+	}
 	// Precision mismatch: an FP32 state carries no loss-scale schedule,
 	// so resuming it under BF16 must fail fast rather than train with a
 	// zero scale.

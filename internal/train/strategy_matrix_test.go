@@ -10,12 +10,14 @@ import (
 	"repro/internal/opt"
 )
 
-// matrixPlans is the executed Section III-C strategy matrix: the
-// replicated baseline, ZeRO-1, ZeRO-3-style full sharding, and the
-// two-level hybrid scheme at two group sizes.
+// matrixPlans is the executed Section III-C strategy matrix: the three
+// spellings of replicated data parallelism, ZeRO-1, ZeRO-3-style full
+// sharding, and the two-level hybrid scheme at two group sizes.
 func matrixPlans() []fsdp.Plan {
 	return []fsdp.Plan{
 		fsdp.DefaultDDP(),
+		fsdp.BestPractice(fsdp.NoShard, 0),
+		fsdp.BestPractice(fsdp.HybridShard, 1),
 		fsdp.BestPractice(fsdp.ShardGradOp, 0),
 		fsdp.BestPractice(fsdp.FullShard, 0),
 		fsdp.BestPractice(fsdp.HybridShard, 2),
