@@ -2,7 +2,7 @@
 # -race job over the distributed layer, the statgate static-analysis
 # gate (`make analyze`), and the docs gate (see
 # .github/workflows/ci.yml); `make bench` records the GEMM,
-# attention and elementwise (GELU, LayerNorm) kernel throughput into BENCH_gemm.json, `make bench-dist`
+# attention and elementwise (GELU, LayerNorm, AdamW, Σx²) kernel throughput into BENCH_gemm.json, `make bench-dist`
 # the multi-rank training throughput into BENCH_dist.json, and `make
 # bench-serve` the inference-serving latency percentiles into
 # BENCH_serve.json for the perf trajectory across PRs.
@@ -25,7 +25,7 @@ test-all:
 
 race:
 	$(GO) test -race ./internal/dist/ ./internal/train/ ./internal/opt/ ./internal/mae/ ./internal/dataload/ ./internal/serve/ ./geofm/ ./cmd/pretrain/ ./cmd/serve/
-	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm' ./internal/tensor/
+	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm|AdamW|SumSq' ./internal/tensor/
 	$(GO) test -race -run 'Fused|AttentionGradients|BlockGradients|InferMatches|ProcsIndependent|LayerNorm|GELU|SerialLoops' ./internal/nn/
 	$(GO) test -race -short ./internal/calib/ ./internal/sim/ ./internal/trace/ ./internal/perfmodel/
 
@@ -44,7 +44,7 @@ docs: analyze
 	$(GO) run ./tools/docgate
 
 bench:
-	$(GO) test -bench 'GEMM|GELU|LayerNorm' -run NONE -benchtime 2s ./internal/tensor/ ./internal/nn/ > bench_gemm.out
+	$(GO) test -bench 'GEMM|GELU|LayerNorm|AdamW|SumSq' -run NONE -benchtime 2s ./internal/tensor/ ./internal/nn/ > bench_gemm.out
 	@cat bench_gemm.out
 	$(GO) run ./tools/benchjson < bench_gemm.out > BENCH_gemm.json
 	@rm -f bench_gemm.out

@@ -187,13 +187,22 @@
 // reduce each row as eight float32 lane sums folded in one fixed tree
 // (the dγ/dβ sums run down the columns in row order). nn.GELU's and
 // nn.LayerNorm's Forward, Backward and Infer all call the one kernel,
-// so serving equals training by construction. Every element — every
-// row, for LayerNorm — goes through identical arithmetic wherever
-// parallel.Range cuts the buffer, and the assembly matches the scalar
-// lanes bitwise, so results depend on neither GOMAXPROCS nor the
-// build.
+// so serving equals training by construction. The family's third
+// member is the optimizer phase (tensor/adamw.go, tensor/sumsq.go):
+// tensor.AdamW is the whole update in one all-float32 pass — the clip
+// factor multiplied into the gradient as it is read, the bf16 working
+// copy optionally written beside the fp32 weights — and every
+// optimizer in the tree (opt.AdamW, opt.ShardedAdamW, the distributed
+// step) is a loop over it; tensor.SumSq is Σx² in eight float64 lanes
+// keyed by flat index, so nn.GradL2Norm's per-parameter walk and a
+// rank's per-span walk produce the same bits, and its AddScaled form
+// takes the overflow verdict and unscales in the same read. Every
+// element — every row, for LayerNorm — goes through identical
+// arithmetic wherever parallel.Range cuts the buffer, and the assembly
+// matches the scalar lanes bitwise, so results depend on neither
+// GOMAXPROCS nor the build.
 //
-// Benchmarks: `go test -bench 'GEMM|GELU|LayerNorm' ./internal/tensor/
+// Benchmarks: `go test -bench 'GEMM|GELU|LayerNorm|AdamW|SumSq' ./internal/tensor/
 // ./internal/nn/` reports achieved GFLOP/s (against the pre-blocking
 // streaming baseline, BenchmarkGEMMStream) and GB/s for the
 // elementwise kernels; `make bench` records the numbers into

@@ -1,6 +1,9 @@
 package calib
 
 import (
+	"errors"
+	"math"
+	"os"
 	"testing"
 	"time"
 )
@@ -48,11 +51,30 @@ func TestStreamSmoke(t *testing.T) {
 	}
 }
 
-// TestCollectiveSweepSmoke: a 2-rank micro-sweep yields finite fits
-// with recorded points for every op × dtype, and the pooled link is
-// usable.
+// smokeSweep runs the 2-rank micro-sweep both halves below read, up to
+// three times while the only complaint is ErrFitNonPhysical: the sweep
+// α–β-fits real 1–64 KiB collective timings, and on a noisy host the
+// fitted slope can come out non-positive.
+func smokeSweep() (fits []CollectiveFit, err error) {
+	for try := 0; try < 3; try++ {
+		fits, err = MeasureCollectives(2, []int{1 << 8, 1 << 11, 1 << 14}, 3, 2)
+		if !errors.Is(err, ErrFitNonPhysical) {
+			break
+		}
+	}
+	return fits, err
+}
+
+// TestCollectiveSweepSmoke is the hermetic half: a 2-rank micro-sweep
+// yields one fit per op × dtype, each with a positive finite time
+// recorded at every payload size. Timings too noisy to fit are a
+// statement about the host's clock, not the code: a skip, not a
+// failure.
 func TestCollectiveSweepSmoke(t *testing.T) {
-	fits, err := MeasureCollectives(2, []int{1 << 8, 1 << 11, 1 << 14}, 3, 2)
+	fits, err := smokeSweep()
+	if errors.Is(err, ErrFitNonPhysical) {
+		t.Skipf("timings too noisy to fit on this host: %v", err)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +85,27 @@ func TestCollectiveSweepSmoke(t *testing.T) {
 		if len(f.Points) != 3 {
 			t.Fatalf("%s/%s: %d points", f.Op, f.DType, len(f.Points))
 		}
+		for _, p := range f.Points {
+			if !(p.Bytes > 0) || !(p.Sec > 0) || math.IsInf(p.Sec, 0) {
+				t.Fatalf("%s/%s: point %+v is not positive and finite", f.Op, f.DType, p)
+			}
+		}
+	}
+}
+
+// TestCollectiveSweepFitUsable is the wall-clock half — every fit
+// converts to link parameters and the pooled link has a bandwidth —
+// which depends on the timings carrying signal: CALIB_VALIDATE=1 runs
+// it with the rest of the timing suite.
+func TestCollectiveSweepFitUsable(t *testing.T) {
+	if os.Getenv("CALIB_VALIDATE") == "" {
+		t.Skip("timing suite; set CALIB_VALIDATE=1 to run")
+	}
+	fits, err := smokeSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fits {
 		if _, err := f.Params(); err != nil {
 			t.Fatalf("%s/%s fit unusable: %v", f.Op, f.DType, err)
 		}

@@ -55,6 +55,35 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
+// TestGradL2NormMatchesFlatWalk: the per-parameter walk over ragged
+// tensor sizes is bit for bit the norm of the packed flat gradient,
+// taken whole or span by span — what lets the distributed step clip on
+// its flat buffer and still match Pretrain exactly.
+func TestGradL2NormMatchesFlatWalk(t *testing.T) {
+	r := rng.New(9)
+	var ps []*Param
+	var flat []float32
+	for _, n := range []int{5, 64, 1, 129, 7, 2048, 3, 31} {
+		p := NewParam("p", n)
+		r.FillNormal(p.Grad.Data, 0, 0.3)
+		ps = append(ps, p)
+		flat = append(flat, p.Grad.Data...)
+	}
+	flat = append(flat, 0, 0, 0) // a pad tail adds nothing
+	want := math.Float64bits(GradL2Norm(ps))
+	if got := math.Float64bits(tensor.L2Norm(flat)); got != want {
+		t.Fatalf("flat walk %#x, per-parameter walk %#x", got, want)
+	}
+	for _, cut := range []int{1, 70, 777, len(flat) - 1} {
+		var s tensor.SumSq
+		s.Add(flat[:cut], 0)
+		s.Add(flat[cut:], cut)
+		if got := math.Float64bits(math.Sqrt(s.Sum())); got != want {
+			t.Fatalf("spans cut at %d: %#x, per-parameter walk %#x", cut, got, want)
+		}
+	}
+}
+
 func TestLinearForwardKnown(t *testing.T) {
 	r := rng.New(2)
 	l := NewLinear("l", 2, 2, r)

@@ -82,15 +82,17 @@ func ZeroGrads(ps []*Param) {
 }
 
 // GradL2Norm returns the global L2 norm across all gradients, as used
-// for gradient clipping.
+// for gradient clipping. Every gradient enters the accumulator at its
+// offset in the packed flat order, which makes the sum the bits a walk
+// of the flat gradient buffer — whole or span by span — produces.
 func GradL2Norm(ps []*Param) float64 {
-	var s float64
+	var s tensor.SumSq
+	off := 0
 	for _, p := range ps {
-		for _, v := range p.Grad.Data {
-			s += float64(v) * float64(v)
-		}
+		s.Add(p.Grad.Data, off)
+		off += len(p.Grad.Data)
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(s.Sum())
 }
 
 // ClipGradNorm scales all gradients so the global norm does not exceed

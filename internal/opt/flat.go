@@ -2,9 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // This file provides the flat-tensor view of a parameter set that the
@@ -170,6 +170,15 @@ func PackGrads(dst []float32, params []*nn.Param) {
 // FlatDim cover pad elements, which are never written (they stay
 // zero).
 func PackGradsSpan(dst []float32, params []*nn.Param, lo, hi int) {
+	PackGradsSpanScaled(dst, params, lo, hi, 1)
+}
+
+// PackGradsSpanScaled is PackGradsSpan with every element multiplied
+// by alpha on the way (the 1/(world·accum) averaging and, under bf16,
+// the loss scale): one pass, and the same float32 product a
+// tensor.Scale of the packed range would give. alpha == 1 is an exact
+// identity.
+func PackGradsSpanScaled(dst []float32, params []*nn.Param, lo, hi int, alpha float32) {
 	if lo < 0 || hi < lo || hi > len(dst) {
 		panic(fmt.Sprintf("opt: pack span [%d, %d) of %d", lo, hi, len(dst)))
 	}
@@ -182,7 +191,7 @@ func PackGradsSpan(dst []float32, params []*nn.Param, lo, hi int) {
 		if off+len(d) > lo {
 			s := max(off, lo)
 			e := min(off+len(d), hi)
-			copy(dst[s:e], d[s-off:e-off])
+			tensor.Scale(dst[s:e], d[s-off:e-off], alpha)
 		}
 		off += len(d)
 	}
@@ -240,6 +249,12 @@ func unpackTensors(src []float32, params []*nn.Param, field func(*nn.Param) []fl
 // including the per-parameter NoWeightDecay exclusions (captured at
 // construction as the runs of the owned spans that do and do not
 // decay) and the shared step count for bias correction.
+//
+// A training step walks the shard twice. Pass 1 is the caller's one
+// read of the reduced gradient (tensor.SumSq: overflow verdict, unscale
+// and Σg² together); pass 2 is StepScaled, the tensor.AdamW kernel with
+// the clip factor folded into its read of the gradient and the bf16
+// working copy written beside the fp32 master.
 type ShardedAdamW struct {
 	Beta1, Beta2 float64
 	Eps          float64
@@ -362,25 +377,38 @@ func (a *ShardedAdamW) RestoreMoments(srcM, srcV []float32) {
 // long) whose owned spans are read and updated in place; for a single
 // span starting at 0 the two coincide.
 func (a *ShardedAdamW) Step(lr float64, w, g []float32) {
-	if len(w) != a.n && len(w) < a.Hi || len(g) != a.n && len(g) < a.Hi {
-		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads for a shard of %d ending at %d",
-			len(w), len(g), a.n, a.Hi))
+	a.StepScaled(lr, w, g, 1, nil)
+}
+
+// StepScaled is Step with the two things a training step otherwise
+// spends extra walks of the shard on, done inside the kernel's one
+// pass: every gradient is multiplied by gScale as it is read (the clip
+// factor; g itself is left as it was), and rounded, when non-nil,
+// receives the bf16 rounding of every updated weight (the
+// mixed-precision working copy, in either layout like w and g).
+func (a *ShardedAdamW) StepScaled(lr float64, w, g []float32, gScale float32, rounded []float32) {
+	fits := func(buf []float32) bool { return len(buf) == a.n || len(buf) >= a.Hi }
+	if !fits(w) || !fits(g) || rounded != nil && !fits(rounded) {
+		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads / %d rounded for a shard of %d ending at %d",
+			len(w), len(g), len(rounded), a.n, a.Hi))
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := tensor.NewAdamWScalars(lr, a.Beta1, a.Beta2, a.Eps, a.t)
+	k.GScale = gScale
 	of := func(buf []float32, r decayRun) []float32 {
-		if len(buf) == a.n {
+		switch {
+		case buf == nil:
+			return nil
+		case len(buf) == a.n:
 			return buf[r.off : r.off+r.n]
 		}
 		return buf[r.lo : r.lo+r.n]
 	}
 	for _, r := range a.runs {
-		decay := float32(0)
+		k.Decay = 0
 		if r.decay {
-			decay = float32(lr * a.WeightDecay)
+			k.Decay = float32(lr * a.WeightDecay)
 		}
-		adamwApply(of(w, r), of(g, r), a.m[r.off:r.off+r.n], a.v[r.off:r.off+r.n],
-			float32(a.Beta1), float32(a.Beta2), bc1, bc2, lr, a.Eps, decay)
+		tensor.AdamW(of(w, r), of(rounded, r), of(g, r), a.m[r.off:r.off+r.n], a.v[r.off:r.off+r.n], &k)
 	}
 }

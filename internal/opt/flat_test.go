@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 func randParams(r *rng.RNG) []*nn.Param {
@@ -259,6 +260,78 @@ func TestShardedAdamWSpansMatchesContiguous(t *testing.T) {
 			}
 			if owned := k < len(spans) && i >= spans[k].Lo; !owned && fw[i] != flatW[i] {
 				t.Fatalf("shard %d: in-place step wrote unowned flat element %d", idx, i)
+			}
+		}
+	}
+}
+
+// TestStepScaledMatchesSeparatePasses: the clip factor and the bf16
+// working copy folded into the kernel's one pass land on the bits of
+// the three walks they replace — Scale the gradient, Step, RoundBF16
+// the master into the owned spans of the working weights — in the
+// training step's layout (shard-local master, flat gradient and
+// working copy), leaving the gradient and every unowned working
+// element as they were.
+func TestStepScaledMatchesSeparatePasses(t *testing.T) {
+	r := rng.New(17)
+	ps := randParams(r)
+	padded := PadTo(FlatDim(ps), 8)
+	flatW := make([]float32, padded)
+	flatG := make([]float32, padded)
+	PackValues(flatW, ps)
+	PackGrads(flatG, ps)
+	spans := []Span{{3, 14}, {17, 25}, {padded - 2, padded}}
+	n := SpansLen(spans)
+	const gScale = float32(0.37)
+
+	fused, separate := NewShardedAdamWSpans(ps, 0.05, spans), NewShardedAdamWSpans(ps, 0.05, spans)
+	master, wantMaster := make([]float32, n), make([]float32, n)
+	GatherSpans(master, flatW, spans)
+	copy(wantMaster, master)
+	working := append([]float32(nil), flatW...)
+	g := append([]float32(nil), flatG...)
+	scaledG := make([]float32, padded)
+	tensor.Scale(scaledG, flatG, gScale)
+	for step := 0; step < 3; step++ {
+		fused.StepScaled(1e-2, master, g, gScale, working)
+		separate.Step(1e-2, wantMaster, scaledG)
+	}
+	wantWorking := append([]float32(nil), flatW...)
+	off := 0
+	for _, sp := range spans {
+		tensor.RoundBF16(wantWorking[sp.Lo:sp.Hi], wantMaster[off:off+sp.Len()])
+		off += sp.Len()
+	}
+	for i := range master {
+		if master[i] != wantMaster[i] {
+			t.Fatalf("master[%d] = %v, separate passes give %v", i, master[i], wantMaster[i])
+		}
+	}
+	for i := range working {
+		if working[i] != wantWorking[i] {
+			t.Fatalf("working[%d] = %v, separate passes give %v", i, working[i], wantWorking[i])
+		}
+		if g[i] != flatG[i] {
+			t.Fatalf("gradient element %d was written", i)
+		}
+	}
+}
+
+// TestPackGradsSpanScaledMatchesPackThenScale: the pack-and-scale pass
+// writes PackGradsSpan followed by tensor.Scale of the range, across
+// parameter boundaries, and nothing outside the span or in the pad.
+func TestPackGradsSpanScaledMatchesPackThenScale(t *testing.T) {
+	ps := randParams(rng.New(19))
+	dim := FlatDim(ps)
+	padded := PadTo(dim, 4)
+	for _, span := range []Span{{0, padded}, {5, 21}, {dim - 3, padded}} {
+		got, want := make([]float32, padded), make([]float32, padded)
+		PackGradsSpanScaled(got, ps, span.Lo, span.Hi, 1.0/3)
+		PackGradsSpan(want, ps, span.Lo, span.Hi)
+		tensor.Scale(want[span.Lo:span.Hi], want[span.Lo:span.Hi], 1.0/3)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("span %v: element %d = %v, pack then scale gives %v", span, i, got[i], want[i])
 			}
 		}
 	}

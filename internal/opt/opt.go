@@ -43,22 +43,6 @@ const (
 	adamwEps   = 1e-8
 )
 
-// adamwApply runs the AdamW update over one contiguous slice: w, g and
-// the moment buffers m, v advance together. decay is the decoupled-decay
-// factor lr·λ (zero for NoWeightDecay tensors and padding). Both
-// AdamW.Step and ShardedAdamW.Step are loops over this kernel, which
-// keeps their arithmetic bit-identical.
-func adamwApply(w, g, m, v []float32, b1, b2 float32, bc1, bc2, lr, eps float64, decay float32) {
-	for i := range w {
-		gi := g[i]
-		m[i] = b1*m[i] + (1-b1)*gi
-		v[i] = b2*v[i] + (1-b2)*gi*gi
-		mhat := float64(m[i]) / bc1
-		vhat := float64(v[i]) / bc2
-		w[i] -= float32(lr*mhat/(math.Sqrt(vhat)+eps)) + decay*w[i]
-	}
-}
-
 // NewAdamW constructs AdamW with the paper's hyper-parameters
 // (β₁=0.9, β₂=0.95 as in MAE, ε=1e-8) and the given weight decay.
 func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
@@ -77,19 +61,18 @@ func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
 // Params returns the optimized parameters.
 func (a *AdamW) Params() []*nn.Param { return a.params }
 
-// Step applies one AdamW update.
+// Step applies one AdamW update: tensor.AdamW over every parameter,
+// the kernel ShardedAdamW runs over flat spans, so the two agree bit
+// for bit.
 func (a *AdamW) Step(lr float64) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, b2 := float32(a.Beta1), float32(a.Beta2)
+	k := tensor.NewAdamWScalars(lr, a.Beta1, a.Beta2, a.Eps, a.t)
 	for pi, p := range a.params {
-		decay := float32(lr * a.WeightDecay)
+		k.Decay = float32(lr * a.WeightDecay)
 		if p.NoWeightDecay {
-			decay = 0
+			k.Decay = 0
 		}
-		adamwApply(p.Value.Data, p.Grad.Data, a.m[pi], a.v[pi],
-			b1, b2, bc1, bc2, lr, a.Eps, decay)
+		tensor.AdamW(p.Value.Data, nil, p.Grad.Data, a.m[pi], a.v[pi], &k)
 	}
 }
 

@@ -1,6 +1,10 @@
 package opt
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // Dynamic loss scaling for the bf16 mixed-precision path: gradients are
 // multiplied by a scale before they are rounded onto the bf16 wire (so
@@ -92,14 +96,12 @@ func (s *LossScaler) Restore(scale float64, good int) {
 	s.good = good
 }
 
-// HasNonFinite reports whether x contains a NaN or ±Inf — the overflow
-// detector the mixed-precision loop runs over its (scaled) reduced
-// gradients before committing an optimizer step.
+// HasNonFinite reports whether x contains a NaN or ±Inf: Σx² is finite
+// exactly when every element is. (The mixed-precision loop takes the
+// same verdict from tensor.SumSq.AddScaled, in the pass that unscales.)
 func HasNonFinite(x []float32) bool {
-	for _, v := range x {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return true
-		}
-	}
-	return false
+	var s tensor.SumSq
+	s.Add(x, 0)
+	sum := s.Sum()
+	return math.IsNaN(sum) || math.IsInf(sum, 0)
 }

@@ -7,19 +7,31 @@ import (
 )
 
 // Elementwise kernel family: GELU forward/backward here, the
-// LayerNorm kernels in layernorm.go. On amd64 with AVX2 the bodies
-// run eight lanes at a time in assembly (gelu_amd64.s,
-// layernorm_amd64.s); elsewhere (or with -tags purego) the scalar
-// lane functions run. Two rules hold for every kernel in the family:
+// LayerNorm kernels in layernorm.go, and the optimizer phase — the
+// AdamW update in adamw.go with its Σg² reduction (and Scale) in
+// sumsq.go. On amd64 with AVX2 the bodies run eight lanes at a time in
+// assembly (gelu_amd64.s, layernorm_amd64.s, adamw_amd64.s,
+// sumsq_amd64.s); elsewhere (or with -tags purego) the scalar lane
+// functions run. Two rules hold for every kernel in the family:
 //
 //   - Chunk independence. Every element (every row, for LayerNorm)
 //     goes through the same arithmetic wherever a caller —
 //     parallel.Range included — cuts the buffer, so results do not
 //     depend on GOMAXPROCS, slice offset or length. GELU's ragged
 //     tails run the 8-lane body on a zero-padded stack buffer, never
-//     a different scalar formula; LayerNorm rows the assembly does
-//     not take run the scalar lanes, which the next rule makes the
-//     same bits.
+//     a different scalar formula; LayerNorm rows and AdamW tails the
+//     assembly does not take run the scalar lanes, which the next
+//     rule makes the same bits. The two reductions differ in what a
+//     cut may be. LayerNorm reduces a row, which no caller ever
+//     splits, so eight float32 lanes by column folded in a fixed tree
+//     are cut-independent already. Σg² reduces the whole parameter
+//     space, which its callers do split — per parameter in
+//     nn.GradL2Norm, per owned span in train — and must give both
+//     walks the same bits: its eight lanes are float64 (every float32
+//     square is exact there, so a lane depends only on which elements
+//     reach it in which order) and keyed by flat index mod 8 rather
+//     than by position in the slice handed in, folded once in the
+//     same tree.
 //   - Twin equality. The assembly uses separate multiplies and adds
 //     (no FMA contraction) in the same order as the scalar lanes, and
 //     the scalar lanes round every product explicitly (float32(a*b))

@@ -38,13 +38,14 @@ func Mul(dst, a, b []float32) {
 	})
 }
 
-// Scale computes dst = alpha * a elementwise (dst may alias a).
+// Scale computes dst = alpha * a elementwise (dst may alias a), eight
+// lanes at a time where the sumsq.go kernels run in assembly: the clip
+// and the gradient pack-and-scale are walks of the whole parameter
+// space.
 func Scale(dst, a []float32, alpha float32) {
 	checkLen2(dst, a)
 	parallel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = alpha * a[i]
-		}
+		scale(dst[lo:hi], a[lo:hi], alpha)
 	})
 }
 
@@ -75,13 +76,11 @@ func Mean(a []float32) float64 {
 	return Sum(a) / float64(len(a))
 }
 
-// L2Norm returns the Euclidean norm of a in float64 for stability.
+// L2Norm returns the Euclidean norm of a, accumulated in float64.
 func L2Norm(a []float32) float64 {
-	var s float64
-	for _, v := range a {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
+	var s SumSq
+	s.Add(a, 0)
+	return math.Sqrt(s.Sum())
 }
 
 // MaxIdx returns the index of the maximum element (first on ties) and

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/nn"
+	"repro/internal/opt"
 )
 
 // Checkpoint is the on-disk parameter snapshot format: a map from
@@ -192,6 +193,21 @@ func (st *TrainState) validate() error {
 	}
 	if st.OptStep < 0 {
 		return fmt.Errorf("train: state has negative optimizer step %d", st.OptStep)
+	}
+	// AdamW runs in float32 and takes √v there: a non-finite tensor or
+	// a negative second moment would turn into NaN weights a step later.
+	for _, f := range []struct {
+		name string
+		x    []float32
+	}{{"Master", st.Master}, {"OptM", st.OptM}, {"OptV", st.OptV}} {
+		if opt.HasNonFinite(f.x) {
+			return fmt.Errorf("train: state %s holds a non-finite value", f.name)
+		}
+	}
+	for i, v := range st.OptV {
+		if v < 0 {
+			return fmt.Errorf("train: state OptV[%d] = %v is negative", i, v)
+		}
 	}
 	if s := st.LossScale; st.Precision == BF16 && (!(s > 0) || math.IsInf(s, 1)) { // !(s > 0) catches NaN
 		return fmt.Errorf("train: BF16 state has loss scale %v, want finite and positive", st.LossScale)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mae"
 	"repro/internal/nn"
 	"repro/internal/opt"
-	"repro/internal/tensor"
 )
 
 // This file implements executed communication–computation overlap: the
@@ -114,10 +113,9 @@ type syncEngine struct {
 	timer *phaseTimer
 
 	// per-step state
-	gScale     float32
-	scaleGrads bool
-	next       int
-	handles    []*dist.Handle
+	gScale  float32
+	next    int
+	handles []*dist.Handle
 }
 
 // newSyncEngine builds the bucket layout and validates the model's
@@ -181,11 +179,11 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap b
 }
 
 // beginStep arms the engine for one optimizer step's backward pass.
-// gScale (applied to each packed bucket when scaleGrads) folds the
-// 1/(world·accum) gradient averaging and, under bf16, the loss scale.
-func (e *syncEngine) beginStep(gScale float32, scaleGrads bool) {
+// gScale (multiplied into each bucket as it is packed) folds the
+// 1/(world·accum) gradient averaging and, under bf16, the loss scale;
+// it is exactly 1 when there is nothing to fold.
+func (e *syncEngine) beginStep(gScale float32) {
 	e.gScale = gScale
-	e.scaleGrads = scaleGrads
 	e.next = len(e.buckets) - 1
 	e.handles = e.handles[:0]
 }
@@ -210,21 +208,17 @@ func (e *syncEngine) wireOf(sp opt.Span) []uint16 {
 	return e.wire[sp.Lo:sp.Hi]
 }
 
-// launch packs, scales and issues one bucket's gradient collective(s):
-// a shard-group reduce-scatter and/or a replica-group all-reduce of the
-// owned piece chained behind it. With Overlap off the handle is waited
-// immediately (the synchronous schedule); either way completion order
-// and arithmetic are identical.
+// launch packs (scaling in the same pass) and issues one bucket's
+// gradient collective(s): a shard-group reduce-scatter and/or a
+// replica-group all-reduce of the owned piece chained behind it. With
+// Overlap off the handle is waited immediately (the synchronous
+// schedule); either way completion order and arithmetic are identical.
 func (e *syncEngine) launch(b gradBucket) {
 	sp := b.span
-	view := e.flatG[sp.Lo:sp.Hi]
-	opt.PackGradsSpan(e.flatG, e.params, sp.Lo, sp.Hi)
-	if e.scaleGrads {
-		tensor.Scale(view, view, e.gScale)
-	}
+	opt.PackGradsSpanScaled(e.flatG, e.params, sp.Lo, sp.Hi, e.gScale)
 	var h *dist.Handle
 	if e.shardGroup.Size() > 1 {
-		h = e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpReduceScatter, Buf: view, Wire: e.wireOf(sp)})
+		h = e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpReduceScatter, Buf: e.flatG[sp.Lo:sp.Hi], Wire: e.wireOf(sp)})
 	}
 	if e.replGroup.Size() > 1 || h == nil { // a one-rank world still issues its (empty) all-reduce
 		h = e.replGroup.Do(e.r, dist.Collective{Op: dist.OpAllReduce,

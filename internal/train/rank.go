@@ -239,7 +239,7 @@ func (s *rankState) train() {
 			if accum > 1 {
 				gScale *= 1 / float32(accum)
 			}
-			s.eng.beginStep(gScale, n > 1 || accum > 1 || s.scaler != nil)
+			s.eng.beginStep(gScale)
 			model.BackwardStepLayers(s.eng.onSegment)
 			loader.Recycle(batch)
 			s.eng.finishBackward()
@@ -305,38 +305,45 @@ func (s *rankState) train() {
 
 // step is the optimizer phase of one step, after finishBackward left
 // the reduced gradient of the owned spans in flatG — the same sequence
-// for every strategy and precision: (BF16) overflow verdict and
-// unscale, global-norm clip, AdamW on the owned spans of the fp32
-// master, (BF16) round the master into the working weights, (sharded)
-// all-gather the working weights, unpack them into the model. All
-// shard-local passes walk the owned spans of the flat buffers in place.
-// invScale undoes the loss scale the gradients were packed with.
+// for every strategy and precision, in two passes over the owned spans
+// of the flat buffers, in place. Pass 1 (reduceGrads) reads the
+// gradient once: overflow verdict, unscale and Σg². Pass 2 is the AdamW
+// kernel on the fp32 master with the clip factor folded into its read
+// of the gradient and, under BF16, the rounded working weights written
+// beside the master. Then (sharded) all-gather the working weights and
+// unpack them into the model. invScale undoes the loss scale the
+// gradients were packed with.
 func (s *rankState) step(lr float64, invScale float32) {
+	clip := s.run.cfg.ClipNorm
+	sq, overflow := s.reduceGrads(invScale, clip > 0)
 	skip := false
 	if s.scaler != nil {
-		overflow := false
-		for _, sp := range s.own {
-			overflow = overflow || opt.HasNonFinite(s.flatG[sp.Lo:sp.Hi])
-		}
 		if s.sharded {
 			// Unsharded, the all-reduce left every rank bit-identical
 			// gradients and the local verdict is already the global one.
 			s.timer.comm(func() { overflow = s.r.AllReduceScalar(boolFlag(overflow)) > 0 })
 		}
-		if skip = s.scaler.Update(overflow); !skip {
-			s.scaleGrads(invScale)
-		}
+		skip = s.scaler.Update(overflow)
 	}
 	if !skip {
-		s.clipGradNorm(s.run.cfg.ClipNorm)
-		s.optim.Step(lr, s.master, s.flatG)
-		if s.scaler != nil {
-			off := 0
-			for _, sp := range s.own {
-				tensor.RoundBF16(s.flatW[sp.Lo:sp.Hi], s.master[off:off+sp.Len()])
-				off += sp.Len()
+		// Global-norm clipping (0 disables): the owned spans' Σg² is the
+		// global sum when the rank owns everything; the members of a
+		// shard group hold disjoint spans covering the flat space, so
+		// theirs all-reduce to it.
+		gScale := float32(1)
+		if clip > 0 {
+			if s.sharded {
+				s.timer.comm(func() { sq = s.eng.shardGroup.AllReduceScalar(s.r, sq) })
+			}
+			if norm := math.Sqrt(sq); norm > clip && norm > 0 {
+				gScale = float32(clip / norm)
 			}
 		}
+		var working []float32 // FP32 updates flatW itself
+		if s.scaler != nil {
+			working = s.flatW
+		}
+		s.optim.StepScaled(lr, s.master, s.flatG, gScale, working)
 	}
 	if s.sharded {
 		// Re-assemble the updated parameters. For the resharded
@@ -351,44 +358,25 @@ func (s *rankState) step(lr float64, invScale float32) {
 	opt.UnpackValues(s.params, s.flatW)
 }
 
-// scaleGrads multiplies the owned spans of the flat gradient by alpha.
-func (s *rankState) scaleGrads(alpha float32) {
+// reduceGrads is step's one read of the owned gradient spans. Under
+// BF16 it takes the overflow verdict on the values as reduced, writes
+// them back unscaled (harmless on a step the verdict then skips: the
+// next backward repacks flatG) and sums the squares of what it wrote;
+// under FP32 it only sums, and only if the step clips. Spans enter the
+// accumulator at their flat offsets, so the sum is nn.GradL2Norm's bit
+// for bit however the space is bucketed (the zero pad tail adds
+// nothing). A function of its own so the accumulator stays on the
+// stack: what step's comm-timer closures capture lives on the heap.
+func (s *rankState) reduceGrads(invScale float32, clips bool) (sumSq float64, overflow bool) {
+	var sq tensor.SumSq
 	for _, sp := range s.own {
-		g := s.flatG[sp.Lo:sp.Hi]
-		tensor.Scale(g, g, alpha)
-	}
-}
-
-// clipGradNorm is global-norm clipping (0 disables): the owned spans'
-// Σg² is the global sum when the rank owns everything; the members of a
-// shard group hold disjoint spans covering the flat space, so theirs
-// all-reduce to it.
-func (s *rankState) clipGradNorm(clip float64) {
-	if clip <= 0 {
-		return
-	}
-	sq := s.gradSumSq()
-	if s.sharded {
-		s.timer.comm(func() { sq = s.eng.shardGroup.AllReduceScalar(s.r, sq) })
-	}
-	if norm := math.Sqrt(sq); norm > clip && norm > 0 {
-		s.scaleGrads(float32(clip / norm))
-	}
-}
-
-// gradSumSq accumulates Σg² over the owned spans in float64, in flat
-// order — nn.GradL2Norm's accumulation exactly (the zero pad tail adds
-// nothing). A function of its own so the accumulator stays in a
-// register: clipGradNorm's sum is captured by the comm-timer closure and
-// lives on the heap.
-func (s *rankState) gradSumSq() float64 {
-	var sq float64
-	for _, sp := range s.own {
-		for _, v := range s.flatG[sp.Lo:sp.Hi] {
-			sq += float64(v) * float64(v)
+		if g := s.flatG[sp.Lo:sp.Hi]; s.scaler != nil {
+			overflow = sq.AddScaled(g, invScale, sp.Lo) || overflow
+		} else if clips {
+			sq.Add(g, sp.Lo)
 		}
 	}
-	return sq
+	return sq.Sum(), overflow
 }
 
 // capture writes this rank's share of the canonical flat training state

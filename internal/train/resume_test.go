@@ -267,9 +267,17 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("resume with wrong parameter count accepted")
 	}
 	// Malformed states — moments shorter than the master, a negative
-	// optimizer step, a BF16 state without a usable loss scale — are
-	// named train: errors from the preamble, not a rank's slice-bounds
-	// or NaN-scale failure.
+	// optimizer step, a BF16 state without a usable loss scale, a
+	// non-finite tensor or a negative second moment (the float32 AdamW
+	// kernel takes its root) — are named train: errors from the
+	// preamble, not a rank's slice-bounds or NaN failure, and the same
+	// error from every door a state comes in by: DistConfig.Resume,
+	// Reshard and LoadTrainState.
+	poked := func(x []float32, v float64) []float32 {
+		cp := append([]float32(nil), x...)
+		cp[len(cp)/2] = float32(v)
+		return cp
+	}
 	for _, bad := range []struct {
 		name, want string
 		prec       Precision
@@ -281,6 +289,10 @@ func TestResumeValidation(t *testing.T) {
 		{"zero LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = 0 }},
 		{"infinite LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.Inf(1) }},
 		{"NaN LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.NaN() }},
+		{"NaN Master", "Master holds a non-finite", FP32, func(b *TrainState) { b.Master = poked(b.Master, math.NaN()) }},
+		{"infinite OptM", "OptM holds a non-finite", FP32, func(b *TrainState) { b.OptM = poked(b.OptM, math.Inf(-1)) }},
+		{"infinite OptV", "OptV holds a non-finite", BF16, func(b *TrainState) { b.OptV = poked(b.OptV, math.Inf(1)) }},
+		{"negative OptV", "is negative", FP32, func(b *TrainState) { b.OptV = poked(b.OptV, -1e-12) }},
 	} {
 		b := *st
 		b.Precision = bad.prec
@@ -291,8 +303,16 @@ func TestResumeValidation(t *testing.T) {
 		c.Precision = bad.prec
 		c.Resume = &b
 		_, err := PretrainDistributed(c, tinyDataset(32))
-		if err == nil || !strings.HasPrefix(err.Error(), "train: ") || !strings.Contains(err.Error(), bad.want) {
-			t.Errorf("%s: err = %v, want a train: error naming %q", bad.name, err, bad.want)
+		_, reshardErr := Reshard(&b, 4, fsdp.DefaultDDP())
+		var file bytes.Buffer
+		if err := SaveTrainState(&file, &b); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := LoadTrainState(&file)
+		for door, err := range map[string]error{"Resume": err, "Reshard": reshardErr, "LoadTrainState": loadErr} {
+			if err == nil || !strings.HasPrefix(err.Error(), "train: ") || !strings.Contains(err.Error(), bad.want) {
+				t.Errorf("%s via %s: err = %v, want a train: error naming %q", bad.name, door, err, bad.want)
+			}
 		}
 	}
 	// Precision mismatch: an FP32 state carries no loss-scale schedule,
