@@ -82,14 +82,17 @@ func main() {
 	fmt.Printf("pretraining %s (%d parameters) on %s (%d images)\n",
 		enc.Name, enc.EncoderParams(), suite.Pretrain.Name, suite.Pretrain.TrainCount)
 
-	// Resolve -strategy and -precision up front so a typo fails fast
-	// even at -ranks 1.
+	// Resolve -strategy, -precision and the -ranks/-batch split up front
+	// so a typo fails fast even at -ranks 1.
 	plan, err := parsePlan(*strategy)
 	if err != nil {
 		fatal(err)
 	}
 	prec, err := parsePrecision(*precision)
 	if err != nil {
+		fatal(err)
+	}
+	if err := checkWorld(*ranks, *batch); err != nil {
 		fatal(err)
 	}
 
@@ -152,6 +155,19 @@ func parsePrecision(s string) (geofm.Precision, error) {
 	default:
 		return geofm.FP32, fmt.Errorf("unknown -precision %q (want %s)", s, acceptedPrecisions)
 	}
+}
+
+// checkWorld validates the -ranks/-batch pair: a world needs at least
+// one rank (0 or a negative count must not fall through to single-rank
+// training) and the global batch must split evenly across it.
+func checkWorld(ranks, batch int) error {
+	if ranks < 1 {
+		return fmt.Errorf("bad -ranks %d (want at least 1)", ranks)
+	}
+	if batch%ranks != 0 {
+		return fmt.Errorf("-batch %d does not divide evenly across -ranks %d", batch, ranks)
+	}
+	return nil
 }
 
 // parsePlan maps a -strategy spelling onto its fsdp plan.

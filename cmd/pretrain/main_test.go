@@ -113,6 +113,31 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
+// TestCheckWorld pins the -ranks/-batch fail-fast: a non-positive world
+// and an uneven batch split are rejected by name before anything divides
+// by the rank count or quietly trains single-rank.
+func TestCheckWorld(t *testing.T) {
+	for _, ok := range []struct{ ranks, batch int }{{1, 16}, {4, 16}, {3, 6}, {16, 16}} {
+		if err := checkWorld(ok.ranks, ok.batch); err != nil {
+			t.Errorf("checkWorld(%d, %d): %v", ok.ranks, ok.batch, err)
+		}
+	}
+	for _, bad := range []struct {
+		ranks, batch int
+		want         string
+	}{
+		{0, 16, "-ranks 0"},
+		{-3, 16, "-ranks -3"},
+		{3, 16, "-batch 16 does not divide evenly across -ranks 3"},
+		{32, 16, "-batch 16 does not divide evenly across -ranks 32"},
+	} {
+		err := checkWorld(bad.ranks, bad.batch)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("checkWorld(%d, %d) = %v, want an error naming %q", bad.ranks, bad.batch, err, bad.want)
+		}
+	}
+}
+
 // TestCommTableGoldenBF16 is the bf16 twin of TestCommTableGolden: the
 // identical 4-rank HYBRID_2GPUs run under -precision bf16 must report
 // exactly half the per-step wire bytes on every gradient/parameter

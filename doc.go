@@ -37,11 +37,15 @@
 // parameter broadcast, a rank-sharded sampler that partitions exactly
 // the single-rank batch sequence, lock-step mask streams
 // (mae.DrawMasks), and the full Section III-C strategy matrix as one
-// optimizer step: every rank runs one opt.ShardedAdamW over the flat
-// spans it owns — the whole space under DDP/NO_SHARD/HYBRID_1GPU, its
-// chunk of every gradient bucket under SHARD_GRAD_OP, FULL_SHARD and
-// HYBRID_kGPUs — and fsdp.Plan (ShardRanks, RegathersInBackward) is the
-// one place that says what each strategy shards and gathers.
+// optimizer step over FSDP's FlatParameter: nn.FlattenParams makes each
+// replica's tensors windows of the rank's two padded flat buffers, so
+// the model, the collectives and the optimizer work on the same bytes
+// with no pack/unpack copies, and every rank runs one opt.ShardedAdamW
+// over the flat spans it owns — the whole space under
+// DDP/NO_SHARD/HYBRID_1GPU, its chunk of every gradient bucket under
+// SHARD_GRAD_OP, FULL_SHARD and HYBRID_kGPUs — and fsdp.Plan
+// (ShardRanks, RegathersInBackward) is the one place that says what
+// each strategy shards and gathers.
 // An N-rank run reproduces the single-rank loss trajectory to within
 // float reassociation for every strategy, and every executed
 // collective is counted and simultaneously priced by the internal/comm

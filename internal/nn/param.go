@@ -74,6 +74,30 @@ func CountParams(ps []*Param) int {
 	return n
 }
 
+// FlattenParams re-homes ps into two contiguous buffers of n elements —
+// FSDP's FlatParameter: every Value.Data and Grad.Data becomes a window
+// of values / grads, in order, contents preserved, so the model computes
+// on and accumulates into the very buffers a collective reduces or
+// gathers and an optimizer steps, with no copy in between. n may exceed
+// CountParams(ps) (padding to a ring-divisible length); the tail stays
+// zero. The windows are cap-limited, so an append to one tensor cannot
+// write into its neighbour.
+func FlattenParams(ps []*Param, n int) (values, grads []float32) {
+	if dim := CountParams(ps); n < dim {
+		panic(fmt.Sprintf("nn: flattening %d parameter elements into a buffer of %d", dim, n))
+	}
+	values, grads = make([]float32, n), make([]float32, n)
+	off := 0
+	for _, p := range ps {
+		end := off + p.NumEl()
+		copy(values[off:end], p.Value.Data)
+		copy(grads[off:end], p.Grad.Data)
+		p.Value.Data, p.Grad.Data = values[off:end:end], grads[off:end:end]
+		off = end
+	}
+	return values, grads
+}
+
 // ZeroGrads clears every gradient in ps.
 func ZeroGrads(ps []*Param) {
 	for _, p := range ps {

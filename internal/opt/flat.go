@@ -7,90 +7,35 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file provides the flat-tensor view of a parameter set that the
+// This file provides the flat view of a parameter set that the
 // distributed training path (internal/train.PretrainDistributed over
-// internal/dist) shards collectives and optimizer state on: parameters
-// and gradients are packed into one contiguous []float32 in parameter
-// order, padded so the flat length divides evenly across ranks
-// (Partition describes the shard layout, including HYBRID_SHARD's
-// two-level alignment), and a ShardedAdamW instance owns the Adam
-// moments for just the flat spans one rank owns — the ZeRO-1/ZeRO-3
-// partitioning of optimizer state, of which "replicated" is the
-// one-span case covering the whole padded space.
+// internal/dist) shards collectives and optimizer state on. In training
+// the flat buffers are the parameters' home (nn.FlattenParams makes
+// every tensor a window of one padded []float32, in parameter order) and
+// nothing is copied; what lives here is the arithmetic of that space —
+// its length (FlatDim), the padding that lets it divide evenly across
+// ranks (PadTo), span lists for bucket-granular ownership — and
+// ShardedAdamW, the Adam moments for just the spans one rank owns: the
+// ZeRO-1/ZeRO-3 partitioning of optimizer state, of which "replicated"
+// is the one-span case. The Pack*/Unpack* copies serve callers whose
+// model keeps its own tensors (serving loads, tests, bench probes).
 
 // FlatDim returns the total element count across params — the length
-// of the packed flat vector before padding.
-func FlatDim(params []*nn.Param) int {
-	n := 0
-	for _, p := range params {
-		n += p.NumEl()
-	}
-	return n
-}
+// of the flat parameter space before padding.
+func FlatDim(params []*nn.Param) int { return nn.CountParams(params) }
 
 // PadTo rounds n up to the next multiple of world, the length a flat
 // buffer must have for uniform ring collectives (internal/dist requires
-// collective buffers divisible by the world size).
+// collective buffers divisible by the group size). Padding to the whole
+// world covers both communicator levels of HYBRID_SHARD: a bucket chunks
+// evenly over the shard group and each chunk over the replica group. Pad
+// elements carry zero gradients and never decay, so they stay zero
+// through training.
 func PadTo(n, world int) int {
 	if world <= 1 {
 		return n
 	}
 	return (n + world - 1) / world * world
-}
-
-// Partition is the contiguous equal-shard layout of a flat parameter
-// space: Dim packed elements padded to Padded and split into Shards
-// shards of ShardLen elements each. It is the unit-partitioning scheme
-// the FULL_SHARD and HYBRID_SHARD execution paths shard parameters,
-// gradients and optimizer state on.
-type Partition struct {
-	// Dim is the packed element count (FlatDim of the parameter set).
-	Dim int
-	// Shards is how many contiguous shards the padded space splits into
-	// (the sharding-group size).
-	Shards int
-	// Padded is Dim rounded up so that every shard is a whole multiple
-	// of the alignment quantum — for HYBRID_SHARD the quantum is the
-	// full world (shard group × replica group), so the same flat buffer
-	// chunks uniformly at both communicator levels.
-	Padded int
-	// ShardLen is Padded / Shards.
-	ShardLen int
-}
-
-// NewPartition lays out dim flat elements across `shards` shards,
-// padding to a multiple of `align`. align must be a positive multiple
-// of shards (use align == shards when there is no second communicator
-// level). Pad elements beyond Dim belong to the final shard and carry
-// zero gradients and a zero weight-decay mask, so they stay zero
-// through training.
-func NewPartition(dim, shards, align int) Partition {
-	if dim < 0 || shards < 1 {
-		panic(fmt.Sprintf("opt: partition of %d elements into %d shards", dim, shards))
-	}
-	if align < shards || align%shards != 0 {
-		panic(fmt.Sprintf("opt: partition alignment %d is not a multiple of %d shards", align, shards))
-	}
-	p := Partition{Dim: dim, Shards: shards, Padded: PadTo(dim, align)}
-	p.ShardLen = p.Padded / shards
-	return p
-}
-
-// Range returns the flat bounds [lo, hi) of shard i.
-func (p Partition) Range(i int) (lo, hi int) {
-	if i < 0 || i >= p.Shards {
-		panic(fmt.Sprintf("opt: shard %d of %d", i, p.Shards))
-	}
-	return i * p.ShardLen, (i + 1) * p.ShardLen
-}
-
-// Shard returns shard i of a padded flat buffer as a view.
-func (p Partition) Shard(buf []float32, i int) []float32 {
-	if len(buf) != p.Padded {
-		panic(fmt.Sprintf("opt: buffer length %d, partition wants %d", len(buf), p.Padded))
-	}
-	lo, hi := p.Range(i)
-	return buf[lo:hi]
 }
 
 // Span is one contiguous flat range [Lo, Hi). Bucket-granular
@@ -160,41 +105,6 @@ func GatherSpans(dst, src []float32, spans []Span) {
 // zero, which keeps ring reductions over the pad exact).
 func PackGrads(dst []float32, params []*nn.Param) {
 	packTensors(dst, params, func(p *nn.Param) []float32 { return p.Grad.Data })
-}
-
-// PackGradsSpan packs only the flat range [lo, hi) of the gradient
-// into the same range of dst (a full-size flat buffer), leaving the
-// rest of dst untouched — how the overlapped executor packs one
-// gradient bucket the moment backward finalizes it, without touching
-// ranges whose gradients are still accumulating. Ranges extending past
-// FlatDim cover pad elements, which are never written (they stay
-// zero).
-func PackGradsSpan(dst []float32, params []*nn.Param, lo, hi int) {
-	PackGradsSpanScaled(dst, params, lo, hi, 1)
-}
-
-// PackGradsSpanScaled is PackGradsSpan with every element multiplied
-// by alpha on the way (the 1/(world·accum) averaging and, under bf16,
-// the loss scale): one pass, and the same float32 product a
-// tensor.Scale of the packed range would give. alpha == 1 is an exact
-// identity.
-func PackGradsSpanScaled(dst []float32, params []*nn.Param, lo, hi int, alpha float32) {
-	if lo < 0 || hi < lo || hi > len(dst) {
-		panic(fmt.Sprintf("opt: pack span [%d, %d) of %d", lo, hi, len(dst)))
-	}
-	off := 0
-	for _, p := range params {
-		d := p.Grad.Data
-		if off >= hi {
-			break
-		}
-		if off+len(d) > lo {
-			s := max(off, lo)
-			e := min(off+len(d), hi)
-			tensor.Scale(dst[s:e], d[s-off:e-off], alpha)
-		}
-		off += len(d)
-	}
 }
 
 // UnpackGrads copies the packed flat gradient back into every

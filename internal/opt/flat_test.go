@@ -126,34 +126,6 @@ func TestShardedAdamWMatchesAdamW(t *testing.T) {
 	}
 }
 
-// TestPackGradsSpanMatchesFullPack: packing any aligned sub-range must
-// write exactly the same bytes PackGrads writes there, and nothing
-// outside it — including param boundaries that straddle the span edges.
-func TestPackGradsSpanMatchesFullPack(t *testing.T) {
-	r := rng.New(5)
-	ps := randParams(r)
-	dim := FlatDim(ps)
-	padded := PadTo(dim, 4)
-	full := make([]float32, padded)
-	PackGrads(full, ps)
-	for _, span := range []Span{{0, padded}, {0, 8}, {8, 24}, {13, 29}, {dim - 3, padded}, {7, 7}} {
-		got := make([]float32, padded)
-		for i := range got {
-			got[i] = -77 // sentinel: untouched outside the span
-		}
-		PackGradsSpan(got, ps, span.Lo, span.Hi)
-		for i := range got {
-			in := i >= span.Lo && i < span.Hi && i < dim
-			switch {
-			case in && got[i] != full[i]:
-				t.Fatalf("span %v: element %d = %v, want %v", span, i, got[i], full[i])
-			case !in && got[i] != -77:
-				t.Fatalf("span %v: element %d outside the span was written", span, i)
-			}
-		}
-	}
-}
-
 // TestSpanHelpers: gather and scrub over bucket-granular ownership.
 func TestSpanHelpers(t *testing.T) {
 	buf := make([]float32, 16)
@@ -182,6 +154,27 @@ func TestSpanHelpers(t *testing.T) {
 		if owned && v != buf[i] {
 			t.Fatalf("scrub changed owned element %d", i)
 		}
+	}
+}
+
+// TestSpansOutOfRangePanics: a span list that is not ascending and
+// disjoint within the buffer fails loudly instead of scrubbing or
+// gathering the wrong elements.
+func TestSpansOutOfRangePanics(t *testing.T) {
+	buf := make([]float32, 4)
+	for name, fn := range map[string]func(){
+		"scrub past the end": func() { ScrubOutsideSpans(buf, []Span{{2, 8}}) },
+		"scrub overlapping":  func() { ScrubOutsideSpans(buf, []Span{{0, 3}, {2, 4}}) },
+		"gather inverted":    func() { GatherSpans(make([]float32, 1), buf, []Span{{3, 2}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
@@ -313,26 +306,6 @@ func TestStepScaledMatchesSeparatePasses(t *testing.T) {
 		}
 		if g[i] != flatG[i] {
 			t.Fatalf("gradient element %d was written", i)
-		}
-	}
-}
-
-// TestPackGradsSpanScaledMatchesPackThenScale: the pack-and-scale pass
-// writes PackGradsSpan followed by tensor.Scale of the range, across
-// parameter boundaries, and nothing outside the span or in the pad.
-func TestPackGradsSpanScaledMatchesPackThenScale(t *testing.T) {
-	ps := randParams(rng.New(19))
-	dim := FlatDim(ps)
-	padded := PadTo(dim, 4)
-	for _, span := range []Span{{0, padded}, {5, 21}, {dim - 3, padded}} {
-		got, want := make([]float32, padded), make([]float32, padded)
-		PackGradsSpanScaled(got, ps, span.Lo, span.Hi, 1.0/3)
-		PackGradsSpan(want, ps, span.Lo, span.Hi)
-		tensor.Scale(want[span.Lo:span.Hi], want[span.Lo:span.Hi], 1.0/3)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("span %v: element %d = %v, pack then scale gives %v", span, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -67,11 +67,11 @@ func LoadParams(r io.Reader, params []*nn.Param) (step int, err error) {
 // TrainState is the complete mid-run training state of a distributed
 // pretraining run at an epoch boundary — everything a resumed
 // PretrainDistributed needs to continue bitwise-identically to an
-// uninterrupted run. All tensors are stored in the flat packed
-// parameter order (opt.PackValues), unpadded: shard padding is always
-// zero-valued and is reconstructed from the plan at restore time, which
-// makes the state independent of the partition layout it was captured
-// under.
+// uninterrupted run. All tensors are stored flat in parameter order
+// (the order nn.FlattenParams lays a rank's buffers out in), unpadded:
+// shard padding is always zero-valued and is reconstructed from the
+// world size at restore time, which makes the state independent of the
+// world and strategy it was captured under.
 type TrainState struct {
 	Format string
 	// Step is the absolute number of completed optimizer steps; Epoch

@@ -8,10 +8,12 @@ import (
 	"repro/internal/mae"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/tensor"
 )
 
 // This file implements executed communication–computation overlap: the
-// flat gradient space is split into wire buckets, the layer-granular
+// flat gradient buffer the model's Grad tensors are windows of is split
+// into wire buckets, the layer-granular
 // backward (mae.BackwardStepLayers) reports each unit's gradients the
 // moment they are final, and the engine launches the covering buckets'
 // collectives on internal/dist's issue queues while the
@@ -100,9 +102,9 @@ type syncEngine struct {
 	buckets []gradBucket
 	own     []opt.Span // owned pieces, ascending, adjacent ones merged
 
-	params []*nn.Param
-	flatG  []float32
-	wire   []uint16 // bf16 wire scratch (nil under fp32)
+	flatG []float32 // the rank's padded flat gradient, reduced in place
+	dim   int       // its unpadded length: [dim, len(flatG)) is the zero pad tail
+	wire  []uint16  // bf16 wire scratch (nil under fp32)
 
 	segStart []int // flat frontier after each backward segment
 
@@ -126,7 +128,7 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap b
 
 	e := &syncEngine{
 		r: r, overlap: overlap, shardGroup: shardGroup, replGroup: replGroup,
-		params: params, flatG: flatG, wire: wire, timer: timer,
+		flatG: flatG, dim: nn.CountParams(params), wire: wire, timer: timer,
 	}
 	idx := shardGroup.RankOf(r)
 	for _, sp := range makeBuckets(len(flatG), bucketElems) {
@@ -145,14 +147,13 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap b
 	// Map backward segments onto the flat space: completion events walk
 	// the frontier down from dim to 0, so each segment must sit
 	// immediately below its predecessor.
-	dim := opt.FlatDim(params)
 	offs := make(map[*nn.Param]int, len(params))
 	off := 0
 	for _, p := range params {
 		offs[p] = off
 		off += p.NumEl()
 	}
-	cursor := dim
+	cursor := e.dim
 	for k, seg := range model.BackwardSegments() {
 		lo, total := cursor, 0
 		for _, p := range seg {
@@ -179,7 +180,7 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap b
 }
 
 // beginStep arms the engine for one optimizer step's backward pass.
-// gScale (multiplied into each bucket as it is packed) folds the
+// gScale (multiplied into each bucket as it launches) folds the
 // 1/(world·accum) gradient averaging and, under bf16, the loss scale;
 // it is exactly 1 when there is nothing to fold.
 func (e *syncEngine) beginStep(gScale float32) {
@@ -208,14 +209,21 @@ func (e *syncEngine) wireOf(sp opt.Span) []uint16 {
 	return e.wire[sp.Lo:sp.Hi]
 }
 
-// launch packs (scaling in the same pass) and issues one bucket's
-// gradient collective(s): a shard-group reduce-scatter and/or a
+// launch scales one bucket of the accumulated gradient in place and
+// issues its collective(s): a shard-group reduce-scatter and/or a
 // replica-group all-reduce of the owned piece chained behind it. With
 // Overlap off the handle is waited immediately (the synchronous
 // schedule); either way completion order and arithmetic are identical.
+// Under Overlap a queue worker reduces the bucket while backward keeps
+// accumulating into flatG below the frontier — disjoint ranges, by
+// onSegment's "entirely above the frontier" rule.
 func (e *syncEngine) launch(b gradBucket) {
 	sp := b.span
-	opt.PackGradsSpanScaled(e.flatG, e.params, sp.Lo, sp.Hi, e.gScale)
+	// The scale stops at dim: the pad tail must stay exactly zero, and an
+	// overflowing loss scale (+Inf) would turn it into 0·Inf = NaN that
+	// no ZeroGrads ever clears.
+	g := e.flatG[min(sp.Lo, e.dim):min(sp.Hi, e.dim)]
+	tensor.Scale(g, g, e.gScale)
 	var h *dist.Handle
 	if e.shardGroup.Size() > 1 {
 		h = e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpReduceScatter, Buf: e.flatG[sp.Lo:sp.Hi], Wire: e.wireOf(sp)})

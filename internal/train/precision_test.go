@@ -209,6 +209,47 @@ func TestBF16LossScaleBackoff(t *testing.T) {
 	}
 }
 
+// TestBF16LossScaleBackoffPaddedWorld is the backoff test on a world
+// whose padding is non-empty: 3 ranks pad the tiny model's 6728
+// elements to 6729, and the pad element rides the same buffers the
+// overflowing loss scale (+Inf) is multiplied into. It must stay exactly
+// zero — 0·Inf = NaN there would never be cleared (ZeroGrads walks the
+// parameters, not the pad), the owning rank's overflow verdict would
+// read it on every later step, and the run would skip to the end.
+func TestBF16LossScaleBackoffPaddedWorld(t *testing.T) {
+	for _, plan := range []fsdp.Plan{fsdp.BestPractice(fsdp.ShardGradOp, 0), fsdp.BestPractice(fsdp.FullShard, 0)} {
+		t.Run(plan.Name(), func(t *testing.T) {
+			cfg := tinyDistConfig(3, plan)
+			cfg.BatchSize = 6
+			cfg.Epochs = 4 // 20 steps
+			cfg.Precision = BF16
+			cfg.LossScale.Init = 1e40
+			res, err := PretrainDistributed(cfg, tinyDataset(32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dim := len(res.State.Master); opt.PadTo(dim, cfg.Ranks) == dim {
+				t.Fatalf("%d elements divide by %d ranks: this world has no padding to test", dim, cfg.Ranks)
+			}
+			if res.SkippedSteps == 0 || res.SkippedSteps >= res.Steps {
+				t.Fatalf("skipped %d of %d steps, want some but not all", res.SkippedSteps, res.Steps)
+			}
+			w := make([]float32, opt.FlatDim(res.Model.Params()))
+			opt.PackValues(w, res.Model.Params())
+			if opt.HasNonFinite(w) {
+				t.Fatal("non-finite parameters after overflow recovery")
+			}
+			steps := float64(res.Steps)
+			if res.Comm.AllReduce.MeasuredWireBytes != res.Traffic.AllReduceBytes*steps ||
+				res.Comm.ReduceScatter.MeasuredWireBytes != res.Traffic.ReduceScatterBytes*steps ||
+				res.Comm.AllGather.MeasuredWireBytes != res.Traffic.AllGatherBytes*steps {
+				t.Errorf("traffic drifted from simulator across skipped steps: %+v vs %+v × %v",
+					res.Comm, res.Traffic, steps)
+			}
+		})
+	}
+}
+
 // TestBF16ScaleGrowth: with a short growth interval the scaler doubles
 // on schedule — 8 clean steps at interval 2 quadruple-double the scale.
 func TestBF16ScaleGrowth(t *testing.T) {

@@ -59,8 +59,11 @@ type rankState struct {
 	sharded bool
 	own     []opt.Span // owned spans of the padded flat space, ascending
 
-	flatG []float32 // padded flat gradient (the collectives' buffer)
-	flatW []float32 // padded flat working weights: what the model computes on
+	// flatW and flatG, padded, are the only home of the rank's parameters
+	// and gradients: nn.FlattenParams made the model's tensors windows of
+	// them, so forward, backward, the collectives and the optimizer all
+	// work on the same bytes, in place.
+	flatW, flatG []float32
 	// master is the fp32 master of the owned spans: flatW itself under
 	// FP32, a shard-local buffer (SpansLen(own) long) under BF16, where
 	// flatW holds its bf16 rounding.
@@ -87,7 +90,7 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
 	run.res.replicas[r.ID()] = model
 	params := model.Params()
-	dim := opt.FlatDim(params)
+	dim := nn.CountParams(params)
 	run.stOnce.Do(func() {
 		st := run.res.State
 		st.Master, st.OptM, st.OptV = make([]float32, dim), make([]float32, dim), make([]float32, dim)
@@ -104,8 +107,8 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	if r.ID() == 0 {
 		s.timer = &phaseTimer{}
 	}
-	padded := partitionFor(run.plan, n, dim).Padded
-	s.flatG = make([]float32, padded)
+	padded := opt.PadTo(dim, n) // the whole world: divides at both communicator levels
+	s.flatW, s.flatG = nn.FlattenParams(params, padded)
 	var wire []uint16
 	if cfg.Precision == BF16 {
 		wire = make([]uint16, padded)
@@ -121,17 +124,13 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	}
 	s.own = s.eng.own
 
-	// The flat working mirror starts as the fp32 state every rank must
-	// agree on: rank 0's initialization, broadcast (whatever each
-	// replica's own init was), or the resumed master snapshot — identical
-	// on every rank already, so resuming sends nothing — with the
+	// The weights start as the fp32 state every rank must agree on: rank
+	// 0's initialization, broadcast over whatever each replica's own init
+	// left in its windows, or the resumed master snapshot — identical on
+	// every rank already, so resuming sends nothing — with the
 	// deterministic mask stream fast-forwarded past the completed steps
 	// (micro-batches under accumulation).
-	s.flatW = make([]float32, padded)
 	if resume == nil {
-		if r.ID() == 0 {
-			opt.PackValues(s.flatW, params)
-		}
 		run.world.Subgroup(strided(0, n, 1)).Do(r, dist.Collective{Op: dist.OpBroadcast, Buf: s.flatW[:dim]}).Wait()
 	} else {
 		copy(s.flatW, resume.Master)
@@ -147,7 +146,6 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 		opt.GatherSpans(s.master, s.flatW, s.own)
 		tensor.RoundBF16(s.flatW, s.flatW)
 	}
-	opt.UnpackValues(params, s.flatW)
 	s.optim = opt.NewShardedAdamWSpans(params, cfg.WeightDecay, s.own)
 	if resume != nil {
 		s.optim.RestoreMoments(resume.OptM, resume.OptV)
@@ -199,17 +197,15 @@ func (s *rankState) train() {
 			lossSum += model.ForwardWithMask(batch.Images, batch.Size, keep)
 			if reshard && final {
 				// Reshard once per optimizer step, after the window's
-				// last forward: drop every parameter span this rank does
-				// not own from the flat mirror, exactly as FULL_SHARD
-				// frees gathered units. Backward reads the live tensors
-				// from the re-gathered mirror, so the all-gather must
-				// genuinely restore the dropped spans — if it moved wrong
-				// bytes, the zeros would reach the model and the loss
-				// trajectory (checked against the single-rank run) would
-				// diverge.
+				// last forward: zero every parameter span this rank does
+				// not own, in the live tensors, exactly as FULL_SHARD
+				// frees gathered units. Backward reads those tensors, so
+				// the all-gather must genuinely restore the dropped spans
+				// — if it moved wrong bytes, the zeros would stay in the
+				// model and the loss trajectory (checked against the
+				// single-rank run) would diverge.
 				opt.ScrubOutsideSpans(s.flatW, s.own)
 				s.eng.allGatherParams(s.flatW)
-				opt.UnpackValues(s.params, s.flatW)
 			}
 			if !final {
 				// Accumulation micro-step: gradients pile up in the
@@ -310,9 +306,12 @@ func (s *rankState) train() {
 // gradient once: overflow verdict, unscale and Σg². Pass 2 is the AdamW
 // kernel on the fp32 master with the clip factor folded into its read
 // of the gradient and, under BF16, the rounded working weights written
-// beside the master. Then (sharded) all-gather the working weights and
-// unpack them into the model. invScale undoes the loss scale the
-// gradients were packed with.
+// beside the master. Then (sharded) all-gather the working weights,
+// which the model's tensors are windows of. invScale undoes the loss
+// scale the gradients were reduced with. From finishBackward until the
+// next ZeroGrads the parameters' Grad tensors hold the reduced gradient
+// on the owned spans and reduce-scatter residue elsewhere; nothing may
+// read them as local gradients.
 func (s *rankState) step(lr float64, invScale float32) {
 	clip := s.run.cfg.ClipNorm
 	sq, overflow := s.reduceGrads(invScale, clip > 0)
@@ -355,18 +354,17 @@ func (s *rankState) step(lr float64, invScale float32) {
 		// assembled replicas.
 		s.eng.allGatherParams(s.flatW)
 	}
-	opt.UnpackValues(s.params, s.flatW)
 }
 
 // reduceGrads is step's one read of the owned gradient spans. Under
 // BF16 it takes the overflow verdict on the values as reduced, writes
 // them back unscaled (harmless on a step the verdict then skips: the
-// next backward repacks flatG) and sums the squares of what it wrote;
-// under FP32 it only sums, and only if the step clips. Spans enter the
-// accumulator at their flat offsets, so the sum is nn.GradL2Norm's bit
-// for bit however the space is bucketed (the zero pad tail adds
-// nothing). A function of its own so the accumulator stays on the
-// stack: what step's comm-timer closures capture lives on the heap.
+// next window's ZeroGrads clears flatG) and sums the squares of what it
+// wrote; under FP32 it only sums, and only if the step clips. Spans
+// enter the accumulator at their flat offsets, so the sum is
+// nn.GradL2Norm's bit for bit however the space is bucketed (the zero
+// pad tail adds nothing). A function of its own so the accumulator stays
+// on the stack: what step's comm-timer closures capture lives on the heap.
 func (s *rankState) reduceGrads(invScale float32, clips bool) (sumSq float64, overflow bool) {
 	var sq tensor.SumSq
 	for _, sp := range s.own {
