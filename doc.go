@@ -136,17 +136,30 @@
 // Every FLOP of the training stack flows through internal/tensor's
 // GEMM kernels on top of internal/parallel's persistent worker pool.
 //
-// The GEMMs use the blocked-and-packed GotoBLAS structure: a 6×16
+// The GEMMs use the blocked GotoBLAS structure around one 6×16
 // register-tiled micro-kernel (AVX2+FMA assembly on amd64, selected by
 // CPUID at startup; without it — non-amd64, the `purego` build tag, or
 // no AVX2 — dispatch keeps the scalar streaming kernels instead of the
-// blocked path) accumulates C tiles over 256-long K strips, reading A and B
-// from packed, zero-padded panels so all three variants (MatMul,
-// MatMulTA, MatMulTB) and their strided MatMul*Ld forms share one
-// inner loop. B is packed once per call and shared read-only across
-// workers; each worker packs 72-row slabs of A per K strip. Problems
-// under ~32k multiply-adds skip packing and run row-streaming
-// axpy/dot kernels instead.
+// blocked path). The kernel accumulates a C tile over a 256-long K
+// strip and addresses both operands by strides, so all three variants
+// (MatMul, MatMulTA, MatMulTB), their strided MatMul*Ld forms, the
+// bf16-weight GEMM and the attention tiles share one inner loop
+// whether it reads a packed, zero-padded panel or the caller's matrix
+// where it lies. The driver only multiplies: the first strip's
+// write-back stores (C is never pre-zeroed), later strips add, and the
+// last strip adds the bias of tensor.MatMulBias, so a Linear layer's
+// x·W + b is one pass over C. Packing is a copy that pays only when
+// the other dimension's panel count amortises it: row-major A is read
+// in place (only a ragged bottom panel is packed); transposed A is
+// packed per 72-row slab by each worker; transposed and bf16 B are
+// always packed, the pack being where the transpose and the widening
+// happen; row-major B is packed once per call and shared read-only
+// across workers when many row panels reuse it or its rows are far
+// apart, and read in place otherwise — the weight-gradient GEMMs
+// dW = xᵀ·dy, whose few hundred output rows cannot amortise a copy of
+// thousands of token rows. None of these choices changes a bit of the
+// result. Problems under ~32k multiply-adds skip the blocked path and
+// run row-streaming axpy/dot kernels instead.
 //
 // Parallel loops split output rows into deterministic contiguous
 // ranges (parallel.Split) sized to at least 2^16 multiply-adds per
@@ -160,7 +173,7 @@
 // Attention runs fused — nn.MultiHeadAttention has one path, and the
 // materialized form exists only as the tests' oracle:
 // tensor.FlashAttnFwd/FlashAttnBwd stream K/V in tiles through the
-// same packed micro-kernel, maintain the softmax online (running max
+// same micro-kernel (over packed panels), maintain the softmax online (running max
 // and exp-sum per query, the 1/√d scale folded into the tile pass),
 // and keep only O(T) per-row statistics — the backward recomputes
 // probabilities from them bitwise, so the T×T score matrix is never

@@ -106,6 +106,52 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 	}
 }
 
+// TestLinearProcsIndependent: the GEMM splits C by whole row panels and
+// every tile sees the same K strips in the same order wherever the cut
+// falls, so a Linear layer — bias folded into the last strip's
+// write-back, one to three strips deep, ragged at both edges — gives
+// the same bits forward, through both Infer weight modes and backward
+// at every worker count.
+func TestLinearProcsIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, s := range []struct{ rows, in, out int }{{515, 96, 70}, {300, 513, 33}, {1024, 288, 96}} {
+		r := rng.New(uint64(17 + s.rows))
+		x := make([]float32, s.rows*s.in)
+		dy := make([]float32, s.rows*s.out)
+		r.FillNormal(x, 0, 1)
+		r.FillNormal(dy, 0, 1)
+		run := func() (out [][]float32) {
+			l := NewLinear("l", s.in, s.out, rng.New(3))
+			rng.New(4).FillNormal(l.B.Value.Data, 0, 1)
+			tensor.RoundBF16(l.W.Value.Data, l.W.Value.Data) // so the bf16 shadow is exact
+			y := l.Forward(x, s.rows)
+			if yi := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(yi, y) {
+				t.Errorf("GOMAXPROCS=%d %+v: Infer differs from Forward", runtime.GOMAXPROCS(0), s)
+			}
+			out = append(out, append([]float32(nil), y...), append([]float32(nil), l.Backward(dy)...), l.W.Grad.Data, l.B.Grad.Data)
+			l.PackBF16()
+			if yi := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(yi, y) {
+				t.Errorf("GOMAXPROCS=%d %+v: bf16-weight Infer differs from Forward", runtime.GOMAXPROCS(0), s)
+			}
+			return out
+		}
+		var want [][]float32
+		for _, procs := range []int{1, 2, 3, 7} {
+			runtime.GOMAXPROCS(procs)
+			got := run()
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if !bitsEqual(got[i], want[i]) {
+					t.Fatalf("GOMAXPROCS=%d %+v: result %d differs from GOMAXPROCS=1", procs, s, i)
+				}
+			}
+		}
+	}
+}
+
 // FuzzGELU drives the activation layer with arbitrary inputs, seeded
 // with live pre-activations (FC1 outputs of an MLP on unit-normal
 // rows): both passes stay within the kernel's accuracy contract

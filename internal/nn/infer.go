@@ -56,7 +56,7 @@ func (c *InferCtx) Take(n int) []float32 {
 }
 
 // Infer is Forward without the backward caches: y = x·W + b computed
-// with the same GEMM kernel and bias loop, output in ctx. The layer
+// by the same GEMM call, output in ctx. The layer
 // is read-only here, so concurrent workers may share it.
 func (l *Linear) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	checkRows(len(x), rows, l.In, "Linear.Infer")
@@ -65,11 +65,10 @@ func (l *Linear) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 		// bf16 weight mode: stream the 2-byte encoding directly; the
 		// GEMM widens panels in its pack stage, so no fp32 round-trip
 		// buffer of the weights exists on this path.
-		tensor.MatMulBF16(y, x, l.WBF16, rows, l.In, l.Out, false)
+		tensor.MatMulBF16Bias(y, x, l.WBF16, l.B.Value.Data, rows, l.In, l.Out, false)
 	} else {
-		tensor.MatMul(y, x, l.W.Value.Data, rows, l.In, l.Out, false)
+		tensor.MatMulBias(y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
 	}
-	addBias(y, l.B.Value.Data)
 	return y
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -51,45 +50,8 @@ func (l *Linear) Forward(x []float32, rows int) []float32 {
 	l.x = x
 	l.rows = rows
 	l.y = grow(l.y, rows*l.Out)
-	tensor.MatMul(l.y, x, l.W.Value.Data, rows, l.In, l.Out, false)
-	addBias(l.y, l.B.Value.Data)
+	tensor.MatMulBias(l.y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
 	return l.y
-}
-
-// addBias adds b to every len(b)-wide row of y, rows split across the
-// pool.
-func addBias(y, b []float32) {
-	n := len(b)
-	parallel.RangeGrain(len(y)/n, 1+parallel.MinGrain/(n+1), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yi := y[i*n : (i+1)*n]
-			for j := range yi {
-				yi[j] += b[j]
-			}
-		}
-	})
-}
-
-// colGrain is the parallel grain, in columns, of a column reduction
-// over rows rows: at least a cache line of accumulators per worker so
-// neighbours do not share one.
-func colGrain(rows int) int { return 16 + parallel.MinGrain/(rows+1) }
-
-// addColumnSums accumulates the column sums of the row-major dy into
-// db. Each worker owns a column range and adds the rows in order, so
-// every db[j] sees exactly the serial loop's summation order.
-func addColumnSums(db, dy []float32) {
-	n := len(db)
-	rows := len(dy) / n
-	parallel.RangeGrain(n, colGrain(rows), func(lo, hi int) {
-		d := db[lo:hi]
-		for i := 0; i < rows; i++ {
-			dyi := dy[i*n+lo : i*n+hi]
-			for j := range d {
-				d[j] += dyi[j]
-			}
-		}
-	})
 }
 
 // Backward consumes dL/dy, accumulates dL/dW and dL/db, and returns
@@ -99,7 +61,7 @@ func (l *Linear) Backward(dy []float32) []float32 {
 	checkRows(len(dy), rows, l.Out, "Linear.Backward")
 	// dW += xᵀ·dy : (in × rows)·(rows × out)
 	tensor.MatMulTA(l.W.Grad.Data, l.x, dy, l.In, rows, l.Out, true)
-	addColumnSums(l.B.Grad.Data, dy)
+	tensor.ColumnSums(l.B.Grad.Data, dy, rows, l.Out)
 	// dx = dy·Wᵀ : W stored (in × out) so this is the TB kernel.
 	l.dx = grow(l.dx, rows*l.In)
 	tensor.MatMulTB(l.dx, dy, l.W.Value.Data, rows, l.Out, l.In, false)

@@ -1,7 +1,5 @@
 package tensor
 
-import "repro/internal/parallel"
-
 // bf16-input GEMM: C = A·B with the B operand stored as bf16 ([]uint16,
 // row-major k×n). This is the serving stack's weight format — weights
 // are rounded to bf16 once at load, and the GEMM streams the 2-byte
@@ -9,7 +7,7 @@ import "repro/internal/parallel"
 // the dispatched fromBF16 vector kernel instead of round-tripping the
 // whole weight matrix through an fp32 buffer first. Widening is exact
 // (bf16 → float32 reattaches zero mantissa bits), and the compute
-// stage is gemmComputePacked — the same loop the fp32 path runs — so:
+// stage is gemmCompute — the same loop the fp32 path runs — so:
 //
 //	MatMulBF16(c, a, wbf16, ...) ≡ MatMul(c, a, FromBF16(wbf16), ...)
 //
@@ -20,52 +18,46 @@ import "repro/internal/parallel"
 // MatMulBF16 computes C = A·B (or C += A·B when acc is true) with
 // A (m×k) float32 and B (k×n) bf16, both contiguous row-major.
 func MatMulBF16(c, a []float32, b []uint16, m, k, n int, acc bool) {
-	MatMulBF16Ld(c, a, b, m, k, n, k, n, n, acc)
+	matMulBF16(c, a, b, nil, m, k, n, k, n, n, acc, "MatMulBF16")
+}
+
+// MatMulBF16Bias is MatMulBF16 with MatMulBias's bias row: bitwise
+// MatMulBias over the widened weights.
+func MatMulBF16Bias(c, a []float32, b []uint16, bias []float32, m, k, n int, acc bool) {
+	matMulBF16(c, a, b, bias, m, k, n, k, n, n, acc, "MatMulBF16Bias")
 }
 
 // MatMulBF16Ld is MatMulBF16 with explicit leading dimensions.
 func MatMulBF16Ld(c, a []float32, b []uint16, m, k, n, lda, ldb, ldc int, acc bool) {
-	checkGEMMLd(len(c), len(a), len(b), m, k, n, lda, ldb, ldc, opNN, "MatMulBF16")
+	matMulBF16(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, "MatMulBF16")
+}
+
+func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, name string) {
+	checkGEMMLd(len(c), len(a), len(b), m, k, n, lda, ldb, ldc, opNN, name)
+	checkGEMMBias(bias, n, name)
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if k <= 0 {
-		zeroC(c, m, n, ldc, acc)
+	if k > 0 && haveFastKernel && m*k*n >= smallGEMMFlops {
+		// gemmBlocked's opNN path with the B pack stage widening bf16
+		// panels; a bf16 B is never read in place.
+		bbuf := packB(k, n, 0, func(dst []float32, p0, kcEff, j0, jw int) {
+			packBPanelNBF16(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
+		})
+		gemmCompute(c, a, nil, *bbuf, bias, m, k, n, lda, 0, ldc, 0, acc, opNN)
+		packBPool.Put(bbuf)
 		return
 	}
-	if haveFastKernel && m*k*n >= smallGEMMFlops {
-		gemmBlockedBF16(c, a, b, m, k, n, lda, ldb, ldc, acc)
-		return
-	}
-	// Small problems and purego builds: widen B once into pooled
-	// scratch and run the same streaming kernel MatMulLd would pick
-	// for this size, preserving the bitwise-equals-widened invariant.
-	wbuf := getPack(&packBPool, k*n)
+	// Small problems, k = 0 and purego builds: widen B once into pooled
+	// scratch and run whatever MatMulLd would pick for this size,
+	// preserving the bitwise-equals-widened invariant.
+	wbuf := getPack(&packBPool, max(k, 0)*n)
 	wb := *wbuf
 	for kk := 0; kk < k; kk++ {
 		fromBF16(wb[kk*n:kk*n+n], b[kk*ldb:kk*ldb+n])
 	}
-	MatMulLd(c, a, wb, m, k, n, lda, n, ldc, acc)
+	matMul(c, a, wb, bias, m, k, n, lda, n, ldc, acc, name)
 	packBPool.Put(wbuf)
-}
-
-// gemmBlockedBF16 is gemmBlocked's opNN path with the B pack stage
-// widening bf16 panels; compute is shared via gemmComputePacked.
-func gemmBlockedBF16(c, a []float32, b []uint16, m, k, n, lda, ldb, ldc int, acc bool) {
-	nPanels := (n + nr - 1) / nr
-	bbuf := getPack(&packBPool, k*nPanels*nr)
-	bp := *bbuf
-	nStrips := (k + kcBlock - 1) / kcBlock
-	parallel.ForGrain(nStrips*nPanels, 8, func(idx int) {
-		p0 := (idx / nPanels) * kcBlock
-		jp := idx % nPanels
-		kcEff := min(kcBlock, k-p0)
-		j0 := jp * nr
-		jw := min(nr, n-j0)
-		packBPanelNBF16(bp[p0*nPanels*nr+jp*kcEff*nr:], b[p0*ldb:], kcEff, ldb, j0, jw)
-	})
-	gemmComputePacked(c, a, bp, m, k, n, lda, ldc, acc, opNN)
-	packBPool.Put(bbuf)
 }
 
 // packBPanelNBF16 mirrors packBPanelN for a bf16-encoded B, widening

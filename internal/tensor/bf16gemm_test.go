@@ -95,15 +95,17 @@ func TestMatMulBF16Strided(t *testing.T) {
 }
 
 // FuzzBF16Gemm fuzzes shapes and seeds through the bitwise
-// bf16≡widened-fp32 invariant. Under the purego build tag the same
-// corpus runs against the portable kernels, so both implementations
-// are held to the identical contract (the CI race job runs this under
-// -race as well).
+// bf16≡widened-fp32 invariant, with and without the bias row — where
+// both must also be MatMul followed by the serial bias loop. Under the
+// purego build tag the same corpus runs against the portable kernels,
+// so both implementations are held to the identical contract (the CI
+// race job runs this under -race as well).
 func FuzzBF16Gemm(f *testing.F) {
-	f.Add(uint8(3), uint8(4), uint8(5), int64(1), false)
-	f.Add(uint8(40), uint8(64), uint8(40), int64(2), true) // blocked path
-	f.Add(uint8(6), uint8(16), uint8(16), int64(3), false)
-	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, seed int64, acc bool) {
+	f.Add(uint8(3), uint8(4), uint8(5), int64(1), false, false)
+	f.Add(uint8(40), uint8(64), uint8(40), int64(2), true, false) // blocked path
+	f.Add(uint8(6), uint8(16), uint8(16), int64(3), false, true)
+	f.Add(uint8(47), uint8(95), uint8(37), int64(4), true, true) // blocked, ragged, biased
+	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, seed int64, acc, biased bool) {
 		m := int(mRaw)%64 + 1
 		k := int(kRaw)%96 + 1
 		n := int(nRaw)%64 + 1
@@ -114,6 +116,13 @@ func FuzzBF16Gemm(f *testing.F) {
 		}
 		bw := randBF16(r, k*n)
 		wb := widen(bw)
+		var bias []float32
+		if biased {
+			bias = make([]float32, n)
+			for i := range bias {
+				bias[i] = float32(r.NormFloat64())
+			}
+		}
 		want := make([]float32, m*n)
 		got := make([]float32, m*n)
 		if acc {
@@ -122,12 +131,19 @@ func FuzzBF16Gemm(f *testing.F) {
 			}
 			copy(got, want)
 		}
+		fp32 := append([]float32(nil), want...)
 		tensor.MatMul(want, a, wb, m, k, n, acc)
-		tensor.MatMulBF16(got, a, bw, m, k, n, acc)
+		for i := range want {
+			if biased {
+				want[i] += bias[i%n]
+			}
+		}
+		tensor.MatMulBias(fp32, a, wb, bias, m, k, n, acc)
+		tensor.MatMulBF16Bias(got, a, bw, bias, m, k, n, acc)
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("m=%d k=%d n=%d acc=%v: not bitwise at %d: %v vs %v",
-					m, k, n, acc, i, got[i], want[i])
+			if got[i] != want[i] || fp32[i] != want[i] {
+				t.Fatalf("m=%d k=%d n=%d acc=%v bias=%v: not bitwise at %d: bf16 %v, fp32 %v, MatMul then bias %v",
+					m, k, n, acc, biased, i, got[i], fp32[i], want[i])
 			}
 		}
 	})

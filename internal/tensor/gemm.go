@@ -7,48 +7,73 @@ import (
 	"repro/internal/parallel"
 )
 
-// The GEMM kernels use the classic blocked-and-packed ("GotoBLAS")
-// structure:
+// The GEMM kernels use the classic blocked ("GotoBLAS") structure,
+// with packing treated as what it is — a copy that only pays when the
+// other dimension's panel count amortises it:
 //
 //   - A register-blocked mr×nr micro-kernel computes one C tile per
-//     call, accumulating over a kcBlock-long K strip. On amd64 with
-//     AVX2+FMA the micro-kernel is hand-written assembly
-//     (gemm_kernel_amd64.s). The blocked path is SIMD-only: without
-//     the assembly kernel (non-amd64, purego, or no AVX2) dispatch
-//     stays on the streaming kernels, which already sit at the scalar
-//     FP port limit, and the portable micro-kernel exists for the
-//     driver's tests.
-//   - Panels of A (mr rows × kcBlock) and B (kcBlock × nr columns) are
-//     packed into contiguous, zero-padded scratch so the micro-kernel
-//     reads purely sequential memory regardless of the operand's
-//     storage order — which is also how the transposed variants
-//     (MatMulTA, MatMulTB) share one micro-kernel: only the packing
-//     routines differ.
-//   - B is packed once up front (shared read-only by all workers); each
-//     worker packs its own mcBlock×kcBlock slab of A per K strip, so
-//     the innermost loops run from L1/L2-resident scratch.
+//     call over a kcBlock-long K strip. It addresses both operands by
+//     strides (gemm_kernel.go), so it reads a packed panel or the
+//     caller's matrix alike, and its write-back either stores the
+//     strip's sums or adds them to C, then optionally adds a bias row.
+//     There is one such loop; the transposed variants (MatMulTA,
+//     MatMulTB), the bf16-weight GEMM and the attention tiles all run
+//     it. On amd64 with AVX2+FMA it is hand-written assembly
+//     (gemm_kernel_amd64.s). The blocked path is SIMD-only: without the
+//     assembly kernel (non-amd64, purego, or no AVX2) dispatch stays on
+//     the streaming kernels, which already sit at the scalar FP port
+//     limit, and the portable micro-kernel exists for the driver's
+//     tests.
+//   - The driver only multiplies. The first K strip of C = A·B stores
+//     (nothing pre-zeroes C), later strips add, and the last strip's
+//     write-back adds the bias of MatMulBias, so x·W + b is one pass
+//     over C.
+//   - A (m×k) is re-read once per nr-column panel of B. Row-major A
+//     (MatMul, MatMulTB, MatMulBF16) is read in place, six row streams
+//     per panel: packing it would copy each element for every
+//     (row slab, K strip) to save nothing the hardware prefetcher does
+//     not already give. Only a ragged bottom panel (m mod mr rows) is
+//     packed, zero-padded, so the kernel never reads past A. Transposed
+//     A (MatMulTA, stored k×m) is packed per mcBlock×kcBlock slab by
+//     each worker: in place a K step would touch a new cache line for
+//     24 bytes, once per B panel.
+//   - B (k×n) is re-read once per mr-row panel of A, so a packed copy
+//     of B is amortised over ⌈m/mr⌉ panels. Transposed B (MatMulTB) and
+//     bf16 B (MatMulBF16) are always packed — the pack is where the
+//     transpose and the widening happen. Row-major B is packed into
+//     contiguous nr-wide panels when many row panels reuse it or its
+//     rows are far apart (bInPlace), and read in place otherwise: the
+//     weight-gradient GEMMs dW = xᵀ·dy have m = In ≤ a few hundred
+//     rows against k = thousands of tokens, and copying k·n floats for
+//     a few dozen uses costs more than the strided reads. In place only
+//     full nr-wide panels are read; a ragged last panel is still packed
+//     (zero-padded), so the kernel never reads past a row of B.
 //
 // Work is split across the persistent pool in internal/parallel by
 // contiguous row ranges of C, with the grain chosen so each task is at
 // least gemmGrainFlops multiply-adds. Problems below smallGEMMFlops
-// skip packing entirely and run the row-streaming kernels (axpy/dot
-// forms), which win when the pack cost cannot be amortized.
+// skip the blocked path entirely and run the row-streaming kernels
+// (axpy/dot forms). Which path, which operand is packed and how the
+// rows are split never change a result's bits beyond the blocked /
+// streaming choice itself: every element sees the same FMAs in the same
+// k order, then the same additions.
 const (
 	mr = 6  // micro-kernel rows (A panel height)
 	nr = 16 // micro-kernel cols (B panel width, 2×8 float32 lanes)
 
-	// kcBlock is the K strip length: the packed A micro-panel
-	// (mr×kcBlock ≈ 6 KiB) stays L1-resident and the packed B
-	// micro-panel (kcBlock×nr ≈ 16 KiB) is reused across every A panel
-	// of an mcBlock slab.
+	// kcBlock is the K strip length: an A micro-panel (mr×kcBlock
+	// ≈ 6 KiB) stays L1-resident and a packed B micro-panel
+	// (kcBlock×nr ≈ 16 KiB) is reused across every A panel of an
+	// mcBlock slab.
 	kcBlock = 256
-	// mcBlock is the slab of C rows per packed-A block (mcBlock×kcBlock
-	// ≈ 72 KiB of packed A, sized for L2). Must be a multiple of mr.
+	// mcBlock is the slab of C rows worked against one B panel before
+	// moving to the next (mcBlock×kcBlock ≈ 72 KiB of A, sized for L2).
+	// Must be a multiple of mr.
 	mcBlock = 72
 
-	// smallGEMMFlops is the m·k·n cutoff below which packing overhead
-	// outweighs the micro-kernel's throughput and the streaming kernels
-	// are used instead.
+	// smallGEMMFlops is the m·k·n cutoff below which the blocked
+	// driver's overhead outweighs the micro-kernel's throughput and the
+	// streaming kernels are used instead.
 	smallGEMMFlops = 1 << 15
 )
 
@@ -62,7 +87,8 @@ var _ = [1]struct{}{}[mr-6]
 const gemmGrainFlops = 1 << 16
 
 // gemmOp selects which operand is logically transposed (storage is
-// always row-major; the packing routines absorb the transpose).
+// always row-major; packing or the kernel's strides absorb the
+// transpose).
 type gemmOp int
 
 const (
@@ -75,7 +101,15 @@ const (
 // A of shape (m×k), B of shape (k×n) and C of shape (m×n), all
 // contiguous row-major.
 func MatMul(c, a, b []float32, m, k, n int, acc bool) {
-	MatMulLd(c, a, b, m, k, n, k, n, n, acc)
+	matMul(c, a, b, nil, m, k, n, k, n, n, acc, "MatMul")
+}
+
+// MatMulBias is MatMul followed by C[i][j] += bias[j] on every row —
+// a fully-connected layer's x·W + b — computed in the same pass: the
+// bits are those of MatMul and then the serial bias loop. A nil bias
+// adds nothing; otherwise it must hold at least n values.
+func MatMulBias(c, a, b, bias []float32, m, k, n int, acc bool) {
+	matMul(c, a, b, bias, m, k, n, k, n, n, acc, "MatMulBias")
 }
 
 // MatMulLd is MatMul with explicit leading dimensions (row strides in
@@ -83,7 +117,11 @@ func MatMul(c, a, b []float32, m, k, n int, acc bool) {
 // buffers — for example one attention head's slice of a fused
 // (tokens × 3·width) projection — can be multiplied without copying.
 func MatMulLd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	if gemmDispatch(c, a, b, m, k, n, lda, ldb, ldc, acc, opNN, "MatMul") {
+	matMul(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, "MatMul")
+}
+
+func matMul(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, name string) {
+	if gemmDispatch(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, opNN, name) {
 		return
 	}
 	grain := rowsGrain(k, n)
@@ -104,6 +142,7 @@ func MatMulLd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
 				axpy(av, b[kk*ldb:kk*ldb+n], ci)
 			}
 		}
+		addBiasRows(c[lo*ldc:], bias, hi-lo, n, ldc)
 	})
 }
 
@@ -115,7 +154,7 @@ func MatMulTB(c, a, b []float32, m, k, n int, acc bool) {
 
 // MatMulTBLd is MatMulTB with explicit leading dimensions.
 func MatMulTBLd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	if gemmDispatch(c, a, b, m, k, n, lda, ldb, ldc, acc, opTB, "MatMulTB") {
+	if gemmDispatch(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTB, "MatMulTB") {
 		return
 	}
 	grain := rowsGrain(k, n)
@@ -144,7 +183,7 @@ func MatMulTA(c, a, b []float32, m, k, n int, acc bool) {
 
 // MatMulTALd is MatMulTA with explicit leading dimensions.
 func MatMulTALd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	if gemmDispatch(c, a, b, m, k, n, lda, ldb, ldc, acc, opTA, "MatMulTA") {
+	if gemmDispatch(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTA, "MatMulTA") {
 		return
 	}
 	grain := rowsGrain(k, n)
@@ -170,63 +209,97 @@ func MatMulTALd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
 	})
 }
 
-// gemmDispatch is the prologue shared by the three Ld entry points:
-// shape validation, degenerate shapes, and routing to the blocked path.
-// It reports whether the product was fully handled; on false the caller
-// runs its variant-specific streaming kernel.
-func gemmDispatch(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp, name string) bool {
+// gemmDispatch is the prologue shared by the Ld entry points: shape
+// validation, degenerate shapes, and routing to the blocked path. It
+// reports whether the product (bias included) was fully handled; on
+// false the caller runs its variant-specific streaming kernel.
+func gemmDispatch(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp, name string) bool {
 	checkGEMMLd(len(c), len(a), len(b), m, k, n, lda, ldb, ldc, op, name)
+	checkGEMMBias(bias, n, name)
 	if m <= 0 || n <= 0 {
 		return true
 	}
 	if k <= 0 {
 		zeroC(c, m, n, ldc, acc)
+		addBiasRows(c, bias, m, n, ldc)
 		return true
 	}
 	if haveFastKernel && m*k*n >= smallGEMMFlops {
-		gemmBlocked(c, a, b, m, k, n, lda, ldb, ldc, acc, op)
+		gemmBlocked(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, op)
 		return true
 	}
 	return false
 }
 
-// gemmBlocked is the packed, register-blocked path shared by all three
-// kernel variants; op selects the packing routines.
-func gemmBlocked(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp) {
-	nPanels := (n + nr - 1) / nr
-	bbuf := getPack(&packBPool, k*nPanels*nr)
-	bp := *bbuf
+// bInPlace is the rule for reading row-major B where it lies instead
+// of packing it, from the shape alone. A packed copy of B costs a read
+// and a write of k·n floats and is re-read by ⌈m/mr⌉ row panels of A,
+// so it pays once enough panels share it: on the host the thresholds
+// were measured on (CHANGES.md, PR 21), in place wins 10–15 % at 16
+// panels, a few percent at 48–64, and loses from about a hundred. Rows
+// more than bInPlaceMaxLd floats (2 KiB, the reach of the hardware's
+// stride prefetch) apart lose earlier: a K strip's kcBlock panel rows
+// then span more pages than the TLB holds and, at multiples of 4 KiB,
+// share a handful of cache sets.
+func bInPlace(m, ldb int) bool {
+	return (m+mr-1)/mr <= bInPlaceMaxPanels && ldb <= bInPlaceMaxLd
+}
 
-	// Pack all of B once, blocked by K strip then by nr-column panel.
-	// Panels are disjoint, so the pack itself runs on the pool rather
-	// than as a serial prefix ahead of the compute workers.
-	nStrips := (k + kcBlock - 1) / kcBlock
-	parallel.ForGrain(nStrips*nPanels, 8, func(idx int) {
-		p0 := (idx / nPanels) * kcBlock
-		jp := idx % nPanels
-		kcEff := min(kcBlock, k-p0)
-		j0 := jp * nr
-		jw := min(nr, n-j0)
-		dst := bp[p0*nPanels*nr+jp*kcEff*nr:]
+const (
+	bInPlaceMaxPanels = 48
+	bInPlaceMaxLd     = 512
+)
+
+// gemmBlocked is the register-blocked path shared by all three kernel
+// variants: op selects how the operands are read, and B is packed or
+// left in place (see the package header).
+func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp) {
+	firstPacked := 0
+	if op != opTB && bInPlace(m, ldb) {
+		firstPacked = n / nr
+	}
+	bbuf := packB(k, n, firstPacked, func(dst []float32, p0, kcEff, j0, jw int) {
 		if op == opTB {
 			packBPanelT(dst, b, kcEff, ldb, p0, j0, jw)
 		} else {
 			packBPanelN(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		}
 	})
-
-	gemmComputePacked(c, a, bp, m, k, n, lda, ldc, acc, op)
+	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op)
 	packBPool.Put(bbuf)
 }
 
-// gemmComputePacked runs the register-blocked compute loop over an
-// already fully packed B (the layout gemmBlocked's pack stage
-// produces). Factored out so alternate B encodings — the bf16 weight
-// path widens during packing — share one compute stage, which is also
-// what makes MatMulBF16 bitwise equal to MatMul on pre-widened
-// weights.
-func gemmComputePacked(c, a, bp []float32, m, k, n, lda, ldc int, acc bool, op gemmOp) {
+// packB packs the nr-column panels firstPacked, firstPacked+1, … of a
+// k×n B into pooled scratch, blocked by K strip then by panel: panel
+// jp of the strip starting at row p0 lies at
+// p0·np·nr + (jp−firstPacked)·kcEff·nr, np being the number of packed
+// panels. Panels are disjoint, so the pack runs on the pool rather
+// than as a serial prefix ahead of the compute workers. The caller
+// returns the buffer to packBPool.
+func packB(k, n, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, jw int)) *[]float32 {
+	np := (n+nr-1)/nr - firstPacked
+	bbuf := getPack(&packBPool, k*np*nr)
+	bp := *bbuf
+	nStrips := (k + kcBlock - 1) / kcBlock
+	parallel.ForGrain(nStrips*np, 8, func(idx int) {
+		p0 := (idx / np) * kcBlock
+		jp := firstPacked + idx%np
+		kcEff := min(kcBlock, k-p0)
+		j0 := jp * nr
+		packPanel(bp[p0*np*nr+(jp-firstPacked)*kcEff*nr:], p0, kcEff, j0, min(nr, n-j0))
+	})
+	return bbuf
+}
+
+// gemmCompute runs the register-blocked compute loop. Panels of B
+// before firstPacked are read in place from the row-major b (stride
+// ldb); the rest come from bp, the layout packB produces. Factored out
+// so alternate B encodings — the bf16 weight path widens during
+// packing — share one compute stage, which is also what makes
+// MatMulBF16 bitwise equal to MatMul on pre-widened weights.
+func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
 	nPanels := (n + nr - 1) / nr
+	np := nPanels - firstPacked
 	// Parallel split is over mr-row micro-panel tiles, not raw rows, so
 	// every interior task boundary is micro-kernel aligned and only the
 	// true bottom edge of C ever takes the partial-tile path.
@@ -234,16 +307,13 @@ func gemmComputePacked(c, a, bp []float32, m, k, n, lda, ldc int, acc bool, op g
 	grain := max(1, rowsGrain(k, n)/mr)
 	parallel.RangeGrain(mTiles, grain, func(tlo, thi int) {
 		lo, hi := tlo*mr, min(thi*mr, m)
-		abuf := getPack(&packAPool, mcBlock*kcBlock)
-		defer packAPool.Put(abuf)
-		ap := *abuf
-		if !acc {
-			for i := lo; i < hi; i++ {
-				ci := c[i*ldc : i*ldc+n]
-				for j := range ci {
-					ci[j] = 0
-				}
-			}
+		// Packed A: the whole slab when A is transposed, otherwise only
+		// a ragged bottom panel.
+		var ap []float32
+		if op == opTA || hi%mr != 0 {
+			abuf := getPack(&packAPool, mcBlock*kcBlock)
+			defer packAPool.Put(abuf)
+			ap = *abuf
 		}
 		var tile [mr * nr]float32
 		for i0 := lo; i0 < hi; i0 += mcBlock {
@@ -251,37 +321,67 @@ func gemmComputePacked(c, a, bp []float32, m, k, n, lda, ldc int, acc bool, op g
 			mPanels := (mcEff + mr - 1) / mr
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				kcEff := min(kcBlock, k-p0)
+				// The first strip of C = A·B stores, every other strip
+				// adds; the last one adds the bias after its sums, which
+				// is (C + Σ_last) + b — the order of a bias loop run
+				// after the product.
+				accStrip := acc || p0 > 0
+				var stripBias []float32
+				if p0+kcEff == k {
+					stripBias = bias
+				}
 				if op == opTA {
 					packABlockT(ap, a, i0, mcEff, p0, kcEff, lda)
-				} else {
-					packABlockN(ap, a, i0, mcEff, p0, kcEff, lda)
+				} else if rw := mcEff % mr; rw != 0 {
+					packABlockN(ap, a, i0+mcEff-rw, rw, p0, kcEff, lda)
 				}
-				base := p0 * nPanels * nr
 				for jp := 0; jp < nPanels; jp++ {
 					j0 := jp * nr
 					jw := min(nr, n-j0)
-					bpanel := &bp[base+jp*kcEff*nr]
+					// In place, B row kk of this panel is the nr floats at
+					// b[(p0+kk)*ldb+j0]: jp < firstPacked ≤ n/nr keeps
+					// j0+nr ≤ n, so the last one read is at most
+					// (k-1)*ldb+n-1, inside what checkGEMMLd proved.
+					bpanel, bks := (*float32)(nil), nr
+					if jp < firstPacked {
+						bpanel, bks = &b[p0*ldb+j0], ldb
+					} else {
+						bpanel = &bp[p0*np*nr+(jp-firstPacked)*kcEff*nr]
+					}
+					var bj []float32
+					if stripBias != nil {
+						bj = stripBias[j0:]
+					}
 					for ip := 0; ip < mPanels; ip++ {
 						i := i0 + ip*mr
 						rw := min(mr, i0+mcEff-i)
-						apanel := &ap[ip*mr*kcEff]
+						// In place, A element (r, kk) of a full panel is
+						// a[(i+r)*lda+p0+kk] with i+mr ≤ m: at most
+						// (m-1)*lda+k-1, inside what checkGEMMLd proved.
+						apanel, ars, aks := (*float32)(nil), 1, mr
+						switch {
+						case op == opTA:
+							apanel = &ap[ip*mr*kcEff]
+						case rw < mr:
+							apanel = &ap[0]
+						default:
+							apanel, ars, aks = &a[i*lda+p0], lda, 1
+						}
 						if rw == mr && jw == nr {
-							microKern(kcEff, apanel, bpanel, &c[i*ldc+j0], ldc)
+							var bias16 *float32
+							if bj != nil {
+								bias16 = &bj[0]
+							}
+							microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &c[i*ldc+j0], ldc, accStrip, bias16)
 							continue
 						}
 						// Edge tile: run the full-size kernel into a
-						// zeroed scratch tile (packed panels are
-						// zero-padded) and fold the valid region back.
-						for t := range tile {
-							tile[t] = 0
-						}
-						microKern(kcEff, apanel, bpanel, &tile[0], nr)
+						// scratch tile (packed panels are zero-padded)
+						// and write the valid region back the way the
+						// kernel would have.
+						microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &tile[0], nr, false, nil)
 						for r := 0; r < rw; r++ {
-							ci := c[(i+r)*ldc+j0:]
-							tr := tile[r*nr:]
-							for j := 0; j < jw; j++ {
-								ci[j] += tr[j]
-							}
+							writeBack(c[(i+r)*ldc+j0:], tile[r*nr:r*nr+jw], accStrip, bj)
 						}
 					}
 				}
@@ -420,6 +520,21 @@ func zeroC(c []float32, m, n, ldc int, acc bool) {
 	}
 }
 
+// addBiasRows adds bias to rows rows of c (stride ldc, n wide); a nil
+// bias adds nothing. It is the bias step of the paths that do not run
+// the micro-kernel.
+func addBiasRows(c, bias []float32, rows, n, ldc int) {
+	if bias == nil {
+		return
+	}
+	for i := 0; i < rows; i++ {
+		ci := c[i*ldc : i*ldc+n]
+		for j := range ci {
+			ci[j] += bias[j]
+		}
+	}
+}
+
 // rowsGrain converts the per-row FLOP cost into a row-count grain.
 func rowsGrain(k, n int) int {
 	perRow := k * n
@@ -460,6 +575,14 @@ func checkGEMMLd(lc, la, lb, m, k, n, lda, ldb, ldc int, op gemmOp, name string)
 	}
 	if lc < wc || la < wa || lb < wb {
 		panic(fmt.Sprintf("tensor: %s buffer too small (c %d<%d, a %d<%d, b %d<%d)", name, lc, wc, la, wa, lb, wb))
+	}
+}
+
+// checkGEMMBias validates a bias row against the output width: nil
+// means no bias, anything else must cover all n columns.
+func checkGEMMBias(bias []float32, n int, name string) {
+	if bias != nil && len(bias) < n {
+		panic(fmt.Sprintf("tensor: %s bias too short (%d < n %d)", name, len(bias), n))
 	}
 }
 

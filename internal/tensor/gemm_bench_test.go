@@ -28,7 +28,7 @@ func benchGEMM(b *testing.B, m, k, n int, call func(c, a, bb []float32)) {
 // hot shapes. The acceptance gate for the kernel rewrite is ≥2× GFLOP/s
 // over BenchmarkGEMMStream at the 256³ and 512³ shapes.
 func BenchmarkGEMM(b *testing.B) {
-	for _, s := range []int{128, 256, 512} {
+	for _, s := range []int{128, 256, 512, 1024} {
 		b.Run(fmt.Sprintf("NN%d", s), func(b *testing.B) {
 			benchGEMM(b, s, s, s, func(c, a, bb []float32) {
 				MatMul(c, a, bb, s, s, s, false)
@@ -57,6 +57,27 @@ func BenchmarkGEMM(b *testing.B) {
 			MatMul(c, a, bb, 196, 768, 3072, false)
 		})
 	})
+	// The shapes the end-to-end benchmark's analog models run (tokens ×
+	// width ≤ 288): the two biased forward GEMMs, the weight gradient
+	// dW = xᵀ·dy — few row panels against thousands of tokens, the side
+	// of bInPlace that reads B where it lies — and the input gradient
+	// dx = dy·Wᵀ; then a wide, heavily reused B on the packed side.
+	bias := make([]float32, 288)
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+		call    func(c, a, bb []float32, m, k, n int)
+	}{
+		{"NNBias", 4096, 96, 288, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
+		{"NNBias", 2048, 64, 192, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
+		{"TA", 96, 4096, 288, func(c, a, bb []float32, m, k, n int) { MatMulTA(c, a, bb, m, k, n, true) }},
+		{"TB", 4096, 288, 96, func(c, a, bb []float32, m, k, n int) { MatMulTB(c, a, bb, m, k, n, false) }},
+		{"NN", 2048, 768, 3072, func(c, a, bb []float32, m, k, n int) { MatMul(c, a, bb, m, k, n, false) }},
+	} {
+		b.Run(fmt.Sprintf("%s%dx%dx%d", sh.name, sh.m, sh.k, sh.n), func(b *testing.B) {
+			benchGEMM(b, sh.m, sh.k, sh.n, func(c, a, bb []float32) { sh.call(c, a, bb, sh.m, sh.k, sh.n) })
+		})
+	}
 }
 
 // streamMatMul is a verbatim copy of the pre-blocking row-streaming

@@ -6,10 +6,11 @@ import "repro/internal/hw"
 
 // kern6x16 is the AVX2+FMA micro-kernel (gemm_kernel_amd64.s): twelve
 // YMM accumulators hold the 6×16 C tile, each K step broadcasts six A
-// values against two 8-lane B vectors. It always accumulates into C.
+// values against two 8-lane B vectors. Operand addressing and the
+// write-back are kern6x16go's (gemm_kernel.go).
 //
 //go:noescape
-func kern6x16(kc int, ap, bp, cp *float32, ldc int)
+func kern6x16(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32)
 
 // kern6x16Panels is the store form the attention score strips use
 // (gemm_kernel_amd64.s): n ≥ 1 consecutive A panels against one B
@@ -30,13 +31,14 @@ var haveFMA = hw.Detect().SIMD()
 // dispatchers stay on the streaming kernels.
 var haveFastKernel = haveFMA
 
-// microKern dispatches to the assembly kernel when the CPU supports it.
-func microKern(kc int, ap, bp, cp *float32, ldc int) {
+// microKernStrided dispatches to the assembly kernel when the CPU
+// supports it.
+func microKernStrided(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32) {
 	if haveFMA {
-		kern6x16(kc, ap, bp, cp, ldc)
+		kern6x16(kc, a, ars, aks, b, bks, c, ldc, acc, bias)
 		return
 	}
-	kern6x16go(kc, ap, bp, cp, ldc)
+	kern6x16go(kc, a, ars, aks, b, bks, c, ldc, acc, bias)
 }
 
 // microKernPanels computes n consecutive A panels (kc·mr floats apart)

@@ -11,8 +11,9 @@ import (
 
 // TestAsmKernelMatchesGeneric compares the AVX2+FMA micro-kernel
 // against the portable Go kernel on identical packed panels, including
-// kc values off the unroll boundary and a strided C. FMA contracts the
-// multiply-add rounding, so exact equality is not expected.
+// kc values off the unroll boundary, a strided C and every write-back
+// mode. FMA contracts the multiply-add rounding, so exact equality is
+// not expected.
 func TestAsmKernelMatchesGeneric(t *testing.T) {
 	if !haveFMA {
 		t.Skip("no AVX2+FMA on this CPU")
@@ -20,16 +21,23 @@ func TestAsmKernelMatchesGeneric(t *testing.T) {
 	r := rng.New(5)
 	for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
 		for _, ldc := range []int{nr, nr + 5, 40} {
-			ap := randMat(r, kc*mr)
-			bp := randMat(r, kc*nr)
-			cAsm := randMat(r, (mr-1)*ldc+nr)
-			cGo := make([]float32, len(cAsm))
-			copy(cGo, cAsm)
-			kern6x16(kc, &ap[0], &bp[0], &cAsm[0], ldc)
-			kern6x16go(kc, &ap[0], &bp[0], &cGo[0], ldc)
-			if i, ok := relClose(cAsm, cGo, relTol); !ok {
-				t.Fatalf("kc=%d ldc=%d: asm/generic mismatch at %d: %v vs %v",
-					kc, ldc, i, cAsm[i], cGo[i])
+			for mode := 0; mode < 4; mode++ {
+				acc := mode&1 != 0
+				var bias *float32
+				if mode&2 != 0 {
+					bias = &randMat(r, nr)[0]
+				}
+				ap := randMat(r, kc*mr)
+				bp := randMat(r, kc*nr)
+				cAsm := randMat(r, (mr-1)*ldc+nr)
+				cGo := make([]float32, len(cAsm))
+				copy(cGo, cAsm)
+				kern6x16(kc, &ap[0], 1, mr, &bp[0], nr, &cAsm[0], ldc, acc, bias)
+				kern6x16go(kc, &ap[0], 1, mr, &bp[0], nr, &cGo[0], ldc, acc, bias)
+				if i, ok := relClose(cAsm, cGo, relTol); !ok {
+					t.Fatalf("kc=%d ldc=%d acc=%v bias=%v: asm/generic mismatch at %d: %v vs %v",
+						kc, ldc, acc, bias != nil, i, cAsm[i], cGo[i])
+				}
 			}
 		}
 	}
@@ -55,7 +63,7 @@ func TestAsmPanelsKernel(t *testing.T) {
 			kern6x16Panels(kc, &ap[0], &bp[0], &got[0], n)
 			kern6x16PanelsGo(kc, &ap[0], &bp[0], &portable[0], n)
 			for p := 0; p < n; p++ {
-				kern6x16(kc, &ap[p*kc*mr], &bp[0], &want[p*mr*nr], nr)
+				kern6x16(kc, &ap[p*kc*mr], 1, mr, &bp[0], nr, &want[p*mr*nr], nr, true, nil)
 			}
 			for i := range got {
 				if got[i] != want[i] {

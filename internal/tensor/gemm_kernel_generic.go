@@ -8,10 +8,10 @@ package tensor
 // dispatchers skip the packing overhead and stream directly.
 const haveFastKernel = false
 
-// microKern dispatches the portable micro-kernel on platforms without a
-// hand-written assembly kernel.
-func microKern(kc int, ap, bp, cp *float32, ldc int) {
-	kern6x16go(kc, ap, bp, cp, ldc)
+// microKernStrided dispatches the portable micro-kernel on platforms
+// without a hand-written assembly kernel.
+func microKernStrided(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32) {
+	kern6x16go(kc, a, ars, aks, b, bks, c, ldc, acc, bias)
 }
 
 // microKernPanels computes n consecutive A panels (kc·mr floats apart)

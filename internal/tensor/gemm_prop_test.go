@@ -147,7 +147,7 @@ func TestBlockedDriverDirect(t *testing.T) {
 				got := randMat(r, m*n)
 				want := make([]float32, m*n)
 				copy(want, got)
-				gemmBlocked(got, a, b, m, k, n, lda, ldb, n, acc, op)
+				gemmBlocked(got, a, b, nil, m, k, n, lda, ldb, n, acc, op)
 				naiveRef(want, a, b, m, k, n, acc, op)
 				if i, ok := relClose(got, want, relTol); !ok {
 					t.Fatalf("gemmBlocked %v op=%d acc=%v: mismatch at %d", sh, op, acc, i)

@@ -73,18 +73,43 @@ func LayerNormParamGrads(dgamma, dbeta, dy, xhat []float32, rows, d int) {
 	if rows == 0 {
 		return
 	}
-	parallel.RangeGrain(d, 16+parallel.MinGrain/(rows+1), func(lo, hi int) {
+	parallel.RangeGrain(d, colGrain(rows), func(lo, hi int) {
 		layerNormColSums(dgamma[lo:hi], dbeta[lo:hi], dy[lo:], xhat[lo:], rows, d)
 	})
 }
+
+// ColumnSums accumulates the column sums of the row-major (rows × d)
+// matrix x into dst: dst[j] += Σ_r x[r][j] — a bias gradient. Like
+// LayerNormParamGrads, each worker owns a column range and adds the
+// rows in order, so every column is bitwise the serial loop's sum at
+// any worker count.
+func ColumnSums(dst, x []float32, rows, d int) {
+	if rows < 0 || d <= 0 {
+		panic(fmt.Sprintf("tensor: ColumnSums invalid shape rows=%d d=%d", rows, d))
+	}
+	if len(dst) < d || len(x) < rows*d {
+		panic("tensor: ColumnSums buffer too small")
+	}
+	if rows == 0 {
+		return
+	}
+	parallel.RangeGrain(d, colGrain(rows), func(lo, hi int) {
+		colSums(dst[lo:hi], x[lo:], rows, d)
+	})
+}
+
+// colGrain is the parallel grain, in columns, of a column reduction
+// over rows rows: at least a cache line of accumulators per worker so
+// neighbours do not share one.
+func colGrain(rows int) int { return 16 + parallel.MinGrain/(rows+1) }
 
 // laneSum folds eight lane sums in the kernels' fixed order.
 func laneSum(s *[8]float32) float32 {
 	return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
 }
 
-// layerNormRowsGo, layerNormBwdRowsGo and layerNormColSumsGo are the
-// scalar lanes — the reference the assembly is held to bit for bit.
+// layerNormRowsGo, layerNormBwdRowsGo, layerNormColSumsGo and colSumsGo
+// are the scalar lanes — the reference the assembly is held to bit for bit.
 // Every product is rounded explicitly (float32(a*b)) so compilers that
 // fuse x*y+z cannot.
 func layerNormRowsGo(y, xhat, invStd, x, g, b []float32, rows, d int, eps float32) {
@@ -147,6 +172,16 @@ func layerNormColSumsGo(dg, db, dy, xhat []float32, rows, ld int) {
 		for j, v := range dyr {
 			dg[j] += float32(v * xh[j])
 			db[j] += v
+		}
+	}
+}
+
+// colSumsGo adds rows rows (stride ld) into the len(dst) column
+// accumulators.
+func colSumsGo(dst, x []float32, rows, ld int) {
+	for r := 0; r < rows; r++ {
+		for j, v := range x[r*ld : r*ld+len(dst)] {
+			dst[j] += v
 		}
 	}
 }

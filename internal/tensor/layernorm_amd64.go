@@ -54,3 +54,24 @@ func layerNormColSums(dg, db, dy, xhat []float32, rows, ld int) {
 		layerNormColSumsGo(dg[j:], db[j:], dy[j:], xhat[j:], rows, ld)
 	}
 }
+
+// colSumsAVX2 adds rows ≥ 1 rows, ld floats apart, into the n column
+// accumulators at dst, n a positive multiple of 8.
+//
+//go:noescape
+func colSumsAVX2(dst, x *float32, rows, ld, n int)
+
+// colSums runs whole groups of eight columns in assembly and the ragged
+// remainder through the scalar lane, like layerNormColSums.
+func colSums(dst, x []float32, rows, ld int) {
+	n8 := 0
+	if haveFMA {
+		n8 = len(dst) &^ 7
+	}
+	if n8 > 0 {
+		colSumsAVX2(&dst[0], &x[0], rows, ld, n8)
+	}
+	if n8 < len(dst) {
+		colSumsGo(dst[n8:], x[n8:], rows, ld)
+	}
+}

@@ -194,3 +194,69 @@ colloop:
 	VMOVUPS Y1, (BX)
 	VZEROUPPER
 	RET
+
+// func colSumsAVX2(dst, x *float32, rows, ld, n int)
+//
+// dst[j] += Σ_r x[r·ld + j] for n columns, n a positive multiple of 8,
+// over rows ≥ 1 rows, rows added in order. Columns go 32 at a time —
+// four independent add chains, two whole cache lines of every row —
+// then 8 at a time; each pass walks the rows at stride ld, so a matrix
+// is streamed once however wide it is.
+TEXT ·colSumsAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), R8
+	MOVQ rows+16(FP), R9
+	MOVQ ld+24(FP), DX
+	MOVQ n+32(FP), BX
+	SHLQ $2, DX
+
+cols32:
+	CMPQ BX, $32
+	JLT  cols8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	MOVQ    R8, SI
+	MOVQ    R9, CX
+
+rows32:
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	VADDPS 64(SI), Y2, Y2
+	VADDPS 96(SI), Y3, Y3
+	ADDQ   DX, SI
+	DECQ   CX
+	JNZ    rows32
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	SUBQ    $32, BX
+	JMP     cols32
+
+cols8:
+	TESTQ BX, BX
+	JLE   colsdone
+	VMOVUPS (DI), Y0
+	MOVQ    R8, SI
+	MOVQ    R9, CX
+
+rows8:
+	VADDPS (SI), Y0, Y0
+	ADDQ   DX, SI
+	DECQ   CX
+	JNZ    rows8
+
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	SUBQ    $8, BX
+	JMP     cols8
+
+colsdone:
+	VZEROUPPER
+	RET

@@ -13,3 +13,5 @@ func layerNormBwdRows(dx, dy, xhat, invStd, g []float32, rows, d int) {
 func layerNormColSums(dg, db, dy, xhat []float32, rows, ld int) {
 	layerNormColSumsGo(dg, db, dy, xhat, rows, ld)
 }
+
+func colSums(dst, x []float32, rows, ld int) { colSumsGo(dst, x, rows, ld) }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -152,6 +153,44 @@ func TestLayerNormChunkIndependence(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: element %d differs from the row-at-a-time result", procs, i)
 			}
 		}
+	}
+}
+
+// TestColumnSumsMatchesSerialLoop: the column-sum kernel adds the rows
+// in order on every path — the 32-column body, the 8-column body and
+// the scalar remainder — and however the pool cuts the columns, so a
+// bias gradient is bitwise the serial loop at any width and worker
+// count; it accumulates onto what dst held.
+func TestColumnSumsMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rand.New(rand.NewSource(64))
+	for _, sh := range []struct{ rows, d int }{{1, 1}, {3, 7}, {5, 8}, {9, 31}, {4, 32}, {7, 33}, {11, 71}, {2050, 67}, {300, 192}, {4096, 288}} {
+		rows, d := sh.rows, sh.d
+		x, dst0 := randSlice(r, rows*d, 1), randSlice(r, d, 1)
+		want := append([]float32(nil), dst0...)
+		colSumsGo(want, x, rows, d)
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			got := append([]float32(nil), dst0...)
+			ColumnSums(got, x, rows, d)
+			if i, ok := bitsEqual32(got, want); !ok {
+				t.Fatalf("rows=%d d=%d GOMAXPROCS=%d: column %d = %v, serial loop gives %v", rows, d, procs, i, got[i], want[i])
+			}
+		}
+	}
+	for name, f := range map[string]func(){
+		"bad shape":   func() { ColumnSums(make([]float32, 4), make([]float32, 4), 1, 0) },
+		"short dst":   func() { ColumnSums(make([]float32, 3), make([]float32, 8), 2, 4) },
+		"short input": func() { ColumnSums(make([]float32, 4), make([]float32, 7), 2, 4) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "tensor: ColumnSums") {
+					t.Errorf("%s: panic %q, want a tensor: ColumnSums message", name, msg)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// Add computes dst = a + b elementwise over equal-length slices.
+// Add computes dst = a + b elementwise over equal-length slices (dst
+// may alias either), eight lanes at a time like Scale: the residual
+// adds walk a whole activation.
 func Add(dst, a, b []float32) {
 	checkLen3(dst, a, b)
 	parallel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] + b[i]
-		}
+		add(dst[lo:hi], a[lo:hi], b[lo:hi])
 	})
 }
 
@@ -53,9 +53,7 @@ func Scale(dst, a []float32, alpha float32) {
 func AddInPlace(dst, a []float32) {
 	checkLen2(dst, a)
 	parallel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += a[i]
-		}
+		add(dst[lo:hi], dst[lo:hi], a[lo:hi])
 	})
 }
 

@@ -84,3 +84,11 @@ func scaleGo(dst, src []float32, alpha float32) {
 		dst[i] = alpha * v
 	}
 }
+
+// addGo is Add's scalar lane: one float32 sum per element, the
+// assembly's bits.
+func addGo(dst, a, b []float32) {
+	for i, v := range a {
+		dst[i] = v + b[i]
+	}
+}

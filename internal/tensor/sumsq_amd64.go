@@ -45,3 +45,20 @@ func scale(dst, src []float32, alpha float32) {
 	}
 	scaleGo(dst[n8:], src[n8:], alpha)
 }
+
+// addAVX2 computes dst[i] = a[i] + b[i] over n floats, a positive
+// multiple of 8; dst may be a or b.
+//
+//go:noescape
+func addAVX2(dst, a, b *float32, n int)
+
+func add(dst, a, b []float32) {
+	n8 := 0
+	if haveFMA {
+		n8 = len(dst) &^ 7
+	}
+	if n8 > 0 {
+		addAVX2(&dst[0], &a[0], &b[0], n8)
+	}
+	addGo(dst[n8:], a[n8:], b[n8:])
+}

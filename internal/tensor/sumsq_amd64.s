@@ -95,3 +95,26 @@ mulloop:
 
 	VZEROUPPER
 	RET
+
+// func addAVX2(dst, a, b *float32, n int)
+//
+// dst[i] = a[i] + b[i] over n floats, a positive multiple of 8; dst may
+// be a or b.
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+addloop:
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (BX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     addloop
+
+	VZEROUPPER
+	RET

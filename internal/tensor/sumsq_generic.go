@@ -9,3 +9,5 @@ func scaleSumSqBody(lane *[8]float64, x []float32, alpha float32) bool {
 }
 
 func scale(dst, src []float32, alpha float32) { scaleGo(dst, src, alpha) }
+
+func add(dst, a, b []float32) { addGo(dst, a, b) }

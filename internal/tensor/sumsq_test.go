@@ -133,6 +133,28 @@ func TestScaleAsmMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestAddAsmMatchesGeneric: Add and AddInPlace are one float32 sum per
+// element on either path, aliased or not, at every ragged length.
+func TestAddAsmMatchesGeneric(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for n := 0; n <= 70; n++ {
+		a, b := randSlice(r, n, 10), randSlice(r, n, 10)
+		if n > 3 {
+			a[1], a[2], a[3] = 1e-45, -3e38, float32(math.Inf(-1))
+			b[2], b[3] = -3e38, float32(math.Inf(1))
+		}
+		got, want := make([]float32, n), make([]float32, n)
+		add(got, a, b)
+		addGo(want, a, b)
+		sum, inPlace := make([]float32, n), append([]float32(nil), a...)
+		Add(sum, a, b)
+		AddInPlace(inPlace, b)
+		if firstDiff(got, want) >= 0 || firstDiff(sum, want) >= 0 || firstDiff(inPlace, want) >= 0 {
+			t.Fatalf("n=%d: add %v / Add %v / AddInPlace %v != scalar lane %v", n, got, sum, inPlace, want)
+		}
+	}
+}
+
 // TestSumSqNonFiniteVerdict: both verdicts — a non-finite Sum after
 // Add, AddScaled's flag on the values as read — equal the old element
 // scan, with the special value at every position of ragged buffers at

@@ -43,7 +43,8 @@
 // is evaluated as x·σ(2u), u = √(2/π)(x + 0.044715x³), with σ built
 // from one float32 exp(−|2u|) and one divide per lane; LayerNorm's row
 // reductions are eight float32 lane sums folded in one fixed tree, its
-// dγ/dβ reductions run down the columns in row order. Two rules hold:
+// dγ/dβ reductions — and ColumnSums, a Linear layer's bias gradient —
+// run down the columns in row order. Two rules hold:
 // every element (every row, for LayerNorm) goes through identical
 // arithmetic wherever a caller cuts the buffer, so results do not
 // depend on GOMAXPROCS; and the assembly uses unfused multiplies and
