@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/parallel"
 )
@@ -47,9 +46,18 @@ func CrossEntropy(logits []float32, labels []int, classes int, dlogits []float32
 	return total / float64(batch)
 }
 
+// mseBlock is the number of elements per partial sum of MSE's
+// reduction. It is fixed, so where one partial ends and the next begins
+// — and therefore the rounding of the reported loss — does not depend
+// on how many workers the pool has.
+const mseBlock = parallel.MinGrain
+
 // MSE computes the mean squared error between pred and target and
 // writes dL/dpred into dpred (same length). This is the MAE
-// reconstruction loss applied over masked-patch pixels.
+// reconstruction loss applied over masked-patch pixels. The squares are
+// summed in float64 over fixed mseBlock-element blocks, and the block
+// sums added serially in block order: the same value at any
+// GOMAXPROCS, on every call.
 func MSE(pred, target, dpred []float32) float64 {
 	if len(pred) != len(target) || len(pred) != len(dpred) {
 		panic("nn: MSE length mismatch")
@@ -58,33 +66,24 @@ func MSE(pred, target, dpred []float32) float64 {
 	if n == 0 {
 		return 0
 	}
-	var cs chunkSum
-	parallel.Range(n, func(lo, hi int) {
+	inv := float32(2 / float64(n))
+	partial := make([]float64, (n+mseBlock-1)/mseBlock)
+	parallel.ForGrain(len(partial), 1, func(b int) {
 		var s float64
-		inv := float32(2 / float64(n))
-		for i := lo; i < hi; i++ {
+		end := min((b+1)*mseBlock, n)
+		for i := b * mseBlock; i < end; i++ {
 			d := pred[i] - target[i]
 			s += float64(d) * float64(d)
 			dpred[i] = inv * d
 		}
-		cs.add(s)
+		partial[b] = s
 	})
-	return cs.value() / float64(n)
+	var total float64
+	for _, s := range partial {
+		total += s
+	}
+	return total / float64(n)
 }
-
-// chunkSum accumulates float64 partial sums from concurrent workers.
-type chunkSum struct {
-	mu  sync.Mutex
-	sum float64
-}
-
-func (c *chunkSum) add(v float64) {
-	c.mu.Lock()
-	c.sum += v
-	c.mu.Unlock()
-}
-
-func (c *chunkSum) value() float64 { return c.sum }
 
 // NormalizePatches rewrites each patch row of a (nPatches × patchDim)
 // matrix to zero mean and unit variance, the "normalized pixel" target

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +408,37 @@ func TestMSEZeroForIdentical(t *testing.T) {
 	for _, v := range d {
 		if v != 0 {
 			t.Fatal("gradient nonzero for identical inputs")
+		}
+	}
+}
+
+// TestMSEOneValueAtAnyWorkerCount: the loss a run reports must not
+// depend on scheduling. 4608 elements is five reduction blocks; the sum
+// is the same on every one of a thousand calls with eight workers
+// racing, and the same at every GOMAXPROCS.
+func TestMSEOneValueAtAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 4608
+	r := rng.New(21)
+	pred, target, dpred := make([]float32, n), make([]float32, n), make([]float32, n)
+	r.FillNormal(pred, 0, 1)
+	r.FillNormal(target, 0, 1)
+	runtime.GOMAXPROCS(1)
+	want := MSE(pred, target, dpred)
+	wantGrad := append([]float32(nil), dpred...)
+	for _, procs := range []int{2, 3, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		calls := 1
+		if procs == 8 {
+			calls = 1000
+		}
+		for c := 0; c < calls; c++ {
+			if got := MSE(pred, target, dpred); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("GOMAXPROCS=%d call %d: MSE = %v, GOMAXPROCS=1 gave %v", procs, c, got, want)
+			}
+		}
+		if !bitsEqual(dpred, wantGrad) {
+			t.Fatalf("GOMAXPROCS=%d: gradient differs from GOMAXPROCS=1", procs)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package train
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/geodata"
@@ -77,6 +79,54 @@ func TestPretrainDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("loss curves diverge at step %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPretrainProcsIndependent: the same three steps give the same
+// losses and the same parameters, bit for bit, at any GOMAXPROCS. The
+// kernels have always been cut-independent; the reported loss was not
+// while nn.MSE added its chunk sums in worker-arrival order over chunks
+// whose count was the core count (batch 16 gives it 5376 elements — five
+// MinGrain chunks — so every worker count below reduced differently).
+func TestPretrainProcsIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func() (losses []float64, params []float32) {
+		cfg := PretrainConfig{
+			MAE: tinyMAE(), BatchSize: 16, Epochs: 1, BaseLR: 0.02,
+			WeightDecay: 0.05, WarmupEpochs: 1, ClipNorm: 5,
+			Workers: 2, Seed: 5, MaxStepsPerEpoch: 3,
+		}
+		res, err := Pretrain(cfg, tinyDataset(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Model.Params() {
+			params = append(params, p.Value.Data...)
+		}
+		return res.LossCurve.Y, params
+	}
+	var wantLoss []float64
+	var wantParams []float32
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		losses, params := run()
+		if wantLoss == nil {
+			if len(losses) != 3 {
+				t.Fatalf("ran %d steps, want 3", len(losses))
+			}
+			wantLoss, wantParams = losses, params
+			continue
+		}
+		for i := range wantLoss {
+			if math.Float64bits(losses[i]) != math.Float64bits(wantLoss[i]) {
+				t.Errorf("GOMAXPROCS=%d: loss at step %d is %v, GOMAXPROCS=1 gave %v", procs, i, losses[i], wantLoss[i])
+			}
+		}
+		for i := range wantParams {
+			if math.Float32bits(params[i]) != math.Float32bits(wantParams[i]) {
+				t.Fatalf("GOMAXPROCS=%d: parameter element %d differs from GOMAXPROCS=1", procs, i)
+			}
 		}
 	}
 }
