@@ -1,8 +1,13 @@
 // Command pretrain runs MAE self-supervised pretraining of an analog
-// ViT on the procedural MillionAID corpus and writes a checkpoint.
-// With -ranks N it executes real N-rank data-parallel training over
-// in-process ring collectives (internal/dist) and reports the measured
-// communication next to the α–β model's prediction for the same calls.
+// ViT on the procedural MillionAID corpus. Every run is
+// PretrainDistributed: -ranks 1 (the default) is the one-rank world
+// whose collectives move nothing, and -ranks N executes real N-rank
+// data-parallel training over in-process ring collectives
+// (internal/dist) and reports the measured communication next to the
+// α–β model's prediction for the same calls. -out writes the run's
+// resumable TrainState — fp32 master weights, Adam moments and schedule
+// point under every precision — the one checkpoint format cmd/serve
+// -ckpt, cmd/linprobe -checkpoint and DistPretrainConfig.Resume read.
 //
 // Usage:
 //
@@ -43,6 +48,27 @@ import (
 	"repro/geofm"
 )
 
+// options is the parsed command line: flags that name something
+// (-model, -strategy, -precision) are resolved in main so a typo fails
+// before anything runs.
+type options struct {
+	mae     geofm.MAEConfig
+	scale   int
+	epochs  int
+	steps   int
+	batch   int
+	lr      float64
+	workers int
+	seed    uint64
+	ranks   int
+	plan    geofm.Plan
+	prec    geofm.Precision
+	overlap bool
+	accum   int
+	profile string
+	out     string
+}
+
 func main() {
 	model := flag.String("model", "ViT-Base", "Table I model whose analog to train (ViT-Base, ViT-Huge, ViT-1B, ViT-3B)")
 	imageSize := flag.Int("image", 32, "image size of the procedural scenes")
@@ -56,34 +82,18 @@ func main() {
 	workers := flag.Int("workers", 4, "data loader workers per rank")
 	seed := flag.Uint64("seed", 1, "master seed")
 	ranks := flag.Int("ranks", 1, "data-parallel world size (in-process ranks)")
-	strategy := flag.String("strategy", "ddp", "gradient sync for -ranks > 1: "+acceptedStrategies)
+	strategy := flag.String("strategy", "ddp", "gradient sync across -ranks: "+acceptedStrategies)
 	precision := flag.String("precision", "fp32", "numeric mode: "+acceptedPrecisions)
 	overlap := flag.Bool("overlap", false, "launch gradient buckets during backward (communication-computation overlap; bitwise identical to the synchronous path)")
 	accum := flag.Int("accum", 1, "gradient-accumulation micro-steps per optimizer step (effective batch = -batch × -accum)")
 	profile := flag.String("profile", "", "hardware profile (hwprofile.json from cmd/calibrate); prices executed collectives with this host's measured α–β link instead of the default")
-	out := flag.String("out", "", "checkpoint output path (optional)")
+	out := flag.String("out", "", "path to write the resumable TrainState to (optional): fp32 master weights and Adam moments, what cmd/serve -ckpt and cmd/linprobe -checkpoint read")
 	flag.Parse()
 
 	enc, err := geofm.Analog(*model, *imageSize, *patchSize, *channels)
 	if err != nil {
 		fatal(err)
 	}
-	suite := geofm.NewSuite(*scale, *imageSize, *channels, *seed)
-
-	cfg := geofm.DefaultPretrain(geofm.DefaultMAE(enc))
-	cfg.Epochs = *epochs
-	cfg.MaxStepsPerEpoch = *steps
-	cfg.BatchSize = *batch
-	cfg.BaseLR = *lr
-	cfg.Workers = *workers
-	cfg.Seed = *seed
-	cfg.Log = os.Stdout
-
-	fmt.Printf("pretraining %s (%d parameters) on %s (%d images)\n",
-		enc.Name, enc.EncoderParams(), suite.Pretrain.Name, suite.Pretrain.TrainCount)
-
-	// Resolve -strategy, -precision and the -ranks/-batch split up front
-	// so a typo fails fast even at -ranks 1.
 	plan, err := parsePlan(*strategy)
 	if err != nil {
 		fatal(err)
@@ -92,50 +102,76 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := checkWorld(*ranks, *batch); err != nil {
+	o := options{
+		mae: geofm.DefaultMAE(enc), scale: *scale, epochs: *epochs, steps: *steps,
+		batch: *batch, lr: *lr, workers: *workers, seed: *seed,
+		ranks: *ranks, plan: plan, prec: prec, overlap: *overlap, accum: *accum,
+		profile: *profile, out: *out,
+	}
+	if err := run(o, os.Stdout); err != nil {
 		fatal(err)
 	}
+}
 
-	var link geofm.CommParams
-	if *profile != "" {
-		link, err = calibratedLink(*profile, prec)
+// distConfig is the one training configuration the options describe:
+// every run, a single rank included, is PretrainDistributed's.
+func (o options) distConfig() geofm.DistPretrainConfig {
+	cfg := geofm.DefaultPretrain(o.mae)
+	cfg.Epochs = o.epochs
+	cfg.MaxStepsPerEpoch = o.steps
+	cfg.BatchSize = o.batch
+	cfg.BaseLR = o.lr
+	cfg.Workers = o.workers
+	cfg.Seed = o.seed
+	return geofm.DistPretrainConfig{PretrainConfig: cfg, Ranks: o.ranks, Plan: o.plan,
+		Precision: o.prec, Overlap: o.overlap, AccumSteps: o.accum}
+}
+
+// run trains and reports to w (factored out so tests can drive the
+// command and read what -out wrote).
+func run(o options, w io.Writer) error {
+	if err := checkWorld(o.ranks, o.batch); err != nil {
+		return err
+	}
+	enc := o.mae.Encoder
+	suite := geofm.NewSuite(o.scale, enc.ImageSize, enc.Channels, o.seed)
+	cfg := o.distConfig()
+	cfg.Log = w
+	if o.profile != "" {
+		link, err := calibratedLink(o.profile, o.prec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("calibrated link: %.1f MiB/s, launch %.1fµs (%s)\n",
-			link.Bandwidth/(1<<20), link.Launch*1e6, *profile)
+		cfg.Link = link
+		fmt.Fprintf(w, "calibrated link: %.1f MiB/s, launch %.1fµs (%s)\n",
+			link.Bandwidth/(1<<20), link.Launch*1e6, o.profile)
 	}
 
-	var res *geofm.PretrainResult
-	// BF16 is implemented by the distributed executor (master weights,
-	// loss scaling, bf16 wire), so it routes through it even at 1 rank.
-	if *ranks > 1 || prec == geofm.BF16 || *overlap || *accum > 1 {
-		dcfg := geofm.DistPretrainConfig{PretrainConfig: cfg, Ranks: *ranks, Plan: plan,
-			Precision: prec, Overlap: *overlap, AccumSteps: *accum, Link: link}
-		fmt.Printf("executing %d ranks, %s, %s, local batch %d, accum %d, overlap %v\n",
-			*ranks, plan.Name(), prec, *batch / *ranks, max(*accum, 1), *overlap)
-		dres, err := geofm.PretrainDistributed(dcfg, suite.Pretrain)
-		if err != nil {
-			fatal(err)
-		}
-		writeComm(os.Stdout, dres)
-		fmt.Println(dres.Breakdown(plan.Name()))
-		res = &dres.PretrainResult
-	} else {
-		res, err = geofm.Pretrain(cfg, suite.Pretrain)
-		if err != nil {
-			fatal(err)
-		}
+	fmt.Fprintf(w, "pretraining %s (%d parameters) on %s (%d images)\n",
+		enc.Name, enc.EncoderParams(), suite.Pretrain.Name, suite.Pretrain.TrainCount)
+	fmt.Fprintf(w, "executing %d ranks, %s, %s, local batch %d, accum %d, overlap %v\n",
+		o.ranks, o.plan.Name(), o.prec, o.batch/o.ranks, max(o.accum, 1), o.overlap)
+	res, err := geofm.PretrainDistributed(cfg, suite.Pretrain)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("done: %d steps, final loss %.4f, %.1f images/s\n",
+	// A one-rank world's collectives are no-ops: there is no traffic to
+	// tabulate and no exposed communication to decompose.
+	if c := res.Comm; c.Broadcast.MeasuredWireBytes+c.AllReduce.MeasuredWireBytes+
+		c.ReduceScatter.MeasuredWireBytes+c.AllGather.MeasuredWireBytes > 0 {
+		writeComm(w, res)
+		fmt.Fprintln(w, res.Breakdown(o.plan.Name()))
+	}
+	fmt.Fprintf(w, "done: %d steps, final loss %.4f, %.1f images/s\n",
 		res.Steps, res.LossCurve.Last(), res.ImagesPerSec)
 
-	if *out != "" {
-		if err := geofm.SaveCheckpoint(*out, res.Model.Params(), res.Steps); err != nil {
-			fatal(err)
+	if o.out != "" {
+		if err := geofm.SaveTrainState(o.out, res.State); err != nil {
+			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", *out)
+		fmt.Fprintf(w, "train state written to %s (step %d)\n", o.out, res.State.Step)
 	}
+	return nil
 }
 
 // acceptedStrategies is the full -strategy vocabulary; parse errors

@@ -1,11 +1,97 @@
 package main
 
 import (
+	"fmt"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/geofm"
 )
+
+// tinyOptions is a whole command run small enough for milliseconds: a
+// 2-layer encoder, the scale-1000 corpus, two epochs of two steps.
+func tinyOptions(ranks int, prec geofm.Precision) options {
+	enc := geofm.ViTConfig{Name: "tiny", Width: 16, Depth: 2, MLP: 32, Heads: 2,
+		PatchSize: 4, ImageSize: 12, Channels: 3}
+	return options{
+		mae: geofm.MAEConfig{Encoder: enc,
+			DecoderWidth: 8, DecoderDepth: 1, DecoderHeads: 2, MaskRatio: 0.75},
+		scale: 1000, epochs: 2, steps: 2, batch: 8, lr: 0.02, workers: 2, seed: 1,
+		ranks: ranks, plan: geofm.BestPractice(geofm.ShardGradOp, 0), prec: prec, accum: 1,
+	}
+}
+
+// TestOutWritesResumableTrainState: what -out leaves on disk is the
+// run's TrainState — the fp32 master and the Adam moments, bit for bit,
+// under both precisions on one rank and two — not the working weights,
+// which under bf16 are the master's rounding (the file once held those,
+// with no optimizer state); and a longer schedule accepts it as Resume.
+func TestOutWritesResumableTrainState(t *testing.T) {
+	for _, prec := range []geofm.Precision{geofm.FP32, geofm.BF16} {
+		for _, ranks := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%d", prec, ranks), func(t *testing.T) {
+				o := tinyOptions(ranks, prec)
+				o.out = filepath.Join(t.TempDir(), "run.state")
+				var log strings.Builder
+				if err := run(o, &log); err != nil {
+					t.Fatal(err)
+				}
+				wantTable := ranks > 1
+				if got := strings.Contains(log.String(), "collective traffic"); got != wantTable {
+					t.Errorf("comm table printed = %v on %d ranks:\n%s", got, ranks, log.String())
+				}
+				st, err := geofm.LoadTrainState(o.out)
+				if err != nil {
+					t.Fatalf("-out does not load as a TrainState: %v", err)
+				}
+
+				suite := geofm.NewSuite(o.scale, 12, 3, o.seed)
+				ref, err := geofm.PretrainDistributed(o.distConfig(), suite.Pretrain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, pair := range map[string][2][]float32{
+					"Master": {st.Master, ref.State.Master},
+					"OptM":   {st.OptM, ref.State.OptM},
+					"OptV":   {st.OptV, ref.State.OptV},
+				} {
+					if len(pair[0]) != len(pair[1]) || len(pair[0]) == 0 {
+						t.Fatalf("%s: file holds %d values, the run's state %d", name, len(pair[0]), len(pair[1]))
+					}
+					for i := range pair[0] {
+						if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+							t.Fatalf("%s[%d] in the file differs from DistResult.State", name, i)
+						}
+					}
+				}
+				if prec == geofm.BF16 {
+					lowBits := 0
+					for _, v := range st.Master {
+						if math.Float32bits(v)&0xFFFF != 0 {
+							lowBits++
+						}
+					}
+					if lowBits == 0 {
+						t.Error("every saved master value is bf16-representable: the file holds the working weights, not the fp32 master")
+					}
+				}
+
+				longer := o.distConfig()
+				longer.Epochs = o.epochs + 1
+				longer.Resume = st
+				cont, err := geofm.PretrainDistributed(longer, suite.Pretrain)
+				if err != nil {
+					t.Fatalf("a longer schedule refuses the file as Resume: %v", err)
+				}
+				if cont.Steps != o.steps {
+					t.Errorf("resumed run took %d steps, want the one remaining epoch's %d", cont.Steps, o.steps)
+				}
+			})
+		}
+	}
+}
 
 // TestParsePlan pins the full accepted -strategy vocabulary and the
 // fail-fast behaviour: every rejection names the complete set, so a

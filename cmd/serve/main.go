@@ -11,9 +11,12 @@
 //	serve -mode wall -workers 2 -rates 1000
 //	serve -closed -clients 4 -per-client 25 -think 1e-3
 //
-// -mode virtual (default) executes requests with real model compute on
-// a virtual clock, so every number in the table is bit-for-bit
-// reproducible run to run. -mode wall starts the goroutine server and
+// -ckpt reads the resumable TrainState cmd/pretrain -out writes (the
+// one checkpoint format) and serves its fp32 master weights; the
+// architecture flags must be the training run's. -mode virtual
+// (default) executes requests with real model compute on a virtual
+// clock, so every number in the table is bit-for-bit reproducible run
+// to run. -mode wall starts the goroutine server and
 // submits the same schedule in real time; those numbers carry host
 // noise. -profile prices the virtual/simulated batches with a measured
 // hardware profile from cmd/calibrate instead of the default host
@@ -53,7 +56,7 @@ func main() {
 	imageSize := flag.Int("image", 32, "image size of the procedural scenes")
 	patchSize := flag.Int("patch", 8, "ViT patch size")
 	channels := flag.Int("channels", 3, "image channels")
-	ckpt := flag.String("ckpt", "", "training checkpoint to serve (cmd/pretrain -out); fresh seed weights when empty")
+	ckpt := flag.String("ckpt", "", "TrainState to serve (cmd/pretrain -out); fresh seed weights when empty")
 	bf16 := flag.Bool("bf16", false, "round the served weights to bf16")
 	mode := flag.String("mode", "virtual", "execution mode: virtual (deterministic clock, real compute) or wall (goroutine server, real time)")
 	rates := flag.String("rates", "500,1000,2000", "comma-separated open-loop arrival rates to sweep (requests/s)")
@@ -116,16 +119,29 @@ func run(o options, w io.Writer) error {
 
 	var m *geofm.ServeModel
 	if o.ckpt != "" {
-		loaded, step, err := loadCheckpoint(o)
-		if err != nil {
-			return err
+		// One format, the TrainState cmd/pretrain -out writes; anything
+		// else fails with LoadTrainState's own diagnosis (not an
+		// envelope, unknown version, checksum mismatch, malformed state).
+		st, err := geofm.LoadTrainState(o.ckpt)
+		if err == nil {
+			m, err = geofm.ServeModelFromState(o.mae, st)
 		}
-		m = loaded
-		fmt.Fprintf(w, "serving %s from %s (step %d)\n", enc.Name, o.ckpt, step)
+		if err != nil {
+			return fmt.Errorf("-ckpt %s: %w", o.ckpt, err)
+		}
+		fmt.Fprintf(w, "serving %s from %s (step %d)\n", enc.Name, o.ckpt, st.Step)
 	} else {
 		m = geofm.NewServeModel(o.mae, o.seed)
 		fmt.Fprintf(w, "serving %s with seed-%d weights (no checkpoint)\n", enc.Name, o.seed)
 	}
+	return session(o, m, w)
+}
+
+// session fits the probe heads on m's features and drives the load
+// sweep — everything after the choice of weights, so a test can hold
+// the checkpoint route to the same weights served from memory.
+func session(o options, m *geofm.ServeModel, w io.Writer) error {
+	enc := o.mae.Encoder
 
 	// Fit the classification and segmentation heads on the UCM analog
 	// so Classify/Segment requests are admissible.
@@ -200,25 +216,6 @@ func run(o options, w io.Writer) error {
 	}
 	fmt.Fprint(w, geofm.ServeRenderTable(reports))
 	return nil
-}
-
-// loadCheckpoint accepts both on-disk formats: the distributed
-// TrainState envelope (multi-rank runs, train.Reshard) and the
-// named-parameter snapshot single-rank `pretrain -out` writes.
-func loadCheckpoint(o options) (*geofm.ServeModel, int, error) {
-	if st, stErr := geofm.LoadTrainState(o.ckpt); stErr == nil {
-		m, err := geofm.ServeModelFromState(o.mae, st)
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, st.Step, nil
-	}
-	m := geofm.NewServeModel(o.mae, o.seed)
-	step, err := geofm.LoadCheckpoint(o.ckpt, m.MAE.Params())
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s is neither a TrainState nor a parameter checkpoint: %w", o.ckpt, err)
-	}
-	return m, step, nil
 }
 
 // runWall replays the schedule against the real goroutine server,

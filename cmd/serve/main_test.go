@@ -112,26 +112,32 @@ func TestServeWallMode(t *testing.T) {
 	}
 }
 
-// TestServeFromCheckpoint round-trips both on-disk formats through
-// -ckpt: the named-parameter snapshot `pretrain -out` writes, and a
-// distributed TrainState envelope. Identical weights by either route
-// must produce the identical deterministic session.
+// TestServeFromCheckpoint round-trips the one on-disk format through
+// -ckpt: the TrainState of a real 1-rank pretraining run must serve
+// the session the trained model itself serves from memory — head
+// accuracies and table alike — and a file that is not that fails with
+// LoadTrainState's own diagnosis, not a guess about formats.
 func TestServeFromCheckpoint(t *testing.T) {
 	o := tinyServeOptions()
 	o.rates = []float64{1500}
 	o.n = 20
 	o.closed = false
 
-	var want strings.Builder
-	if err := run(o, &want); err != nil {
+	pcfg := geofm.DefaultPretrain(o.mae)
+	pcfg.Epochs, pcfg.MaxStepsPerEpoch, pcfg.BatchSize, pcfg.Workers, pcfg.BaseLR = 2, 2, 8, 2, 0.02
+	enc := o.mae.Encoder
+	trained, err := geofm.PretrainDistributed(geofm.DistPretrainConfig{PretrainConfig: pcfg, Ranks: 1},
+		geofm.NewSuite(o.scale, enc.ImageSize, enc.Channels, o.seed).Pretrain)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantTable := tableOf(t, want.String())
+	var want strings.Builder
+	if err := session(o, &geofm.ServeModel{MAE: trained.Model}, &want); err != nil {
+		t.Fatal(err)
+	}
 
-	// Named-parameter snapshot of the same seed weights.
-	m := geofm.NewServeModel(o.mae, o.seed)
-	path := t.TempDir() + "/params.ckpt"
-	if err := geofm.SaveCheckpoint(path, m.MAE.Params(), 7); err != nil {
+	path := t.TempDir() + "/run.state"
+	if err := geofm.SaveTrainState(path, trained.State); err != nil {
 		t.Fatal(err)
 	}
 	o.ckpt = path
@@ -139,23 +145,42 @@ func TestServeFromCheckpoint(t *testing.T) {
 	if err := run(o, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(got.String(), "(step 7)") {
-		t.Errorf("checkpoint preamble missing step:\n%s", got.String())
+	preamble, rest, _ := strings.Cut(got.String(), "\n")
+	if !strings.Contains(preamble, "(step 4)") {
+		t.Errorf("checkpoint preamble missing the run's step count: %q", preamble)
 	}
-	if table := tableOf(t, got.String()); table != wantTable {
-		t.Errorf("snapshot-checkpoint session diverged from seed session:\n--- got ---\n%s--- want ---\n%s",
-			table, wantTable)
+	if rest != want.String() {
+		t.Errorf("checkpoint session diverged from the trained model served from memory:\n--- got ---\n%s--- want ---\n%s",
+			rest, want.String())
 	}
 
-	// A corrupt file must fail naming both formats.
-	bad := t.TempDir() + "/bad.ckpt"
-	if err := os.WriteFile(bad, []byte("not a checkpoint"), 0o644); err != nil {
+	// The three ways a file can be wrong, each by its own name.
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	o.ckpt = bad
-	if err := run(o, &strings.Builder{}); err == nil ||
-		!strings.Contains(err.Error(), "neither a TrainState nor a parameter checkpoint") {
-		t.Errorf("corrupt checkpoint: got %v", err)
+	raw[len(raw)/2] ^= 0x10 // inside the payload: the envelope header is a few dozen bytes
+	flipped := t.TempDir() + "/flipped.state"
+	garbage := t.TempDir() + "/garbage.state"
+	for file, content := range map[string][]byte{flipped: raw, garbage: []byte("not a checkpoint")} {
+		if err := os.WriteFile(file, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wider := o
+	wider.mae.Encoder.Width, wider.mae.Encoder.MLP = 24, 48
+	for _, c := range []struct {
+		name, ckpt, want string
+		o                options
+	}{
+		{"one payload byte flipped", flipped, "checksum mismatch", o},
+		{"another architecture", path, "wrong architecture", wider},
+		{"not a checkpoint", garbage, "decoding train-state envelope", o},
+	} {
+		c.o.ckpt = c.ckpt
+		if err := run(c.o, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 

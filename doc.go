@@ -32,11 +32,12 @@
 // pipelined Broadcast on []float32, zero-copy with a per-step
 // acknowledgement handshake, plus World.Subgroup communicators that
 // scope the same collectives to rank subsets (with their own rings, so
-// disjoint groups collect concurrently). train.PretrainDistributed
-// builds on it: seed-identical model replicas synchronized by a
-// parameter broadcast, a rank-sharded sampler that partitions exactly
-// the single-rank batch sequence, lock-step mask streams
-// (mae.DrawMasks), and the full Section III-C strategy matrix as one
+// disjoint groups collect concurrently). train.PretrainDistributed,
+// the one training loop (train.Pretrain is its call on a world of one
+// rank, whose collectives move nothing), builds on it: seed-identical
+// model replicas synchronized by a parameter broadcast, a rank-sharded
+// sampler that partitions exactly the one-rank batch sequence,
+// lock-step mask streams (mae.DrawMasks), and the full Section III-C strategy matrix as one
 // optimizer step over FSDP's FlatParameter: nn.FlattenParams makes each
 // replica's tensors windows of the rank's two padded flat buffers, so
 // the model, the collectives and the optimizer work on the same bytes
@@ -46,8 +47,13 @@
 // SHARD_GRAD_OP, FULL_SHARD and HYBRID_kGPUs — and fsdp.Plan
 // (ShardRanks, RegathersInBackward) is the one place that says what
 // each strategy shards and gathers.
-// An N-rank run reproduces the single-rank loss trajectory to within
-// float reassociation for every strategy, and every executed
+// An N-rank run reproduces the one-rank loss trajectory to within
+// float reassociation for every strategy (and the one-rank run is,
+// bit for bit, the per-parameter reference loop internal/train's tests
+// rebuild from ZeroGrads → Step → ClipGradNorm → AdamW.Step), a run
+// hands on one artifact, the resumable TrainState that cmd/pretrain
+// -out writes and cmd/serve -ckpt and cmd/linprobe -checkpoint read,
+// and every executed
 // collective is counted and simultaneously priced by the internal/comm
 // α–β model; the per-step byte counts are held equal — exactly — to
 // the internal/fsdp simulator's accounting (fsdp.TrafficPerStep) by
@@ -209,15 +215,16 @@
 // tensor.AdamW is the whole update in one all-float32 pass — the clip
 // factor multiplied into the gradient as it is read, the bf16 working
 // copy optionally written beside the fp32 weights — and every
-// optimizer in the tree (opt.AdamW, opt.ShardedAdamW, the distributed
-// step) is a loop over it; tensor.SumSq is Σx² in eight float64 lanes
-// keyed by flat index, so nn.GradL2Norm's per-parameter walk and a
-// rank's per-span walk produce the same bits, and its AddScaled form
-// takes the overflow verdict and unscales in the same read. Every
-// element — every row, for LayerNorm — goes through identical
-// arithmetic wherever parallel.Range cuts the buffer, and the assembly
-// matches the scalar lanes bitwise, so results depend on neither
-// GOMAXPROCS nor the build.
+// optimizer in the tree is a loop over it (opt.ShardedAdamW, which
+// the one training step runs at every world size, and opt.AdamW, which
+// fine-tuning and the tests' reference loop run); tensor.SumSq is Σx²
+// in eight float64 lanes keyed by flat index, so nn.GradL2Norm's
+// per-parameter walk and a rank's per-span walk produce the same bits,
+// and its AddScaled form takes the overflow verdict and unscales in the
+// same read. Every element — every row, for LayerNorm — goes through
+// identical arithmetic wherever parallel.Range cuts the buffer, and the
+// assembly matches the scalar lanes bitwise, so results depend on
+// neither GOMAXPROCS nor the build.
 //
 // Benchmarks: `go test -bench 'GEMM|GELU|LayerNorm|AdamW|SumSq' ./internal/tensor/
 // ./internal/nn/` reports achieved GFLOP/s (against the pre-blocking

@@ -34,7 +34,6 @@ import (
 	"repro/internal/geodata"
 	"repro/internal/hw"
 	"repro/internal/mae"
-	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/perfmodel"
 	"repro/internal/probe"
@@ -105,20 +104,13 @@ type PretrainResult = train.PretrainResult
 // 1.5e-4, weight decay 0.05, cosine schedule, 100 epochs).
 func DefaultPretrain(m MAEConfig) PretrainConfig { return train.DefaultPretrain(m) }
 
-// Pretrain runs MAE pretraining over the dataset's training split.
+// Pretrain runs MAE pretraining over the dataset's training split:
+// PretrainDistributed on a world of one rank. Call PretrainDistributed
+// (with Ranks: 1) instead when the run's artifact is wanted —
+// DistPretrainResult.State, the resumable TrainState that SaveTrainState
+// persists and ServeModelFromState / TrainState.LoadInto consume.
 func Pretrain(cfg PretrainConfig, ds *Dataset) (*PretrainResult, error) {
 	return train.Pretrain(cfg, ds)
-}
-
-// SaveCheckpoint persists model parameters to path.
-func SaveCheckpoint(path string, params []*nn.Param, step int) error {
-	return train.SaveParamsFile(path, params, step)
-}
-
-// LoadCheckpoint restores model parameters from path, returning the
-// saved step.
-func LoadCheckpoint(path string, params []*nn.Param) (int, error) {
-	return train.LoadParamsFile(path, params)
 }
 
 // ---- Distributed execution (real multi-rank training) ------------------
@@ -183,11 +175,14 @@ const (
 // the defaults: 2¹⁶ initial scale, ×2 growth, ×0.5 backoff).
 type LossScaleConfig = train.LossScaleConfig
 
-// TrainState is the resumable mid-run training state a distributed run
-// returns (DistPretrainResult.State) and accepts
-// (DistPretrainConfig.Resume): fp32 master weights, Adam moments, step
-// counters and the loss-scale schedule point. A resumed run continues
-// bitwise-identically to one that never stopped.
+// TrainState is what a pretraining run hands on, and the one checkpoint
+// format: the resumable training state a run returns
+// (DistPretrainResult.State) and accepts (DistPretrainConfig.Resume) —
+// fp32 master weights, Adam moments, step counters and the loss-scale
+// schedule point. A resumed run continues bitwise-identically to one
+// that never stopped; TrainState.LoadInto copies the master weights
+// into a model's parameters for probing, ServeModelFromState for
+// serving.
 type TrainState = train.TrainState
 
 // SaveTrainState persists a resumable training state to path.
@@ -211,7 +206,7 @@ func DefaultDistPretrain(m MAEConfig, ranks int) DistPretrainConfig {
 // synchronized init, rank-sharded sampling, and per-plan gradient /
 // optimizer-state / parameter synchronization (the sharded strategies
 // reshard parameters through subgroup communicators). An N-rank run
-// reproduces the single-rank Pretrain loss trajectory up to float
+// reproduces the one-rank (Pretrain) loss trajectory up to float
 // reassociation, for every strategy of the matrix.
 func PretrainDistributed(cfg DistPretrainConfig, ds *Dataset) (*DistPretrainResult, error) {
 	return train.PretrainDistributed(cfg, ds)

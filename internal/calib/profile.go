@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 
 	"repro/internal/comm"
@@ -49,6 +50,18 @@ func (p *HardwareProfile) Validate() error {
 	if len(p.GEMM.Points) < 2 || p.GEMM.PeakGFLOPS() <= 0 {
 		return fmt.Errorf("calib: profile roofline has %d points, peak %v GFLOP/s",
 			len(p.GEMM.Points), p.GEMM.PeakGFLOPS())
+	}
+	// GFLOPSAt interpolates in log(Dim) between neighbours: a point with
+	// no volume, no throughput or out of order turns into a negative or
+	// NaN MFU three calls later.
+	for i, pt := range p.GEMM.Points {
+		if pt.M < 1 || pt.K < 1 || pt.N < 1 || !(pt.GFLOPS > 0) || math.IsInf(pt.GFLOPS, 1) {
+			return fmt.Errorf("calib: profile roofline point %d is %d×%d×%d at %v GFLOP/s (want positive)",
+				i, pt.M, pt.K, pt.N, pt.GFLOPS)
+		}
+		if i > 0 && pt.Dim() < p.GEMM.Points[i-1].Dim() {
+			return fmt.Errorf("calib: profile roofline not sorted by dimension at point %d", i)
+		}
 	}
 	if p.Stream.TriadBW <= 0 {
 		return fmt.Errorf("calib: profile triad bandwidth %v", p.Stream.TriadBW)
@@ -123,6 +136,14 @@ func (p *HardwareProfile) MachineFor(w perfmodel.Workload, commScale float64) (h
 	}
 	eff := p.GEMM.GFLOPSAt(dim) * 1e9 * discount / p.Contention
 	bw := link.Bandwidth / commScale
+	// Tables that each pass Validate can still multiply out of range
+	// (a 1e308 GFLOP/s point, a denormal β): refuse the machine rather
+	// than hand the simulator an infinite peak or a zero MFU.
+	mfu := eff / peak
+	if !(mfu > 0 && mfu <= 1) || math.IsInf(peak, 1) || !(bw > 0) || math.IsInf(bw, 1) {
+		return hw.Machine{}, fmt.Errorf("calib: profile prices the workload non-physically (peak %v FLOP/s, MFU %v, link %v B/s)",
+			peak, mfu, bw)
+	}
 	return hw.Machine{
 		Name:        "calibrated/" + p.Host.KernelISA(),
 		MaxNodes:    1,
@@ -132,7 +153,7 @@ func (p *HardwareProfile) MachineFor(w perfmodel.Workload, commScale float64) (h
 		HBMBandwidth:   p.Stream.TriadBW,
 
 		PeakMatrixFLOPS: peak,
-		MFU:             eff / peak,
+		MFU:             mfu,
 
 		PairBW:             bw,
 		IntraNodeBW:        bw,

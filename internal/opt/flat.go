@@ -17,8 +17,11 @@ import (
 // ranks (PadTo), span lists for bucket-granular ownership — and
 // ShardedAdamW, the Adam moments for just the spans one rank owns: the
 // ZeRO-1/ZeRO-3 partitioning of optimizer state, of which "replicated"
-// is the one-span case. The Pack*/Unpack* copies serve callers whose
-// model keeps its own tensors (serving loads, tests, bench probes).
+// is the one-span case. Training calls none of the Pack*/Unpack*
+// copies; they serve the one place a flat vector meets a model that
+// keeps its own tensors (train.TrainState.LoadInto, behind which
+// serving and probing load a checkpoint), tests, and bench/'s
+// opt.pack_unpack_ms probe, which pins their signatures.
 
 // FlatDim returns the total element count across params — the length
 // of the flat parameter space before padding.

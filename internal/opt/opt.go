@@ -1,8 +1,7 @@
-// Package opt implements the optimizers and learning-rate schedules the
-// paper trains with: AdamW (MAE pretraining, base LR 1.5e-4, weight
-// decay 0.05), LARS (linear probing, base LR 0.1, no weight decay), and
-// SGD with momentum as a baseline, plus cosine decay with linear
-// warmup.
+// Package opt implements the optimizers and the learning-rate schedule
+// the paper trains with: AdamW (MAE pretraining, base LR 1.5e-4, weight
+// decay 0.05), LARS (linear probing, base LR 0.1, no weight decay) and
+// cosine decay with linear warmup under the linear batch-scaling rule.
 package opt
 
 import (
@@ -11,14 +10,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update at the given learning rate.
-	Step(lr float64)
-	// Params returns the parameter set being optimized.
-	Params() []*nn.Param
-}
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter), the
 // pretraining optimizer of the paper. Parameters flagged NoWeightDecay
@@ -58,9 +49,6 @@ func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
 	return a
 }
 
-// Params returns the optimized parameters.
-func (a *AdamW) Params() []*nn.Param { return a.params }
-
 // Step applies one AdamW update: tensor.AdamW over every parameter,
 // the kernel ShardedAdamW runs over flat spans, so the two agree bit
 // for bit.
@@ -73,46 +61,6 @@ func (a *AdamW) Step(lr float64) {
 			k.Decay = 0
 		}
 		tensor.AdamW(p.Value.Data, nil, p.Grad.Data, a.m[pi], a.v[pi], &k)
-	}
-}
-
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	Momentum    float64
-	WeightDecay float64
-
-	params []*nn.Param
-	vel    [][]float32
-}
-
-// NewSGD constructs SGD with the given momentum and L2 weight decay.
-func NewSGD(params []*nn.Param, momentum, weightDecay float64) *SGD {
-	s := &SGD{Momentum: momentum, WeightDecay: weightDecay, params: params}
-	for _, p := range params {
-		s.vel = append(s.vel, make([]float32, p.NumEl()))
-	}
-	return s
-}
-
-// Params returns the optimized parameters.
-func (s *SGD) Params() []*nn.Param { return s.params }
-
-// Step applies one SGD update.
-func (s *SGD) Step(lr float64) {
-	mu := float32(s.Momentum)
-	for pi, p := range s.params {
-		vel := s.vel[pi]
-		w := p.Value.Data
-		g := p.Grad.Data
-		wd := float32(s.WeightDecay)
-		if p.NoWeightDecay {
-			wd = 0
-		}
-		for i := range w {
-			grad := g[i] + wd*w[i]
-			vel[i] = mu*vel[i] + grad
-			w[i] -= float32(lr) * vel[i]
-		}
 	}
 }
 
@@ -138,9 +86,6 @@ func NewLARS(params []*nn.Param, weightDecay float64) *LARS {
 	}
 	return l
 }
-
-// Params returns the optimized parameters.
-func (l *LARS) Params() []*nn.Param { return l.params }
 
 // Step applies one LARS update.
 func (l *LARS) Step(lr float64) {
@@ -174,11 +119,6 @@ func (l *LARS) Step(lr float64) {
 	}
 }
 
-// Schedule maps a step index to a learning rate.
-type Schedule interface {
-	LR(step int) float64
-}
-
 // CosineSchedule is linear warmup to Base over WarmupSteps, then cosine
 // decay to MinLR at TotalSteps — the schedule used for both pretraining
 // and probing in the MAE recipe.
@@ -204,12 +144,6 @@ func (c CosineSchedule) LR(step int) float64 {
 	progress := float64(step-c.WarmupSteps) / denom
 	return c.MinLR + 0.5*(c.Base-c.MinLR)*(1+math.Cos(math.Pi*progress))
 }
-
-// ConstSchedule returns a fixed learning rate.
-type ConstSchedule float64
-
-// LR returns the constant rate.
-func (c ConstSchedule) LR(int) float64 { return float64(c) }
 
 // ScaledLR applies the linear batch-size scaling rule the paper uses:
 // lr = baseLR × globalBatch / 256.

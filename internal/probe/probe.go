@@ -24,7 +24,7 @@ import (
 )
 
 // FeatureFunc maps a batch of channel-last images to (batch × dim)
-// features. mae.Model.Features and vit.Model.Features both satisfy it.
+// features. mae.Model.Features satisfies it.
 type FeatureFunc func(imgs []float32, batch int) []float32
 
 // Config carries the probing hyper-parameters; defaults follow the

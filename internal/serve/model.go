@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"fmt"
-
 	"repro/internal/mae"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/probe"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -47,15 +44,12 @@ func NewModel(cfg mae.Config, seed uint64) *Model {
 // NewModelFromState builds the model for cfg and loads the fp32
 // master weights from a training checkpoint. The TrainState does not
 // record the architecture, so cfg must be the training configuration;
-// a mismatch is caught by the flat-dimension check.
+// TrainState.LoadInto rejects a mismatch.
 func NewModelFromState(cfg mae.Config, st *train.TrainState) (*Model, error) {
 	m := &Model{MAE: mae.New(cfg, rng.New(1))}
-	params := m.MAE.Params()
-	if want := opt.FlatDim(params); want != len(st.Master) {
-		return nil, fmt.Errorf("serve: checkpoint has %d weights, config wants %d (wrong architecture?)",
-			len(st.Master), want)
+	if err := st.LoadInto(m.MAE.Params()); err != nil {
+		return nil, err
 	}
-	opt.UnpackValues(params, st.Master)
 	return m, nil
 }
 

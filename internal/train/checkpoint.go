@@ -13,57 +13,6 @@ import (
 	"repro/internal/opt"
 )
 
-// Checkpoint is the on-disk parameter snapshot format: a map from
-// parameter name to raw values, plus enough metadata to detect
-// mismatched restores. gob keeps the repo dependency-free.
-type Checkpoint struct {
-	Format  string
-	Step    int
-	Tensors map[string][]float32
-}
-
-const checkpointFormat = "geofm-checkpoint-v1"
-
-// SaveParams writes a named-parameter snapshot to w.
-func SaveParams(w io.Writer, params []*nn.Param, step int) error {
-	ck := Checkpoint{
-		Format:  checkpointFormat,
-		Step:    step,
-		Tensors: make(map[string][]float32, len(params)),
-	}
-	for _, p := range params {
-		if _, dup := ck.Tensors[p.Name]; dup {
-			return fmt.Errorf("train: duplicate parameter name %q", p.Name)
-		}
-		ck.Tensors[p.Name] = p.Value.Data
-	}
-	return gob.NewEncoder(w).Encode(ck)
-}
-
-// LoadParams restores a snapshot into params, matching by name. Every
-// parameter must be present with the exact element count.
-func LoadParams(r io.Reader, params []*nn.Param) (step int, err error) {
-	var ck Checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return 0, fmt.Errorf("train: decoding checkpoint: %w", err)
-	}
-	if ck.Format != checkpointFormat {
-		return 0, fmt.Errorf("train: unknown checkpoint format %q", ck.Format)
-	}
-	for _, p := range params {
-		data, ok := ck.Tensors[p.Name]
-		if !ok {
-			return 0, fmt.Errorf("train: checkpoint missing parameter %q", p.Name)
-		}
-		if len(data) != p.NumEl() {
-			return 0, fmt.Errorf("train: parameter %q has %d values, model expects %d",
-				p.Name, len(data), p.NumEl())
-		}
-		copy(p.Value.Data, data)
-	}
-	return ck.Step, nil
-}
-
 // TrainState is the complete mid-run training state of a distributed
 // pretraining run at an epoch boundary — everything a resumed
 // PretrainDistributed needs to continue bitwise-identically to an
@@ -225,21 +174,30 @@ func (st *TrainState) clone() *TrainState {
 	return &cp
 }
 
-// SaveTrainStateFile writes a training state to path (atomically via a
-// temp file).
-func SaveTrainStateFile(path string, st *TrainState) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SaveTrainState(w, st) })
+// LoadInto copies the state's fp32 master weights into params, which
+// must be the architecture the state was trained on, in Params() order
+// — how a trained model on disk becomes a model in memory for serving
+// and probing. The state does not record the architecture, so a
+// mismatch is caught by the flat-dimension check.
+func (st *TrainState) LoadInto(params []*nn.Param) error {
+	if want := opt.FlatDim(params); want != len(st.Master) {
+		return fmt.Errorf("train: checkpoint has %d weights, model wants %d (wrong architecture?)",
+			len(st.Master), want)
+	}
+	opt.UnpackValues(params, st.Master)
+	return nil
 }
 
-// saveFileAtomic writes via a temp file renamed into place, so a crash
-// mid-write never leaves a truncated checkpoint at path.
-func saveFileAtomic(path string, write func(io.Writer) error) error {
+// SaveTrainStateFile writes a training state to path via a temp file
+// renamed into place, so a crash mid-write never leaves a truncated
+// checkpoint at path.
+func SaveTrainStateFile(path string, st *TrainState) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := SaveTrainState(f, st); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -259,19 +217,4 @@ func LoadTrainStateFile(path string) (*TrainState, error) {
 	}
 	defer f.Close()
 	return LoadTrainState(f)
-}
-
-// SaveParamsFile writes a snapshot to path (atomically via a temp file).
-func SaveParamsFile(path string, params []*nn.Param, step int) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SaveParams(w, params, step) })
-}
-
-// LoadParamsFile restores a snapshot from path.
-func LoadParamsFile(path string, params []*nn.Param) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return LoadParams(f, params)
 }

@@ -6,12 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dataload"
 	"repro/internal/fsdp"
-	"repro/internal/mae"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/rng"
 )
 
 // Every other suite in this package trains with ClipNorm 5, which the
@@ -48,47 +43,28 @@ func sameLosses(a, b []float64) int {
 }
 
 // TestClipEngagedSingleRankMatchesPretrain: with the clip engaged at
-// every step (checked, by rebuilding Pretrain's loop from the public
-// calls and reading each pre-clip norm), Pretrain, the public sequence
-// ZeroGrads → Step → ClipGradNorm → AdamW.Step and every strategy's
-// 1-rank PretrainDistributed train one trajectory bit for bit — the
+// every step (checked on each pre-clip norm the reference loop reads),
+// the public sequence ZeroGrads → Step → ClipGradNorm → AdamW.Step
+// (referencePretrain), Pretrain and every strategy's 1-rank
+// PretrainDistributed train one trajectory bit for bit — the
 // per-parameter and the per-span Σg² are the same sum, and a clip
 // factor applied by Scale or inside the kernel is the same product.
 func TestClipEngagedSingleRankMatchesPretrain(t *testing.T) {
 	cfg := clippedDistConfig(1, fsdp.DefaultDDP(), FP32).PretrainConfig
-	ref, err := Pretrain(cfg, tinyDataset(32))
+	refLoss, refParams := referencePretrain(t, cfg, tinyDataset(32), func(step int, norm float64) {
+		if norm < 2*cfg.ClipNorm {
+			t.Fatalf("step %d: gradient norm %v does not engage the clip at %v", step, norm, cfg.ClipNorm)
+		}
+	})
+	single, err := Pretrain(cfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ds := tinyDataset(32)
-	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
-	params := model.Params()
-	optim := opt.NewAdamW(params, cfg.WeightDecay)
-	perEpoch := ds.TrainCount / cfg.BatchSize
-	sched := opt.CosineSchedule{Base: opt.ScaledLR(cfg.BaseLR, cfg.BatchSize),
-		WarmupSteps: cfg.WarmupEpochs * perEpoch, TotalSteps: cfg.Epochs * perEpoch}
-	loader := dataload.New(
-		dataload.TrainSplit{D: ds, Count: ds.TrainCount, ImgLen: ds.Gen.ImageLen()},
-		dataload.Config{BatchSize: cfg.BatchSize, Workers: cfg.Workers, Shuffle: true, DropLast: true,
-			Seed: cfg.Seed ^ 0xDA7A})
-	var manual []float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for batch := range loader.EpochN(perEpoch) {
-			nn.ZeroGrads(params)
-			manual = append(manual, model.Step(batch.Images, batch.Size))
-			if norm := nn.ClipGradNorm(params, cfg.ClipNorm); norm < 2*cfg.ClipNorm {
-				t.Fatalf("step %d: gradient norm %v does not engage the clip at %v", len(manual)-1, norm, cfg.ClipNorm)
-			}
-			optim.Step(sched.LR(len(manual) - 1))
-			loader.Recycle(batch)
-		}
+	if len(refLoss) != len(single.LossCurve.Y) {
+		t.Fatalf("rebuilt loop ran %d steps, Pretrain %d", len(refLoss), len(single.LossCurve.Y))
 	}
-	if len(manual) != len(ref.LossCurve.Y) {
-		t.Fatalf("rebuilt loop ran %d steps, Pretrain %d", len(manual), len(ref.LossCurve.Y))
-	}
-	if i := sameLosses(manual, ref.LossCurve.Y); i >= 0 {
-		t.Fatalf("public call sequence differs from Pretrain at step %d: %v vs %v", i, manual[i], ref.LossCurve.Y[i])
+	if i := sameLosses(refLoss, single.LossCurve.Y); i >= 0 {
+		t.Fatalf("public call sequence differs from Pretrain at step %d: %v vs %v", i, refLoss[i], single.LossCurve.Y[i])
 	}
 
 	for _, plan := range matrixPlans() {
@@ -96,12 +72,12 @@ func TestClipEngagedSingleRankMatchesPretrain(t *testing.T) {
 			continue
 		}
 		got := mustPretrainDistributed(t, clippedDistConfig(1, plan, FP32), 32)
-		if i := sameLosses(ref.LossCurve.Y, got.LossCurve.Y); i >= 0 {
-			t.Fatalf("%s: 1-rank distributed differs from Pretrain at step %d: %v vs %v",
-				plan.Name(), i, got.LossCurve.Y[i], ref.LossCurve.Y[i])
+		if i := sameLosses(refLoss, got.LossCurve.Y); i >= 0 {
+			t.Fatalf("%s: 1-rank distributed differs from the reference loop at step %d: %v vs %v",
+				plan.Name(), i, got.LossCurve.Y[i], refLoss[i])
 		}
-		if !bitsEqual(packedParams(got.Model), packedParams(ref.Model)) {
-			t.Fatalf("%s: final parameters differ from Pretrain's", plan.Name())
+		if !bitsEqual(packedParams(got.Model), refParams) {
+			t.Fatalf("%s: final parameters differ from the reference loop's", plan.Name())
 		}
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"repro/internal/trace"
 )
 
-// DistConfig configures real multi-rank pretraining over internal/dist.
-// The embedded PretrainConfig is interpreted globally: BatchSize is the
-// global batch (split evenly across ranks), and the learning-rate
-// schedule, epochs and clipping act exactly as in the single-rank
-// Pretrain — an N-rank run reproduces the single-rank loss trajectory
-// up to the floating-point reassociation of the ring reductions.
+// DistConfig configures pretraining over internal/dist on any world,
+// one rank included (Pretrain is that call). The embedded
+// PretrainConfig is interpreted globally: BatchSize is the global batch
+// (split evenly across ranks), and the learning-rate schedule, epochs
+// and clipping are functions of the global batch and step alone — an
+// N-rank run reproduces the one-rank loss trajectory up to the
+// floating-point reassociation of the ring reductions.
 type DistConfig struct {
 	PretrainConfig
 	// Ranks is the data-parallel world size (in-process goroutine
@@ -267,7 +268,7 @@ func (run *distRun) checkResume() error {
 // PretrainDistributed runs MAE pretraining SPMD across cfg.Ranks
 // in-process ranks: seed-identical replicas synchronized by a parameter
 // broadcast at init, a rank-sharded sampler over the same global batch
-// sequence as the single-rank run, per-rank forward/backward with the
+// sequence at every world size, per-rank forward/backward with the
 // global batch's mask stream, and gradient/optimizer synchronization
 // per cfg.Plan (fsdp.Plan documents the strategies; rankState.step is
 // the one optimizer phase they all run). The returned model is rank 0's

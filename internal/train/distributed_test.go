@@ -149,23 +149,24 @@ func TestDistTrafficMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestSingleRankDistributedMatchesPretrain: the degenerate world runs
-// the very same arithmetic as Pretrain (collectives are no-ops), so the
-// curves must match bit-for-bit.
+// TestSingleRankDistributedMatchesPretrain: the degenerate world — what
+// Pretrain runs — does the very same arithmetic as the per-parameter
+// reference loop (collectives are no-ops), so the curves must match
+// bit-for-bit.
 func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 	dcfg := tinyDistConfig(1, fsdp.DefaultDDP())
-	ref, err := Pretrain(dcfg.PretrainConfig, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := referencePretrain(t, dcfg.PretrainConfig, tinyDataset(32), nil)
 	got, err := PretrainDistributed(dcfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.LossCurve.Y {
-		if got.LossCurve.Y[i] != ref.LossCurve.Y[i] {
-			t.Fatalf("1-rank distributed differs from Pretrain at step %d: %v vs %v",
-				i, got.LossCurve.Y[i], ref.LossCurve.Y[i])
+	if len(got.LossCurve.Y) != len(ref) {
+		t.Fatalf("1-rank distributed ran %d steps, the reference loop %d", len(got.LossCurve.Y), len(ref))
+	}
+	for i := range ref {
+		if got.LossCurve.Y[i] != ref[i] {
+			t.Fatalf("1-rank distributed differs from the reference loop at step %d: %v vs %v",
+				i, got.LossCurve.Y[i], ref[i])
 		}
 	}
 	if got.Traffic.Total() != 0 || got.Comm.AllReduce.MeasuredWireBytes != 0 {
@@ -176,12 +177,10 @@ func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 // TestSingleRankEveryStrategyMatchesPretrain: on a one-rank world every
 // strategy that can tile it — the "sharded" ones included, whose shard
 // group degenerates to a single owner of the whole flat space — runs
-// the same arithmetic as Pretrain and moves no bytes.
+// the same arithmetic as the per-parameter reference loop and moves no
+// bytes.
 func TestSingleRankEveryStrategyMatchesPretrain(t *testing.T) {
-	ref, err := Pretrain(tinyDistConfig(1, fsdp.DefaultDDP()).PretrainConfig, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := referencePretrain(t, tinyDistConfig(1, fsdp.DefaultDDP()).PretrainConfig, tinyDataset(32), nil)
 	for _, plan := range matrixPlans() {
 		if plan.Validate(1) != nil {
 			continue // HYBRID_kGPUs, k>1, cannot tile one rank
@@ -190,10 +189,13 @@ func TestSingleRankEveryStrategyMatchesPretrain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name(), err)
 		}
-		for i := range ref.LossCurve.Y {
-			if got.LossCurve.Y[i] != ref.LossCurve.Y[i] {
-				t.Fatalf("%s: 1-rank distributed differs from Pretrain at step %d: %v vs %v",
-					plan.Name(), i, got.LossCurve.Y[i], ref.LossCurve.Y[i])
+		if len(got.LossCurve.Y) != len(ref) {
+			t.Fatalf("%s: ran %d steps, the reference loop %d", plan.Name(), len(got.LossCurve.Y), len(ref))
+		}
+		for i := range ref {
+			if got.LossCurve.Y[i] != ref[i] {
+				t.Fatalf("%s: 1-rank distributed differs from the reference loop at step %d: %v vs %v",
+					plan.Name(), i, got.LossCurve.Y[i], ref[i])
 			}
 		}
 		c := got.Comm

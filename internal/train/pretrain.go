@@ -1,22 +1,18 @@
-// Package train implements the self-supervised pretraining engine: the
-// epoch/step loop over the MAE model with AdamW, linear-warmup cosine
-// learning-rate schedule, gradient clipping, loss telemetry and
-// checkpointing — the Section V pretraining recipe of the paper at
-// laptop scale.
+// Package train implements the self-supervised pretraining engine —
+// the Section V pretraining recipe of the paper at laptop scale: one
+// epoch/step loop over the MAE model (PretrainDistributed and the
+// per-rank code in rank.go) with sharded AdamW, linear-warmup cosine
+// learning-rate schedule, gradient clipping and loss telemetry, run on
+// any world from one rank up under every strategy of the Section III-C
+// matrix, and one on-disk artifact, the resumable TrainState.
 package train
 
 import (
-	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/dataload"
 	"repro/internal/geodata"
 	"repro/internal/mae"
 	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/rng"
 )
 
 // PretrainConfig carries the pretraining hyper-parameters. The defaults
@@ -67,75 +63,14 @@ type PretrainResult struct {
 }
 
 // Pretrain runs MAE pretraining over the dataset's training split and
-// returns the model plus loss curves.
+// returns the model plus loss curves: PretrainDistributed on a world of
+// one rank under the default plan, where every collective is a no-op
+// that moves no bytes (the paper's single GPU as the degenerate cell of
+// the FSDP matrix).
 func Pretrain(cfg PretrainConfig, ds *geodata.Dataset) (*PretrainResult, error) {
-	if err := cfg.MAE.Validate(); err != nil {
-		return nil, fmt.Errorf("train: %w", err)
+	res, err := PretrainDistributed(DistConfig{PretrainConfig: cfg, Ranks: 1}, ds)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("train: non-positive batch size or epochs")
-	}
-	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
-	res := &PretrainResult{Model: model}
-	res.LossCurve.Name = cfg.MAE.Encoder.Name + " pretrain loss"
-	res.EpochLoss.Name = cfg.MAE.Encoder.Name + " epoch loss"
-
-	params := model.Params()
-	optim := opt.NewAdamW(params, cfg.WeightDecay)
-	stepsPerEpoch := ds.TrainCount / cfg.BatchSize
-	if cfg.MaxStepsPerEpoch > 0 && stepsPerEpoch > cfg.MaxStepsPerEpoch {
-		stepsPerEpoch = cfg.MaxStepsPerEpoch
-	}
-	if stepsPerEpoch == 0 {
-		return nil, fmt.Errorf("train: dataset smaller than one batch")
-	}
-	sched := opt.CosineSchedule{
-		Base:        opt.ScaledLR(cfg.BaseLR, cfg.BatchSize),
-		MinLR:       0,
-		WarmupSteps: cfg.WarmupEpochs * stepsPerEpoch,
-		TotalSteps:  cfg.Epochs * stepsPerEpoch,
-	}
-
-	gen := ds.Gen
-	loader := dataload.New(
-		dataload.TrainSplit{D: ds, Count: ds.TrainCount, ImgLen: gen.ImageLen()},
-		dataload.Config{
-			BatchSize: cfg.BatchSize,
-			Workers:   cfg.Workers,
-			Shuffle:   true,
-			DropLast:  true,
-			Seed:      cfg.Seed ^ 0xDA7A,
-		})
-
-	start := time.Now()
-	images := 0
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var epochLoss metrics.Meter
-		for batch := range loader.EpochN(stepsPerEpoch) {
-			nn.ZeroGrads(params)
-			loss := model.Step(batch.Images, batch.Size)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			optim.Step(sched.LR(step))
-			images += batch.Size
-			loader.Recycle(batch)
-
-			epochLoss.Add(loss)
-			res.LossCurve.Append(float64(step), loss)
-			step++
-		}
-		res.EpochLoss.Append(float64(epoch), epochLoss.Mean())
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "epoch %3d/%d  loss %.4f  lr %.2e\n",
-				epoch+1, cfg.Epochs, epochLoss.Mean(), sched.LR(step-1))
-		}
-	}
-	res.Steps = step
-	elapsed := time.Since(start).Seconds()
-	if elapsed > 0 {
-		res.ImagesPerSec = float64(images) / elapsed
-	}
-	return res, nil
+	return &res.PretrainResult, nil
 }

@@ -5,12 +5,14 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/fsdp"
 	"repro/internal/geodata"
 	"repro/internal/mae"
-	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 	"repro/internal/vit"
 )
 
@@ -91,12 +93,12 @@ func TestPretrainDeterministicAcrossWorkerCounts(t *testing.T) {
 // MinGrain chunks — so every worker count below reduced differently).
 func TestPretrainProcsIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := PretrainConfig{
+		MAE: tinyMAE(), BatchSize: 16, Epochs: 1, BaseLR: 0.02,
+		WeightDecay: 0.05, WarmupEpochs: 1, ClipNorm: 5,
+		Workers: 2, Seed: 5, MaxStepsPerEpoch: 3,
+	}
 	run := func() (losses []float64, params []float32) {
-		cfg := PretrainConfig{
-			MAE: tinyMAE(), BatchSize: 16, Epochs: 1, BaseLR: 0.02,
-			WeightDecay: 0.05, WarmupEpochs: 1, ClipNorm: 5,
-			Workers: 2, Seed: 5, MaxStepsPerEpoch: 3,
-		}
 		res, err := Pretrain(cfg, tinyDataset(64))
 		if err != nil {
 			t.Fatal(err)
@@ -106,26 +108,28 @@ func TestPretrainProcsIndependent(t *testing.T) {
 		}
 		return res.LossCurve.Y, params
 	}
-	var wantLoss []float64
-	var wantParams []float32
+	// The expected value is the reference loop's trajectory on one core,
+	// so the production path is held to an independent statement of the
+	// step at every core count, GOMAXPROCS=1 included.
+	runtime.GOMAXPROCS(1)
+	wantLoss, wantParams := referencePretrain(t, cfg, tinyDataset(64), nil)
+	if len(wantLoss) != 3 {
+		t.Fatalf("reference ran %d steps, want 3", len(wantLoss))
+	}
 	for _, procs := range []int{1, 2, 3, 7} {
 		runtime.GOMAXPROCS(procs)
 		losses, params := run()
-		if wantLoss == nil {
-			if len(losses) != 3 {
-				t.Fatalf("ran %d steps, want 3", len(losses))
-			}
-			wantLoss, wantParams = losses, params
-			continue
+		if len(losses) != 3 {
+			t.Fatalf("ran %d steps, want 3", len(losses))
 		}
 		for i := range wantLoss {
 			if math.Float64bits(losses[i]) != math.Float64bits(wantLoss[i]) {
-				t.Errorf("GOMAXPROCS=%d: loss at step %d is %v, GOMAXPROCS=1 gave %v", procs, i, losses[i], wantLoss[i])
+				t.Errorf("GOMAXPROCS=%d: loss at step %d is %v, the reference loop at GOMAXPROCS=1 gave %v", procs, i, losses[i], wantLoss[i])
 			}
 		}
 		for i := range wantParams {
 			if math.Float32bits(params[i]) != math.Float32bits(wantParams[i]) {
-				t.Fatalf("GOMAXPROCS=%d: parameter element %d differs from GOMAXPROCS=1", procs, i)
+				t.Fatalf("GOMAXPROCS=%d: parameter element %d differs from the reference loop at GOMAXPROCS=1", procs, i)
 			}
 		}
 	}
@@ -171,63 +175,60 @@ func TestPretrainLogs(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTrip: the artifact a run hands on — its TrainState,
+// through the file encoding — loaded into a differently initialized
+// model gives the trained weights bit for bit: the model's own under
+// FP32, the fp32 master the bf16 working weights are the rounding of
+// under BF16.
 func TestCheckpointRoundTrip(t *testing.T) {
-	r := rng.New(1)
-	m1 := mae.New(tinyMAE(), r)
-	path := filepath.Join(t.TempDir(), "ck.gob")
-	if err := SaveParamsFile(path, m1.Params(), 42); err != nil {
-		t.Fatal(err)
-	}
-	m2 := mae.New(tinyMAE(), rng.New(99)) // different init
-	step, err := LoadParamsFile(path, m2.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 42 {
-		t.Fatalf("step=%d", step)
-	}
-	p1, p2 := m1.Params(), m2.Params()
-	for i := range p1 {
-		for j := range p1[i].Value.Data {
-			if p1[i].Value.Data[j] != p2[i].Value.Data[j] {
-				t.Fatalf("param %s differs after restore", p1[i].Name)
-			}
+	for _, prec := range []Precision{FP32, BF16} {
+		cfg := tinyDistConfig(1, fsdp.DefaultDDP())
+		cfg.Epochs = 1
+		cfg.Precision = prec
+		res := mustPretrainDistributed(t, cfg, 32)
+		path := filepath.Join(t.TempDir(), "ck.state")
+		if err := SaveTrainStateFile(path, res.State); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadTrainStateFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Step != res.Steps {
+			t.Fatalf("%s: step=%d, run took %d", prec, st.Step, res.Steps)
+		}
+		m2 := mae.New(tinyMAE(), rng.New(99)) // different init
+		if err := st.LoadInto(m2.Params()); err != nil {
+			t.Fatal(err)
+		}
+		loaded := packedParams(m2)
+		if !bitsEqual(loaded, res.State.Master) {
+			t.Fatalf("%s: loaded parameters differ from the run's master weights", prec)
+		}
+		if prec == BF16 {
+			tensor.RoundBF16(loaded, loaded)
+		}
+		if !bitsEqual(loaded, packedParams(res.Model)) {
+			t.Fatalf("%s: loaded parameters are not the trained model's", prec)
 		}
 	}
 }
 
+// TestCheckpointRejectsMismatchedModel: a state trained on another
+// architecture fails by name and leaves the target model untouched.
 func TestCheckpointRejectsMismatchedModel(t *testing.T) {
-	r := rng.New(1)
-	m1 := mae.New(tinyMAE(), r)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, m1.Params(), 0); err != nil {
-		t.Fatal(err)
-	}
+	m1 := mae.New(tinyMAE(), rng.New(1))
+	st := &TrainState{Master: packedParams(m1)}
 	other := tinyMAE()
 	other.Encoder.Width = 24
 	other.Encoder.MLP = 48
 	m2 := mae.New(other, rng.New(2))
-	if _, err := LoadParams(&buf, m2.Params()); err == nil {
-		t.Fatal("mismatched restore accepted")
+	before := packedParams(m2)
+	err := st.LoadInto(m2.Params())
+	if err == nil || !strings.Contains(err.Error(), "wrong architecture") {
+		t.Fatalf("mismatched restore: got %v", err)
 	}
-}
-
-func TestCheckpointRejectsGarbage(t *testing.T) {
-	var p []*nn.Param
-	if _, err := LoadParams(bytes.NewReader([]byte("not a checkpoint")), p); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestCheckpointRejectsMissingParam(t *testing.T) {
-	r := rng.New(1)
-	lin := nn.NewLinear("only", 2, 2, r)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, lin.Params(), 0); err != nil {
-		t.Fatal(err)
-	}
-	extra := nn.NewLinear("extra", 2, 2, r)
-	if _, err := LoadParams(&buf, append(lin.Params(), extra.Params()...)); err == nil {
-		t.Fatal("missing parameter accepted")
+	if !bitsEqual(packedParams(m2), before) {
+		t.Fatal("rejected restore wrote into the model")
 	}
 }

@@ -91,109 +91,6 @@ func (e *Encoder) BackwardLayers(dy []float32, yield func()) []float32 {
 	return d
 }
 
-// Model is the full image classifier pipeline: patch embedding, encoder
-// trunk, mean pooling over tokens. It is the feature extractor used by
-// linear probing; the classifier head lives in internal/probe so the
-// trunk can stay frozen.
-type Model struct {
-	Cfg     Config
-	Embed   *nn.PatchEmbed
-	Encoder *Encoder
-
-	batch   int
-	pooled  []float32
-	dTokens []float32
-	patches []float32
-}
-
-// NewModel builds the feature extractor for cfg.
-func NewModel(cfg Config, r *rng.RNG) *Model {
-	g := cfg.Grid()
-	return &Model{
-		Cfg:     cfg,
-		Embed:   nn.NewPatchEmbed("embed", cfg.PatchDim(), cfg.Width, g, g, r),
-		Encoder: NewEncoder(cfg, r),
-	}
-}
-
-// Params returns embed + encoder parameters.
-func (m *Model) Params() []*nn.Param {
-	return append(m.Embed.Params(), m.Encoder.Params()...)
-}
-
-// NumParams returns the live parameter count (must equal
-// Cfg.EncoderParams(); asserted in tests).
-func (m *Model) NumParams() int64 {
-	var n int64
-	for _, p := range m.Params() {
-		n += int64(p.NumEl())
-	}
-	return n
-}
-
-// Features patchifies channel-last images (batch × H·W·C), embeds them,
-// runs the encoder over all tokens, and mean-pools token features into
-// one (batch × Width) matrix.
-func (m *Model) Features(imgs []float32, batch int) []float32 {
-	cfg := m.Cfg
-	t := cfg.Tokens()
-	pd := cfg.PatchDim()
-	m.batch = batch
-	if cap(m.patches) < batch*t*pd {
-		m.patches = make([]float32, batch*t*pd)
-	}
-	m.patches = m.patches[:batch*t*pd]
-	nn.Patchify(m.patches, imgs, batch, cfg.ImageSize, cfg.ImageSize, cfg.Channels, cfg.PatchSize)
-	h := m.Embed.Forward(m.patches, batch)
-	h = m.Encoder.Forward(h, batch, t)
-
-	w := cfg.Width
-	if cap(m.pooled) < batch*w {
-		m.pooled = make([]float32, batch*w)
-	}
-	m.pooled = m.pooled[:batch*w]
-	inv := float32(1) / float32(t)
-	for b := 0; b < batch; b++ {
-		out := m.pooled[b*w : (b+1)*w]
-		for j := range out {
-			out[j] = 0
-		}
-		for tok := 0; tok < t; tok++ {
-			row := h[(b*t+tok)*w : (b*t+tok+1)*w]
-			for j := range out {
-				out[j] += row[j] * inv
-			}
-		}
-	}
-	return m.pooled
-}
-
-// BackwardFeatures propagates a (batch × Width) pooled-feature gradient
-// back through the encoder and patch embedding. Used when fine-tuning
-// the whole trunk; linear probing never calls it.
-func (m *Model) BackwardFeatures(dPooled []float32) {
-	cfg := m.Cfg
-	t := cfg.Tokens()
-	w := cfg.Width
-	batch := m.batch
-	if cap(m.dTokens) < batch*t*w {
-		m.dTokens = make([]float32, batch*t*w)
-	}
-	m.dTokens = m.dTokens[:batch*t*w]
-	inv := float32(1) / float32(t)
-	for b := 0; b < batch; b++ {
-		src := dPooled[b*w : (b+1)*w]
-		for tok := 0; tok < t; tok++ {
-			dst := m.dTokens[(b*t+tok)*w : (b*t+tok+1)*w]
-			for j := range dst {
-				dst[j] = src[j] * inv
-			}
-		}
-	}
-	d := m.Encoder.Backward(m.dTokens)
-	m.Embed.Backward(d)
-}
-
 func blockName(prefix string, i int) string {
 	// Avoid fmt in the hot path of model construction; simple itoa.
 	return prefix + ".block" + itoa(i)
