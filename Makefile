@@ -43,6 +43,10 @@ docs: analyze
 	$(GO) vet ./...
 	$(GO) run ./tools/docgate
 
+# Pass -cpu 1 for kernel rows comparable across PRs on a noisy host:
+# `GOFLAGS=-cpu=1 make bench`, alternating with a parent checkout. The
+# worker pool's wake-up cost is measured beside it, not recorded here:
+#   go test -bench DispatchWake -run NONE -benchtime 1x ./internal/parallel/
 bench:
 	$(GO) test -bench 'GEMM|GELU|LayerNorm|AdamW|SumSq' -run NONE -benchtime 2s ./internal/tensor/ ./internal/nn/ > bench_gemm.out
 	@cat bench_gemm.out

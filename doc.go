@@ -157,9 +157,13 @@
 // x·W + b is one pass over C. Packing is a copy that pays only when
 // the other dimension's panel count amortises it: row-major A is read
 // in place (only a ragged bottom panel is packed); transposed A is
-// packed per 72-row slab by each worker; transposed and bf16 B are
-// always packed, the pack being where the transpose and the widening
-// happen; row-major B is packed once per call and shared read-only
+// packed per 72-row slab by each worker; bf16 B is always packed, the
+// pack being where the widening happens; transposed B is packed, the
+// pack being the transpose, unless A has fewer rows than B and only a
+// few row panels — the input-gradient GEMM dx = dy·Wᵀ at a few dozen
+// rows — where the product runs as Cᵀ = B·Aᵀ instead: the weight's rows
+// read in place, the small A packed, each tile written back into C
+// transposed; row-major B is packed once per call and shared read-only
 // across workers when many row panels reuse it or its rows are far
 // apart, and read in place otherwise — the weight-gradient GEMMs
 // dW = xᵀ·dy, whose few hundred output rows cannot amortise a copy of

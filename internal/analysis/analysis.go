@@ -30,6 +30,12 @@
 //     and fmt.Errorf with an error argument wraps it with %w so
 //     errors.Is/As keep working across layers (the PR 6 fault
 //     machinery depends on unwrapping).
+//   - orderedreduce: a floating-point +=, -= or *= inside a
+//     parallel.For/ForGrain/Range/RangeGrain body must not target a
+//     variable declared outside it — tasks would fold into it in
+//     arrival order, so the result would depend on scheduling and on
+//     the worker count (the seed-era nn.MSE bug); per-task partials
+//     indexed by the task's range are the sanctioned form.
 //
 // A finding is suppressible only via an explicit pragma on the
 // offending line or the line directly above it:
@@ -128,6 +134,7 @@ func All() []*Analyzer {
 		PanicPrefix,
 		FloatEq,
 		ErrSentinel,
+		OrderedReduce,
 	}
 }
 

@@ -41,6 +41,10 @@ func TestMustWaitFixture(t *testing.T) { runFixture(t, "mustwait", []*Analyzer{M
 
 func TestLifecycleFixture(t *testing.T) { runFixture(t, "lifecycle", []*Analyzer{Lifecycle}) }
 
+func TestOrderedReduceFixture(t *testing.T) {
+	runFixture(t, "orderedreduce", []*Analyzer{OrderedReduce})
+}
+
 // TestPragmaFixture checks that malformed pragmas are findings of the
 // synthetic pragma analyzer and do not suppress anything.
 func TestPragmaFixture(t *testing.T) { runFixture(t, "pragma", []*Analyzer{FloatEq}) }

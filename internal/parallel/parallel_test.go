@@ -1,11 +1,13 @@
 package parallel
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestMain raises GOMAXPROCS so the persistent pool's parallel dispatch
@@ -237,6 +239,31 @@ func BenchmarkPoolDispatchSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RangeGrain(4096, 512, body)
+	}
+}
+
+// BenchmarkDispatchWake measures what handing work to a parked pool
+// worker costs: a 2-task ForGrain job whose tasks each spin for a fixed
+// time, reported as the job's wall time (ns/op) and as wall time ÷
+// task time. Two tasks that start together read a ratio of 1; the
+// submitter running both reads 2; anything above is the worker's
+// wake-up latency. BenchmarkPoolDispatchSmall cannot see this cost: its
+// empty body is finished by the submitter before any worker wakes.
+func BenchmarkDispatchWake(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("a 2-task job needs GOMAXPROCS ≥ 2")
+	}
+	for _, spin := range []time.Duration{25, 50, 100, 200} {
+		spin *= time.Microsecond
+		b.Run(fmt.Sprintf("spin%dus", spin.Microseconds()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ForGrain(2, 1, func(int) {
+					for t0 := time.Now(); time.Since(t0) < spin; {
+					}
+				})
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(spin), "wall/task")
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, l
 		bbuf := packB(k, n, 0, func(dst []float32, p0, kcEff, j0, jw int) {
 			packBPanelNBF16(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		})
-		gemmCompute(c, a, nil, *bbuf, bias, m, k, n, lda, 0, ldc, 0, acc, opNN)
+		gemmCompute(c, a, nil, *bbuf, bias, m, k, n, lda, 0, ldc, 0, acc, opNN, false)
 		packBPool.Put(bbuf)
 		return
 	}

@@ -38,25 +38,34 @@ import (
 //     each worker: in place a K step would touch a new cache line for
 //     24 bytes, once per B panel.
 //   - B (k×n) is re-read once per mr-row panel of A, so a packed copy
-//     of B is amortised over ⌈m/mr⌉ panels. Transposed B (MatMulTB) and
-//     bf16 B (MatMulBF16) are always packed — the pack is where the
-//     transpose and the widening happen. Row-major B is packed into
-//     contiguous nr-wide panels when many row panels reuse it or its
-//     rows are far apart (bInPlace), and read in place otherwise: the
-//     weight-gradient GEMMs dW = xᵀ·dy have m = In ≤ a few hundred
-//     rows against k = thousands of tokens, and copying k·n floats for
-//     a few dozen uses costs more than the strided reads. In place only
-//     full nr-wide panels are read; a ragged last panel is still packed
-//     (zero-padded), so the kernel never reads past a row of B.
+//     of B is amortised over ⌈m/mr⌉ panels. bf16 B (MatMulBF16) is
+//     always packed — the pack is where the widening happens.
+//     Transposed B (MatMulTB) is packed, the pack being the transpose,
+//     unless A has fewer rows than B and only a few row panels
+//     (tbSwapped): then the product runs as Cᵀ = B·Aᵀ — B's rows read in
+//     place as the A side, A packed as the transposed B side, every tile
+//     written back into C transposed. That is the input-gradient GEMM
+//     dx = dy·Wᵀ at a few dozen rows, where transposing the whole
+//     weight for two to six row panels cost more than the product.
+//     Row-major B is packed into contiguous nr-wide panels when many
+//     row panels reuse it or its rows are far apart (bInPlace), and
+//     read in place otherwise: the weight-gradient GEMMs dW = xᵀ·dy
+//     have m = In ≤ a few hundred rows against k = thousands of tokens,
+//     and copying k·n floats for a few dozen uses costs more than the
+//     strided reads. In place only full nr-wide panels are read; a
+//     ragged last panel is still packed (zero-padded), so the kernel
+//     never reads past a row of B.
 //
 // Work is split across the persistent pool in internal/parallel by
-// contiguous row ranges of C, with the grain chosen so each task is at
-// least gemmGrainFlops multiply-adds. Problems below smallGEMMFlops
-// skip the blocked path entirely and run the row-streaming kernels
-// (axpy/dot forms). Which path, which operand is packed and how the
-// rows are split never change a result's bits beyond the blocked /
-// streaming choice itself: every element sees the same FMAs in the same
-// k order, then the same additions.
+// contiguous row ranges of C (column ranges when C is computed
+// transposed), with the grain chosen so each task is at least
+// gemmGrainFlops multiply-adds. Problems below smallGEMMFlops skip the
+// blocked path entirely and run the row-streaming kernels (axpy/dot
+// forms). Which path, which operand is packed, which orientation and
+// how the rows are split never change a result's bits beyond the
+// blocked / streaming choice itself: every element sees the same FMAs
+// in the same k order (FMA(a, b, c) = FMA(b, a, c)), then the same
+// additions.
 const (
 	mr = 6  // micro-kernel rows (A panel height)
 	nr = 16 // micro-kernel cols (B panel width, 2×8 float32 lanes)
@@ -147,7 +156,8 @@ func matMul(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, name 
 }
 
 // MatMulTB computes C = A·Bᵀ (or C += A·Bᵀ) with A (m×k), B (n×k),
-// C (m×n).
+// C (m×n). When A has fewer rows than B and few row panels it runs as
+// Cᵀ = B·Aᵀ, copying A instead of B; the bits are the same either way.
 func MatMulTB(c, a, b []float32, m, k, n int, acc bool) {
 	MatMulTBLd(c, a, b, m, k, n, k, k, n, acc)
 }
@@ -250,10 +260,37 @@ const (
 	bInPlaceMaxLd     = 512
 )
 
+// tbSwapped is the rule for computing C = A·Bᵀ in the other
+// orientation, Cᵀ = B·Aᵀ, from the shape alone. Packing B copies k·n
+// floats, transposing them, for ⌈m/mr⌉ row panels of A to reuse;
+// swapped, B's rows are read in place and the copy is A's k·m floats,
+// reused by ⌈n/mr⌉ panels — but every element of C then costs a scalar
+// transposed store per K strip. On the 2-core Sapphire Rapids-class VM
+// the constant was measured on (one worker, k ∈ 48…768, n ∈ 48…1024;
+// the TB rows of BenchmarkGEMM), the swap wins ×1.2–×3.8 at up to 6
+// row panels and ×0.96–×1.7 at 8, and from 11 panels on it loses as
+// often as it wins.
+func tbSwapped(m, n int) bool {
+	return m < n && (m+mr-1)/mr <= tbSwapMaxPanels
+}
+
+const tbSwapMaxPanels = 8
+
 // gemmBlocked is the register-blocked path shared by all three kernel
 // variants: op selects how the operands are read, and B is packed or
 // left in place (see the package header).
 func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp) {
+	if op == opTB && tbSwapped(m, n) {
+		// Cᵀ = B·Aᵀ: B's rows are the A-side panels, read in place like
+		// row-major A; A, stored m×k, is the transposed B-side operand,
+		// packed; every tile lands in C transposed.
+		abuf := packB(k, m, 0, func(dst []float32, p0, kcEff, j0, jw int) {
+			packBPanelT(dst, a, kcEff, lda, p0, j0, jw)
+		})
+		gemmCompute(c, b, nil, *abuf, bias, n, k, m, ldb, 0, ldc, 0, acc, opNN, true)
+		packBPool.Put(abuf)
+		return
+	}
 	firstPacked := 0
 	if op != opTB && bInPlace(m, ldb) {
 		firstPacked = n / nr
@@ -265,7 +302,7 @@ func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, 
 			packBPanelN(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		}
 	})
-	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op)
+	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op, false)
 	packBPool.Put(bbuf)
 }
 
@@ -297,7 +334,12 @@ func packB(k, n, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, j
 // so alternate B encodings — the bf16 weight path widens during
 // packing — share one compute stage, which is also what makes
 // MatMulBF16 bitwise equal to MatMul on pre-widened weights.
-func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
+//
+// With ct set the loop computes the m×n product into C stored
+// transposed: product element (i, j) is c[j·ldc+i], and the bias is
+// indexed by the product's row. Every tile then takes the edge-tile
+// path, and writeBackT stores it with writeBack's additions.
+func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp, ct bool) {
 	nPanels := (n + nr - 1) / nr
 	np := nPanels - firstPacked
 	// Parallel split is over mr-row micro-panel tiles, not raw rows, so
@@ -349,7 +391,7 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 						bpanel = &bp[p0*np*nr+(jp-firstPacked)*kcEff*nr]
 					}
 					var bj []float32
-					if stripBias != nil {
+					if stripBias != nil && !ct {
 						bj = stripBias[j0:]
 					}
 					for ip := 0; ip < mPanels; ip++ {
@@ -367,7 +409,7 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 						default:
 							apanel, ars, aks = &a[i*lda+p0], lda, 1
 						}
-						if rw == mr && jw == nr {
+						if rw == mr && jw == nr && !ct {
 							var bias16 *float32
 							if bj != nil {
 								bias16 = &bj[0]
@@ -375,11 +417,19 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 							microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &c[i*ldc+j0], ldc, accStrip, bias16)
 							continue
 						}
-						// Edge tile: run the full-size kernel into a
-						// scratch tile (packed panels are zero-padded)
-						// and write the valid region back the way the
-						// kernel would have.
+						// Edge tile, or any tile of a transposed C: run
+						// the full-size kernel into a scratch tile (packed
+						// panels are zero-padded) and write the valid
+						// region back the way the kernel would have.
 						microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &tile[0], nr, false, nil)
+						if ct {
+							var bi []float32
+							if stripBias != nil {
+								bi = stripBias[i:]
+							}
+							writeBackT(c[j0*ldc+i:], tile[:], rw, jw, ldc, accStrip, bi)
+							continue
+						}
 						for r := 0; r < rw; r++ {
 							writeBack(c[(i+r)*ldc+j0:], tile[r*nr:r*nr+jw], accStrip, bj)
 						}

@@ -62,7 +62,11 @@ func BenchmarkGEMM(b *testing.B) {
 	// dW = xᵀ·dy — few row panels against thousands of tokens, the side
 	// of bInPlace that reads B where it lies — and the input gradient
 	// dx = dy·Wᵀ; then a wide, heavily reused B on the packed side.
+	// The small-m input gradients are the 2-rank workloads' (8 encoder
+	// or 32 decoder rows per rank): tbSwapped runs them as Cᵀ = B·Aᵀ up
+	// to TB48x288x96 and packs B again from TB64x288x96 on.
 	bias := make([]float32, 288)
+	tb := func(c, a, bb []float32, m, k, n int) { MatMulTB(c, a, bb, m, k, n, false) }
 	for _, sh := range []struct {
 		name    string
 		m, k, n int
@@ -71,7 +75,14 @@ func BenchmarkGEMM(b *testing.B) {
 		{"NNBias", 4096, 96, 288, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
 		{"NNBias", 2048, 64, 192, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
 		{"TA", 96, 4096, 288, func(c, a, bb []float32, m, k, n int) { MatMulTA(c, a, bb, m, k, n, true) }},
-		{"TB", 4096, 288, 96, func(c, a, bb []float32, m, k, n int) { MatMulTB(c, a, bb, m, k, n, false) }},
+		{"TB", 4096, 288, 96, tb},
+		{"TB", 8, 288, 96, tb},
+		{"TB", 8, 96, 288, tb},
+		{"TB", 32, 144, 48, tb},
+		{"TB", 32, 48, 192, tb},
+		{"TB", 48, 288, 96, tb},
+		{"TB", 64, 288, 96, tb},
+		{"TB", 128, 288, 96, tb},
 		{"NN", 2048, 768, 3072, func(c, a, bb []float32, m, k, n int) { MatMul(c, a, bb, m, k, n, false) }},
 	} {
 		b.Run(fmt.Sprintf("%s%dx%dx%d", sh.name, sh.m, sh.k, sh.n), func(b *testing.B) {

@@ -74,7 +74,8 @@ func kern6x16go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *flo
 
 // writeBack is the micro-kernel's write-back over one run of a C row:
 // Σ or C + Σ, then + bias. The driver's edge tiles (gemm.go) go through
-// it too, so there is one statement of the order of the additions.
+// it too, so there is one statement of the order of the additions;
+// writeBackT repeats it for a C stored transposed.
 func writeBack(c, sums []float32, acc bool, bias []float32) {
 	c = c[:len(sums)]
 	for j, v := range sums {
@@ -85,6 +86,30 @@ func writeBack(c, sums []float32, acc bool, bias []float32) {
 			v += bias[j]
 		}
 		c[j] = v
+	}
+}
+
+// writeBackT is the driver's write-back of a tile whose C is stored
+// transposed: sum (r, j) of the tile's rows×cols valid region (row
+// stride nr) is C element c[j·ldc+r], and the bias is indexed by the
+// tile's row. The additions are writeBack's, in its order.
+//
+// Kept out of line: inlined into the driver's task closure, its loop
+// state spills to the stack and the loop runs several times slower.
+//
+//go:noinline
+func writeBackT(c, sums []float32, rows, cols, ldc int, acc bool, bias []float32) {
+	for r := 0; r < rows; r++ {
+		for j, v := range sums[r*nr : r*nr+cols] {
+			p := &c[j*ldc+r]
+			if acc {
+				v = *p + v
+			}
+			if bias != nil {
+				v += bias[r]
+			}
+			*p = v
+		}
 	}
 }
 

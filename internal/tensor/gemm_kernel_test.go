@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -125,11 +126,12 @@ func packedReference(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bo
 }
 
 // TestBlockedDriverMatchesPackedReference: whatever the driver reads in
-// place, stores instead of adding, or folds into a write-back, every
-// element is bitwise what the all-packed, pre-zeroed, bias-afterwards
-// driver produced — for the three variants, both acc modes, with and
-// without a bias, ragged and exact m and n, one to three K strips, and
-// B on both sides of the in-place rule.
+// place, stores instead of adding, folds into a write-back or computes
+// transposed, every element is bitwise what the all-packed, pre-zeroed,
+// bias-afterwards driver produced — for the three variants, both acc
+// modes, with and without a bias, ragged and exact m and n, padded
+// leading dimensions, one to three K strips, row-major B on both sides
+// of the in-place rule and MatMulTB on both sides of the swap rule.
 func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 	r := rng.New(23)
 	type shape struct{ m, n, ldbPad int }
@@ -137,26 +139,39 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 		{6, 16, 0}, {61, 41, 0}, {72, 48, 0}, {7, 33, 0}, // B in place where row-major
 		{61, 41, bInPlaceMaxLd},               // rows too far apart: packed
 		{(bInPlaceMaxPanels + 1) * mr, 20, 0}, // too many row panels: packed
+		// The input-gradient shapes of the 2-rank workloads' models:
+		// MatMulTB computes them as Cᵀ = B·Aᵀ.
+		{8, 48, 0}, {8, 96, 0}, {8, 288, 0},
+		{16, 48, 0}, {16, 96, 0}, {16, 288, 0},
+		{32, 48, 0}, {32, 96, 0}, {32, 288, 0},
+		// The swap rule's edges: m = n and m = n−1, and the last and
+		// first row-panel counts on either side of tbSwapMaxPanels.
+		{40, 40, 0}, {39, 40, 0},
+		{tbSwapMaxPanels * mr, tbSwapMaxPanels*mr + 30, 0},
+		{tbSwapMaxPanels*mr + 1, tbSwapMaxPanels*mr + 30, 0},
 	}
-	var inPlace, packed int
+	var inPlace, packed, swapped, packedTB int
 	for _, sh := range shapes {
 		for _, k := range []int{64, 96, 288, 513} {
 			for op := opNN; op <= opTB; op++ {
 				m, n := sh.m, sh.n
-				lda, ldb := k, n+sh.ldbPad
+				lda, ldb := k+3, n+sh.ldbPad
 				aLen, bLen := m*lda, k*ldb
 				if op == opTA {
-					lda, aLen = m, k*m
+					lda, aLen = m+3, k*(m+3)
 				}
 				if op == opTB {
 					ldb, bLen = k+sh.ldbPad, n*(k+sh.ldbPad)
 				}
-				if op != opTB {
-					if bInPlace(m, ldb) {
-						inPlace++
-					} else {
-						packed++
-					}
+				switch {
+				case op == opTB && tbSwapped(m, n):
+					swapped++
+				case op == opTB:
+					packedTB++
+				case bInPlace(m, ldb):
+					inPlace++
+				default:
+					packed++
 				}
 				a := randMat(r, aLen)
 				b := randMat(r, bLen)
@@ -182,6 +197,39 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 	}
 	if inPlace == 0 || packed == 0 {
 		t.Fatalf("shapes cover one side of the in-place rule only (%d in place, %d packed)", inPlace, packed)
+	}
+	if swapped == 0 || packedTB == 0 {
+		t.Fatalf("shapes cover one side of the swap rule only (%d swapped, %d packed)", swapped, packedTB)
+	}
+}
+
+// TestMatMulTBProcsMatchPackedReference: through the public entry, a
+// swapped-orientation MatMulTB gives the same bits whether its tiles of
+// C's columns run on one task or are cut across three, and on the
+// blocked path those bits are the packed reference's.
+func TestMatMulTBProcsMatchPackedReference(t *testing.T) {
+	const m, k, n = 8, 288, 96
+	if !tbSwapped(m, n) {
+		t.Fatalf("(%d, %d, %d) is not on the swapped side of the rule", m, k, n)
+	}
+	r := rng.New(31)
+	a, b := randMat(r, m*k), randMat(r, n*k)
+	want := make([]float32, m*n)
+	packedReference(want, a, b, nil, m, k, n, k, k, n, false, opTB)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first []float32
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		got := randMat(r, m*n)
+		MatMulTB(got, a, b, m, k, n, false)
+		if first == nil {
+			first = got
+		} else if i, ok := bitsEqual32(got, first); !ok {
+			t.Fatalf("GOMAXPROCS=%d: element %d = %v, GOMAXPROCS=1 gives %v", procs, i, got[i], first[i])
+		}
+		if i, ok := bitsEqual32(got, want); haveFastKernel && !ok {
+			t.Fatalf("GOMAXPROCS=%d: element %d = %v, packed reference gives %v", procs, i, got[i], want[i])
+		}
 	}
 }
 
