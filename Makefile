@@ -24,7 +24,7 @@ test-all:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dist/ ./internal/train/ ./internal/opt/ ./internal/mae/ ./internal/dataload/ ./internal/serve/ ./geofm/ ./cmd/pretrain/ ./cmd/serve/ ./cmd/linprobe/
+	$(GO) test -race ./internal/dist/ ./internal/train/ ./internal/opt/ ./internal/mae/ ./internal/dataload/ ./internal/serve/ ./geofm/ ./cmd/pretrain/ ./cmd/serve/ ./cmd/linprobe/ ./cmd/repro/
 	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm|AdamW|SumSq|ColumnSums|MatMulBias|PackedReference' ./internal/tensor/
 	$(GO) test -race -run 'Fused|AttentionGradients|BlockGradients|InferMatches|ProcsIndependent|LayerNorm|GELU|SerialLoops|Flatten|MSE' ./internal/nn/
 	$(GO) test -race -short ./internal/calib/ ./internal/sim/ ./internal/trace/ ./internal/perfmodel/

@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper, one
-// bench per artifact, plus the ablation benches called out in
-// DESIGN.md. Figure benches report the headline quantity (images/s of
+// bench per artifact, plus ablation benches for four modelling choices
+// (prefetch overlap, DDP bucket size, hierarchical links, mask ratio).
+// Figure benches report the headline quantity (images/s of
 // the configuration the paper highlights) as a custom metric, so
 // `go test -bench=. -benchmem` doubles as a reproduction run.
 package repro
@@ -204,10 +205,10 @@ func BenchmarkFig6_ProbeCurves(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md §4) -------------------------------------------
+// ---- Ablations -------------------------------------------------------------
 
-// BenchmarkAblation_PrefetchOverlap quantifies design choice 2: the
-// BACKWARD_PRE advantage over no prefetch for FULL_SHARD ViT-5B.
+// BenchmarkAblation_PrefetchOverlap quantifies the BACKWARD_PRE
+// advantage over no prefetch for FULL_SHARD ViT-5B.
 func BenchmarkAblation_PrefetchOverlap(b *testing.B) {
 	m := hw.Frontier()
 	w := perfmodel.ViTWorkload(vit.ViT5B, 32)
@@ -228,8 +229,8 @@ func BenchmarkAblation_PrefetchOverlap(b *testing.B) {
 	b.ReportMetric(speedup, "pre_over_none_speedup")
 }
 
-// BenchmarkAblation_DDPBucketSize quantifies design choice 3: DDP
-// throughput versus bucket size for ViT-3B at 64 nodes (the paper's
+// BenchmarkAblation_DDPBucketSize quantifies DDP throughput
+// versus bucket size for ViT-3B at 64 nodes (the paper's
 // "bucket too small" conjecture).
 func BenchmarkAblation_DDPBucketSize(b *testing.B) {
 	m := hw.Frontier()
@@ -249,7 +250,7 @@ func BenchmarkAblation_DDPBucketSize(b *testing.B) {
 	b.ReportMetric(ratio, "bucket400MB_over_25MB")
 }
 
-// BenchmarkAblation_HierarchicalLinks quantifies design choice 1:
+// BenchmarkAblation_HierarchicalLinks quantifies
 // HYBRID_8GPUs throughput with the real three-tier interconnect versus
 // a degraded machine whose intra-node links are no faster than the NIC
 // share.
@@ -274,8 +275,8 @@ func BenchmarkAblation_HierarchicalLinks(b *testing.B) {
 	b.ReportMetric(speedup, "tiered_over_flat_speedup")
 }
 
-// BenchmarkAblation_MaskRatio quantifies design choice 5: MAE step cost
-// versus mask ratio (the 75% default versus denser visible sets).
+// BenchmarkAblation_MaskRatio quantifies MAE step cost versus
+// mask ratio (the 75% default versus denser visible sets).
 func BenchmarkAblation_MaskRatio(b *testing.B) {
 	s := experiments.TestScale()
 	enc, err := vit.Analog("ViT-Base", s.ImageSize, s.PatchSize, s.Channels)

@@ -21,7 +21,7 @@
 //     models) that regenerates the paper's Section IV scaling studies.
 //
 // The public API lives in repro/geofm; the paper's tables and figures
-// are regenerated by cmd/repro and cmd/perfsim, and each is also
+// are regenerated by cmd/repro, and each is also
 // wrapped one-to-one by the benchmarks in bench_test.go. See README.md
 // and ARCHITECTURE.md.
 //

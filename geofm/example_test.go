@@ -274,3 +274,50 @@ func Example_serving() {
 	// batch of 2 closed by deadline
 	// embedding width: 16
 }
+
+// ExampleAdvise_tableI recommends a sharding plan for every Table I
+// model at 32 nodes — the Section IV-E guide as a lookup table.
+func ExampleAdvise_tableI() {
+	for _, model := range geofm.TableI {
+		plan, _ := geofm.Advise(model, 32)
+		fmt.Printf("%s: %s\n", model.Name, plan.Name())
+	}
+	// Output:
+	// ViT-Base: HYBRID_1GPU
+	// ViT-Huge: HYBRID_1GPU
+	// ViT-1B: HYBRID_1GPU
+	// ViT-3B: HYBRID_1GPU
+	// ViT-5B: HYBRID_8GPUs
+	// ViT-15B: SHARD_GRAD_OP
+}
+
+// ExampleLinearProbe pretrains a tiny encoder for two steps, then
+// trains a linear classifier on its frozen features over the UCM
+// analog — the Section V pipeline end to end.
+func ExampleLinearProbe() {
+	suite := geofm.NewSuite(100, 12, 3, 1)
+	cfg := geofm.DefaultPretrain(tinyMAE())
+	cfg.Epochs = 1
+	cfg.MaxStepsPerEpoch = 2
+	cfg.BatchSize = 8
+	pre, err := geofm.Pretrain(cfg, suite.Pretrain)
+	if err != nil {
+		panic(err)
+	}
+	probeCfg := geofm.DefaultProbe(8)
+	probeCfg.Epochs = 3
+	ucm := suite.Probe[1]
+	res, err := geofm.LinearProbe(probeCfg, pre.Model.Features, tinyEncoder().Width, ucm)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("dataset:", res.Dataset, "classes:", ucm.Classes())
+	fmt.Println("train/test images:", res.TrainCount, res.TestCount)
+	fmt.Println("epochs evaluated:", len(res.Top1Curve.Y))
+	fmt.Println("top-1 <= top-5:", res.FinalTop1 <= res.FinalTop5)
+	// Output:
+	// dataset: UCM classes: 21
+	// train/test images: 21 21
+	// epochs evaluated: 3
+	// top-1 <= top-5: true
+}

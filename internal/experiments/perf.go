@@ -323,7 +323,7 @@ func MinGPUTable() Table {
 
 // normalizePrecision applies the paper's default (bf16 mixed
 // precision) to a zero-valued Precision, so existing callers keep the
-// published tables while cmd/perfsim and cmd/repro can thread
+// published tables while cmd/repro can thread
 // -precision fp32 through for the what-if sweep.
 func normalizePrecision(p perfmodel.Precision) perfmodel.Precision {
 	if p == (perfmodel.Precision{}) {

@@ -1,6 +1,6 @@
 // Package experiments defines one runnable experiment per table and
 // figure of the paper's evaluation, producing the same rows/series the
-// paper reports. cmd/repro and cmd/perfsim drive these; the root-level
+// paper reports. cmd/repro drives these; the root-level
 // benchmarks wrap them one-to-one.
 package experiments
 

@@ -610,7 +610,7 @@ func (m *Model) BackwardFeatures(dPooled []float32) {
 
 // Reconstruct runs one masked forward pass and returns a copy of the
 // full predicted patch matrix (batch·T × patchDim) together with the
-// per-image masked indices. Intended for examples/visualization.
+// per-image masked indices, for inspecting what the model reconstructs.
 func (m *Model) Reconstruct(imgs []float32, batch int) ([]float32, [][]int) {
 	m.sampleMask(batch)
 	m.forward(imgs, batch)

@@ -224,7 +224,7 @@ func TestReconstructShape(t *testing.T) {
 	}
 }
 
-// TestMaskRatioAblation verifies the DESIGN.md ablation hook: a higher
+// TestMaskRatioAblation verifies the mask-ratio ablation hook: a higher
 // mask ratio leaves fewer visible tokens.
 func TestMaskRatioAblation(t *testing.T) {
 	base := tinyCfg()

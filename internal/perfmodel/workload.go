@@ -49,7 +49,7 @@ func FP32Precision() Precision {
 // PrecisionByName resolves the CLI spellings of the numeric profiles
 // — "bf16" (the paper's AMP recipe) and "fp32" — failing fast on
 // anything else so a typo never silently regenerates tables under a
-// default profile. Shared by cmd/perfsim and cmd/repro.
+// default profile. Used by cmd/repro -precision.
 func PrecisionByName(name string) (Precision, error) {
 	switch name {
 	case "bf16":

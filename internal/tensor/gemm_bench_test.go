@@ -125,7 +125,7 @@ func BenchmarkGEMMStream(b *testing.B) {
 }
 
 // BenchmarkGEMMNaiveBaseline is the unblocked triple loop at 256³, the
-// ablation baseline for the DESIGN.md blocking study.
+// baseline the blocked kernels are measured against.
 func BenchmarkGEMMNaiveBaseline(b *testing.B) {
 	const s = 256
 	benchGEMM(b, s, s, s, func(c, a, bb []float32) {

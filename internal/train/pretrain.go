@@ -32,7 +32,7 @@ type PretrainConfig struct {
 	// Log receives progress lines; nil silences output.
 	Log io.Writer
 	// MaxStepsPerEpoch truncates epochs (0 = full epochs); used by fast
-	// tests and the quickstart example.
+	// tests and the runnable examples.
 	MaxStepsPerEpoch int
 }
 
