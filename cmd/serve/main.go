@@ -16,11 +16,11 @@
 // architecture flags must be the training run's. -mode virtual
 // (default) executes requests with real model compute on a virtual
 // clock, so every number in the table is bit-for-bit reproducible run
-// to run. -mode wall starts the goroutine server and
-// submits the same schedule in real time; those numbers carry host
-// noise. -profile prices the virtual/simulated batches with a measured
-// hardware profile from cmd/calibrate instead of the default host
-// assumptions.
+// to run. -mode wall replays the same schedule in real time against the
+// goroutine server, which runs the same batcher policy on the host
+// clock; those numbers carry host noise. -profile prices the
+// virtual/simulated batches with a measured hardware profile from
+// cmd/calibrate instead of the default host assumptions.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/geofm"
 )
@@ -115,6 +114,12 @@ func main() {
 // run executes the whole serving session against w (factored out so
 // tests can capture the deterministic table).
 func run(o options, w io.Writer) error {
+	if o.mode != "virtual" && o.mode != "wall" {
+		return fmt.Errorf("unknown -mode %q (want virtual or wall)", o.mode)
+	}
+	if err := o.cfg.Validate(); err != nil {
+		return err
+	}
 	enc := o.mae.Encoder
 
 	var m *geofm.ServeModel
@@ -185,23 +190,16 @@ func session(o options, m *geofm.ServeModel, w io.Writer) error {
 	var reports []geofm.ServeReport
 	for _, rate := range o.rates {
 		arrivals := geofm.ServePoissonArrivals(rate, o.n, mix, img, o.seed)
-		label := fmt.Sprintf("%s-rate%g", o.mode, rate)
-		switch o.mode {
-		case "virtual":
-			res, err := geofm.ServeVirtual(o.cfg, lat, m, arrivals)
-			if err != nil {
-				return err
-			}
-			reports = append(reports, geofm.ServeSummarize(label, res))
-		case "wall":
-			rep, err := runWall(o.cfg, m, arrivals, label)
-			if err != nil {
-				return err
-			}
-			reports = append(reports, rep)
-		default:
-			return fmt.Errorf("unknown -mode %q (want virtual or wall)", o.mode)
+		var res *geofm.ServeRunResult
+		if o.mode == "wall" {
+			res, err = geofm.ServeWall(o.cfg, m, arrivals)
+		} else {
+			res, err = geofm.ServeVirtual(o.cfg, lat, m, arrivals)
 		}
+		if err != nil {
+			return err
+		}
+		reports = append(reports, geofm.ServeSummarize(fmt.Sprintf("%s-rate%g", o.mode, rate), res))
 	}
 	if o.closed {
 		cl := o.loop
@@ -216,33 +214,6 @@ func session(o options, m *geofm.ServeModel, w io.Writer) error {
 	}
 	fmt.Fprint(w, geofm.ServeRenderTable(reports))
 	return nil
-}
-
-// runWall replays the schedule against the real goroutine server,
-// sleeping each request into its slot.
-func runWall(cfg geofm.ServeConfig, m *geofm.ServeModel, arrivals []geofm.ServeArrival, label string) (geofm.ServeReport, error) {
-	s, err := geofm.NewInferenceServer(cfg, m)
-	if err != nil {
-		return geofm.ServeReport{}, err
-	}
-	start := time.Now()
-	chans := make([]<-chan *geofm.ServeResponse, len(arrivals))
-	for i, a := range arrivals {
-		if d := a.AtSec - time.Since(start).Seconds(); d > 0 {
-			time.Sleep(time.Duration(d * float64(time.Second)))
-		}
-		ch, err := s.Submit(a.Kind, a.Img)
-		if err != nil {
-			return geofm.ServeReport{}, err
-		}
-		chans[i] = ch
-	}
-	resps := make([]*geofm.ServeResponse, len(arrivals))
-	for i, ch := range chans {
-		resps[i] = <-ch
-	}
-	s.Drain()
-	return geofm.ServeSummarizeResponses(label, resps, cfg.Workers), nil
 }
 
 // imageFor renders serving payloads from the dataset's test split,

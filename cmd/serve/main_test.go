@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -184,14 +185,27 @@ func TestServeFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestServeBadMode pins the fail-fast on an unknown -mode.
+// TestServeBadMode pins the fail-fast on an unknown -mode (and on an
+// unusable batcher setting): the error comes before any work, so
+// nothing is printed.
 func TestServeBadMode(t *testing.T) {
-	o := tinyServeOptions()
-	o.mode = "batch"
-	var b strings.Builder
-	err := run(o, &b)
-	if err == nil || !strings.Contains(err.Error(), `unknown -mode "batch"`) {
-		t.Errorf("bad mode: got %v", err)
+	badMode, nanWait := tinyServeOptions(), tinyServeOptions()
+	badMode.mode = "batch"
+	nanWait.cfg.MaxWaitSec = math.NaN()
+	for _, c := range []struct {
+		o    options
+		want string
+	}{
+		{badMode, `unknown -mode "batch"`},
+		{nanWait, "serve: MaxWaitSec NaN"},
+	} {
+		var b strings.Builder
+		if err := run(c.o, &b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got %v, want an error naming %q", err, c.want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%q: output written before failing:\n%s", c.want, b.String())
+		}
 	}
 }
 

@@ -19,9 +19,11 @@
 //
 // The serving surface (Serve*) turns a checkpoint into a request-
 // driven inference service — embeddings, classification and
-// segmentation behind a max-batch/max-wait batcher — with a wall-clock
-// server, a deterministic virtual executor, and a paired serving
-// simulator (see Example_serving).
+// segmentation behind a max-batch/max-wait batcher. One batcher policy
+// runs in every form — the wall-clock server (ServeWall), the
+// deterministic virtual executor (ServeVirtual) and the no-compute
+// serving simulator (ServeSimulate) — and each returns a ServeRunResult
+// that ServeSummarize reports (see Example_serving).
 package geofm
 
 import (
@@ -436,7 +438,9 @@ const (
 	ServeSegment  = serve.Segment
 )
 
-// Server is the wall-clock inference server (Submit/Drain).
+// Server is the wall-clock inference server (Submit/Drain): the same
+// batcher policy as ServeVirtual and ServeSimulate, stepped by the host
+// clock.
 type Server = serve.Server
 
 // ServeResponse carries one request's payload and latency trace.
@@ -448,12 +452,9 @@ type ServeArrival = serve.Arrival
 // ServeLatencyModel prices one batch execution (launch + per-item).
 type ServeLatencyModel = serve.LatencyModel
 
-// ServeRunResult is one complete virtual or simulated serving run.
+// ServeRunResult is one complete serving run — wall-clock, virtual or
+// simulated: responses, batch log and makespan.
 type ServeRunResult = serve.RunResult
-
-// ServeSimReplay is a serving simulation cross-checked through the
-// internal/sim discrete-event engine.
-type ServeSimReplay = serve.SimReplay
 
 // ServeReport summarizes a run (p50/p99, throughput, occupancy).
 type ServeReport = serve.Report
@@ -502,9 +503,15 @@ func ServeVirtual(cfg ServeConfig, lat ServeLatencyModel, m *ServeModel, arrival
 	return serve.RunVirtual(cfg, lat, m, arrivals)
 }
 
-// ServeSimulate runs the serving simulator (no compute) cross-checked
-// against the internal/sim engine.
-func ServeSimulate(cfg ServeConfig, lat ServeLatencyModel, arrivals []ServeArrival) (*ServeSimReplay, error) {
+// ServeWall replays an open-loop schedule against a fresh wall-clock
+// server in real time: real compute, measured time.
+func ServeWall(cfg ServeConfig, m *ServeModel, arrivals []ServeArrival) (*ServeRunResult, error) {
+	return serve.RunWall(cfg, m, arrivals)
+}
+
+// ServeSimulate runs the serving simulator: the same batcher policy on
+// a virtual clock with no compute.
+func ServeSimulate(cfg ServeConfig, lat ServeLatencyModel, arrivals []ServeArrival) (*ServeRunResult, error) {
 	return serve.Simulate(cfg, lat, arrivals)
 }
 
@@ -530,15 +537,9 @@ func ServeLatencyFromProfile(p *HardwareProfile, enc ViTConfig) (ServeLatencyMod
 	return serve.LatencyFromProfile(p, enc)
 }
 
-// ServeSummarize reduces a serving run to its report.
+// ServeSummarize reduces a serving run of any form to its report.
 func ServeSummarize(label string, res *ServeRunResult) ServeReport {
 	return serve.Summarize(label, res)
-}
-
-// ServeSummarizeResponses reduces a wall-clock server's responses to a
-// report (the goroutine server produces responses, not a RunResult).
-func ServeSummarizeResponses(label string, resps []*ServeResponse, workers int) ServeReport {
-	return serve.SummarizeResponses(label, resps, workers)
 }
 
 // ServeRenderTable formats reports as the fixed-width p50/p99 table

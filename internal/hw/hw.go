@@ -146,21 +146,6 @@ func (m Machine) EffectiveFLOPS() float64 {
 	return m.PeakMatrixFLOPS * m.MFU
 }
 
-// InferLatency models one serving engine's batch step time as the α–β
-// curve τ(b) = launch + b·flopsPerItem/EffectiveFLOPS(): a fixed
-// host-side launch cost (kernel dispatch, batch gather — reusing the
-// machine's measured-or-asserted CollectiveLaunch as the per-call
-// fixed cost) plus compute at the effective FLOP rate. This is the
-// batch-size-dependent step latency the serving simulator prices
-// batches with; internal/calib profiles yield a calibrated curve
-// through the same method.
-func (m Machine) InferLatency(flopsPerItem float64, batch int) float64 {
-	if batch <= 0 {
-		return 0
-	}
-	return m.CollectiveLaunch + float64(batch)*flopsPerItem/m.EffectiveFLOPS()
-}
-
 // TotalGPUs returns the GCD count for a given node count.
 func (m Machine) TotalGPUs(nodes int) int { return nodes * m.GPUsPerNode }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // BenchmarkServe measures the executed wall-clock server under timed
@@ -27,33 +26,13 @@ func BenchmarkServe(b *testing.B) {
 			rate := mult * float64(cfg.Workers) * float64(cfg.MaxBatch) / lat.BatchSec(kinds)
 			name := fmt.Sprintf("batch=%d/workers=%d/load=%gx", cfg.MaxBatch, cfg.Workers, mult)
 			b.Run(name, func(b *testing.B) {
-				const n = 200
-				img := imageFn(m, 35)
 				var last Report
 				for iter := 0; iter < b.N; iter++ {
-					schedule := PoissonArrivals(rate, n, mixedKinds, img, 29)
-					s, err := NewServer(cfg, m)
+					res, err := RunWall(cfg, m, PoissonArrivals(rate, 200, mixedKinds, imageFn(m, 35), 29))
 					if err != nil {
 						b.Fatal(err)
 					}
-					start := time.Now()
-					chans := make([]<-chan *Response, n)
-					for i, a := range schedule {
-						if d := a.AtSec - time.Since(start).Seconds(); d > 0 {
-							time.Sleep(time.Duration(d * float64(time.Second)))
-						}
-						ch, err := s.Submit(a.Kind, a.Img)
-						if err != nil {
-							b.Fatal(err)
-						}
-						chans[i] = ch
-					}
-					resps := make([]*Response, n)
-					for i, ch := range chans {
-						resps[i] = <-ch
-					}
-					s.Drain()
-					last = SummarizeResponses(name, resps, cfg.Workers)
+					last = Summarize(name, res)
 				}
 				b.ReportMetric(last.ThroughputRPS, "req/s")
 				b.ReportMetric(1e3*last.TotalP50, "p50-ms")

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // checkInvariants asserts the batcher's safety properties on any run:
@@ -79,6 +82,47 @@ func checkInvariants(t *testing.T, cfg Config, res *RunResult) {
 	}
 }
 
+// simulate runs the serving simulator and holds its schedule to an
+// independent oracle: a replay through the internal/sim discrete-event
+// engine (the machinery the FSDP training simulator runs on). Each
+// batch becomes a task on its engine's FIFO stream, gated by a
+// dependency that finishes at the batch's close time and priced by the
+// same LatencyModel.BatchSec call; both engines compute start/end
+// through identical float operations, so any disagreement is a policy
+// bug. It returns the run and each batch's dispatch wait as the replay
+// sees it.
+func simulate(t testing.TB, cfg Config, lat LatencyModel, arrivals []Arrival) (*RunResult, []float64) {
+	t.Helper()
+	res, err := Simulate(cfg, lat, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New()
+	engines := make([]*sim.Resource, cfg.Workers)
+	for e := range engines {
+		engines[e] = eng.Resource(fmt.Sprintf("engine%d", e))
+	}
+	// Batches launch FIFO, so Seq order is launch order — submitting in
+	// Seq order preserves each engine stream's true FIFO order.
+	closers := make([]*sim.Task, len(res.Batches))
+	tasks := make([]*sim.Task, len(res.Batches))
+	for i, b := range res.Batches {
+		closers[i] = eng.Task(fmt.Sprintf("close%d", b.Seq), eng.Resource(fmt.Sprintf("closer%d", b.Seq)), b.CloseSec)
+		tasks[i] = eng.Task(fmt.Sprintf("batch%d", b.Seq), engines[b.Engine], lat.BatchSec(b.Kinds), closers[i])
+	}
+	eng.Run()
+	waits := make([]float64, len(tasks))
+	for i, task := range tasks {
+		b := res.Batches[i]
+		if task.Start != b.StartSec || task.End != b.DoneSec {
+			t.Fatalf("sim replay diverged on batch %d: policy [%v,%v], sim [%v,%v]",
+				b.Seq, b.StartSec, b.DoneSec, task.Start, task.End)
+		}
+		waits[i] = task.Start - closers[i].End
+	}
+	return res, waits
+}
+
 // simpleLat is a hand-set latency curve for policy-only tests.
 func simpleLat(perItem, launch float64) LatencyModel {
 	var l LatencyModel
@@ -102,15 +146,12 @@ func TestAdversarialPatterns(t *testing.T) {
 		for i := range arrivals {
 			arrivals[i] = Arrival{AtSec: float64(i) * 1e-4, Kind: Embed}
 		}
-		rep, err := Simulate(cfg, lat, arrivals)
-		if err != nil {
-			t.Fatal(err)
+		res, _ := simulate(t, cfg, lat, arrivals)
+		checkInvariants(t, cfg, res)
+		if len(res.Batches) != 10 {
+			t.Fatalf("%d batches, want 10 singletons", len(res.Batches))
 		}
-		checkInvariants(t, cfg, rep.Run)
-		if len(rep.Run.Batches) != 10 {
-			t.Fatalf("%d batches, want 10 singletons", len(rep.Run.Batches))
-		}
-		for _, b := range rep.Run.Batches {
+		for _, b := range res.Batches {
 			if len(b.IDs) != 1 || b.Reason != "deadline" {
 				t.Fatalf("zero-wait batch not a deadline singleton: %+v", b)
 			}
@@ -125,13 +166,10 @@ func TestAdversarialPatterns(t *testing.T) {
 		for i := range arrivals {
 			arrivals[i] = Arrival{Kind: Embed}
 		}
-		rep, err := Simulate(cfg, lat, arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, cfg, rep.Run)
+		res, _ := simulate(t, cfg, lat, arrivals)
+		checkInvariants(t, cfg, res)
 		sizes := []int{}
-		for _, b := range rep.Run.Batches {
+		for _, b := range res.Batches {
 			sizes = append(sizes, len(b.IDs))
 		}
 		want := []int{4, 4, 3}
@@ -143,7 +181,7 @@ func TestAdversarialPatterns(t *testing.T) {
 				t.Fatalf("batch sizes %v, want %v", sizes, want)
 			}
 		}
-		if last := rep.Run.Batches[2]; last.Reason != "deadline" || last.CloseSec != cfg.MaxWaitSec {
+		if last := res.Batches[2]; last.Reason != "deadline" || last.CloseSec != cfg.MaxWaitSec {
 			t.Fatalf("remainder batch: %+v, want deadline close at %v", last, cfg.MaxWaitSec)
 		}
 	})
@@ -157,12 +195,9 @@ func TestAdversarialPatterns(t *testing.T) {
 		for i := range arrivals {
 			arrivals[i] = Arrival{AtSec: float64(i) * gap, Kind: Classify}
 		}
-		rep, err := Simulate(cfg, lat, arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, cfg, rep.Run)
-		for _, b := range rep.Run.Batches {
+		res, _ := simulate(t, cfg, lat, arrivals)
+		checkInvariants(t, cfg, res)
+		for _, b := range res.Batches {
 			if len(b.IDs) != 1 || b.Reason != "deadline" {
 				t.Fatalf("staggered batch not a deadline singleton: %+v", b)
 			}
@@ -177,14 +212,11 @@ func TestAdversarialPatterns(t *testing.T) {
 			{AtSec: 0, Kind: Embed},
 			{AtSec: 1e-3, Kind: Embed},
 		}
-		rep, err := Simulate(cfg, lat, arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, cfg, rep.Run)
-		if len(rep.Run.Batches) != 2 {
+		res, _ := simulate(t, cfg, lat, arrivals)
+		checkInvariants(t, cfg, res)
+		if len(res.Batches) != 2 {
 			t.Fatalf("%d batches, want 2 (deadline must beat the simultaneous arrival)",
-				len(rep.Run.Batches))
+				len(res.Batches))
 		}
 	})
 }
@@ -220,13 +252,10 @@ func FuzzBatcher(f *testing.F) {
 			}
 			arrivals[i] = Arrival{AtSec: at, Kind: Kind(r() % uint64(numKinds))}
 		}
-		rep, err := Simulate(cfg, simpleLat(1e-4+float64(seed%7)*1e-4, 1e-5), arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, cfg, rep.Run)
-		if len(rep.Run.Responses) != n {
-			t.Fatalf("%d responses for %d requests", len(rep.Run.Responses), n)
+		res, _ := simulate(t, cfg, simpleLat(1e-4+float64(seed%7)*1e-4, 1e-5), arrivals)
+		checkInvariants(t, cfg, res)
+		if len(res.Responses) != n {
+			t.Fatalf("%d responses for %d requests", len(res.Responses), n)
 		}
 	})
 }

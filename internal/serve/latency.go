@@ -14,8 +14,7 @@ import (
 // launch cost plus a per-request compute term, i.e. the α–β curve
 // τ(batch) = Launch + Σᵢ PerItem(kindᵢ). This is the constant the
 // virtual driver stamps time with and the serving simulator prices
-// its batch tasks with; on a homogeneous batch it coincides with
-// hw.Machine.InferLatency.
+// its batches with.
 type LatencyModel struct {
 	// LaunchSec is the fixed per-batch host cost (dispatch, gather).
 	LaunchSec float64
@@ -37,12 +36,12 @@ func (l LatencyModel) BatchSec(kinds []Kind) float64 {
 
 // Validate reports non-physical models.
 func (l LatencyModel) Validate() error {
-	if l.LaunchSec < 0 {
-		return fmt.Errorf("serve: negative launch cost %v", l.LaunchSec)
+	if !finite(l.LaunchSec) || l.LaunchSec < 0 {
+		return fmt.Errorf("serve: launch cost %v is not a finite non-negative time", l.LaunchSec)
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		if l.PerItemSec[k] <= 0 {
-			return fmt.Errorf("serve: non-positive per-item latency for %s", k)
+		if !finite(l.PerItemSec[k]) || l.PerItemSec[k] <= 0 {
+			return fmt.Errorf("serve: per-item latency %v for %s is not a finite positive time", l.PerItemSec[k], k)
 		}
 	}
 	return nil

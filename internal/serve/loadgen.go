@@ -73,12 +73,6 @@ type ClosedLoop struct {
 // arrival — the policy loop's onDone hook, so the whole run stays one
 // deterministic event sequence.
 func RunClosedLoop(cfg Config, lat LatencyModel, model *Model, cl ClosedLoop) (*RunResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := lat.Validate(); err != nil {
-		return nil, err
-	}
 	if cl.Clients <= 0 || cl.PerClient <= 0 || len(cl.Mix) == 0 {
 		return nil, fmt.Errorf("serve: closed loop needs clients, requests and a kind mix")
 	}
@@ -103,23 +97,15 @@ func RunClosedLoop(cfg Config, lat LatencyModel, model *Model, cl ClosedLoop) (*
 		issued[c]++
 	}
 
-	return runPolicy(cfg, lat, model.admissible, newModelExec(model), onDone, initial), nil
+	return runPolicy(cfg, lat, model.admissible, newModelExec(model), onDone, initial)
 }
 
 // newModelExec returns a policy exec hook that runs real batch compute
 // on the shared weights with one scratch arena (the virtual driver
 // executes batches serially).
-func newModelExec(model *Model) func([]*pending) {
+func newModelExec(model *Model) func(*batchJob) {
 	ctx := nn.NewInferCtx()
-	return func(members []*pending) {
-		reqs := make([]*Request, len(members))
-		resps := make([]*Response, len(members))
-		for i, m := range members {
-			reqs[i] = m.req
-			resps[i] = m.resp
-		}
-		model.Fill(ctx, reqs, resps)
-	}
+	return func(job *batchJob) { model.Fill(ctx, job.reqs, job.resps) }
 }
 
 // Report summarizes one serving run for the p50/p99 tables and
@@ -195,63 +181,6 @@ func Summarize(label string, res *RunResult) Report {
 	if res.MakespanSec > 0 {
 		r.ThroughputRPS = float64(r.Served) / res.MakespanSec
 		r.Utilization = busy / (float64(res.Cfg.Workers) * res.MakespanSec)
-	}
-	r.QueueP50 = Percentile(queue, 0.50)
-	r.QueueP99 = Percentile(queue, 0.99)
-	r.TotalP50 = Percentile(total, 0.50)
-	r.TotalP99 = Percentile(total, 0.99)
-	return r
-}
-
-// SummarizeResponses builds a Report from wall-clock responses, where
-// no RunResult exists: batches are recovered from the per-response
-// BatchSeq/BatchSize tags and engine busy time from the compute spans
-// (each batch counted once).
-func SummarizeResponses(label string, resps []*Response, workers int) Report {
-	r := Report{Label: label, Total: len(resps)}
-	var queue, total []float64
-	seen := map[int]int{}
-	batchDur := map[int]float64{}
-	makespan := 0.0
-	for _, resp := range resps {
-		if resp.Err != nil {
-			if resp.Err == ErrShed {
-				r.Shed++
-			} else {
-				r.Rejected++
-			}
-			continue
-		}
-		r.Served++
-		queue = append(queue, resp.Trace.QueueWaitSec())
-		total = append(total, resp.Trace.TotalSec())
-		seen[resp.BatchSeq] = resp.BatchSize
-		batchDur[resp.BatchSeq] = resp.Trace.ComputeSec()
-		if resp.Trace.DoneSec > makespan {
-			makespan = resp.Trace.DoneSec
-		}
-	}
-	sum := 0
-	for sz := range seen {
-		sum += seen[sz]
-	}
-	if len(seen) > 0 {
-		r.MeanBatch = float64(sum) / float64(len(seen))
-	}
-	for _, sz := range seen {
-		for len(r.BatchHist) <= sz {
-			r.BatchHist = append(r.BatchHist, 0)
-		}
-		r.BatchHist[sz]++
-	}
-	r.MakespanSec = makespan
-	if makespan > 0 && workers > 0 {
-		r.ThroughputRPS = float64(r.Served) / makespan
-		busy := 0.0
-		for _, d := range batchDur {
-			busy += d
-		}
-		r.Utilization = busy / (float64(workers) * makespan)
 	}
 	r.QueueP50 = Percentile(queue, 0.50)
 	r.QueueP99 = Percentile(queue, 0.99)

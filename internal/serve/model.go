@@ -129,8 +129,8 @@ type Response struct {
 
 	// Trace holds the four stamped latency points.
 	Trace trace.RequestTrace
-	// BatchSeq/BatchSize identify the batch the request rode in
-	// (dispatch order), for occupancy accounting.
+	// BatchSeq/BatchSize identify the batch the request rode in: its
+	// Seq in the run's batch log and its size.
 	BatchSeq  int
 	BatchSize int
 }

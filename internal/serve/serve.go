@@ -11,18 +11,22 @@
 // and parallel pool as training).
 //
 // Following the repo's discipline that every executed system is held
-// to a model of itself, the batcher exists in three forms that share
-// one deterministic policy state machine:
+// to a model of itself, one policy state machine (batcher: admit,
+// close, launch, finish) runs in three forms, each returning a
+// RunResult that Summarize reports:
 //
-//   - Server: the wall-clock goroutine server (Submit/Drain).
-//   - RunVirtual: the same policy driven by a virtual clock — compute
-//     is executed for real (responses are bitwise reproducible), but
-//     time is taken from a batch-size-dependent latency model, so a
-//     whole load-generation run is deterministic to the last float.
-//   - Simulate: the serving simulator — the policy with no compute at
-//     all, cross-replayed through the internal/sim discrete-event
-//     engine. Virtual runs must match it exactly; wall-clock runs are
-//     held to it within a tolerance band by the validation suite.
+//   - Server / RunWall: the policy stepped under a mutex by the host
+//     clock — Submit/Drain from any goroutine, time.AfterFunc
+//     deadlines, one goroutine per engine.
+//   - RunVirtual: the policy driven by a virtual clock — compute is
+//     executed for real (responses are bitwise reproducible), but time
+//     is taken from a batch-size-dependent latency model, so a whole
+//     load-generation run is deterministic to the last float.
+//   - Simulate: the serving simulator — the virtual clock with no
+//     compute at all. Virtual runs must match it exactly; wall-clock
+//     runs are held to it within a tolerance band by the validation
+//     suite; and the tests replay its schedules through the
+//     internal/sim discrete-event engine as an independent oracle.
 //
 // Per-request latency is traced at four points (admission, batch
 // close, compute launch, completion) as a trace.RequestTrace, which is
@@ -33,6 +37,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Kind selects a request's workload.
@@ -108,8 +113,8 @@ func (c Config) Validate() error {
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("serve: MaxBatch %d < 1", c.MaxBatch)
 	}
-	if c.MaxWaitSec < 0 {
-		return fmt.Errorf("serve: negative MaxWaitSec %v", c.MaxWaitSec)
+	if !finite(c.MaxWaitSec) || c.MaxWaitSec < 0 {
+		return fmt.Errorf("serve: MaxWaitSec %v is not a finite non-negative time", c.MaxWaitSec)
 	}
 	if c.QueueCap < c.MaxBatch {
 		return fmt.Errorf("serve: QueueCap %d < MaxBatch %d", c.QueueCap, c.MaxBatch)
@@ -119,3 +124,5 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -1,54 +1,41 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/nn"
-	"repro/internal/trace"
 )
 
-// waiter is one wall-clock request parked in the server: its payload,
-// its response under construction, and the 1-buffered channel the
-// worker delivers on.
-type waiter struct {
-	req  *Request
-	resp *Response
-	done chan *Response
-}
-
-// wallBatch is one closed batch in flight to a worker. rec points into
-// the server's batch log (stable — the log stores pointers), and the
-// owning worker alone writes its Engine/Start/Done fields.
-type wallBatch struct {
-	rec     *BatchRec
-	members []*waiter
-}
-
-// Server is the wall-clock form of the batcher: Submit admits requests
-// from any goroutine, a deadline timer and the size trigger close
-// batches under the same policy as the virtual driver, and a fixed
-// pool of worker goroutines executes closed batches FIFO on the shared
-// read-only weights (one nn.InferCtx per worker). Timestamps come from
-// the host clock, so traces here are measurements — the validation
-// suite holds them to the simulator's predictions.
+// Server is the wall-clock form of the batcher: the same policy state
+// machine as the virtual driver, stepped under one mutex with the host
+// clock. Submit admits requests from any goroutine, a time.AfterFunc
+// timer closes the waiting batch at its deadline, and a fixed pool of
+// engine goroutines executes launched batches on the shared read-only
+// weights (one nn.InferCtx per engine). Timestamps are measurements —
+// the validation suite holds them to the simulator's predictions.
 type Server struct {
-	cfg   Config
 	model *Model
 	start time.Time
 
-	mu          sync.Mutex
-	waiting     []*waiter
-	outstanding int
-	nextID      uint64
-	closed      bool
-	timerGen    int
-	batches     []*BatchRec
-	shed        int
-	served      int
+	// mu guards every field below it; the batcher's steps run under it.
+	mu     sync.Mutex
+	b      batcher
+	closed bool
+	// armed is the waiting request the latest deadline timer is for; a
+	// timer whose request is no longer the oldest waiting does nothing.
+	armed *pending
+	idle  []bool
+	// jobs hands a launched batch to an idle engine. Its one slot is
+	// always empty when the engine is idle, so the send under mu never
+	// blocks.
+	jobs []chan *batchJob
+	// done holds each undelivered response's 1-buffered channel, by ID;
+	// the one send never blocks, and the entry is dropped after it.
+	done []chan *Response
 
-	batchCh chan *wallBatch
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // Stats summarizes a drained server: request counts and the completed
@@ -66,18 +53,21 @@ func NewServer(cfg Config, model *Model) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
 		model: model,
 		start: time.Now(),
-		// Every queued batch holds ≥1 outstanding request and admission
-		// sheds past QueueCap, so QueueCap slots guarantee the in-lock
-		// channel send in closeLocked never blocks against a worker
-		// waiting for the lock.
-		batchCh: make(chan *wallBatch, cfg.QueueCap),
+		b:     batcher{cfg: cfg, admissible: model.admissible},
+		idle:  make([]bool, cfg.Workers),
+		jobs:  make([]chan *batchJob, cfg.Workers),
 	}
-	for e := 0; e < cfg.Workers; e++ {
+	s.b.onDone = func(resp *Response, _ float64) {
+		s.done[resp.ID] <- resp
+		s.done[resp.ID] = nil
+	}
+	for e := range s.jobs {
+		s.idle[e] = true
+		s.jobs[e] = make(chan *batchJob, 1)
 		s.wg.Add(1)
-		go s.worker(e)
+		go s.engine(e)
 	}
 	return s, nil
 }
@@ -97,163 +87,116 @@ func (s *Server) Submit(kind Kind, img []float32) (<-chan *Response, error) {
 		return nil, ErrClosed
 	}
 	now := s.now()
-	id := s.nextID
-	s.nextID++
-	resp := &Response{ID: id, Kind: kind}
-	resp.Trace = trace.RequestTrace{ID: id, ArrivalSec: now}
 	done := make(chan *Response, 1)
-
-	finish := func(err error) {
-		resp.Err = err
-		resp.Trace.BatchFormSec = now
-		resp.Trace.ComputeStartSec = now
-		resp.Trace.DoneSec = now
-		done <- resp
+	s.done = append(s.done, done)
+	s.b.admit(Arrival{AtSec: now, Kind: kind, Img: img})
+	if o, dl := s.b.deadline(); o != nil && o != s.armed {
+		s.armed = o
+		if wait := dl - now; wait > 0 {
+			time.AfterFunc(time.Duration(wait*float64(time.Second)), func() { s.expire(o) })
+		} else {
+			s.b.closeBatch(now, "deadline")
+		}
 	}
-	if err := s.model.admissible(kind, img); err != nil {
-		finish(err)
-		return done, nil
-	}
-	if s.outstanding >= s.cfg.QueueCap {
-		s.shed++
-		finish(ErrShed)
-		return done, nil
-	}
-	s.outstanding++
-	s.waiting = append(s.waiting, &waiter{
-		req:  &Request{ID: id, Kind: kind, Img: img},
-		resp: resp,
-		done: done,
-	})
-	if len(s.waiting) >= s.cfg.MaxBatch {
-		s.closeLocked(s.cfg.MaxBatch, "size", now)
-	} else if len(s.waiting) == 1 {
-		s.armTimerLocked(now)
-	}
+	s.launchIdle(now)
 	return done, nil
 }
 
-// armTimerLocked schedules the deadline close for the current oldest
-// waiting request. The generation counter invalidates stale timers
-// (ones armed before a size close emptied the queue).
-func (s *Server) armTimerLocked(now float64) {
-	if len(s.waiting) == 0 || s.cfg.MaxWaitSec <= 0 {
-		if len(s.waiting) > 0 {
-			// Zero-wait config: close immediately.
-			s.closeLocked(len(s.waiting), "deadline", now)
-		}
-		return
-	}
-	s.timerGen++
-	gen := s.timerGen
-	delay := s.waiting[0].resp.Trace.ArrivalSec + s.cfg.MaxWaitSec - now
-	if delay < 0 {
-		delay = 0
-	}
-	time.AfterFunc(time.Duration(delay*float64(time.Second)), func() {
-		s.deadlineFire(gen)
-	})
-}
-
-// deadlineFire closes all waiting requests if the arming generation is
-// still current.
-func (s *Server) deadlineFire(gen int) {
+// expire is o's deadline timer: it closes the waiting batch if o is
+// still its oldest member.
+func (s *Server) expire(o *pending) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || gen != s.timerGen || len(s.waiting) == 0 {
-		return
-	}
-	s.closeLocked(len(s.waiting), "deadline", s.now())
-}
-
-// closeLocked forms a batch from the k oldest waiting requests and
-// hands it to the worker pool. Caller holds s.mu.
-func (s *Server) closeLocked(k int, reason string, now float64) {
-	members := append([]*waiter(nil), s.waiting[:k]...)
-	copy(s.waiting, s.waiting[k:])
-	s.waiting = s.waiting[:len(s.waiting)-k]
-
-	ids := make([]uint64, k)
-	kinds := make([]Kind, k)
-	for i, m := range members {
-		ids[i] = m.req.ID
-		kinds[i] = m.req.Kind
-		m.resp.Trace.BatchFormSec = now
-	}
-	rec := &BatchRec{
-		Seq: len(s.batches), Engine: -1,
-		IDs: ids, Kinds: kinds, Reason: reason,
-		CloseSec: now,
-	}
-	s.batches = append(s.batches, rec)
-	s.batchCh <- &wallBatch{rec: rec, members: members}
-	// A size close can leave newer requests waiting; their deadline is
-	// the new oldest's.
-	s.timerGen++
-	if len(s.waiting) > 0 {
-		s.armTimerLocked(now)
+	if oldest, _ := s.b.deadline(); oldest == o {
+		now := s.now()
+		s.b.closeBatch(now, "deadline")
+		s.launchIdle(now)
 	}
 }
 
-// worker is one inference engine: it executes closed batches FIFO from
-// the shared channel with its own scratch arena over the shared
-// read-only weights.
-func (s *Server) worker(engine int) {
+// launchIdle launches queued batches onto idle engines, lowest index
+// first. Caller holds s.mu.
+func (s *Server) launchIdle(now float64) {
+	for e := 0; e < len(s.idle) && len(s.b.dispatch) > 0; e++ {
+		if s.idle[e] {
+			s.idle[e] = false
+			s.jobs[e] <- s.b.launch(now, e)
+		}
+	}
+}
+
+// engine is one inference engine: it runs each batch handed to it,
+// then, under the lock, finishes it and launches the next queued batch
+// on itself — or goes idle when none waits.
+func (s *Server) engine(e int) {
 	defer s.wg.Done()
 	ctx := nn.NewInferCtx()
-	// A worker that served one oversized batch would otherwise pin that
-	// batch's scratch footprint until process exit (the PR 9
-	// scratch-growth lesson).
+	// An engine that served one oversized batch would otherwise pin that
+	// batch's scratch footprint until process exit.
 	defer ctx.Release()
-	for b := range s.batchCh {
-		startSec := s.now()
-		n := len(b.members)
-		s.mu.Lock()
-		s.outstanding -= n
-		s.served += n
-		s.mu.Unlock()
-
-		reqs := make([]*Request, n)
-		resps := make([]*Response, n)
-		for i, m := range b.members {
-			reqs[i] = m.req
-			resps[i] = m.resp
-			m.resp.Trace.ComputeStartSec = startSec
-			m.resp.BatchSeq = b.rec.Seq
-			m.resp.BatchSize = n
-		}
-		s.model.Fill(ctx, reqs, resps)
-		doneSec := s.now()
-		b.rec.Engine = engine
-		b.rec.StartSec = startSec
-		b.rec.DoneSec = doneSec
-		for _, m := range b.members {
-			m.resp.Trace.DoneSec = doneSec
-			m.done <- m.resp
+	for job := range s.jobs[e] {
+		for job != nil {
+			s.model.Fill(ctx, job.reqs, job.resps)
+			s.mu.Lock()
+			now := s.now()
+			s.b.finish(job, now)
+			job = nil
+			if len(s.b.dispatch) > 0 {
+				job = s.b.launch(now, e)
+			} else {
+				s.idle[e] = true
+			}
+			s.mu.Unlock()
 		}
 	}
 }
 
 // Drain closes admission, flushes any still-waiting requests as a
-// final batch, waits for every worker to finish, and returns the run's
+// final batch, waits for every engine to finish, and returns the run's
 // statistics. After Drain, Submit returns ErrClosed.
 func (s *Server) Drain() Stats {
 	s.mu.Lock()
 	s.closed = true
-	s.timerGen++ // cancel any armed deadline
-	if len(s.waiting) > 0 {
-		s.closeLocked(len(s.waiting), "drain", s.now())
+	if len(s.b.waiting) > 0 {
+		now := s.now()
+		s.b.closeBatch(now, "drain")
+		s.launchIdle(now)
 	}
 	s.mu.Unlock()
-	close(s.batchCh)
+	for _, ch := range s.jobs {
+		close(ch)
+	}
 	s.wg.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Served: s.served, Shed: s.shed}
-	st.Batches = make([]BatchRec, len(s.batches))
-	for i, r := range s.batches {
-		st.Batches[i] = *r
+	st := Stats{Shed: s.b.shed, Batches: slices.Clone(s.b.batches)}
+	for _, r := range st.Batches {
+		st.Served += len(r.IDs)
 	}
 	return st
+}
+
+// RunWall replays an open-loop schedule against a fresh wall-clock
+// server, sleeping each request into its slot, and returns the
+// server's own record of the run once it has drained.
+func RunWall(cfg Config, model *Model, arrivals []Arrival) (*RunResult, error) {
+	s, err := NewServer(cfg, model)
+	if err != nil {
+		return nil, err
+	}
+	chans := make([]<-chan *Response, len(arrivals))
+	for i, a := range arrivals {
+		if d := a.AtSec - s.now(); d > 0 {
+			time.Sleep(time.Duration(d * float64(time.Second)))
+		}
+		if chans[i], err = s.Submit(a.Kind, a.Img); err != nil {
+			return nil, err
+		}
+	}
+	for _, ch := range chans {
+		<-ch
+	}
+	s.Drain()
+	return s.b.result(LatencyModel{}), nil
 }

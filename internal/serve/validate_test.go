@@ -34,12 +34,9 @@ func TestVirtualHeldToSimulatorMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Simulate(cfg, lat, arrivals)
-			if err != nil {
-				t.Fatal(err)
-			}
+			simr, _ := simulate(t, cfg, lat, arrivals)
 			vr := Summarize(name, virt)
-			sr := Summarize(name, rep.Run)
+			sr := Summarize(name, simr)
 			if vr.QueueP50 != sr.QueueP50 || vr.QueueP99 != sr.QueueP99 {
 				t.Errorf("%s: queue waits diverge: virtual p50/p99 %v/%v, sim %v/%v",
 					name, vr.QueueP50, vr.QueueP99, sr.QueueP50, sr.QueueP99)
@@ -65,11 +62,8 @@ func TestSimulatedP99MonotoneInRate(t *testing.T) {
 		for _, rate := range []float64{800, 1600, 3200} {
 			// Same seed: arrival times scale exactly by the rate ratio.
 			arrivals := PoissonArrivals(rate, 300, []Kind{Embed}, func(int) []float32 { return nil }, 5)
-			rep, err := Simulate(cfg, lat, arrivals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := Summarize("", rep.Run)
+			res, _ := simulate(t, cfg, lat, arrivals)
+			r := Summarize("", res)
 			if r.Shed != 0 {
 				t.Fatalf("unexpected shed at rate %g", rate)
 			}
@@ -107,44 +101,22 @@ func TestWallClockHeldToSimulator(t *testing.T) {
 			rate := mult * capacity
 			name := fmt.Sprintf("batch%d-x%g", cfg.MaxBatch, mult)
 			t.Run(name, func(t *testing.T) {
-				const n = 100
-				img := imageFn(m, 33)
-				schedule := PoissonArrivals(rate, n, mixedKinds, img, 23)
-				s, err := NewServer(cfg, m)
+				wall, err := RunWall(cfg, m, PoissonArrivals(rate, 100, mixedKinds, imageFn(m, 33), 23))
 				if err != nil {
 					t.Fatal(err)
 				}
-				start := time.Now()
-				chans := make([]<-chan *Response, n)
-				for i, a := range schedule {
-					if d := a.AtSec - time.Since(start).Seconds(); d > 0 {
-						time.Sleep(time.Duration(d * float64(time.Second)))
-					}
-					ch, err := s.Submit(a.Kind, a.Img)
-					if err != nil {
-						t.Fatal(err)
-					}
-					chans[i] = ch
-				}
-				resps := make([]*Response, n)
-				for i, ch := range chans {
-					resps[i] = <-ch
-				}
-				s.Drain()
+				checkInvariants(t, cfg, wall)
 
 				// Feed the *measured* admission instants to the simulator so
 				// submission jitter is not charged to the model.
-				simArr := make([]Arrival, n)
-				for i, r := range resps {
+				simArr := make([]Arrival, len(wall.Responses))
+				for i, r := range wall.Responses {
 					simArr[i] = Arrival{AtSec: r.Trace.ArrivalSec, Kind: r.Kind}
 				}
-				rep, err := Simulate(cfg, lat, simArr)
-				if err != nil {
-					t.Fatal(err)
-				}
+				simr, _ := simulate(t, cfg, lat, simArr)
 
-				meas := SummarizeResponses(name, resps, cfg.Workers)
-				pred := Summarize(name, rep.Run)
+				meas := Summarize(name, wall)
+				pred := Summarize(name, simr)
 				t.Logf("measured: %s", RenderTable([]Report{meas}))
 				t.Logf("predicted: %s", RenderTable([]Report{pred}))
 
@@ -176,14 +148,11 @@ func measureLatency(m *Model) LatencyModel {
 			resps[i] = &Response{ID: uint64(i), Kind: reqs[i].Kind}
 		}
 		exec := newModelExec(m)
-		members := make([]*pending, size)
-		for i := range members {
-			members[i] = &pending{req: reqs[i], resp: resps[i]}
-		}
+		job := &batchJob{reqs: reqs, resps: resps}
 		best := 0.0
 		for rep := 0; rep < 5; rep++ {
 			t0 := time.Now()
-			exec(members)
+			exec(job)
 			if d := time.Since(t0).Seconds(); rep == 0 || d < best {
 				best = d
 			}

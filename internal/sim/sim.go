@@ -13,6 +13,8 @@
 // communication stream, with dependencies encoding the chosen sharding
 // strategy and prefetch policy. The makespan of the graph is the step
 // time; per-stream busy time yields compute/communication exposure.
+// internal/serve's tests also replay serving schedules through it (one
+// stream per inference engine) as an oracle for the batcher's timing.
 package sim
 
 import (
@@ -137,26 +139,6 @@ func (t *Task) earliestStart(r *Resource, head int) (float64, bool) {
 	return start, true
 }
 
-// QueueDelay returns how long the task sat runnable before its
-// resource got to it: Start minus the latest dependency End (or minus
-// zero when the task has no dependencies). Only meaningful after Run.
-// The serving simulator reads this off its batch tasks as the
-// dispatch-queue wait — a closed batch is runnable the moment its
-// members arrived, and any extra time is the engine being busy.
-func (t *Task) QueueDelay() float64 {
-	ready := 0.0
-	for _, d := range t.Deps {
-		if d.End > ready {
-			ready = d.End
-		}
-	}
-	d := t.Start - ready
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // BusyTime returns the total scheduled duration on r.
 func (e *Engine) BusyTime(r *Resource) float64 {
 	var s float64
@@ -165,15 +147,3 @@ func (e *Engine) BusyTime(r *Resource) float64 {
 	}
 	return s
 }
-
-// IdleTime returns makespan minus busy time for r (clamped at 0).
-func (e *Engine) IdleTime(r *Resource, makespan float64) float64 {
-	idle := makespan - e.BusyTime(r)
-	if idle < 0 {
-		return 0
-	}
-	return idle
-}
-
-// Tasks returns every submitted task (after Run, with Start/End set).
-func (e *Engine) Tasks() []*Task { return e.tasks }
