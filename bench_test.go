@@ -310,13 +310,7 @@ func maskName(r float64) string {
 }
 
 func probeRun(s experiments.Scale, model *mae.Model, enc vit.Config, ds *geodata.Dataset) (float64, error) {
-	cfg := probe.Config{
-		BatchSize: s.ProbeBatch,
-		Epochs:    s.ProbeEpochs,
-		BaseLR:    s.ProbeLR,
-		Seed:      s.Seed,
-	}
-	r, err := probe.Run(cfg, model.Features, enc.Width, ds)
+	_, r, err := probe.FitHead(s.ProbeConfig(s.Seed), model.Features, enc.Width, ds)
 	if err != nil {
 		return 0, err
 	}

@@ -84,7 +84,7 @@ func run(o options, w io.Writer) error {
 	cfg.Epochs = o.epochs
 	cfg.Seed = o.seed
 	cfg.Log = w
-	res, err := geofm.LinearProbe(cfg, m.Features, enc.Width, ds)
+	_, res, err := geofm.LinearProbe(cfg, m.Features, enc.Width, ds)
 	if err != nil {
 		return err
 	}

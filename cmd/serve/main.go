@@ -155,14 +155,14 @@ func session(o options, m *geofm.ServeModel, w io.Writer) error {
 	pcfg := geofm.DefaultProbe(16)
 	pcfg.Epochs = o.epochs
 	pcfg.Seed = o.seed
-	cls, clsRes, err := geofm.FitProbeHead(pcfg, m.MAE.Features, enc.Width, ds)
+	cls, clsRes, err := geofm.LinearProbe(pcfg, m.MAE.Features, enc.Width, ds)
 	if err != nil {
 		return err
 	}
 	scfg := geofm.DefaultSeg()
 	scfg.Epochs = o.epochs
 	scfg.Seed = o.seed
-	seg, segRes, err := geofm.FitSegProbeHead(scfg, m.MAE.TokenFeatures, enc.Width, ds, enc.PatchSize)
+	seg, segRes, err := geofm.Segment(scfg, m.MAE.TokenFeatures, enc.Width, ds, enc.PatchSize)
 	if err != nil {
 		return err
 	}

@@ -307,7 +307,7 @@ func ExampleLinearProbe() {
 	probeCfg := geofm.DefaultProbe(8)
 	probeCfg.Epochs = 3
 	ucm := suite.Probe[1]
-	res, err := geofm.LinearProbe(probeCfg, pre.Model.Features, tinyEncoder().Width, ucm)
+	_, res, err := geofm.LinearProbe(probeCfg, pre.Model.Features, tinyEncoder().Width, ucm)
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,10 @@
 // Package geofm is the public API of the geospatial foundation-model
 // library: pretraining billion-scale-style Vision Transformers with
 // masked autoencoding on remote-sensing imagery, adapting them to
-// downstream classification via linear probing, serving the trained
-// models behind a dynamic batcher, and planning/simulating
-// distributed training runs on Frontier-class systems with PyTorch-FSDP
-// sharding semantics.
+// downstream classification and segmentation via linear probing,
+// serving the trained models behind a dynamic batcher, and
+// planning/simulating distributed training runs on Frontier-class
+// systems with PyTorch-FSDP sharding semantics.
 //
 // The package re-exports the stable types of the internal
 // implementation through aliases, so downstream code imports a single
@@ -12,7 +12,8 @@
 //
 //	enc, _ := geofm.Analog("ViT-3B", 32, 8, 3)
 //	res, _ := geofm.Pretrain(geofm.DefaultPretrain(geofm.DefaultMAE(enc)), dataset)
-//	probe, _ := geofm.LinearProbe(geofm.DefaultProbe(256), res.Model.Features, enc.Width, ucm)
+//	cls, probe, _ := geofm.LinearProbe(geofm.DefaultProbe(256), res.Model.Features, enc.Width, ucm)
+//	seg, masks, _ := geofm.Segment(geofm.DefaultSeg(), res.Model.TokenFeatures, enc.Width, ucm, enc.PatchSize)
 //
 //	plan, why := geofm.Advise(geofm.ViT5B, 32)     // sharding advisor
 //	sim, _ := geofm.Simulate(geofm.ViTWorkload(geofm.ViT5B, 32), geofm.Frontier(), 32, plan)
@@ -255,16 +256,22 @@ type ProbeConfig = probe.Config
 // ProbeResult is the per-epoch accuracy trajectory of one probe.
 type ProbeResult = probe.Result
 
-// FeatureFunc maps image batches to feature matrices.
+// FeatureFunc maps image batches to frozen feature rows:
+// MAEModel.Features gives one per image (LinearProbe's input),
+// MAEModel.TokenFeatures one per patch token (Segment's).
 type FeatureFunc = probe.FeatureFunc
+
+// ProbeHead is a trained linear probe packaged for serving.
+type ProbeHead = probe.Head
 
 // DefaultProbe returns the paper's probing recipe (LARS, base LR 0.1,
 // 100 epochs) for the given global batch.
 func DefaultProbe(batch int) ProbeConfig { return probe.Default(batch) }
 
-// LinearProbe trains a linear classifier on frozen features.
-func LinearProbe(cfg ProbeConfig, features FeatureFunc, featDim int, ds *Dataset) (*ProbeResult, error) {
-	return probe.Run(cfg, features, featDim, ds)
+// LinearProbe trains a linear classifier on frozen features and returns
+// it as a servable head alongside the accuracy trajectory.
+func LinearProbe(cfg ProbeConfig, features FeatureFunc, featDim int, ds *Dataset) (*ProbeHead, *ProbeResult, error) {
+	return probe.FitHead(cfg, features, featDim, ds)
 }
 
 // ---- Extended downstream tasks (the paper's envisioned next steps) -----
@@ -280,23 +287,17 @@ func ShotSweep(cfg ProbeConfig, features FeatureFunc, featDim int, ds *Dataset, 
 	return probe.ShotSweep(cfg, features, featDim, ds, shots)
 }
 
-// TokenFeatureFunc maps images to per-patch-token features
-// (MAEModel.TokenFeatures satisfies it).
-type TokenFeatureFunc = probe.TokenFeatureFunc
-
-// SegConfig configures semantic-segmentation probing.
-type SegConfig = probe.SegConfig
-
 // SegResult reports segmentation probing quality (patch accuracy, mIoU).
 type SegResult = probe.SegResult
 
 // DefaultSeg returns the segmentation probing recipe.
-func DefaultSeg() SegConfig { return probe.DefaultSeg() }
+func DefaultSeg() ProbeConfig { return probe.DefaultSeg() }
 
 // Segment trains a per-token linear head for semantic segmentation on
-// frozen features against the procedural per-pixel ground truth.
-func Segment(cfg SegConfig, features TokenFeatureFunc, featDim int, ds *Dataset, patchSize int) (*SegResult, error) {
-	return probe.RunSegmentation(cfg, features, featDim, ds, patchSize)
+// frozen per-token features against the procedural per-pixel ground
+// truth, and returns it as a servable head alongside its scores.
+func Segment(cfg ProbeConfig, features FeatureFunc, featDim int, ds *Dataset, patchSize int) (*ProbeHead, *SegResult, error) {
+	return probe.FitSegHead(cfg, features, featDim, ds, patchSize)
 }
 
 // FineTuneConfig configures end-to-end fine-tuning.
@@ -462,9 +463,6 @@ type ServeReport = serve.Report
 // ServeClosedLoopSpec describes a closed-loop load test.
 type ServeClosedLoopSpec = serve.ClosedLoop
 
-// ProbeHead is a trained linear probe packaged for serving.
-type ProbeHead = probe.Head
-
 // DefaultServeConfig returns a modest single-engine batcher.
 func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 
@@ -476,19 +474,6 @@ func NewServeModel(cfg MAEConfig, seed uint64) *ServeModel { return serve.NewMod
 // checkpoint (LoadTrainState) into a servable model.
 func ServeModelFromState(cfg MAEConfig, st *TrainState) (*ServeModel, error) {
 	return serve.NewModelFromState(cfg, st)
-}
-
-// FitProbeHead runs the linear-probing recipe and returns the trained
-// head as a servable artifact alongside the accuracy trajectory.
-func FitProbeHead(cfg ProbeConfig, features FeatureFunc, featDim int, ds *Dataset) (*ProbeHead, *ProbeResult, error) {
-	return probe.FitHead(cfg, features, featDim, ds)
-}
-
-// FitSegProbeHead runs the segmentation-probing recipe and returns the
-// trained per-token head.
-func FitSegProbeHead(cfg SegConfig, features TokenFeatureFunc, featDim int,
-	ds *Dataset, patchSize int) (*ProbeHead, *SegResult, error) {
-	return probe.FitSegHead(cfg, features, featDim, ds, patchSize)
 }
 
 // NewInferenceServer starts the wall-clock server over the shared

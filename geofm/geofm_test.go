@@ -39,7 +39,7 @@ func TestEndToEndTinyPipeline(t *testing.T) {
 
 	pc := DefaultProbe(16)
 	pc.Epochs = 3
-	pr, err := LinearProbe(pc, res.Model.Features, enc.Width, suite.Probe[1]) // UCM
+	_, pr, err := LinearProbe(pc, res.Model.Features, enc.Width, suite.Probe[1]) // UCM
 	if err != nil {
 		t.Fatal(err)
 	}

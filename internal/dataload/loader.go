@@ -50,12 +50,14 @@ type Batch struct {
 	inPool atomic.Bool
 }
 
+// prefetch bounds the number of in-flight batches.
+const prefetch = 2
+
 // Loader streams shuffled, batched samples from a Source.
 type Loader struct {
 	src       Source
 	batchSize int
 	workers   int
-	prefetch  int
 	shuffle   bool
 	dropLast  bool
 	rank      int
@@ -71,8 +73,6 @@ type Config struct {
 	// Workers is the number of concurrent sample-producing goroutines
 	// (default 1).
 	Workers int
-	// Prefetch bounds the number of in-flight batches (default 2).
-	Prefetch int
 	// Shuffle reshuffles sample order each epoch (deterministically
 	// from Seed).
 	Shuffle bool
@@ -100,10 +100,6 @@ func New(src Source, cfg Config) *Loader {
 	if w < 1 {
 		w = 1
 	}
-	pf := cfg.Prefetch
-	if pf < 1 {
-		pf = 2
-	}
 	world := cfg.ShardWorld
 	if world < 1 {
 		world = 1
@@ -115,7 +111,6 @@ func New(src Source, cfg Config) *Loader {
 		src:       src,
 		batchSize: cfg.BatchSize,
 		workers:   w,
-		prefetch:  pf,
 		shuffle:   cfg.Shuffle,
 		dropLast:  cfg.DropLast,
 		rank:      cfg.ShardRank,
@@ -264,7 +259,7 @@ func (l *Loader) EpochN(maxBatches int) <-chan *Batch {
 		close(jobCh)
 	}()
 
-	out := make(chan *Batch, l.prefetch)
+	out := make(chan *Batch, prefetch)
 	go func() {
 		for _, j := range jobs {
 			<-j.done

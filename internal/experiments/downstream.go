@@ -37,6 +37,30 @@ type Scale struct {
 	Seed    uint64
 }
 
+// PretrainConfig is the MAE pretraining recipe every Section V and VI
+// experiment runs enc through at this scale.
+func (s Scale) PretrainConfig(enc vit.Config, logw io.Writer) train.PretrainConfig {
+	return train.PretrainConfig{
+		MAE:              mae.Default(enc),
+		BatchSize:        s.BatchSize,
+		Epochs:           s.PretrainEpochs,
+		BaseLR:           s.PretrainLR,
+		WeightDecay:      0.05,
+		WarmupEpochs:     1,
+		ClipNorm:         5,
+		Workers:          s.Workers,
+		Seed:             s.Seed,
+		Log:              logw,
+		MaxStepsPerEpoch: s.MaxStepsPerEpoch,
+	}
+}
+
+// ProbeConfig is the linear-probing recipe at this scale, drawing its
+// batch order from seed.
+func (s Scale) ProbeConfig(seed uint64) probe.Config {
+	return probe.Config{BatchSize: s.ProbeBatch, Epochs: s.ProbeEpochs, BaseLR: s.ProbeLR, Seed: seed}
+}
+
 // TestScale finishes in seconds; used by unit tests and benchmarks.
 func TestScale() Scale {
 	return Scale{
@@ -92,20 +116,7 @@ func RunDownstream(s Scale, logw io.Writer) (*DownstreamResult, error) {
 		if logw != nil {
 			fmt.Fprintf(logw, "== pretraining %s (%d params) ==\n", enc.Name, enc.EncoderParams())
 		}
-		cfg := train.PretrainConfig{
-			MAE:              mae.Default(enc),
-			BatchSize:        s.BatchSize,
-			Epochs:           s.PretrainEpochs,
-			BaseLR:           s.PretrainLR,
-			WeightDecay:      0.05,
-			WarmupEpochs:     1,
-			ClipNorm:         5,
-			Workers:          s.Workers,
-			Seed:             s.Seed,
-			Log:              logw,
-			MaxStepsPerEpoch: s.MaxStepsPerEpoch,
-		}
-		pr, err := train.Pretrain(cfg, suite.Pretrain)
+		pr, err := train.Pretrain(s.PretrainConfig(enc, logw), suite.Pretrain)
 		if err != nil {
 			return nil, fmt.Errorf("pretraining %s: %w", enc.Name, err)
 		}
@@ -120,14 +131,8 @@ func RunDownstream(s Scale, logw io.Writer) (*DownstreamResult, error) {
 			var t1, t5 float64
 			const probeSeeds = 3
 			for k := 0; k < probeSeeds; k++ {
-				pc := probe.Config{
-					BatchSize: s.ProbeBatch,
-					Epochs:    s.ProbeEpochs,
-					BaseLR:    s.ProbeLR,
-					Seed:      s.Seed ^ 0xBEEF ^ uint64(k*7919),
-					Log:       nil,
-				}
-				r, err := probe.Run(pc, pr.Model.Features, enc.Width, ds)
+				pc := s.ProbeConfig(s.Seed ^ 0xBEEF ^ uint64(k*7919))
+				_, r, err := probe.FitHead(pc, pr.Model.Features, enc.Width, ds)
 				if err != nil {
 					return nil, fmt.Errorf("probing %s on %s: %w", enc.Name, ds.Name, err)
 				}

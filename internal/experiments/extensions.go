@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/geodata"
-	"repro/internal/mae"
 	"repro/internal/probe"
 	"repro/internal/train"
 	"repro/internal/vit"
@@ -34,20 +33,7 @@ func RunExtensions(s Scale, logw io.Writer) (*ExtensionResult, error) {
 	suite := geodata.NewSuite(s.SuiteScale, s.ImageSize, s.Channels, s.Seed)
 	ucm := suite.Probe[1]
 
-	cfg := train.PretrainConfig{
-		MAE:              mae.Default(enc),
-		BatchSize:        s.BatchSize,
-		Epochs:           s.PretrainEpochs,
-		BaseLR:           s.PretrainLR,
-		WeightDecay:      0.05,
-		WarmupEpochs:     1,
-		ClipNorm:         5,
-		Workers:          s.Workers,
-		Seed:             s.Seed,
-		Log:              logw,
-		MaxStepsPerEpoch: s.MaxStepsPerEpoch,
-	}
-	pr, err := train.Pretrain(cfg, suite.Pretrain)
+	pr, err := train.Pretrain(s.PretrainConfig(enc, logw), suite.Pretrain)
 	if err != nil {
 		return nil, err
 	}
@@ -63,21 +49,18 @@ func RunExtensions(s Scale, logw io.Writer) (*ExtensionResult, error) {
 		}
 	}
 
-	pc := probe.Config{BatchSize: s.ProbeBatch, Epochs: s.ProbeEpochs, BaseLR: s.ProbeLR, Seed: s.Seed}
+	pc := s.ProbeConfig(s.Seed)
 	res.FewShot, err = probe.ShotSweep(pc, pr.Model.Features, enc.Width, ucm, res.Shots)
 	if err != nil {
 		return nil, fmt.Errorf("few-shot: %w", err)
 	}
-	res.Probe, err = probe.Run(pc, pr.Model.Features, enc.Width, ucm)
+	_, res.Probe, err = probe.FitHead(pc, pr.Model.Features, enc.Width, ucm)
 	if err != nil {
 		return nil, fmt.Errorf("probe: %w", err)
 	}
 
-	sc := probe.SegConfig{Epochs: s.ProbeEpochs / 2, BatchSize: s.BatchSize, BaseLR: 0.1, Seed: s.Seed}
-	if sc.Epochs < 1 {
-		sc.Epochs = 1
-	}
-	res.Seg, err = probe.RunSegmentation(sc, pr.Model.TokenFeatures, enc.Width, ucm, s.PatchSize)
+	sc := probe.Config{Epochs: max(s.ProbeEpochs/2, 1), BatchSize: s.BatchSize, BaseLR: 0.1, Seed: s.Seed}
+	_, res.Seg, err = probe.FitSegHead(sc, pr.Model.TokenFeatures, enc.Width, ucm, s.PatchSize)
 	if err != nil {
 		return nil, fmt.Errorf("segmentation: %w", err)
 	}

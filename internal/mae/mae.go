@@ -192,14 +192,6 @@ func (m *Model) PackBF16() {
 	m.Encoder.PackBF16()
 }
 
-// Release drops the encoder-side scratch buffers (embed + trunk).
-// Decoder scratch is left alone: a serving process never grows it, and
-// a training process re-grows everything on the next step anyway.
-func (m *Model) Release() {
-	m.Embed.Release()
-	m.Encoder.Release()
-}
-
 // sampleMask draws a fresh random mask for each image: keep visible
 // indices sorted so token order within the encoder is stable.
 func (m *Model) sampleMask(batch int) {

@@ -19,9 +19,6 @@ type GELU struct {
 // NewGELU returns a GELU activation layer.
 func NewGELU() *GELU { return &GELU{} }
 
-// Release drops the cached input reference and grown scratch.
-func (g *GELU) Release() { g.x, g.y, g.dx = nil, nil, nil }
-
 // Params returns nil: GELU has no trainable parameters.
 func (g *GELU) Params() []*Param { return nil }
 

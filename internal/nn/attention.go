@@ -153,15 +153,3 @@ func (a *MultiHeadAttention) Backward(dy []float32) []float32 {
 	})
 	return a.QKV.Backward(a.dqkv)
 }
-
-// Release drops every scratch buffer the layer has grown — the
-// rearranged Q/K/V, softmax state, forward output, and gradient
-// scratch — so a layer that served one large batch does not pin that
-// batch's footprint forever. The next Forward simply re-grows what it
-// needs; weights are untouched.
-func (a *MultiHeadAttention) Release() {
-	a.q, a.k, a.v, a.stats = nil, nil, nil, nil
-	a.attnOut, a.dqkv = nil, nil
-	a.QKV.Release()
-	a.Out.Release()
-}

@@ -44,13 +44,6 @@ func (m *MLP) PackBF16() {
 	m.FC2.PackBF16()
 }
 
-// Release drops the feed-forward scratch buffers.
-func (m *MLP) Release() {
-	m.FC1.Release()
-	m.Act.Release()
-	m.FC2.Release()
-}
-
 // Block is a pre-norm transformer encoder block:
 //
 //	x = x + MHA(LN₁(x));  x = x + MLP(LN₂(x))
@@ -120,14 +113,4 @@ func (b *Block) Backward(dy []float32) []float32 {
 func (b *Block) PackBF16() {
 	b.Attn.PackBF16()
 	b.MLP.PackBF16()
-}
-
-// Release drops every scratch buffer in the block (residual sums and
-// all sub-layer scratch); weights are untouched.
-func (b *Block) Release() {
-	b.LN1.Release()
-	b.Attn.Release()
-	b.LN2.Release()
-	b.MLP.Release()
-	b.y1, b.y2, b.dx = nil, nil, nil
 }

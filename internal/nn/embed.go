@@ -71,8 +71,6 @@ type PatchEmbed struct {
 	Tokens          int // grid positions per image
 	Proj            *Linear
 	Pos             []float32 // (Tokens × Width), fixed
-
-	y []float32
 }
 
 // NewPatchEmbed builds the embedding for a (gridH × gridW) patch grid.
@@ -106,7 +104,6 @@ func (pe *PatchEmbed) Forward(patches []float32, batch int) []float32 {
 			}
 		}
 	})
-	pe.y = y
 	return y
 }
 
@@ -118,12 +115,6 @@ func (pe *PatchEmbed) Backward(dy []float32) []float32 {
 
 // PackBF16 packs the projection's bf16 weight shadow for inference.
 func (pe *PatchEmbed) PackBF16() { pe.Proj.PackBF16() }
-
-// Release drops the embedding scratch; Pos and weights are kept.
-func (pe *PatchEmbed) Release() {
-	pe.Proj.Release()
-	pe.y = nil
-}
 
 // SinCos2D returns the fixed 2-D sine-cosine positional embedding table
 // of shape (gridH·gridW × dim), matching the get_2d_sincos_pos_embed

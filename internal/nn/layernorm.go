@@ -34,12 +34,6 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Params returns γ and β.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
-// Release drops the normalization caches (x̂, 1/σ) and scratch.
-func (ln *LayerNorm) Release() {
-	ln.rows = 0
-	ln.xhat, ln.invStd, ln.y, ln.dx = nil, nil, nil, nil
-}
-
 // Forward normalizes each of the rows rows of x.
 func (ln *LayerNorm) Forward(x []float32, rows int) []float32 {
 	d := ln.Dim

@@ -79,10 +79,3 @@ func (l *Linear) PackBF16() {
 	}
 	tensor.ToBF16(l.WBF16, l.W.Value.Data)
 }
-
-// Release drops the grown forward/backward scratch (and the cached
-// input reference); weights and the bf16 shadow are kept.
-func (l *Linear) Release() {
-	l.x, l.y, l.dx = nil, nil, nil
-	l.rows = 0
-}

@@ -155,8 +155,8 @@ func TestRunSegmentationEndToEnd(t *testing.T) {
 	gen := geodata.NewSceneGen(4, 16, 3, 11)
 	ds := &geodata.Dataset{Name: "seg", Gen: gen, TrainCount: 16, TestCount: 8}
 	model := tinyMAEModel(3)
-	cfg := SegConfig{Epochs: 6, BatchSize: 4, BaseLR: 0.1, Seed: 1}
-	res, err := RunSegmentation(cfg, model.TokenFeatures, 16, ds, 4)
+	cfg := Config{Epochs: 6, BatchSize: 4, BaseLR: 0.1, Seed: 1}
+	_, res, err := FitSegHead(cfg, model.TokenFeatures, 16, ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestRunSegmentationValidation(t *testing.T) {
 	gen := geodata.NewSceneGen(2, 16, 3, 1)
 	ds := &geodata.Dataset{Name: "seg", Gen: gen, TrainCount: 4, TestCount: 2}
 	model := tinyMAEModel(1)
-	if _, err := RunSegmentation(SegConfig{Epochs: 0, BatchSize: 2}, model.TokenFeatures, 16, ds, 4); err == nil {
+	if _, _, err := FitSegHead(Config{Epochs: 0, BatchSize: 2}, model.TokenFeatures, 16, ds, 4); err == nil {
 		t.Fatal("0 epochs accepted")
 	}
-	if _, err := RunSegmentation(SegConfig{Epochs: 1, BatchSize: 2, BaseLR: 0.1}, model.TokenFeatures, 16, ds, 5); err == nil {
+	if _, _, err := FitSegHead(Config{Epochs: 1, BatchSize: 2, BaseLR: 0.1}, model.TokenFeatures, 16, ds, 5); err == nil {
 		t.Fatal("indivisible patch accepted")
 	}
 }
@@ -241,7 +241,7 @@ func TestFineTuneBeatsLinearProbeOnTinyTask(t *testing.T) {
 	ds := &geodata.Dataset{Name: "cmp", Gen: gen, TrainCount: 30, TestCount: 15}
 
 	frozen := tinyMAEModel(7)
-	lp, err := Run(Config{BatchSize: 10, Epochs: 12, BaseLR: 0.1, Seed: 3},
+	_, lp, err := FitHead(Config{BatchSize: 10, Epochs: 12, BaseLR: 0.1, Seed: 3},
 		frozen.Features, 16, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,8 @@ func FewShot(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset,
 	if cfg.BatchSize > sub.TrainCount {
 		cfg.BatchSize = sub.TrainCount
 	}
-	return Run(cfg, features, featDim, &sub)
+	_, res, err := FitHead(cfg, features, featDim, &sub)
+	return res, err
 }
 
 // ShotSweep runs FewShot for each of the given shot counts and returns

@@ -1,7 +1,6 @@
 package probe
 
 import (
-	"repro/internal/geodata"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -54,16 +53,3 @@ func (h *Head) LogitsInto(dst, features, scratch []float32, n int) {
 
 // Argmax returns the index of the largest logit — the predicted class.
 func Argmax(logits []float32) int { return argmax(logits) }
-
-// FitHead runs the full linear-probing recipe (Run) and additionally
-// returns the trained head as a servable artifact.
-func FitHead(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset) (*Head, *Result, error) {
-	return fitHead(cfg, features, featDim, ds)
-}
-
-// FitSegHead runs the segmentation-probing recipe (RunSegmentation)
-// and additionally returns the trained per-token head.
-func FitSegHead(cfg SegConfig, features TokenFeatureFunc, featDim int,
-	ds *geodata.Dataset, patchSize int) (*Head, *SegResult, error) {
-	return fitSegHead(cfg, features, featDim, ds, patchSize)
-}

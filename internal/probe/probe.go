@@ -4,7 +4,8 @@
 // classifier is trained on top with the LARS optimizer (base LR 0.1,
 // no weight decay, global batch per Section V-C), and top-1/top-5
 // accuracy is recorded every epoch — the curves of Figure 6 and the
-// final numbers of Table III.
+// final numbers of Table III. Segmentation probing (FitSegHead) runs the
+// same recipe with one row per patch token instead of one per image.
 //
 // Because the trunk is frozen, features for the probe train/test splits
 // are extracted once and cached, which is exactly equivalent to (and
@@ -23,21 +24,21 @@ import (
 	"repro/internal/rng"
 )
 
-// FeatureFunc maps a batch of channel-last images to (batch × dim)
-// features. mae.Model.Features satisfies it.
+// FeatureFunc maps a batch of channel-last images to frozen features,
+// a fixed number of rows of one width per image: mae.Model.Features
+// gives one mean-pooled row per image (batch × dim), the classification
+// probe's input; mae.Model.TokenFeatures gives one row per patch token
+// (batch·tokens × dim), the segmentation probe's.
 type FeatureFunc func(imgs []float32, batch int) []float32
 
-// Config carries the probing hyper-parameters; defaults follow the
-// paper (LARS, base LR 0.1, no weight decay, 100 epochs).
+// Config carries the probing hyper-parameters of both probes; defaults
+// follow the paper (LARS, base LR 0.1, no weight decay, 100 epochs).
 type Config struct {
-	BatchSize int
+	BatchSize int // images per step
 	Epochs    int
 	BaseLR    float64
 	Seed      uint64
-	// FeatureBatch is the batch size used during one-time feature
-	// extraction (defaults to BatchSize).
-	FeatureBatch int
-	Log          io.Writer
+	Log       io.Writer
 }
 
 // Default returns the paper's probing configuration for the given
@@ -57,93 +58,155 @@ type Result struct {
 	TestCount  int
 }
 
-// Run trains a linear probe on frozen features over ds and returns the
-// accuracy trajectory.
-func Run(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset) (*Result, error) {
-	_, res, err := fitHead(cfg, features, featDim, ds)
-	return res, err
+// FitHead trains a linear classifier on frozen features over ds and
+// returns the trained head, packaged for serving, with the accuracy
+// trajectory.
+func FitHead(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset) (*Head, *Result, error) {
+	classes := ds.Classes()
+	res := &Result{Dataset: ds.Name, TrainCount: ds.TrainCount, TestCount: ds.TestCount}
+	res.Top1Curve.Name = ds.Name + " top1"
+	res.Top5Curve.Name = ds.Name + " top5"
+	head, err := fit(cfg, features, featDim, ds, task{
+		classes: classes, perImage: 1, evalRows: 256,
+		sample: func(test bool, i int, img []float32, labels []int) {
+			if test {
+				labels[0] = ds.TestSample(i, img)
+			} else {
+				labels[0] = ds.TrainSample(i, img)
+			}
+		},
+		evaluate: func(epoch int, logits []float32, labels []int) {
+			acc := metrics.NewAccuracy(classes)
+			for i, y := range labels {
+				acc.Observe(logits[i*classes:(i+1)*classes], y)
+			}
+			res.Top1Curve.Append(float64(epoch+1), acc.Top1())
+			res.Top5Curve.Append(float64(epoch+1), acc.Top5())
+			if cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "%s epoch %3d: top1 %.2f%% top5 %.2f%%\n",
+					ds.Name, epoch+1, 100*acc.Top1(), 100*acc.Top5())
+			}
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res.FinalTop1 = res.Top1Curve.Last()
+	res.FinalTop5 = res.Top5Curve.Last()
+	return head, res, nil
 }
 
-// fitHead is the single probing implementation behind Run and FitHead:
-// train the standardized linear classifier, then snapshot it.
-func fitHead(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset) (*Head, *Result, error) {
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return nil, nil, fmt.Errorf("probe: non-positive batch size or epochs")
-	}
-	fb := cfg.FeatureBatch
-	if fb <= 0 {
-		fb = cfg.BatchSize
-	}
-	classes := ds.Classes()
+// task is what one probe adds to the shared recipe: what a row is, how
+// an image's rows are labeled, and what the test logits are scored as.
+type task struct {
+	classes  int
+	perImage int // feature rows, and labels, per image
+	// evalRows is the test rows per evaluation forward. It is part of
+	// the result: the chunk's shape picks the streaming or the blocked
+	// GEMM, whose logits may differ in the last bit.
+	evalRows int
+	// sample renders image i of the train (or test) split into img and
+	// writes its perImage labels.
+	sample func(test bool, i int, img []float32, labels []int)
+	// evaluate scores the logits of every test row after an epoch.
+	evaluate func(epoch int, logits []float32, labels []int)
+}
 
-	trainX, trainY, err := extract(features, featDim, fb, ds.TrainCount, ds.TrainSample, ds.Gen.ImageLen())
-	if err != nil {
-		return nil, nil, err
+// fit is the one linear-probing recipe. Both splits pass through the
+// frozen extractor once and are standardized with the train split's
+// statistics — the equivalent of the (affine-free) BatchNorm the MAE
+// linear-probing recipe inserts before the classifier; without it,
+// feature scales vary across encoders and LARS becomes unstable. A
+// zero-initialized linear head then trains with LARS on a cosine
+// schedule (one warm-up epoch, the rate scaled by rows per step) over
+// permuted mini-batches of BatchSize images' rows that wrap around the
+// train split, and the test rows are scored after every epoch.
+func fit(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset, t task) (*Head, error) {
+	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
+		return nil, fmt.Errorf("probe: non-positive batch size or epochs")
 	}
-	testX, testY, err := extract(features, featDim, fb, ds.TestCount, ds.TestSample, ds.Gen.ImageLen())
-	if err != nil {
-		return nil, nil, err
+	if featDim <= 0 {
+		return nil, fmt.Errorf("probe: non-positive feature dimension %d", featDim)
 	}
-	// Standardize features with train-split statistics — the equivalent
-	// of the (affine-free) BatchNorm the MAE linear-probing recipe
-	// inserts before the classifier. Without it, feature scales vary
-	// across encoders and LARS becomes unstable.
+	trainX, trainY, err := extract(features, featDim, cfg.BatchSize, ds.TrainCount, ds.Gen.ImageLen(), false, t)
+	if err != nil {
+		return nil, err
+	}
+	testX, testY, err := extract(features, featDim, cfg.BatchSize, ds.TestCount, ds.Gen.ImageLen(), true, t)
+	if err != nil {
+		return nil, err
+	}
 	mean, invStd := featureStats(trainX, featDim)
 	standardize(trainX, mean, invStd, featDim)
 	standardize(testX, mean, invStd, featDim)
 
+	// The Xavier draws are discarded by the zero-init convention, but
+	// they advance r and so fix every batch permutation after them.
 	r := rng.New(cfg.Seed)
-	head := nn.NewLinear("probe.head", featDim, classes, r)
-	head.W.Value.Zero() // linear probing convention: zero-init classifier
+	head := nn.NewLinear("probe.head", featDim, t.classes, r)
+	head.W.Value.Zero()
 	params := head.Params()
 	optim := opt.NewLARS(params, 0)
 
-	stepsPerEpoch := ds.TrainCount / cfg.BatchSize
-	if stepsPerEpoch == 0 {
-		stepsPerEpoch = 1
-	}
+	rows, perStep := len(trainY), cfg.BatchSize*t.perImage
+	stepsPerEpoch := max(rows/perStep, 1)
 	sched := opt.CosineSchedule{
-		Base:        opt.ScaledLR(cfg.BaseLR, cfg.BatchSize),
-		MinLR:       0,
-		WarmupSteps: stepsPerEpoch, // one warmup epoch
+		Base:        opt.ScaledLR(cfg.BaseLR, perStep),
+		WarmupSteps: stepsPerEpoch,
 		TotalSteps:  cfg.Epochs * stepsPerEpoch,
 	}
-
-	res := &Result{Dataset: ds.Name, TrainCount: ds.TrainCount, TestCount: ds.TestCount}
-	res.Top1Curve.Name = ds.Name + " top1"
-	res.Top5Curve.Name = ds.Name + " top5"
-
-	batchX := make([]float32, cfg.BatchSize*featDim)
-	batchY := make([]int, cfg.BatchSize)
-	dlogits := make([]float32, cfg.BatchSize*classes)
+	batchX := make([]float32, perStep*featDim)
+	batchY := make([]int, perStep)
+	dlogits := make([]float32, perStep*t.classes)
+	testLogits := make([]float32, len(testY)*t.classes)
 	step := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := r.Perm(ds.TrainCount)
+		perm := r.Perm(rows)
 		for s := 0; s < stepsPerEpoch; s++ {
-			n := 0
-			for ; n < cfg.BatchSize; n++ {
-				src := perm[(s*cfg.BatchSize+n)%ds.TrainCount]
+			for n := range batchY {
+				src := perm[(s*perStep+n)%rows]
 				copy(batchX[n*featDim:(n+1)*featDim], trainX[src*featDim:(src+1)*featDim])
 				batchY[n] = trainY[src]
 			}
 			nn.ZeroGrads(params)
-			logits := head.Forward(batchX[:n*featDim], n)
-			nn.CrossEntropy(logits, batchY[:n], classes, dlogits[:n*classes])
-			head.Backward(dlogits[:n*classes])
+			nn.CrossEntropy(head.Forward(batchX, perStep), batchY, t.classes, dlogits)
+			head.Backward(dlogits)
 			optim.Step(sched.LR(step))
 			step++
 		}
-		top1, top5 := evaluate(head, testX, testY, featDim, classes)
-		res.Top1Curve.Append(float64(epoch+1), top1)
-		res.Top5Curve.Append(float64(epoch+1), top5)
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "%s epoch %3d: top1 %.2f%% top5 %.2f%%\n",
-				ds.Name, epoch+1, 100*top1, 100*top5)
+		for lo := 0; lo < len(testY); lo += t.evalRows {
+			hi := min(lo+t.evalRows, len(testY))
+			copy(testLogits[lo*t.classes:], head.Forward(testX[lo*featDim:hi*featDim], hi-lo))
 		}
+		t.evaluate(epoch, testLogits, testY)
 	}
-	res.FinalTop1 = res.Top1Curve.Last()
-	res.FinalTop5 = res.Top5Curve.Last()
-	return newHead(head, mean, invStd), res, nil
+	return newHead(head, mean, invStd), nil
+}
+
+// extract runs the frozen extractor over a whole split, t.perImage rows
+// per image. Every call must return exactly rows × featDim values, so a
+// featDim or patch size that does not match the encoder fails here.
+func extract(features FeatureFunc, featDim, batch, count, imgLen int, test bool, t task) ([]float32, []int, error) {
+	if count <= 0 {
+		return nil, nil, fmt.Errorf("probe: empty split")
+	}
+	per := t.perImage
+	X := make([]float32, count*per*featDim)
+	Y := make([]int, count*per)
+	imgs := make([]float32, batch*imgLen)
+	for start := 0; start < count; start += batch {
+		n := min(batch, count-start)
+		for i := 0; i < n; i++ {
+			t.sample(test, start+i, imgs[i*imgLen:(i+1)*imgLen], Y[(start+i)*per:(start+i+1)*per])
+		}
+		f := features(imgs[:n*imgLen], n)
+		if len(f) != n*per*featDim {
+			return nil, nil, fmt.Errorf("probe: extractor returned %d values for %d images, want %d rows × %d",
+				len(f), n, n*per, featDim)
+		}
+		copy(X[start*per*featDim:], f)
+	}
+	return X, Y, nil
 }
 
 // featureStats returns per-dimension mean and inverse standard
@@ -197,46 +260,4 @@ func standardize(x []float32, mean, invStd []float64, dim int) {
 			x[i*dim+j] = float32((float64(x[i*dim+j]) - mean[j]) * invStd[j])
 		}
 	}
-}
-
-// extract runs the frozen feature extractor over a whole split.
-func extract(features FeatureFunc, featDim, batch, count int,
-	sample func(int, []float32) int, imgLen int) ([]float32, []int, error) {
-	if count <= 0 {
-		return nil, nil, fmt.Errorf("probe: empty split")
-	}
-	X := make([]float32, count*featDim)
-	Y := make([]int, count)
-	imgs := make([]float32, batch*imgLen)
-	for start := 0; start < count; start += batch {
-		end := start + batch
-		if end > count {
-			end = count
-		}
-		n := end - start
-		for i := 0; i < n; i++ {
-			Y[start+i] = sample(start+i, imgs[i*imgLen:(i+1)*imgLen])
-		}
-		f := features(imgs[:n*imgLen], n)
-		copy(X[start*featDim:end*featDim], f[:n*featDim])
-	}
-	return X, Y, nil
-}
-
-// evaluate computes test top-1/top-5 for the current head.
-func evaluate(head *nn.Linear, X []float32, Y []int, featDim, classes int) (float64, float64) {
-	acc := metrics.NewAccuracy(classes)
-	const evalBatch = 256
-	for start := 0; start < len(Y); start += evalBatch {
-		end := start + evalBatch
-		if end > len(Y) {
-			end = len(Y)
-		}
-		n := end - start
-		logits := head.Forward(X[start*featDim:end*featDim], n)
-		for i := 0; i < n; i++ {
-			acc.Observe(logits[i*classes:(i+1)*classes], Y[start+i])
-		}
-	}
-	return acc.Top1(), acc.Top5()
 }

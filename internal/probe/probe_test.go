@@ -38,11 +38,38 @@ func probeDataset(classes, train, test int) *geodata.Dataset {
 func TestRunValidation(t *testing.T) {
 	ds := probeDataset(3, 9, 6)
 	f := pixelFeatures(ds.Gen.ImageLen(), 8)
-	if _, err := Run(Config{BatchSize: 0, Epochs: 1}, f, 8, ds); err == nil {
+	if _, _, err := FitHead(Config{BatchSize: 0, Epochs: 1}, f, 8, ds); err == nil {
 		t.Fatal("batch size 0 accepted")
 	}
-	if _, err := Run(Config{BatchSize: 4, Epochs: 0}, f, 8, ds); err == nil {
+	if _, _, err := FitHead(Config{BatchSize: 4, Epochs: 0}, f, 8, ds); err == nil {
 		t.Fatal("epochs 0 accepted")
+	}
+}
+
+// TestMalformedGeometryFails pins the named error for every feature or
+// patch geometry that does not match what the extractor returns.
+func TestMalformedGeometryFails(t *testing.T) {
+	gen := geodata.NewSceneGen(3, 16, 3, 1)
+	ds := &geodata.Dataset{Name: "geom", Gen: gen, TrainCount: 6, TestCount: 3}
+	width16 := pixelFeatures(gen.ImageLen(), 16)
+	model := tinyMAEModel(1) // width 16, patch 4
+	cfg := Config{BatchSize: 3, Epochs: 1, BaseLR: 0.1, Seed: 1}
+	classify := func(dim int) error { _, _, err := FitHead(cfg, width16, dim, ds); return err }
+	segment := func(patch int) error { _, _, err := FitSegHead(cfg, model.TokenFeatures, 16, ds, patch); return err }
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"featDim below the width", classify(8), "probe: extractor returned 48 values for 3 images, want 3 rows × 8"},
+		{"featDim above the width", classify(32), "probe: extractor returned 48 values for 3 images, want 3 rows × 32"},
+		{"featDim 0", classify(0), "probe: non-positive feature dimension 0"},
+		{"patch 0", segment(0), "probe: non-positive patch size 0"},
+		{"patch 8 on a patch-4 encoder", segment(8), "probe: extractor returned 768 values for 3 images, want 12 rows × 16"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, c.err, c.want)
+		}
 	}
 }
 
@@ -52,7 +79,7 @@ func TestProbeBeatsChanceOnPixelFeatures(t *testing.T) {
 	featDim := 16
 	f := pixelFeatures(ds.Gen.ImageLen(), featDim)
 	cfg := Config{BatchSize: 12, Epochs: 30, BaseLR: 0.1, Seed: 1}
-	res, err := Run(cfg, f, featDim, ds)
+	_, res, err := FitHead(cfg, f, featDim, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +99,7 @@ func TestTop5IsOneWithFewClasses(t *testing.T) {
 	// With ≤5 classes every prediction is top-5 correct by definition.
 	ds := probeDataset(4, 16, 8)
 	f := pixelFeatures(ds.Gen.ImageLen(), 8)
-	res, err := Run(Config{BatchSize: 8, Epochs: 2, BaseLR: 0.1, Seed: 1}, f, 8, ds)
+	_, res, err := FitHead(Config{BatchSize: 8, Epochs: 2, BaseLR: 0.1, Seed: 1}, f, 8, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +117,7 @@ func TestProbeWithMAEFeatures(t *testing.T) {
 	mcfg := mae.Config{Encoder: enc, DecoderWidth: 8, DecoderDepth: 1, DecoderHeads: 2, MaskRatio: 0.75}
 	model := mae.New(mcfg, rng.New(2))
 	ds := probeDataset(3, 18, 9)
-	res, err := Run(Config{BatchSize: 6, Epochs: 3, BaseLR: 0.1, Seed: 3},
+	_, res, err := FitHead(Config{BatchSize: 6, Epochs: 3, BaseLR: 0.1, Seed: 3},
 		model.Features, enc.Width, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +134,11 @@ func TestProbeDeterminism(t *testing.T) {
 	ds := probeDataset(3, 30, 15)
 	f := pixelFeatures(ds.Gen.ImageLen(), 8)
 	cfg := Config{BatchSize: 10, Epochs: 5, BaseLR: 0.1, Seed: 9}
-	r1, err := Run(cfg, f, 8, ds)
+	_, r1, err := FitHead(cfg, f, 8, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, f, 8, ds)
+	_, r2, err := FitHead(cfg, f, 8, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,9 @@ package probe
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/geodata"
 	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/rng"
 )
 
 // Semantic segmentation probing — the paper's other envisioned
@@ -17,22 +13,9 @@ import (
 // ground-truth classes (background / structure / grid), trained with
 // cross-entropy and evaluated by pixel^(patch) accuracy and mean IoU.
 
-// TokenFeatureFunc maps an image batch to per-token features of shape
-// (batch·tokens × dim). mae.Model.TokenFeatures satisfies it.
-type TokenFeatureFunc func(imgs []float32, batch int) []float32
-
-// SegConfig configures segmentation probing.
-type SegConfig struct {
-	Epochs    int
-	BatchSize int // images per step
-	BaseLR    float64
-	Seed      uint64
-	Log       io.Writer
-}
-
 // DefaultSeg mirrors the classification probe's recipe.
-func DefaultSeg() SegConfig {
-	return SegConfig{Epochs: 40, BatchSize: 16, BaseLR: 0.1, Seed: 7}
+func DefaultSeg() Config {
+	return Config{Epochs: 40, BatchSize: 16, BaseLR: 0.1, Seed: 7}
 }
 
 // SegResult reports segmentation probing quality.
@@ -44,162 +27,62 @@ type SegResult struct {
 	AccCurve      metrics.Series
 }
 
-// RunSegmentation trains a per-token linear head on frozen features
-// over the dataset's train split and evaluates on the test split.
-// patchSize must match the encoder's patch size so token labels align.
-func RunSegmentation(cfg SegConfig, features TokenFeatureFunc, featDim int,
-	ds *geodata.Dataset, patchSize int) (*SegResult, error) {
-	_, res, err := fitSegHead(cfg, features, featDim, ds, patchSize)
-	return res, err
-}
-
-// fitSegHead is the single implementation behind RunSegmentation and
-// FitSegHead.
-func fitSegHead(cfg SegConfig, features TokenFeatureFunc, featDim int,
+// FitSegHead trains a per-token linear head on frozen per-token
+// features (mae.Model.TokenFeatures) over the dataset's train split,
+// evaluates it on the test split after every epoch, and returns the
+// head with the last epoch's scores. patchSize must match the encoder's
+// patch size so token labels align.
+func FitSegHead(cfg Config, features FeatureFunc, featDim int,
 	ds *geodata.Dataset, patchSize int) (*Head, *SegResult, error) {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
-		return nil, nil, fmt.Errorf("probe: non-positive epochs or batch size")
+	size := ds.Gen.Size
+	if patchSize <= 0 {
+		return nil, nil, fmt.Errorf("probe: non-positive patch size %d", patchSize)
 	}
-	gen := ds.Gen
-	if gen.Size%patchSize != 0 {
-		return nil, nil, fmt.Errorf("probe: image %d not divisible by patch %d", gen.Size, patchSize)
+	if size%patchSize != 0 {
+		return nil, nil, fmt.Errorf("probe: image %d not divisible by patch %d", size, patchSize)
 	}
-	grid := gen.Size / patchSize
-	tokens := grid * grid
-
-	trainX, trainY, err := extractTokens(features, featDim, cfg.BatchSize, ds, false, patchSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	testX, testY, err := extractTokens(features, featDim, cfg.BatchSize, ds, true, patchSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	mean, invStd := featureStats(trainX, featDim)
-	standardize(trainX, mean, invStd, featDim)
-	standardize(testX, mean, invStd, featDim)
-
-	r := rng.New(cfg.Seed)
-	head := nn.NewLinear("seg.head", featDim, geodata.SegClasses, r)
-	head.W.Value.Zero()
-	params := head.Params()
-	optim := opt.NewLARS(params, 0)
-
-	nTrainTok := len(trainY)
-	tokPerStep := cfg.BatchSize * tokens
-	stepsPerEpoch := nTrainTok / tokPerStep
-	if stepsPerEpoch == 0 {
-		stepsPerEpoch = 1
-	}
-	sched := opt.CosineSchedule{
-		Base:        opt.ScaledLR(cfg.BaseLR, tokPerStep),
-		MinLR:       0,
-		WarmupSteps: stepsPerEpoch,
-		TotalSteps:  cfg.Epochs * stepsPerEpoch,
-	}
-
+	grid := size / patchSize
 	res := &SegResult{Dataset: ds.Name}
 	res.AccCurve.Name = ds.Name + " seg patch-acc"
-
-	batchX := make([]float32, tokPerStep*featDim)
-	batchY := make([]int, tokPerStep)
-	dlogits := make([]float32, tokPerStep*geodata.SegClasses)
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := r.Perm(nTrainTok)
-		for s := 0; s < stepsPerEpoch; s++ {
-			for n := 0; n < tokPerStep; n++ {
-				src := perm[(s*tokPerStep+n)%nTrainTok]
-				copy(batchX[n*featDim:(n+1)*featDim], trainX[src*featDim:(src+1)*featDim])
-				batchY[n] = trainY[src]
-			}
-			nn.ZeroGrads(params)
-			logits := head.Forward(batchX, tokPerStep)
-			nn.CrossEntropy(logits, batchY, geodata.SegClasses, dlogits)
-			head.Backward(dlogits)
-			optim.Step(sched.LR(step))
-			step++
-		}
-		acc, _, _ := evalSeg(head, testX, testY, featDim)
-		res.AccCurve.Append(float64(epoch+1), acc)
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "%s seg epoch %3d: patch acc %.2f%%\n", ds.Name, epoch+1, 100*acc)
-		}
-	}
-	acc, miou, perClass := evalSeg(head, testX, testY, featDim)
-	res.PatchAccuracy = acc
-	res.MeanIoU = miou
-	res.PerClassIoU = perClass
-	return newHead(head, mean, invStd), res, nil
-}
-
-// extractTokens renders each image with its mask, extracts per-token
-// features, and majority-votes per-patch labels.
-func extractTokens(features TokenFeatureFunc, featDim, batch int,
-	ds *geodata.Dataset, test bool, patchSize int) ([]float32, []int, error) {
-	gen := ds.Gen
-	count := ds.TrainCount
-	if test {
-		count = ds.TestCount
-	}
-	if count <= 0 {
-		return nil, nil, fmt.Errorf("probe: empty split")
-	}
-	grid := gen.Size / patchSize
-	tokens := grid * grid
-	imgLen := gen.ImageLen()
-
-	X := make([]float32, count*tokens*featDim)
-	Y := make([]int, count*tokens)
-	imgs := make([]float32, batch*imgLen)
-	mask := make([]uint8, gen.Size*gen.Size)
-	labels := make([]int, tokens)
-	for start := 0; start < count; start += batch {
-		end := start + batch
-		if end > count {
-			end = count
-		}
-		n := end - start
-		for i := 0; i < n; i++ {
-			idx := start + i
+	mask := make([]uint8, size*size)
+	head, err := fit(cfg, features, featDim, ds, task{
+		classes: geodata.SegClasses, perImage: grid * grid, evalRows: 1024,
+		sample: func(test bool, i int, img []float32, labels []int) {
 			if test {
-				ds.TestSampleWithMask(idx, imgs[i*imgLen:(i+1)*imgLen], mask)
+				ds.TestSampleWithMask(i, img, mask)
 			} else {
-				ds.TrainSampleWithMask(idx, imgs[i*imgLen:(i+1)*imgLen], mask)
+				ds.TrainSampleWithMask(i, img, mask)
 			}
-			geodata.PatchLabels(mask, gen.Size, patchSize, labels)
-			copy(Y[(start+i)*tokens:(start+i+1)*tokens], labels)
-		}
-		f := features(imgs[:n*imgLen], n)
-		copy(X[start*tokens*featDim:end*tokens*featDim], f[:n*tokens*featDim])
+			geodata.PatchLabels(mask, size, patchSize, labels)
+		},
+		evaluate: func(epoch int, logits []float32, labels []int) {
+			res.PatchAccuracy, res.MeanIoU, res.PerClassIoU = segScores(logits, labels)
+			res.AccCurve.Append(float64(epoch+1), res.PatchAccuracy)
+			if cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "%s seg epoch %3d: patch acc %.2f%%\n", ds.Name, epoch+1, 100*res.PatchAccuracy)
+			}
+		},
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return X, Y, nil
+	return head, res, nil
 }
 
-// evalSeg computes patch accuracy and per-class IoU of the head.
-func evalSeg(head *nn.Linear, X []float32, Y []int, featDim int) (acc, meanIoU float64, perClass []float64) {
+// segScores computes patch accuracy and per-class IoU from per-token
+// logits.
+func segScores(logits []float32, labels []int) (acc, meanIoU float64, perClass []float64) {
 	const classes = geodata.SegClasses
 	var inter, union [classes]int
 	correct := 0
-	const chunk = 1024
-	for start := 0; start < len(Y); start += chunk {
-		end := start + chunk
-		if end > len(Y) {
-			end = len(Y)
-		}
-		n := end - start
-		logits := head.Forward(X[start*featDim:end*featDim], n)
-		for i := 0; i < n; i++ {
-			pred := argmax(logits[i*classes : (i+1)*classes])
-			truth := Y[start+i]
-			if pred == truth {
-				correct++
-				inter[truth]++
-				union[truth]++
-			} else {
-				union[truth]++
-				union[pred]++
-			}
+	for i, truth := range labels {
+		pred := argmax(logits[i*classes : (i+1)*classes])
+		union[truth]++
+		if pred == truth {
+			correct++
+			inter[truth]++
+		} else {
+			union[pred]++
 		}
 	}
 	perClass = make([]float64, classes)
@@ -215,10 +98,7 @@ func evalSeg(head *nn.Linear, X []float32, Y []int, featDim int) (acc, meanIoU f
 	if seen > 0 {
 		meanIoU = sum / float64(seen)
 	}
-	if len(Y) > 0 {
-		acc = float64(correct) / float64(len(Y))
-	}
-	return acc, meanIoU, perClass
+	return float64(correct) / float64(len(labels)), meanIoU, perClass
 }
 
 func argmax(v []float32) int {

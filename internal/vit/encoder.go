@@ -45,15 +45,6 @@ func (e *Encoder) PackBF16() {
 	}
 }
 
-// Release drops every block's and the final norm's scratch buffers;
-// weights are untouched.
-func (e *Encoder) Release() {
-	for _, b := range e.Blocks {
-		b.Release()
-	}
-	e.Norm.Release()
-}
-
 // Forward runs the stack over batch sequences of tokens tokens each.
 func (e *Encoder) Forward(x []float32, batch, tokens int) []float32 {
 	h := x
