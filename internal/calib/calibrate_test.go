@@ -37,9 +37,6 @@ func TestRooflineSmoke(t *testing.T) {
 	if mid < lo || mid > hi {
 		t.Fatalf("interpolation %v outside [%v, %v]", mid, lo, hi)
 	}
-	if mfu := r.MFUAt(64); mfu <= 0 || mfu > 1 {
-		t.Fatalf("MFU %v outside (0, 1]", mfu)
-	}
 }
 
 // TestStreamSmoke: the probe returns positive bandwidths at a small

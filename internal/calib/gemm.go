@@ -67,17 +67,6 @@ func (r Roofline) GFLOPSAt(dim float64) float64 {
 	return last.GFLOPS
 }
 
-// MFUAt returns the achieved fraction of the measured peak at a
-// characteristic dimension — the calibrated counterpart of
-// hw.Machine.MFU.
-func (r Roofline) MFUAt(dim float64) float64 {
-	peak := r.PeakGFLOPS()
-	if peak <= 0 {
-		return 0
-	}
-	return r.GFLOPSAt(dim) / peak
-}
-
 // DefaultGEMMShapes is the full calibration sweep: the BENCH_gemm
 // acceptance cubes and ViT rectangles, extended downward with the small
 // cubes the executed test-scale models live at.

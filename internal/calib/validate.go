@@ -16,14 +16,17 @@ import (
 type ValidateOptions struct {
 	// Steps is the optimizer steps each case executes (default 6).
 	Steps int
-	// TargetCommRatio sizes the congestion factor: the modeled
+}
+
+const (
+	// targetCommRatio sizes the congestion factor: the modeled
 	// collective time is scaled until it is this multiple of the
-	// modeled compute time (default 1.5), so exposure is milliseconds,
-	// not scheduler noise.
-	TargetCommRatio float64
-	// Tolerance factors (≥ 1). TolStep bounds the measured/predicted
+	// modeled compute time, so exposure is milliseconds, not scheduler
+	// noise.
+	targetCommRatio = 1.5
+	// Tolerance factors (≥ 1). tolStep bounds the measured/predicted
 	// ratio of the per-step wall-clock — the headline metric, held
-	// tight. TolCompute and TolExposed bound the compute/exposed-comm
+	// tight. tolCompute and tolExposed bound the compute/exposed-comm
 	// *split*, which is judged against an oversubscription band rather
 	// than a point (see Validate): on a host where in-process ranks
 	// timeshare cores, the wall a rank spends blocked on slower peers
@@ -31,39 +34,13 @@ type ValidateOptions struct {
 	// up to the profile's Contention factor and inflating exposed by
 	// the same stolen share. The band collapses to a plain ratio check
 	// when Contention ≈ 1 (one core per rank).
-	TolStep, TolCompute, TolExposed float64
-	// ExposedFloorFrac: when both measured and predicted exposed
+	tolStep, tolCompute, tolExposed = 1.75, 2.0, 2.0
+	// exposedFloorFrac: when both measured and predicted exposed
 	// communication fall below this fraction of the predicted step, the
-	// case passes on "both negligible" instead of by ratio (default
-	// 0.15 — fully-hidden overlap cases compare µs-scale residue).
-	ExposedFloorFrac float64
-}
-
-func (o *ValidateOptions) setDefaults() {
-	if o.Steps == 0 {
-		o.Steps = 6
-	}
-	//statgate:allow floateq — options zero-default pattern: 0 means unset and is only ever assigned, never computed
-	if o.TargetCommRatio == 0 {
-		o.TargetCommRatio = 1.5
-	}
-	//statgate:allow floateq — options zero-default pattern: 0 means unset and is only ever assigned, never computed
-	if o.TolStep == 0 {
-		o.TolStep = 1.75
-	}
-	//statgate:allow floateq — options zero-default pattern: 0 means unset and is only ever assigned, never computed
-	if o.TolCompute == 0 {
-		o.TolCompute = 2.0
-	}
-	//statgate:allow floateq — options zero-default pattern: 0 means unset and is only ever assigned, never computed
-	if o.TolExposed == 0 {
-		o.TolExposed = 2.0
-	}
-	//statgate:allow floateq — options zero-default pattern: 0 means unset and is only ever assigned, never computed
-	if o.ExposedFloorFrac == 0 {
-		o.ExposedFloorFrac = 0.15
-	}
-}
+	// case passes on "both negligible" instead of by ratio (fully-hidden
+	// overlap cases compare µs-scale residue).
+	exposedFloorFrac = 0.15
+)
 
 // CaseResult is one cell of the validation matrix: per-step agreements
 // between the executed run's trace.ExecBreakdown and the calibrated
@@ -156,7 +133,9 @@ func validationPlans(bucketBytes int) []fsdp.Plan {
 // composes with backward compute, what overlap hides, what stays
 // exposed — against ground-truth execution.
 func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
-	opts.setDefaults()
+	if opts.Steps == 0 {
+		opts.Steps = 6
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +151,7 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 	}
 	model := ReferenceModel()
 	rep := &Report{Ranks: ranks, Steps: opts.Steps, Contention: cont,
-		TolStep: opts.TolStep, TolCompute: opts.TolCompute, TolExposed: opts.TolExposed}
+		TolStep: tolStep, TolCompute: tolCompute, TolExposed: tolExposed}
 
 	baseLink, err := p.LinkParams("fp32")
 	if err != nil {
@@ -196,7 +175,7 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 
 				// Size the congestion factor off the *unscaled* calibrated
 				// prediction: C stretches the link until modeled comm is
-				// TargetCommRatio × modeled compute. The executed collectives
+				// targetCommRatio × modeled compute. The executed collectives
 				// then cost their real time (≈ 1× the fit) plus the throttled
 				// sleep (C× the fit), so prediction prices the link at 1 + C.
 				m1, err := p.MachineFor(w, 1)
@@ -210,7 +189,7 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 				if base.CommTime <= 0 {
 					return nil, fmt.Errorf("calib: plan %s models no communication", plan.Name())
 				}
-				c := opts.TargetCommRatio * base.ComputeTime / base.CommTime
+				c := targetCommRatio * base.ComputeTime / base.CommTime
 				if c < 1 {
 					c = 1
 				}
@@ -261,7 +240,7 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 				bd := res.Breakdown(name)
 				steps := float64(res.Steps)
 
-				floor := opts.ExposedFloorFrac * predStep
+				floor := exposedFloorFrac * predStep
 				cr := CaseResult{
 					Name: name, Plan: plan.Name(), Precision: fmt.Sprint(prec), Overlap: overlap,
 					CongestionScale: scale, Steps: res.Steps,
@@ -280,10 +259,10 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 				// of the predicted exposure. The step wall-clock — the sum —
 				// has no such ambiguity and stays a point comparison.
 				exposedHi := predExposed + (1-1/cont)*predCompute
-				cr.OK = cr.Step.Within(opts.TolStep) &&
-					bandWithin(cr.Compute.MeasuredSec, predCompute/cont, predCompute, opts.TolCompute) &&
+				cr.OK = cr.Step.Within(tolStep) &&
+					bandWithin(cr.Compute.MeasuredSec, predCompute/cont, predCompute, tolCompute) &&
 					((cr.Exposed.MeasuredSec <= floor && predExposed <= floor) ||
-						bandWithin(cr.Exposed.MeasuredSec, predExposed, exposedHi, opts.TolExposed))
+						bandWithin(cr.Exposed.MeasuredSec, predExposed, exposedHi, tolExposed))
 				rep.Cases = append(rep.Cases, cr)
 			}
 		}

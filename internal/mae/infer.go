@@ -2,13 +2,15 @@ package mae
 
 import "repro/internal/nn"
 
-// InferTokenFeatures is TokenFeatures on the inference-only path: all
-// patches embedded (no masking), encoded over the full grid, with
-// every activation in the caller's InferCtx instead of the model's
-// backward caches. The returned (batch·Tokens × width) matrix is
-// ctx-owned and valid until ctx.Reset. Because nothing in the model
-// is written, one Model serves concurrent workers that each bring
-// their own ctx; the rows are bitwise identical to TokenFeatures.
+// InferTokenFeatures is the frozen encoder pass: all patches embedded
+// (no masking), encoded over the full grid, with every activation in
+// the caller's InferCtx instead of the layers' backward caches. The
+// returned (batch·Tokens × width) matrix is ctx-owned and valid until
+// ctx.Reset. Because nothing in the model is written, one Model serves
+// concurrent workers that each bring their own ctx. The probes reach
+// the encoder through it (Features, TokenFeatures) and so does serving
+// (serve.Model.Fill); FeaturesWithGrad is the only extractor that runs
+// the caching Forward instead.
 func (m *Model) InferTokenFeatures(ctx *nn.InferCtx, imgs []float32, batch int) []float32 {
 	enc := m.Cfg.Encoder
 	t := enc.Tokens()
@@ -19,31 +21,43 @@ func (m *Model) InferTokenFeatures(ctx *nn.InferCtx, imgs []float32, batch int) 
 	return m.Encoder.Infer(ctx, h, batch, t)
 }
 
-// InferFeatures is Features on the inference-only path: the unmasked
-// encoder pass followed by the mean-pool over tokens, ctx-owned
-// output, bitwise identical to Features.
-func (m *Model) InferFeatures(ctx *nn.InferCtx, imgs []float32, batch int) []float32 {
-	h := m.InferTokenFeatures(ctx, imgs, batch)
-	w := m.Cfg.Encoder.Width
-	pooled := ctx.Take(batch * w)
-	for i := range pooled {
-		pooled[i] = 0
-	}
-	m.PoolTokens(pooled, h, batch)
+// Features extracts frozen downstream features: the frozen encoder pass
+// mean-pooled over tokens into one fresh (batch × encoder width)
+// matrix — the representation linear probing trains on. It runs on an
+// arena the model owns, reset at every call, so it leaves a pending
+// training step's caches alone. Not safe for concurrent use.
+func (m *Model) Features(imgs []float32, batch int) []float32 {
+	pooled := make([]float32, batch*m.Cfg.Encoder.Width)
+	m.PoolTokens(pooled, m.frozenTokens(imgs, batch), batch)
 	return pooled
 }
 
-// PoolTokens mean-pools a (batch·Tokens × width) token matrix into the
-// zeroed (batch × width) dst, with the exact accumulation order
-// Features uses — token-major, scaled per term — so pooling the
-// inference path's tokens reproduces the training path's pooled
-// features bit for bit.
+// TokenFeatures is Features without the pooling: a fresh (batch·Tokens
+// × encoder width) matrix, one row per patch token in grid order — the
+// representation dense tasks (segmentation via per-patch probing)
+// train on. Not safe for concurrent use.
+func (m *Model) TokenFeatures(imgs []float32, batch int) []float32 {
+	return append([]float32(nil), m.frozenTokens(imgs, batch)...)
+}
+
+// frozenTokens runs InferTokenFeatures on the model's own arena.
+func (m *Model) frozenTokens(imgs []float32, batch int) []float32 {
+	m.arena.Reset()
+	return m.InferTokenFeatures(m.arena, imgs, batch)
+}
+
+// PoolTokens overwrites the (batch × width) dst with the mean over
+// tokens of a (batch·Tokens × width) token matrix, token-major and
+// scaled per term. It is the one pooling loop: Features,
+// FeaturesWithGrad and serving all pool through it, so their pooled
+// rows agree bit for bit.
 func (m *Model) PoolTokens(dst, h []float32, batch int) {
 	t := m.Cfg.Encoder.Tokens()
 	w := m.Cfg.Encoder.Width
 	inv := float32(1) / float32(t)
 	for b := 0; b < batch; b++ {
 		out := dst[b*w : (b+1)*w]
+		clear(out)
 		for tok := 0; tok < t; tok++ {
 			row := h[(b*t+tok)*w : (b*t+tok+1)*w]
 			for j := range out {

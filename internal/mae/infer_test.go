@@ -20,9 +20,11 @@ func randImgs(cfg Config, batch int, seed uint64) []float32 {
 	return imgs
 }
 
-// TestInferMatchesTrainingForward holds the inference-only path to the
-// training-path forward bit for bit: pooled features, per-token
-// features, and again after a training step has moved the weights.
+// TestInferMatchesTrainingForward holds the frozen encoder pass to the
+// caching path FeaturesWithGrad runs, bit for bit — the pooled features
+// of InferTokenFeatures, of Features and of FeaturesWithGrad, and the
+// rows of TokenFeatures — and again after a training step has moved
+// the weights.
 func TestInferMatchesTrainingForward(t *testing.T) {
 	cfg := tinyCfg()
 	m := New(cfg, rng.New(7))
@@ -32,20 +34,21 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		wantPool := append([]float32(nil), m.Features(imgs, batch)...)
-		wantTok := append([]float32(nil), m.TokenFeatures(imgs, batch)...)
+		want := m.FeaturesWithGrad(imgs, batch)
 		ctx.Reset()
-		gotTok := m.InferTokenFeatures(ctx, imgs, batch)
-		for i := range wantTok {
-			if gotTok[i] != wantTok[i] {
-				t.Fatalf("%s: token feature [%d] %v != %v", stage, i, gotTok[i], wantTok[i])
+		tok := m.InferTokenFeatures(ctx, imgs, batch)
+		pooled := make([]float32, len(want))
+		m.PoolTokens(pooled, tok, batch)
+		for name, got := range map[string][]float32{"InferTokenFeatures": pooled, "Features": m.Features(imgs, batch)} {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %s pooled [%d] %v, FeaturesWithGrad %v", stage, name, i, got[i], want[i])
+				}
 			}
 		}
-		ctx.Reset()
-		gotPool := m.InferFeatures(ctx, imgs, batch)
-		for i := range wantPool {
-			if gotPool[i] != wantPool[i] {
-				t.Fatalf("%s: pooled feature [%d] %v != %v", stage, i, gotPool[i], wantPool[i])
+		for i, v := range m.TokenFeatures(imgs, batch) {
+			if v != tok[i] {
+				t.Fatalf("%s: TokenFeatures [%d] %v, InferTokenFeatures %v", stage, i, v, tok[i])
 			}
 		}
 	}
@@ -81,7 +84,7 @@ func TestInferSharedWeightsConcurrent(t *testing.T) {
 		im := randImgs(cfg, batch, uint64(100+i))
 		imgs = append(imgs, im)
 		ref.Reset()
-		want = append(want, append([]float32(nil), m.InferFeatures(ref, im, batch)...))
+		want = append(want, append([]float32(nil), m.InferTokenFeatures(ref, im, batch)...))
 	}
 
 	var wg sync.WaitGroup
@@ -94,7 +97,7 @@ func TestInferSharedWeightsConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := w*rounds + r
 				ctx.Reset()
-				got := m.InferFeatures(ctx, imgs[i], batch)
+				got := m.InferTokenFeatures(ctx, imgs[i], batch)
 				for j := range want[i] {
 					if got[j] != want[i][j] {
 						errs <- "worker diverged from serial reference"

@@ -117,6 +117,9 @@ type Model struct {
 	DecPos    []float32 // fixed sin-cos over the full grid, decoder width
 
 	maskRNG *rng.RNG
+	// arena holds Features' and TokenFeatures' activations, apart from
+	// the layers' backward caches.
+	arena *nn.InferCtx
 
 	// per-step state
 	batch    int
@@ -126,7 +129,6 @@ type Model struct {
 	target   []float32
 	visible  []float32
 	decIn    []float32
-	pred     []float32
 	predMask []float32
 	tgtMask  []float32
 	dPred    []float32
@@ -152,6 +154,7 @@ func New(cfg Config, r *rng.RNG) *Model {
 		Pred:      nn.NewLinear("mae.pred", cfg.DecoderWidth, cfg.Encoder.PatchDim(), r),
 		DecPos:    nn.SinCos2D(cfg.DecoderWidth, g, g),
 		maskRNG:   r.Split(),
+		arena:     nn.NewInferCtx(),
 	}
 	m.MaskToken.NoWeightDecay = true
 	m.MaskToken.Value.RandnInit(r, 0.02)
@@ -182,16 +185,6 @@ func (m *Model) EncoderParams() []*nn.Param {
 	return append(m.Embed.Params(), m.Encoder.Params()...)
 }
 
-// PackBF16 packs the encoder-side projection weights (embed + trunk —
-// everything InferTokenFeatures touches) into bf16 shadows so the
-// inference path streams 2-byte weights through the bf16-input GEMM.
-// Call it after any weight mutation (loading, rounding) and before
-// serving.
-func (m *Model) PackBF16() {
-	m.Embed.PackBF16()
-	m.Encoder.PackBF16()
-}
-
 // sampleMask draws a fresh random mask for each image: keep visible
 // indices sorted so token order within the encoder is stable.
 func (m *Model) sampleMask(batch int) {
@@ -220,7 +213,7 @@ func (m *Model) sampleMask(batch int) {
 // batch) call would, which is what multi-rank data-parallel training
 // relies on: every rank holds a seed-identical replica, draws the masks
 // for the whole global batch, and keeps only its local slice (via
-// StepWithMask) — so the mask sequence, and hence the loss trajectory,
+// ForwardWithMask) — so the mask sequence, and hence the loss trajectory,
 // matches the single-rank run.
 func (m *Model) DrawMasks(batch int) [][]int {
 	return m.DrawMasksRange(batch, 0, batch)
@@ -286,16 +279,9 @@ func (m *Model) SetMask(keep [][]int) {
 	}
 }
 
-// Loss runs one forward pass over channel-last images (batch × H·W·C)
-// with a fresh random mask and returns the reconstruction loss.
-// Gradients are not computed; use Step for training.
-func (m *Model) Loss(imgs []float32, batch int) float64 {
-	m.sampleMask(batch)
-	return m.forward(imgs, batch)
-}
-
-// Step runs a full forward and backward pass with a fresh random mask,
-// accumulating parameter gradients, and returns the loss. Callers zero
+// Step runs a full forward and backward pass over channel-last images
+// (batch × H·W·C) with a fresh random mask, accumulating parameter
+// gradients, and returns the reconstruction loss. Callers zero
 // gradients and apply the optimizer.
 func (m *Model) Step(imgs []float32, batch int) float64 {
 	m.sampleMask(batch)
@@ -304,14 +290,7 @@ func (m *Model) Step(imgs []float32, batch int) float64 {
 	return loss
 }
 
-// StepWithMask is Step with a caller-supplied mask (tests).
-func (m *Model) StepWithMask(imgs []float32, batch int, keep [][]int) float64 {
-	loss := m.ForwardWithMask(imgs, batch, keep)
-	m.BackwardStep()
-	return loss
-}
-
-// ForwardWithMask runs only the forward half of StepWithMask — the
+// ForwardWithMask runs only the forward half of a step — the
 // reconstruction loss with a caller-supplied mask, activations cached —
 // so a distributed executor can reshard parameters between the halves
 // (FULL_SHARD drops non-owned parameter shards after forward and
@@ -429,7 +408,6 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	}
 	h = m.DecNorm.Forward(h, batch*t)
 	pred := m.Pred.Forward(h, batch*t)
-	m.pred = pred
 
 	// 7. Loss on masked positions only.
 	nMask := t - keep
@@ -523,58 +501,21 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	emit()
 }
 
-// Features extracts frozen downstream features: all patches are
-// embedded (no masking), passed through the encoder, and mean-pooled
-// over tokens into one (batch × encoder width) matrix. This is the
-// representation linear probing trains on.
-func (m *Model) Features(imgs []float32, batch int) []float32 {
-	enc := m.Cfg.Encoder
-	t := enc.Tokens()
-	w := enc.Width
-	pd := enc.PatchDim()
-	m.patches = growF(m.patches, batch*t*pd)
-	nn.Patchify(m.patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
-	h := m.Embed.Forward(m.patches, batch)
-	h = m.Encoder.Forward(h, batch, t)
-	pooled := make([]float32, batch*w)
-	inv := float32(1) / float32(t)
-	for b := 0; b < batch; b++ {
-		out := pooled[b*w : (b+1)*w]
-		for tok := 0; tok < t; tok++ {
-			row := h[(b*t+tok)*w : (b*t+tok+1)*w]
-			for j := range out {
-				out[j] += row[j] * inv
-			}
-		}
-	}
-	return pooled
-}
-
-// TokenFeatures extracts frozen per-token features: all patches are
-// embedded (no masking) and passed through the encoder; the returned
-// matrix is (batch·Tokens × encoder width), one row per patch token in
-// grid order. This is the representation used for dense downstream
-// tasks (semantic segmentation via per-patch probing).
-func (m *Model) TokenFeatures(imgs []float32, batch int) []float32 {
-	enc := m.Cfg.Encoder
-	t := enc.Tokens()
-	pd := enc.PatchDim()
-	m.patches = growF(m.patches, batch*t*pd)
-	nn.Patchify(m.patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
-	h := m.Embed.Forward(m.patches, batch)
-	h = m.Encoder.Forward(h, batch, t)
-	out := make([]float32, len(h))
-	copy(out, h)
-	return out
-}
-
-// FeaturesWithGrad runs the unmasked encoder like Features but keeps
-// the layer caches alive so BackwardFeatures can propagate a pooled
-// feature gradient — the fine-tuning path, where the trunk is updated
-// jointly with the task head.
+// FeaturesWithGrad is Features through the layers' training Forward,
+// which keeps the backward caches alive so BackwardFeatures can
+// propagate a pooled feature gradient — the fine-tuning path, where the
+// trunk is updated jointly with the task head. It is the only feature
+// extractor that caches; the pooled rows are bitwise Features'.
 func (m *Model) FeaturesWithGrad(imgs []float32, batch int) []float32 {
+	enc := m.Cfg.Encoder
+	t := enc.Tokens()
 	m.batch = batch
-	return m.Features(imgs, batch)
+	m.patches = growF(m.patches, batch*t*enc.PatchDim())
+	nn.Patchify(m.patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
+	h := m.Encoder.Forward(m.Embed.Forward(m.patches, batch), batch, t)
+	pooled := make([]float32, batch*enc.Width)
+	m.PoolTokens(pooled, h, batch)
+	return pooled
 }
 
 // BackwardFeatures propagates a (batch × width) mean-pooled feature
@@ -598,15 +539,6 @@ func (m *Model) BackwardFeatures(dPooled []float32) {
 	}
 	d := m.Encoder.Backward(dTokens)
 	m.Embed.Backward(d)
-}
-
-// Reconstruct runs one masked forward pass and returns a copy of the
-// full predicted patch matrix (batch·T × patchDim) together with the
-// per-image masked indices, for inspecting what the model reconstructs.
-func (m *Model) Reconstruct(imgs []float32, batch int) ([]float32, [][]int) {
-	m.sampleMask(batch)
-	m.forward(imgs, batch)
-	return append([]float32(nil), m.pred...), m.maskIdx
 }
 
 func growF(buf []float32, n int) []float32 {

@@ -132,7 +132,7 @@ func TestLossFiniteAndPositive(t *testing.T) {
 	const batch = 2
 	imgs := make([]float32, batch*c.Encoder.ImageSize*c.Encoder.ImageSize*c.Encoder.Channels)
 	r.FillNormal(imgs, 0, 1)
-	loss := m.Loss(imgs, batch)
+	loss := m.Step(imgs, batch)
 	if loss <= 0 || math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss=%v", loss)
 	}
@@ -150,12 +150,17 @@ func TestStepReducesLossOverTraining(t *testing.T) {
 
 	ps := m.Params()
 	keep := [][]int{{0, 2, 4, 6}, {1, 3, 5, 7}, {0, 1, 2, 3}, {5, 6, 7, 8}}
-	first := m.StepWithMask(imgs, batch, keep)
+	step := func() float64 {
+		loss := m.ForwardWithMask(imgs, batch, keep)
+		m.BackwardStep()
+		return loss
+	}
+	first := step()
 	last := first
 	const lr = 0.05
-	for step := 0; step < 60; step++ {
+	for i := 0; i < 60; i++ {
 		nn.ZeroGrads(ps)
-		last = m.StepWithMask(imgs, batch, keep)
+		last = step()
 		for _, p := range ps {
 			for i, g := range p.Grad.Data {
 				p.Value.Data[i] -= lr * g
@@ -180,7 +185,8 @@ func TestFullModelGradientCheck(t *testing.T) {
 
 	ps := m.Params()
 	nn.ZeroGrads(ps)
-	_ = m.StepWithMask(imgs, batch, keep)
+	m.ForwardWithMask(imgs, batch, keep)
+	m.BackwardStep()
 
 	lossAt := func() float64 {
 		m.SetMask(keep)
@@ -204,23 +210,6 @@ func TestFullModelGradientCheck(t *testing.T) {
 				t.Errorf("%s[%d]: numeric %v analytic %v", p.Name, idx, num, got)
 			}
 		}
-	}
-}
-
-func TestReconstructShape(t *testing.T) {
-	c := tinyCfg()
-	m := New(c, rng.New(10))
-	r := rng.New(11)
-	const batch = 2
-	imgs := make([]float32, batch*c.Encoder.ImageSize*c.Encoder.ImageSize*c.Encoder.Channels)
-	r.FillNormal(imgs, 0, 1)
-	pred, maskIdx := m.Reconstruct(imgs, batch)
-	wantLen := batch * c.Encoder.Tokens() * c.Encoder.PatchDim()
-	if len(pred) != wantLen {
-		t.Fatalf("pred len %d want %d", len(pred), wantLen)
-	}
-	if len(maskIdx) != batch {
-		t.Fatalf("mask batch %d", len(maskIdx))
 	}
 }
 
@@ -248,7 +237,7 @@ func TestFeaturesIndependentOfMaskState(t *testing.T) {
 	imgs := make([]float32, batch*c.Encoder.ImageSize*c.Encoder.ImageSize*c.Encoder.Channels)
 	r.FillNormal(imgs, 0, 1)
 	f1 := append([]float32(nil), m.Features(imgs, batch)...)
-	_ = m.Loss(imgs, batch) // draws and applies a random mask
+	_ = m.Step(imgs, batch) // draws and applies a random mask
 	f2 := m.Features(imgs, batch)
 	for i := range f1 {
 		if f1[i] != f2[i] {
@@ -307,6 +296,34 @@ func TestFineTuneGradientFlowsToEncoder(t *testing.T) {
 	}
 	if norm == 0 {
 		t.Fatal("no gradient reached the encoder")
+	}
+}
+
+// TestFeaturesBetweenForwardAndBackward: a Features call between a
+// training step's forward and backward halves leaves the step's
+// gradients bitwise those of the same step without it — the frozen
+// extractor writes none of the caches the backward reads.
+func TestFeaturesBetweenForwardAndBackward(t *testing.T) {
+	cfg := tinyCfg()
+	imgs, other := randImgs(cfg, 3, 13), randImgs(cfg, 2, 14)
+	step := func(interleave bool) []float32 {
+		m := New(cfg, rng.New(1))
+		m.ForwardWithMask(imgs, 3, m.DrawMasks(3))
+		if interleave {
+			m.Features(other, 2)
+		}
+		m.BackwardStep()
+		var g []float32
+		for _, p := range m.Params() {
+			g = append(g, p.Grad.Data...)
+		}
+		return g
+	}
+	want, got := step(false), step(true)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("gradient element %d of %d: %v with Features interleaved, %v without", i, len(want), got[i], want[i])
+		}
 	}
 }
 

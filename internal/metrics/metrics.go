@@ -1,6 +1,6 @@
 // Package metrics provides the evaluation measures reported in the
-// paper's downstream experiments: top-k classification accuracy, a
-// confusion matrix, and running averages for loss curves.
+// paper's downstream experiments: top-k classification accuracy and
+// running averages for loss curves.
 package metrics
 
 import (
@@ -76,42 +76,6 @@ func (a *Accuracy) Reset() { a.n, a.top1, a.top5 = 0, 0, 0 }
 // String formats the pair as percentages.
 func (a *Accuracy) String() string {
 	return fmt.Sprintf("top1=%.2f%% top5=%.2f%%", 100*a.Top1(), 100*a.Top5())
-}
-
-// Confusion is a dense confusion matrix.
-type Confusion struct {
-	K     int
-	Cells []int // K×K, row = true label, col = predicted
-}
-
-// NewConfusion allocates a K-class confusion matrix.
-func NewConfusion(k int) *Confusion {
-	return &Confusion{K: k, Cells: make([]int, k*k)}
-}
-
-// Observe records a (true, predicted) pair.
-func (c *Confusion) Observe(trueLabel, pred int) {
-	c.Cells[trueLabel*c.K+pred]++
-}
-
-// At returns the count for (true, predicted).
-func (c *Confusion) At(trueLabel, pred int) int { return c.Cells[trueLabel*c.K+pred] }
-
-// PerClassRecall returns recall per class (NaN-free: classes with no
-// examples report 0).
-func (c *Confusion) PerClassRecall() []float64 {
-	out := make([]float64, c.K)
-	for t := 0; t < c.K; t++ {
-		var row, diag int
-		for p := 0; p < c.K; p++ {
-			row += c.Cells[t*c.K+p]
-		}
-		diag = c.Cells[t*c.K+t]
-		if row > 0 {
-			out[t] = float64(diag) / float64(row)
-		}
-	}
-	return out
 }
 
 // Meter tracks a running mean of a scalar (loss curves).

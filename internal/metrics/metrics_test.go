@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -86,21 +85,6 @@ func TestAccuracyAccumulator(t *testing.T) {
 		t.Fatal("Reset failed")
 	}
 	_ = a.String()
-}
-
-func TestConfusion(t *testing.T) {
-	c := NewConfusion(3)
-	c.Observe(0, 0)
-	c.Observe(0, 1)
-	c.Observe(1, 1)
-	c.Observe(2, 0)
-	if c.At(0, 1) != 1 || c.At(1, 1) != 1 {
-		t.Fatal("cells wrong")
-	}
-	rec := c.PerClassRecall()
-	if math.Abs(rec[0]-0.5) > 1e-9 || rec[1] != 1 || rec[2] != 0 {
-		t.Fatalf("recall=%v", rec)
-	}
 }
 
 func TestMeter(t *testing.T) {

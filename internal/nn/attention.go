@@ -67,12 +67,6 @@ func (a *MultiHeadAttention) Params() []*Param {
 	return append(a.QKV.Params(), a.Out.Params()...)
 }
 
-// PackBF16 packs both projections' bf16 weight shadows for inference.
-func (a *MultiHeadAttention) PackBF16() {
-	a.QKV.PackBF16()
-	a.Out.PackBF16()
-}
-
 // Forward runs self-attention over batch sequences of tokens tokens
 // each; x has shape (batch·tokens × width).
 func (a *MultiHeadAttention) Forward(x []float32, batch, tokens int) []float32 {

@@ -264,9 +264,9 @@ func TestLinearInferBF16Bitwise(t *testing.T) {
 
 	ctx := NewInferCtx()
 	want := append([]float32(nil), l.Infer(ctx, x, rows)...)
-	l.PackBF16()
-	if l.WBF16 == nil {
-		t.Fatal("PackBF16 left WBF16 nil")
+	ShadowBF16(l.Params())
+	if l.W.BF16 == nil || l.B.BF16 != nil {
+		t.Fatal("ShadowBF16 must shadow the weight matrix and only it")
 	}
 	got := l.Infer(ctx, x, rows)
 	for i := range want {

@@ -38,12 +38,6 @@ func (m *MLP) Backward(dy []float32) []float32 {
 	return m.FC1.Backward(dh)
 }
 
-// PackBF16 packs both projections' bf16 weight shadows for inference.
-func (m *MLP) PackBF16() {
-	m.FC1.PackBF16()
-	m.FC2.PackBF16()
-}
-
 // Block is a pre-norm transformer encoder block:
 //
 //	x = x + MHA(LN₁(x));  x = x + MLP(LN₂(x))
@@ -107,10 +101,4 @@ func (b *Block) Backward(dy []float32) []float32 {
 	tensor.Add(dy1, dy1, dln1)
 	b.dx = dy1
 	return dy1
-}
-
-// PackBF16 packs the block's projection weights into bf16 shadows.
-func (b *Block) PackBF16() {
-	b.Attn.PackBF16()
-	b.MLP.PackBF16()
 }

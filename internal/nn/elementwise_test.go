@@ -129,7 +129,7 @@ func TestLinearProcsIndependent(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d %+v: Infer differs from Forward", runtime.GOMAXPROCS(0), s)
 			}
 			out = append(out, append([]float32(nil), y...), append([]float32(nil), l.Backward(dy)...), l.W.Grad.Data, l.B.Grad.Data)
-			l.PackBF16()
+			ShadowBF16(l.Params())
 			if yi := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(yi, y) {
 				t.Errorf("GOMAXPROCS=%d %+v: bf16-weight Infer differs from Forward", runtime.GOMAXPROCS(0), s)
 			}

@@ -92,10 +92,14 @@ func (pe *PatchEmbed) Params() []*Param { return pe.Proj.Params() }
 // Forward embeds (batch·Tokens) flattened patches and adds positional
 // encodings.
 func (pe *PatchEmbed) Forward(patches []float32, batch int) []float32 {
-	rows := batch * pe.Tokens
-	y := pe.Proj.Forward(patches, rows)
+	return pe.addPos(pe.Proj.Forward(patches, batch*pe.Tokens))
+}
+
+// addPos adds the positional table to the projected (batch·Tokens ×
+// Width) rows of y in place — the one loop Forward and Infer share.
+func (pe *PatchEmbed) addPos(y []float32) []float32 {
 	w := pe.Width
-	parallel.RangeGrain(rows, 1+parallel.MinGrain/(w+1), func(lo, hi int) {
+	parallel.RangeGrain(len(y)/w, 1+parallel.MinGrain/(w+1), func(lo, hi int) {
 		for rIdx := lo; rIdx < hi; rIdx++ {
 			pos := pe.Pos[(rIdx%pe.Tokens)*w : (rIdx%pe.Tokens+1)*w]
 			yi := y[rIdx*w : (rIdx+1)*w]
@@ -112,9 +116,6 @@ func (pe *PatchEmbed) Forward(patches []float32, batch int) []float32 {
 func (pe *PatchEmbed) Backward(dy []float32) []float32 {
 	return pe.Proj.Backward(dy)
 }
-
-// PackBF16 packs the projection's bf16 weight shadow for inference.
-func (pe *PatchEmbed) PackBF16() { pe.Proj.PackBF16() }
 
 // SinCos2D returns the fixed 2-D sine-cosine positional embedding table
 // of shape (gridH·gridW × dim), matching the get_2d_sincos_pos_embed
@@ -139,28 +140,6 @@ func SinCos2D(dim, gridH, gridW int) []float32 {
 				row[2*quarter+i] = float32(math.Sin(float64(x) * om))
 				row[3*quarter+i] = float32(math.Cos(float64(x) * om))
 			}
-		}
-	}
-	return out
-}
-
-// SinCos1D returns a (n × dim) table for 1-D positions, used by the MAE
-// decoder's mask-token positions in ablation configurations.
-func SinCos1D(dim, n int) []float32 {
-	if dim%2 != 0 {
-		panic("nn: SinCos1D dim must be even")
-	}
-	half := dim / 2
-	omega := make([]float64, half)
-	for i := range omega {
-		omega[i] = 1.0 / math.Pow(10000, float64(i)/float64(half))
-	}
-	out := make([]float32, n*dim)
-	for p := 0; p < n; p++ {
-		row := out[p*dim:]
-		for i, om := range omega {
-			row[i] = float32(math.Sin(float64(p) * om))
-			row[half+i] = float32(math.Cos(float64(p) * om))
 		}
 	}
 	return out

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"repro/internal/parallel"
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // InferCtx is a per-worker scratch arena for the inference-only
 // forward path. Training forwards cache activations inside the layer
@@ -11,7 +8,9 @@ import (
 // from two goroutines; the Infer methods instead write every
 // activation into the caller's InferCtx and never touch layer state,
 // so any number of workers can run the same read-only weights
-// concurrently with one InferCtx each.
+// concurrently with one InferCtx each. Every frozen-feature pass runs
+// here — the probes' extractors and the serving batch alike; only a
+// pass that will be followed by a backward runs Forward.
 //
 // Buffers are handed out in call order and stay valid until Reset, so
 // a steady-state serving loop reuses the same allocations every
@@ -39,8 +38,8 @@ func (c *InferCtx) Release() {
 
 // Take returns a length-n scratch slice owned by the arena, valid
 // until Reset. Contents are unspecified: every Infer method fully
-// overwrites what it takes, and callers needing zeroed memory (the
-// mean-pool accumulator) clear it themselves.
+// overwrites what it takes, and callers needing zeroed memory clear it
+// themselves.
 func (c *InferCtx) Take(n int) []float32 {
 	if c.next == len(c.bufs) {
 		c.bufs = append(c.bufs, nil)
@@ -61,11 +60,11 @@ func (c *InferCtx) Take(n int) []float32 {
 func (l *Linear) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	checkRows(len(x), rows, l.In, "Linear.Infer")
 	y := ctx.Take(rows * l.Out)
-	if l.WBF16 != nil {
+	if w := l.W.BF16; w != nil {
 		// bf16 weight mode: stream the 2-byte encoding directly; the
 		// GEMM widens panels in its pack stage, so no fp32 round-trip
 		// buffer of the weights exists on this path.
-		tensor.MatMulBF16Bias(y, x, l.WBF16, l.B.Value.Data, rows, l.In, l.Out, false)
+		tensor.MatMulBF16Bias(y, x, w, l.B.Value.Data, rows, l.In, l.Out, false)
 	} else {
 		tensor.MatMulBias(y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
 	}
@@ -137,17 +136,5 @@ func (b *Block) Infer(ctx *InferCtx, x []float32, batch, tokens int) []float32 {
 // Infer embeds flattened patches and adds the fixed positional table,
 // writing into the arena instead of the layer's buffer.
 func (pe *PatchEmbed) Infer(ctx *InferCtx, patches []float32, batch int) []float32 {
-	rows := batch * pe.Tokens
-	y := pe.Proj.Infer(ctx, patches, rows)
-	w := pe.Width
-	parallel.RangeGrain(rows, 1+parallel.MinGrain/(w+1), func(lo, hi int) {
-		for rIdx := lo; rIdx < hi; rIdx++ {
-			pos := pe.Pos[(rIdx%pe.Tokens)*w : (rIdx%pe.Tokens+1)*w]
-			yi := y[rIdx*w : (rIdx+1)*w]
-			for j := range yi {
-				yi[j] += pos[j]
-			}
-		}
-	})
-	return y
+	return pe.addPos(pe.Proj.Infer(ctx, patches, batch*pe.Tokens))
 }

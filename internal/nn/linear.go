@@ -13,12 +13,6 @@ type Linear struct {
 	In, Out int
 	W, B    *Param
 
-	// WBF16, when non-nil, is a bf16-encoded shadow of W that the
-	// inference path streams through the bf16-input GEMM instead of
-	// the fp32 weights — half the weight-read bandwidth per Infer
-	// GEMM. Populated by PackBF16; training always reads W.
-	WBF16 []uint16
-
 	// cached forward input and row count for the backward pass
 	x    []float32
 	rows int
@@ -66,16 +60,4 @@ func (l *Linear) Backward(dy []float32) []float32 {
 	l.dx = grow(l.dx, rows*l.In)
 	tensor.MatMulTB(l.dx, dy, l.W.Value.Data, rows, l.Out, l.In, false)
 	return l.dx
-}
-
-// PackBF16 snapshots W into the bf16 shadow that Infer streams. When
-// the fp32 weights already hold bf16-resolution values (the serving
-// loader rounds them with tensor.RoundBF16 first), the encoding is
-// exact and Infer's results are bitwise unchanged — MatMulBF16 equals
-// MatMul over the widened shadow bit-for-bit.
-func (l *Linear) PackBF16() {
-	if len(l.WBF16) != len(l.W.Value.Data) {
-		l.WBF16 = make([]uint16, len(l.W.Value.Data))
-	}
-	tensor.ToBF16(l.WBF16, l.W.Value.Data)
 }

@@ -28,7 +28,7 @@ func TestCollectAndCount(t *testing.T) {
 	r := rng.New(1)
 	l1 := NewLinear("a", 2, 3, r)
 	l2 := NewLinear("b", 3, 4, r)
-	ps := CollectParams(l1, l2)
+	ps := append(l1.Params(), l2.Params()...)
 	if len(ps) != 4 {
 		t.Fatalf("params=%d", len(ps))
 	}
@@ -325,22 +325,6 @@ func TestSinCos2DDimPanic(t *testing.T) {
 		}
 	}()
 	SinCos2D(10, 2, 2)
-}
-
-func TestSinCos1D(t *testing.T) {
-	pos := SinCos1D(8, 5)
-	if len(pos) != 40 {
-		t.Fatalf("len=%d", len(pos))
-	}
-	// Position 0: sin parts 0, cos parts 1.
-	for i := 0; i < 4; i++ {
-		if pos[i] != 0 {
-			t.Fatalf("sin(0) != 0 at %d", i)
-		}
-		if pos[4+i] != 1 {
-			t.Fatalf("cos(0) != 1 at %d", i)
-		}
-	}
 }
 
 func TestNormalizePatches(t *testing.T) {

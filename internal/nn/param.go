@@ -32,6 +32,11 @@ type Param struct {
 	// AdamW must exclude from decoupled weight decay, following the
 	// MAE recipe.
 	NoWeightDecay bool
+	// BF16, when non-nil, is a bf16 encoding of Value that Linear.Infer
+	// streams through the bf16-input GEMM instead of the fp32 weights —
+	// half the weight-read bandwidth. Set by ShadowBF16; training always
+	// reads Value.
+	BF16 []uint16
 }
 
 // NewParam allocates a parameter and matching zero gradient.
@@ -49,20 +54,22 @@ func (p *Param) NumEl() int { return p.Value.NumEl() }
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Module is anything owning trainable parameters. Concrete layers also
-// expose shape-specific Forward/Backward methods; those cannot live on
-// the interface because signatures differ per layer.
-type Module interface {
-	Params() []*Param
-}
-
-// CollectParams flattens the parameters of several modules.
-func CollectParams(mods ...Module) []*Param {
-	var ps []*Param
-	for _, m := range mods {
-		ps = append(ps, m.Params()...)
+// ShadowBF16 packs the BF16 shadow of every 2-D parameter in ps — the
+// weight matrices; vectors (biases, norm gains) get none. When Value
+// already holds bf16-resolution numbers (tensor.RoundBF16 first), the
+// encoding is exact and Infer's results are bitwise unchanged:
+// MatMulBF16 equals MatMul over the widened shadow. Call it again after
+// any change to the values.
+func ShadowBF16(ps []*Param) {
+	for _, p := range ps {
+		if p.Value.Rank() != 2 {
+			continue
+		}
+		if len(p.BF16) != p.NumEl() {
+			p.BF16 = make([]uint16, p.NumEl())
+		}
+		tensor.ToBF16(p.BF16, p.Value.Data)
 	}
-	return ps
 }
 
 // CountParams sums the element counts over params.

@@ -28,7 +28,11 @@ import (
 // a fixed number of rows of one width per image: mae.Model.Features
 // gives one mean-pooled row per image (batch × dim), the classification
 // probe's input; mae.Model.TokenFeatures gives one row per patch token
-// (batch·tokens × dim), the segmentation probe's.
+// (batch·tokens × dim), the segmentation probe's. Both run the one
+// frozen encoder pass serving runs (mae.Model.InferTokenFeatures), so
+// a served head sees the features it was fitted on, bit for bit;
+// mae.Model.FeaturesWithGrad, fine-tuning's, is the only extractor that
+// caches for a backward.
 type FeatureFunc func(imgs []float32, batch int) []float32
 
 // Config carries the probing hyper-parameters of both probes; defaults

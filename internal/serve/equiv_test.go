@@ -9,11 +9,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestServeMatchesTrainingPath is the inference/training equivalence
+// TestServeMatchesTrainingPath is the serving/probing equivalence
 // contract at the serving boundary: a served batch's embeddings,
-// logits, and labels are bitwise identical to running the training
-// path's extractors (mae.Features / mae.TokenFeatures + the probe
-// head) over the same image batch.
+// logits, and labels are bitwise identical to running the probes'
+// extractors (mae.Features / mae.TokenFeatures + the probe head) over
+// the same image batch.
 func TestServeMatchesTrainingPath(t *testing.T) {
 	m := tinyModel(7)
 	img := imageFn(m, 21)
@@ -34,7 +34,7 @@ func TestServeMatchesTrainingPath(t *testing.T) {
 	}
 	m.Fill(nn.NewInferCtx(), reqs, resps)
 
-	// The same batch through the training-path extractors.
+	// The same batch through the probes' extractors.
 	pooled := m.MAE.Features(batchImgs, n)
 	tokens := m.MAE.TokenFeatures(batchImgs, n)
 
@@ -147,23 +147,13 @@ func TestServeBF16(t *testing.T) {
 	}
 }
 
-// stripBF16Shadows removes every packed bf16 weight shadow so the
-// inference path falls back to the fp32 (pre-rounded) weights.
-func stripBF16Shadows(m *Model) {
-	m.MAE.Embed.Proj.WBF16 = nil
-	for _, b := range m.MAE.Encoder.Blocks {
-		b.Attn.QKV.WBF16 = nil
-		b.Attn.Out.WBF16 = nil
-		b.MLP.FC1.WBF16 = nil
-		b.MLP.FC2.WBF16 = nil
-	}
-}
-
 // TestServeBF16PackedWeightsBitwise pins the bf16 compute contract:
-// serving through the packed 2-byte weight shadows (tensor.MatMulBF16,
-// widen-in-pack) is bitwise identical to serving through the rounded
-// fp32 weights. This is what lets the packed mode drop the fp32 weight
-// round-trip without perturbing a single served value.
+// RoundBF16 packs a 2-byte shadow on exactly the encoder's weight
+// matrices — the patch projection and each block's QKV, Out, FC1 and
+// FC2 — and serving through them (tensor.MatMulBF16, widen-in-pack) is
+// bitwise identical to serving through the rounded fp32 weights. This
+// is what lets the packed mode drop the fp32 weight round-trip without
+// perturbing a single served value.
 func TestServeBF16PackedWeightsBitwise(t *testing.T) {
 	serveOne := func(m *Model, img []float32) *Response {
 		reqs := []*Request{{ID: 0, Kind: Embed, Img: img}}
@@ -173,13 +163,23 @@ func TestServeBF16PackedWeightsBitwise(t *testing.T) {
 	}
 	m := tinyModel(7)
 	m.RoundBF16()
-	if m.MAE.Embed.Proj.WBF16 == nil {
-		t.Fatal("RoundBF16 did not pack bf16 weight shadows")
+	want := map[*nn.Param]bool{m.MAE.Embed.Proj.W: true}
+	for _, b := range m.MAE.Encoder.Blocks {
+		for _, l := range []*nn.Linear{b.Attn.QKV, b.Attn.Out, b.MLP.FC1, b.MLP.FC2} {
+			want[l.W] = true
+		}
+	}
+	for _, p := range m.MAE.Params() {
+		if (p.BF16 != nil) != want[p] {
+			t.Fatalf("%s: bf16 shadow packed = %v, want %v", p.Name, p.BF16 != nil, want[p])
+		}
 	}
 	img := imageFn(m, 24)(0)
 
 	packed := serveOne(m, img)
-	stripBF16Shadows(m)
+	for p := range want {
+		p.BF16 = nil
+	}
 	fp32 := serveOne(m, img)
 	for j := range packed.Embedding {
 		if packed.Embedding[j] != fp32.Embedding[j] {

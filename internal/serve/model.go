@@ -12,9 +12,10 @@ import (
 
 // Model is the served artifact: the MAE encoder weights (read-only
 // after construction) plus optional fitted probe heads. One Model is
-// shared by every inference engine — the Infer forward path never
-// writes layer state, so workers bring a per-engine nn.InferCtx and
-// nothing else.
+// shared by every inference engine — the frozen encoder pass
+// (mae.InferTokenFeatures, the same pass the probes' extractors run)
+// never writes layer state, so workers bring a per-engine nn.InferCtx
+// and nothing else.
 type Model struct {
 	MAE *mae.Model
 	// Cls scores Classify requests over pooled features; nil rejects
@@ -25,10 +26,10 @@ type Model struct {
 	Seg *probe.Head
 	// BF16 marks the reduced-precision serving mode: weights were
 	// rounded to bf16 once at load (RoundBF16), request images are
-	// rounded at ingest, and the encoder-side projections carry packed
-	// 2-byte weight shadows that the inference GEMM widens in its pack
-	// stage (tensor.MatMulBF16) — no fp32 copy of those weights is
-	// materialized on the serving path. Accumulation stays fp32, and
+	// rounded at ingest, and the encoder's weight matrices carry packed
+	// 2-byte shadows (nn.Param.BF16) that the inference GEMM widens in
+	// its pack stage (tensor.MatMulBF16) — no fp32 copy of those weights
+	// is materialized on the serving path. Accumulation stays fp32, and
 	// because the weights are pre-rounded the bf16-input GEMM is
 	// bitwise identical to the fp32 GEMM over the rounded values.
 	BF16 bool
@@ -59,9 +60,10 @@ func (m *Model) AttachHeads(cls, seg *probe.Head) {
 	m.Seg = seg
 }
 
-// RoundBF16 rounds every encoder-side weight and head weight to
-// bfloat16 (round-to-nearest-even) in place, packs the encoder
-// projections' bf16 weight shadows for the bf16-input GEMM, and flags
+// RoundBF16 rounds every model weight and head weight to bfloat16
+// (round-to-nearest-even) in place, packs the bf16 shadows of the
+// encoder's weight matrices (nn.ShadowBF16 over EncoderParams: the
+// patch projection and each block's QKV, Out, FC1 and FC2), and flags
 // the model, so the serving path answers from bf16-resolution
 // parameters without widening them back to fp32. Call once at load
 // time, before the first request.
@@ -75,7 +77,7 @@ func (m *Model) RoundBF16() {
 			tensor.RoundBF16(h.B, h.B)
 		}
 	}
-	m.MAE.PackBF16()
+	nn.ShadowBF16(m.MAE.EncoderParams())
 	m.BF16 = true
 }
 
@@ -142,11 +144,11 @@ type Response struct {
 // share the encoder pass. resps[i] receives reqs[i]'s payload; the
 // written payload slices are freshly allocated (they outlive ctx).
 //
-// All per-request arithmetic matches the training-path extractors
-// bitwise for a batch of the same composition: the encoder pass is
-// vit/mae's Infer (bitwise ≡ Forward), pooling is mae.PoolTokens
-// (≡ Features), and head scoring is probe.Head.LogitsInto (≡ the
-// probe's evaluate-time logits).
+// All per-request arithmetic is the probes' bitwise for a batch of the
+// same composition: the encoder pass is mae.InferTokenFeatures, the
+// one frozen pass that Features and TokenFeatures also run; pooling is
+// mae.PoolTokens, Features' own; and head scoring is
+// probe.Head.LogitsInto (≡ the probe's evaluate-time logits).
 func (m *Model) Fill(ctx *nn.InferCtx, reqs []*Request, resps []*Response) {
 	n := len(reqs)
 	if n == 0 {
@@ -168,9 +170,6 @@ func (m *Model) Fill(ctx *nn.InferCtx, reqs []*Request, resps []*Response) {
 
 	tok := m.MAE.InferTokenFeatures(ctx, imgs, n)
 	pooled := ctx.Take(n * w)
-	for i := range pooled {
-		pooled[i] = 0
-	}
 	m.MAE.PoolTokens(pooled, tok, n)
 
 	for i, r := range reqs {

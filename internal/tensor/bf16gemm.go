@@ -27,11 +27,6 @@ func MatMulBF16Bias(c, a []float32, b []uint16, bias []float32, m, k, n int, acc
 	matMulBF16(c, a, b, bias, m, k, n, k, n, n, acc, "MatMulBF16Bias")
 }
 
-// MatMulBF16Ld is MatMulBF16 with explicit leading dimensions.
-func MatMulBF16Ld(c, a []float32, b []uint16, m, k, n, lda, ldb, ldc int, acc bool) {
-	matMulBF16(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, "MatMulBF16")
-}
-
 func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, name string) {
 	checkGEMMLd(len(c), len(a), len(b), m, k, n, lda, ldb, ldc, opNN, name)
 	checkGEMMBias(bias, n, name)

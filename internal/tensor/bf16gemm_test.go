@@ -71,29 +71,6 @@ func TestMatMulBF16Bitwise(t *testing.T) {
 	}
 }
 
-// TestMatMulBF16Strided exercises the Ld entry point with a wide
-// weight matrix addressed as a sub-block.
-func TestMatMulBF16Strided(t *testing.T) {
-	m, k, n := 9, 21, 11
-	ldb := n + 6
-	r := rand.New(rand.NewSource(9))
-	a := make([]float32, m*k)
-	for i := range a {
-		a[i] = float32(r.NormFloat64())
-	}
-	bw := randBF16(r, k*ldb)
-	wb := widen(bw)
-	want := make([]float32, m*n)
-	got := make([]float32, m*n)
-	tensor.MatMulLd(want, a, wb, m, k, n, k, ldb, n, false)
-	tensor.MatMulBF16Ld(got, a, bw, m, k, n, k, ldb, n, false)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("strided bf16 GEMM not bitwise at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
 // FuzzBF16Gemm fuzzes shapes and seeds through the bitwise
 // bf16≡widened-fp32 invariant, with and without the bias row — where
 // both must also be MatMul followed by the serial bias loop. Under the

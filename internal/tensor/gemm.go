@@ -671,28 +671,6 @@ func dot(x, y []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// Dot is the exported inner product over raw slices.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	return dot(x, y)
-}
-
-// Axpy computes y += alpha*x (lengths must match).
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: Axpy length mismatch")
-	}
-	if len(x) == 0 {
-		return
-	}
-	axpy(alpha, x, y)
-}
-
 // MatMulNaive is the unblocked triple loop, kept as a correctness
 // reference and as the baseline for the blocking ablation benchmark.
 func MatMulNaive(c, a, b []float32, m, k, n int) {
@@ -705,16 +683,4 @@ func MatMulNaive(c, a, b []float32, m, k, n int) {
 			c[i*n+j] = s
 		}
 	}
-}
-
-// MatMulT returns C = A·B as tensors; a convenience wrapper used by
-// tests and examples (the layers call the slice kernels directly).
-func MatMulT(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Dim(1) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v × %v", a.Shape(), b.Shape()))
-	}
-	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	c := New(m, n)
-	MatMul(c.Data, a.Data, b.Data, m, k, n, false)
-	return c
 }

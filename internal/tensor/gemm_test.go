@@ -153,47 +153,19 @@ func TestMatMulLinearityProperty(t *testing.T) {
 func TestDotAxpy(t *testing.T) {
 	x := []float32{1, 2, 3, 4, 5}
 	y := []float32{5, 4, 3, 2, 1}
-	if got := Dot(x, y); got != 35 {
-		t.Fatalf("Dot = %v want 35", got)
+	if got := dot(x, y); got != 35 {
+		t.Fatalf("dot = %v want 35", got)
 	}
-	Axpy(2, x, y)
+	axpy(2, x, y)
 	want := []float32{7, 8, 9, 10, 11}
 	for i := range y {
 		if y[i] != want[i] {
-			t.Fatalf("Axpy: y=%v", y)
+			t.Fatalf("axpy: y=%v", y)
 		}
 	}
-	if Dot(nil, nil) != 0 {
-		t.Fatal("Dot of empty != 0")
+	if dot(nil, nil) != 0 {
+		t.Fatal("dot of empty != 0")
 	}
-	Axpy(1, nil, nil) // must not panic
-}
-
-func TestDotMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Dot(make([]float32, 2), make([]float32, 3))
-}
-
-func TestMatMulTConvenience(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
-	c := MatMulT(a, b)
-	if !approxEq(c.Data, a.Data, eps) {
-		t.Fatal("A·I != A")
-	}
-}
-
-func TestMatMulTShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on shape mismatch")
-		}
-	}()
-	MatMulT(New(2, 3), New(2, 3))
 }
 
 // The GEMM throughput benchmarks (blocked kernels, streaming baseline,

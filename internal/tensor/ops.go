@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/parallel"
 )
@@ -18,26 +17,6 @@ func Add(dst, a, b []float32) {
 	})
 }
 
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b []float32) {
-	checkLen3(dst, a, b)
-	parallel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] - b[i]
-		}
-	})
-}
-
-// Mul computes dst = a * b elementwise (Hadamard product).
-func Mul(dst, a, b []float32) {
-	checkLen3(dst, a, b)
-	parallel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] * b[i]
-		}
-	})
-}
-
 // Scale computes dst = alpha * a elementwise (dst may alias a), eight
 // lanes at a time where the sumsq.go kernels run in assembly: the clip
 // and the gradient pack-and-scale are walks of the whole parameter
@@ -46,14 +25,6 @@ func Scale(dst, a []float32, alpha float32) {
 	checkLen2(dst, a)
 	parallel.Range(len(dst), func(lo, hi int) {
 		scale(dst[lo:hi], a[lo:hi], alpha)
-	})
-}
-
-// AddInPlace computes dst += a elementwise.
-func AddInPlace(dst, a []float32) {
-	checkLen2(dst, a)
-	parallel.Range(len(dst), func(lo, hi int) {
-		add(dst[lo:hi], dst[lo:hi], a[lo:hi])
 	})
 }
 
@@ -79,36 +50,6 @@ func L2Norm(a []float32) float64 {
 	var s SumSq
 	s.Add(a, 0)
 	return math.Sqrt(s.Sum())
-}
-
-// MaxIdx returns the index of the maximum element (first on ties) and
-// its value. It panics on empty input.
-func MaxIdx(a []float32) (int, float32) {
-	if len(a) == 0 {
-		panic("tensor: MaxIdx of empty slice")
-	}
-	best, bv := 0, a[0]
-	for i := 1; i < len(a); i++ {
-		if a[i] > bv {
-			best, bv = i, a[i]
-		}
-	}
-	return best, bv
-}
-
-// TopKIdx returns the indices of the k largest elements in descending
-// order of value (ties broken by lower index first). k is clamped to
-// len(a).
-func TopKIdx(a []float32, k int) []int {
-	if k > len(a) {
-		k = len(a)
-	}
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] > a[idx[y]] })
-	return idx[:k]
 }
 
 // Softmax computes a numerically stable softmax over each row of the

@@ -16,21 +16,13 @@ func TestElementwise(t *testing.T) {
 	if dst[0] != 5 || dst[2] != 9 {
 		t.Fatalf("Add=%v", dst)
 	}
-	Sub(dst, b, a)
-	if dst[0] != 3 || dst[2] != 3 {
-		t.Fatalf("Sub=%v", dst)
-	}
-	Mul(dst, a, b)
-	if dst[1] != 10 {
-		t.Fatalf("Mul=%v", dst)
-	}
 	Scale(dst, a, 2)
 	if dst[2] != 6 {
 		t.Fatalf("Scale=%v", dst)
 	}
-	AddInPlace(dst, a)
+	Add(dst, dst, a)
 	if dst[2] != 9 {
-		t.Fatalf("AddInPlace=%v", dst)
+		t.Fatalf("aliased Add=%v", dst)
 	}
 }
 
@@ -56,29 +48,6 @@ func TestReductions(t *testing.T) {
 	}
 	if math.Abs(L2Norm(a)-math.Sqrt(30)) > 1e-9 {
 		t.Fatalf("L2Norm=%v", L2Norm(a))
-	}
-	i, v := MaxIdx(a)
-	if i != 2 || v != 3 {
-		t.Fatalf("MaxIdx=(%d,%v)", i, v)
-	}
-}
-
-func TestMaxIdxTieBreak(t *testing.T) {
-	i, _ := MaxIdx([]float32{5, 5, 5})
-	if i != 0 {
-		t.Fatalf("tie should return first index, got %d", i)
-	}
-}
-
-func TestTopKIdx(t *testing.T) {
-	a := []float32{0.1, 0.9, 0.5, 0.7}
-	top := TopKIdx(a, 2)
-	if top[0] != 1 || top[1] != 3 {
-		t.Fatalf("TopKIdx=%v", top)
-	}
-	all := TopKIdx(a, 99)
-	if len(all) != 4 {
-		t.Fatalf("clamp failed: %v", all)
 	}
 }
 

@@ -133,8 +133,8 @@ func TestScaleAsmMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestAddAsmMatchesGeneric: Add and AddInPlace are one float32 sum per
-// element on either path, aliased or not, at every ragged length.
+// TestAddAsmMatchesGeneric: Add is one float32 sum per element on
+// either path, aliased or not, at every ragged length.
 func TestAddAsmMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for n := 0; n <= 70; n++ {
@@ -148,9 +148,9 @@ func TestAddAsmMatchesGeneric(t *testing.T) {
 		addGo(want, a, b)
 		sum, inPlace := make([]float32, n), append([]float32(nil), a...)
 		Add(sum, a, b)
-		AddInPlace(inPlace, b)
+		Add(inPlace, inPlace, b)
 		if firstDiff(got, want) >= 0 || firstDiff(sum, want) >= 0 || firstDiff(inPlace, want) >= 0 {
-			t.Fatalf("n=%d: add %v / Add %v / AddInPlace %v != scalar lane %v", n, got, sum, inPlace, want)
+			t.Fatalf("n=%d: add %v / Add %v / aliased Add %v != scalar lane %v", n, got, sum, inPlace, want)
 		}
 	}
 }

@@ -227,19 +227,6 @@ func (t *Tensor) XavierInit(r *rng.RNG, fanIn, fanOut int) {
 	r.FillUniform(t.Data, -limit, limit)
 }
 
-// SameShape reports whether a and b have identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.shape) != len(b.shape) {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a compact description (shape plus a few leading
 // values), suitable for debugging.
 func (t *Tensor) String() string {

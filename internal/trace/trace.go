@@ -243,14 +243,6 @@ type RequestTrace struct {
 // closed batch waiting for a free engine).
 func (r RequestTrace) QueueWaitSec() float64 { return r.ComputeStartSec - r.ArrivalSec }
 
-// FormWaitSec is the portion of the queue wait spent before the batch
-// closed (bounded by the batcher's max-wait deadline).
-func (r RequestTrace) FormWaitSec() float64 { return r.BatchFormSec - r.ArrivalSec }
-
-// DispatchWaitSec is the portion spent after close, waiting for an
-// engine (nonzero only when every engine is busy).
-func (r RequestTrace) DispatchWaitSec() float64 { return r.ComputeStartSec - r.BatchFormSec }
-
 // ComputeSec is the batch execution time the request rode along with.
 func (r RequestTrace) ComputeSec() float64 { return r.DoneSec - r.ComputeStartSec }
 

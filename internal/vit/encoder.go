@@ -36,15 +36,6 @@ func (e *Encoder) Params() []*nn.Param {
 	return append(ps, e.Norm.Params()...)
 }
 
-// PackBF16 packs every block's projection weights into bf16 shadows
-// so the inference path (Infer via nn.Linear.Infer) streams 2-byte
-// weights through the bf16-input GEMM.
-func (e *Encoder) PackBF16() {
-	for _, b := range e.Blocks {
-		b.PackBF16()
-	}
-}
-
 // Forward runs the stack over batch sequences of tokens tokens each.
 func (e *Encoder) Forward(x []float32, batch, tokens int) []float32 {
 	h := x
@@ -52,6 +43,20 @@ func (e *Encoder) Forward(x []float32, batch, tokens int) []float32 {
 		h = b.Forward(h, batch, tokens)
 	}
 	return e.Norm.Forward(h, batch*tokens)
+}
+
+// Infer runs the stack without touching the layers' backward caches:
+// activations live in the caller's InferCtx, so a shared read-only
+// Encoder serves any number of worker goroutines, one ctx each. It is
+// the frozen-feature pass of probing and serving alike. The arithmetic
+// is Forward's — same kernels, same parallel grains — so the output is
+// bitwise identical.
+func (e *Encoder) Infer(ctx *nn.InferCtx, x []float32, batch, tokens int) []float32 {
+	h := x
+	for _, b := range e.Blocks {
+		h = b.Infer(ctx, h, batch, tokens)
+	}
+	return e.Norm.Infer(ctx, h, batch*tokens)
 }
 
 // Backward propagates through the stack in reverse.
