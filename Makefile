@@ -26,7 +26,7 @@ test-all:
 race:
 	$(GO) test -race ./internal/dist/ ./internal/train/ ./internal/opt/ ./internal/mae/ ./internal/dataload/ ./internal/probe/ ./internal/serve/ ./geofm/ ./cmd/pretrain/ ./cmd/serve/ ./cmd/linprobe/ ./cmd/repro/
 	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm|AdamW|SumSq|ColumnSums|MatMulBias|PackedReference' ./internal/tensor/
-	$(GO) test -race -run 'Fused|AttentionGradients|BlockGradients|InferMatches|ProcsIndependent|LayerNorm|GELU|SerialLoops|Flatten|MSE' ./internal/nn/
+	$(GO) test -race -run 'Fused|AttentionGradients|BlockGradients|InferMatches|ProcsIndependent|LayerNorm|GELU|SerialLoops|Flatten|MSE|Scratch' ./internal/nn/
 	$(GO) test -race -short ./internal/calib/ ./internal/sim/ ./internal/trace/ ./internal/perfmodel/
 
 # Static-analysis gate: the repo-invariant analyzer suite (statgate)

@@ -132,9 +132,11 @@ type Model struct {
 	predMask []float32
 	tgtMask  []float32
 	dPred    []float32
-	dDecIn   []float32
+	dFull    []float32 // the masked-pixel gradient scattered over every token
+	visMask  []bool
 	dVisible []float32
 	dEmbed   []float32
+	dTokens  []float32 // BackwardFeatures' per-token gradient
 }
 
 // New constructs the model with weights drawn from r and an independent
@@ -263,20 +265,34 @@ func (m *Model) SkipMasks(batches, batch int) {
 func (m *Model) SetMask(keep [][]int) {
 	t := m.Cfg.Encoder.Tokens()
 	m.keepIdx = keep
-	m.maskIdx = m.maskIdx[:0]
-	for _, kv := range keep {
-		in := make([]bool, t)
+	if cap(m.maskIdx) < len(keep) {
+		m.maskIdx = make([][]int, len(keep))
+	}
+	m.maskIdx = m.maskIdx[:len(keep)]
+	in := m.tokenMask()
+	for b, kv := range keep {
+		clear(in)
 		for _, k := range kv {
 			in[k] = true
 		}
-		var masked []int
+		masked := m.maskIdx[b][:0]
 		for i := 0; i < t; i++ {
 			if !in[i] {
 				masked = append(masked, i)
 			}
 		}
-		m.maskIdx = append(m.maskIdx, masked)
+		m.maskIdx[b] = masked
 	}
+}
+
+// tokenMask returns the model's one-flag-per-token scratch, contents
+// unspecified.
+func (m *Model) tokenMask() []bool {
+	t := m.Cfg.Encoder.Tokens()
+	if cap(m.visMask) < t {
+		m.visMask = make([]bool, t)
+	}
+	return m.visMask[:t]
 }
 
 // Step runs a full forward and backward pass over channel-last images
@@ -445,13 +461,15 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	keep := len(m.keepIdx[0])
 	nMask := t - keep
 
-	// Scatter masked-pixel gradient into the full prediction grid.
-	full := growF(nil, batch*t*pd)
+	// Scatter masked-pixel gradient into the full prediction grid
+	// (visible positions receive zero).
+	m.dFull = growF(m.dFull, batch*t*pd)
+	clear(m.dFull)
 	for b := 0; b < batch; b++ {
-		tensor.ScatterRowsAdd(full[b*t*pd:], m.dPred[b*nMask*pd:], m.maskIdx[b], pd)
+		tensor.ScatterRowsAdd(m.dFull[b*t*pd:], m.dPred[b*nMask*pd:], m.maskIdx[b], pd)
 	}
 
-	d := m.Pred.Backward(full)
+	d := m.Pred.Backward(m.dFull)
 	emit()
 	d = m.DecNorm.Backward(d)
 	emit()
@@ -464,12 +482,10 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	// Split it: visible positions flow to the encoder path, all other
 	// positions accumulate into the mask token.
 	m.dVisible = growF(m.dVisible, batch*keep*dw)
-	visMask := make([]bool, t)
+	visMask := m.tokenMask()
 	mtGrad := m.MaskToken.Grad.Data
 	for b := 0; b < batch; b++ {
-		for i := range visMask {
-			visMask[i] = false
-		}
+		clear(visMask)
 		for i, g := range m.keepIdx[b] {
 			visMask[g] = true
 			copy(m.dVisible[(b*keep+i)*dw:(b*keep+i+1)*dw], d[(b*t+g)*dw:(b*t+g+1)*dw])
@@ -491,9 +507,7 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	// Scatter visible-token gradients back into the full embedding grid
 	// (masked positions receive zero) and finish with the patch embed.
 	m.dEmbed = growF(m.dEmbed, batch*t*w)
-	for i := range m.dEmbed {
-		m.dEmbed[i] = 0
-	}
+	clear(m.dEmbed)
 	for b := 0; b < batch; b++ {
 		tensor.ScatterRowsAdd(m.dEmbed[b*t*w:], dVis[b*keep*w:], m.keepIdx[b], w)
 	}
@@ -526,19 +540,18 @@ func (m *Model) BackwardFeatures(dPooled []float32) {
 	t := enc.Tokens()
 	w := enc.Width
 	batch := m.batch
-	dTokens := growF(nil, batch*t*w)
+	m.dTokens = growF(m.dTokens, batch*t*w)
 	inv := float32(1) / float32(t)
 	for b := 0; b < batch; b++ {
 		src := dPooled[b*w : (b+1)*w]
 		for tok := 0; tok < t; tok++ {
-			dst := dTokens[(b*t+tok)*w : (b*t+tok+1)*w]
+			dst := m.dTokens[(b*t+tok)*w : (b*t+tok+1)*w]
 			for j := range dst {
 				dst[j] = src[j] * inv
 			}
 		}
 	}
-	d := m.Encoder.Backward(dTokens)
-	m.Embed.Backward(d)
+	m.Embed.Backward(m.Encoder.Backward(m.dTokens))
 }
 
 func growF(buf []float32, n int) []float32 {

@@ -2,6 +2,7 @@ package mae
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -323,6 +324,50 @@ func TestFeaturesBetweenForwardAndBackward(t *testing.T) {
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("gradient element %d of %d: %v with Features interleaved, %v without", i, len(want), got[i], want[i])
+		}
+	}
+}
+
+// TestBackwardStepConcurrentReplicas: two seed-identical replicas
+// running BackwardStep at the same time — as in-process ranks do, each
+// block backward borrowing the process's shared scratch — accumulate
+// bitwise the gradients of one replica stepping alone.
+func TestBackwardStepConcurrentReplicas(t *testing.T) {
+	cfg := tinyCfg()
+	const batch = 3
+	imgs := randImgs(cfg, batch, 15)
+	grads := func(m *Model) []float32 {
+		var g []float32
+		for _, p := range m.Params() {
+			g = append(g, p.Grad.Data...)
+		}
+		return g
+	}
+	replica := func() *Model {
+		m := New(cfg, rng.New(1))
+		m.ForwardWithMask(imgs, batch, m.DrawMasks(batch))
+		return m
+	}
+	solo := replica()
+	solo.BackwardStep()
+	want := grads(solo)
+
+	ms := [2]*Model{replica(), replica()}
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.BackwardStep()
+		}()
+	}
+	wg.Wait()
+	for i, m := range ms {
+		got := grads(m)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("replica %d gradient element %d: %v concurrently, %v alone", i, j, got[j], want[j])
+			}
 		}
 	}
 }

@@ -31,9 +31,14 @@ func (g *GELU) Forward(x []float32, rows int) []float32 {
 }
 
 // Backward multiplies dy by the activation derivative, recomputed
-// from the cached input.
+// from the cached input, into a buffer the layer owns, valid until its
+// next Backward.
 func (g *GELU) Backward(dy []float32) []float32 {
 	g.dx = grow(g.dx, len(dy))
-	tensor.GELUBackward(g.dx, dy, g.x)
+	g.backward(g.dx, dy)
 	return g.dx
 }
+
+// backward is Backward writing into the caller's dx, which may alias
+// dy: the MLP runs it in place over FC2's input gradient.
+func (g *GELU) backward(dx, dy []float32) { tensor.GELUBackward(dx, dy, g.x) }

@@ -16,17 +16,18 @@ import (
 //
 // The layer owns its fused QKV projection and output projection. Both
 // passes — and Infer — run the fused tiled kernels
-// (tensor.FlashAttnFwd / FlashAttnBwd): online softmax over K/V
+// (tensor.FlashAttnFwdLd / FlashAttnBwdLd): online softmax over K/V
 // tiles, the 1/√d scale folded into the tile loop, and only the
 // per-row (max, exp-sum) statistics cached between forward and
 // backward — O(B·H·T) state instead of the O(B·H·T²) probability
 // matrices. The materialized form (full per-head score matrix through
 // the blocked GEMM and the softmax ops) lives only in the tests, as
-// the oracle the fused path is property-tested against. The
-// head-interleaved operands (dO inside the upstream (B·T × W)
-// gradient, the per-head thirds of the fused (B·T × 3W) QKV gradient)
-// are addressed in place via strided entry points, so no per-token
-// rearrangement loops or per-head gradient scratch buffers remain.
+// the oracle the fused path is property-tested against. Every
+// head-interleaved operand is addressed in place as a strided (T × D)
+// tile: each head's Q, K and V inside the fused (B·T × 3W) projection
+// output the QKV layer keeps, its O and dO inside the (B·T × W)
+// attention output and gradient, and its dQ, dK, dV inside the fused
+// (B·T × 3W) gradient — no per-head copies or rearrangement buffers.
 type MultiHeadAttention struct {
 	Width, Heads, HeadDim int
 
@@ -35,16 +36,13 @@ type MultiHeadAttention struct {
 
 	batch, tokens int
 
-	// [b·h][t][d] contiguous rearrangements of the fused QKV output,
-	// kept packed because the forward and the backward kernels both
-	// re-read them.
-	q, k, v []float32
 	// per-row online softmax statistics, 2 per (b·h, t).
 	stats []float32
-	// forward output (re-read by the backward) and the fused QKV
-	// gradient.
+	// forward output, re-read by the backward.
 	attnOut []float32
-	dqkv    []float32
+	// the input gradient of Backward (backward writes into the
+	// caller's memory instead).
+	dx []float32
 }
 
 // NewMultiHeadAttention builds the layer; width must be divisible by
@@ -70,80 +68,74 @@ func (a *MultiHeadAttention) Params() []*Param {
 // Forward runs self-attention over batch sequences of tokens tokens
 // each; x has shape (batch·tokens × width).
 func (a *MultiHeadAttention) Forward(x []float32, batch, tokens int) []float32 {
-	w, d := a.Width, a.HeadDim
-	checkRows(len(x), batch*tokens, w, "MultiHeadAttention.Forward")
+	checkRows(len(x), batch*tokens, a.Width, "MultiHeadAttention.Forward")
 	a.batch, a.tokens = batch, tokens
 	qkv := a.QKV.Forward(x, batch*tokens)
-
-	bh := batch * a.Heads
-	a.q = grow(a.q, bh*tokens*d)
-	a.k = grow(a.k, bh*tokens*d)
-	a.v = grow(a.v, bh*tokens*d)
-	a.attnOut = grow(a.attnOut, batch*tokens*w)
-	a.stats = grow(a.stats, bh*2*tokens)
-	a.attend(a.attnOut, a.stats, a.q, a.k, a.v, qkv, batch, tokens)
-
+	a.attnOut = grow(a.attnOut, batch*tokens*a.Width)
+	a.stats = grow(a.stats, batch*a.Heads*2*tokens)
+	a.attend(a.attnOut, a.stats, qkv, batch, tokens)
 	return a.Out.Forward(a.attnOut, batch*tokens)
 }
 
-// attend is the attention core shared by Forward and Infer: it splits
-// the fused (B·T × 3W) projection into per-(b,h) contiguous (T × D)
-// q, k, v and runs the fused forward kernel per head, writing each
+// attend is the attention core shared by Forward and Infer: per
+// (b, h) it runs the fused forward kernel on the head's strided
+// (T × D) thirds of the fused (B·T × 3W) projection, writing the
 // head's O as a strided (T × D) tile straight into the (B·T × W)
-// attnOut and its (m, l) statistics into stats. Each head is computed
-// by one serial kernel call, so the result does not depend on how the
-// pool splits the heads.
-func (a *MultiHeadAttention) attend(attnOut, stats, q, k, v, qkv []float32, batch, tokens int) {
+// attnOut and its (m, l) statistics into stats — or none, when stats
+// is nil (Infer: no backward follows). Each head is computed by one
+// serial kernel call, so the result does not depend on how the pool
+// splits the heads.
+func (a *MultiHeadAttention) attend(attnOut, stats, qkv []float32, batch, tokens int) {
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	scale := float32(1 / math.Sqrt(float64(d)))
 	parallel.ForGrain(batch*h, 1, func(i int) {
 		b, hh := i/h, i%h
-		qi := q[i*tokens*d : (i+1)*tokens*d]
-		ki := k[i*tokens*d : (i+1)*tokens*d]
-		vi := v[i*tokens*d : (i+1)*tokens*d]
-		a.splitHead(qi, ki, vi, qkv[b*tokens*3*w:], hh, tokens)
-		tensor.FlashAttnFwd(attnOut[(b*tokens)*w+hh*d:], w, qi, ki, vi,
-			tokens, d, scale, stats[i*2*tokens:(i+1)*2*tokens])
+		var st []float32
+		if stats != nil {
+			st = stats[i*2*tokens : (i+1)*2*tokens]
+		}
+		src := qkv[(b*tokens)*3*w+hh*d:]
+		tensor.FlashAttnFwdLd(attnOut[(b*tokens)*w+hh*d:], w, src, src[w:], src[2*w:], 3*w,
+			tokens, d, scale, st)
 	})
-}
-
-// splitHead copies head hh's thirds of one sequence's fused
-// (T × 3W) projection into contiguous (T × D) q, k, v.
-func (a *MultiHeadAttention) splitHead(q, k, v, qkv []float32, hh, tokens int) {
-	w, d := a.Width, a.HeadDim
-	for t := 0; t < tokens; t++ {
-		src := qkv[t*3*w:]
-		copy(q[t*d:t*d+d], src[hh*d:hh*d+d])
-		copy(k[t*d:t*d+d], src[w+hh*d:w+hh*d+d])
-		copy(v[t*d:t*d+d], src[2*w+hh*d:2*w+hh*d+d])
-	}
 }
 
 // Backward propagates through the attention layer, accumulating
-// projection gradients and returning dL/dx.
+// projection gradients and returning dL/dx in a buffer the layer owns,
+// valid until its next Backward. The fused QKV gradient is a transient
+// borrowed from the shared backward scratch.
 func (a *MultiHeadAttention) Backward(dy []float32) []float32 {
+	s := borrowScratch()
+	a.dx = grow(a.dx, len(dy))
+	s.wide = grow(s.wide, 3*len(dy))
+	a.backward(a.dx, dy, s.wide)
+	s.release()
+	return a.dx
+}
+
+// backward is Backward writing dL/dx into the caller's (B·T × W) dx,
+// which first holds the output projection's gradient (every head's
+// dO); dqkv is (B·T × 3W) scratch for the fused QKV gradient. Neither
+// may alias dy, and both are fully overwritten.
+func (a *MultiHeadAttention) backward(dx, dy, dqkv []float32) {
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	batch, tokens := a.batch, a.tokens
 	checkRows(len(dy), batch*tokens, w, "MultiHeadAttention.Backward")
-	dAttn := a.Out.Backward(dy) // (B·T × W)
-
-	a.dqkv = grow(a.dqkv, batch*tokens*3*w)
+	a.Out.backward(dx, dy) // dx holds dAttn (B·T × W) until QKV's backward
+	qkv := a.QKV.y
 	scale := float32(1 / math.Sqrt(float64(d)))
 	parallel.ForGrain(batch*h, 1, func(i int) {
 		b, hh := i/h, i%h
-		q := a.q[i*tokens*d : (i+1)*tokens*d]
-		k := a.k[i*tokens*d : (i+1)*tokens*d]
-		v := a.v[i*tokens*d : (i+1)*tokens*d]
-		// This head's dO and O are strided (T × D) views; its dQ,
-		// dK, dV are the strided thirds of the fused (B·T × 3W)
-		// gradient. Probability tiles are recomputed inside the
-		// kernel from the cached (m, l) statistics.
-		do := dAttn[(b*tokens)*w+hh*d:]
-		o := a.attnOut[(b*tokens)*w+hh*d:]
-		dqkvH := a.dqkv[(b*tokens)*3*w:]
-		tensor.FlashAttnBwd(dqkvH[hh*d:], dqkvH[w+hh*d:], dqkvH[2*w+hh*d:], 3*w,
-			do, o, w, q, k, v, tokens, d, scale,
+		// This head's Q, K, V, dO and O are strided (T × D) views; its
+		// dQ, dK, dV are the strided thirds of the fused (B·T × 3W)
+		// gradient. Probability tiles are recomputed inside the kernel
+		// from the cached (m, l) statistics.
+		src := qkv[(b*tokens)*3*w+hh*d:]
+		dst := dqkv[(b*tokens)*3*w+hh*d:]
+		tensor.FlashAttnBwdLd(dst, dst[w:], dst[2*w:], 3*w,
+			dx[(b*tokens)*w+hh*d:], a.attnOut[(b*tokens)*w+hh*d:], w,
+			src, src[w:], src[2*w:], 3*w, tokens, d, scale,
 			a.stats[i*2*tokens:(i+1)*2*tokens])
 	})
-	return a.QKV.Backward(a.dqkv)
+	a.QKV.backward(dx, dqkv)
 }

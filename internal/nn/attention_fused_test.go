@@ -61,32 +61,29 @@ func runAttn(materialized bool, batch, tokens, width, heads int, x, dy []float32
 // forms each head's full (T×T) score matrix with the blocked GEMM
 // kernels and the scale-folded softmax ops, caching the probabilities
 // and the dP/dS intermediates — 3·B·H·T² floats the fused path never
-// allocates.
+// allocates. Each head's Q, K and V are strided operands of the fused
+// projection output.
 type materializedAttention struct {
 	*MultiHeadAttention
-	probs, dp, ds []float32
+	qkv, probs, dp, ds []float32
 }
 
 func (m *materializedAttention) Forward(x []float32, batch, tokens int) []float32 {
 	a := m.MultiHeadAttention
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	a.batch, a.tokens = batch, tokens
-	qkv := a.QKV.Forward(x, batch*tokens)
+	m.qkv = a.QKV.Forward(x, batch*tokens)
 	bh := batch * h
-	a.q, a.k, a.v = make([]float32, bh*tokens*d), make([]float32, bh*tokens*d), make([]float32, bh*tokens*d)
 	a.attnOut = make([]float32, batch*tokens*w)
 	m.probs = make([]float32, bh*tokens*tokens)
 	scale := float32(1 / math.Sqrt(float64(d)))
 	for i := 0; i < bh; i++ {
 		b, hh := i/h, i%h
-		q := a.q[i*tokens*d : (i+1)*tokens*d]
-		k := a.k[i*tokens*d : (i+1)*tokens*d]
-		v := a.v[i*tokens*d : (i+1)*tokens*d]
-		a.splitHead(q, k, v, qkv[b*tokens*3*w:], hh, tokens)
+		src := m.qkv[(b*tokens)*3*w+hh*d:] // Q, then K at +W, V at +2W
 		p := m.probs[i*tokens*tokens : (i+1)*tokens*tokens]
-		tensor.MatMulTB(p, q, k, tokens, d, tokens, false)
+		tensor.MatMulTBLd(p, src, src[w:], tokens, d, tokens, 3*w, 3*w, tokens, false)
 		tensor.SoftmaxScaled(p, p, tokens, tokens, scale)
-		tensor.MatMulLd(a.attnOut[(b*tokens)*w+hh*d:], p, v, tokens, tokens, d, tokens, d, w, false)
+		tensor.MatMulLd(a.attnOut[(b*tokens)*w+hh*d:], p, src[2*w:], tokens, tokens, d, tokens, 3*w, w, false)
 	}
 	return a.Out.Forward(a.attnOut, batch*tokens)
 }
@@ -103,9 +100,8 @@ func (m *materializedAttention) Backward(dy []float32) []float32 {
 	scale := float32(1 / math.Sqrt(float64(d)))
 	for i := 0; i < bh; i++ {
 		b, hh := i/h, i%h
-		q := a.q[i*tokens*d : (i+1)*tokens*d]
-		k := a.k[i*tokens*d : (i+1)*tokens*d]
-		v := a.v[i*tokens*d : (i+1)*tokens*d]
+		src := m.qkv[(b*tokens)*3*w+hh*d:]
+		q, k, v := src, src[w:], src[2*w:]
 		p := m.probs[i*tokens*tokens : (i+1)*tokens*tokens]
 		dp := m.dp[i*tokens*tokens : (i+1)*tokens*tokens]
 		ds := m.ds[i*tokens*tokens : (i+1)*tokens*tokens]
@@ -114,10 +110,10 @@ func (m *materializedAttention) Backward(dy []float32) []float32 {
 		// dV = Pᵀ·dO, dP = dO·Vᵀ, dS = softmax backward (scale folded),
 		// dQ = dS·K, dK = dSᵀ·Q.
 		tensor.MatMulTALd(dqkvH[2*w+hh*d:], p, do, tokens, tokens, d, tokens, w, 3*w, false)
-		tensor.MatMulTBLd(dp, do, v, tokens, d, tokens, w, d, tokens, false)
+		tensor.MatMulTBLd(dp, do, v, tokens, d, tokens, w, 3*w, tokens, false)
 		tensor.SoftmaxBackwardScaled(ds, p, dp, tokens, tokens, scale)
-		tensor.MatMulLd(dqkvH[hh*d:], ds, k, tokens, tokens, d, tokens, d, 3*w, false)
-		tensor.MatMulTALd(dqkvH[w+hh*d:], ds, q, tokens, tokens, d, tokens, d, 3*w, false)
+		tensor.MatMulLd(dqkvH[hh*d:], ds, k, tokens, tokens, d, tokens, 3*w, 3*w, false)
+		tensor.MatMulTALd(dqkvH[w+hh*d:], ds, q, tokens, tokens, d, tokens, 3*w, 3*w, false)
 	}
 	return a.QKV.Backward(dqkv)
 }
@@ -218,18 +214,24 @@ func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 	}
 }
 
-// attnScratchFloats sums the lengths of every scratch buffer the layer
-// retains between steps.
-func attnScratchFloats(a *MultiHeadAttention) int {
-	return len(a.q) + len(a.k) + len(a.v) + len(a.stats) + len(a.attnOut) + len(a.dqkv)
+// linearFloats sums the lengths of a Linear's retained buffers.
+func linearFloats(l *Linear) int { return len(l.y) + len(l.dx) }
+
+// attnRetainedFloats sums the lengths of every buffer the layer and
+// its two projections retain between steps.
+func attnRetainedFloats(a *MultiHeadAttention) int {
+	return len(a.stats) + len(a.attnOut) + len(a.dx) + linearFloats(a.QKV) + linearFloats(a.Out)
 }
 
-// TestFusedAttentionScratchFootprint pins the layer's retained scratch
-// at a ViT-Large-shaped sequence to its closed form,
-// 7·B·T·W + 2·B·H·T floats — linear in T, with no (T×T) probability
-// or backward buffers. The materialized oracle at the same shape holds 3·B·H·T² floats more,
-// which is the regression this test guards against: before the fused
-// path, every trained layer pinned those T² buffers forever.
+// TestFusedAttentionScratchFootprint pins what the layer retains at a
+// ViT-Large-shaped sequence to its closed form, 6·B·T·W + 2·B·H·T
+// floats: the fused QKV output (3, which is also every head's Q, K and
+// V), the merged head output and the output projection's (1 each), the
+// input gradient (1), and the softmax statistics — linear in T, with
+// no (T×T) probability or backward buffers. It fails a layer that
+// keeps the materialized oracle's 3·B·H·T² floats, per-head Q/K/V
+// copies, the fused QKV gradient or its projections' own input
+// gradients (7·B·T·W floats together).
 func TestFusedAttentionScratchFootprint(t *testing.T) {
 	// ViT-Large sequence geometry (T=197 with class-token-free grid
 	// rounded to the paper's 196), narrow width to keep runtime down:
@@ -245,9 +247,51 @@ func TestFusedAttentionScratchFootprint(t *testing.T) {
 	a.Forward(x, batch, tokens)
 	a.Backward(dy)
 
-	want := 7*batch*tokens*width + 2*batch*heads*tokens
-	if got := attnScratchFloats(a); got != want {
-		t.Fatalf("fused scratch = %d floats, want %d (7·B·T·W + 2·B·H·T)", got, want)
+	want := 6*batch*tokens*width + 2*batch*heads*tokens
+	if got := attnRetainedFloats(a); got != want {
+		t.Fatalf("fused attention retains %d floats, want %d (6·B·T·W + 2·B·H·T)", got, want)
+	}
+}
+
+// blockRetainedFloats sums the lengths of every buffer a Block and its
+// layers retain between steps.
+func blockRetainedFloats(b *Block) int {
+	ln := func(l *LayerNorm) int { return len(l.xhat) + len(l.invStd) + len(l.y) + len(l.dx) }
+	a := b.Attn
+	m := b.MLP
+	return ln(b.LN1) + ln(b.LN2) +
+		len(a.stats) + len(a.attnOut) + len(a.dx) + linearFloats(a.QKV) + linearFloats(a.Out) +
+		len(m.dx) + linearFloats(m.FC1) + len(m.Act.y) + len(m.Act.dx) + linearFloats(m.FC2) +
+		len(b.y1) + len(b.y2) + len(b.dx)
+}
+
+// TestBlockRetainedFloats pins what one trained block keeps for the
+// whole step to its closed form, 13·R·W + 2·R·H + 2·R + 2·B·Hd·T floats
+// (R = B·T rows, H the MLP width, Hd the heads): the forward caches
+// backward reads (two LayerNorms' x̂, 1/σ and output, the fused QKV
+// output, the merged heads, the softmax statistics, FC1's and GELU's
+// outputs), the three outputs the next layer reads (the output
+// projection's, FC2's, the two residual sums), and the block's input
+// gradient. Every other input gradient is a transient in the shared
+// scratch; a block whose layers each kept their own would retain
+// 11·R·W + 2·R·H floats more.
+func TestBlockRetainedFloats(t *testing.T) {
+	const batch, tokens, width, hidden, heads = 2, 37, 48, 192, 8
+	r := rng.New(12)
+	rows := batch * tokens
+	x := make([]float32, rows*width)
+	dy := make([]float32, rows*width)
+	r.FillNormal(x, 0, 1)
+	r.FillNormal(dy, 0, 1)
+
+	b := NewBlock("blk", width, hidden, heads, r)
+	for step := 0; step < 2; step++ {
+		b.Forward(x, batch, tokens)
+		b.Backward(dy)
+	}
+	want := 13*rows*width + 2*rows*hidden + 2*rows + 2*batch*heads*tokens
+	if got := blockRetainedFloats(b); got != want {
+		t.Fatalf("block retains %d floats, want %d (13·R·W + 2·R·H + 2·R + 2·B·Hd·T)", got, want)
 	}
 }
 

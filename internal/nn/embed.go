@@ -111,10 +111,12 @@ func (pe *PatchEmbed) addPos(y []float32) []float32 {
 	return y
 }
 
-// Backward propagates to the projection (positional embeddings are
-// constant, so the gradient passes through unchanged to Proj).
-func (pe *PatchEmbed) Backward(dy []float32) []float32 {
-	return pe.Proj.Backward(dy)
+// Backward accumulates the projection's parameter gradients
+// (positional embeddings are constant, so the gradient passes through
+// unchanged to Proj). Nothing upstream of the patches is trained, so
+// no pixel gradient is computed.
+func (pe *PatchEmbed) Backward(dy []float32) {
+	pe.Proj.backward(nil, dy)
 }
 
 // SinCos2D returns the fixed 2-D sine-cosine positional embedding table

@@ -95,26 +95,18 @@ func (m *MLP) Infer(ctx *InferCtx, x []float32, rows int) []float32 {
 	return m.FC2.Infer(ctx, h, rows)
 }
 
-// Infer runs self-attention with every intermediate (fused QKV, the
-// per-head Q/K/V rearrangement, the merged head output) in the arena.
-// It runs the same attend core as Forward, so the output is bitwise
-// equal to the training path, and the arena never holds a (T×T)
-// buffer — only the O(B·H·T) statistics — which is what keeps a
-// serving worker's steady-state footprint independent of the score
-// matrix size.
+// Infer runs self-attention with both intermediates (the fused QKV
+// projection and the merged head output) in the arena. It runs the
+// same attend core as Forward, reading each head's Q, K and V in place
+// inside the fused projection, so the output is bitwise equal to the
+// training path; it writes no softmax statistics, and the arena never
+// holds a (T×T) buffer, which is what keeps a serving worker's
+// steady-state footprint independent of the score matrix size.
 func (a *MultiHeadAttention) Infer(ctx *InferCtx, x []float32, batch, tokens int) []float32 {
-	w, d := a.Width, a.HeadDim
-	checkRows(len(x), batch*tokens, w, "MultiHeadAttention.Infer")
+	checkRows(len(x), batch*tokens, a.Width, "MultiHeadAttention.Infer")
 	qkv := a.QKV.Infer(ctx, x, batch*tokens)
-
-	bh := batch * a.Heads
-	q := ctx.Take(bh * tokens * d)
-	k := ctx.Take(bh * tokens * d)
-	v := ctx.Take(bh * tokens * d)
-	attnOut := ctx.Take(batch * tokens * w)
-	stats := ctx.Take(bh * 2 * tokens)
-	a.attend(attnOut, stats, q, k, v, qkv, batch, tokens)
-
+	attnOut := ctx.Take(batch * tokens * a.Width)
+	a.attend(attnOut, nil, qkv, batch, tokens)
 	return a.Out.Infer(ctx, attnOut, batch*tokens)
 }
 

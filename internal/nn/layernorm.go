@@ -47,13 +47,21 @@ func (ln *LayerNorm) Forward(x []float32, rows int) []float32 {
 }
 
 // Backward computes the LayerNorm gradient from the x̂ and 1/σ cached
-// by Forward (tensor.LayerNormBackward), accumulating dγ and dβ.
+// by Forward (tensor.LayerNormBackward), accumulating dγ and dβ, and
+// returns dL/dx in a buffer the layer owns, valid until its next
+// Backward.
 func (ln *LayerNorm) Backward(dy []float32) []float32 {
+	ln.dx = grow(ln.dx, ln.rows*ln.Dim)
+	ln.backward(ln.dx, dy)
+	return ln.dx
+}
+
+// backward is Backward writing dL/dx into the caller's dx, which must
+// not alias dy.
+func (ln *LayerNorm) backward(dx, dy []float32) {
 	d := ln.Dim
 	rows := ln.rows
 	checkRows(len(dy), rows, d, "LayerNorm.Backward")
-	ln.dx = grow(ln.dx, rows*d)
 	tensor.LayerNormParamGrads(ln.Gamma.Grad.Data, ln.Beta.Grad.Data, dy, ln.xhat, rows, d)
-	tensor.LayerNormBackward(ln.dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value.Data, rows, d)
-	return ln.dx
+	tensor.LayerNormBackward(dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value.Data, rows, d)
 }

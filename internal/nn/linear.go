@@ -16,7 +16,8 @@ type Linear struct {
 	// cached forward input and row count for the backward pass
 	x    []float32
 	rows int
-	// reusable output and input-gradient buffers
+	// the forward output, and the input gradient of Backward (backward
+	// writes into the caller's memory instead)
 	y, dx []float32
 }
 
@@ -49,15 +50,24 @@ func (l *Linear) Forward(x []float32, rows int) []float32 {
 }
 
 // Backward consumes dL/dy, accumulates dL/dW and dL/db, and returns
-// dL/dx. The returned slice is owned by the layer.
+// dL/dx in a buffer the layer owns, valid until its next Backward.
 func (l *Linear) Backward(dy []float32) []float32 {
+	l.dx = grow(l.dx, l.rows*l.In)
+	l.backward(l.dx, dy)
+	return l.dx
+}
+
+// backward is Backward writing dL/dx into the caller's (rows × In) dx,
+// which must not alias dy; a nil dx skips the input gradient and only
+// accumulates the parameter gradients.
+func (l *Linear) backward(dx, dy []float32) {
 	rows := l.rows
 	checkRows(len(dy), rows, l.Out, "Linear.Backward")
 	// dW += xᵀ·dy : (in × rows)·(rows × out)
 	tensor.MatMulTA(l.W.Grad.Data, l.x, dy, l.In, rows, l.Out, true)
 	tensor.ColumnSums(l.B.Grad.Data, dy, rows, l.Out)
-	// dx = dy·Wᵀ : W stored (in × out) so this is the TB kernel.
-	l.dx = grow(l.dx, rows*l.In)
-	tensor.MatMulTB(l.dx, dy, l.W.Value.Data, rows, l.Out, l.In, false)
-	return l.dx
+	if dx != nil {
+		// dx = dy·Wᵀ : W stored (in × out) so this is the TB kernel.
+		tensor.MatMulTB(dx, dy, l.W.Value.Data, rows, l.Out, l.In, false)
+	}
 }

@@ -13,6 +13,16 @@
 // internal buffers across steps, so a layer instance must not be used
 // from multiple goroutines concurrently — parallelism lives *inside*
 // the kernels (see internal/tensor and internal/parallel).
+//
+// Ownership: what a backward must re-read — forward caches and
+// outputs — stays in the layers for the whole step. Backward
+// transients do not: inside Block.Backward every child's input
+// gradient is written into a scratch set the block borrows for its
+// duration and that every block in the process shares (scratch in
+// block.go), so a trained block keeps one input gradient, its own. A
+// layer's exported Backward is a thin wrapper that hands the same
+// unexported backward its own output buffer (valid until the layer's
+// next Backward); one arithmetic path serves both.
 package nn
 
 import (

@@ -331,6 +331,17 @@ func (w Workload) TotalParams() int64 {
 // block — while the fused tiled path (FusedAttention) retains only the
 // two per-row softmax statistics, 2·b·h·t·cb per block, recomputing
 // probability tiles during backward.
+//
+// Against the executed path (nn.Block): kAct = 8 is exactly the
+// (B·T·W)-sized buffers its backward re-reads — two LayerNorm x̂ and
+// two LayerNorm outputs, the fused QKV output (3, read in place as
+// every head's Q, K, V), the merged head output. A block keeps 13 for
+// the whole step: those 8, four outputs the forward reads once (the
+// output projection's, FC2's, both residual sums) and its own input
+// gradient. It also keeps 2·B·T·MLP (FC1's and GELU's outputs, which
+// backward re-reads) that the kAct term leaves out — 21 (B·T·W)
+// equivalents at MLP = 4·W. Every other input gradient is a transient
+// in one B·T·(max(MLP, 3·W) + W) scratch shared by all blocks.
 func (w Workload) ActivationBytes() float64 {
 	b := float64(w.LocalBatch)
 	t := float64(w.EncoderTokens)

@@ -122,17 +122,28 @@ type flashTileHook func(stage byte, i0, j0 int, tile []float32)
 // be the destination, as in nn). stats receives the per-row online
 // softmax statistics — stats[2i] is the running max of the scaled
 // scores of row i, stats[2i+1] the exp-sum — and must have length
-// ≥ 2t; FlashAttnBwd consumes it to recompute probabilities exactly.
+// ≥ 2t, or be nil when no backward follows; FlashAttnBwd consumes it
+// to recompute probabilities exactly. It is FlashAttnFwdLd with
+// ldqkv = d.
 func FlashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32) {
-	flashAttnFwd(o, ldo, q, k, v, t, d, scale, stats, nil)
+	flashAttnFwd(o, ldo, q, k, v, d, t, d, scale, stats, nil)
 }
 
-func flashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32, hook flashTileHook) {
-	checkFlashAttn("FlashAttnFwd", t, d, q, k, v)
+// FlashAttnFwdLd is FlashAttnFwd over strided operands: q, k and v are
+// (t×d) tiles with row stride ldqkv, such as one head's thirds of a
+// fused (t × 3W) QKV projection, read where they lie. The packs copy
+// the same values whatever the stride, so the result is bitwise
+// FlashAttnFwd's on contiguous copies.
+func FlashAttnFwdLd(o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scale float32, stats []float32) {
+	flashAttnFwd(o, ldo, q, k, v, ldqkv, t, d, scale, stats, nil)
+}
+
+func flashAttnFwd(o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scale float32, stats []float32, hook flashTileHook) {
+	checkFlashAttn("FlashAttnFwd", t, d, ldqkv, q, k, v)
 	if ldo < d || len(o) < (t-1)*ldo+d {
 		panic("tensor: FlashAttnFwd output buffer too small")
 	}
-	if len(stats) < 2*t {
+	if stats != nil && len(stats) < 2*t {
 		panic("tensor: FlashAttnFwd stats buffer too small")
 	}
 	tPadM, tPadN, dPadM := roundUp(t, mr), roundUp(t, nr), roundUp(d, mr)
@@ -147,10 +158,10 @@ func flashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float
 	sT := next(tileRows * nr) // score → probability tile [key][nr queries]
 	acc := next(dPadM * nr)   // Oᵀ accumulator [d][nr queries]
 
-	packABlockN(kA, k, 0, t, 0, d, d)
-	packABlockT(vA, v, 0, d, 0, t, d)
+	packABlockN(kA, k, 0, t, 0, d, ldqkv)
+	packABlockT(vA, v, 0, d, 0, t, ldqkv)
 	for ip := 0; ip*nr < t; ip++ {
-		packBPanelT(qT[ip*d*nr:], q, d, d, 0, ip*nr, min(nr, t-ip*nr))
+		packBPanelT(qT[ip*d*nr:], q, d, ldqkv, 0, ip*nr, min(nr, t-ip*nr))
 	}
 
 	negInf := float32(math.Inf(-1))
@@ -195,7 +206,9 @@ func flashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float
 			for j := range orow {
 				orow[j] = acc[j*nr+lane] * invL
 			}
-			stats[2*i], stats[2*i+1] = ml[lane], ml[nr+lane]
+			if stats != nil {
+				stats[2*i], stats[2*i+1] = ml[lane], ml[nr+lane]
+			}
 		}
 	}
 	flashPool.Put(buf)
@@ -203,18 +216,26 @@ func flashAttnFwd(o []float32, ldo int, q, k, v []float32, t, d int, scale float
 
 // FlashAttnBwd computes the gradients of FlashAttnFwd. dq, dk, dv are
 // written (not accumulated) as (t×d) tiles with shared row stride
-// ldqkv — in nn these are the three thirds of the fused QKV gradient.
+// lddqkv — in nn these are the three thirds of the fused QKV gradient.
 // do_ (upstream ∂L/∂O) and o (the forward output) share row stride
 // ldo. q, k, v are the contiguous (t×d) forward inputs and stats the
 // statistics FlashAttnFwd produced; probability tiles are recomputed
-// from them, so no O(t²) state is carried between the passes.
-func FlashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32) {
-	flashAttnBwd(dq, dk, dv, ldqkv, do_, o, ldo, q, k, v, t, d, scale, stats, nil)
+// from them, so no O(t²) state is carried between the passes. It is
+// FlashAttnBwdLd with ldqkv = d.
+func FlashAttnBwd(dq, dk, dv []float32, lddqkv int, do_, o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32) {
+	flashAttnBwd(dq, dk, dv, lddqkv, do_, o, ldo, q, k, v, d, t, d, scale, stats, nil)
 }
 
-func flashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q, k, v []float32, t, d int, scale float32, stats []float32, hook flashTileHook) {
-	checkFlashAttn("FlashAttnBwd", t, d, q, k, v)
-	if ldqkv < d || len(dq) < (t-1)*ldqkv+d || len(dk) < (t-1)*ldqkv+d || len(dv) < (t-1)*ldqkv+d {
+// FlashAttnBwdLd is FlashAttnBwd with the forward inputs q, k, v read
+// as strided (t×d) tiles of row stride ldqkv, as FlashAttnFwdLd reads
+// them.
+func FlashAttnBwdLd(dq, dk, dv []float32, lddqkv int, do_, o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scale float32, stats []float32) {
+	flashAttnBwd(dq, dk, dv, lddqkv, do_, o, ldo, q, k, v, ldqkv, t, d, scale, stats, nil)
+}
+
+func flashAttnBwd(dq, dk, dv []float32, lddqkv int, do_, o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scale float32, stats []float32, hook flashTileHook) {
+	checkFlashAttn("FlashAttnBwd", t, d, ldqkv, q, k, v)
+	if lddqkv < d || len(dq) < (t-1)*lddqkv+d || len(dk) < (t-1)*lddqkv+d || len(dv) < (t-1)*lddqkv+d {
 		panic("tensor: FlashAttnBwd gradient buffer too small")
 	}
 	if ldo < d || len(do_) < (t-1)*ldo+d || len(o) < (t-1)*ldo+d {
@@ -246,14 +267,14 @@ func flashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 
 	for jp := 0; jp*nr < t; jp++ {
 		jw := min(nr, t-jp*nr)
-		packBPanelT(kT[jp*d*nr:], k, d, d, 0, jp*nr, jw)
-		packBPanelT(vT[jp*d*nr:], v, d, d, 0, jp*nr, jw)
+		packBPanelT(kT[jp*d*nr:], k, d, ldqkv, 0, jp*nr, jw)
+		packBPanelT(vT[jp*d*nr:], v, d, ldqkv, 0, jp*nr, jw)
 	}
-	packABlockN(qA, q, 0, t, 0, d, d)
+	packABlockN(qA, q, 0, t, 0, d, ldqkv)
 	packABlockN(doA, do_, 0, t, 0, d, ldo)
-	packABlockT(qTA, q, 0, d, 0, t, d)
+	packABlockT(qTA, q, 0, d, 0, t, ldqkv)
 	packABlockT(doTA, do_, 0, d, 0, t, ldo)
-	packABlockT(kTA, k, 0, d, 0, t, d)
+	packABlockT(kTA, k, 0, d, 0, t, ldqkv)
 	for i := 0; i < t; i++ {
 		rowStat[3*i] = stats[2*i]
 		rowStat[3*i+1] = 1 / stats[2*i+1]
@@ -310,7 +331,7 @@ func flashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 	}
 
 	for i := 0; i < t; i++ {
-		qrow, krow, vrow := dq[i*ldqkv:i*ldqkv+d], dk[i*ldqkv:i*ldqkv+d], dv[i*ldqkv:i*ldqkv+d]
+		qrow, krow, vrow := dq[i*lddqkv:i*lddqkv+d], dk[i*lddqkv:i*lddqkv+d], dv[i*lddqkv:i*lddqkv+d]
 		for j := range qrow {
 			qrow[j], krow[j], vrow[j] = dqT[j*tPadN+i], dkT[j*tPadN+i], dvT[j*tPadN+i]
 		}
@@ -322,11 +343,11 @@ func flashAttnBwd(dq, dk, dv []float32, ldqkv int, do_, o []float32, ldo int, q,
 // across calls and heads, like the GEMM packing pools.
 var flashPool = sync.Pool{New: func() any { return new([]float32) }}
 
-func checkFlashAttn(name string, t, d int, q, k, v []float32) {
-	if t <= 0 || d <= 0 {
-		panic(fmt.Sprintf("tensor: %s invalid shape t=%d d=%d", name, t, d))
+func checkFlashAttn(name string, t, d, ldqkv int, q, k, v []float32) {
+	if t <= 0 || d <= 0 || ldqkv < d {
+		panic(fmt.Sprintf("tensor: %s invalid shape t=%d d=%d ldqkv=%d", name, t, d, ldqkv))
 	}
-	if len(q) < t*d || len(k) < t*d || len(v) < t*d {
+	if n := (t-1)*ldqkv + d; len(q) < n || len(k) < n || len(v) < n {
 		panic("tensor: " + name + " q/k/v buffer too small")
 	}
 }

@@ -181,6 +181,62 @@ func TestFlashAttnStrided(t *testing.T) {
 	}
 }
 
+// TestFlashAttnLdBitwise: reading Q, K and V as strided thirds of a
+// fused (T × 3W)-style buffer, with poisoned gutters, gives bitwise the
+// output, statistics and gradients of the contiguous call, at shapes
+// on both sides of every tile edge; and a forward with nil stats (the
+// serving path) writes bitwise the same output.
+func TestFlashAttnLdBitwise(t *testing.T) {
+	const poison = float32(-777)
+	for i, sh := range append([]struct{ tok, d int }{{1, 1}, {17, 5}, {49, 13}, {129, 7}, {300, 6}}, benchShapes...) {
+		tok, d := sh.tok, sh.d
+		ld := 3*d + 5
+		scale := float32(1 / math.Sqrt(float64(d)))
+		r := rand.New(rand.NewSource(int64(61 + i)))
+		q, k, v, do_ := randSlice(r, tok*d, 1), randSlice(r, tok*d, 1), randSlice(r, tok*d, 1), randSlice(r, tok*d, 1)
+		fused := make([]float32, tok*ld)
+		for j := range fused {
+			fused[j] = poison
+		}
+		for row := 0; row < tok; row++ {
+			copy(fused[row*ld:], q[row*d:(row+1)*d])
+			copy(fused[row*ld+d:], k[row*d:(row+1)*d])
+			copy(fused[row*ld+2*d:], v[row*d:(row+1)*d])
+		}
+		before := append([]float32(nil), fused...)
+
+		o, stats := make([]float32, tok*d), make([]float32, 2*tok)
+		FlashAttnFwd(o, d, q, k, v, tok, d, scale, stats)
+		oLd, statsLd, oNil := make([]float32, tok*d), make([]float32, 2*tok), make([]float32, tok*d)
+		FlashAttnFwdLd(oLd, d, fused, fused[d:], fused[2*d:], ld, tok, d, scale, statsLd)
+		FlashAttnFwdLd(oNil, d, fused, fused[d:], fused[2*d:], ld, tok, d, scale, nil)
+
+		dq, dk, dv := make([]float32, tok*d), make([]float32, tok*d), make([]float32, tok*d)
+		FlashAttnBwd(dq, dk, dv, d, do_, o, d, q, k, v, tok, d, scale, stats)
+		grads := make([]float32, tok*3*d)
+		FlashAttnBwdLd(grads, grads[d:], grads[2*d:], 3*d, do_, o, d, fused, fused[d:], fused[2*d:], ld, tok, d, scale, stats)
+		var dqLd, dkLd, dvLd []float32
+		for row := 0; row < tok; row++ {
+			g := grads[row*3*d:]
+			dqLd, dkLd, dvLd = append(dqLd, g[:d]...), append(dkLd, g[d:2*d]...), append(dvLd, g[2*d:3*d]...)
+		}
+
+		for _, pair := range []struct {
+			name      string
+			got, want []float32
+		}{
+			{"O", oLd, o}, {"stats", statsLd, stats}, {"O with nil stats", oNil, o},
+			{"dQ", dqLd, dq}, {"dK", dkLd, dk}, {"dV", dvLd, dv}, {"fused input", fused, before},
+		} {
+			for j := range pair.want {
+				if math.Float32bits(pair.got[j]) != math.Float32bits(pair.want[j]) {
+					t.Fatalf("T=%d d=%d: strided %s[%d] = %v, contiguous %v", tok, d, pair.name, j, pair.got[j], pair.want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestFlashAttnPanics pins the named validation panics.
 func TestFlashAttnPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
@@ -202,6 +258,8 @@ func TestFlashAttnPanics(t *testing.T) {
 	expectPanic("bwd short grad", func() {
 		FlashAttnBwd(o[:5], o, o, 4, o, o, 4, q, q, q, 2, 4, 1, stats)
 	})
+	expectPanic("ldqkv below d", func() { FlashAttnFwdLd(o, 4, q, q, q, 3, 2, 4, 1, stats) })
+	expectPanic("short strided qkv", func() { FlashAttnFwdLd(o, 4, q, q, q, 5, 2, 4, 1, stats) })
 }
 
 // FuzzFlashAttn fuzzes shapes, scales and data seeds through
@@ -280,10 +338,10 @@ func TestFlashBwdRecomputesFwdBitwise(t *testing.T) {
 		o := make([]float32, tok*d)
 		stats := make([]float32, 2*tok)
 		fwd := newFlashTiles(tok, false)
-		flashAttnFwd(o, d, q, k, v, tok, d, scale, stats, fwd.hook)
+		flashAttnFwd(o, d, q, k, v, d, tok, d, scale, stats, fwd.hook)
 		dq, dk, dv := make([]float32, tok*d), make([]float32, tok*d), make([]float32, tok*d)
 		bwd := newFlashTiles(tok, true)
-		flashAttnBwd(dq, dk, dv, d, do_, o, d, q, k, v, tok, d, scale, stats, bwd.hook)
+		flashAttnBwd(dq, dk, dv, d, do_, o, d, q, k, v, d, tok, d, scale, stats, bwd.hook)
 
 		for idx := range fwd.s {
 			if math.Float32bits(fwd.s[idx]) != math.Float32bits(bwd.s[idx]) {
