@@ -1,5 +1,6 @@
-# Developer entry points for the repro tree. CI runs vet+build+test, a
-# -race job over the distributed layer, the statgate static-analysis
+# Developer entry points for the repro tree. CI runs vet+build+test
+# (also under -tags purego), the arm64 no-fused-multiply-add check
+# (`make nofma`), a -race job over the distributed layer, the statgate static-analysis
 # gate (`make analyze`), and the docs gate (see
 # .github/workflows/ci.yml); `make bench` records the GEMM,
 # attention and elementwise (GELU, LayerNorm, AdamW, Σx²) kernel throughput into BENCH_gemm.json, `make bench-dist`
@@ -9,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-all race analyze docs bench bench-dist bench-serve calibrate
+.PHONY: build vet test test-all race nofma analyze docs bench bench-dist bench-serve calibrate
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,22 @@ race:
 	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm|AdamW|SumSq|ColumnSums|MatMulBias|PackedReference' ./internal/tensor/
 	$(GO) test -race -run 'Fused|AttentionGradients|BlockGradients|InferMatches|ProcsIndependent|LayerNorm|GELU|SerialLoops|Flatten|MSE|Scratch' ./internal/nn/
 	$(GO) test -race -short ./internal/calib/ ./internal/sim/ ./internal/trace/ ./internal/perfmodel/
+
+# No fused multiply-adds: the Go kernels define the bits on every
+# build, and the arm64 compiler fuses x*y+z (amd64's does not). Cross-
+# build the commands for arm64 and fail if any function of the training
+# and serving packages holds an FMADD/FMSUB/FNMADD/FNMSUB; a product
+# that feeds a sum is written float32(a*b) + c.
+NOFMA_PKGS = tensor|nn|vit|mae|opt|train|dist|dataload|geodata|rng|probe|serve|metrics
+
+nofma:
+	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	GOARCH=arm64 $(GO) build -o "$$out/" ./cmd/...; \
+	fused=$$(for b in "$$out"/*; do $(GO) tool objdump "$$b"; done | \
+		awk '/^TEXT /{fn=$$2} /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD] /{print fn}' | \
+		grep -E '^repro/internal/($(NOFMA_PKGS))[.(]' | sort -u); \
+	if [ -n "$$fused" ]; then echo "fused multiply-adds in:"; echo "$$fused"; exit 1; fi; \
+	echo "nofma: no fused multiply-adds"
 
 # Static-analysis gate: the repo-invariant analyzer suite (statgate)
 # over the whole tree, plus the analyzers' own fixture tests. Findings

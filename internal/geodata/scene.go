@@ -60,14 +60,14 @@ func NewSceneGen(classes, size, channels int, seed uint64) *SceneGen {
 	for c := range g.params {
 		r := rng.New(seed ^ (0x9E3779B97F4A7C15 * uint64(c+1)))
 		p := &g.params[c]
-		p.freq1 = 1 + 7*r.Float64()
-		p.freq2 = 1 + 11*r.Float64()
+		p.freq1 = 1 + float64(7*r.Float64())
+		p.freq2 = 1 + float64(11*r.Float64())
 		p.theta1 = math.Pi * r.Float64()
 		p.theta2 = math.Pi * r.Float64()
-		p.amp1 = 0.4 + 0.6*r.Float64()
-		p.amp2 = 0.2 + 0.5*r.Float64()
+		p.amp1 = 0.4 + float64(0.6*r.Float64())
+		p.amp2 = 0.2 + float64(0.5*r.Float64())
 		p.blobDensity = float64(r.Intn(9))
-		p.blobRadius = 0.05 + 0.15*r.Float64()
+		p.blobRadius = 0.05 + float64(0.15*r.Float64())
 		p.blobAmp = 0.5 + r.Float64()
 		p.gradAngle = 2 * math.Pi * r.Float64()
 		p.gradAmp = 0.6 * r.Float64()
@@ -76,7 +76,7 @@ func NewSceneGen(classes, size, channels int, seed uint64) *SceneGen {
 		}
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
-				p.chanMix[i][j] = 0.2 + 0.8*r.Float64()
+				p.chanMix[i][j] = 0.2 + float64(0.8*r.Float64())
 			}
 		}
 	}
@@ -94,7 +94,9 @@ func (g *SceneGen) sampleStream(class, idx int) *rng.RNG {
 }
 
 // Image renders sample idx of the given class into dst (channel-last,
-// length ImageLen). The pair (class, idx) fully determines the output.
+// length ImageLen). The pair (class, idx) fully determines the output,
+// on every GOARCH: each product that feeds a sum is rounded explicitly
+// (float64(a*b)), so no compiler fuses it into a multiply-add.
 func (g *SceneGen) Image(class, idx int, dst []float32) {
 	if class < 0 || class >= g.Classes {
 		panic("geodata: class out of range")
@@ -106,12 +108,12 @@ func (g *SceneGen) Image(class, idx int, dst []float32) {
 	r := g.sampleStream(class, idx)
 
 	// Per-sample perturbations of the archetype.
-	phase1 := 2 * math.Pi * r.Float64()
-	phase2 := 2 * math.Pi * r.Float64()
-	jitter1 := p.theta1 + 0.15*(r.Float64()-0.5)
-	jitter2 := p.theta2 + 0.15*(r.Float64()-0.5)
-	illum := 0.85 + 0.3*r.Float64()
-	noiseStd := 0.08 + 0.06*r.Float64()
+	phase1 := float64(2 * math.Pi * r.Float64())
+	phase2 := float64(2 * math.Pi * r.Float64())
+	jitter1 := p.theta1 + float64(0.15*(r.Float64()-0.5))
+	jitter2 := p.theta2 + float64(0.15*(r.Float64()-0.5))
+	illum := 0.85 + float64(0.3*r.Float64())
+	noiseStd := 0.08 + float64(0.06*r.Float64())
 
 	n := g.Size
 	inv := 1 / float64(n)
@@ -127,26 +129,26 @@ func (g *SceneGen) Image(class, idx int, dst []float32) {
 	type blob struct{ x, y, r2, amp float64 }
 	blobs := make([]blob, nBlobs)
 	for i := range blobs {
-		rad := p.blobRadius * (0.7 + 0.6*r.Float64())
+		rad := p.blobRadius * (0.7 + float64(0.6*r.Float64()))
 		blobs[i] = blob{
 			x:   r.Float64(),
 			y:   r.Float64(),
 			r2:  rad * rad,
-			amp: p.blobAmp * (0.6 + 0.8*r.Float64()),
+			amp: p.blobAmp * (0.6 + float64(0.8*r.Float64())),
 		}
 	}
 
 	for y := 0; y < n; y++ {
-		fy := float64(y) * inv
+		fy := float64(float64(y) * inv)
 		for x := 0; x < n; x++ {
-			fx := float64(x) * inv
+			fx := float64(float64(x) * inv)
 			// Oriented gratings (fields, road grids, wave patterns).
-			u1 := fx*c1 + fy*s1
-			u2 := fx*c2 + fy*s2
-			v := p.amp1*math.Sin(2*math.Pi*p.freq1*u1+phase1) +
-				p.amp2*math.Sin(2*math.Pi*p.freq2*u2+phase2)
+			u1 := float64(fx*c1) + float64(fy*s1)
+			u2 := float64(fx*c2) + float64(fy*s2)
+			v := float64(p.amp1*math.Sin(float64(2*math.Pi*p.freq1*u1)+phase1)) +
+				float64(p.amp2*math.Sin(float64(2*math.Pi*p.freq2*u2)+phase2))
 			// Large-scale gradient (coastline / slope).
-			v += p.gradAmp * (fx*gc + fy*gs)
+			v += float64(p.gradAmp * (float64(fx*gc) + float64(fy*gs)))
 			// Checkerboard (urban block structure).
 			if p.checker > 0 {
 				cx := int(fx*p.checker) & 1
@@ -158,17 +160,17 @@ func (g *SceneGen) Image(class, idx int, dst []float32) {
 			// Blobs (canopy, buildings).
 			for _, b := range blobs {
 				dx, dy := fx-b.x, fy-b.y
-				d2 := dx*dx + dy*dy
+				d2 := float64(dx*dx) + float64(dy*dy)
 				if d2 < 9*b.r2 {
-					v += b.amp * math.Exp(-d2/(2*b.r2))
+					v += float64(b.amp * math.Exp(-d2/(2*b.r2)))
 				}
 			}
 			base := v * illum
 			off := (y*n + x) * g.Channels
 			for ch := 0; ch < g.Channels; ch++ {
 				m := p.chanMix[ch]
-				pv := m[0]*base + m[1]*math.Sin(base*2.1+float64(ch)) + m[2]*0.3
-				pv += noiseStd * r.NormFloat64()
+				pv := float64(m[0]*base) + float64(m[1]*math.Sin(float64(base*2.1)+float64(ch))) + float64(m[2]*0.3)
+				pv += float64(noiseStd * r.NormFloat64())
 				dst[off+ch] = float32(pv)
 			}
 		}

@@ -50,29 +50,29 @@ func (g *SceneGen) renderMask(class, idx int, mask []uint8) {
 	type blob struct{ x, y, r2, amp float64 }
 	blobs := make([]blob, nBlobs)
 	for i := range blobs {
-		rad := p.blobRadius * (0.7 + 0.6*r.Float64())
+		rad := p.blobRadius * (0.7 + float64(0.6*r.Float64()))
 		blobs[i] = blob{
 			x:   r.Float64(),
 			y:   r.Float64(),
 			r2:  rad * rad,
-			amp: p.blobAmp * (0.6 + 0.8*r.Float64()),
+			amp: p.blobAmp * (0.6 + float64(0.8*r.Float64())),
 		}
 	}
 
 	n := g.Size
 	inv := 1 / float64(n)
 	for y := 0; y < n; y++ {
-		fy := float64(y) * inv
+		fy := float64(float64(y) * inv)
 		for x := 0; x < n; x++ {
-			fx := float64(x) * inv
+			fx := float64(float64(x) * inv)
 			label := uint8(SegBackground)
 			// Blob contribution at this pixel.
 			var blobV float64
 			for _, b := range blobs {
 				dx, dy := fx-b.x, fy-b.y
-				d2 := dx*dx + dy*dy
+				d2 := float64(dx*dx) + float64(dy*dy)
 				if d2 < 9*b.r2 {
-					blobV += b.amp * math.Exp(-d2/(2*b.r2))
+					blobV += float64(b.amp * math.Exp(-d2/(2*b.r2)))
 				}
 			}
 			switch {

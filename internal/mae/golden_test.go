@@ -1,24 +1,13 @@
 package mae
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
-	"repro/internal/hw"
+	"repro/internal/golden"
 	"repro/internal/rng"
 	"repro/internal/vit"
 )
-
-// fingerprint is FNV-64a over the little-endian bits of every slice.
-func fingerprint(parts ...[]float32) uint64 {
-	f := fnv.New64a()
-	for _, p := range parts {
-		binary.Write(f, binary.LittleEndian, p)
-	}
-	return f.Sum64()
-}
 
 // TestFrozenFeaturesGolden pins every bit the encoder-side extractors
 // produce at one and four workers: pooled and per-token features, and
@@ -26,9 +15,6 @@ func fingerprint(parts ...[]float32) uint64 {
 // backward accumulates. Eight images put 72 token rows through every
 // row-parallel loop, enough for the positional add to split.
 func TestFrozenFeaturesGolden(t *testing.T) {
-	if !hw.Detect().SIMD() {
-		t.Skip("fingerprints are recorded on the avx2+fma kernels")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const batch = 8
 	imgs := randImgs(tinyCfg(), batch, 5)
@@ -39,15 +25,15 @@ func TestFrozenFeaturesGolden(t *testing.T) {
 		want uint64
 		run  func(m *Model) uint64
 	}{
-		{"features", 0xda0bff78f861eefa, func(m *Model) uint64 { return fingerprint(m.Features(imgs, batch)) }},
-		{"token-features", 0xdd36939d2923bc86, func(m *Model) uint64 { return fingerprint(m.TokenFeatures(imgs, batch)) }},
+		{"features", 0xda0bff78f861eefa, func(m *Model) uint64 { return golden.Fingerprint(m.Features(imgs, batch)) }},
+		{"token-features", 0xdd36939d2923bc86, func(m *Model) uint64 { return golden.Fingerprint(m.TokenFeatures(imgs, batch)) }},
 		{"features-with-grad", 0xb6af5df063f07452, func(m *Model) uint64 {
-			parts := [][]float32{m.FeaturesWithGrad(imgs, batch)}
+			parts := []any{m.FeaturesWithGrad(imgs, batch)}
 			m.BackwardFeatures(dPooled)
 			for _, p := range m.EncoderParams() {
 				parts = append(parts, p.Grad.Data)
 			}
-			return fingerprint(parts...)
+			return golden.Fingerprint(parts...)
 		}},
 	}
 	for _, procs := range []int{1, 4} {
@@ -68,9 +54,6 @@ func TestFrozenFeaturesGolden(t *testing.T) {
 // a backward that read stale scratch instead of overwriting it shows
 // here.
 func TestStepGradientsGolden(t *testing.T) {
-	if !hw.Detect().SIMD() {
-		t.Skip("fingerprints are recorded on the avx2+fma kernels")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	enc, err := vit.Analog("ViT-3B", 16, 4, 3)
 	if err != nil {
@@ -94,11 +77,11 @@ func TestStepGradientsGolden(t *testing.T) {
 				losses = append(losses, float32(m.ForwardWithMask(imgs, batch, m.DrawMasks(batch))))
 				m.BackwardStep()
 			}
-			parts := [][]float32{losses}
+			parts := []any{losses}
 			for _, p := range m.Params() {
 				parts = append(parts, p.Grad.Data)
 			}
-			if got := fingerprint(parts...); got != c.want {
+			if got := golden.Fingerprint(parts...); got != c.want {
 				t.Errorf("GOMAXPROCS=%d %s: fingerprint %#x, want %#x", procs, c.name, got, c.want)
 			}
 		}

@@ -61,7 +61,7 @@ func (m *Model) PoolTokens(dst, h []float32, batch int) {
 		for tok := 0; tok < t; tok++ {
 			row := h[(b*t+tok)*w : (b*t+tok+1)*w]
 			for j := range out {
-				out[j] += row[j] * inv
+				out[j] += float32(row[j] * inv)
 			}
 		}
 	}

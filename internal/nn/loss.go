@@ -73,7 +73,7 @@ func MSE(pred, target, dpred []float32) float64 {
 		end := min((b+1)*mseBlock, n)
 		for i := b * mseBlock; i < end; i++ {
 			d := pred[i] - target[i]
-			s += float64(d) * float64(d)
+			s += float64(float64(d) * float64(d))
 			dpred[i] = inv * d
 		}
 		partial[b] = s
@@ -103,7 +103,7 @@ func NormalizePatches(dst, src []float32, nPatches, patchDim int, eps float64) {
 		var variance float64
 		for _, v := range row {
 			d := float64(v) - mean
-			variance += d * d
+			variance += float64(d * d)
 		}
 		variance /= float64(patchDim)
 		inv := 1 / math.Sqrt(variance+eps)

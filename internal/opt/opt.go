@@ -100,8 +100,8 @@ func (l *LARS) Step(lr float64) {
 		// Effective gradient includes decay for the norm computation.
 		var gNorm float64
 		for i := range g {
-			eg := float64(g[i]) + wd*float64(w[i])
-			gNorm += eg * eg
+			eg := float64(g[i]) + float64(wd*float64(w[i]))
+			gNorm += float64(eg * eg)
 		}
 		gNorm = math.Sqrt(gNorm)
 		trust := 1.0
@@ -112,8 +112,8 @@ func (l *LARS) Step(lr float64) {
 		mu := float32(l.Momentum)
 		vel := l.vel[pi]
 		for i := range w {
-			eg := g[i] + float32(wd)*w[i]
-			vel[i] = mu*vel[i] + localLR*eg
+			eg := g[i] + float32(float32(wd)*w[i])
+			vel[i] = float32(mu*vel[i]) + float32(localLR*eg)
 			w[i] -= vel[i]
 		}
 	}
@@ -142,7 +142,7 @@ func (c CosineSchedule) LR(step int) float64 {
 		return c.MinLR
 	}
 	progress := float64(step-c.WarmupSteps) / denom
-	return c.MinLR + 0.5*(c.Base-c.MinLR)*(1+math.Cos(math.Pi*progress))
+	return c.MinLR + float64(0.5*(c.Base-c.MinLR)*(1+math.Cos(math.Pi*progress)))
 }
 
 // ScaledLR applies the linear batch-size scaling rule the paper uses:

@@ -1,26 +1,21 @@
 package probe
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
 	"repro/internal/geodata"
-	"repro/internal/hw"
+	"repro/internal/golden"
 )
 
-// fingerprint is FNV-64a over the little-endian bits of a fitted head
-// (W, B, Mean, InvStd) and of every curve a probe reports.
+// fingerprint is the golden fingerprint of a fitted head (W, B, Mean,
+// InvStd) followed by every curve a probe reports.
 func fingerprint(h *Head, curves ...[]float64) uint64 {
-	f := fnv.New64a()
-	for _, v := range []any{h.W, h.B, h.Mean, h.InvStd} {
-		binary.Write(f, binary.LittleEndian, v)
-	}
+	parts := []any{h.W, h.B, h.Mean, h.InvStd}
 	for _, c := range curves {
-		binary.Write(f, binary.LittleEndian, c)
+		parts = append(parts, c)
 	}
-	return f.Sum64()
+	return golden.Fingerprint(parts...)
 }
 
 // TestFittedHeadsGolden pins every bit both probes produce — the head
@@ -29,9 +24,6 @@ func fingerprint(h *Head, curves ...[]float64) uint64 {
 // around; the 300-image and 70-image test splits take more than one
 // evaluation chunk.
 func TestFittedHeadsGolden(t *testing.T) {
-	if !hw.Detect().SIMD() {
-		t.Skip("fingerprints are recorded on the avx2+fma kernels")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	model := tinyMAEModel(3)
 	split := func(classes, train, test int, seed uint64) *geodata.Dataset {

@@ -230,7 +230,7 @@ func featureStats(x []float32, dim int) (mean, invStd []float64) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < dim; j++ {
 			d := float64(x[i*dim+j]) - mean[j]
-			invStd[j] += d * d
+			invStd[j] += float64(d * d)
 		}
 	}
 	// Floor each dimension's std at a fraction of the average std so

@@ -60,14 +60,16 @@ func (r *RNG) Uint64() uint64 {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The scaling is rounded
+// explicitly, as Float32's is, so that no compiler fuses it with a
+// caller's add: the streams are the same bits on every GOARCH.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float32 returns a uniform float32 in [0, 1).
 func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
+	return float32(float32(r.Uint64()>>40) / (1 << 24))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -135,13 +137,13 @@ func (r *RNG) Shuffle(p []int) {
 func (r *RNG) FillUniform(dst []float32, lo, hi float32) {
 	scale := hi - lo
 	for i := range dst {
-		dst[i] = lo + scale*r.Float32()
+		dst[i] = lo + float32(scale*r.Float32())
 	}
 }
 
 // FillNormal fills dst with N(mean, std²) values.
 func (r *RNG) FillNormal(dst []float32, mean, std float32) {
 	for i := range dst {
-		dst[i] = mean + std*r.NormFloat32()
+		dst[i] = mean + float32(std*r.NormFloat32())
 	}
 }

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
-	"repro/internal/hw"
+	"repro/internal/golden"
 	"repro/internal/nn"
 )
 
@@ -14,9 +12,6 @@ import (
 // served at one and four workers, from fp32 weights and from weights
 // rounded to bf16 (served through the packed 2-byte shadows).
 func TestFillGolden(t *testing.T) {
-	if !hw.Detect().SIMD() {
-		t.Skip("fingerprints are recorded on the avx2+fma kernels")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	fill := func(bf16 bool) uint64 {
 		m := tinyModel(7)
@@ -31,13 +26,11 @@ func TestFillGolden(t *testing.T) {
 			resps[i] = &Response{ID: uint64(i), Kind: reqs[i].Kind}
 		}
 		m.Fill(nn.NewInferCtx(), reqs, resps)
-		f := fnv.New64a()
+		var parts []any
 		for _, r := range resps {
-			for _, v := range []any{r.Embedding, r.Logits, r.Labels} {
-				binary.Write(f, binary.LittleEndian, v)
-			}
+			parts = append(parts, r.Embedding, r.Logits, r.Labels)
 		}
-		return f.Sum64()
+		return golden.Fingerprint(parts...)
 	}
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)

@@ -11,8 +11,8 @@ package tensor
 //
 //	MatMulBF16(c, a, wbf16, ...) ≡ MatMul(c, a, FromBF16(wbf16), ...)
 //
-// bit-for-bit on every build (asm and purego take the same branch on
-// both sides). FuzzBF16Gemm pins that invariant; it is what keeps the
+// bit-for-bit on every build (both sides take the same branch, chosen
+// by shape). FuzzBF16Gemm pins that invariant; it is what keeps the
 // serve bf16 equivalence tests bitwise green after the switch.
 
 // MatMulBF16 computes C = A·B (or C += A·B when acc is true) with
@@ -33,7 +33,7 @@ func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, l
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if k > 0 && haveFastKernel && m*k*n >= smallGEMMFlops {
+	if k > 0 && m*k*n >= smallGEMMFlops {
 		// gemmBlocked's opNN path with the B pack stage widening bf16
 		// panels; a bf16 B is never read in place.
 		bbuf := packB(k, n, 0, func(dst []float32, p0, kcEff, j0, jw int) {
@@ -43,9 +43,9 @@ func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, l
 		packBPool.Put(bbuf)
 		return
 	}
-	// Small problems, k = 0 and purego builds: widen B once into pooled
-	// scratch and run whatever MatMulLd would pick for this size,
-	// preserving the bitwise-equals-widened invariant.
+	// Small problems and k = 0: widen B once into pooled scratch and run
+	// the streaming kernel MatMulLd picks for this size, preserving the
+	// bitwise-equals-widened invariant.
 	wbuf := getPack(&packBPool, max(k, 0)*n)
 	wb := *wbuf
 	for kk := 0; kk < k; kk++ {

@@ -19,14 +19,13 @@ import "math"
 //     a probability-sized operand left on the fused path (dS for dQ).
 //
 // On amd64 with AVX2+FMA these run in assembly (flashkern_amd64.s);
-// the *Go functions below are the portable twins. Max, sums and the
-// Jacobian products are unfused and agree bitwise; the exponential
-// polynomial uses FMAs in assembly, so exponentials agree to a few
-// ulps (≤ 4e-6 relative), not bitwise — the same contract as the
-// micro-kernel pair kern6x16/kern6x16go. Both sides compute
-// scale·s − m as a rounded product followed by a subtract, which is
-// what makes the backward's argument bitwise the forward's and keeps
-// it ≤ 0 on every real lane.
+// the *Go functions below are the portable twins and the definition
+// the assembly matches bit for bit. Max, sums and the Jacobian
+// products are unfused on both sides; the exponential fuses exactly
+// where EXP8 does, through fma32. Both sides compute scale·s − m as a
+// rounded product followed by a subtract, which is what makes the
+// backward's argument bitwise the forward's and keeps it ≤ 0 on every
+// real lane.
 //
 // Non-finite scores are not hidden: a NaN argument yields a NaN
 // exponential (and so a NaN exp-sum and output row), +Inf scores give
@@ -35,7 +34,9 @@ import "math"
 
 // flashExp is the scalar lane of the kernels' exponential: the Cephes
 // reduction x = n·ln2 + t, a degree-5 polynomial for e^t and 2ⁿ
-// assembled into the exponent bits. Arguments below expFlush give an
+// assembled into the exponent bits. The reduction and the Horner steps
+// are single-rounding multiply-adds, EXP8's VFMADDs in its order; the
+// other operations round each step. Arguments below expFlush give an
 // exact 0 (no subnormals), NaN gives NaN. Accurate to ≲ 4e-6 relative
 // on (−∞, 0], the only range real lanes produce; positive arguments
 // are correct up to the float32 overflow threshold.
@@ -47,14 +48,14 @@ func flashExp(x float32) float32 {
 		x = expClamp
 	}
 	n := float32(float32(x*expLog2e)+expRndMag) - expRndMag
-	t := float32(x-float32(n*expLn2Hi)) + float32(n*expLn2Lo)
+	t := fma32(n, expLn2Lo, fma32(-n, expLn2Hi, x))
 	p := float32(1.9875691500e-4)
-	p = float32(p*t) + 1.3981999507e-3
-	p = float32(p*t) + 8.3334519073e-3
-	p = float32(p*t) + 4.1665795894e-2
-	p = float32(p*t) + 1.6666665459e-1
-	p = float32(p*t) + 5.0000001201e-1
-	r := float32(float32(p*float32(t*t))+t) + 1
+	p = fma32(p, t, 1.3981999507e-3)
+	p = fma32(p, t, 8.3334519073e-3)
+	p = fma32(p, t, 4.1665795894e-2)
+	p = fma32(p, t, 1.6666665459e-1)
+	p = fma32(p, t, 5.0000001201e-1)
+	r := fma32(p, float32(t*t), t) + 1
 	return r * math.Float32frombits(uint32(int32(n)+127)<<23)
 }
 
@@ -64,16 +65,28 @@ func flashExp(x float32) float32 {
 // max (ml[:nr]) and exp-sum (ml[nr:]) per lane and is updated; every
 // nr-float row of acc (the Oᵀ accumulator) is multiplied by
 // exp(mPrev − mNew).
+//
+// The max runs in the assembly's four chains — row r feeds chain r mod 4
+// up to the last whole group of four rows, chain 0 after it — folded as
+// (c0 ∨ c1) ∨ (c2 ∨ c3), so that even the sign of a max tied between +0
+// and −0 is the assembly's.
 func flashSoftmaxColsGo(s []float32, rows int, scale float32, ml *[2 * nr]float32, acc []float32) {
-	var mNew, alpha, sum [nr]float32
-	copy(mNew[:], ml[:nr])
+	var chain [4][nr]float32
+	for c := range chain {
+		copy(chain[c][:], ml[:nr])
+	}
 	for r := 0; r < rows; r++ {
-		row := s[r*nr : r*nr+nr]
-		for lane, sv := range row {
-			if v := scale * sv; v > mNew[lane] {
-				mNew[lane] = v
-			}
+		c := &chain[0]
+		if r < rows&^3 {
+			c = &chain[r&3]
 		}
+		for lane, sv := range s[r*nr : r*nr+nr] {
+			c[lane] = maxPS(scale*sv, c[lane])
+		}
+	}
+	var mNew, alpha, sum [nr]float32
+	for lane := range mNew {
+		mNew[lane] = maxPS(maxPS(chain[0][lane], chain[1][lane]), maxPS(chain[2][lane], chain[3][lane]))
 	}
 	for lane := range alpha {
 		alpha[lane] = flashExp(ml[lane] - mNew[lane])
@@ -96,6 +109,15 @@ func flashSoftmaxColsGo(s []float32, rows int, scale float32, ml *[2 * nr]float3
 			row[lane] *= alpha[lane]
 		}
 	}
+}
+
+// maxPS is one lane of VMAXPS: a when a > b, otherwise b (so b on a
+// tie or a NaN).
+func maxPS(a, b float32) float32 {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // flashJacobianGo turns rows×nr recomputed scores s (row = query,

@@ -7,7 +7,7 @@ import (
 )
 
 // expTol is the documented accuracy of the panel kernels' exponential
-// against math.Exp, and of the assembly against its scalar twin.
+// against math.Exp.
 const expTol = 4e-6
 
 // TestFlashExp holds the scalar lane of the panel kernels' exponential
@@ -35,16 +35,13 @@ func TestFlashExp(t *testing.T) {
 	}
 }
 
-func expClose(got, want float32) bool {
-	return math.Abs(float64(got-want)) <= expTol*math.Abs(float64(want))
-}
-
 // TestFlashSoftmaxColsMatchesGeneric holds the dispatched column
-// softmax to its scalar twin over every tile height the unrolled max
-// pass and the exp loop can see (full and ragged), fresh (−Inf, 0) and
-// carried statistics, accumulators of one to three row panels, and
-// positive, zero and negative scales: the running max is exact, the
-// exponentials, exp-sums and rescaled accumulators agree to expTol.
+// softmax bitwise to its scalar twin over every tile height the
+// unrolled max pass and the exp loop can see (full and ragged), fresh
+// (−Inf, 0) and carried statistics, accumulators of one to three row
+// panels, and positive, zero and negative scales: running max, exp-sum,
+// exponentials and rescaled accumulators. A zero scale makes every
+// score ±0, so the max's sign of zero is held too.
 func TestFlashSoftmaxColsMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 47, 128, faFwdBk} {
@@ -64,23 +61,14 @@ func TestFlashSoftmaxColsMatchesGeneric(t *testing.T) {
 					sGo, accGo, mlGo := append([]float32(nil), s...), append([]float32(nil), acc...), ml
 					flashSoftmaxCols(s, rows, scale, &ml, acc)
 					flashSoftmaxColsGo(sGo, rows, scale, &mlGo, accGo)
-					for lane := 0; lane < nr; lane++ {
-						if ml[lane] != mlGo[lane] {
-							t.Fatalf("rows=%d scale=%g: max lane %d = %v, scalar twin %v", rows, scale, lane, ml[lane], mlGo[lane])
-						}
-						if !expClose(ml[nr+lane], mlGo[nr+lane]) {
-							t.Fatalf("rows=%d scale=%g: exp-sum lane %d = %v, scalar twin %v", rows, scale, lane, ml[nr+lane], mlGo[nr+lane])
-						}
+					if i, ok := bitsEqual32(ml[:], mlGo[:]); !ok {
+						t.Fatalf("rows=%d scale=%g fresh=%v: statistics %d (max, then exp-sum) = %v, scalar twin %v", rows, scale, fresh, i, ml[i], mlGo[i])
 					}
-					for i := range s {
-						if !expClose(s[i], sGo[i]) || (sGo[i] == 0) != (s[i] == 0) {
-							t.Fatalf("rows=%d scale=%g: exponential %d = %v, scalar twin %v", rows, scale, i, s[i], sGo[i])
-						}
+					if i, ok := bitsEqual32(s, sGo); !ok {
+						t.Fatalf("rows=%d scale=%g fresh=%v: exponential %d = %v, scalar twin %v", rows, scale, fresh, i, s[i], sGo[i])
 					}
-					for i := range acc {
-						if !expClose(acc[i], accGo[i]) {
-							t.Fatalf("rows=%d scale=%g: accumulator %d = %v, scalar twin %v", rows, scale, i, acc[i], accGo[i])
-						}
+					if i, ok := bitsEqual32(acc, accGo); !ok {
+						t.Fatalf("rows=%d scale=%g fresh=%v: accumulator %d = %v, scalar twin %v", rows, scale, fresh, i, acc[i], accGo[i])
 					}
 				}
 			}
@@ -90,8 +78,8 @@ func TestFlashSoftmaxColsMatchesGeneric(t *testing.T) {
 
 // TestFlashJacobianMatchesGeneric holds the dispatched backward strip
 // kernel to its scalar twin for every strip height a query block can
-// have: P to expTol, and dS to the exact unfused product of the
-// kernel's own P (the Jacobian arithmetic has no FMA on either side).
+// have: P bitwise, and dS to the unfused product of the kernel's own P
+// (the Jacobian arithmetic has no FMA on either side).
 func TestFlashJacobianMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	for rows := 1; rows <= faBq; rows++ {
@@ -109,10 +97,10 @@ func TestFlashJacobianMatchesGeneric(t *testing.T) {
 		sGo, dpGo := append([]float32(nil), s...), append([]float32(nil), dp...)
 		flashJacobian(s, dp, rows, scale, stat)
 		flashJacobianGo(sGo, dpGo, rows, scale, stat)
+		if i, ok := bitsEqual32(s, sGo); !ok {
+			t.Fatalf("rows=%d: P[%d] = %v, scalar twin %v", rows, i, s[i], sGo[i])
+		}
 		for i := range s {
-			if !expClose(s[i], sGo[i]) {
-				t.Fatalf("rows=%d: P[%d] = %v, scalar twin %v", rows, i, s[i], sGo[i])
-			}
 			want := float32(s[i]*(dp0[i]-stat[3*(i/nr)+2])) * scale
 			if math.Float32bits(dp[i]) != math.Float32bits(want) {
 				t.Fatalf("rows=%d: dS[%d] = %v, want P·(dP−D)·scale = %v", rows, i, dp[i], want)

@@ -19,11 +19,10 @@ import (
 //     There is one such loop; the transposed variants (MatMulTA,
 //     MatMulTB), the bf16-weight GEMM and the attention tiles all run
 //     it. On amd64 with AVX2+FMA it is hand-written assembly
-//     (gemm_kernel_amd64.s). The blocked path is SIMD-only: without the
-//     assembly kernel (non-amd64, purego, or no AVX2) dispatch stays on
-//     the streaming kernels, which already sit at the scalar FP port
-//     limit, and the portable micro-kernel exists for the driver's
-//     tests.
+//     (gemm_kernel_amd64.s); elsewhere the portable kern6x16go runs,
+//     and the two give the same bits. Which path a product takes
+//     depends on its shape alone, so every build blocks, packs and
+//     rounds alike.
 //   - The driver only multiplies. The first K strip of C = A·B stores
 //     (nothing pre-zeroes C), later strips add, and the last strip's
 //     write-back adds the bias of MatMulBias, so x·W + b is one pass
@@ -61,11 +60,10 @@ import (
 // transposed), with the grain chosen so each task is at least
 // gemmGrainFlops multiply-adds. Problems below smallGEMMFlops skip the
 // blocked path entirely and run the row-streaming kernels (axpy/dot
-// forms). Which path, which operand is packed, which orientation and
-// how the rows are split never change a result's bits beyond the
-// blocked / streaming choice itself: every element sees the same FMAs
-// in the same k order (FMA(a, b, c) = FMA(b, a, c)), then the same
-// additions.
+// forms, unfused). Which operand is packed, which orientation and how
+// the rows are split never change a result's bits: every element sees
+// the same FMAs in the same k order (FMA(a, b, c) = FMA(b, a, c)), then
+// the same additions.
 const (
 	mr = 6  // micro-kernel rows (A panel height)
 	nr = 16 // micro-kernel cols (B panel width, 2×8 float32 lanes)
@@ -234,7 +232,7 @@ func gemmDispatch(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool,
 		addBiasRows(c, bias, m, n, ldc)
 		return true
 	}
-	if haveFastKernel && m*k*n >= smallGEMMFlops {
+	if m*k*n >= smallGEMMFlops {
 		gemmBlocked(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, op)
 		return true
 	}
@@ -637,19 +635,22 @@ func checkGEMMBias(bias []float32, n int, name string) {
 }
 
 // axpy computes y += alpha*x over equal-length slices. Unrolled by four
-// to expose instruction-level parallelism to the compiler.
+// to expose instruction-level parallelism to the compiler. Here and in
+// dot each product is rounded before its add (float32(a*b)), so that no
+// compiler fuses the two: the streaming kernels round alike on every
+// GOARCH.
 func axpy(alpha float32, x, y []float32) {
 	n := len(y)
 	_ = x[n-1]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float32(alpha * x[i])
+		y[i+1] += float32(alpha * x[i+1])
+		y[i+2] += float32(alpha * x[i+2])
+		y[i+3] += float32(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 
@@ -660,13 +661,13 @@ func dot(x, y []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+		s0 += float32(x[i] * y[i])
+		s1 += float32(x[i+1] * y[i+1])
+		s2 += float32(x[i+2] * y[i+2])
+		s3 += float32(x[i+3] * y[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += x[i] * y[i]
+		s0 += float32(x[i] * y[i])
 	}
 	return s0 + s1 + s2 + s3
 }

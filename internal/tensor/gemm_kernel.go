@@ -2,9 +2,9 @@ package tensor
 
 import "unsafe"
 
-// kern6x16go is the portable micro-kernel, and the statement of what
-// the assembly kernel in gemm_kernel_amd64.s computes: one mr×nr tile
-// of C from kc K steps, with both operands addressed by element
+// kern6x16go is the portable micro-kernel, and the definition the
+// assembly kernel in gemm_kernel_amd64.s matches bit for bit: one mr×nr
+// tile of C from kc K steps, with both operands addressed by element
 // strides — A element (r, kk) at a[r*ars+kk*aks], B row kk the nr
 // floats at b[kk*bks] — so one loop serves packed panels and matrices
 // read where they lie:
@@ -16,9 +16,13 @@ import "unsafe"
 //
 // The write-back stores the tile's sums Σ into C rows of stride ldc
 // when acc is false and adds them (C + Σ) when it is true; a non-nil
-// bias then adds its nr floats to every row. Σ is never −0 (the
-// accumulators start at +0), so storing Σ is bitwise what adding it to
-// a zeroed C was.
+// bias then adds its nr floats to every row.
+//
+// Each sum is a chain of single-rounding multiply-adds in K order,
+// s ← fma32(a, b, s) from s = +0 — one VFMADD lane's arithmetic. Σ is
+// never −0 unless a partial sum underflows from below (an exact value
+// in (−2⁻¹⁵⁰, 0)), so short of that, storing Σ is bitwise what adding
+// it to a zeroed C was.
 //
 // The tile is computed as 2×8 sub-tiles with individually named
 // accumulators — Go does not register-allocate arrays, so sixteen
@@ -43,22 +47,22 @@ func kern6x16go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *flo
 				a0 := a[ia]
 				a1 := a[ia+ars]
 				bk := b[ib : ib+8 : ib+8]
-				s00 += a0 * bk[0]
-				s10 += a1 * bk[0]
-				s01 += a0 * bk[1]
-				s11 += a1 * bk[1]
-				s02 += a0 * bk[2]
-				s12 += a1 * bk[2]
-				s03 += a0 * bk[3]
-				s13 += a1 * bk[3]
-				s04 += a0 * bk[4]
-				s14 += a1 * bk[4]
-				s05 += a0 * bk[5]
-				s15 += a1 * bk[5]
-				s06 += a0 * bk[6]
-				s16 += a1 * bk[6]
-				s07 += a0 * bk[7]
-				s17 += a1 * bk[7]
+				s00 = fma32(a0, bk[0], s00)
+				s10 = fma32(a1, bk[0], s10)
+				s01 = fma32(a0, bk[1], s01)
+				s11 = fma32(a1, bk[1], s11)
+				s02 = fma32(a0, bk[2], s02)
+				s12 = fma32(a1, bk[2], s12)
+				s03 = fma32(a0, bk[3], s03)
+				s13 = fma32(a1, bk[3], s13)
+				s04 = fma32(a0, bk[4], s04)
+				s14 = fma32(a1, bk[4], s14)
+				s05 = fma32(a0, bk[5], s05)
+				s15 = fma32(a1, bk[5], s15)
+				s06 = fma32(a0, bk[6], s06)
+				s16 = fma32(a1, bk[6], s16)
+				s07 = fma32(a0, bk[7], s07)
+				s17 = fma32(a1, bk[7], s17)
 				ia += aks
 				ib += bks
 			}

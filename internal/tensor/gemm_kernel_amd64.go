@@ -26,11 +26,6 @@ func kern6x16Panels(kc int, ap, bp, cp *float32, n int)
 // checks per package.
 var haveFMA = hw.Detect().SIMD()
 
-// haveFastKernel gates the blocked-and-packed GEMM path: without the
-// SIMD micro-kernel the packing overhead is pure loss and the
-// dispatchers stay on the streaming kernels.
-var haveFastKernel = haveFMA
-
 // microKernStrided dispatches to the assembly kernel when the CPU
 // supports it.
 func microKernStrided(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32) {

@@ -2,12 +2,6 @@
 
 package tensor
 
-// haveFastKernel reports whether a SIMD micro-kernel is available. The
-// portable scalar micro-kernel cannot beat the streaming axpy/dot
-// kernels (both sit at the scalar FP port limit), so without SIMD the
-// dispatchers skip the packing overhead and stream directly.
-const haveFastKernel = false
-
 // microKernStrided dispatches the portable micro-kernel on platforms
 // without a hand-written assembly kernel.
 func microKernStrided(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32) {

@@ -81,6 +81,64 @@ func TestStridedKernelMatchesPacked(t *testing.T) {
 	}
 }
 
+// TestAsmKernelMatchesGeneric holds the dispatched micro-kernel — the
+// AVX2+FMA assembly where the CPU has it — bitwise to the portable
+// kern6x16go on identical packed panels, including kc values off the
+// unroll boundary, a strided C and every write-back mode.
+func TestAsmKernelMatchesGeneric(t *testing.T) {
+	r := rng.New(5)
+	for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
+		for _, ldc := range []int{nr, nr + 5, 40} {
+			for mode := 0; mode < 4; mode++ {
+				acc := mode&1 != 0
+				var bias *float32
+				if mode&2 != 0 {
+					bias = &randMat(r, nr)[0]
+				}
+				ap := randMat(r, kc*mr)
+				bp := randMat(r, kc*nr)
+				got := randMat(r, (mr-1)*ldc+nr)
+				want := append([]float32(nil), got...)
+				microKernStrided(kc, &ap[0], 1, mr, &bp[0], nr, &got[0], ldc, acc, bias)
+				kern6x16go(kc, &ap[0], 1, mr, &bp[0], nr, &want[0], ldc, acc, bias)
+				if i, ok := bitsEqual32(got, want); !ok {
+					t.Fatalf("kc=%d ldc=%d acc=%v bias=%v: element %d = %v, portable kernel gives %v",
+						kc, ldc, acc, bias != nil, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAsmPanelsKernel holds the score-strip kernel to its two
+// contracts: every tile is bitwise what the micro-kernel accumulates
+// into a zeroed tile (the fused attention backward recomputes forward
+// scores through it), whatever the destination held before, and the
+// dispatched form is bitwise the portable one.
+func TestAsmPanelsKernel(t *testing.T) {
+	r := rng.New(6)
+	for _, kc := range []int{1, 5, 6, 12, 16, 64, 80} {
+		for _, n := range []int{1, 2, 3, 8, 48} {
+			ap := randMat(r, n*kc*mr)
+			bp := randMat(r, kc*nr)
+			got := randMat(r, n*mr*nr) // stale contents must not survive
+			want := make([]float32, n*mr*nr)
+			portable := randMat(r, n*mr*nr)
+			microKernPanels(kc, &ap[0], &bp[0], &got[0], n)
+			kern6x16PanelsGo(kc, &ap[0], &bp[0], &portable[0], n)
+			for p := 0; p < n; p++ {
+				microKern(kc, &ap[p*kc*mr], &bp[0], &want[p*mr*nr], nr)
+			}
+			if i, ok := bitsEqual32(got, want); !ok {
+				t.Fatalf("kc=%d n=%d: element %d = %v, the micro-kernel into a zeroed tile gives %v", kc, n, i, got[i], want[i])
+			}
+			if i, ok := bitsEqual32(got, portable); !ok {
+				t.Fatalf("kc=%d n=%d: element %d = %v, portable form gives %v", kc, n, i, got[i], portable[i])
+			}
+		}
+	}
+}
+
 // packedReference is the driver the blocked GEMM replaced, reduced to
 // its arithmetic and run serially: every panel of both operands packed,
 // each C tile taken from C (or zero), the K strips accumulated into it
@@ -205,8 +263,8 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 
 // TestMatMulTBProcsMatchPackedReference: through the public entry, a
 // swapped-orientation MatMulTB gives the same bits whether its tiles of
-// C's columns run on one task or are cut across three, and on the
-// blocked path those bits are the packed reference's.
+// C's columns run on one task or are cut across three, and those bits
+// are the packed reference's on every build.
 func TestMatMulTBProcsMatchPackedReference(t *testing.T) {
 	const m, k, n = 8, 288, 96
 	if !tbSwapped(m, n) {
@@ -227,7 +285,7 @@ func TestMatMulTBProcsMatchPackedReference(t *testing.T) {
 		} else if i, ok := bitsEqual32(got, first); !ok {
 			t.Fatalf("GOMAXPROCS=%d: element %d = %v, GOMAXPROCS=1 gives %v", procs, i, got[i], first[i])
 		}
-		if i, ok := bitsEqual32(got, want); haveFastKernel && !ok {
+		if i, ok := bitsEqual32(got, want); !ok {
 			t.Fatalf("GOMAXPROCS=%d: element %d = %v, packed reference gives %v", procs, i, got[i], want[i])
 		}
 	}

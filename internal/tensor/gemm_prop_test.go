@@ -8,7 +8,7 @@ import (
 )
 
 // relTol is the relative tolerance for blocked-vs-naive comparisons.
-// Blocked kernels reassociate the K sum (and use FMA on amd64), so
+// Blocked kernels reassociate the K sum and fuse each multiply-add, so
 // results differ from the naive triple loop by a few ULPs per term.
 const relTol = 1e-4
 
@@ -120,39 +120,6 @@ func TestBlockedGEMMFuzz(t *testing.T) {
 		if i, ok := relClose(got, want, relTol); !ok {
 			t.Fatalf("iter %d op=%d m=%d k=%d n=%d acc=%v: mismatch at %d",
 				it, op, m, k, n, acc, i)
-		}
-	}
-}
-
-// TestBlockedDriverDirect exercises gemmBlocked (and therefore the
-// active micro-kernel, assembly or portable) regardless of the
-// haveFastKernel dispatch gate, so the packed path stays covered on
-// purego/non-amd64 builds too.
-func TestBlockedDriverDirect(t *testing.T) {
-	r := rng.New(13)
-	for _, sh := range [][3]int{{6, 16, 16}, {7, 300, 33}, {72, 256, 48}, {61, 77, 41}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		for op := opNN; op <= opTB; op++ {
-			for _, acc := range []bool{false, true} {
-				asz, lda := m*k, k
-				if op == opTA {
-					lda = m
-				}
-				bsz, ldb := k*n, n
-				if op == opTB {
-					ldb = k
-				}
-				a := randMat(r, asz)
-				b := randMat(r, bsz)
-				got := randMat(r, m*n)
-				want := make([]float32, m*n)
-				copy(want, got)
-				gemmBlocked(got, a, b, nil, m, k, n, lda, ldb, n, acc, op)
-				naiveRef(want, a, b, m, k, n, acc, op)
-				if i, ok := relClose(got, want, relTol); !ok {
-					t.Fatalf("gemmBlocked %v op=%d acc=%v: mismatch at %d", sh, op, acc, i)
-				}
-			}
 		}
 	}
 }

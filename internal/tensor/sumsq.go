@@ -57,7 +57,7 @@ func nonFinite32(v float32) bool {
 // lane-0 start, the reference the assembly is held to bit for bit.
 func sumSqLanes(lane *[8]float64, x []float32, at int) {
 	for i, v := range x {
-		lane[(at+i)&7] += float64(v) * float64(v)
+		lane[(at+i)&7] += float64(float64(v) * float64(v))
 	}
 }
 
@@ -66,7 +66,7 @@ func scaleSumSqLanes(lane *[8]float64, x []float32, alpha float32, at int) (bad 
 		bad = bad || nonFinite32(v)
 		v = float32(v * alpha)
 		x[i] = v
-		lane[(at+i)&7] += float64(v) * float64(v)
+		lane[(at+i)&7] += float64(float64(v) * float64(v))
 	}
 	return bad
 }
