@@ -213,9 +213,9 @@
 // and tensor.LayerNorm, LayerNormBackward and LayerNormParamGrads
 // reduce each row as eight float32 lane sums folded in one fixed tree
 // (the dγ/dβ sums run down the columns in row order). nn.GELU's and
-// nn.LayerNorm's Forward, Backward and Infer all call the one kernel,
-// so serving equals training by construction. The family's third
-// member is the optimizer phase (tensor/adamw.go, tensor/sumsq.go):
+// nn.LayerNorm's Apply and Backprop call the one kernel on recording
+// and frozen arenas alike, so serving equals training by construction.
+// The family's third member is the optimizer phase (tensor/adamw.go, tensor/sumsq.go):
 // tensor.AdamW is the whole update in one all-float32 pass — the clip
 // factor multiplied into the gradient as it is read, the bf16 working
 // copy optionally written beside the fp32 weights — and every

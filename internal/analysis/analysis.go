@@ -16,7 +16,7 @@
 //     function on every path — abandoned handles are failed with
 //     ErrAborted at rank exit (PR 5), so a dropped handle is a bug.
 //   - lifecycle: function-local acquisitions of pooled or arena
-//     resources (dataload batches from Epoch/EpochN, nn.InferCtx)
+//     resources (dataload batches from Epoch/EpochN, nn arenas)
 //     must be released (Recycle / Release) or escape on every path;
 //     PR 5's double-put guard and PR 9's scratch-growth fix were both
 //     slips of exactly this kind.

@@ -9,13 +9,14 @@ import (
 // function-local resources: a dataload batch taken from a loader's
 // Epoch/EpochN stream must be Recycled (or escape) before its
 // iteration ends — a leaked batch starves the pool the PR 5 double-put
-// guard protects — and an nn.InferCtx arena must be Released (or
-// escape) before the function exits, the discipline PR 9's
-// scratch-growth fix established. The pairs are configured in
-// lifecyclePairs; new pooled resources join the gate by adding a row.
+// guard protects — and an nn arena from either constructor
+// (NewTrainCtx, NewInferCtx) must be Released before the function
+// exits, or escape: a model that stores its arena in a field owns it.
+// The pairs are configured in lifecyclePairs; new pooled resources join
+// the gate by adding a row.
 var Lifecycle = &Analyzer{
 	Name: "lifecycle",
-	Doc:  "pooled/arena resources (loader batches, nn.InferCtx) must be released or escape on every path",
+	Doc:  "pooled/arena resources (loader batches, nn arenas) must be released or escape on every path",
 	Run: func(pass *Pass) {
 		checkPairs(pass, lifecyclePairs())
 	},
@@ -36,10 +37,11 @@ func lifecyclePairs() []*pairSpec {
 			},
 		},
 		{
-			resource: "inference scratch arena",
+			resource: "activation arena",
 			verb:     "Release",
 			acquireCall: func(pass *Pass, call *ast.CallExpr) bool {
-				return isFuncCall(pass, call, "repro/internal/nn", "NewInferCtx")
+				return isFuncCall(pass, call, "repro/internal/nn", "NewInferCtx") ||
+					isFuncCall(pass, call, "repro/internal/nn", "NewTrainCtx")
 			},
 			isRelease: func(pass *Pass, call *ast.CallExpr, v *types.Var) bool {
 				return isMethodOnVar(pass, call, v, "Release")

@@ -34,14 +34,36 @@ func directRelease(n int) int {
 	return k
 }
 
-func escapesCtx() *nn.InferCtx {
+func escapesCtx() *nn.Arena {
 	ctx := nn.NewInferCtx()
 	return ctx
 }
 
-func plainUseIsNotRelease(m interface{ Fill(*nn.InferCtx) }) {
+func plainUseIsNotRelease(m interface{ Fill(*nn.Arena) }) {
 	ctx := nn.NewInferCtx() // want `function ends without Release`
 	m.Fill(ctx)
+}
+
+func leakTrainCtx(n int) int {
+	ctx := nn.NewTrainCtx() // want `this path returns without Release`
+	return len(ctx.Take(n))
+}
+
+func deferReleaseTrainCtx(n int) int {
+	ctx := nn.NewTrainCtx()
+	defer ctx.Release()
+	return len(ctx.Take(n))
+}
+
+// replica owns its arenas, as mae.Model does: storing one in a field
+// hands it off.
+type replica struct{ ctx, frozen *nn.Arena }
+
+func newReplica() *replica {
+	r := &replica{frozen: nn.NewInferCtx()}
+	ctx := nn.NewTrainCtx()
+	r.ctx = ctx
+	return r
 }
 
 func leakBatch(l *dataload.Loader) int {

@@ -37,10 +37,12 @@ func raceBuild() bool {
 // end-to-end benchmark's pretrain_compute shape (ViT-3B analog,
 // 64-pixel images in 4-pixel patches, batch 16).
 //
-// The first step allocates the layers' forward caches, each block's
-// input gradient and one shared backward scratch: 102.5 MiB. The
-// 120 MiB bound fails a step in which every layer keeps its own input
-// gradient and attention copies each head's Q, K and V (174.1 MiB).
+// The first step allocates the model's recording arena — the 97.4 MiB
+// footprint TestStepActivationBytes pins — and little else: 98.2 MiB
+// on a 2-core x86-64 host, 101.2 MiB at GOMAXPROCS 32, whose pack pools
+// hold more buffers. The 110 MiB bound fails a step in which each block
+// takes its own backward transients instead of sharing the one pair at
+// the arena's top (113 MiB).
 //
 // A steady-state step reuses all of that; what is left is the closures
 // the parallel kernels hand the worker pool (53 KiB). The 128 KiB
@@ -69,8 +71,9 @@ func TestStepAllocation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		steady = min(steady, stepAlloc(m, imgs, batch, keep))
 	}
-	if first > 120*mib {
-		t.Errorf("first step allocated %.1f MiB, want ≤ 120 MiB", float64(first)/mib)
+	t.Logf("first step %.1f MiB, steady-state step %.1f KiB", float64(first)/mib, float64(steady)/kib)
+	if first > 110*mib {
+		t.Errorf("first step allocated %.1f MiB, want ≤ 110 MiB", float64(first)/mib)
 	}
 	if steady > 128*kib {
 		t.Errorf("steady-state step allocated %.1f KiB, want ≤ 128 KiB", float64(steady)/kib)

@@ -20,12 +20,12 @@ func randImgs(cfg Config, batch int, seed uint64) []float32 {
 	return imgs
 }
 
-// TestInferMatchesTrainingForward holds the frozen encoder pass to the
-// caching path FeaturesWithGrad runs, bit for bit — the pooled features
-// of InferTokenFeatures, of Features and of FeaturesWithGrad, and the
-// rows of TokenFeatures — and again after a training step has moved
-// the weights.
-func TestInferMatchesTrainingForward(t *testing.T) {
+// TestFrozenPassMatchesRecordingPass holds the frozen encoder pass to
+// the recording pass FeaturesWithGrad runs, bit for bit — the pooled
+// features of Encode on a frozen arena, of Features and of
+// FeaturesWithGrad, and the rows of TokenFeatures — and again after a
+// training step has moved the weights.
+func TestFrozenPassMatchesRecordingPass(t *testing.T) {
 	cfg := tinyCfg()
 	m := New(cfg, rng.New(7))
 	const batch = 3
@@ -36,10 +36,10 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 		t.Helper()
 		want := m.FeaturesWithGrad(imgs, batch)
 		ctx.Reset()
-		tok := m.InferTokenFeatures(ctx, imgs, batch)
+		tok := m.Encode(ctx, imgs, batch)
 		pooled := make([]float32, len(want))
 		m.PoolTokens(pooled, tok, batch)
-		for name, got := range map[string][]float32{"InferTokenFeatures": pooled, "Features": m.Features(imgs, batch)} {
+		for name, got := range map[string][]float32{"Encode": pooled, "Features": m.Features(imgs, batch)} {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: %s pooled [%d] %v, FeaturesWithGrad %v", stage, name, i, got[i], want[i])
@@ -48,14 +48,14 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 		}
 		for i, v := range m.TokenFeatures(imgs, batch) {
 			if v != tok[i] {
-				t.Fatalf("%s: TokenFeatures [%d] %v, InferTokenFeatures %v", stage, i, v, tok[i])
+				t.Fatalf("%s: TokenFeatures [%d] %v, Encode %v", stage, i, v, tok[i])
 			}
 		}
 	}
 	check("fresh weights")
 
 	// Move the weights with one real training step, then re-check: the
-	// Infer path must read the live values, not a stale copy.
+	// frozen pass must read the live values, not a stale copy.
 	m.Step(imgs, batch)
 	for _, p := range m.Params() {
 		for i, g := range p.Grad.Data {
@@ -67,7 +67,7 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 }
 
 // TestInferSharedWeightsConcurrent runs many workers over one shared
-// read-only model, each with its own InferCtx, and requires every
+// read-only model, each with its own frozen arena, and requires every
 // worker to reproduce the serial reference bitwise. Run under -race in
 // CI this is the no-per-worker-copies guarantee of the serving stack.
 func TestInferSharedWeightsConcurrent(t *testing.T) {
@@ -84,7 +84,7 @@ func TestInferSharedWeightsConcurrent(t *testing.T) {
 		im := randImgs(cfg, batch, uint64(100+i))
 		imgs = append(imgs, im)
 		ref.Reset()
-		want = append(want, append([]float32(nil), m.InferTokenFeatures(ref, im, batch)...))
+		want = append(want, append([]float32(nil), m.Encode(ref, im, batch)...))
 	}
 
 	var wg sync.WaitGroup
@@ -97,7 +97,7 @@ func TestInferSharedWeightsConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := w*rounds + r
 				ctx.Reset()
-				got := m.InferTokenFeatures(ctx, imgs[i], batch)
+				got := m.Encode(ctx, imgs[i], batch)
 				for j := range want[i] {
 					if got[j] != want[i][j] {
 						errs <- "worker diverged from serial reference"

@@ -50,9 +50,8 @@ func TestFrozenFeaturesGolden(t *testing.T) {
 // steps — both losses and every accumulated gradient — at one and four
 // workers, on the tiny model and on the pretrain_compute analog's
 // widths (ViT-3B: 8 encoder heads of 12, 8 decoder heads of 6) at 16
-// tokens. The second step reuses every buffer the first allocated, so
-// a backward that read stale scratch instead of overwriting it shows
-// here.
+// tokens. The second step reuses every arena slot the first took, so a
+// pass that read a stale slot instead of overwriting it shows here.
 func TestStepGradientsGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	enc, err := vit.Analog("ViT-3B", 16, 4, 3)

@@ -108,35 +108,25 @@ type Model struct {
 	Cfg Config
 
 	Embed     *nn.PatchEmbed
-	Encoder   *vit.Encoder
+	Encoder   *vit.Stack
 	DecEmbed  *nn.Linear
 	MaskToken *nn.Param
-	DecBlocks []*nn.Block
-	DecNorm   *nn.LayerNorm
+	Decoder   *vit.Stack
 	Pred      *nn.Linear
 	DecPos    []float32 // fixed sin-cos over the full grid, decoder width
 
 	maskRNG *rng.RNG
-	// arena holds Features' and TokenFeatures' activations, apart from
-	// the layers' backward caches.
-	arena *nn.InferCtx
+	// ctx is the replica's recording arena: a training step's (or
+	// FeaturesWithGrad's) activations and backward transients. frozen
+	// holds Features' and TokenFeatures' activations, apart from it.
+	ctx, frozen *nn.Arena
 
 	// per-step state
-	batch    int
-	keepIdx  [][]int // visible patch indices per image (sorted)
-	maskIdx  [][]int // masked patch indices per image
-	patches  []float32
-	target   []float32
-	visible  []float32
-	decIn    []float32
-	predMask []float32
-	tgtMask  []float32
-	dPred    []float32
-	dFull    []float32 // the masked-pixel gradient scattered over every token
-	visMask  []bool
-	dVisible []float32
-	dEmbed   []float32
-	dTokens  []float32 // BackwardFeatures' per-token gradient
+	batch   int
+	keepIdx [][]int // visible patch indices per image (sorted)
+	maskIdx [][]int // masked patch indices per image
+	visMask []bool
+	dPred   []float32 // the loss gradient forward leaves in ctx for backward
 }
 
 // New constructs the model with weights drawn from r and an independent
@@ -145,25 +135,23 @@ func New(cfg Config, r *rng.RNG) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	g := cfg.Encoder.Grid()
+	enc := cfg.Encoder
+	g := enc.Grid()
 	m := &Model{
 		Cfg:       cfg,
-		Embed:     nn.NewPatchEmbed("mae.embed", cfg.Encoder.PatchDim(), cfg.Encoder.Width, g, g, r),
-		Encoder:   vit.NewEncoder(cfg.Encoder, r),
-		DecEmbed:  nn.NewLinear("mae.dec_embed", cfg.Encoder.Width, cfg.DecoderWidth, r),
+		Embed:     nn.NewPatchEmbed("mae.embed", enc.PatchDim(), enc.Width, g, g, r),
+		Encoder:   vit.NewStack("encoder", enc.Width, enc.Depth, enc.MLP, enc.Heads, r),
+		DecEmbed:  nn.NewLinear("mae.dec_embed", enc.Width, cfg.DecoderWidth, r),
 		MaskToken: nn.NewParam("mae.mask_token", cfg.DecoderWidth),
-		DecNorm:   nn.NewLayerNorm("mae.dec_norm", cfg.DecoderWidth),
-		Pred:      nn.NewLinear("mae.pred", cfg.DecoderWidth, cfg.Encoder.PatchDim(), r),
+		Pred:      nn.NewLinear("mae.pred", cfg.DecoderWidth, enc.PatchDim(), r),
 		DecPos:    nn.SinCos2D(cfg.DecoderWidth, g, g),
 		maskRNG:   r.Split(),
-		arena:     nn.NewInferCtx(),
+		ctx:       nn.NewTrainCtx(),
+		frozen:    nn.NewInferCtx(),
 	}
 	m.MaskToken.NoWeightDecay = true
 	m.MaskToken.Value.RandnInit(r, 0.02)
-	for i := 0; i < cfg.DecoderDepth; i++ {
-		m.DecBlocks = append(m.DecBlocks,
-			nn.NewBlock(fmt.Sprintf("mae.dec.block%d", i), cfg.DecoderWidth, 4*cfg.DecoderWidth, cfg.DecoderHeads, r))
-	}
+	m.Decoder = vit.NewStack("mae.dec", cfg.DecoderWidth, cfg.DecoderDepth, 4*cfg.DecoderWidth, cfg.DecoderHeads, r)
 	return m
 }
 
@@ -173,12 +161,8 @@ func (m *Model) Params() []*nn.Param {
 	ps = append(ps, m.Encoder.Params()...)
 	ps = append(ps, m.DecEmbed.Params()...)
 	ps = append(ps, m.MaskToken)
-	for _, b := range m.DecBlocks {
-		ps = append(ps, b.Params()...)
-	}
-	ps = append(ps, m.DecNorm.Params()...)
-	ps = append(ps, m.Pred.Params()...)
-	return ps
+	ps = append(ps, m.Decoder.Params()...)
+	return append(ps, m.Pred.Params()...)
 }
 
 // EncoderParams returns only the encoder-side parameters (embed +
@@ -307,18 +291,18 @@ func (m *Model) Step(imgs []float32, batch int) float64 {
 }
 
 // ForwardWithMask runs only the forward half of a step — the
-// reconstruction loss with a caller-supplied mask, activations cached —
-// so a distributed executor can reshard parameters between the halves
-// (FULL_SHARD drops non-owned parameter shards after forward and
-// re-gathers them for backward). Follow with BackwardStep to accumulate
-// gradients.
+// reconstruction loss with a caller-supplied mask, activations kept in
+// the model's recording arena — so a distributed executor can reshard
+// parameters between the halves (FULL_SHARD drops non-owned parameter
+// shards after forward and re-gathers them for backward). Follow with
+// BackwardStep to accumulate gradients.
 func (m *Model) ForwardWithMask(imgs []float32, batch int, keep [][]int) float64 {
 	m.SetMask(keep)
 	return m.forward(imgs, batch)
 }
 
 // BackwardStep runs the backward half for the most recent
-// ForwardWithMask, accumulating parameter gradients from the cached
+// ForwardWithMask, accumulating parameter gradients from the recorded
 // activations and the parameters' current values — which must equal
 // the values forward ran with (a resharding executor restores them via
 // all-gather first).
@@ -342,19 +326,12 @@ func (m *Model) BackwardStep() {
 // final (the executed form of FSDP's per-unit overlapped
 // reduce-scatter).
 func (m *Model) BackwardSegments() [][]*nn.Param {
-	segs := [][]*nn.Param{m.Pred.Params(), m.DecNorm.Params()}
-	for i := len(m.DecBlocks) - 1; i >= 0; i-- {
-		segs = append(segs, m.DecBlocks[i].Params())
-	}
+	segs := append([][]*nn.Param{m.Pred.Params()}, m.Decoder.Segments()...)
 	// The mask-token gradient finishes accumulating in the decoder
 	// input split, just before DecEmbed's backward — one completion
 	// unit covering the contiguous [DecEmbed, MaskToken] flat range.
-	proj := append([]*nn.Param{}, m.DecEmbed.Params()...)
-	segs = append(segs, append(proj, m.MaskToken))
-	segs = append(segs, m.Encoder.Norm.Params())
-	for i := len(m.Encoder.Blocks) - 1; i >= 0; i-- {
-		segs = append(segs, m.Encoder.Blocks[i].Params())
-	}
+	segs = append(segs, append(m.DecEmbed.Params(), m.MaskToken))
+	segs = append(segs, m.Encoder.Segments()...)
 	return append(segs, m.Embed.Params())
 }
 
@@ -367,6 +344,9 @@ func (m *Model) BackwardStepLayers(onSegment func(k int)) {
 	m.backwardLayers(m.batch, onSegment)
 }
 
+// forward is a step's forward half on the model's recording arena,
+// which it resets: every activation, every cache the backward re-reads
+// and the loss gradient stay there until the next forward.
 func (m *Model) forward(imgs []float32, batch int) float64 {
 	cfg := m.Cfg
 	enc := cfg.Encoder
@@ -376,65 +356,62 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	dw := cfg.DecoderWidth
 	keep := len(m.keepIdx[0])
 	m.batch = batch
+	ctx := m.ctx
+	ctx.Reset()
 
 	// 1. Patchify and build normalized-pixel targets.
-	m.patches = growF(m.patches, batch*t*pd)
-	nn.Patchify(m.patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
-	m.target = growF(m.target, batch*t*pd)
-	nn.NormalizePatches(m.target, m.patches, batch*t, pd, 1e-6)
+	patches := ctx.Take(batch * t * pd)
+	nn.Patchify(patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
+	target := ctx.Take(batch * t * pd)
+	nn.NormalizePatches(target, patches, batch*t, pd, 1e-6)
 
 	// 2. Embed all patches (with positional encodings), gather visible.
-	emb := m.Embed.Forward(m.patches, batch)
-	m.visible = growF(m.visible, batch*keep*w)
+	emb := m.Embed.Apply(ctx, patches, batch)
+	visible := ctx.Take(batch * keep * w)
 	for b := 0; b < batch; b++ {
-		tensor.GatherRows(m.visible[b*keep*w:], emb[b*t*w:], m.keepIdx[b], w)
+		tensor.GatherRows(visible[b*keep*w:], emb[b*t*w:], m.keepIdx[b], w)
 	}
 
 	// 3. Encode visible tokens.
-	encOut := m.Encoder.Forward(m.visible, batch, keep)
+	encOut := m.Encoder.Apply(ctx, visible, batch, keep)
 
 	// 4. Project to decoder width.
-	decVis := m.DecEmbed.Forward(encOut, batch*keep)
+	decVis := m.DecEmbed.Apply(ctx, encOut, batch*keep)
 
 	// 5. Assemble full decoder sequence: mask tokens everywhere, then
 	// scatter encoded visible tokens back to their grid positions, then
 	// add decoder positional encodings.
-	m.decIn = growF(m.decIn, batch*t*dw)
+	decIn := ctx.Take(batch * t * dw)
 	mt := m.MaskToken.Value.Data
 	for row := 0; row < batch*t; row++ {
-		copy(m.decIn[row*dw:(row+1)*dw], mt)
+		copy(decIn[row*dw:(row+1)*dw], mt)
 	}
 	for b := 0; b < batch; b++ {
 		for i, g := range m.keepIdx[b] {
-			copy(m.decIn[(b*t+g)*dw:(b*t+g+1)*dw], decVis[(b*keep+i)*dw:(b*keep+i+1)*dw])
+			copy(decIn[(b*t+g)*dw:(b*t+g+1)*dw], decVis[(b*keep+i)*dw:(b*keep+i+1)*dw])
 		}
 	}
 	for row := 0; row < batch*t; row++ {
 		pos := m.DecPos[(row%t)*dw : (row%t+1)*dw]
-		seg := m.decIn[row*dw : (row+1)*dw]
+		seg := decIn[row*dw : (row+1)*dw]
 		for j := range seg {
 			seg[j] += pos[j]
 		}
 	}
 
 	// 6. Decode and predict pixels for every token.
-	h := m.decIn
-	for _, b := range m.DecBlocks {
-		h = b.Forward(h, batch, t)
-	}
-	h = m.DecNorm.Forward(h, batch*t)
-	pred := m.Pred.Forward(h, batch*t)
+	pred := m.Pred.Apply(ctx, m.Decoder.Apply(ctx, decIn, batch, t), batch*t)
 
 	// 7. Loss on masked positions only.
 	nMask := t - keep
-	m.predMask = growF(m.predMask, batch*nMask*pd)
-	m.tgtMask = growF(m.tgtMask, batch*nMask*pd)
+	predMask := ctx.Take(batch * nMask * pd)
+	tgtMask := ctx.Take(batch * nMask * pd)
 	for b := 0; b < batch; b++ {
-		tensor.GatherRows(m.predMask[b*nMask*pd:], pred[b*t*pd:], m.maskIdx[b], pd)
-		tensor.GatherRows(m.tgtMask[b*nMask*pd:], m.target[b*t*pd:], m.maskIdx[b], pd)
+		tensor.GatherRows(predMask[b*nMask*pd:], pred[b*t*pd:], m.maskIdx[b], pd)
+		tensor.GatherRows(tgtMask[b*nMask*pd:], target[b*t*pd:], m.maskIdx[b], pd)
 	}
-	m.dPred = growF(m.dPred, batch*nMask*pd)
-	return nn.MSE(m.predMask, m.tgtMask, m.dPred)
+	m.dPred = ctx.Take(batch * nMask * pd)
+	return nn.MSE(predMask, tgtMask, m.dPred)
 }
 
 func (m *Model) backward(batch int) {
@@ -443,7 +420,10 @@ func (m *Model) backward(batch int) {
 
 // backwardLayers is the single backward implementation, emitting a
 // completion event per BackwardSegments unit (events are counted even
-// with a nil callback so segment indices stay aligned).
+// with a nil callback so segment indices stay aligned). It takes every
+// gradient that passes between units from the recording arena's top
+// first, so the blocks' transients above them sit at one top that
+// encoder and decoder blocks share, and rewinds to the forward's end.
 func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	seg := 0
 	emit := func() {
@@ -460,39 +440,40 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	dw := cfg.DecoderWidth
 	keep := len(m.keepIdx[0])
 	nMask := t - keep
+	ctx := m.ctx
+	mark := ctx.Mark()
+	dFull := ctx.Take(batch * t * pd) // the masked-pixel gradient over every token
+	dNormed := ctx.Take(batch * t * dw)
+	dDec := ctx.Take(batch * t * dw)
+	dVisible := ctx.Take(batch * keep * dw)
+	dEnc := ctx.Take(batch * keep * w)
+	dVis := ctx.Take(batch * keep * w)
+	dEmbed := ctx.Take(batch * t * w)
 
 	// Scatter masked-pixel gradient into the full prediction grid
 	// (visible positions receive zero).
-	m.dFull = growF(m.dFull, batch*t*pd)
-	clear(m.dFull)
+	clear(dFull)
 	for b := 0; b < batch; b++ {
-		tensor.ScatterRowsAdd(m.dFull[b*t*pd:], m.dPred[b*nMask*pd:], m.maskIdx[b], pd)
+		tensor.ScatterRowsAdd(dFull[b*t*pd:], m.dPred[b*nMask*pd:], m.maskIdx[b], pd)
 	}
-
-	d := m.Pred.Backward(m.dFull)
+	m.Pred.Backprop(dNormed, dFull)
 	emit()
-	d = m.DecNorm.Backward(d)
-	emit()
-	for i := len(m.DecBlocks) - 1; i >= 0; i-- {
-		d = m.DecBlocks[i].Backward(d)
-		emit()
-	}
+	m.Decoder.Backprop(ctx, dDec, dNormed, emit)
 
-	// d now holds the gradient w.r.t. the decoder input sequence.
+	// dDec now holds the gradient w.r.t. the decoder input sequence.
 	// Split it: visible positions flow to the encoder path, all other
 	// positions accumulate into the mask token.
-	m.dVisible = growF(m.dVisible, batch*keep*dw)
 	visMask := m.tokenMask()
 	mtGrad := m.MaskToken.Grad.Data
 	for b := 0; b < batch; b++ {
 		clear(visMask)
 		for i, g := range m.keepIdx[b] {
 			visMask[g] = true
-			copy(m.dVisible[(b*keep+i)*dw:(b*keep+i+1)*dw], d[(b*t+g)*dw:(b*t+g+1)*dw])
+			copy(dVisible[(b*keep+i)*dw:(b*keep+i+1)*dw], dDec[(b*t+g)*dw:(b*t+g+1)*dw])
 		}
 		for g := 0; g < t; g++ {
 			if !visMask[g] {
-				seg := d[(b*t+g)*dw : (b*t+g+1)*dw]
+				seg := dDec[(b*t+g)*dw : (b*t+g+1)*dw]
 				for j := range mtGrad {
 					mtGrad[j] += seg[j]
 				}
@@ -500,65 +481,19 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 		}
 	}
 
-	dEnc := m.DecEmbed.Backward(m.dVisible)
+	m.DecEmbed.Backprop(dEnc, dVisible)
 	emit() // DecEmbed + MaskToken (accumulated in the split above)
-	dVis := m.Encoder.BackwardLayers(dEnc, emit)
+	m.Encoder.Backprop(ctx, dVis, dEnc, emit)
 
 	// Scatter visible-token gradients back into the full embedding grid
 	// (masked positions receive zero) and finish with the patch embed.
-	m.dEmbed = growF(m.dEmbed, batch*t*w)
-	clear(m.dEmbed)
+	clear(dEmbed)
 	for b := 0; b < batch; b++ {
-		tensor.ScatterRowsAdd(m.dEmbed[b*t*w:], dVis[b*keep*w:], m.keepIdx[b], w)
+		tensor.ScatterRowsAdd(dEmbed[b*t*w:], dVis[b*keep*w:], m.keepIdx[b], w)
 	}
-	m.Embed.Backward(m.dEmbed)
+	m.Embed.Backprop(dEmbed)
 	emit()
-}
-
-// FeaturesWithGrad is Features through the layers' training Forward,
-// which keeps the backward caches alive so BackwardFeatures can
-// propagate a pooled feature gradient — the fine-tuning path, where the
-// trunk is updated jointly with the task head. It is the only feature
-// extractor that caches; the pooled rows are bitwise Features'.
-func (m *Model) FeaturesWithGrad(imgs []float32, batch int) []float32 {
-	enc := m.Cfg.Encoder
-	t := enc.Tokens()
-	m.batch = batch
-	m.patches = growF(m.patches, batch*t*enc.PatchDim())
-	nn.Patchify(m.patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
-	h := m.Encoder.Forward(m.Embed.Forward(m.patches, batch), batch, t)
-	pooled := make([]float32, batch*enc.Width)
-	m.PoolTokens(pooled, h, batch)
-	return pooled
-}
-
-// BackwardFeatures propagates a (batch × width) mean-pooled feature
-// gradient back through the encoder and the patch embedding,
-// accumulating parameter gradients. Must follow FeaturesWithGrad.
-func (m *Model) BackwardFeatures(dPooled []float32) {
-	enc := m.Cfg.Encoder
-	t := enc.Tokens()
-	w := enc.Width
-	batch := m.batch
-	m.dTokens = growF(m.dTokens, batch*t*w)
-	inv := float32(1) / float32(t)
-	for b := 0; b < batch; b++ {
-		src := dPooled[b*w : (b+1)*w]
-		for tok := 0; tok < t; tok++ {
-			dst := m.dTokens[(b*t+tok)*w : (b*t+tok+1)*w]
-			for j := range dst {
-				dst[j] = src[j] * inv
-			}
-		}
-	}
-	m.Embed.Backward(m.Encoder.Backward(m.dTokens))
-}
-
-func growF(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
+	ctx.Rewind(mark)
 }
 
 func insertionSort(a []int) {

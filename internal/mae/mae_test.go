@@ -330,8 +330,8 @@ func TestFeaturesBetweenForwardAndBackward(t *testing.T) {
 
 // TestBackwardStepConcurrentReplicas: two seed-identical replicas
 // running BackwardStep at the same time — as in-process ranks do, each
-// block backward borrowing the process's shared scratch — accumulate
-// bitwise the gradients of one replica stepping alone.
+// taking its blocks' transients from its own arena — accumulate bitwise
+// the gradients of one replica stepping alone.
 func TestBackwardStepConcurrentReplicas(t *testing.T) {
 	cfg := tinyCfg()
 	const batch = 3

@@ -7,13 +7,13 @@ import "repro/internal/tensor"
 //
 //	gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))
 //
-// evaluated by the float32 tensor.GELU kernel — Forward, Backward and
-// Infer all call the one kernel, so serving equals training bitwise by
-// construction. The layer is stateless apart from caching its input
-// for backward.
+// evaluated by the float32 tensor.GELU kernel — training and serving
+// call the one kernel, so they agree bitwise by construction. The layer
+// is stateless apart from recording its input for backward.
 type GELU struct {
-	x     []float32
-	y, dx []float32
+	x []float32 // Backprop's input, recorded by Apply on a recording arena
+
+	fwdShim *Arena
 }
 
 // NewGELU returns a GELU activation layer.
@@ -22,23 +22,17 @@ func NewGELU() *GELU { return &GELU{} }
 // Params returns nil: GELU has no trainable parameters.
 func (g *GELU) Params() []*Param { return nil }
 
-// Forward applies the activation elementwise.
-func (g *GELU) Forward(x []float32, rows int) []float32 {
-	g.x = x
-	g.y = grow(g.y, len(x))
-	tensor.GELU(g.y, x)
-	return g.y
+// Apply applies the activation elementwise into ctx.
+func (g *GELU) Apply(ctx *Arena, x []float32) []float32 {
+	if ctx.recording {
+		g.x = x
+	}
+	y := ctx.Take(len(x))
+	tensor.GELU(y, x)
+	return y
 }
 
-// Backward multiplies dy by the activation derivative, recomputed
-// from the cached input, into a buffer the layer owns, valid until its
-// next Backward.
-func (g *GELU) Backward(dy []float32) []float32 {
-	g.dx = grow(g.dx, len(dy))
-	g.backward(g.dx, dy)
-	return g.dx
-}
-
-// backward is Backward writing into the caller's dx, which may alias
-// dy: the MLP runs it in place over FC2's input gradient.
-func (g *GELU) backward(dx, dy []float32) { tensor.GELUBackward(dx, dy, g.x) }
+// Backprop multiplies dy by the activation derivative, recomputed from
+// the recorded input, into the caller's dx, which may alias dy: the MLP
+// runs it in place over FC2's input gradient.
+func (g *GELU) Backprop(dx, dy []float32) { tensor.GELUBackward(dx, dy, g.x) }

@@ -15,7 +15,7 @@ import (
 // simulator).
 //
 // The layer owns its fused QKV projection and output projection. Both
-// passes — and Infer — run the fused tiled kernels
+// passes run the fused tiled kernels
 // (tensor.FlashAttnFwdLd / FlashAttnBwdLd): online softmax over K/V
 // tiles, the 1/√d scale folded into the tile loop, and only the
 // per-row (max, exp-sum) statistics cached between forward and
@@ -25,7 +25,7 @@ import (
 // the oracle the fused path is property-tested against. Every
 // head-interleaved operand is addressed in place as a strided (T × D)
 // tile: each head's Q, K and V inside the fused (B·T × 3W) projection
-// output the QKV layer keeps, its O and dO inside the (B·T × W)
+// output, its O and dO inside the (B·T × W)
 // attention output and gradient, and its dQ, dK, dV inside the fused
 // (B·T × 3W) gradient — no per-head copies or rearrangement buffers.
 type MultiHeadAttention struct {
@@ -34,15 +34,13 @@ type MultiHeadAttention struct {
 	QKV *Linear // width → 3·width
 	Out *Linear // width → width
 
-	batch, tokens int
+	// what Backprop re-reads, recorded by Apply on a recording arena:
+	// the sequence shape, the fused projection output, the merged head
+	// output and the per-row online softmax statistics, 2 per (b·h, t)
+	batch, tokens       int
+	qkv, attnOut, stats []float32
 
-	// per-row online softmax statistics, 2 per (b·h, t).
-	stats []float32
-	// forward output, re-read by the backward.
-	attnOut []float32
-	// the input gradient of Backward (backward writes into the
-	// caller's memory instead).
-	dx []float32
+	fwdShim, bwdShim *Arena
 }
 
 // NewMultiHeadAttention builds the layer; width must be divisible by
@@ -65,26 +63,32 @@ func (a *MultiHeadAttention) Params() []*Param {
 	return append(a.QKV.Params(), a.Out.Params()...)
 }
 
-// Forward runs self-attention over batch sequences of tokens tokens
-// each; x has shape (batch·tokens × width).
-func (a *MultiHeadAttention) Forward(x []float32, batch, tokens int) []float32 {
-	checkRows(len(x), batch*tokens, a.Width, "MultiHeadAttention.Forward")
-	a.batch, a.tokens = batch, tokens
-	qkv := a.QKV.Forward(x, batch*tokens)
-	a.attnOut = grow(a.attnOut, batch*tokens*a.Width)
-	a.stats = grow(a.stats, batch*a.Heads*2*tokens)
-	a.attend(a.attnOut, a.stats, qkv, batch, tokens)
-	return a.Out.Forward(a.attnOut, batch*tokens)
+// Apply runs self-attention over batch sequences of tokens tokens
+// each; x has shape (batch·tokens × width). Both intermediates (the
+// fused QKV projection and the merged head output) are taken from ctx,
+// and a recording arena also takes the softmax statistics — never a
+// (T×T) buffer, which is what keeps a serving worker's footprint
+// independent of the score matrix size.
+func (a *MultiHeadAttention) Apply(ctx *Arena, x []float32, batch, tokens int) []float32 {
+	checkRows(len(x), batch*tokens, a.Width, "MultiHeadAttention.Apply")
+	qkv := a.QKV.Apply(ctx, x, batch*tokens)
+	attnOut := ctx.Take(batch * tokens * a.Width)
+	var stats []float32
+	if ctx.recording {
+		stats = ctx.Take(batch * a.Heads * 2 * tokens)
+		a.batch, a.tokens, a.qkv, a.attnOut, a.stats = batch, tokens, qkv, attnOut, stats
+	}
+	a.attend(attnOut, stats, qkv, batch, tokens)
+	return a.Out.Apply(ctx, attnOut, batch*tokens)
 }
 
-// attend is the attention core shared by Forward and Infer: per
-// (b, h) it runs the fused forward kernel on the head's strided
-// (T × D) thirds of the fused (B·T × 3W) projection, writing the
-// head's O as a strided (T × D) tile straight into the (B·T × W)
-// attnOut and its (m, l) statistics into stats — or none, when stats
-// is nil (Infer: no backward follows). Each head is computed by one
-// serial kernel call, so the result does not depend on how the pool
-// splits the heads.
+// attend is Apply's attention core: per (b, h) it runs the fused
+// forward kernel on the head's strided (T × D) thirds of the fused
+// (B·T × 3W) projection, writing the head's O as a strided (T × D) tile
+// straight into the (B·T × W) attnOut and its (m, l) statistics into
+// stats — or none, when stats is nil (a frozen arena: no backward
+// follows). Each head is computed by one serial kernel call, so the
+// result does not depend on how the pool splits the heads.
 func (a *MultiHeadAttention) attend(attnOut, stats, qkv []float32, batch, tokens int) {
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	scale := float32(1 / math.Sqrt(float64(d)))
@@ -100,29 +104,25 @@ func (a *MultiHeadAttention) attend(attnOut, stats, qkv []float32, batch, tokens
 	})
 }
 
-// Backward propagates through the attention layer, accumulating
-// projection gradients and returning dL/dx in a buffer the layer owns,
-// valid until its next Backward. The fused QKV gradient is a transient
-// borrowed from the shared backward scratch.
-func (a *MultiHeadAttention) Backward(dy []float32) []float32 {
-	s := borrowScratch()
-	a.dx = grow(a.dx, len(dy))
-	s.wide = grow(s.wide, 3*len(dy))
-	a.backward(a.dx, dy, s.wide)
-	s.release()
-	return a.dx
+// Backprop propagates through the attention layer, accumulating
+// projection gradients and writing dL/dx into the caller's dx. The
+// fused QKV gradient is a transient at ctx's top.
+func (a *MultiHeadAttention) Backprop(ctx *Arena, dx, dy []float32) {
+	mark := ctx.Mark()
+	a.backprop(dx, dy, ctx.Take(3*len(dy)))
+	ctx.Rewind(mark)
 }
 
-// backward is Backward writing dL/dx into the caller's (B·T × W) dx,
-// which first holds the output projection's gradient (every head's
-// dO); dqkv is (B·T × 3W) scratch for the fused QKV gradient. Neither
-// may alias dy, and both are fully overwritten.
-func (a *MultiHeadAttention) backward(dx, dy, dqkv []float32) {
+// backprop is Backprop with the caller's (B·T × 3W) dqkv transient for
+// the fused QKV gradient. dx, the caller's (B·T × W) input gradient,
+// first holds the output projection's gradient (every head's dO).
+// Neither may alias dy, and both are fully overwritten.
+func (a *MultiHeadAttention) backprop(dx, dy, dqkv []float32) {
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	batch, tokens := a.batch, a.tokens
-	checkRows(len(dy), batch*tokens, w, "MultiHeadAttention.Backward")
-	a.Out.backward(dx, dy) // dx holds dAttn (B·T × W) until QKV's backward
-	qkv := a.QKV.y
+	checkRows(len(dy), batch*tokens, w, "MultiHeadAttention.Backprop")
+	a.Out.Backprop(dx, dy) // dx holds dAttn (B·T × W) until QKV's backward
+	qkv := a.qkv
 	scale := float32(1 / math.Sqrt(float64(d)))
 	parallel.ForGrain(batch*h, 1, func(i int) {
 		b, hh := i/h, i%h
@@ -137,5 +137,5 @@ func (a *MultiHeadAttention) backward(dx, dy, dqkv []float32) {
 			src, src[w:], src[2*w:], 3*w, tokens, d, scale,
 			a.stats[i*2*tokens:(i+1)*2*tokens])
 	})
-	a.QKV.backward(dx, dqkv)
+	a.QKV.Backprop(dx, dqkv)
 }

@@ -37,9 +37,11 @@ func BenchmarkAttentionGEMM(b *testing.B) {
 
 		b.Run("Forward/"+name, func(b *testing.B) {
 			att := NewMultiHeadAttention("bench", s.width, s.heads, rng.New(1))
+			ctx := NewInferCtx()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				att.Forward(x, s.batch, s.tokens)
+				ctx.Reset()
+				att.Apply(ctx, x, s.batch, s.tokens)
 			}
 			b.StopTimer()
 			fl := attnFwdFlops(s.batch, s.tokens, s.width, s.heads) * float64(b.N)
@@ -50,11 +52,14 @@ func BenchmarkAttentionGEMM(b *testing.B) {
 			att := NewMultiHeadAttention("bench", s.width, s.heads, rng.New(1))
 			dy := make([]float32, s.batch*s.tokens*s.width)
 			rng.New(4).FillNormal(dy, 0, 1)
-			att.Forward(x, s.batch, s.tokens)
+			dx := make([]float32, len(dy))
+			ctx := NewTrainCtx()
+			att.Apply(ctx, x, s.batch, s.tokens)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				att.Forward(x, s.batch, s.tokens)
-				att.Backward(dy)
+				ctx.Reset()
+				att.Apply(ctx, x, s.batch, s.tokens)
+				att.Backprop(ctx, dx, dy)
 			}
 			b.StopTimer()
 			fl := 3 * attnFwdFlops(s.batch, s.tokens, s.width, s.heads) * float64(b.N)

@@ -35,20 +35,22 @@ func requireClose(t *testing.T, label string, got, want []float32, tol float32) 
 	}
 }
 
-// runAttn runs one Forward/Backward pair on a fresh layer with fixed
+// runAttn runs one forward and backward on a fresh layer with fixed
 // weights and returns output, input gradient, and flattened parameter
 // gradients. With materialized set the attention core between the two
 // projections is the oracle below instead of the layer's own.
 func runAttn(materialized bool, batch, tokens, width, heads int, x, dy []float32) (y, dx, grads []float32) {
 	r := rng.New(42)
 	a := NewMultiHeadAttention("attn", width, heads, r)
+	ctx := NewTrainCtx()
+	dx = make([]float32, len(x))
 	if materialized {
 		m := &materializedAttention{MultiHeadAttention: a}
-		y = append([]float32(nil), m.Forward(x, batch, tokens)...)
-		dx = append([]float32(nil), m.Backward(dy)...)
+		y = m.apply(ctx, x, batch, tokens)
+		m.backprop(dx, dy)
 	} else {
-		y = append([]float32(nil), a.Forward(x, batch, tokens)...)
-		dx = append([]float32(nil), a.Backward(dy)...)
+		y = a.Apply(ctx, x, batch, tokens)
+		a.Backprop(ctx, dx, dy)
 	}
 	for _, p := range a.Params() {
 		grads = append(grads, p.Grad.Data...)
@@ -68,11 +70,11 @@ type materializedAttention struct {
 	qkv, probs, dp, ds []float32
 }
 
-func (m *materializedAttention) Forward(x []float32, batch, tokens int) []float32 {
+func (m *materializedAttention) apply(ctx *Arena, x []float32, batch, tokens int) []float32 {
 	a := m.MultiHeadAttention
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	a.batch, a.tokens = batch, tokens
-	m.qkv = a.QKV.Forward(x, batch*tokens)
+	m.qkv = a.QKV.Apply(ctx, x, batch*tokens)
 	bh := batch * h
 	a.attnOut = make([]float32, batch*tokens*w)
 	m.probs = make([]float32, bh*tokens*tokens)
@@ -85,14 +87,15 @@ func (m *materializedAttention) Forward(x []float32, batch, tokens int) []float3
 		tensor.SoftmaxScaled(p, p, tokens, tokens, scale)
 		tensor.MatMulLd(a.attnOut[(b*tokens)*w+hh*d:], p, src[2*w:], tokens, tokens, d, tokens, 3*w, w, false)
 	}
-	return a.Out.Forward(a.attnOut, batch*tokens)
+	return a.Out.Apply(ctx, a.attnOut, batch*tokens)
 }
 
-func (m *materializedAttention) Backward(dy []float32) []float32 {
+func (m *materializedAttention) backprop(dx, dy []float32) {
 	a := m.MultiHeadAttention
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	batch, tokens := a.batch, a.tokens
-	dAttn := a.Out.Backward(dy)
+	dAttn := make([]float32, len(dy))
+	a.Out.Backprop(dAttn, dy)
 	bh := batch * h
 	dqkv := make([]float32, batch*tokens*3*w)
 	m.dp = make([]float32, bh*tokens*tokens)
@@ -115,7 +118,7 @@ func (m *materializedAttention) Backward(dy []float32) []float32 {
 		tensor.MatMulLd(dqkvH[hh*d:], ds, k, tokens, tokens, d, tokens, 3*w, 3*w, false)
 		tensor.MatMulTALd(dqkvH[w+hh*d:], ds, q, tokens, tokens, d, tokens, 3*w, 3*w, false)
 	}
-	return a.QKV.Backward(dqkv)
+	a.QKV.Backprop(dx, dqkv)
 }
 
 // TestFusedAttentionMatchesMaterialized requires the fused tiled layer
@@ -148,22 +151,42 @@ func TestFusedAttentionMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestInferMatchesForwardFused requires the arena inference path to be
-// bitwise identical to the training forward — the invariant the
-// serving equivalence tests build on.
-func TestInferMatchesForwardFused(t *testing.T) {
-	const batch, tokens, width, heads = 2, 29, 32, 4
+// TestFrozenBlockMatchesRecording: a frozen pass is the recording pass
+// with nothing recorded. Through every layer of a block its output is
+// bitwise the recording pass's — the invariant the serving equivalence
+// tests build on — and frozen passes run between a recording pass and
+// its backward leave every gradient bitwise alone.
+func TestFrozenBlockMatchesRecording(t *testing.T) {
+	const batch, tokens, width, hidden, heads = 2, 29, 32, 96, 4
 	r := rng.New(7)
-	a := NewMultiHeadAttention("attn", width, heads, r)
-	x := make([]float32, batch*tokens*width)
+	x, other := make([]float32, batch*tokens*width), make([]float32, batch*tokens*width)
+	dy := make([]float32, batch*tokens*width)
 	r.FillNormal(x, 0, 1)
-
-	want := a.Forward(x, batch, tokens)
-	ctx := NewInferCtx()
-	got := a.Infer(ctx, x, batch, tokens)
+	r.FillNormal(other, 0, 1)
+	r.FillNormal(dy, 0, 1)
+	run := func(interleave bool) [][]float32 {
+		b := NewBlock("blk", width, hidden, heads, rng.New(8))
+		ctx := NewTrainCtx()
+		y := b.Apply(ctx, x, batch, tokens)
+		if interleave {
+			frozen := NewInferCtx()
+			if yf := b.Apply(frozen, x, batch, tokens); !bitsEqual(yf, y) {
+				t.Fatal("frozen block output differs from the recording pass's")
+			}
+			b.Apply(frozen, other, 1, 2*tokens)
+		}
+		dx := make([]float32, len(x))
+		b.Backprop(ctx, dx, dy)
+		out := [][]float32{y, dx}
+		for _, p := range b.Params() {
+			out = append(out, p.Grad.Data)
+		}
+		return out
+	}
+	want, got := run(false), run(true)
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Infer[%d] = %v, Forward = %v (must be bitwise equal)", i, got[i], want[i])
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("result %d differs with frozen passes interleaved", i)
 		}
 	}
 }
@@ -171,7 +194,8 @@ func TestInferMatchesForwardFused(t *testing.T) {
 // TestAttentionAndLayerNormProcsIndependent: each head is one serial
 // kernel call and each LayerNorm row one fixed reduction tree, so the
 // layers' outputs and gradients are the same bits however many workers
-// the pool splits them over — and Infer equals Forward at each count.
+// the pool splits them over — and the frozen pass equals the recording
+// pass at each count.
 func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 	const batch, tokens, width, heads = 3, 70, 48, 8
 	r := rng.New(13)
@@ -184,14 +208,15 @@ func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 		a := NewMultiHeadAttention("attn", width, heads, rng.New(5))
 		ln := NewLayerNorm("ln", width)
 		rng.New(6).FillNormal(ln.Gamma.Value.Data, 1, 0.1)
-		h := ln.Forward(x, batch*tokens)
-		y := a.Forward(h, batch, tokens)
-		ctx := NewInferCtx()
-		if yi := a.Infer(ctx, ln.Infer(ctx, x, batch*tokens), batch, tokens); !bitsEqual(yi, y) {
-			t.Errorf("GOMAXPROCS=%d: Infer differs from Forward", runtime.GOMAXPROCS(0))
+		ctx, frozen := NewTrainCtx(), NewInferCtx()
+		y := a.Apply(ctx, ln.Apply(ctx, x, batch*tokens), batch, tokens)
+		if yf := a.Apply(frozen, ln.Apply(frozen, x, batch*tokens), batch, tokens); !bitsEqual(yf, y) {
+			t.Errorf("GOMAXPROCS=%d: frozen pass differs from the recording pass", runtime.GOMAXPROCS(0))
 		}
-		out = append(out, append([]float32(nil), y...))
-		out = append(out, append([]float32(nil), ln.Backward(a.Backward(dy))...))
+		dh, dx := make([]float32, len(x)), make([]float32, len(x))
+		a.Backprop(ctx, dh, dy)
+		ln.Backprop(dx, dh)
+		out = append(out, y, dx)
 		for _, p := range append(a.Params(), ln.Params()...) {
 			out = append(out, p.Grad.Data)
 		}
@@ -214,24 +239,16 @@ func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 	}
 }
 
-// linearFloats sums the lengths of a Linear's retained buffers.
-func linearFloats(l *Linear) int { return len(l.y) + len(l.dx) }
-
-// attnRetainedFloats sums the lengths of every buffer the layer and
-// its two projections retain between steps.
-func attnRetainedFloats(a *MultiHeadAttention) int {
-	return len(a.stats) + len(a.attnOut) + len(a.dx) + linearFloats(a.QKV) + linearFloats(a.Out)
-}
-
-// TestFusedAttentionScratchFootprint pins what the layer retains at a
-// ViT-Large-shaped sequence to its closed form, 6·B·T·W + 2·B·H·T
-// floats: the fused QKV output (3, which is also every head's Q, K and
-// V), the merged head output and the output projection's (1 each), the
-// input gradient (1), and the softmax statistics — linear in T, with
-// no (T×T) probability or backward buffers. It fails a layer that
-// keeps the materialized oracle's 3·B·H·T² floats, per-head Q/K/V
-// copies, the fused QKV gradient or its projections' own input
-// gradients (7·B·T·W floats together).
+// TestFusedAttentionScratchFootprint pins the layer's footprint at a
+// ViT-Large-shaped sequence — its recording arena's Bytes after a
+// forward and backward — to its closed form, 8·B·T·W + 2·B·H·T floats:
+// what the forward keeps (the fused QKV output, 3, which is also every
+// head's Q, K and V; the merged head output and the output
+// projection's, 1 each; the softmax statistics) and the backward's one
+// transient, the fused QKV gradient (3). It is linear in T, with no
+// (T×T) probability or backward buffers: it fails a layer that keeps
+// the materialized oracle's 3·B·H·T² floats, per-head Q/K/V copies, or
+// a separate buffer for the output projection's input gradient.
 func TestFusedAttentionScratchFootprint(t *testing.T) {
 	// ViT-Large sequence geometry (T=197 with class-token-free grid
 	// rounded to the paper's 196), narrow width to keep runtime down:
@@ -244,60 +261,62 @@ func TestFusedAttentionScratchFootprint(t *testing.T) {
 	r.FillNormal(dy, 0, 1)
 
 	a := NewMultiHeadAttention("attn", width, heads, r)
-	a.Forward(x, batch, tokens)
-	a.Backward(dy)
+	ctx := NewTrainCtx()
+	a.Apply(ctx, x, batch, tokens)
+	a.Backprop(ctx, make([]float32, len(x)), dy)
 
-	want := 6*batch*tokens*width + 2*batch*heads*tokens
-	if got := attnRetainedFloats(a); got != want {
-		t.Fatalf("fused attention retains %d floats, want %d (6·B·T·W + 2·B·H·T)", got, want)
+	want := 4 * (8*batch*tokens*width + 2*batch*heads*tokens)
+	if got := ctx.Bytes(); got != want {
+		t.Fatalf("fused attention holds %d bytes, want %d (8·B·T·W + 2·B·H·T floats)", got, want)
 	}
 }
 
-// blockRetainedFloats sums the lengths of every buffer a Block and its
-// layers retain between steps.
-func blockRetainedFloats(b *Block) int {
-	ln := func(l *LayerNorm) int { return len(l.xhat) + len(l.invStd) + len(l.y) + len(l.dx) }
-	a := b.Attn
-	m := b.MLP
-	return ln(b.LN1) + ln(b.LN2) +
-		len(a.stats) + len(a.attnOut) + len(a.dx) + linearFloats(a.QKV) + linearFloats(a.Out) +
-		len(m.dx) + linearFloats(m.FC1) + len(m.Act.y) + len(m.Act.dx) + linearFloats(m.FC2) +
-		len(b.y1) + len(b.y2) + len(b.dx)
-}
-
-// TestBlockRetainedFloats pins what one trained block keeps for the
-// whole step to its closed form, 13·R·W + 2·R·H + 2·R + 2·B·Hd·T floats
-// (R = B·T rows, H the MLP width, Hd the heads): the forward caches
-// backward reads (two LayerNorms' x̂, 1/σ and output, the fused QKV
-// output, the merged heads, the softmax statistics, FC1's and GELU's
-// outputs), the three outputs the next layer reads (the output
-// projection's, FC2's, the two residual sums), and the block's input
-// gradient. Every other input gradient is a transient in the shared
-// scratch; a block whose layers each kept their own would retain
-// 11·R·W + 2·R·H floats more.
+// TestBlockRetainedFloats pins one block's activation footprint — its
+// recording arena's Bytes after two forward and backward steps on the
+// one arena — to its closed form in floats (R = B·T rows, H the MLP
+// width, Hd the heads):
+//
+//	12·R·W + 2·R·H + 2·R + 2·B·Hd·T  +  R·max(H, 3·W) + R·W
+//
+// The first term is what the forward keeps: two LayerNorms' x̂, 1/σ and
+// output, the fused QKV output, the merged heads, the softmax
+// statistics, the output projection's, FC1's, GELU's and FC2's outputs
+// and the two residual sums. The second is the backward's two
+// transients, wide and narrow, which every child's input gradient
+// reuses; the block's own input gradient is the caller's. The shapes
+// put H on both sides of 3·W.
 func TestBlockRetainedFloats(t *testing.T) {
-	const batch, tokens, width, hidden, heads = 2, 37, 48, 192, 8
-	r := rng.New(12)
-	rows := batch * tokens
-	x := make([]float32, rows*width)
-	dy := make([]float32, rows*width)
-	r.FillNormal(x, 0, 1)
-	r.FillNormal(dy, 0, 1)
+	for _, s := range []struct{ batch, tokens, width, hidden, heads int }{
+		{2, 37, 48, 192, 8},
+		{3, 11, 40, 64, 4},
+	} {
+		r := rng.New(12)
+		rows := s.batch * s.tokens
+		x := make([]float32, rows*s.width)
+		dy := make([]float32, rows*s.width)
+		r.FillNormal(x, 0, 1)
+		r.FillNormal(dy, 0, 1)
 
-	b := NewBlock("blk", width, hidden, heads, r)
-	for step := 0; step < 2; step++ {
-		b.Forward(x, batch, tokens)
-		b.Backward(dy)
-	}
-	want := 13*rows*width + 2*rows*hidden + 2*rows + 2*batch*heads*tokens
-	if got := blockRetainedFloats(b); got != want {
-		t.Fatalf("block retains %d floats, want %d (13·R·W + 2·R·H + 2·R + 2·B·Hd·T)", got, want)
+		b := NewBlock("blk", s.width, s.hidden, s.heads, r)
+		ctx := NewTrainCtx()
+		dx := make([]float32, len(x))
+		for step := 0; step < 2; step++ {
+			ctx.Reset()
+			b.Apply(ctx, x, s.batch, s.tokens)
+			b.Backprop(ctx, dx, dy)
+		}
+		floats := 12*rows*s.width + 2*rows*s.hidden + 2*rows + 2*s.batch*s.heads*s.tokens +
+			rows*max(s.hidden, 3*s.width) + rows*s.width
+		if got := ctx.Bytes(); got != 4*floats {
+			t.Fatalf("%+v: block holds %d bytes, want %d (%d floats)", s, got, 4*floats, floats)
+		}
 	}
 }
 
 // TestLinearInferBF16Bitwise checks the serving weight contract: with
-// W pre-rounded to bf16, Infer through the packed 2-byte shadow is
-// bitwise identical to Infer through the fp32 weights.
+// W pre-rounded to bf16, a frozen pass through the packed 2-byte shadow
+// is bitwise a frozen pass through the fp32 weights, and a recording
+// pass reads Value, never the shadow.
 func TestLinearInferBF16Bitwise(t *testing.T) {
 	const rows, in, out = 9, 37, 23
 	r := rng.New(3)
@@ -306,16 +325,19 @@ func TestLinearInferBF16Bitwise(t *testing.T) {
 	x := make([]float32, rows*in)
 	r.FillNormal(x, 0, 1)
 
-	ctx := NewInferCtx()
-	want := append([]float32(nil), l.Infer(ctx, x, rows)...)
+	frozen := NewInferCtx()
+	want := l.Apply(frozen, x, rows)
 	ShadowBF16(l.Params())
 	if l.W.BF16 == nil || l.B.BF16 != nil {
 		t.Fatal("ShadowBF16 must shadow the weight matrix and only it")
 	}
-	got := l.Infer(ctx, x, rows)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bf16 Infer[%d] = %v, fp32 = %v (must be bitwise equal)", i, got[i], want[i])
+	if got := l.Apply(frozen, x, rows); !bitsEqual(got, want) {
+		t.Fatal("bf16 frozen pass differs from the fp32 one (must be bitwise equal)")
+	}
+	clear(l.W.Value.Data) // the shadow is now stale
+	for i, v := range l.Apply(NewTrainCtx(), x, rows) {
+		if v != 0 {
+			t.Fatalf("recording pass [%d] = %v with zeroed weights and bias: it read the stale shadow", i, v)
 		}
 	}
 }

@@ -1,52 +1,9 @@
 package nn
 
 import (
-	"sync"
-
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
-
-// scratch is the backward-transient memory of one Block.Backward:
-// wide (rows × max(hidden, 3·width)) and narrow (rows × width), which
-// the MLP branch and then the attention branch reuse for every input
-// gradient that is dead once the next layer down has read it. One set
-// is shared by every block of every model in the process — encoder and
-// decoder, all depths — the way tensor's pack pools are shared by GEMM
-// calls: a backward borrows one for its duration, so backwards running
-// concurrently (in-process ranks) each hold their own, and a buffer
-// grows to the largest shape it has served. Contents are unspecified
-// on loan; every kernel writing into a scratch buffer overwrites it.
-type scratch struct{ wide, narrow []float32 }
-
-// idleScratch holds the scratch sets not on loan. It is a plain free
-// list rather than a sync.Pool: a pool keeps one object per P where no
-// other P can take it and drops its objects at GC, which would
-// re-allocate these multi-megabyte buffers whenever the backward's
-// goroutine moved to another P or a collection ran mid-step.
-var idleScratch struct {
-	sync.Mutex
-	sets []*scratch
-}
-
-// borrowScratch lends a scratch set; return it with release.
-func borrowScratch() *scratch {
-	idleScratch.Lock()
-	defer idleScratch.Unlock()
-	n := len(idleScratch.sets)
-	if n == 0 {
-		return new(scratch)
-	}
-	s := idleScratch.sets[n-1]
-	idleScratch.sets = idleScratch.sets[:n-1]
-	return s
-}
-
-func (s *scratch) release() {
-	idleScratch.Lock()
-	idleScratch.sets = append(idleScratch.sets, s)
-	idleScratch.Unlock()
-}
 
 // MLP is the transformer feed-forward block: Linear → GELU → Linear.
 type MLP struct {
@@ -54,7 +11,7 @@ type MLP struct {
 	Act *GELU
 	FC2 *Linear
 
-	dx []float32 // the input gradient of Backward
+	fwdShim, bwdShim *Arena
 }
 
 // NewMLP builds the feed-forward block mapping width → hidden → width.
@@ -69,33 +26,27 @@ func NewMLP(name string, width, hidden int, r *rng.RNG) *MLP {
 // Params returns both projections' parameters.
 func (m *MLP) Params() []*Param { return append(m.FC1.Params(), m.FC2.Params()...) }
 
-// Forward applies the feed-forward transform row-wise.
-func (m *MLP) Forward(x []float32, rows int) []float32 {
-	h := m.FC1.Forward(x, rows)
-	h = m.Act.Forward(h, rows)
-	return m.FC2.Forward(h, rows)
+// Apply applies the feed-forward transform row-wise into ctx.
+func (m *MLP) Apply(ctx *Arena, x []float32, rows int) []float32 {
+	h := m.FC1.Apply(ctx, x, rows)
+	return m.FC2.Apply(ctx, m.Act.Apply(ctx, h), rows)
 }
 
-// Backward propagates the feed-forward gradient and returns dL/dx in a
-// buffer the layer owns, valid until its next Backward. The hidden
-// gradient is a transient borrowed from the shared backward scratch.
-func (m *MLP) Backward(dy []float32) []float32 {
-	s := borrowScratch()
-	m.dx = grow(m.dx, m.FC1.rows*m.FC1.In)
-	s.wide = grow(s.wide, m.FC1.rows*m.FC1.Out)
-	m.backward(m.dx, dy, s.wide)
-	s.release()
-	return m.dx
+// Backprop propagates the feed-forward gradient and writes dL/dx into
+// the caller's dx. The hidden gradient is a transient at ctx's top.
+func (m *MLP) Backprop(ctx *Arena, dx, dy []float32) {
+	mark := ctx.Mark()
+	m.backprop(dx, dy, ctx.Take(m.FC1.rows*m.FC1.Out))
+	ctx.Rewind(mark)
 }
 
-// backward is Backward writing dL/dx into the caller's dx; h is
-// (rows × hidden) scratch that receives FC2's input gradient, which
-// GELU's backward turns in place into FC1's output gradient. Neither
-// may alias dy.
-func (m *MLP) backward(dx, dy, h []float32) {
-	m.FC2.backward(h, dy)
-	m.Act.backward(h, h)
-	m.FC1.backward(dx, h)
+// backprop is Backprop with the caller's (rows × hidden) transient h,
+// which receives FC2's input gradient, turned in place by GELU's
+// backward into FC1's output gradient. Neither dx nor h may alias dy.
+func (m *MLP) backprop(dx, dy, h []float32) {
+	m.FC2.Backprop(h, dy)
+	m.Act.Backprop(h, h)
+	m.FC1.Backprop(dx, h)
 }
 
 // Block is a pre-norm transformer encoder block:
@@ -108,9 +59,6 @@ type Block struct {
 	Attn *MultiHeadAttention
 	LN2  *LayerNorm
 	MLP  *MLP
-
-	y1, y2 []float32 // the residual sums
-	dx     []float32 // the input gradient of Backward
 }
 
 // NewBlock constructs one encoder block with the given width, MLP
@@ -133,52 +81,45 @@ func (b *Block) Params() []*Param {
 	return ps
 }
 
-// Forward runs the block over batch sequences of tokens tokens.
-func (b *Block) Forward(x []float32, batch, tokens int) []float32 {
+// Apply runs the block over batch sequences of tokens tokens, both
+// residual sums in ctx.
+func (b *Block) Apply(ctx *Arena, x []float32, batch, tokens int) []float32 {
 	rows := batch * tokens
-	h := b.LN1.Forward(x, rows)
-	h = b.Attn.Forward(h, batch, tokens)
-	b.y1 = grow(b.y1, len(x))
-	tensor.Add(b.y1, x, h)
+	h := b.Attn.Apply(ctx, b.LN1.Apply(ctx, x, rows), batch, tokens)
+	y1 := ctx.Take(len(x))
+	tensor.Add(y1, x, h)
 
-	h2 := b.LN2.Forward(b.y1, rows)
-	h2 = b.MLP.Forward(h2, rows)
-	b.y2 = grow(b.y2, len(x))
-	tensor.Add(b.y2, b.y1, h2)
-	return b.y2
+	h = b.MLP.Apply(ctx, b.LN2.Apply(ctx, y1, rows), rows)
+	y2 := ctx.Take(len(x))
+	tensor.Add(y2, y1, h)
+	return y2
 }
 
-// Backward propagates through both residual branches and returns
-// dL/dx in a buffer the block owns, valid until its next Backward —
-// the one (rows × width) gradient a block keeps. Every child's input
-// gradient is a transient in a borrowed shared scratch set.
-func (b *Block) Backward(dy []float32) []float32 {
-	s := borrowScratch()
-	dx := b.backward(dy, s)
-	s.release()
-	return dx
-}
-
-// backward runs Block.Backward on the scratch s.
-func (b *Block) backward(dy []float32, s *scratch) []float32 {
+// Backprop propagates through both residual branches and writes dL/dx
+// into the caller's dx, which may alias dy: a stack runs its blocks in
+// place over one gradient. Every child's input gradient is a transient
+// at ctx's top — wide (rows × max(hidden, 3·width)) and narrow
+// (rows × width), which the MLP branch and then the attention branch
+// reuse — so blocks backpropagated at the same top share them.
+func (b *Block) Backprop(ctx *Arena, dx, dy []float32) {
 	rows, n := b.LN1.rows, len(dy)
-	s.wide = grow(s.wide, rows*max(b.MLP.FC1.Out, 3*b.Attn.Width))
-	s.narrow = grow(s.narrow, n)
-	wide, narrow := s.wide, s.narrow
+	mark := ctx.Mark()
+	wide := ctx.Take(rows * max(b.MLP.FC1.Out, 3*b.Attn.Width))
+	narrow := ctx.Take(n)
 
 	// MLP branch: FC2's and GELU's gradients in wide, FC1's in narrow,
 	// LN2's back in wide.
-	b.MLP.backward(narrow, dy, wide[:rows*b.MLP.FC1.Out])
-	b.LN2.backward(wide[:n], narrow)
-	// Gradient into y1 is the residual term plus the MLP branch.
-	b.dx = grow(b.dx, n)
-	tensor.Add(b.dx, dy, wide[:n])
+	b.MLP.backprop(narrow, dy, wide[:rows*b.MLP.FC1.Out])
+	b.LN2.Backprop(wide[:n], narrow)
+	// Gradient into y1 is the residual term plus the MLP branch; dy is
+	// not read after this.
+	tensor.Add(dx, dy, wide[:n])
 
 	// Attention branch: the output projection's and QKV's gradients in
 	// narrow, the fused head gradients in wide, LN1's back in wide.
-	b.Attn.backward(narrow, b.dx, wide[:3*n])
-	b.LN1.backward(wide[:n], narrow)
+	b.Attn.backprop(narrow, dx, wide[:3*n])
+	b.LN1.Backprop(wide[:n], narrow)
 	// dx = dy1 + dln1, in place.
-	tensor.Add(b.dx, b.dx, wide[:n])
-	return b.dx
+	tensor.Add(dx, dx, wide[:n])
+	ctx.Rewind(mark)
 }

@@ -80,27 +80,28 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 			wantDB := append([]float32(nil), l.B.Grad.Data...)
 			serialColumnSums(wantDB, dy, s.rows)
 
-			if y := l.Forward(x, s.rows); !bitsEqual(y, wantY) {
-				t.Errorf("procs=%d %+v: Linear.Forward differs from the serial bias loop", procs, s)
+			ctx := NewTrainCtx()
+			if y := l.Apply(ctx, x, s.rows); !bitsEqual(y, wantY) {
+				t.Errorf("procs=%d %+v: Linear.Apply differs from the serial bias loop", procs, s)
 			}
-			if y := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(y, wantY) {
-				t.Errorf("procs=%d %+v: Linear.Infer differs from the serial bias loop", procs, s)
+			if y := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(y, wantY) {
+				t.Errorf("procs=%d %+v: frozen Linear.Apply differs from the serial bias loop", procs, s)
 			}
-			l.Backward(dy)
+			l.Backprop(nil, dy)
 			if !bitsEqual(l.B.Grad.Data, wantDB) {
-				t.Errorf("procs=%d %+v: Linear.Backward bias grad differs from the serial column sums", procs, s)
+				t.Errorf("procs=%d %+v: Linear.Backprop bias grad differs from the serial column sums", procs, s)
 			}
 
 			ln := NewLayerNorm("ln", s.out)
 			r.FillNormal(ln.Gamma.Grad.Data, 0, 1)
 			r.FillNormal(ln.Beta.Grad.Data, 0, 1)
-			ln.Forward(wantY, s.rows)
+			ln.Apply(ctx, wantY, s.rows)
 			wantDG := append([]float32(nil), ln.Gamma.Grad.Data...)
 			wantDBeta := append([]float32(nil), ln.Beta.Grad.Data...)
 			serialLayerNormParamGrads(wantDG, wantDBeta, dy, ln.xhat, s.rows)
-			ln.Backward(dy)
+			ln.Backprop(make([]float32, len(dy)), dy)
 			if !bitsEqual(ln.Gamma.Grad.Data, wantDG) || !bitsEqual(ln.Beta.Grad.Data, wantDBeta) {
-				t.Errorf("procs=%d %+v: LayerNorm.Backward dγ/dβ differ from the serial loop", procs, s)
+				t.Errorf("procs=%d %+v: LayerNorm.Backprop dγ/dβ differ from the serial loop", procs, s)
 			}
 		}
 	}
@@ -110,7 +111,7 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 // every tile sees the same K strips in the same order wherever the cut
 // falls, so a Linear layer — bias folded into the last strip's
 // write-back, one to three strips deep, ragged at both edges — gives
-// the same bits forward, through both Infer weight modes and backward
+// the same bits forward, through both frozen weight modes and backward
 // at every worker count.
 func TestLinearProcsIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -124,14 +125,16 @@ func TestLinearProcsIndependent(t *testing.T) {
 			l := NewLinear("l", s.in, s.out, rng.New(3))
 			rng.New(4).FillNormal(l.B.Value.Data, 0, 1)
 			tensor.RoundBF16(l.W.Value.Data, l.W.Value.Data) // so the bf16 shadow is exact
-			y := l.Forward(x, s.rows)
-			if yi := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(yi, y) {
-				t.Errorf("GOMAXPROCS=%d %+v: Infer differs from Forward", runtime.GOMAXPROCS(0), s)
+			y := l.Apply(NewTrainCtx(), x, s.rows)
+			if yf := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(yf, y) {
+				t.Errorf("GOMAXPROCS=%d %+v: frozen pass differs from the recording pass", runtime.GOMAXPROCS(0), s)
 			}
-			out = append(out, append([]float32(nil), y...), append([]float32(nil), l.Backward(dy)...), l.W.Grad.Data, l.B.Grad.Data)
+			dx := make([]float32, len(x))
+			l.Backprop(dx, dy)
+			out = append(out, y, dx, l.W.Grad.Data, l.B.Grad.Data)
 			ShadowBF16(l.Params())
-			if yi := l.Infer(NewInferCtx(), x, s.rows); !bitsEqual(yi, y) {
-				t.Errorf("GOMAXPROCS=%d %+v: bf16-weight Infer differs from Forward", runtime.GOMAXPROCS(0), s)
+			if yf := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(yf, y) {
+				t.Errorf("GOMAXPROCS=%d %+v: bf16-weight frozen pass differs from the recording pass", runtime.GOMAXPROCS(0), s)
 			}
 			return out
 		}
@@ -155,7 +158,8 @@ func TestLinearProcsIndependent(t *testing.T) {
 // FuzzGELU drives the activation layer with arbitrary inputs, seeded
 // with live pre-activations (FC1 outputs of an MLP on unit-normal
 // rows): both passes stay within the kernel's accuracy contract
-// against the float64 tanh form, Infer equals Forward bitwise, an
+// against the float64 tanh form, the frozen pass equals the recording
+// pass bitwise, an
 // element's value does not depend on its position in the buffer, and
 // non-finite inputs poison the output.
 func FuzzGELU(f *testing.F) {
@@ -163,7 +167,7 @@ func FuzzGELU(f *testing.F) {
 	m := NewMLP("mlp", 16, 64, r)
 	x := make([]float32, 8*16)
 	r.FillNormal(x, 0, 1)
-	for _, v := range m.FC1.Forward(x, 8)[:48] {
+	for _, v := range m.FC1.Apply(NewInferCtx(), x, 8)[:48] {
 		f.Add(v, float32(1))
 	}
 	for _, v := range []float32{0, 100, -100, 1e-40, -10.2, 3e19, float32(math.Inf(-1)), float32(math.NaN())} {
@@ -176,9 +180,10 @@ func FuzzGELU(f *testing.F) {
 		for i := range xs {
 			xs[i], dys[i] = x, dy
 		}
-		y := g.Forward(xs, 1)
-		dx := g.Backward(dys)
-		yi := g.Infer(NewInferCtx(), xs, 1)
+		y := g.Apply(NewTrainCtx(), xs)
+		dx := make([]float32, n)
+		g.Backprop(dx, dys)
+		yi := g.Apply(NewInferCtx(), xs)
 		xf := float64(x)
 		if math.IsNaN(xf) || math.IsInf(xf, 0) {
 			if v := float64(y[0]); !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -189,7 +194,7 @@ func FuzzGELU(f *testing.F) {
 		for i := range y {
 			if math.Float32bits(y[i]) != math.Float32bits(y[0]) || math.Float32bits(yi[i]) != math.Float32bits(y[0]) ||
 				(math.Float32bits(dx[i]) != math.Float32bits(dx[0]) && !math.IsNaN(float64(dx[0]))) {
-				t.Fatalf("gelu(%g): element %d differs from element 0 (position or Infer dependence)", x, i)
+				t.Fatalf("gelu(%g): element %d differs from element 0 (position or arena dependence)", x, i)
 			}
 		}
 		th := math.Tanh(c * (xf + 0.044715*xf*xf*xf))

@@ -89,15 +89,10 @@ func NewPatchEmbed(name string, patchDim, width, gridH, gridW int, r *rng.RNG) *
 // fixed and carry no gradient).
 func (pe *PatchEmbed) Params() []*Param { return pe.Proj.Params() }
 
-// Forward embeds (batch·Tokens) flattened patches and adds positional
-// encodings.
-func (pe *PatchEmbed) Forward(patches []float32, batch int) []float32 {
-	return pe.addPos(pe.Proj.Forward(patches, batch*pe.Tokens))
-}
-
-// addPos adds the positional table to the projected (batch·Tokens ×
-// Width) rows of y in place — the one loop Forward and Infer share.
-func (pe *PatchEmbed) addPos(y []float32) []float32 {
+// Apply embeds (batch·Tokens) flattened patches into ctx and adds the
+// positional encodings in place.
+func (pe *PatchEmbed) Apply(ctx *Arena, patches []float32, batch int) []float32 {
+	y := pe.Proj.Apply(ctx, patches, batch*pe.Tokens)
 	w := pe.Width
 	parallel.RangeGrain(len(y)/w, 1+parallel.MinGrain/(w+1), func(lo, hi int) {
 		for rIdx := lo; rIdx < hi; rIdx++ {
@@ -111,13 +106,11 @@ func (pe *PatchEmbed) addPos(y []float32) []float32 {
 	return y
 }
 
-// Backward accumulates the projection's parameter gradients
+// Backprop accumulates the projection's parameter gradients
 // (positional embeddings are constant, so the gradient passes through
 // unchanged to Proj). Nothing upstream of the patches is trained, so
 // no pixel gradient is computed.
-func (pe *PatchEmbed) Backward(dy []float32) {
-	pe.Proj.backward(nil, dy)
-}
+func (pe *PatchEmbed) Backprop(dy []float32) { pe.Proj.Backprop(nil, dy) }
 
 // SinCos2D returns the fixed 2-D sine-cosine positional embedding table
 // of shape (gridH·gridW × dim), matching the get_2d_sincos_pos_embed

@@ -78,16 +78,35 @@ func sampleIdx(r *rng.RNG, n, k int) []int {
 	return perm[:k]
 }
 
+// recorded returns gradCheck's forward for one layer's Apply on a
+// recording arena, reset every call, and the arena its backward takes
+// transients from.
+func recorded(apply func(ctx *Arena, x []float32) []float32) (func([]float32) []float32, *Arena) {
+	ctx := NewTrainCtx()
+	return func(x []float32) []float32 {
+		ctx.Reset()
+		return apply(ctx, x)
+	}, ctx
+}
+
+// into returns gradCheck's backward for a Backprop writing dL/dx into
+// a fresh n-float buffer.
+func into(n int, backprop func(dx, dy []float32)) func([]float32) []float32 {
+	return func(dy []float32) []float32 {
+		dx := make([]float32, n)
+		backprop(dx, dy)
+		return dx
+	}
+}
+
 func TestLinearGradients(t *testing.T) {
 	r := rng.New(1)
 	const rows, in, out = 5, 7, 4
 	l := NewLinear("lin", in, out, r)
 	x := make([]float32, rows*in)
 	r.FillNormal(x, 0, 1)
-	gradCheck(t, "Linear", x, rows*out,
-		func(x []float32) []float32 { return l.Forward(x, rows) },
-		func(dy []float32) []float32 { return l.Backward(dy) },
-		l.Params(), 1e-2)
+	fwd, _ := recorded(func(ctx *Arena, x []float32) []float32 { return l.Apply(ctx, x, rows) })
+	gradCheck(t, "Linear", x, rows*out, fwd, into(len(x), l.Backprop), l.Params(), 1e-2)
 }
 
 func TestLayerNormGradients(t *testing.T) {
@@ -99,10 +118,8 @@ func TestLayerNormGradients(t *testing.T) {
 	ln.Beta.Value.RandnInit(r, 1)
 	x := make([]float32, rows*dim)
 	r.FillNormal(x, 0, 2)
-	gradCheck(t, "LayerNorm", x, rows*dim,
-		func(x []float32) []float32 { return ln.Forward(x, rows) },
-		func(dy []float32) []float32 { return ln.Backward(dy) },
-		ln.Params(), 2e-2)
+	fwd, _ := recorded(func(ctx *Arena, x []float32) []float32 { return ln.Apply(ctx, x, rows) })
+	gradCheck(t, "LayerNorm", x, rows*dim, fwd, into(len(x), ln.Backprop), ln.Params(), 2e-2)
 }
 
 func TestGELUGradients(t *testing.T) {
@@ -110,10 +127,8 @@ func TestGELUGradients(t *testing.T) {
 	g := NewGELU()
 	x := make([]float32, 50)
 	r.FillNormal(x, 0, 2)
-	gradCheck(t, "GELU", x, len(x),
-		func(x []float32) []float32 { return g.Forward(x, 1) },
-		func(dy []float32) []float32 { return g.Backward(dy) },
-		nil, 1e-2)
+	fwd, _ := recorded(g.Apply)
+	gradCheck(t, "GELU", x, len(x), fwd, into(len(x), g.Backprop), nil, 1e-2)
 }
 
 func TestAttentionGradients(t *testing.T) {
@@ -122,10 +137,9 @@ func TestAttentionGradients(t *testing.T) {
 	a := NewMultiHeadAttention("attn", width, heads, r)
 	x := make([]float32, batch*tokens*width)
 	r.FillNormal(x, 0, 1)
-	gradCheck(t, "MHA", x, batch*tokens*width,
-		func(x []float32) []float32 { return a.Forward(x, batch, tokens) },
-		func(dy []float32) []float32 { return a.Backward(dy) },
-		a.Params(), 2e-2)
+	fwd, ctx := recorded(func(ctx *Arena, x []float32) []float32 { return a.Apply(ctx, x, batch, tokens) })
+	gradCheck(t, "MHA", x, batch*tokens*width, fwd,
+		into(len(x), func(dx, dy []float32) { a.Backprop(ctx, dx, dy) }), a.Params(), 2e-2)
 }
 
 func TestMLPGradients(t *testing.T) {
@@ -134,10 +148,9 @@ func TestMLPGradients(t *testing.T) {
 	m := NewMLP("mlp", width, hidden, r)
 	x := make([]float32, rows*width)
 	r.FillNormal(x, 0, 1)
-	gradCheck(t, "MLP", x, rows*width,
-		func(x []float32) []float32 { return m.Forward(x, rows) },
-		func(dy []float32) []float32 { return m.Backward(dy) },
-		m.Params(), 1e-2)
+	fwd, ctx := recorded(func(ctx *Arena, x []float32) []float32 { return m.Apply(ctx, x, rows) })
+	gradCheck(t, "MLP", x, rows*width, fwd,
+		into(len(x), func(dx, dy []float32) { m.Backprop(ctx, dx, dy) }), m.Params(), 1e-2)
 }
 
 func TestBlockGradients(t *testing.T) {
@@ -146,10 +159,9 @@ func TestBlockGradients(t *testing.T) {
 	b := NewBlock("blk", width, hidden, heads, r)
 	x := make([]float32, batch*tokens*width)
 	r.FillNormal(x, 0, 1)
-	gradCheck(t, "Block", x, batch*tokens*width,
-		func(x []float32) []float32 { return b.Forward(x, batch, tokens) },
-		func(dy []float32) []float32 { return b.Backward(dy) },
-		b.Params(), 3e-2)
+	fwd, ctx := recorded(func(ctx *Arena, x []float32) []float32 { return b.Apply(ctx, x, batch, tokens) })
+	gradCheck(t, "Block", x, batch*tokens*width, fwd,
+		into(len(x), func(dx, dy []float32) { b.Backprop(ctx, dx, dy) }), b.Params(), 3e-2)
 }
 
 func TestPatchEmbedGradients(t *testing.T) {
@@ -158,9 +170,9 @@ func TestPatchEmbedGradients(t *testing.T) {
 	pe := NewPatchEmbed("pe", patchDim, width, gridH, gridW, r)
 	x := make([]float32, batch*gridH*gridW*patchDim)
 	r.FillNormal(x, 0, 1)
-	gradCheck(t, "PatchEmbed", x, batch*gridH*gridW*width,
-		func(x []float32) []float32 { return pe.Forward(x, batch) },
-		func(dy []float32) []float32 { pe.Backward(dy); return nil },
+	fwd, _ := recorded(func(ctx *Arena, x []float32) []float32 { return pe.Apply(ctx, x, batch) })
+	gradCheck(t, "PatchEmbed", x, batch*gridH*gridW*width, fwd,
+		func(dy []float32) []float32 { pe.Backprop(dy); return nil },
 		pe.Params(), 1e-2)
 }
 

@@ -11,10 +11,12 @@ type LayerNorm struct {
 	Beta  *Param
 	Eps   float32
 
-	rows   int
-	xhat   []float32 // cached normalized input
-	invStd []float32 // cached 1/σ per row
-	y, dx  []float32
+	// what Backprop re-reads, recorded by Apply on a recording arena: the
+	// row count, the normalized input and 1/σ per row
+	rows         int
+	xhat, invStd []float32
+
+	fwdShim *Arena
 }
 
 // NewLayerNorm constructs a LayerNorm with γ=1, β=0.
@@ -34,34 +36,28 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Params returns γ and β.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
-// Forward normalizes each of the rows rows of x.
-func (ln *LayerNorm) Forward(x []float32, rows int) []float32 {
+// Apply normalizes each of the rows rows of x into ctx. A recording
+// arena also takes x̂ and 1/σ, which the same kernel call fills.
+func (ln *LayerNorm) Apply(ctx *Arena, x []float32, rows int) []float32 {
 	d := ln.Dim
-	checkRows(len(x), rows, d, "LayerNorm.Forward")
-	ln.rows = rows
-	ln.xhat = grow(ln.xhat, rows*d)
-	ln.invStd = grow(ln.invStd, rows)
-	ln.y = grow(ln.y, rows*d)
-	tensor.LayerNorm(ln.y, ln.xhat, ln.invStd, x, ln.Gamma.Value.Data, ln.Beta.Value.Data, rows, d, ln.Eps)
-	return ln.y
+	checkRows(len(x), rows, d, "LayerNorm.Apply")
+	y := ctx.Take(rows * d)
+	var xhat, invStd []float32
+	if ctx.recording {
+		xhat, invStd = ctx.Take(rows*d), ctx.Take(rows)
+		ln.rows, ln.xhat, ln.invStd = rows, xhat, invStd
+	}
+	tensor.LayerNorm(y, xhat, invStd, x, ln.Gamma.Value.Data, ln.Beta.Value.Data, rows, d, ln.Eps)
+	return y
 }
 
-// Backward computes the LayerNorm gradient from the x̂ and 1/σ cached
-// by Forward (tensor.LayerNormBackward), accumulating dγ and dβ, and
-// returns dL/dx in a buffer the layer owns, valid until its next
-// Backward.
-func (ln *LayerNorm) Backward(dy []float32) []float32 {
-	ln.dx = grow(ln.dx, ln.rows*ln.Dim)
-	ln.backward(ln.dx, dy)
-	return ln.dx
-}
-
-// backward is Backward writing dL/dx into the caller's dx, which must
-// not alias dy.
-func (ln *LayerNorm) backward(dx, dy []float32) {
+// Backprop computes the LayerNorm gradient from the recorded x̂ and 1/σ
+// (tensor.LayerNormBackward), accumulating dγ and dβ, and writes dL/dx
+// into the caller's dx, which must not alias dy.
+func (ln *LayerNorm) Backprop(dx, dy []float32) {
 	d := ln.Dim
 	rows := ln.rows
-	checkRows(len(dy), rows, d, "LayerNorm.Backward")
+	checkRows(len(dy), rows, d, "LayerNorm.Backprop")
 	tensor.LayerNormParamGrads(ln.Gamma.Grad.Data, ln.Beta.Grad.Data, dy, ln.xhat, rows, d)
 	tensor.LayerNormBackward(dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value.Data, rows, d)
 }

@@ -13,12 +13,10 @@ type Linear struct {
 	In, Out int
 	W, B    *Param
 
-	// cached forward input and row count for the backward pass
+	// the input and row count Backprop re-reads, recorded by Apply on a
+	// recording arena
 	x    []float32
 	rows int
-	// the forward output, and the input gradient of Backward (backward
-	// writes into the caller's memory instead)
-	y, dx []float32
 }
 
 // NewLinear constructs a Linear layer with Xavier-uniform weights and
@@ -38,31 +36,32 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Forward computes y = x·W + b for rows input rows. The returned slice
-// is owned by the layer and valid until the next Forward call.
-func (l *Linear) Forward(x []float32, rows int) []float32 {
-	checkRows(len(x), rows, l.In, "Linear.Forward")
-	l.x = x
-	l.rows = rows
-	l.y = grow(l.y, rows*l.Out)
-	tensor.MatMulBias(l.y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
-	return l.y
+// Apply computes y = x·W + b for rows input rows into ctx. On a frozen
+// arena a weight with a bf16 shadow (ShadowBF16) streams its 2-byte
+// encoding through the bf16-input GEMM, which widens panels in its pack
+// stage, so no fp32 round-trip buffer of the weights exists on that
+// path; a recording arena always reads Value, so training never sees a
+// stale shadow.
+func (l *Linear) Apply(ctx *Arena, x []float32, rows int) []float32 {
+	checkRows(len(x), rows, l.In, "Linear.Apply")
+	y := ctx.Take(rows * l.Out)
+	if w := l.W.BF16; w != nil && !ctx.recording {
+		tensor.MatMulBF16Bias(y, x, w, l.B.Value.Data, rows, l.In, l.Out, false)
+		return y
+	}
+	if ctx.recording {
+		l.x, l.rows = x, rows
+	}
+	tensor.MatMulBias(y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
+	return y
 }
 
-// Backward consumes dL/dy, accumulates dL/dW and dL/db, and returns
-// dL/dx in a buffer the layer owns, valid until its next Backward.
-func (l *Linear) Backward(dy []float32) []float32 {
-	l.dx = grow(l.dx, l.rows*l.In)
-	l.backward(l.dx, dy)
-	return l.dx
-}
-
-// backward is Backward writing dL/dx into the caller's (rows × In) dx,
-// which must not alias dy; a nil dx skips the input gradient and only
-// accumulates the parameter gradients.
-func (l *Linear) backward(dx, dy []float32) {
+// Backprop consumes dL/dy of the last recording Apply, accumulates
+// dL/dW and dL/db, and writes dL/dx into the caller's (rows × In) dx,
+// which must not alias dy; a nil dx skips the input gradient.
+func (l *Linear) Backprop(dx, dy []float32) {
 	rows := l.rows
-	checkRows(len(dy), rows, l.Out, "Linear.Backward")
+	checkRows(len(dy), rows, l.Out, "Linear.Backprop")
 	// dW += xᵀ·dy : (in × rows)·(rows × out)
 	tensor.MatMulTA(l.W.Grad.Data, l.x, dy, l.In, rows, l.Out, true)
 	tensor.ColumnSums(l.B.Grad.Data, dy, rows, l.Out)

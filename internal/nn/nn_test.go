@@ -90,7 +90,7 @@ func TestLinearForwardKnown(t *testing.T) {
 	l := NewLinear("l", 2, 2, r)
 	copy(l.W.Value.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]] (in×out)
 	copy(l.B.Value.Data, []float32{10, 20})
-	y := l.Forward([]float32{1, 1}, 1)
+	y := l.Apply(NewInferCtx(), []float32{1, 1}, 1)
 	// y = [1+3+10, 2+4+20] = [14, 26]
 	if y[0] != 14 || y[1] != 26 {
 		t.Fatalf("y=%v", y)
@@ -113,7 +113,7 @@ func TestLayerNormOutputMoments(t *testing.T) {
 	ln := NewLayerNorm("ln", dim)
 	x := make([]float32, rows*dim)
 	r.FillNormal(x, 3, 5)
-	y := ln.Forward(x, rows)
+	y := ln.Apply(NewInferCtx(), x, rows)
 	for row := 0; row < rows; row++ {
 		seg := y[row*dim : (row+1)*dim]
 		mean := tensor.Mean(seg)
@@ -131,8 +131,8 @@ func TestLayerNormOutputMoments(t *testing.T) {
 	}
 }
 
-// TestGELUKnownValues pins the activation's edges through all three
-// layer entry points: gelu(±0) = ±0, saturation at ±100 without exp
+// TestGELUKnownValues pins the activation's edges through both passes
+// and both arenas: gelu(±0) = ±0, saturation at ±100 without exp
 // overflow, denormals halve, huge finite inputs stay finite in both
 // passes, and NaN/±Inf poison the output (the bf16 loss scaler's
 // HasNonFinite skip depends on that).
@@ -140,12 +140,13 @@ func TestGELUKnownValues(t *testing.T) {
 	bits := math.Float32bits
 	gelu := func(x float32) (y, d float32) {
 		g := NewGELU()
-		y = g.Forward([]float32{x}, 1)[0]
-		d = g.Backward([]float32{1})[0]
-		if yi := g.Infer(NewInferCtx(), []float32{x}, 1)[0]; bits(yi) != bits(y) && !math.IsNaN(float64(y)) {
-			t.Errorf("Infer(%g) = %g, Forward = %g", x, yi, y)
+		y = g.Apply(NewTrainCtx(), []float32{x})[0]
+		dx := []float32{1}
+		g.Backprop(dx, dx)
+		if yf := g.Apply(NewInferCtx(), []float32{x})[0]; bits(yf) != bits(y) && !math.IsNaN(float64(y)) {
+			t.Errorf("frozen gelu(%g) = %g, recording %g", x, yf, y)
 		}
-		return y, d
+		return y, dx[0]
 	}
 	zero := float32(0)
 	for _, x := range []float32{0, -zero} {
@@ -190,7 +191,7 @@ func TestAttentionOutputShapeAndFiniteness(t *testing.T) {
 	a := NewMultiHeadAttention("attn", width, heads, r)
 	x := make([]float32, batch*tokens*width)
 	r.FillNormal(x, 0, 1)
-	y := a.Forward(x, batch, tokens)
+	y := a.Apply(NewInferCtx(), x, batch, tokens)
 	if len(y) != batch*tokens*width {
 		t.Fatalf("len(y)=%d", len(y))
 	}
@@ -224,9 +225,10 @@ func TestAttentionBatchIndependence(t *testing.T) {
 	r.FillNormal(x2, 0, 1)
 
 	joint := append(append([]float32{}, x1...), x2...)
-	yj := append([]float32(nil), a.Forward(joint, 2, tokens)...)
-	y1 := append([]float32(nil), a.Forward(x1, 1, tokens)...)
-	y2 := append([]float32(nil), a.Forward(x2, 1, tokens)...)
+	ctx := NewInferCtx()
+	yj := a.Apply(ctx, joint, 2, tokens)
+	y1 := a.Apply(ctx, x1, 1, tokens)
+	y2 := a.Apply(ctx, x2, 1, tokens)
 
 	for i := range y1 {
 		if math.Abs(float64(yj[i]-y1[i])) > 1e-5 {
@@ -435,9 +437,12 @@ func BenchmarkBlockForwardBackward(b *testing.B) {
 	r.FillNormal(x, 0, 1)
 	dy := make([]float32, batch*tokens*width)
 	r.FillNormal(dy, 0, 1)
+	dx := make([]float32, len(x))
+	ctx := NewTrainCtx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk.Forward(x, batch, tokens)
-		blk.Backward(dy)
+		ctx.Reset()
+		blk.Apply(ctx, x, batch, tokens)
+		blk.Backprop(ctx, dx, dy)
 	}
 }

@@ -5,24 +5,25 @@
 // with (per-patch normalized MSE for MAE pretraining, cross-entropy for
 // linear probing).
 //
-// Every layer implements an explicit Forward/Backward pair with cached
-// activations (the "modular backprop" style): Forward consumes a
-// (rows × features) matrix of row-major float32 and returns the layer
-// output; Backward consumes the upstream gradient, accumulates
-// parameter gradients, and returns the input gradient. Layers reuse
-// internal buffers across steps, so a layer instance must not be used
-// from multiple goroutines concurrently — parallelism lives *inside*
-// the kernels (see internal/tensor and internal/parallel).
+// Every layer implements an explicit forward/backward pair (the
+// "modular backprop" style): Apply consumes a (rows × features) matrix
+// of row-major float32 and returns the layer output; Backprop consumes
+// the upstream gradient, accumulates parameter gradients, and writes
+// the input gradient into memory the caller passes. Parallelism lives
+// *inside* the kernels (see internal/tensor and internal/parallel).
 //
-// Ownership: what a backward must re-read — forward caches and
-// outputs — stays in the layers for the whole step. Backward
-// transients do not: inside Block.Backward every child's input
-// gradient is written into a scratch set the block borrows for its
-// duration and that every block in the process shares (scratch in
-// block.go), so a trained block keeps one input gradient, its own. A
-// layer's exported Backward is a thin wrapper that hands the same
-// unexported backward its own output buffer (valid until the layer's
-// next Backward); one arithmetic path serves both.
+// Ownership: every activation lives in an Arena the caller owns
+// (arena.go). Apply takes its outputs there and, on a recording arena,
+// the caches its backward re-reads, noting in the layer which slices
+// those are (so a layer runs one recording pass at a time); on a frozen
+// arena it notes nothing, so a frozen pass is the recording pass with
+// no layer state written, and one read-only model serves concurrent
+// workers. A backward takes its transients from the arena's top and
+// rewinds: inside Block.Backprop every child's input gradient is one of
+// two transients that every block backpropagated at the same top
+// shares, and a stack of blocks runs in place over one input gradient.
+// A training step's activation footprint is therefore its recording
+// arena's Bytes.
 package nn
 
 import (
@@ -42,10 +43,10 @@ type Param struct {
 	// AdamW must exclude from decoupled weight decay, following the
 	// MAE recipe.
 	NoWeightDecay bool
-	// BF16, when non-nil, is a bf16 encoding of Value that Linear.Infer
-	// streams through the bf16-input GEMM instead of the fp32 weights —
-	// half the weight-read bandwidth. Set by ShadowBF16; training always
-	// reads Value.
+	// BF16, when non-nil, is a bf16 encoding of Value that Linear.Apply
+	// on a frozen arena streams through the bf16-input GEMM instead of
+	// the fp32 weights — half the weight-read bandwidth. Set by
+	// ShadowBF16; training always reads Value.
 	BF16 []uint16
 }
 
@@ -67,7 +68,7 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // ShadowBF16 packs the BF16 shadow of every 2-D parameter in ps — the
 // weight matrices; vectors (biases, norm gains) get none. When Value
 // already holds bf16-resolution numbers (tensor.RoundBF16 first), the
-// encoding is exact and Infer's results are bitwise unchanged:
+// encoding is exact and frozen passes are bitwise unchanged:
 // MatMulBF16 equals MatMul over the widened shadow. Call it again after
 // any change to the values.
 func ShadowBF16(ps []*Param) {
@@ -147,15 +148,6 @@ func ClipGradNorm(ps []*Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// grow returns buf resized to n elements, reusing capacity when
-// possible. Contents are unspecified.
-func grow(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
 }
 
 func checkRows(n, rows, cols int, layer string) {

@@ -10,12 +10,14 @@ import (
 
 // replica is a small encoder/decoder-shaped stack: two narrow-row
 // blocks and one wider-row, narrower-width block, so one backward walks
-// the shared scratch through both shapes, as an MAE step does.
+// the transient top through both shapes, as an MAE step does. It owns
+// its recording arena, as a model replica does.
 type replica struct {
 	enc     []*Block
 	dec     *Block
 	x, xDec []float32
 	dy      []float32
+	ctx     *Arena
 }
 
 const (
@@ -34,6 +36,7 @@ func newReplica() *replica {
 		x:    make([]float32, repBatch*repEncTokens*repEncWidth),
 		xDec: make([]float32, repBatch*repDecTokens*repDecWidth),
 		dy:   make([]float32, repBatch*repDecTokens*repDecWidth),
+		ctx:  NewTrainCtx(),
 	}
 	r.FillNormal(rp.x, 0, 1)
 	r.FillNormal(rp.xDec, 0, 1)
@@ -43,17 +46,22 @@ func newReplica() *replica {
 
 // step runs one forward and backward through the stack (the decoder's
 // gradient stands in for the encoder's upstream gradient, truncated to
-// its size) and returns the encoder input gradient and every parameter
-// gradient, accumulated over the steps so far.
+// its size; the encoder blocks run in place over it) and returns the
+// encoder input gradient and every parameter gradient, accumulated over
+// the steps so far.
 func (rp *replica) step() [][]float32 {
+	ctx := rp.ctx
+	ctx.Reset()
 	h := rp.x
 	for _, b := range rp.enc {
-		h = b.Forward(h, repBatch, repEncTokens)
+		h = b.Apply(ctx, h, repBatch, repEncTokens)
 	}
-	rp.dec.Forward(rp.xDec, repBatch, repDecTokens)
-	d := rp.dec.Backward(rp.dy)[:len(h)]
+	rp.dec.Apply(ctx, rp.xDec, repBatch, repDecTokens)
+	d := ctx.Take(len(rp.dy))
+	rp.dec.Backprop(ctx, d, rp.dy)
+	d = d[:len(h)]
 	for i := len(rp.enc) - 1; i >= 0; i-- {
-		d = rp.enc[i].Backward(d)
+		rp.enc[i].Backprop(ctx, d, d)
 	}
 	out := [][]float32{append([]float32(nil), d...)}
 	for _, b := range append(rp.enc, rp.dec) {
@@ -65,10 +73,10 @@ func (rp *replica) step() [][]float32 {
 }
 
 // TestSharedScratchConcurrentReplicas: two replicas stepping
-// concurrently — as in-process ranks do — each borrow their own shared
-// backward scratch, so every step's gradients are bitwise those of a
-// replica stepping alone. Run under -race it also checks that no two
-// backwards ever hold the same scratch.
+// concurrently — as in-process ranks do — each take their backward
+// transients from their own arena's top, so every step's gradients are
+// bitwise those of a replica stepping alone. Run under -race it also
+// checks that no two replicas ever share activation memory.
 func TestSharedScratchConcurrentReplicas(t *testing.T) {
 	const steps = 3
 	solo := newReplica()
@@ -100,39 +108,54 @@ func TestSharedScratchConcurrentReplicas(t *testing.T) {
 	}
 }
 
-// TestBlockBackwardOverwritesScratch: the scratch a backward borrows
-// holds whatever the previous loan left, so every kernel writing into
-// it must overwrite. A scratch poisoned with NaN — larger than needed,
-// so stale tails exist too — gives bitwise the gradients of a fresh one.
+// poison fills slots slots of a with NaN at n floats each — more than
+// any pass below takes — and resets it, so every slot a pass then takes
+// is reused, stale and oversized.
+func poison(a *Arena, slots, n int) *Arena {
+	for i := 0; i < slots; i++ {
+		for j, buf := 0, a.Take(n); j < n; j++ {
+			buf[j] = float32(math.NaN())
+		}
+	}
+	a.Reset()
+	return a
+}
+
+// TestBlockBackwardOverwritesScratch: an arena hands out slots holding
+// whatever the previous pass left, so every kernel writing into a slot
+// must overwrite, never accumulate — the forward's outputs and caches
+// and the backward's transients alike. Recording and frozen arenas
+// poisoned with NaN give bitwise the outputs and gradients of fresh
+// ones, and do not grow.
 func TestBlockBackwardOverwritesScratch(t *testing.T) {
 	const batch, tokens, width, hidden, heads = 2, 23, 24, 80, 4
-	run := func(s *scratch) [][]float32 {
+	run := func(ctx, frozen *Arena) [][]float32 {
 		r := rng.New(41)
 		b := NewBlock("blk", width, hidden, heads, r)
 		x := make([]float32, batch*tokens*width)
 		dy := make([]float32, batch*tokens*width)
 		r.FillNormal(x, 0, 1)
 		r.FillNormal(dy, 0, 1)
-		b.Forward(x, batch, tokens)
-		out := [][]float32{append([]float32(nil), b.backward(dy, s)...)}
+		y := b.Apply(ctx, x, batch, tokens)
+		out := [][]float32{append([]float32(nil), y...), b.Apply(frozen, x, batch, tokens)}
+		dx := make([]float32, len(x))
+		b.Backprop(ctx, dx, dy)
+		out = append(out, dx)
 		for _, p := range b.Params() {
 			out = append(out, p.Grad.Data)
 		}
 		return out
 	}
-	poisoned := &scratch{
-		wide:   make([]float32, 2*batch*tokens*hidden),
-		narrow: make([]float32, 2*batch*tokens*width),
-	}
-	for _, buf := range [][]float32{poisoned.wide, poisoned.narrow} {
-		for i := range buf {
-			buf[i] = float32(math.NaN())
-		}
-	}
-	want, got := run(new(scratch)), run(poisoned)
+	const slots, n = 64, 2 * batch * tokens * hidden
+	want := run(NewTrainCtx(), NewInferCtx())
+	ctx, frozen := poison(NewTrainCtx(), slots, n), poison(NewInferCtx(), slots, n)
+	got := run(ctx, frozen)
 	for i := range want {
 		if !bitsEqual(got[i], want[i]) {
-			t.Fatalf("result %d differs with a poisoned scratch", i)
+			t.Fatalf("result %d differs on a poisoned arena", i)
 		}
+	}
+	if ctx.Bytes() != 4*slots*n || frozen.Bytes() != 4*slots*n {
+		t.Fatal("a take outgrew the poisoned slots")
 	}
 }

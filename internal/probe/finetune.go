@@ -56,6 +56,8 @@ func FineTune(cfg FineTuneConfig, model *mae.Model, ds *geodata.Dataset) (*FineT
 	width := model.Cfg.Encoder.Width
 	r := rng.New(cfg.Seed)
 	head := nn.NewLinear("finetune.head", width, classes, r)
+	ctx := nn.NewTrainCtx()
+	defer ctx.Release()
 
 	params := append(model.EncoderParams(), head.Params()...)
 	optim := opt.NewAdamW(params, cfg.WeightDecay)
@@ -83,15 +85,15 @@ func FineTune(cfg FineTuneConfig, model *mae.Model, ds *geodata.Dataset) (*FineT
 			}
 			nn.ZeroGrads(params)
 			feat := model.FeaturesWithGrad(imgs, cfg.BatchSize)
-			logits := head.Forward(feat, cfg.BatchSize)
-			nn.CrossEntropy(logits, labels, classes, dlogits)
-			copy(dfeat, head.Backward(dlogits))
+			ctx.Reset()
+			nn.CrossEntropy(head.Apply(ctx, feat, cfg.BatchSize), labels, classes, dlogits)
+			head.Backprop(dfeat, dlogits)
 			model.BackwardFeatures(dfeat)
 			nn.ClipGradNorm(params, 5)
 			optim.Step(sched.LR(step))
 			step++
 		}
-		top1, top5 := evalFineTune(model, head, ds, classes, cfg.BatchSize)
+		top1, top5 := evalFineTune(model, head, ctx, ds, classes, cfg.BatchSize)
 		res.Top1Curve.Append(float64(epoch+1), top1)
 		res.FinalTop1, res.FinalTop5 = top1, top5
 		if cfg.Log != nil {
@@ -101,7 +103,7 @@ func FineTune(cfg FineTuneConfig, model *mae.Model, ds *geodata.Dataset) (*FineT
 	return res, nil
 }
 
-func evalFineTune(model *mae.Model, head *nn.Linear, ds *geodata.Dataset, classes, batch int) (float64, float64) {
+func evalFineTune(model *mae.Model, head *nn.Linear, ctx *nn.Arena, ds *geodata.Dataset, classes, batch int) (float64, float64) {
 	acc := metrics.NewAccuracy(classes)
 	imgLen := ds.Gen.ImageLen()
 	imgs := make([]float32, batch*imgLen)
@@ -115,8 +117,8 @@ func evalFineTune(model *mae.Model, head *nn.Linear, ds *geodata.Dataset, classe
 		for i := 0; i < n; i++ {
 			labels[i] = ds.TestSample(start+i, imgs[i*imgLen:(i+1)*imgLen])
 		}
-		feat := model.Features(imgs[:n*imgLen], n)
-		logits := head.Forward(feat, n)
+		ctx.Reset()
+		logits := head.Apply(ctx, model.Features(imgs[:n*imgLen], n), n)
 		for i := 0; i < n; i++ {
 			acc.Observe(logits[i*classes:(i+1)*classes], labels[i])
 		}

@@ -29,10 +29,10 @@ import (
 // gives one mean-pooled row per image (batch × dim), the classification
 // probe's input; mae.Model.TokenFeatures gives one row per patch token
 // (batch·tokens × dim), the segmentation probe's. Both run the one
-// frozen encoder pass serving runs (mae.Model.InferTokenFeatures), so
-// a served head sees the features it was fitted on, bit for bit;
-// mae.Model.FeaturesWithGrad, fine-tuning's, is the only extractor that
-// caches for a backward.
+// frozen encoder pass serving runs (mae.Model.Encode on a frozen
+// arena), so a served head sees the features it was fitted on, bit for
+// bit; mae.Model.FeaturesWithGrad, fine-tuning's, runs the same pass on
+// the model's recording arena for a backward.
 type FeatureFunc func(imgs []float32, batch int) []float32
 
 // Config carries the probing hyper-parameters of both probes; defaults
@@ -149,6 +149,8 @@ func fit(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset, t t
 	r := rng.New(cfg.Seed)
 	head := nn.NewLinear("probe.head", featDim, t.classes, r)
 	head.W.Value.Zero()
+	ctx := nn.NewTrainCtx()
+	defer ctx.Release()
 	params := head.Params()
 	optim := opt.NewLARS(params, 0)
 
@@ -173,14 +175,16 @@ func fit(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset, t t
 				batchY[n] = trainY[src]
 			}
 			nn.ZeroGrads(params)
-			nn.CrossEntropy(head.Forward(batchX, perStep), batchY, t.classes, dlogits)
-			head.Backward(dlogits)
+			ctx.Reset()
+			nn.CrossEntropy(head.Apply(ctx, batchX, perStep), batchY, t.classes, dlogits)
+			head.Backprop(nil, dlogits)
 			optim.Step(sched.LR(step))
 			step++
 		}
 		for lo := 0; lo < len(testY); lo += t.evalRows {
 			hi := min(lo+t.evalRows, len(testY))
-			copy(testLogits[lo*t.classes:], head.Forward(testX[lo*featDim:hi*featDim], hi-lo))
+			ctx.Reset()
+			copy(testLogits[lo*t.classes:], head.Apply(ctx, testX[lo*featDim:hi*featDim], hi-lo))
 		}
 		t.evaluate(epoch, testLogits, testY)
 	}

@@ -101,7 +101,7 @@ func RunClosedLoop(cfg Config, lat LatencyModel, model *Model, cl ClosedLoop) (*
 }
 
 // newModelExec returns a policy exec hook that runs real batch compute
-// on the shared weights with one scratch arena (the virtual driver
+// on the shared weights with one frozen arena (the virtual driver
 // executes batches serially).
 func newModelExec(model *Model) func(*batchJob) {
 	ctx := nn.NewInferCtx()

@@ -12,10 +12,10 @@ import (
 
 // Model is the served artifact: the MAE encoder weights (read-only
 // after construction) plus optional fitted probe heads. One Model is
-// shared by every inference engine — the frozen encoder pass
-// (mae.InferTokenFeatures, the same pass the probes' extractors run)
-// never writes layer state, so workers bring a per-engine nn.InferCtx
-// and nothing else.
+// shared by every inference engine — the encoder pass (mae.Encode, the
+// same pass the probes' extractors run) writes no layer state on a
+// frozen arena, so workers bring a per-engine nn.NewInferCtx arena and
+// nothing else.
 type Model struct {
 	MAE *mae.Model
 	// Cls scores Classify requests over pooled features; nil rejects
@@ -142,14 +142,16 @@ type Response struct {
 // head work — pooling for Embed, pooling + classification head for
 // Classify, per-token head + argmax for Segment. Mixed-kind batches
 // share the encoder pass. resps[i] receives reqs[i]'s payload; the
-// written payload slices are freshly allocated (they outlive ctx).
+// written payload slices are freshly allocated (they outlive ctx),
+// which must be a frozen arena (nn.NewInferCtx) for workers to share
+// the model.
 //
 // All per-request arithmetic is the probes' bitwise for a batch of the
-// same composition: the encoder pass is mae.InferTokenFeatures, the
-// one frozen pass that Features and TokenFeatures also run; pooling is
+// same composition: the encoder pass is mae.Encode, the one pass that
+// Features and TokenFeatures also run; pooling is
 // mae.PoolTokens, Features' own; and head scoring is
 // probe.Head.LogitsInto (≡ the probe's evaluate-time logits).
-func (m *Model) Fill(ctx *nn.InferCtx, reqs []*Request, resps []*Response) {
+func (m *Model) Fill(ctx *nn.Arena, reqs []*Request, resps []*Response) {
 	n := len(reqs)
 	if n == 0 {
 		return
@@ -168,7 +170,7 @@ func (m *Model) Fill(ctx *nn.InferCtx, reqs []*Request, resps []*Response) {
 		tensor.RoundBF16(imgs, imgs)
 	}
 
-	tok := m.MAE.InferTokenFeatures(ctx, imgs, n)
+	tok := m.MAE.Encode(ctx, imgs, n)
 	pooled := ctx.Take(n * w)
 	m.MAE.PoolTokens(pooled, tok, n)
 

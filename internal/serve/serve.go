@@ -6,9 +6,9 @@
 // the batcher closes a batch when it reaches MaxBatch requests or the
 // oldest waiting request ages past MaxWait, and closed batches run
 // FIFO on a fixed pool of inference engines that share one read-only
-// copy of the model weights (internal/nn's InferCtx path: per-worker
-// scratch, no per-worker weight copies, the same blocked GEMM kernels
-// and parallel pool as training).
+// copy of the model weights (a frozen nn arena per worker, no
+// per-worker weight copies, the same blocked GEMM kernels and parallel
+// pool as training).
 //
 // Following the repo's discipline that every executed system is held
 // to a model of itself, one policy state machine (batcher: admit,

@@ -13,7 +13,7 @@ import (
 // clock. Submit admits requests from any goroutine, a time.AfterFunc
 // timer closes the waiting batch at its deadline, and a fixed pool of
 // engine goroutines executes launched batches on the shared read-only
-// weights (one nn.InferCtx per engine). Timestamps are measurements —
+// weights (one frozen nn.NewInferCtx arena per engine). Timestamps are measurements —
 // the validation suite holds them to the simulator's predictions.
 type Server struct {
 	model *Model
@@ -132,7 +132,7 @@ func (s *Server) engine(e int) {
 	defer s.wg.Done()
 	ctx := nn.NewInferCtx()
 	// An engine that served one oversized batch would otherwise pin that
-	// batch's scratch footprint until process exit.
+	// batch's activation footprint until process exit.
 	defer ctx.Release()
 	for job := range s.jobs[e] {
 		for job != nil {

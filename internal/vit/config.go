@@ -1,5 +1,5 @@
-// Package vit assembles Vision Transformer encoders from the layers in
-// internal/nn and holds the registry of the exact model architectures
+// Package vit assembles Vision Transformer block stacks from the layers
+// in internal/nn and holds the registry of the exact model architectures
 // studied in the paper (Table I), together with analytic parameter
 // counting used both by the tests and by the Frontier performance
 // simulator.

@@ -113,19 +113,25 @@ func TestEncoderForwardShape(t *testing.T) {
 	cfg := Config{Name: "tiny", Width: 16, Depth: 2, MLP: 32, Heads: 2,
 		PatchSize: 4, ImageSize: 8, Channels: 3}
 	r := rng.New(2)
-	e := NewEncoder(cfg, r)
+	e := NewStack("encoder", cfg.Width, cfg.Depth, cfg.MLP, cfg.Heads, r)
+	if got := int64(nn.CountParams(e.Params())); got != int64(cfg.Depth)*cfg.BlockParams()+2*int64(cfg.Width) {
+		t.Fatalf("stack params %d", got)
+	}
 	const batch, tokens = 3, 4
 	x := make([]float32, batch*tokens*cfg.Width)
 	r.FillNormal(x, 0, 1)
-	y := e.Forward(x, batch, tokens)
+	ctx := nn.NewTrainCtx()
+	y := e.Apply(ctx, x, batch, tokens)
 	if len(y) != batch*tokens*cfg.Width {
 		t.Fatalf("len=%d", len(y))
 	}
 	dy := make([]float32, len(y))
 	r.FillNormal(dy, 0, 1)
-	dx := e.Backward(dy)
-	if len(dx) != len(x) {
-		t.Fatalf("dx len=%d", len(dx))
+	dx := make([]float32, len(x))
+	units := 0
+	e.Backprop(ctx, dx, dy, func() { units++ })
+	if units != len(e.Segments()) {
+		t.Fatalf("Backprop yielded %d times for %d segments", units, len(e.Segments()))
 	}
 }
 
