@@ -72,7 +72,7 @@ func Broadcast(bytes float64, ranks int, p Params) Cost {
 	}
 	p.validate()
 	n := float64(ranks)
-	t := p.Launch + (n-1)*p.HopLat + bytes/p.Bandwidth
+	t := p.Launch + float64((n-1)*p.HopLat) + bytes/p.Bandwidth
 	return Cost{Time: t, WireBytes: bytes}
 }
 
@@ -93,7 +93,7 @@ func oneShotRing(bytes float64, ranks int, p Params, phases float64) Cost {
 		bw *= chunk / (chunk + p.ChunkOverheadBytes)
 	}
 	bwTerm := phases * (n - 1) / n * bytes / bw
-	latTerm := phases * (n - 1) * p.HopLat
+	latTerm := float64(phases * (n - 1) * p.HopLat)
 	return Cost{
 		Time:      p.Launch + latTerm + bwTerm,
 		WireBytes: phases * (n - 1) / n * bytes,

@@ -50,7 +50,8 @@ type Batch struct {
 	inPool atomic.Bool
 }
 
-// prefetch bounds the number of in-flight batches.
+// prefetch is how many rendered batches may wait for the consumer;
+// with one more in progress per worker it bounds the batches in flight.
 const prefetch = 2
 
 // Loader streams shuffled, batched samples from a Source.
@@ -252,18 +253,25 @@ func (l *Loader) EpochN(maxBatches int) <-chan *Batch {
 		}()
 	}
 
+	// A job is dispatched only while fewer than prefetch+workers batches
+	// are dispatched and not yet delivered. The slot frees on delivery,
+	// not on Recycle, so a consumer that keeps its batches cannot stall
+	// the epoch.
+	slots := make(chan struct{}, prefetch+l.workers)
 	go func() {
 		for _, j := range jobs {
+			slots <- struct{}{}
 			jobCh <- j
 		}
 		close(jobCh)
 	}()
 
-	out := make(chan *Batch, prefetch)
+	out := make(chan *Batch)
 	go func() {
 		for _, j := range jobs {
 			<-j.done
 			out <- j.out
+			<-slots
 		}
 		close(out)
 	}()

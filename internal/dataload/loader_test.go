@@ -3,6 +3,7 @@ package dataload
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/geodata"
 )
@@ -428,5 +429,45 @@ func TestSkipEpochsThenWorkersBitwise(t *testing.T) {
 					e+2, i, got[e][i], ref[e+2][i])
 			}
 		}
+	}
+}
+
+// filledSource counts renders and closes filled when render number
+// fill starts.
+type filledSource struct {
+	*countingSource
+	rendered atomic.Int32
+	fill     int32
+	filled   chan struct{}
+}
+
+func (s *filledSource) Sample(i int, dst []float32) int {
+	if s.rendered.Add(1) == s.fill {
+		close(s.filled)
+	}
+	return s.countingSource.Sample(i, dst)
+}
+
+// TestPrefetchIsBounded: once the consumer has taken one batch, the
+// workers fill the prefetch+Workers slots behind it and render no
+// further — not the whole epoch — and a consumer that keeps every
+// batch instead of recycling it still drains the epoch.
+func TestPrefetchIsBounded(t *testing.T) {
+	const workers, batches = 2, 100
+	limit := int32(1 + prefetch + workers)
+	src := &filledSource{countingSource: newCountingSource(batches, 4), fill: limit, filled: make(chan struct{})}
+	l := New(src, Config{BatchSize: 1, Workers: workers, Seed: 1})
+	ch := l.Epoch()
+	kept := []*Batch{<-ch}
+	<-src.filled
+	time.Sleep(20 * time.Millisecond) // room for an unbounded loader to run ahead
+	if got := src.rendered.Load(); got > limit {
+		t.Fatalf("%d batches rendered after one was consumed, bound %d", got, limit)
+	}
+	for b := range ch {
+		kept = append(kept, b)
+	}
+	if len(kept) != batches {
+		t.Fatalf("kept %d batches, want %d", len(kept), batches)
 	}
 }

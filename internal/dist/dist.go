@@ -134,18 +134,7 @@ type Options struct {
 // DefaultLink returns the modeled link for an n-rank group co-located
 // on one Frontier node (the layout an in-process world most resembles):
 // Infinity Fabric bandwidth and intra-node hop latency from hw.Frontier.
-func DefaultLink(n int) comm.Params {
-	m := hw.Frontier()
-	rpn := n
-	if rpn > m.GPUsPerNode {
-		rpn = m.GPUsPerNode
-	}
-	if rpn < 1 {
-		rpn = 1
-	}
-	bw, lat, chunk := m.GroupBandwidth(n, rpn, m.GPUsPerNode)
-	return comm.Params{Bandwidth: bw, HopLat: lat, Launch: m.CollectiveLaunch, ChunkOverheadBytes: chunk}
-}
+func DefaultLink(n int) comm.Params { return hw.Frontier().Link(n, n) }
 
 // Op identifies a collective kind in Stats.
 type Op int

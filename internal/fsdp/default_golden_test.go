@@ -2,8 +2,12 @@ package fsdp
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/golden"
+	"repro/internal/hw"
 	"repro/internal/perfmodel"
 	"repro/internal/vit"
 )
@@ -47,6 +51,112 @@ func TestDefaultPathGolden(t *testing.T) {
 				t.Errorf("%s %s drifted: %s, golden %s", g.plan, pair.what, got, pair.want)
 			}
 		}
+	}
+}
+
+// gridPlans lists every schedule branch of Simulate: each strategy (and
+// both hybrid shapes) under every prefetch policy with and without
+// limit_all_gathers, plus DDP with a bucket smaller than every unit.
+func gridPlans() []Plan {
+	var plans []Plan
+	for _, base := range []Plan{DefaultDDP(), {Strategy: NoShard}, {Strategy: FullShard},
+		{Strategy: ShardGradOp}, {Strategy: HybridShard, GroupSize: 1},
+		{Strategy: HybridShard, GroupSize: 2}, {Strategy: HybridShard, GroupSize: 8}} {
+		for _, pf := range []Prefetch{PrefetchNone, BackwardPost, BackwardPre} {
+			for _, limit := range []bool{false, true} {
+				p := base
+				p.Prefetch, p.LimitAllGathers = pf, limit
+				plans = append(plans, p)
+			}
+		}
+	}
+	small := DefaultDDP()
+	small.DDPBucketBytes = 1 << 20
+	return append(plans, DefaultDDP(), small)
+}
+
+// gridWorkloads crosses two Table I models with ViT/MAE, activation
+// checkpointing and both precisions.
+func gridWorkloads() []perfmodel.Workload {
+	var ws []perfmodel.Workload
+	for _, cfg := range []vit.Config{vit.ViT1B, vit.ViT15B} {
+		for _, mae := range []bool{false, true} {
+			for _, ckpt := range []bool{false, true} {
+				for _, prec := range []perfmodel.Precision{perfmodel.MixedPrecision(), perfmodel.FP32Precision()} {
+					w := perfmodel.ViTWorkload(cfg, 32)
+					if mae {
+						w = perfmodel.MAEWorkload(cfg, 32, 0.75)
+					}
+					w.ActCheckpoint, w.Prec = ckpt, prec
+					ws = append(ws, w)
+				}
+			}
+		}
+	}
+	return ws
+}
+
+// TestSimulateGridFingerprint pins every bit of every Result field
+// over gridWorkloads × gridPlans × {1, 2, 8, 64} nodes on the asserted
+// and the Calibrated Frontier — except the 1 MiB DDP bucket, which
+// runs on ViT-1B only: on ViT-15B it would issue 57k buckets a step
+// and reach no new branch. A refactor of Simulate must leave the
+// fingerprint unchanged; a deliberate model change re-records it. The
+// grid runs on every core, each result landing in its own slot.
+func TestSimulateGridFingerprint(t *testing.T) {
+	const want = uint64(0x210403c7cacd0e7c)
+	calibrated := frontier
+	calibrated.Calibrated = true
+	type config struct {
+		w     perfmodel.Workload
+		plan  Plan
+		m     hw.Machine
+		nodes int
+	}
+	var configs []config
+	for _, w := range gridWorkloads() {
+		for _, plan := range gridPlans() {
+			for _, m := range []hw.Machine{frontier, calibrated} {
+				for _, nodes := range []int{1, 2, 8, 64} {
+					if plan.DDPBucketBytes < 25<<20 && w.Model.Name != vit.ViT1B.Name {
+						continue
+					}
+					configs = append(configs, config{w, plan, m, nodes})
+				}
+			}
+		}
+	}
+	results := make([]Result, len(configs))
+	errs := make([]error, len(configs))
+	var wg sync.WaitGroup
+	procs := runtime.GOMAXPROCS(0)
+	for p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := p; k < len(configs); k += procs {
+				c := configs[k]
+				results[k], errs[k] = Simulate(c.w, c.m, c.nodes, c.plan)
+			}
+		}()
+	}
+	wg.Wait()
+	var floats []float64
+	var ints []int64
+	var fits []bool
+	for k, r := range results {
+		if errs[k] != nil {
+			t.Fatalf("%s on %d nodes: %v", configs[k].plan.Name(), configs[k].nodes, errs[k])
+		}
+		p := r.Plan
+		floats = append(floats, p.DDPBucketBytes, r.StepTime, r.ImagesPerSec, r.ComputeTime,
+			r.CommTime, r.ExposedComm, r.CommVolume, r.MemoryPerGPU, r.AvgPowerPerGPU, r.GPUUtilization)
+		ints = append(ints, int64(p.Strategy), int64(p.GroupSize), int64(p.Prefetch),
+			int64(r.Nodes), int64(r.World), int64(r.CommCalls))
+		fits = append(fits, p.LimitAllGathers, r.Fits)
+	}
+	if got := golden.Fingerprint(floats, ints, fits); got != want {
+		t.Fatalf("Simulate grid fingerprint %#x, golden %#x (%d results)", got, want, len(ints)/6)
 	}
 }
 

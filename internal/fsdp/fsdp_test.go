@@ -360,11 +360,7 @@ func TestFig1CommGapGrowsWithScale(t *testing.T) {
 	plan := BestPractice(NoShard, 0)
 	gapAt := func(nodes int) float64 {
 		syn := mustSim(t, w, nodes, plan)
-		noComm, err := SimulateNoComm(w, frontier, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return 1 - syn.ImagesPerSec/noComm.ImagesPerSec
+		return 1 - syn.ImagesPerSec/noCommImagesPerSec(w, syn)
 	}
 	g1, g64 := gapAt(1), gapAt(64)
 	if !(g64 > g1) {

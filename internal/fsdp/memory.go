@@ -20,7 +20,7 @@ import (
 func MemoryPerGPU(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) float64 {
 	world := m.TotalGPUs(nodes)
 	p := float64(w.TotalParams())
-	state := p * w.Prec.StateBytesPerParam
+	state := float64(p * w.Prec.StateBytesPerParam)
 	cBytes := w.Prec.ComputeBytes
 
 	var maxUnit float64
@@ -29,17 +29,17 @@ func MemoryPerGPU(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) floa
 			maxUnit = b
 		}
 	}
-	gathered := 2 * maxUnit * cBytes
+	gathered := float64(2 * maxUnit * cBytes)
 
 	base := w.ActivationBytes() + frameworkBytes
 	shards := float64(plan.ShardRanks(world))
 	switch {
 	case plan.Strategy == DDP:
 		// Replicated state + bucket copies of the gradients.
-		return state + p*cBytes + base
+		return state + float64(p*cBytes) + base
 	case plan.Strategy == ShardGradOp:
 		// Compute-precision params stay resident; the rest shards.
-		return p*cBytes + (state-p*cBytes)/shards + base
+		return float64(p*cBytes) + (state-float64(p*cBytes))/shards + base
 	case plan.RegathersInBackward():
 		return state/shards + gathered + base
 	default:

@@ -5,8 +5,16 @@
 // the limit_all_gathers rate limiter, and DDP's fixed-size gradient
 // buckets — as a discrete-event task graph over one compute stream and
 // one communication stream per rank (ranks are symmetric, so one
-// representative rank is simulated). The Section III-C strategy matrix
-// and what each strategy shards are documented once, on Plan.
+// representative rank is simulated).
+//
+// Gradient sync is one rule for every strategy, the executed
+// schedule's (internal/train): each gradient bucket reduce-scatters
+// over the shard group, then all-reduces its shard over the replica
+// group, and a one-member group moves nothing. Strategy reaches the
+// schedule only as data — the facts on Plan (the Section III-C matrix
+// and what each strategy shards are documented once there), DDP's
+// bucket size and fp32 gradient width, and Simulate's per-strategy
+// table of host overheads and NO_SHARD's post-backward issue point.
 package fsdp
 
 import (
@@ -71,7 +79,10 @@ func (p Prefetch) String() string {
 // paper's Section III-C matrix differ in exactly two facts, which
 // ShardRanks and RegathersInBackward own — the simulator (Simulate,
 // TrafficPerStep, MemoryPerGPU) and the executed training loop
-// (internal/train.PretrainDistributed) both read them from here:
+// (internal/train.PretrainDistributed) both read them from here. The
+// per-step column follows from them by the one gradient-sync rule
+// (reduce-scatter over ShardRanks, all-reduce the shard over the
+// world/ShardRanks replicas, a one-member group moving nothing):
 //
 //	plan                        ShardRanks  regathers  per optimizer step
 //	DDP, NO_SHARD, HYBRID_1GPU  1           no         gradient all-reduce over the world

@@ -116,18 +116,19 @@ func TestPropertyDDPCallsScaleWithModel(t *testing.T) {
 	}
 }
 
+// noCommImagesPerSec is Figure 1's "syn no comm" throughput: the step
+// priced at its compute-stream busy time alone.
+func noCommImagesPerSec(w perfmodel.Workload, r Result) float64 {
+	return float64(r.World*w.LocalBatch) / r.ComputeTime
+}
+
 func TestPropertyNoCommMatchesIdealScaling(t *testing.T) {
 	w := perfmodel.ViTWorkload(vit.ViT1B, 32)
-	r1, err := SimulateNoComm(w, frontier, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := SimulateNoComm(w, frontier, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r8.ImagesPerSec != 8*r1.ImagesPerSec {
-		t.Fatalf("no-comm scaling not linear: %v vs 8×%v", r8.ImagesPerSec, r1.ImagesPerSec)
+	plan := BestPractice(NoShard, 0)
+	r1 := noCommImagesPerSec(w, mustSim(t, w, 1, plan))
+	r8 := noCommImagesPerSec(w, mustSim(t, w, 8, plan))
+	if r8 != 8*r1 {
+		t.Fatalf("no-comm scaling not linear: %v vs 8×%v", r8, r1)
 	}
 }
 

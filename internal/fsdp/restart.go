@@ -66,7 +66,7 @@ func DalyInterval(delta, mtbf float64) float64 {
 		return mtbf
 	}
 	x := delta / (2 * mtbf)
-	return math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(x)/3+x/9) - delta
+	return float64(math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(x)/3+x/9)) - delta
 }
 
 // RestartOverhead decomposes the machine time a run loses to fault

@@ -10,16 +10,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Calibration constants for implementation overheads that the α–β
-// model does not capture. They are *relative* knobs: DDP pays the most
-// per collective call (bucket management and gradient copy-out),
-// NO_SHARD pays FSDP's flat-parameter bookkeeping, HYBRID/FULL paths
-// are the leanest — the ordering the paper observes in Figure 3.
-const (
-	hostOverheadDDP     = 35e-6
-	hostOverheadNoShard = 30e-6
-	hostOverheadSharded = 15e-6
+// strategySchedule holds the per-strategy facts of the simulated
+// schedule that Plan's ShardRanks and RegathersInBackward do not own.
+//
+// hostOverhead is a calibration constant per collective call for the
+// implementation overhead the α–β model does not capture. The values
+// are *relative* knobs: DDP pays the most (bucket management and
+// gradient copy-out), NO_SHARD pays FSDP's flat-parameter bookkeeping,
+// the sharded paths are the leanest — the ordering the paper observes
+// in Figure 3.
+//
+// postBackward marks NO_SHARD, whose gradient all-reduces run in FSDP's
+// synchronous post-backward path with no compute overlap: the
+// implementation difference from HYBRID_1GPU (the same algorithm with
+// overlapped per-unit reduction) that the paper observes in Figures 1
+// and 3.
+var strategySchedule = [...]struct {
+	hostOverhead float64
+	postBackward bool
+}{
+	DDP:         {35e-6, false},
+	NoShard:     {30e-6, true},
+	FullShard:   {15e-6, false},
+	ShardGradOp: {15e-6, false},
+	HybridShard: {15e-6, false},
+}
 
+// Calibration constants for effects the α–β model does not capture.
+const (
 	// congestion penalties applied when limit_all_gathers is off:
 	// unbounded in-flight gathers contend for channels and registration.
 	noLimitBWFactor    = 0.80
@@ -50,7 +68,8 @@ type Result struct {
 	// ImagesPerSec is the aggregate training throughput.
 	ImagesPerSec float64
 
-	// ComputeTime is the compute-stream busy time per step.
+	// ComputeTime is the compute-stream busy time per step: the step
+	// with its communication removed (Figure 1's "syn no comm").
 	ComputeTime float64
 	// CommTime is the communication-stream busy time per step.
 	CommTime float64
@@ -95,58 +114,35 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	// larger models. The width comes from the workload's Precision, not
 	// a hard-coded element size.
 	cBytes := w.Prec.GradReduceBytes(plan.Strategy == DDP)
+	schedule := strategySchedule[plan.Strategy]
 
-	// The calibration constants below are asserted, Frontier-shaped
+	// The calibration constants are asserted, Frontier-shaped
 	// overheads; a Calibrated machine's measured α–β already contains
 	// every per-call fixed cost, so they are disabled wholesale there
 	// (see hw.Machine.Calibrated).
 	straggle := 1.0
-	if !m.Calibrated && nodes > 1 {
-		straggle += stragglerPerDoubling * math.Log2(float64(nodes))
-	}
-
-	// Link parameters for the sharding-group collectives; a sharded
-	// plan's forward needs per-unit all-gathers.
-	shardRanks := plan.ShardRanks(world)
-	sharded := shardRanks > 1
-	shardRPN := shardRanks
-	if shardRPN > m.GPUsPerNode {
-		shardRPN = m.GPUsPerNode
-	}
-	shardBW, shardLat, shardChunk := m.GroupBandwidth(shardRanks, shardRPN, m.GPUsPerNode)
-
-	// Replica-dimension all-reduce group (gradient sync).
-	replicaRanks := world / shardRanks
-	repRPN := m.GPUsPerNode / shardRPN
-	if repRPN < 1 {
-		repRPN = 1
-	}
-	if replicaRanks < repRPN {
-		repRPN = replicaRanks
-	}
-	repBW, repLat, repChunk := m.GroupBandwidth(replicaRanks, repRPN, m.GPUsPerNode)
-
-	hostOverhead := hostOverheadSharded
-	switch plan.Strategy {
-	case DDP:
-		hostOverhead = hostOverheadDDP
-	case NoShard:
-		hostOverhead = hostOverheadNoShard
-	}
+	hostOverhead := schedule.hostOverhead
 	if m.Calibrated {
 		hostOverhead = 0
+	} else if nodes > 1 {
+		straggle += float64(stragglerPerDoubling * math.Log2(float64(nodes)))
 	}
 
-	agParams := comm.Params{Bandwidth: shardBW, HopLat: shardLat, ChunkOverheadBytes: shardChunk,
-		Launch: m.CollectiveLaunch + hostOverhead}
+	// Shard groups are consecutive ranks, at most a node's worth on each
+	// node; replica groups stride across them, one rank per shard group
+	// on a node. A sharded plan's forward needs per-unit all-gathers.
+	shardRanks := plan.ShardRanks(world)
+	replicaRanks := world / shardRanks
+	sharded := shardRanks > 1
+	shardLink := m.Link(shardRanks, shardRanks)
+	shardLink.Launch += hostOverhead
+	replicaLink := m.Link(replicaRanks, m.GPUsPerNode/min(shardRanks, m.GPUsPerNode))
+	replicaLink.Launch += hostOverhead
+	gatherLink := shardLink
 	if !m.Calibrated && !plan.LimitAllGathers && sharded {
-		agParams.Bandwidth *= noLimitBWFactor
-		agParams.Launch += noLimitExtraLaunch
+		gatherLink.Bandwidth *= noLimitBWFactor
+		gatherLink.Launch += noLimitExtraLaunch
 	}
-	rsParams := comm.Params{Bandwidth: shardBW, HopLat: shardLat, ChunkOverheadBytes: shardChunk,
-		Launch: m.CollectiveLaunch + hostOverhead}
-	arParams := comm.Params{Bandwidth: repBW, HopLat: repLat, ChunkOverheadBytes: repChunk,
-		Launch: m.CollectiveLaunch + hostOverhead}
 
 	e := sim.New()
 	comp := e.Resource("compute")
@@ -154,17 +150,33 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 
 	var commCalls int
 	var commVolume float64
-	addComm := func(name string, c comm.Cost, deps ...*sim.Task) *sim.Task {
+	addComm := func(c comm.Cost, deps ...*sim.Task) *sim.Task {
 		commCalls++
 		commVolume += c.WireBytes
-		return e.Task(name, cm, c.Time*straggle, deps...)
+		return e.Task("collective", cm, c.Time*straggle, deps...)
 	}
-
-	unitBytes := func(i int) float64 { return float64(units[i].Params) * cBytes }
+	gather := func(i int, deps ...*sim.Task) *sim.Task {
+		return addComm(comm.AllGather(float64(units[i].Params)*cBytes, shardRanks, gatherLink), deps...)
+	}
+	// reduce issues one gradient bucket by the executed schedule's rule
+	// (internal/train's syncEngine.launch): reduce-scatter over the
+	// shard group, then all-reduce the owned shard over the replica
+	// group. A one-member group moves nothing, but a bucket always
+	// issues at least one call.
+	reduce := func(b gradBucket, dep *sim.Task) *sim.Task {
+		var t *sim.Task
+		if shardRanks > 1 {
+			t = addComm(comm.ReduceScatter(b.bytes, shardRanks, shardLink), dep)
+			dep = t
+		}
+		if replicaRanks > 1 || t == nil {
+			t = addComm(comm.AllReduce(b.bytes/float64(shardRanks), replicaRanks, replicaLink), dep)
+		}
+		return t
+	}
 
 	// ------------------------------ forward ------------------------------
 	cf := make([]*sim.Task, l)
-	agf := make([]*sim.Task, l)
 	for i := 0; i < l; i++ {
 		var deps []*sim.Task
 		if sharded {
@@ -173,14 +185,12 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 				// Rate limiter: at most two gathered units ahead of compute.
 				agDeps = append(agDeps, cf[i-2])
 			}
-			agf[i] = addComm(fmt.Sprintf("agf%d", i),
-				comm.AllGather(unitBytes(i), shardRanks, agParams), agDeps...)
-			deps = append(deps, agf[i])
+			deps = append(deps, gather(i, agDeps...))
 		}
 		if i > 0 {
 			deps = append(deps, cf[i-1])
 		}
-		cf[i] = e.Task(fmt.Sprintf("cf%d", i), comp, units[i].FwdFLOPs/eff, deps...)
+		cf[i] = e.Task("forward", comp, units[i].FwdFLOPs/eff, deps...)
 	}
 
 	// ------------------------------ backward -----------------------------
@@ -196,121 +206,55 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	//	None:          the gather additionally waits for unit i's
 	//	               reduce-scatter to finish — full serialization.
 	cb := make([]*sim.Task, l)
-	lastComm := make([]*sim.Task, l) // final grad-sync comm task per unit
-	regather := plan.RegathersInBackward()
 	agb := make([]*sim.Task, l)
-
-	agTask := func(i int, deps ...*sim.Task) *sim.Task {
-		return addComm(fmt.Sprintf("agb%d", i),
-			comm.AllGather(unitBytes(i), shardRanks, agParams), deps...)
-	}
+	regather := plan.RegathersInBackward()
 	if regather {
 		// The first backward gather can only issue once forward ends.
-		agb[l-1] = agTask(l-1, cf[l-1])
+		agb[l-1] = gather(l-1, cf[l-1])
 	}
-
+	buckets := gradBuckets(plan, units, cBytes)
+	next := 0 // buckets[next:] are not issued yet
+	var lastSync *sim.Task
 	for i := l - 1; i >= 0; i-- {
-		var cdeps []*sim.Task
+		prev := cf[l-1]
+		if i+1 < l {
+			prev = cb[i+1]
+		}
+		deps := []*sim.Task{prev}
 		if agb[i] != nil {
-			cdeps = append(cdeps, agb[i])
+			deps = append(deps, agb[i])
 		}
-		if i == l-1 {
-			cdeps = append(cdeps, cf[l-1])
-		} else {
-			cdeps = append(cdeps, cb[i+1])
-		}
-		cb[i] = e.Task(fmt.Sprintf("cb%d", i), comp, units[i].BwdFLOPs/eff, cdeps...)
+		cb[i] = e.Task("backward", comp, units[i].BwdFLOPs/eff, deps...)
 
 		// BACKWARD_PRE: prefetch the next unit's parameters ahead of
 		// this unit's reduce-scatter in stream order.
 		if regather && i > 0 && plan.Prefetch == BackwardPre {
-			var dep []*sim.Task
-			if i+1 < l {
-				dep = append(dep, cb[i+1]) // issued when cb[i] starts
-			} else {
-				dep = append(dep, cf[l-1])
-			}
-			agb[i-1] = agTask(i-1, dep...)
+			agb[i-1] = gather(i-1, prev) // issued when cb[i] starts
 		}
-
-		// Gradient synchronization for this unit.
-		switch {
-		case plan.Strategy == DDP || plan.Strategy == NoShard:
-			// Handled after the loop: DDP reduces fixed-size buckets, and
-			// NO_SHARD's gradient all-reduce runs in FSDP's synchronous
-			// post-backward path with no compute overlap — the
-			// implementation difference from HYBRID_1GPU (identical
-			// algorithm, overlapped per-unit reduction) that the paper
-			// observes in Figures 1 and 3.
-		case plan.Strategy == HybridShard && shardRanks == 1:
-			lastComm[i] = addComm(fmt.Sprintf("ar%d", i),
-				comm.AllReduce(unitBytes(i), world, arParams), cb[i])
-		default:
-			// Reduce-scatter inside the shard group, then all-reduce the
-			// shard across the replica groups if there is more than one.
-			rs := addComm(fmt.Sprintf("rs%d", i),
-				comm.ReduceScatter(unitBytes(i), shardRanks, rsParams), cb[i])
-			lastComm[i] = rs
-			if replicaRanks > 1 {
-				lastComm[i] = addComm(fmt.Sprintf("arr%d", i),
-					comm.AllReduce(unitBytes(i)/float64(shardRanks), replicaRanks, arParams), rs)
-			}
+		for ; !schedule.postBackward && next < len(buckets) && buckets[next].unit == i; next++ {
+			lastSync = reduce(buckets[next], cb[i])
 		}
-
 		// BACKWARD_POST / None: the next gather is submitted after this
-		// unit's gradient sync.
+		// unit's gradient sync (a regathering plan reduces every unit
+		// here, so lastSync is unit i's).
 		if regather && i > 0 && plan.Prefetch != BackwardPre {
-			var dep []*sim.Task
-			if plan.Prefetch == PrefetchNone && lastComm[i] != nil {
-				dep = append(dep, lastComm[i])
-			} else {
-				dep = append(dep, cb[i])
+			dep := cb[i]
+			if plan.Prefetch == PrefetchNone {
+				dep = lastSync
 			}
-			agb[i-1] = agTask(i-1, dep...)
+			agb[i-1] = gather(i-1, dep)
 		}
 	}
-
-	if plan.Strategy == NoShard {
-		for i := 0; i < l; i++ {
-			lastComm[i] = addComm(fmt.Sprintf("ar%d", i),
-				comm.AllReduce(unitBytes(i), world, arParams), cb[i], cb[0])
-		}
+	// A postBackward plan's buckets run after the whole backward pass,
+	// in ascending unit order.
+	for k := len(buckets) - 1; k >= next; k-- {
+		lastSync = reduce(buckets[k], cb[0])
 	}
 
-	// DDP gradient buckets: gradients stream into fixed-size buckets in
-	// backward (descending-unit) order; a bucket's all-reduce launches
-	// when the unit that fills it has computed its gradient. Large
-	// blocks split across multiple buckets — the per-call overhead this
-	// multiplies is exactly the paper's explanation for DDP falling
-	// behind FSDP as models grow (Section IV-C).
-	if plan.Strategy == DDP {
-		pending := 0.0
-		bucket := 0
-		for i := l - 1; i >= 0; i-- {
-			pending += unitBytes(i)
-			for pending >= plan.DDPBucketBytes {
-				t := addComm(fmt.Sprintf("ddp_ar%d", bucket),
-					comm.AllReduce(plan.DDPBucketBytes, world, arParams), cb[i])
-				lastComm[i] = t
-				pending -= plan.DDPBucketBytes
-				bucket++
-			}
-		}
-		if pending > 0 {
-			lastComm[0] = addComm(fmt.Sprintf("ddp_ar%d", bucket),
-				comm.AllReduce(pending, world, arParams), cb[0])
-		}
-	}
-
-	// Optimizer step: elementwise over the local state shard.
+	// Optimizer step: elementwise over the local state shard, once every
+	// gradient is reduced (the stream is FIFO, so the last sync ends last).
 	stateLocal := float64(w.TotalParams()) * w.Prec.StateBytesPerParam / float64(shardRanks)
-	optDeps := []*sim.Task{cb[0]}
-	for _, t := range lastComm {
-		if t != nil {
-			optDeps = append(optDeps, t)
-		}
-	}
-	e.Task("opt", comp, 3*stateLocal/m.HBMBandwidth, optDeps...)
+	e.Task("opt", comp, 3*stateLocal/m.HBMBandwidth, cb[0], lastSync)
 
 	makespan := e.Run()
 	computeBusy := e.BusyTime(comp)
@@ -324,7 +268,7 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 		overlapped = 0
 	}
 	// Collective kernels steal compute units while overlapped.
-	stepTime := makespan + m.SMContention*overlapped
+	stepTime := makespan + float64(m.SMContention*overlapped)
 
 	res := Result{
 		Plan:         plan,
@@ -352,32 +296,44 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	// RCCL kernels occupy compute units, so rocm-smi reports near-100%
 	// utilization even during exposed communication (the paper's Fig 4
 	// observation); power, however, sags while only moving bytes.
-	res.GPUUtilization = math.Min(1, util+0.9*exposedFrac)
+	res.GPUUtilization = math.Min(1, util+float64(0.9*exposedFrac))
 	res.AvgPowerPerGPU = m.IdlePower +
-		(m.MaxPower-m.IdlePower)*(0.92*util+m.CommPowerFrac*exposedFrac)
+		float64((m.MaxPower-m.IdlePower)*(float64(0.92*util)+float64(m.CommPowerFrac*exposedFrac)))
 	return res, nil
 }
 
-// SimulateNoComm models the same step with all communication removed —
-// the "syn no comm" curve of Figure 1.
-func SimulateNoComm(w perfmodel.Workload, m hw.Machine, nodes int) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
+// gradBucket is one gradient reduction of a step: bytes of gradient
+// that are ready once unit's backward has run.
+type gradBucket struct {
+	unit  int
+	bytes float64
+}
+
+// gradBuckets lists one step's gradient reductions, width bytes per
+// element, in completion (descending-unit) order. Every FSDP plan
+// reduces one unit per bucket. DDP streams gradients into fixed
+// DDPBucketBytes buckets, each launching once the unit that fills it
+// has computed its gradient, and flushes the remainder with unit 0. A
+// large unit fills several buckets: the per-call overhead this
+// multiplies is the paper's explanation for DDP falling behind FSDP as
+// models grow (Section IV-C).
+func gradBuckets(plan Plan, units []perfmodel.Unit, width float64) []gradBucket {
+	var buckets []gradBucket
+	pending := 0.0
+	for i := len(units) - 1; i >= 0; i-- {
+		bytes := float64(float64(units[i].Params) * width)
+		if plan.Strategy != DDP {
+			buckets = append(buckets, gradBucket{i, bytes})
+			continue
+		}
+		for pending += bytes; pending >= plan.DDPBucketBytes; pending -= plan.DDPBucketBytes {
+			buckets = append(buckets, gradBucket{i, plan.DDPBucketBytes})
+		}
 	}
-	world := m.TotalGPUs(nodes)
-	eff := m.EffectiveFLOPS()
-	var compute float64
-	for _, u := range w.Units() {
-		compute += (u.FwdFLOPs + u.BwdFLOPs) / eff
+	if pending > 0 {
+		buckets = append(buckets, gradBucket{0, pending})
 	}
-	compute += 3 * float64(w.TotalParams()) * w.Prec.StateBytesPerParam / m.HBMBandwidth
-	return Result{
-		Nodes:        nodes,
-		World:        world,
-		StepTime:     compute,
-		ComputeTime:  compute,
-		ImagesPerSec: float64(world*w.LocalBatch) / compute,
-	}, nil
+	return buckets
 }
 
 // RealThroughput composes a synthetic-compute result with the IO model:

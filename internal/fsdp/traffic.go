@@ -61,8 +61,8 @@ func TrafficPerStep(p Plan, world, paramElems, elemBytes int) Traffic {
 
 	t := Traffic{
 		AllReduceBytes:     2 * ringFrac(repl) * (v / float64(g)),
-		ReduceScatterBytes: ringFrac(g) * v,
-		AllGatherBytes:     ringFrac(g) * v,
+		ReduceScatterBytes: float64(ringFrac(g) * v),
+		AllGatherBytes:     float64(ringFrac(g) * v),
 	}
 	if p.RegathersInBackward() {
 		t.AllGatherBytes *= 2

@@ -1,9 +1,11 @@
 package fsdp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/perfmodel"
 )
 
 // TestTrafficMatchesCommModel holds TrafficPerStep to the WireBytes the
@@ -163,6 +165,31 @@ func TestTrafficTable(t *testing.T) {
 		}
 		if got := TrafficPerStep(p, c.world, elems, 4); got != c.fp32 {
 			t.Errorf("%s world=%d fp32: %+v, want %+v", c.plan, c.world, got, c.fp32)
+		}
+	}
+}
+
+// TestSimulateCommVolumeMatchesTraffic ties the simulator's per-unit
+// accounting to the closed form the executed bytes are held to: on an
+// fp32 workload, where every strategy reduces 4-byte gradients, a
+// step's CommVolume is TrafficPerStep's total scaled from the padded
+// to the actual parameter count.
+func TestSimulateCommVolumeMatchesTraffic(t *testing.T) {
+	for _, w := range gridWorkloads() {
+		if w.Prec != perfmodel.FP32Precision() {
+			continue
+		}
+		params := int(w.TotalParams())
+		for _, plan := range gridPlans() {
+			for _, nodes := range []int{1, 8} {
+				r := mustSim(t, w, nodes, plan)
+				padded := (params + r.World - 1) / r.World * r.World
+				want := TrafficPerStep(plan, r.World, params, 4).Total() * float64(params) / float64(padded)
+				if rel := math.Abs(r.CommVolume-want) / want; rel > 1e-12 {
+					t.Errorf("%s %s on %d nodes: CommVolume %v, closed form %v (rel %.1e)",
+						w.Model.Name, plan.Name(), nodes, r.CommVolume, want, rel)
+				}
+			}
 		}
 	}
 }

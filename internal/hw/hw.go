@@ -14,6 +14,8 @@
 // the model structure, not from these constants.
 package hw
 
+import "repro/internal/comm"
+
 // Machine describes one homogeneous GPU cluster.
 type Machine struct {
 	Name        string
@@ -184,4 +186,14 @@ func (m Machine) GroupBandwidth(groupSize, ranksPerNode, concurrentSpanningGroup
 		bw = m.IntraNodeBW
 	}
 	return bw, m.InterHopLatency, m.InterChunkOverhead
+}
+
+// Link returns the ring link of a collective over a group of ranks
+// laid out ranksPerNode to a node (clamped to [1, min(ranks,
+// GPUsPerNode)]): GroupBandwidth's tier with every GPU of a node
+// sharing its NIC, and the per-call launch cost.
+func (m Machine) Link(ranks, ranksPerNode int) comm.Params {
+	rpn := max(1, min(ranksPerNode, ranks, m.GPUsPerNode))
+	bw, lat, chunk := m.GroupBandwidth(ranks, rpn, m.GPUsPerNode)
+	return comm.Params{Bandwidth: bw, HopLat: lat, Launch: m.CollectiveLaunch, ChunkOverheadBytes: chunk}
 }

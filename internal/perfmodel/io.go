@@ -53,7 +53,7 @@ func (io IOModel) ImagesPerSec(nodes int) float64 {
 	if perNode > fsCap {
 		perNode = fsCap
 	}
-	eff := 1 - io.ContentionPerDoubling*math.Log2(float64(nodes))
+	eff := 1 - float64(io.ContentionPerDoubling*math.Log2(float64(nodes)))
 	if eff < 0.5 {
 		eff = 0.5
 	}

@@ -199,7 +199,7 @@ func blockFLOPs(batch, tokens, width, mlp int) float64 {
 	t := float64(tokens)
 	wd := float64(width)
 	m := float64(mlp)
-	return 2*b*t*(4*wd*wd+2*wd*m) + 4*b*t*t*wd
+	return float64(2*b*t*(float64(4*wd*wd)+float64(2*wd*m))) + float64(4*b*t*t*wd)
 }
 
 // EncoderBlockForwardFLOPs returns per-block forward FLOPs for the
@@ -236,10 +236,10 @@ func (w Workload) BackwardMultiplier() float64 {
 
 // TotalForwardFLOPs sums embed + encoder + decoder forward FLOPs.
 func (w Workload) TotalForwardFLOPs() float64 {
-	total := w.EmbedForwardFLOPs() +
-		float64(w.Model.Depth)*w.EncoderBlockForwardFLOPs()
+	total := float64(w.EmbedForwardFLOPs()) +
+		float64(float64(w.Model.Depth)*w.EncoderBlockForwardFLOPs())
 	if w.MAE {
-		total += float64(w.decoderDepth()) * w.DecoderBlockForwardFLOPs()
+		total += float64(float64(w.decoderDepth()) * w.DecoderBlockForwardFLOPs())
 	}
 	return total
 }
@@ -349,16 +349,16 @@ func (w Workload) ActivationBytes() float64 {
 	d := float64(w.Model.Depth)
 	h := float64(w.Model.Heads)
 	cb := w.Prec.ComputeBytes
-	const kAct = 8                  // linear-term buffers retained per block for backward
-	attnState := b * h * t * t * cb // per block, materialized path
+	const kAct = 8                           // linear-term buffers retained per block for backward
+	attnState := float64(b * h * t * t * cb) // per block, materialized path
 	if w.FusedAttention {
-		attnState = 2 * b * h * t * cb
+		attnState = float64(2 * b * h * t * cb)
 	}
 	if w.ActCheckpoint {
-		boundaries := b * t * wd * d * cb
-		working := b*t*(6*wd+float64(w.Model.MLP))*cb + attnState
+		boundaries := float64(b * t * wd * d * cb)
+		working := float64(b*t*(float64(6*wd)+float64(w.Model.MLP))*cb) + attnState
 		return boundaries + working
 	}
-	linear := b * t * wd * d * kAct * cb
-	return linear + attnState*d
+	linear := float64(b * t * wd * d * kAct * cb)
+	return linear + float64(attnState*d)
 }

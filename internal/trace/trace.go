@@ -84,14 +84,14 @@ func FromResult(r fsdp.Result, m hw.Machine, opts Options) Trace {
 		case phase < fwdFrac+bwdFrac+exposedFrac:
 			// Exposed communication: utilization stays pinned (RCCL
 			// kernels occupy CUs) but power sags.
-			power = m.IdlePower + (r.AvgPowerPerGPU-m.IdlePower)*0.6
+			power = m.IdlePower + float64((r.AvgPowerPerGPU-m.IdlePower)*0.6)
 			util = 100 * r.GPUUtilization
 		default:
-			power = m.IdlePower + (r.AvgPowerPerGPU-m.IdlePower)*0.4
+			power = m.IdlePower + float64((r.AvgPowerPerGPU-m.IdlePower)*0.4)
 			util = 60
 		}
-		power += 6 * g.NormFloat64()
-		util += 1.2 * g.NormFloat64()
+		power += float64(6 * g.NormFloat64())
+		util += float64(1.2 * g.NormFloat64())
 		if power < m.IdlePower {
 			power = m.IdlePower
 		}
@@ -104,7 +104,7 @@ func FromResult(r fsdp.Result, m hw.Machine, opts Options) Trace {
 		if util < 0 {
 			util = 0
 		}
-		mem := r.MemoryPerGPU * (1 + 0.005*g.NormFloat64())
+		mem := r.MemoryPerGPU * (1 + float64(0.005*g.NormFloat64()))
 		if mem > m.HBMBytesPerGPU {
 			mem = m.HBMBytesPerGPU
 		}
