@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -119,6 +120,14 @@ func run(o options, w io.Writer) error {
 	}
 	if err := o.cfg.Validate(); err != nil {
 		return err
+	}
+	for _, r := range o.rates {
+		if badRate(r) {
+			return fmt.Errorf("bad arrival rate %v", r)
+		}
+	}
+	if t := o.loop.ThinkSec; o.closed && (!(t >= 0) || math.IsInf(t, 1)) {
+		return fmt.Errorf("bad -think %v: want a finite non-negative time", t)
 	}
 	enc := o.mae.Encoder
 
@@ -234,7 +243,7 @@ func parseRates(s string) ([]float64, error) {
 			continue
 		}
 		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r <= 0 {
+		if err != nil || badRate(r) {
 			return nil, fmt.Errorf("bad rate %q in -rates", part)
 		}
 		rates = append(rates, r)
@@ -243,6 +252,12 @@ func parseRates(s string) ([]float64, error) {
 		return nil, fmt.Errorf("-rates named no arrival rates")
 	}
 	return rates, nil
+}
+
+// badRate rejects an arrival rate the load generator cannot schedule:
+// zero, negative, NaN or infinite.
+func badRate(r float64) bool {
+	return !(r > 0) || math.IsInf(r, 1) // !(r > 0) catches NaN
 }
 
 func fatal(err error) {

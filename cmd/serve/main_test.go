@@ -186,18 +186,27 @@ func TestServeFromCheckpoint(t *testing.T) {
 }
 
 // TestServeBadMode pins the fail-fast on an unknown -mode (and on an
-// unusable batcher setting): the error comes before any work, so
-// nothing is printed.
+// unusable batcher setting, arrival rate or think time): the error
+// comes before any work, so nothing is printed.
 func TestServeBadMode(t *testing.T) {
 	badMode, nanWait := tinyServeOptions(), tinyServeOptions()
 	badMode.mode = "batch"
 	nanWait.cfg.MaxWaitSec = math.NaN()
+	nanRate, infRate, nanThink, negThink := tinyServeOptions(), tinyServeOptions(), tinyServeOptions(), tinyServeOptions()
+	nanRate.rates = []float64{500, math.NaN()}
+	infRate.rates = []float64{math.Inf(1)}
+	nanThink.loop.ThinkSec = math.NaN()
+	negThink.loop.ThinkSec = -1e-3
 	for _, c := range []struct {
 		o    options
 		want string
 	}{
 		{badMode, `unknown -mode "batch"`},
 		{nanWait, "serve: MaxWaitSec NaN"},
+		{nanRate, "bad arrival rate NaN"},
+		{infRate, "bad arrival rate +Inf"},
+		{nanThink, "bad -think NaN"},
+		{negThink, "bad -think -0.001"},
 	} {
 		var b strings.Builder
 		if err := run(c.o, &b); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -224,7 +233,7 @@ func TestParseRates(t *testing.T) {
 			t.Fatalf("parseRates: got %v, want %v", got, want)
 		}
 	}
-	for _, bad := range []string{"", ",,", "0", "-5", "500,x"} {
+	for _, bad := range []string{"", ",,", "0", "-5", "500,x", "NaN", "500,nan", "Inf", "+Inf", "1e400"} {
 		if _, err := parseRates(bad); err == nil {
 			t.Errorf("parseRates(%q): expected an error", bad)
 		}

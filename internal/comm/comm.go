@@ -9,7 +9,7 @@
 //	all-reduce:                   λ + 2(n−1)·α + 2(n−1)/n · V / B
 //
 // The bandwidth term is bottlenecked by the slowest link the ring
-// crosses (hw.Machine.GroupBandwidth decides which tier applies).
+// crosses (hw.Machine.Link decides which tier applies).
 package comm
 
 import "fmt"

@@ -124,34 +124,6 @@ func (p Plan) Name() string {
 	return p.Strategy.String()
 }
 
-// ParsePlanName inverts Plan.Name: it maps a paper-style label
-// ("DDP", "FULL_SHARD", "HYBRID_2GPUs", …) back onto a plan with the
-// matching Strategy and GroupSize. Scheduling knobs that do not affect
-// the shard layout (Prefetch, LimitAllGathers) take the BestPractice
-// defaults, and DDP gets its default bucket size — checkpoint topology
-// stamps (train.TrainState.Strategy) only need the layout to round-trip.
-func ParsePlanName(name string) (Plan, error) {
-	for _, s := range []Strategy{DDP, NoShard, FullShard, ShardGradOp} {
-		if name == s.String() {
-			if s == DDP {
-				return DefaultDDP(), nil
-			}
-			return BestPractice(s, 0), nil
-		}
-	}
-	if name == "HYBRID_1GPU" {
-		return BestPractice(HybridShard, 1), nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(name, "HYBRID_%dGPUs", &k); n == 1 && err == nil && k > 1 {
-		p := BestPractice(HybridShard, k)
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return Plan{}, fmt.Errorf("fsdp: unknown plan name %q", name)
-}
-
 // Validate checks the plan against a world size.
 func (p Plan) Validate(world int) error {
 	if world < 1 {

@@ -14,8 +14,8 @@ import (
 // checkpointing, lost work and restarts. This is the reliability
 // dimension of the paper's scale story: at 64+ nodes the system MTBF
 // drops into hours, and the elastic machinery (failure injection,
-// N→M re-sharding, shrink-and-resume) is what keeps the overhead at
-// the modeled floor instead of a full rerun.
+// N→M resume of canonical checkpoints, shrink-and-resume) is what keeps
+// the overhead at the modeled floor instead of a full rerun.
 
 // FaultModel parameterizes the failure process and the restart costs.
 type FaultModel struct {
@@ -26,9 +26,10 @@ type FaultModel struct {
 	// CheckpointSec (the model's δ) is the wall-clock cost of writing
 	// one checkpoint.
 	CheckpointSec float64
-	// RestartSec (R) is the wall-clock cost of one restart: relaunch,
-	// re-shard the last checkpoint (train.Reshard) and fast-forward the
-	// data/mask streams to the resume point.
+	// RestartSec (R) is the wall-clock cost of one restart: relaunch at
+	// the new world from the last checkpoint, which is canonical flat
+	// state and needs no conversion, and fast-forward the data/mask
+	// streams to the resume point.
 	RestartSec float64
 }
 
@@ -85,8 +86,8 @@ type RestartOverhead struct {
 	// failure (half an interval plus the in-flight checkpoint),
 	// amortized over the MTBF.
 	LostWorkFrac float64
-	// RestartFrac is R/M: relaunch plus re-shard cost amortized over
-	// the MTBF.
+	// RestartFrac is R/M: relaunch plus resume cost amortized over the
+	// MTBF.
 	RestartFrac float64
 	// Overhead is the sum of the three fractions; Efficiency is
 	// 1/(1+Overhead) — the fraction of wall-clock doing useful work.

@@ -121,6 +121,15 @@ func TestTrafficBF16HalvesVolume(t *testing.T) {
 // regression net under the closed-form arithmetic.
 func TestTrafficTable(t *testing.T) {
 	const elems = 1003
+	plans := map[string]Plan{
+		"DDP":           DefaultDDP(),
+		"NO_SHARD":      BestPractice(NoShard, 0),
+		"FULL_SHARD":    BestPractice(FullShard, 0),
+		"SHARD_GRAD_OP": BestPractice(ShardGradOp, 0),
+		"HYBRID_1GPU":   BestPractice(HybridShard, 1),
+		"HYBRID_2GPUs":  BestPractice(HybridShard, 2),
+		"HYBRID_4GPUs":  BestPractice(HybridShard, 4),
+	}
 	cases := []struct {
 		plan       string
 		world      int
@@ -156,9 +165,9 @@ func TestTrafficTable(t *testing.T) {
 		{"HYBRID_4GPUs", 8, Traffic{504, 1512, 3024}, Traffic{1008, 3024, 6048}},
 	}
 	for _, c := range cases {
-		p, err := ParsePlanName(c.plan)
-		if err != nil {
-			t.Fatal(err)
+		p := plans[c.plan]
+		if p.Name() != c.plan {
+			t.Fatalf("plan table: %q names %q", c.plan, p.Name())
 		}
 		if got := TrafficPerStep(p, c.world, elems, 2); got != c.bf16 {
 			t.Errorf("%s world=%d bf16: %+v, want %+v", c.plan, c.world, got, c.bf16)

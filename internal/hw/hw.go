@@ -158,42 +158,29 @@ func (m Machine) InterBWPerGPU() float64 {
 	return m.InterNodeBWPerNode / float64(m.GPUsPerNode)
 }
 
-// GroupBandwidth returns the effective ring bandwidth and per-hop
-// latency for a collective over a group of the given size, given how
-// the group's ranks are laid out (ranksPerNode of the group co-located
-// on each node).
-//
-//   - group of 2 inside one package  → PairBW
-//   - group within one node          → IntraNodeBW
-//   - group spanning nodes           → NIC share (each node's boundary
-//     link carries the ring stream; concurrent spanning groups from the
-//     same node divide the NIC)
-func (m Machine) GroupBandwidth(groupSize, ranksPerNode, concurrentSpanningGroups int) (bw, hopLat, chunkOverhead float64) {
-	if groupSize <= 1 {
-		return m.PairBW, 0, 0
-	}
-	if groupSize <= ranksPerNode {
-		if groupSize == 2 {
-			return m.PairBW, m.IntraHopLatency, m.IntraChunkOverhead
-		}
-		return m.IntraNodeBW, m.IntraHopLatency, m.IntraChunkOverhead
-	}
-	if concurrentSpanningGroups < 1 {
-		concurrentSpanningGroups = 1
-	}
-	bw = m.InterNodeBWPerNode / float64(concurrentSpanningGroups)
-	if bw > m.IntraNodeBW {
-		bw = m.IntraNodeBW
-	}
-	return bw, m.InterHopLatency, m.InterChunkOverhead
-}
-
 // Link returns the ring link of a collective over a group of ranks
 // laid out ranksPerNode to a node (clamped to [1, min(ranks,
-// GPUsPerNode)]): GroupBandwidth's tier with every GPU of a node
-// sharing its NIC, and the per-call launch cost.
+// GPUsPerNode)]) and the per-call launch cost. The tier is the slowest
+// link the ring crosses:
+//
+//   - a group of one                 → no link (PairBW, zero latency)
+//   - group of 2 inside one package  → PairBW
+//   - group within one node          → IntraNodeBW
+//   - group spanning nodes           → the node's NIC shared by every
+//     GPU on it (InterBWPerGPU), capped at IntraNodeBW
 func (m Machine) Link(ranks, ranksPerNode int) comm.Params {
+	p := comm.Params{Bandwidth: m.PairBW, Launch: m.CollectiveLaunch}
 	rpn := max(1, min(ranksPerNode, ranks, m.GPUsPerNode))
-	bw, lat, chunk := m.GroupBandwidth(ranks, rpn, m.GPUsPerNode)
-	return comm.Params{Bandwidth: bw, HopLat: lat, Launch: m.CollectiveLaunch, ChunkOverheadBytes: chunk}
+	switch {
+	case ranks <= 1:
+	case ranks <= rpn:
+		if ranks > 2 {
+			p.Bandwidth = m.IntraNodeBW
+		}
+		p.HopLat, p.ChunkOverheadBytes = m.IntraHopLatency, m.IntraChunkOverhead
+	default:
+		p.Bandwidth = min(m.InterNodeBWPerNode/float64(max(m.GPUsPerNode, 1)), m.IntraNodeBW)
+		p.HopLat, p.ChunkOverheadBytes = m.InterHopLatency, m.InterChunkOverhead
+	}
+	return p
 }

@@ -51,40 +51,49 @@ func TestInterBWPerGPU(t *testing.T) {
 func TestGroupBandwidthTiers(t *testing.T) {
 	m := Frontier()
 	// Pair of GCDs in one package → fastest tier.
-	bw, lat, _ := m.GroupBandwidth(2, 8, 1)
-	if bw != m.PairBW || lat != m.IntraHopLatency {
-		t.Fatalf("pair tier: bw=%v lat=%v", bw, lat)
+	l := m.Link(2, 8)
+	if l.Bandwidth != m.PairBW || l.HopLat != m.IntraHopLatency || l.ChunkOverheadBytes != m.IntraChunkOverhead {
+		t.Fatalf("pair tier: %+v", l)
 	}
 	// Group of 8 within node → Infinity Fabric tier.
-	bw, _, _ = m.GroupBandwidth(8, 8, 1)
-	if bw != m.IntraNodeBW {
-		t.Fatalf("node tier: bw=%v", bw)
+	if l = m.Link(8, 8); l.Bandwidth != m.IntraNodeBW || l.HopLat != m.IntraHopLatency {
+		t.Fatalf("node tier: %+v", l)
 	}
-	// Spanning group with 8 concurrent spanning groups per node → NIC/8.
-	bw, lat, _ = m.GroupBandwidth(64, 8, 8)
-	if bw != m.InterNodeBWPerNode/8 {
-		t.Fatalf("spanning tier: bw=%v", bw)
+	// A group laid out one rank per node spans nodes however small it is.
+	if l = m.Link(2, 1); l.Bandwidth != m.InterBWPerGPU() {
+		t.Fatalf("strided pair: %+v, want the spanning tier", l)
 	}
-	if lat != m.InterHopLatency {
-		t.Fatalf("spanning lat=%v", lat)
+	// Spanning group: every GCD of a node shares its NIC → NIC/8.
+	l = m.Link(64, 8)
+	if l.Bandwidth != m.InterNodeBWPerNode/8 || l.Bandwidth != m.InterBWPerGPU() {
+		t.Fatalf("spanning tier: bw=%v", l.Bandwidth)
 	}
-	// Single spanning group is still capped at the intra tier.
-	bw, _, _ = m.GroupBandwidth(64, 8, 1)
-	if bw > m.IntraNodeBW {
-		t.Fatalf("spanning bw %v exceeds intra ceiling", bw)
+	if l.HopLat != m.InterHopLatency || l.ChunkOverheadBytes != m.InterChunkOverhead {
+		t.Fatalf("spanning link %+v", l)
 	}
-	// Degenerate group of one.
-	_, lat, _ = m.GroupBandwidth(1, 8, 1)
-	if lat != 0 {
-		t.Fatalf("singleton group lat=%v", lat)
+	// A NIC share above the intra-node fabric is capped at the intra tier.
+	fat := m
+	fat.InterNodeBWPerNode = 1e15
+	if l = fat.Link(64, 8); l.Bandwidth != m.IntraNodeBW {
+		t.Fatalf("spanning bw %v, want the intra ceiling %v", l.Bandwidth, m.IntraNodeBW)
+	}
+	// Degenerate group of one: no hop, but the call still launches.
+	if l = m.Link(1, 8); l.HopLat != 0 || l.ChunkOverheadBytes != 0 || l.Launch != m.CollectiveLaunch {
+		t.Fatalf("singleton group: %+v", l)
+	}
+	// Every tier pays the per-call launch cost.
+	for _, ranks := range []int{2, 8, 64} {
+		if l = m.Link(ranks, 8); l.Launch != m.CollectiveLaunch {
+			t.Fatalf("%d ranks: launch %v", ranks, l.Launch)
+		}
 	}
 }
 
 func TestBandwidthTierOrdering(t *testing.T) {
 	m := Frontier()
-	pair, _, _ := m.GroupBandwidth(2, 8, 1)
-	intra, _, _ := m.GroupBandwidth(8, 8, 1)
-	inter, _, _ := m.GroupBandwidth(16, 8, 8)
+	pair := m.Link(2, 8).Bandwidth
+	intra := m.Link(8, 8).Bandwidth
+	inter := m.Link(16, 8).Bandwidth
 	if !(pair > intra && intra > inter) {
 		t.Fatalf("tier ordering violated: %v %v %v", pair, intra, inter)
 	}

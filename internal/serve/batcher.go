@@ -288,10 +288,10 @@ func (p *policyRun) popArrival() Arrival {
 	return top.a
 }
 
-// runPolicy validates the curves, drives the state machine to
-// completion on a virtual clock and packages the result. arrivals seed
-// the event heap; onDone may push follow-up arrivals — the closed-loop
-// hook.
+// runPolicy validates the curves and the arrival times, drives the
+// state machine to completion on a virtual clock and packages the
+// result. arrivals seed the event heap; onDone may push follow-up
+// arrivals — the closed-loop hook.
 func runPolicy(cfg Config, lat LatencyModel,
 	admissible func(Kind, []float32) error,
 	exec func(*batchJob),
@@ -303,6 +303,11 @@ func runPolicy(cfg Config, lat LatencyModel,
 	}
 	if err := lat.Validate(); err != nil {
 		return nil, err
+	}
+	for i, a := range arrivals {
+		if !onClock(a.AtSec) {
+			return nil, fmt.Errorf("serve: arrival %d at %v s, want a finite non-negative time", i, a.AtSec)
+		}
 	}
 	p := &policyRun{
 		batcher:    batcher{cfg: cfg, admissible: admissible},
@@ -319,6 +324,11 @@ func runPolicy(cfg Config, lat LatencyModel,
 	p.run()
 	return p.result(lat), nil
 }
+
+// onClock reports whether a time can stand on the virtual clock the
+// event loop orders by: a NaN never compares, an infinite time never
+// arrives, and a negative one precedes the clock's start.
+func onClock(sec float64) bool { return sec >= 0 && !math.IsInf(sec, 1) }
 
 func (p *policyRun) run() {
 	inf := math.Inf(1)
@@ -399,9 +409,9 @@ func RunVirtual(cfg Config, lat LatencyModel, model *Model, arrivals []Arrival) 
 // with no compute at all, every batch priced by lat. Virtual runs of
 // the same stream match it bitwise.
 //
-// Simulate assumes a well-formed request stream (no admission
-// validation — there is no model here to validate against); queue
-// sheds are still modeled exactly.
+// Simulate assumes well-formed requests (no admission validation —
+// there is no model here to validate against), though arrival times are
+// still checked; queue sheds are still modeled exactly.
 func Simulate(cfg Config, lat LatencyModel, arrivals []Arrival) (*RunResult, error) {
 	return runPolicy(cfg, lat, nil, nil, nil, arrivals)
 }

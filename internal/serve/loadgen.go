@@ -73,8 +73,11 @@ type ClosedLoop struct {
 // arrival — the policy loop's onDone hook, so the whole run stays one
 // deterministic event sequence.
 func RunClosedLoop(cfg Config, lat LatencyModel, model *Model, cl ClosedLoop) (*RunResult, error) {
-	if cl.Clients <= 0 || cl.PerClient <= 0 || len(cl.Mix) == 0 {
-		return nil, fmt.Errorf("serve: closed loop needs clients, requests and a kind mix")
+	if cl.Clients <= 0 || cl.PerClient <= 0 || len(cl.Mix) == 0 || cl.Image == nil {
+		return nil, fmt.Errorf("serve: closed loop needs clients, requests, a kind mix and an image source")
+	}
+	if !onClock(cl.ThinkSec) {
+		return nil, fmt.Errorf("serve: closed-loop think time %v s, want a finite non-negative time", cl.ThinkSec)
 	}
 	arrival := func(c, seq int, at float64) Arrival {
 		i := c*cl.PerClient + seq

@@ -339,6 +339,44 @@ func TestClosedLoop(t *testing.T) {
 	sameRun(t, a, run())
 }
 
+// TestRejectsBadTimes: an arrival time or think time the event loop
+// cannot order — NaN, infinite or before the clock starts — and a
+// closed loop without an image source are named serve: errors from
+// every virtual driver, never a panic inside the loop.
+func TestRejectsBadTimes(t *testing.T) {
+	m := tinyModel(7)
+	cfg := Config{MaxBatch: 4, MaxWaitSec: 1e-3, QueueCap: 16, Workers: 1}
+	lat := simpleLat(1e-3, 1e-4)
+	img := imageFn(m, 5)
+	at := func(sec float64) []Arrival {
+		return []Arrival{{AtSec: 0, Kind: Embed, Img: img(0)}, {AtSec: sec, Kind: Embed, Img: img(1)}}
+	}
+	loop := func(think float64, image func(int) []float32) ClosedLoop {
+		return ClosedLoop{Clients: 2, PerClient: 3, ThinkSec: think, Mix: mixedKinds, Image: image}
+	}
+	virtual := func(arr []Arrival) error { _, err := RunVirtual(cfg, lat, m, arr); return err }
+	simulate := func(arr []Arrival) error { _, err := Simulate(cfg, lat, arr); return err }
+	closed := func(cl ClosedLoop) error { _, err := RunClosedLoop(cfg, lat, m, cl); return err }
+	for _, c := range []struct {
+		name, want string
+		err        error
+	}{
+		{"Poisson NaN rate", "arrival 0 at NaN", simulate(PoissonArrivals(math.NaN(), 5, mixedKinds, img, 1))},
+		{"NaN arrival", "arrival 1 at NaN", simulate(at(math.NaN()))},
+		{"infinite arrival", "arrival 1 at +Inf", simulate(at(math.Inf(1)))},
+		{"negative arrival", "arrival 1 at -0.5", simulate(at(-0.5))},
+		{"NaN arrival, virtual", "arrival 1 at NaN", virtual(at(math.NaN()))},
+		{"NaN think", "think time NaN", closed(loop(math.NaN(), img))},
+		{"infinite think", "think time +Inf", closed(loop(math.Inf(1), img))},
+		{"negative think", "think time -0.001", closed(loop(-1e-3, img))},
+		{"no image source", "image source", closed(loop(1e-3, nil))},
+	} {
+		if c.err == nil || !strings.HasPrefix(c.err.Error(), "serve: ") || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a serve: error naming %q", c.name, c.err, c.want)
+		}
+	}
+}
+
 // TestWallServer exercises the goroutine server end to end: submit,
 // drain, the server's own record held to the batcher's invariants
 // (every request completes exactly once, batches launch FIFO, no

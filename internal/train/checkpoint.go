@@ -19,8 +19,9 @@ import (
 // uninterrupted run. All tensors are stored flat in parameter order
 // (the order nn.FlattenParams lays a rank's buffers out in), unpadded:
 // shard padding is always zero-valued and is reconstructed from the
-// world size at restore time, which makes the state independent of the
-// world and strategy it was captured under.
+// world size at restore time. The state therefore records no topology:
+// DistConfig.Resume continues it at any world under any plan, every
+// rank cutting its own spans out of the same tensors.
 type TrainState struct {
 	Format string
 	// Step is the absolute number of completed optimizer steps; Epoch
@@ -41,14 +42,6 @@ type TrainState struct {
 	// micro-batches — a mismatched window would silently resume on a
 	// misaligned mask stream.
 	AccumSteps int
-	// World and Strategy stamp the topology the state was captured
-	// under: the world size and the plan name (fsdp.Plan.Name()). A
-	// resume validates both against the configuration — continuing at a
-	// different world or strategy requires going through Reshard, which
-	// restamps them. Zero values (states from before elasticity
-	// existed) act as wildcards.
-	World    int
-	Strategy string
 	// Master holds the fp32 master weights (for FP32 runs, simply the
 	// parameters). OptM/OptV are the Adam moments; OptStep the shared
 	// bias-correction counter.
@@ -65,7 +58,9 @@ type TrainState struct {
 // envelope (v2) around the gob-encoded TrainState. v1 wrote the bare
 // TrainState gob; its Format field decodes into the envelope by field
 // name, so a v1 stream is recognized and rejected with a clear
-// format error rather than misread.
+// format error rather than misread. v2 payloads written while the state
+// still carried World/Strategy topology stamps decode unchanged: gob
+// skips fields the struct no longer has.
 const trainStateFormat = "geofm-trainstate-v2"
 
 // stateEnvelope is the on-disk frame of a train state: the payload is
@@ -134,7 +129,7 @@ func LoadTrainState(r io.Reader) (*TrainState, error) {
 // validate rejects a state no run could have captured, before anything
 // indexes one of its tensors with another's length or restores an
 // optimizer from its scalars — the check every consumer of a state from
-// outside (LoadTrainState, Reshard, DistConfig.Resume) makes first.
+// outside (LoadTrainState, DistConfig.Resume) makes first.
 func (st *TrainState) validate() error {
 	if len(st.OptM) != len(st.Master) || len(st.OptV) != len(st.Master) {
 		return fmt.Errorf("train: state moments (%d/%d values) do not match master (%d)",
@@ -142,6 +137,12 @@ func (st *TrainState) validate() error {
 	}
 	if st.OptStep < 0 {
 		return fmt.Errorf("train: state has negative optimizer step %d", st.OptStep)
+	}
+	if st.AccumSteps < 0 {
+		return fmt.Errorf("train: state has negative AccumSteps %d", st.AccumSteps)
+	}
+	if st.ScaleGoodSteps < 0 {
+		return fmt.Errorf("train: state has negative ScaleGoodSteps %d", st.ScaleGoodSteps)
 	}
 	// AdamW runs in float32 and takes √v there: a non-finite tensor or
 	// a negative second moment would turn into NaN weights a step later.

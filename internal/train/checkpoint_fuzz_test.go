@@ -6,9 +6,37 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/fsdp"
 )
+
+// syntheticState builds a TrainState with position-distinct tensors, as
+// if captured by a run at its epoch-3 boundary.
+func syntheticState(dim int) *TrainState {
+	st := &TrainState{
+		Step: 12, Epoch: 3, Precision: FP32, AccumSteps: 1,
+		Master:  make([]float32, dim),
+		OptM:    make([]float32, dim),
+		OptV:    make([]float32, dim),
+		OptStep: 12,
+	}
+	for i := range st.Master {
+		st.Master[i] = 1 + float32(i)*0.5
+		st.OptM[i] = -2 + float32(i)*0.25
+		st.OptV[i] = float32(math.Exp(float64(i % 13)))
+	}
+	return st
+}
+
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // gobMessageEnds returns the offset just past every length-prefixed
 // message of a gob stream (type descriptors and values alike) — the
@@ -68,17 +96,15 @@ func envelopeAround(t testing.TB, payload []byte) []byte {
 
 // FuzzLoadTrainState feeds LoadTrainState hostile checkpoint bytes: it
 // must answer with a state that passes its own validation or with a
-// named train: error, never with a panic — and whatever it accepts,
-// Reshard (the next consumer of a loaded state's stamps) must treat the
-// same way. The seed corpus walks every defence in order: the valid
-// file, truncation at each section boundary of the envelope and of the
-// payload inside it, single bit flips in each section, a valid
-// checksummed envelope around a corrupt gob payload (which only the
-// payload decoder can catch), and well-formed payloads no run could
-// have captured (which only validate can catch).
+// named train: error, never with a panic. The seed corpus walks every
+// defence in order: the valid file, truncation at each section boundary
+// of the envelope and of the payload inside it, single bit flips in
+// each section, a valid checksummed envelope around a corrupt gob
+// payload (which only the payload decoder can catch), and well-formed
+// payloads no run could have captured (which only validate can catch).
 func FuzzLoadTrainState(f *testing.F) {
-	good := syntheticState(24, 2, fsdp.BestPractice(fsdp.HybridShard, 2))
-	good.Precision, good.LossScale = BF16, 1024
+	good := syntheticState(24)
+	good.Precision, good.LossScale, good.ScaleGoodSteps = BF16, 1024, 5
 	var file bytes.Buffer
 	if err := SaveTrainState(&file, good); err != nil {
 		f.Fatal(err)
@@ -133,8 +159,8 @@ func FuzzLoadTrainState(f *testing.F) {
 		func(st *TrainState) { st.OptStep = -4 },
 		func(st *TrainState) { st.LossScale = math.Inf(1) },
 		func(st *TrainState) { st.LossScale = 0 },
-		func(st *TrainState) { st.World, st.Strategy = 3, "HYBRID_2GPUs" }, // a stamp no run could have written
-		func(st *TrainState) { st.Strategy = "ZEBRA" },
+		func(st *TrainState) { st.AccumSteps = -2 },
+		func(st *TrainState) { st.ScaleGoodSteps = -7 },
 		func(st *TrainState) { st.Format = "geofm-trainstate-v1" },
 	} {
 		st := good.clone()
@@ -142,30 +168,19 @@ func FuzzLoadTrainState(f *testing.F) {
 		f.Add(envelopeAround(f, payloadOf(f, st)))
 	}
 
-	named := func(t *testing.T, what string, err error) {
-		t.Helper()
-		if !strings.HasPrefix(err.Error(), "train: ") {
-			t.Fatalf("%s failed without naming its package: %v", what, err)
-		}
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := LoadTrainState(bytes.NewReader(data))
 		if err != nil {
 			if st != nil {
 				t.Fatal("LoadTrainState returned a state beside its error")
 			}
-			named(t, "LoadTrainState", err)
+			if !strings.HasPrefix(err.Error(), "train: ") {
+				t.Fatalf("LoadTrainState failed without naming its package: %v", err)
+			}
 			return
 		}
 		if err := st.validate(); err != nil {
 			t.Fatalf("LoadTrainState accepted a state its own validation rejects: %v", err)
-		}
-		if out, err := Reshard(st, 2, fsdp.Plan{}); err != nil {
-			named(t, "Reshard", err)
-		} else if out.World != 2 || len(out.Master) != len(st.Master) {
-			t.Fatalf("Reshard of a loaded state: world %d, %d master values", out.World, len(out.Master))
-		} else if len(st.Master) > 0 && &out.Master[0] == &st.Master[0] {
-			t.Fatal("Reshard returned a state aliasing its input")
 		}
 	})
 }
@@ -175,22 +190,26 @@ func FuzzLoadTrainState(f *testing.F) {
 // start passing through a different defence than the one it was written
 // to reach.
 func TestLoadTrainStateSeedVerdicts(t *testing.T) {
-	good := syntheticState(24, 2, fsdp.DefaultDDP())
+	good := syntheticState(24)
 	payload := payloadOf(t, good)
 	if _, err := LoadTrainState(bytes.NewReader(envelopeAround(t, payload))); err != nil {
 		t.Fatalf("hand-built envelope around a valid payload rejected: %v", err)
 	}
-	nan, negative := good.clone(), good.clone()
+	nan, negative, accum, scaler := good.clone(), good.clone(), good.clone(), good.clone()
 	nan.Master[5] = float32(math.NaN())
 	negative.OptV[7] = -1e-3
+	accum.AccumSteps = -2
+	scaler.ScaleGoodSteps = -7
 	for name, c := range map[string]struct {
 		payload []byte
 		want    string
 	}{
-		"truncated payload":      {payload[:len(payload)/2], "decoding train state"},
-		"empty payload":          {nil, "decoding train state"},
-		"nan master":             {payloadOf(t, nan), "Master holds a non-finite"},
-		"negative second moment": {payloadOf(t, negative), "OptV[7]"},
+		"truncated payload":       {payload[:len(payload)/2], "decoding train state"},
+		"empty payload":           {nil, "decoding train state"},
+		"nan master":              {payloadOf(t, nan), "Master holds a non-finite"},
+		"negative second moment":  {payloadOf(t, negative), "OptV[7]"},
+		"negative accumulation":   {payloadOf(t, accum), "negative AccumSteps -2"},
+		"negative scaler counter": {payloadOf(t, scaler), "negative ScaleGoodSteps -7"},
 	} {
 		_, err := LoadTrainState(bytes.NewReader(envelopeAround(t, c.payload)))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -137,7 +137,7 @@ func BenchmarkDistStepStraggler(b *testing.B) {
 
 // BenchmarkElasticRestart measures the executed fault-tolerance costs
 // the fsdp.FaultModel prices: per-checkpoint capture time, per-failure
-// restart (re-shard + relaunch bookkeeping) and lost work, from a
+// restart (relaunch bookkeeping) and lost work, from a
 // 4-rank hybrid run killed mid-epoch 3 and shrunk to 2 ranks. Recorded
 // into BENCH_dist.json by `make bench-dist`.
 func BenchmarkElasticRestart(b *testing.B) {

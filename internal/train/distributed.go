@@ -78,9 +78,11 @@ type DistConfig struct {
 	// Resume restores the training state captured by a previous run
 	// (DistResult.State, possibly round-tripped through
 	// SaveTrainState/LoadTrainState) and continues from its epoch
-	// boundary. The configuration must match the interrupted run's —
-	// same model, schedule, world, plan and precision — and the
-	// continuation is then bitwise-identical to a run that never
+	// boundary. The model, schedule, precision and accumulation window
+	// must match the interrupted run's; the world and plan are free — the
+	// state is canonical flat state, so any world under any plan cuts its
+	// spans out of the same tensors. At the interrupted run's world and
+	// plan the continuation is bitwise-identical to a run that never
 	// stopped. No init broadcast is sent on resume: every rank restores
 	// the identical state deterministically.
 	Resume *TrainState
@@ -183,12 +185,17 @@ func (r *DistResult) Breakdown(label string) trace.ExecBreakdown {
 	return trace.NewExecBreakdown(label, r.Steps, r.WallSec, r.ExposedCommSec)
 }
 
-// resolvePlan is the topology half of the configuration preamble: it
-// checks the world size, normalizes the plan (zero value → DefaultDDP,
-// DDP's default bucket size) and validates it against the world.
-func resolvePlan(plan fsdp.Plan, ranks int) (fsdp.Plan, error) {
-	if ranks < 1 {
-		return plan, fmt.Errorf("train: non-positive rank count %d", ranks)
+// resolve is the preamble PretrainDistributed and WorkloadFor share:
+// the model, world, plan, global-batch split and precision must be
+// executable. It returns the plan normalized (zero value → DefaultDDP,
+// DDP's default bucket size).
+func (cfg DistConfig) resolve() (fsdp.Plan, error) {
+	plan := cfg.Plan
+	if err := cfg.MAE.Validate(); err != nil {
+		return plan, fmt.Errorf("train: %w", err)
+	}
+	if cfg.Ranks < 1 {
+		return plan, fmt.Errorf("train: non-positive rank count %d", cfg.Ranks)
 	}
 	if plan == (fsdp.Plan{}) {
 		plan = fsdp.DefaultDDP()
@@ -196,23 +203,8 @@ func resolvePlan(plan fsdp.Plan, ranks int) (fsdp.Plan, error) {
 	if plan.Strategy == fsdp.DDP && plan.DDPBucketBytes <= 0 {
 		plan.DDPBucketBytes = fsdp.DefaultDDP().DDPBucketBytes
 	}
-	if err := plan.Validate(ranks); err != nil {
+	if err := plan.Validate(cfg.Ranks); err != nil {
 		return plan, fmt.Errorf("train: %w", err)
-	}
-	return plan, nil
-}
-
-// resolve is the preamble PretrainDistributed and WorkloadFor share
-// (Reshard, which has only a topology, uses resolvePlan): the model,
-// world, plan, global-batch split and precision must be executable. It
-// returns the normalized plan.
-func (cfg DistConfig) resolve() (fsdp.Plan, error) {
-	if err := cfg.MAE.Validate(); err != nil {
-		return fsdp.Plan{}, fmt.Errorf("train: %w", err)
-	}
-	plan, err := resolvePlan(cfg.Plan, cfg.Ranks)
-	if err != nil {
-		return plan, err
 	}
 	if cfg.BatchSize <= 0 || cfg.BatchSize%cfg.Ranks != 0 {
 		return plan, fmt.Errorf("train: global batch %d not divisible by %d ranks", cfg.BatchSize, cfg.Ranks)
@@ -225,8 +217,9 @@ func (cfg DistConfig) resolve() (fsdp.Plan, error) {
 
 // checkResume validates cfg.Resume against the run it is asked to
 // continue, before any rank spawns: a well-formed state, captured at an
-// epoch boundary of this schedule, under this precision, accumulation
-// window and topology.
+// epoch boundary of this schedule, under this precision and
+// accumulation window. The world and plan are not checked: a state has
+// no layout to mismatch them.
 func (run *distRun) checkResume() error {
 	resume, cfg := run.cfg.Resume, &run.cfg
 	if resume == nil {
@@ -249,17 +242,6 @@ func (run *distRun) checkResume() error {
 	if stAccum := max(resume.AccumSteps, 1); stAccum != run.accum {
 		return fmt.Errorf("train: resume state captured with AccumSteps %d, configuration has %d",
 			stAccum, run.accum)
-	}
-	// Topology stamps: a state sharded for another world or strategy
-	// must go through Reshard (which restamps it) before resuming.
-	// Zero stamps — states predating elasticity — act as wildcards.
-	if resume.World != 0 && resume.World != cfg.Ranks {
-		return fmt.Errorf("train: resume state captured at world %d, configuration has %d ranks — re-shard it first (train.Reshard)",
-			resume.World, cfg.Ranks)
-	}
-	if resume.Strategy != "" && resume.Strategy != run.plan.Name() {
-		return fmt.Errorf("train: resume state captured under %s, configuration runs %s — re-shard it first (train.Reshard)",
-			resume.Strategy, run.plan.Name())
 	}
 	run.startEpoch = resume.Epoch
 	return nil

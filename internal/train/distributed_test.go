@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fsdp"
@@ -224,5 +225,10 @@ func TestDistributedRejectsInvalidPlans(t *testing.T) {
 	cfg := tinyDistConfig(3, fsdp.DefaultDDP())
 	if _, err := PretrainDistributed(cfg, tinyDataset(64)); err == nil {
 		t.Error("expected error for 8 % 3 != 0")
+	}
+	// No ranks at all.
+	if _, err := PretrainDistributed(tinyDistConfig(0, fsdp.Plan{}), tinyDataset(64)); err == nil ||
+		!strings.Contains(err.Error(), "non-positive rank count") {
+		t.Errorf("zero ranks: err = %v, want a non-positive rank count error", err)
 	}
 }

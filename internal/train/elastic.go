@@ -25,7 +25,8 @@ type ElasticConfig struct {
 	ShrinkTo int
 	// ShrinkPlan optionally switches the sharding strategy on restart
 	// (the zero value keeps DistConfig.Plan). The checkpoint is
-	// re-sharded for whatever topology the next leg runs.
+	// canonical flat state, so the next leg resumes it as it is under
+	// whatever world and plan it runs.
 	ShrinkPlan fsdp.Plan
 	// MaxRestarts bounds how many failures the driver absorbs before
 	// giving up (≤0 means one).
@@ -41,7 +42,7 @@ type ElasticResult struct {
 	Failures    int
 	Checkpoints int
 	// CheckpointSec is the wall-clock spent capturing periodic
-	// snapshots; RestartSec the wall-clock spent re-sharding and
+	// snapshots; RestartSec the wall-clock spent reconfiguring and
 	// relaunching after failures; LostWorkSec the wall-clock of training
 	// progress discarded — time between the last checkpoint (or leg
 	// start) and each failure. These are the executed counterparts of
@@ -52,23 +53,24 @@ type ElasticResult struct {
 	// Worlds is the world size of every leg launched, first to last.
 	Worlds []int
 	// Checkpoint is the snapshot the final leg resumed from (nil if no
-	// failure occurred and no periodic checkpoint fired). For a killed
-	// run this is the re-sharded state — resume an uninterrupted
-	// reference run from it to prove the continuation bitwise.
+	// leg failed): the last periodic checkpoint before the failure,
+	// exactly as captured — resume an uninterrupted reference run from
+	// it to prove the continuation bitwise.
 	Checkpoint *TrainState
 }
 
 // PretrainElastic runs PretrainDistributed with failure recovery: it
 // checkpoints periodically (CheckpointEvery, forced to every epoch if
 // unset), and when a leg dies — the armed dist.FaultPlan firing, or any
-// rank panic surfacing as dist.ErrAborted — it re-shards the last
-// checkpoint for the shrunk world (Reshard, N→M), disarms the fault,
-// fast-forwards the data and mask streams through the normal resume
-// path, and relaunches. The shrunk continuation trains the exact global
-// batch and mask sequence of an uninterrupted ShrinkTo-rank run resumed
-// from the same checkpoint, so the two are bitwise identical — the
-// headline property the elastic tests hold every strategy × precision
-// to.
+// rank panic surfacing as dist.ErrAborted — it relaunches with Resume
+// set to the last checkpoint and Ranks/Plan set to the shrunk world
+// (ShrinkTo, ShrinkPlan), the fault disarmed. The checkpoint is
+// canonical flat state, so the N→M step is the normal resume path,
+// which also fast-forwards the data and mask streams. The shrunk
+// continuation trains the exact global batch and mask sequence of an
+// uninterrupted ShrinkTo-rank run resumed from the same checkpoint, so
+// the two are bitwise identical — the headline property the elastic
+// tests hold every strategy × precision to.
 //
 // A failure before the first checkpoint is unrecoverable (there is
 // nothing to resume) and returns the leg's error.
@@ -114,35 +116,26 @@ func PretrainElastic(cfg ElasticConfig, ds *geodata.Dataset) (*ElasticResult, er
 			return nil, fmt.Errorf("train: elastic run failed %d times, giving up: %w", out.Failures, err)
 		}
 		restartStart := time.Now()
-		newRanks := cfg.ShrinkTo
-		if newRanks <= 0 {
-			newRanks = dcfg.Ranks
+		if cfg.ShrinkTo > 0 {
+			dcfg.Ranks = cfg.ShrinkTo
 		}
-		newPlan := dcfg.Plan
 		if cfg.ShrinkPlan != (fsdp.Plan{}) {
-			newPlan = cfg.ShrinkPlan
+			dcfg.Plan = cfg.ShrinkPlan
 		}
-		resharded, rerr := Reshard(last, newRanks, newPlan)
-		if rerr != nil {
-			return nil, fmt.Errorf("train: elastic restart: %w", rerr)
-		}
-		dcfg.Ranks = newRanks
-		dcfg.Plan = newPlan
-		dcfg.Resume = resharded
+		dcfg.Resume = last
 		// The failed rank is gone: disarm the fault and drop skew
 		// entries for ranks outside the shrunk world.
 		dcfg.Fault = dist.FaultPlan{}
 		if len(dcfg.ThrottleSkew) > 0 {
 			skew := make(map[int]float64)
 			for rk, s := range dcfg.ThrottleSkew {
-				if rk < newRanks {
+				if rk < dcfg.Ranks {
 					skew[rk] = s
 				}
 			}
 			dcfg.ThrottleSkew = skew
 		}
-		last = resharded
-		out.Checkpoint = resharded
+		out.Checkpoint = last
 		out.RestartSec += time.Since(restartStart).Seconds()
 	}
 }

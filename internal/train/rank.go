@@ -405,15 +405,14 @@ func (s *rankState) capture() {
 }
 
 // stamp fills the scalar fields only rank 0 owns: the progress
-// counters, numeric mode, topology stamps and the loss-scaler freeze.
+// counters, numeric mode, accumulation window and the loss-scaler
+// freeze.
 func (s *rankState) stamp(stepNow, epochsDone int) {
-	st, cfg := s.run.res.State, &s.run.cfg
+	st := s.run.res.State
 	st.Step = stepNow
 	st.Epoch = epochsDone
-	st.Precision = cfg.Precision
+	st.Precision = s.run.cfg.Precision
 	st.AccumSteps = s.run.accum
-	st.World = cfg.Ranks
-	st.Strategy = s.run.plan.Name()
 	if s.scaler != nil {
 		st.LossScale = s.scaler.Scale
 		st.ScaleGoodSteps = s.scaler.GoodSteps()

@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -267,12 +268,12 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("resume with wrong parameter count accepted")
 	}
 	// Malformed states — moments shorter than the master, a negative
-	// optimizer step, a BF16 state without a usable loss scale, a
-	// non-finite tensor or a negative second moment (the float32 AdamW
-	// kernel takes its root) — are named train: errors from the
-	// preamble, not a rank's slice-bounds or NaN failure, and the same
-	// error from every door a state comes in by: DistConfig.Resume,
-	// Reshard and LoadTrainState.
+	// optimizer step, accumulation window or loss-scaler counter, a BF16
+	// state without a usable loss scale, a non-finite tensor or a
+	// negative second moment (the float32 AdamW kernel takes its root) —
+	// are named train: errors from the preamble, not a rank's
+	// slice-bounds or NaN failure, and the same error from every door a
+	// state comes in by: DistConfig.Resume and LoadTrainState.
 	poked := func(x []float32, v float64) []float32 {
 		cp := append([]float32(nil), x...)
 		cp[len(cp)/2] = float32(v)
@@ -286,6 +287,8 @@ func TestResumeValidation(t *testing.T) {
 		{"short OptM", "do not match master", FP32, func(b *TrainState) { b.OptM = make([]float32, 10) }},
 		{"short OptV", "do not match master", FP32, func(b *TrainState) { b.OptV = make([]float32, 10) }},
 		{"negative OptStep", "negative optimizer step", FP32, func(b *TrainState) { b.OptStep = -1 }},
+		{"negative AccumSteps", "negative AccumSteps", FP32, func(b *TrainState) { b.AccumSteps = -1 }},
+		{"negative ScaleGoodSteps", "negative ScaleGoodSteps", BF16, func(b *TrainState) { b.ScaleGoodSteps = -3 }},
 		{"zero LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = 0 }},
 		{"infinite LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.Inf(1) }},
 		{"NaN LossScale", "loss scale", BF16, func(b *TrainState) { b.LossScale = math.NaN() }},
@@ -303,13 +306,12 @@ func TestResumeValidation(t *testing.T) {
 		c.Precision = bad.prec
 		c.Resume = &b
 		_, err := PretrainDistributed(c, tinyDataset(32))
-		_, reshardErr := Reshard(&b, 4, fsdp.DefaultDDP())
 		var file bytes.Buffer
 		if err := SaveTrainState(&file, &b); err != nil {
 			t.Fatal(err)
 		}
 		_, loadErr := LoadTrainState(&file)
-		for door, err := range map[string]error{"Resume": err, "Reshard": reshardErr, "LoadTrainState": loadErr} {
+		for door, err := range map[string]error{"Resume": err, "LoadTrainState": loadErr} {
 			if err == nil || !strings.HasPrefix(err.Error(), "train: ") || !strings.Contains(err.Error(), bad.want) {
 				t.Errorf("%s via %s: err = %v, want a train: error naming %q", bad.name, door, err, bad.want)
 			}
@@ -345,56 +347,126 @@ func TestResumeValidation(t *testing.T) {
 	if st.AccumSteps != 1 {
 		t.Errorf("captured state AccumSteps = %d, want 1", st.AccumSteps)
 	}
-	// Topology stamps: a state sharded for another world or strategy
-	// must be rejected with a pointer at Reshard, naming both sides.
-	if st.World != 2 || st.Strategy != "DDP" {
-		t.Fatalf("captured state stamped %d/%q, want 2/DDP", st.World, st.Strategy)
-	}
-	c = cfg
-	c.StopAfterEpoch = 0
-	c.Ranks = 4
-	c.BatchSize = 8
-	c.Resume = st
-	_, err = PretrainDistributed(c, tinyDataset(32))
-	if err == nil {
-		t.Error("state captured at world 2 accepted at world 4")
-	} else if !strings.Contains(err.Error(), "world 2") || !strings.Contains(err.Error(), "4 ranks") ||
-		!strings.Contains(err.Error(), "Reshard") {
-		t.Errorf("world-mismatch error does not name both sides and the fix: %v", err)
-	}
-	c = cfg
-	c.StopAfterEpoch = 0
-	c.Plan = fsdp.BestPractice(fsdp.FullShard, 0)
-	c.Resume = st
-	_, err = PretrainDistributed(c, tinyDataset(32))
-	if err == nil {
-		t.Error("DDP-captured state accepted under FULL_SHARD")
-	} else if !strings.Contains(err.Error(), "DDP") || !strings.Contains(err.Error(), "FULL_SHARD") ||
-		!strings.Contains(err.Error(), "Reshard") {
-		t.Errorf("strategy-mismatch error does not name both sides and the fix: %v", err)
-	}
-	// Zero stamps — states from before elasticity — act as wildcards.
-	wild := *st
-	wild.World, wild.Strategy = 0, ""
-	c = cfg
-	c.StopAfterEpoch = 0
-	c.Resume = &wild
-	if _, err := PretrainDistributed(c, tinyDataset(32)); err != nil {
-		t.Errorf("wildcard-stamped state rejected: %v", err)
-	}
-	// After Reshard the same state resumes at the new topology.
-	resharded, err := Reshard(st, 4, fsdp.DefaultDDP())
+}
+
+// captureDDP2 runs the 2-rank DDP configuration every cross-topology
+// test continues — uninterrupted, and stopped at its epoch-2 boundary —
+// and returns both results.
+func captureDDP2(t *testing.T) (cfg DistConfig, full, half *DistResult) {
+	t.Helper()
+	cfg = tinyDistConfig(2, fsdp.DefaultDDP())
+	cfg.Epochs = 4
+	full, err := PretrainDistributed(cfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = cfg
-	c.StopAfterEpoch = 0
-	c.Ranks = 4
-	c.BatchSize = 8
-	c.Resume = resharded
-	if _, err := PretrainDistributed(c, tinyDataset(32)); err != nil {
-		t.Errorf("re-sharded state rejected at its new topology: %v", err)
+	legA := cfg
+	legA.StopAfterEpoch = 2
+	if half, err = PretrainDistributed(legA, tinyDataset(32)); err != nil {
+		t.Fatal(err)
 	}
+	return cfg, full, half
+}
+
+// checkContinuation holds a resumed leg to the second half of the
+// uninterrupted run's loss curve, at the same absolute steps, within
+// the strategy matrix's tolerance.
+func checkContinuation(t *testing.T, b, full *DistResult) {
+	t.Helper()
+	half := len(full.LossCurve.Y) / 2
+	if len(b.LossCurve.Y) != len(full.LossCurve.Y)-half {
+		t.Fatalf("resumed leg logged %d losses, want %d", len(b.LossCurve.Y), len(full.LossCurve.Y)-half)
+	}
+	for i := range b.LossCurve.Y {
+		if b.LossCurve.X[i] != full.LossCurve.X[half+i] {
+			t.Fatalf("resumed curve indexed at %v, want %v", b.LossCurve.X[i], full.LossCurve.X[half+i])
+		}
+		if !relClose(b.LossCurve.Y[i], full.LossCurve.Y[half+i], 1e-4) {
+			t.Fatalf("resumed loss at step %v: %v, uninterrupted %v",
+				b.LossCurve.X[i], b.LossCurve.Y[i], full.LossCurve.Y[half+i])
+		}
+	}
+	if b.State.Step != full.State.Step || b.State.OptStep != full.State.OptStep {
+		t.Fatalf("resumed leg ended at step %d/%d, want %d/%d",
+			b.State.Step, b.State.OptStep, full.State.Step, full.State.OptStep)
+	}
+}
+
+// TestResumeAnyTopology: a checkpoint is canonical flat state, so a
+// state captured at world 2 under DDP resumes as it is at a larger
+// world, under another plan and on one rank. Each continuation trains
+// the uninterrupted 2-rank run's remaining steps within the strategy
+// matrix's tolerance (only the ring reduction order differs).
+func TestResumeAnyTopology(t *testing.T) {
+	cfg, full, a := captureDDP2(t)
+	for _, c := range []struct {
+		ranks int
+		plan  fsdp.Plan
+	}{
+		{4, fsdp.DefaultDDP()},
+		{2, fsdp.BestPractice(fsdp.FullShard, 0)},
+		{1, fsdp.Plan{}},
+	} {
+		t.Run(fmt.Sprintf("%s/world=%d", c.plan.Name(), c.ranks), func(t *testing.T) {
+			legB := cfg
+			legB.Ranks, legB.Plan, legB.Resume = c.ranks, c.plan, a.State
+			b, err := PretrainDistributed(legB, tinyDataset(32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkContinuation(t, b, full)
+		})
+	}
+}
+
+// legacyTrainState is TrainState as it was when checkpoints still
+// stamped the World and Strategy they were captured under.
+type legacyTrainState struct {
+	Format             string
+	Step, Epoch        int
+	Precision          Precision
+	AccumSteps         int
+	World              int
+	Strategy           string
+	Master, OptM, OptV []float32
+	OptStep            int
+	LossScale          float64
+	ScaleGoodSteps     int
+}
+
+// TestStampedCheckpointLoads: a geofm-trainstate-v2 file written while
+// states carried topology stamps still loads — gob skips the fields the
+// state no longer has — to the same state, and resumes at another world.
+func TestStampedCheckpointLoads(t *testing.T) {
+	cfg, full, a := captureDDP2(t)
+	st := a.State
+	old := legacyTrainState{
+		Format: trainStateFormat, Step: st.Step, Epoch: st.Epoch, Precision: st.Precision,
+		AccumSteps: st.AccumSteps, World: 2, Strategy: "DDP",
+		Master: st.Master, OptM: st.OptM, OptV: st.OptV, OptStep: st.OptStep,
+		LossScale: st.LossScale, ScaleGoodSteps: st.ScaleGoodSteps,
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTrainState(bytes.NewReader(envelopeAround(t, body.Bytes())))
+	if err != nil {
+		t.Fatalf("stamped checkpoint rejected: %v", err)
+	}
+	if loaded.Step != st.Step || loaded.Epoch != st.Epoch || loaded.OptStep != st.OptStep ||
+		loaded.AccumSteps != st.AccumSteps || loaded.Precision != st.Precision ||
+		!bitsEqual(loaded.Master, st.Master) || !bitsEqual(loaded.OptM, st.OptM) || !bitsEqual(loaded.OptV, st.OptV) {
+		t.Fatalf("stamped checkpoint loaded as a different state: step %d epoch %d (want %d/%d)",
+			loaded.Step, loaded.Epoch, st.Step, st.Epoch)
+	}
+	legB := cfg
+	legB.Ranks, legB.Resume = 4, loaded
+	b, err := PretrainDistributed(legB, tinyDataset(32))
+	if err != nil {
+		t.Fatalf("stamped world-2 checkpoint did not resume at world 4: %v", err)
+	}
+	checkContinuation(t, b, full)
 }
 
 // TestResumeWithWorkersBitwise is the PR 4 fast-forward audit's
