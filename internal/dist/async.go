@@ -61,17 +61,24 @@ type Collective struct {
 	// chunked ops its length must be a multiple of the group size
 	// (callers pad; see opt.PadTo): member i owns chunk i — the shard a
 	// reduce-scatter leaves fully reduced (the other chunks end as
-	// partial sums, garbage to the caller) and the contribution an
-	// all-gather publishes. A broadcast takes any length.
+	// partial sums, garbage to the caller) and, on the fp32 wire, the
+	// contribution an all-gather publishes. An all-gather fills only the
+	// other members' chunks. A broadcast takes any length.
 	Buf []float32
 	// Wire selects the wire format. nil moves float32 views of Buf
 	// (4 bytes per element). A uint16 scratch with len(Wire) ==
 	// len(Buf) moves bf16 payloads — exactly half the bytes, measured
 	// and modeled — while the reduction accumulates in fp32: how RCCL
-	// moves bf16 gradients on Frontier. Each forwarded chunk is the
-	// round-nearest-even image of the sender's fp32 partial sum, and an
-	// all-gather rewrites every chunk of Buf, the caller's own included,
-	// with its widened bf16 value. Not available for broadcast.
+	// moves bf16 gradients on Frontier. A reduction forwards the
+	// round-nearest-even image of the sender's fp32 partial sum; an
+	// all-reduce also rounds its reduced chunk into Wire and widens it
+	// back into Buf, so every member ends with the same bits. An
+	// all-gather rounds nothing: the caller's chunk of Wire is its
+	// contribution, already holding the bf16 bits (the training step
+	// has AdamW write them there) and published as it lies; the other
+	// members' chunks are widened into Buf, and the caller's own chunk
+	// of Buf is neither read nor written. The rest of Wire is scratch.
+	// Not available for broadcast.
 	Wire []uint16
 	// Root is the group-local rank whose Buf an OpBroadcast copies to
 	// every member.

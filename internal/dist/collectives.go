@@ -235,6 +235,13 @@ func (m member) run(c Collective) (shard []float32) {
 	switch c.Op {
 	case OpAllReduce:
 		m.reduceScatter(c)
+		if c.Wire != nil {
+			// The reduced chunk goes on the wire as its bf16 image, and
+			// the member keeps the widened image too, so every member
+			// ends with the same bits.
+			own := c.outgoing(m.id, n, true)
+			tensor.FromBF16(chunkOf(c.Buf, m.id, n), own.u16)
+		}
 		m.allGather(c)
 		cost = comm.AllReduce(wireBytes, n, link)
 	case OpReduceScatter:
@@ -269,18 +276,14 @@ func (m member) reduceScatter(c Collective) {
 
 // allGather is the ring all-gather: at step s member i forwards chunk
 // (i−s) mod n (its own chunk first, then whatever it received last
-// step) and copies the received chunk (i−1−s) mod n into place. On the
-// bf16 wire the local contribution is rounded once and its widened
-// image replaces the fp32 chunk, so every member — owner included —
-// ends with the same bits; chunks then ride the ring verbatim (no
-// re-rounding at hops), landing in the Wire scratch to be forwarded and
-// widened into Buf.
+// step) and writes the received chunk (i−1−s) mod n into place, so it
+// fills only the other members' chunks of Buf. On the bf16 wire the
+// own chunk goes out as the caller's chunk of Wire, as it lies (see
+// Collective.Wire), and chunks ride the ring verbatim: a received chunk
+// is widened into Buf straight from the peer's view and, unless this is
+// the last hop, copied into Wire to be forwarded.
 func (m member) allGather(c Collective) {
 	n := m.g.n
-	if c.Wire != nil {
-		own := c.outgoing(m.id, n, true)
-		tensor.FromBF16(chunkOf(c.Buf, m.id, n), own.u16)
-	}
 	for s := 0; s < n-1; s++ {
 		m.exchange(c.Op, c.outgoing(mod(m.id-s, n), n, false), func(in view) {
 			dst := mod(m.id-1-s, n)
@@ -288,9 +291,10 @@ func (m member) allGather(c Collective) {
 				copy(chunkOf(c.Buf, dst, n), in.f32)
 				return
 			}
-			w := chunkOf(c.Wire, dst, n)
-			copy(w, in.u16)
-			tensor.FromBF16(chunkOf(c.Buf, dst, n), w)
+			if s < n-2 {
+				copy(chunkOf(c.Wire, dst, n), in.u16)
+			}
+			tensor.FromBF16(chunkOf(c.Buf, dst, n), in.u16)
 		})
 	}
 }

@@ -41,7 +41,10 @@
 // The three chunked ops require len(Buf) to be a multiple of the group
 // size so chunks are uniform and the measured volume matches the model
 // exactly; callers pad (see opt.PadTo). On the bf16 wire (Collective.Wire)
-// V counts 2 bytes per element, measured and modeled alike.
+// V counts 2 bytes per element, measured and modeled alike. A bf16
+// all-gather publishes the caller's chunk of Wire as it lies — the bf16
+// image the caller already holds — and fills only the other members'
+// chunks, so it rounds nothing; reductions round each chunk they send.
 //
 // # One call
 //

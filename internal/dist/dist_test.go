@@ -92,12 +92,20 @@ const (
 	tableRoot    = 1 // group-local broadcast root
 )
 
+// gatherPoison fills the caller's own chunk of Buf before a bf16
+// all-gather, which contributes its chunk of Wire and must leave this
+// one untouched.
+var gatherPoison = math.Float32frombits(0x7fc0dead)
+
 // runTable executes one cell: every rank splits its input into
 // tableBuckets buckets and issues op on each over the shape's group, in
 // the given style. Style 2 orders every bucket behind a zero-length
-// broadcast on another group's queue — a gate that adds no bytes.
-// Returned per world rank: the buffer afterwards, or for a
-// reduce-scatter the concatenated shards Wait returned.
+// broadcast on another group's queue — a gate that adds no bytes. A
+// bf16 all-gather is set up as the training step sets it up: each
+// bucket's own chunk of Wire holds the input's bf16 image, and the own
+// chunk of Buf is poisoned with gatherPoison. Returned per world rank:
+// the buffer afterwards, or for a reduce-scatter the concatenated
+// shards Wait returned.
 func runTable(t *testing.T, op Op, bf16 bool, shape, style int, inputs [][]float32) ([][]float32, Stats) {
 	t.Helper()
 	w := New(tableWorld, Options{})
@@ -114,6 +122,17 @@ func runTable(t *testing.T, op Op, bf16 bool, shape, style int, inputs [][]float
 			wire = make([]uint16, len(buf))
 		}
 		be := len(buf) / tableBuckets
+		if wire != nil && op == OpAllGather {
+			cs := be / g.Size()
+			for b := 0; b < tableBuckets; b++ {
+				lo := b*be + g.RankOf(r)*cs
+				own := buf[lo : lo+cs]
+				tensor.ToBF16(wire[lo:lo+cs], own)
+				for i := range own {
+					own[i] = gatherPoison
+				}
+			}
+		}
 		var hs []*Handle
 		var shards []float32
 		for b := 0; b < tableBuckets; b++ {
@@ -165,10 +184,12 @@ func wantWire(op Op, n, count int, payload float64) float64 {
 }
 
 // TestDoOracleAndAccounting holds every cell of Op × wire × shape to an
-// exact oracle — group-scoped sums, the reduce-scatter shard view,
-// all-gather's own-chunk rounding on the bf16 wire, the broadcast
-// root's payload — and its byte accounting to the ring formulas:
-// measured == modeled == textbook, bf16 exactly half of fp32.
+// exact oracle — group-scoped sums, the reduce-scatter shard view, the
+// all-gather filling only the other members' chunks (on the bf16 wire
+// with the bf16 values their Wire chunks held, the caller's own Buf
+// chunk left poisoned), the broadcast root's payload — and its byte
+// accounting to the ring formulas: measured == modeled == textbook,
+// bf16 exactly half of fp32.
 func TestDoOracleAndAccounting(t *testing.T) {
 	const elems = tableBuckets * 6 * 2 // every bucket chunks uniformly over 6 and 3 members
 	be := elems / tableBuckets
@@ -222,7 +243,9 @@ func TestDoOracleAndAccounting(t *testing.T) {
 								}
 							case OpAllGather:
 								v := inputs[members[chunk]][i]
-								if bf16 {
+								if bf16 && chunk == local {
+									v = gatherPoison
+								} else if bf16 {
 									v = bf16Round(v)
 								}
 								want = append(want, v)
@@ -535,6 +558,7 @@ func TestBenchPinnedShims(t *testing.T) {
 		wire := make([]uint16, elems)
 		r.AllReduce(buf)                // ×2
 		r.AllReduceAsync(buf).Wait()    // ×4
+		tensor.ToBF16(wire, buf)        // the gather publishes the caller's wire chunk
 		r.AllGatherBF16(buf, nil, wire) // unchanged: small integers are bf16-exact
 		shard := r.ReduceScatterBF16(buf, wire)
 		for i, v := range shard {

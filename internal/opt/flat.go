@@ -167,7 +167,7 @@ func unpackTensors(src []float32, params []*nn.Param, field func(*nn.Param) []fl
 // read of the reduced gradient (tensor.SumSq: overflow verdict, unscale
 // and Σg² together); pass 2 is StepScaled, the tensor.AdamW kernel with
 // the clip factor folded into its read of the gradient and the bf16
-// working copy written beside the fp32 master.
+// working copy and its wire image written beside the fp32 master.
 type ShardedAdamW struct {
 	Beta1, Beta2 float64
 	Eps          float64
@@ -183,6 +183,10 @@ type ShardedAdamW struct {
 	// are their concatenation (shard-local coordinates, n long).
 	runs []decayRun
 	n    int
+	// spanLast[i] is the index of the run holding owned span i's last
+	// element (an empty span takes the run before it, -1 if none): once
+	// that run is updated, so is the whole span.
+	spanLast []int
 
 	m, v []float32
 	t    int
@@ -244,6 +248,7 @@ func NewShardedAdamWSpans(params []*nn.Param, weightDecay float64, spans []Span)
 			add(end, !p.NoWeightDecay)
 		}
 		add(sp.Hi, false)
+		a.spanLast = append(a.spanLast, len(a.runs)-1)
 	}
 	a.m = make([]float32, a.n)
 	a.v = make([]float32, a.n)
@@ -290,38 +295,56 @@ func (a *ShardedAdamW) RestoreMoments(srcM, srcV []float32) {
 // long) whose owned spans are read and updated in place; for a single
 // span starting at 0 the two coincide.
 func (a *ShardedAdamW) Step(lr float64, w, g []float32) {
-	a.StepScaled(lr, w, g, 1, nil)
+	a.StepScaled(lr, w, g, 1, nil, nil, nil)
 }
 
-// StepScaled is Step with the two things a training step otherwise
-// spends extra walks of the shard on, done inside the kernel's one
-// pass: every gradient is multiplied by gScale as it is read (the clip
-// factor; g itself is left as it was), and rounded, when non-nil,
-// receives the bf16 rounding of every updated weight (the
-// mixed-precision working copy, in either layout like w and g).
-func (a *ShardedAdamW) StepScaled(lr float64, w, g []float32, gScale float32, rounded []float32) {
-	fits := func(buf []float32) bool { return len(buf) == a.n || len(buf) >= a.Hi }
-	if !fits(w) || !fits(g) || rounded != nil && !fits(rounded) {
-		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads / %d rounded for a shard of %d ending at %d",
-			len(w), len(g), len(rounded), a.n, a.Hi))
+// StepScaled is Step with what a training step otherwise spends extra
+// walks of the shard on, done inside the kernel's one pass: every
+// gradient is multiplied by gScale as it is read (the clip factor; g
+// itself is left as it was); rounded, when non-nil, receives the bf16
+// rounding of every updated weight (the mixed-precision working copy)
+// and image, when non-nil, its bf16 bits (what the parameter
+// all-gather puts on the wire) — each in either layout like w and g.
+// spanDone, when non-nil, is called with the index of each owned span
+// (in construction order) as soon as every output over it is written,
+// so a caller can ship span i while the kernel moves on to span i+1.
+func (a *ShardedAdamW) StepScaled(lr float64, w, g []float32, gScale float32, rounded []float32, image []uint16, spanDone func(span int)) {
+	if !fits(a, w) || !fits(a, g) || rounded != nil && !fits(a, rounded) || image != nil && !fits(a, image) {
+		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads / %d rounded / %d image for a shard of %d ending at %d",
+			len(w), len(g), len(rounded), len(image), a.n, a.Hi))
 	}
 	a.t++
 	k := tensor.NewAdamWScalars(lr, a.Beta1, a.Beta2, a.Eps, a.t)
 	k.GScale = gScale
-	of := func(buf []float32, r decayRun) []float32 {
-		switch {
-		case buf == nil:
-			return nil
-		case len(buf) == a.n:
-			return buf[r.off : r.off+r.n]
+	next := 0 // first span not yet reported to spanDone
+	report := func(lastRun int) {
+		for ; spanDone != nil && next < len(a.spanLast) && a.spanLast[next] <= lastRun; next++ {
+			spanDone(next)
 		}
-		return buf[r.lo : r.lo+r.n]
 	}
-	for _, r := range a.runs {
+	report(-1)
+	for ri, r := range a.runs {
 		k.Decay = 0
 		if r.decay {
 			k.Decay = float32(lr * a.WeightDecay)
 		}
-		tensor.AdamW(of(w, r), of(rounded, r), of(g, r), a.m[r.off:r.off+r.n], a.v[r.off:r.off+r.n], &k)
+		tensor.AdamW(window(a, w, r), window(a, rounded, r), window(a, image, r), window(a, g, r),
+			a.m[r.off:r.off+r.n], a.v[r.off:r.off+r.n], &k)
+		report(ri)
 	}
+}
+
+// fits reports whether buf has one of the two layouts StepScaled takes:
+// shard-local (exactly the owned length) or flat (reaching Hi).
+func fits[T any](a *ShardedAdamW, buf []T) bool { return len(buf) == a.n || len(buf) >= a.Hi }
+
+// window is run r's slice of buf in buf's layout; nil stays nil.
+func window[T any](a *ShardedAdamW, buf []T, r decayRun) []T {
+	switch {
+	case buf == nil:
+		return nil
+	case len(buf) == a.n:
+		return buf[r.off : r.off+r.n]
+	}
+	return buf[r.lo : r.lo+r.n]
 }

@@ -258,13 +258,14 @@ func TestShardedAdamWSpansMatchesContiguous(t *testing.T) {
 	}
 }
 
-// TestStepScaledMatchesSeparatePasses: the clip factor and the bf16
-// working copy folded into the kernel's one pass land on the bits of
-// the three walks they replace — Scale the gradient, Step, RoundBF16
-// the master into the owned spans of the working weights — in the
-// training step's layout (shard-local master, flat gradient and
-// working copy), leaving the gradient and every unowned working
-// element as they were.
+// TestStepScaledMatchesSeparatePasses: the clip factor, the bf16
+// working copy and its bf16 image folded into the kernel's one pass
+// land on the bits of the walks they replace — Scale the gradient,
+// Step, RoundBF16 the master into the owned spans of the working
+// weights, ToBF16 those into the image — in the training step's layout
+// (shard-local master, flat gradient, working copy and image), leaving
+// the gradient and every unowned working and image element as they
+// were.
 func TestStepScaledMatchesSeparatePasses(t *testing.T) {
 	r := rng.New(17)
 	ps := randParams(r)
@@ -276,23 +277,33 @@ func TestStepScaledMatchesSeparatePasses(t *testing.T) {
 	spans := []Span{{3, 14}, {17, 25}, {padded - 2, padded}}
 	n := SpansLen(spans)
 	const gScale = float32(0.37)
+	const unowned = 0xdead
 
 	fused, separate := NewShardedAdamWSpans(ps, 0.05, spans), NewShardedAdamWSpans(ps, 0.05, spans)
 	master, wantMaster := make([]float32, n), make([]float32, n)
 	GatherSpans(master, flatW, spans)
 	copy(wantMaster, master)
 	working := append([]float32(nil), flatW...)
+	image := make([]uint16, padded)
+	for i := range image {
+		image[i] = unowned
+	}
 	g := append([]float32(nil), flatG...)
 	scaledG := make([]float32, padded)
 	tensor.Scale(scaledG, flatG, gScale)
 	for step := 0; step < 3; step++ {
-		fused.StepScaled(1e-2, master, g, gScale, working)
+		fused.StepScaled(1e-2, master, g, gScale, working, image, nil)
 		separate.Step(1e-2, wantMaster, scaledG)
 	}
 	wantWorking := append([]float32(nil), flatW...)
+	wantImage := make([]uint16, padded)
+	for i := range wantImage {
+		wantImage[i] = unowned
+	}
 	off := 0
 	for _, sp := range spans {
 		tensor.RoundBF16(wantWorking[sp.Lo:sp.Hi], wantMaster[off:off+sp.Len()])
+		tensor.ToBF16(wantImage[sp.Lo:sp.Hi], wantWorking[sp.Lo:sp.Hi])
 		off += sp.Len()
 	}
 	for i := range master {
@@ -304,8 +315,53 @@ func TestStepScaledMatchesSeparatePasses(t *testing.T) {
 		if working[i] != wantWorking[i] {
 			t.Fatalf("working[%d] = %v, separate passes give %v", i, working[i], wantWorking[i])
 		}
+		if image[i] != wantImage[i] {
+			t.Fatalf("image[%d] = %#x, separate passes give %#x", i, image[i], wantImage[i])
+		}
 		if g[i] != flatG[i] {
 			t.Fatalf("gradient element %d was written", i)
+		}
+	}
+}
+
+// TestStepScaledSpanDone: spanDone reports every owned span once, in
+// order, and only after all of its outputs are final for the step —
+// also for spans that share a kernel run with a neighbour (adjacent,
+// same decay rule) and for an empty span.
+func TestStepScaledSpanDone(t *testing.T) {
+	ps := randParams(rng.New(19))
+	padded := PadTo(FlatDim(ps), 8)
+	for _, spans := range [][]Span{
+		{{0, 5}, {5, 9}, {20, 30}, {padded - 2, padded}}, // 0..15 is one parameter: the first two merge
+		{{2, 2}, {4, 18}, {18, 18}, {30, 40}},
+		{{0, padded}},
+	} {
+		a := NewShardedAdamWSpans(ps, 0.05, spans)
+		w, g := make([]float32, padded), make([]float32, padded)
+		PackValues(w, ps)
+		PackGrads(g, ps)
+		working, image := make([]float32, padded), make([]uint16, padded)
+		var order []int
+		var seen [][]uint16 // image of span i when it was reported
+		for step := 0; step < 2; step++ {
+			order, seen = order[:0], seen[:0]
+			a.StepScaled(1e-2, w, g, 1, working, image, func(i int) {
+				order = append(order, i)
+				seen = append(seen, append([]uint16(nil), image[spans[i].Lo:spans[i].Hi]...))
+			})
+		}
+		if len(order) != len(spans) {
+			t.Fatalf("spans %v: reported %v", spans, order)
+		}
+		for i, sp := range spans {
+			if order[i] != i {
+				t.Fatalf("spans %v: reported %v, want ascending", spans, order)
+			}
+			for j, b := range seen[i] {
+				if b != image[sp.Lo+j] || b != tensor.BF16FromF32(w[sp.Lo+j]) {
+					t.Fatalf("spans %v: span %d reported before flat element %d was written", spans, i, sp.Lo+j)
+				}
+			}
 		}
 	}
 }

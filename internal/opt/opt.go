@@ -60,7 +60,7 @@ func (a *AdamW) Step(lr float64) {
 		if p.NoWeightDecay {
 			k.Decay = 0
 		}
-		tensor.AdamW(p.Value.Data, nil, p.Grad.Data, a.m[pi], a.v[pi], &k)
+		tensor.AdamW(p.Value.Data, nil, nil, p.Grad.Data, a.m[pi], a.v[pi], &k)
 	}
 }
 

@@ -60,26 +60,35 @@ const adamwGrain = 16 * parallel.MinGrain
 
 // AdamW applies one update to the equal-length slices w, g, m, v.
 // When rounded is non-nil it additionally receives RoundBF16 of the
-// updated weights — the bf16 working copy, written in the same pass.
-func AdamW(w, rounded, g, m, v []float32, k *AdamWScalars) {
+// updated weights — the bf16 working copy — and when image is non-nil
+// their bf16 bits (BF16FromF32, the wire format), both written in the
+// same pass.
+func AdamW(w, rounded []float32, image []uint16, g, m, v []float32, k *AdamWScalars) {
 	checkLen2(w, g)
 	checkLen3(w, m, v)
 	if rounded != nil {
 		checkLen2(w, rounded)
+	}
+	if image != nil && len(image) != len(w) {
+		panic("tensor: length mismatch")
 	}
 	parallel.RangeGrain(len(w), adamwGrain, func(lo, hi int) {
 		var r []float32
 		if rounded != nil {
 			r = rounded[lo:hi]
 		}
-		adamw(w[lo:hi], r, g[lo:hi], m[lo:hi], v[lo:hi], k)
+		var im []uint16
+		if image != nil {
+			im = image[lo:hi]
+		}
+		adamw(w[lo:hi], r, im, g[lo:hi], m[lo:hi], v[lo:hi], k)
 	})
 }
 
 // adamwGo is the scalar lane — the reference the assembly is held to
 // bit for bit. Every product is rounded explicitly (float32(a*b)) so
 // compilers that fuse x*y+z cannot.
-func adamwGo(w, rounded, g, m, v []float32, k *AdamWScalars) {
+func adamwGo(w, rounded []float32, image []uint16, g, m, v []float32, k *AdamWScalars) {
 	for i, wi := range w {
 		gs := float32(g[i] * k.GScale)
 		m1 := float32(k.B1*m[i]) + float32(k.C1*gs)
@@ -87,8 +96,15 @@ func adamwGo(w, rounded, g, m, v []float32, k *AdamWScalars) {
 		den := float32(float32(math.Sqrt(float64(v1)))*k.RBC2) + k.Eps
 		wi -= float32(k.Step*m1)/den + float32(k.Decay*wi)
 		m[i], v[i], w[i] = m1, v1, wi
+		if rounded == nil && image == nil {
+			continue
+		}
+		b := BF16FromF32(wi)
 		if rounded != nil {
-			rounded[i] = F32FromBF16(BF16FromF32(wi))
+			rounded[i] = F32FromBF16(b)
+		}
+		if image != nil {
+			image[i] = b
 		}
 	}
 }

@@ -7,27 +7,32 @@
 // square root and quotient is its own instruction, in the order of the
 // scalar lane adamwGo — no FMA — so the two builds agree bitwise.
 
-// Integer constants of the bf16 rounding (bf16_amd64.s's trick, kept in
-// float32 lanes): tie-to-even parity bit, rounding bias, quiet-NaN bit.
+// Integer constants of the bf16 rounding (bf16_amd64.s's trick, in
+// dword lanes): tie-to-even parity bit, rounding bias, quiet-NaN bit.
 DATA adamwround<>+0x00(SB)/4, $0x00000001
 DATA adamwround<>+0x04(SB)/4, $0x00007fff
-DATA adamwround<>+0x08(SB)/4, $0x00400000
+DATA adamwround<>+0x08(SB)/4, $0x00000040
 GLOBL adamwround<>(SB), RODATA, $12
 
-// func adamwAVX2(w, rounded, grad, m, v *float32, n int, k *AdamWScalars)
+// func adamwAVX2(w, rounded *float32, image *uint16, grad, m, v *float32, n int, k *AdamWScalars)
 //
 // Per lane: g̃ = g·GScale, m' = B1·m + C1·g̃, v' = B2·v + (C2·g̃)·g̃,
-// w' = w − ((Step·m')/(√v'·RBC2 + Eps) + Decay·w); when rounded is
-// non-nil it receives w' rounded to bf16 precision (nearest-even, NaNs
-// quieted — RoundBF16's bits). n is a positive multiple of 8.
-TEXT ·adamwAVX2(SB), NOSPLIT, $0-56
+// w' = w − ((Step·m')/(√v'·RBC2 + Eps) + Decay·w). The bf16 bits of w'
+// (nearest-even, NaNs quieted — BF16FromF32's bits) are formed once in
+// dword lanes; image, when non-nil, receives them packed to words, and
+// rounded, when non-nil, receives them widened back to float32
+// (RoundBF16's bits). n is a positive multiple of 8.
+TEXT ·adamwAVX2(SB), NOSPLIT, $0-64
 	MOVQ w+0(FP), DI
 	MOVQ rounded+8(FP), R8
-	MOVQ grad+16(FP), SI
-	MOVQ m+24(FP), R9
-	MOVQ v+32(FP), R10
-	MOVQ n+40(FP), CX
-	MOVQ k+48(FP), R11
+	MOVQ image+16(FP), R12
+	MOVQ grad+24(FP), SI
+	MOVQ m+32(FP), R9
+	MOVQ v+40(FP), R10
+	MOVQ n+48(FP), CX
+	MOVQ k+56(FP), R11
+	MOVQ R8, R13
+	ORQ  R12, R13               // non-zero when either bf16 output is wanted
 	VBROADCASTSS AdamWScalars_B1(R11), Y15
 	VBROADCASTSS AdamWScalars_C1(R11), Y14
 	VBROADCASTSS AdamWScalars_B2(R11), Y13
@@ -61,7 +66,7 @@ loop:
 	VADDPS  Y4, Y1, Y1
 	VSUBPS  Y1, Y3, Y3          // w'
 	VMOVUPS Y3, (DI)(AX*1)
-	TESTQ   R8, R8
+	TESTQ   R13, R13
 	JZ      next
 
 	VPSRLD       $16, Y3, Y0
@@ -73,11 +78,21 @@ loop:
 	VPSRLD       $16, Y1, Y1
 	VCMPPS       $3, Y3, Y3, Y2 // all-ones where NaN
 	VPBROADCASTD adamwround<>+0x08(SB), Y4
-	VPSLLD       $16, Y0, Y0
 	VPOR         Y4, Y0, Y0     // NaN lanes: truncate, force the quiet bit
-	VPSLLD       $16, Y1, Y1
-	VPBLENDVB    Y2, Y0, Y1, Y1
-	VMOVUPS      Y1, (R8)(AX*1)
+	VPBLENDVB    Y2, Y0, Y1, Y1 // bf16 bits of w', one per dword lane
+	TESTQ        R12, R12
+	JZ           widen
+	VEXTRACTI128 $1, Y1, X2
+	VPACKUSDW    X2, X1, X2     // 8 dwords (≤ 0xffff) → 8 words, in order
+	MOVQ         AX, BX
+	SHRQ         $1, BX         // the image's byte offset: 2 per element
+	VMOVDQU      X2, (R12)(BX*1)
+
+widen:
+	TESTQ   R8, R8
+	JZ      next
+	VPSLLD  $16, Y1, Y1
+	VMOVUPS Y1, (R8)(AX*1)
 
 next:
 	ADDQ $32, AX

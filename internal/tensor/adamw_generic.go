@@ -2,4 +2,6 @@
 
 package tensor
 
-func adamw(w, rounded, g, m, v []float32, k *AdamWScalars) { adamwGo(w, rounded, g, m, v, k) }
+func adamw(w, rounded []float32, image []uint16, g, m, v []float32, k *AdamWScalars) {
+	adamwGo(w, rounded, image, g, m, v, k)
+}

@@ -76,25 +76,79 @@ func firstDiff(a, b []float32) int {
 }
 
 // TestAdamWAsmMatchesGeneric holds the dispatched kernel to the scalar
-// lane bit for bit over ragged lengths, with and without the rounded
+// lane bit for bit over ragged lengths, with and without each bf16
 // destination (trivially true on purego builds).
 func TestAdamWAsmMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 7, 8, 9, 40, 63, 64, 1000, 4099} {
-		for _, withRounded := range []bool{false, true} {
+		for _, outs := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 			a := adamwOperands(r, n)
 			b := a.clone()
 			var ra, rb []float32
-			if withRounded {
+			if outs[0] {
 				ra, rb = make([]float32, n), make([]float32, n)
 			}
+			var ia, ib []uint16
+			if outs[1] {
+				ia, ib = make([]uint16, n), make([]uint16, n)
+			}
 			k := adamwTestScalars(1 + r.Intn(1000))
-			adamw(a.w, ra, a.g, a.m, a.v, &k)
-			adamwGo(b.w, rb, b.g, b.m, b.v, &k)
+			adamw(a.w, ra, ia, a.g, a.m, a.v, &k)
+			adamwGo(b.w, rb, ib, b.g, b.m, b.v, &k)
 			for name, pair := range map[string][2][]float32{"w": {a.w, b.w}, "m": {a.m, b.m}, "v": {a.v, b.v}, "rounded": {ra, rb}} {
 				if i := firstDiff(pair[0], pair[1]); i >= 0 {
-					t.Fatalf("n=%d rounded=%v: %s[%d] kernel %g (%#x) != scalar lane %g (%#x)", n, withRounded, name, i,
+					t.Fatalf("n=%d rounded,image=%v: %s[%d] kernel %g (%#x) != scalar lane %g (%#x)", n, outs, name, i,
 						pair[0][i], math.Float32bits(pair[0][i]), pair[1][i], math.Float32bits(pair[1][i]))
+				}
+			}
+			for i := range ia {
+				if ia[i] != ib[i] {
+					t.Fatalf("n=%d rounded,image=%v: image[%d] kernel %#x != scalar lane %#x", n, outs, i, ia[i], ib[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAdamWImage: the image destination holds BF16FromF32 of every
+// updated weight — the bits of the scalar lane and of ToBF16 over the
+// rounded copy — on lanes whose update is NaN (a NaN weight, an Inf
+// gradient), ±Inf (a first moment that overflows the quotient) or
+// subnormal, at every ragged length around the 8-lane body and at
+// every offset into the buffers.
+func TestAdamWImage(t *testing.T) {
+	zero := float32(0)
+	nan := math.Float32frombits(0x7fa00001) // signalling, so the image must quiet it
+	// All-ones mantissas: the rounding add would carry them into ±0.
+	fullNaN, fullNegNaN := math.Float32frombits(0x7fffffff), math.Float32frombits(0xffffffff)
+	inf := float32(math.Inf(1))
+	// {w, g, m, v}; decay is off, so a zero update leaves w as it was.
+	lanes := [][4]float32{
+		{nan, 0, 0, 0}, {-nan, 0, 0, 0}, {float32(math.NaN()), 0, 0, 0}, {fullNaN, 0, 0, 0}, {fullNegNaN, 0, 0, 0},
+		{0.5, inf, 0, 0}, {0.5, -inf, 0, 0},
+		{1, 0, 3e38, 0}, {1, 0, -3e38, 0},
+		{1e-40, 0, 0, 0}, {-1e-40, 0, 0, 0}, {1e-45, 0, 0, 0}, {1.1754942e-38, 0, 0, 0},
+		{zero, 0, 0, 0}, {-zero, 0, 0, 0}, {1.00390625, 0, 0, 0}, {1.01171875, 0, 0, 0},
+		{math.MaxFloat32, 0, 0, 0}, {0.3, 1e-3, 2e-4, 1e-7},
+	}
+	k := NewAdamWScalars(3e-3, 0.9, 0.95, 1e-8, 1)
+	for n := 1; n <= 3*len(lanes); n++ {
+		for off := 0; off < 8 && off < n; off++ {
+			s := adamwState{make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)}
+			for i := range s.w {
+				l := lanes[(i+off)%len(lanes)]
+				s.w[i], s.g[i], s.m[i], s.v[i] = l[0], l[1], l[2], l[3]
+			}
+			ref := s.clone()
+			rounded, image := make([]float32, n), make([]uint16, n)
+			refImage, fromRounded := make([]uint16, n), make([]uint16, n)
+			AdamW(s.w[off:], rounded[off:], image[off:], s.g[off:], s.m[off:], s.v[off:], &k)
+			adamwGo(ref.w[off:], nil, refImage[off:], ref.g[off:], ref.m[off:], ref.v[off:], &k)
+			ToBF16(fromRounded, rounded)
+			for i := off; i < n; i++ {
+				if want := BF16FromF32(s.w[i]); image[i] != refImage[i] || image[i] != fromRounded[i] || image[i] != want {
+					t.Fatalf("n=%d offset %d: image[%d] = %#x; scalar lane %#x, ToBF16(rounded) %#x, BF16FromF32(w' = %g) %#x",
+						n, off, i, image[i], refImage[i], fromRounded[i], s.w[i], want)
 				}
 			}
 		}
@@ -109,16 +163,21 @@ func TestAdamWChunkIndependence(t *testing.T) {
 	k := adamwTestScalars(7)
 	whole := adamwOperands(r, 80)
 	init := whole.clone()
-	wholeR := make([]float32, 80)
-	AdamW(whole.w, wholeR, whole.g, whole.m, whole.v, &k)
+	wholeR, wholeI := make([]float32, 80), make([]uint16, 80)
+	AdamW(whole.w, wholeR, wholeI, whole.g, whole.m, whole.v, &k)
 	for off := 0; off <= 9; off++ {
 		for n := 1; n <= 67; n++ {
 			c := init.clone()
-			cr := make([]float32, 80)
-			AdamW(c.w[off:off+n], cr[off:off+n], c.g[off:off+n], c.m[off:off+n], c.v[off:off+n], &k)
+			cr, ci := make([]float32, 80), make([]uint16, 80)
+			AdamW(c.w[off:off+n], cr[off:off+n], ci[off:off+n], c.g[off:off+n], c.m[off:off+n], c.v[off:off+n], &k)
 			for _, pair := range [][2][]float32{{c.w, whole.w}, {c.m, whole.m}, {c.v, whole.v}, {cr, wholeR}} {
 				if i := firstDiff(pair[0][off:off+n], pair[1][off:off+n]); i >= 0 {
 					t.Fatalf("offset %d length %d element %d differs from the whole-buffer result", off, n, i)
+				}
+			}
+			for i := off; i < off+n; i++ {
+				if ci[i] != wholeI[i] {
+					t.Fatalf("offset %d length %d image element %d differs from the whole-buffer result", off, n, i)
 				}
 			}
 		}
@@ -128,19 +187,25 @@ func TestAdamWChunkIndependence(t *testing.T) {
 	initB := adamwOperands(r, big)
 	var ref adamwState
 	var refR []float32
+	var refI []uint16
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
 		c := initB.clone()
-		cr := make([]float32, big)
-		AdamW(c.w, cr, c.g, c.m, c.v, &k)
+		cr, ci := make([]float32, big), make([]uint16, big)
+		AdamW(c.w, cr, ci, c.g, c.m, c.v, &k)
 		if ref.w == nil {
-			ref, refR = c, cr
+			ref, refR, refI = c, cr, ci
 			continue
 		}
 		for _, pair := range [][2][]float32{{c.w, ref.w}, {c.m, ref.m}, {c.v, ref.v}, {cr, refR}} {
 			if i := firstDiff(pair[0], pair[1]); i >= 0 {
 				t.Fatalf("GOMAXPROCS=%d: element %d differs from GOMAXPROCS=1", procs, i)
+			}
+		}
+		for i := range ci {
+			if ci[i] != refI[i] {
+				t.Fatalf("GOMAXPROCS=%d: image element %d differs from GOMAXPROCS=1", procs, i)
 			}
 		}
 	}
@@ -162,7 +227,7 @@ func adamwUpdateErrUlps(t *testing.T, s adamwState, lr float64, step int) float6
 	clear(s.w)
 	o := s.clone()
 	k := NewAdamWScalars(lr, 0.9, 0.95, 1e-8, step)
-	AdamW(s.w, nil, s.g, s.m, s.v, &k)
+	AdamW(s.w, nil, nil, s.g, s.m, s.v, &k)
 	bc1, bc2 := 1-math.Pow(0.9, float64(step)), 1-math.Pow(0.95, float64(step))
 	refAdamW(o.w, o.g, o.m, o.v, 0.9, 0.95, bc1, bc2, lr, 1e-8, 0)
 	worst := 0.0
@@ -215,7 +280,7 @@ func TestAdamWRoundedIsRoundBF16(t *testing.T) {
 		s := adamwOperands(r, n)
 		rounded, want := make([]float32, n), make([]float32, n)
 		k := adamwTestScalars(3)
-		AdamW(s.w, rounded, s.g, s.m, s.v, &k)
+		AdamW(s.w, rounded, nil, s.g, s.m, s.v, &k)
 		RoundBF16(want, s.w)
 		for i := range want {
 			if math.Float32bits(rounded[i]) != math.Float32bits(want[i]) {
@@ -232,11 +297,11 @@ func TestAdamWRoundedIsRoundBF16(t *testing.T) {
 func TestAdamWPaddingStaysZero(t *testing.T) {
 	const n = 21
 	s := adamwState{make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)}
-	rounded := make([]float32, n)
+	rounded, image := make([]float32, n), make([]uint16, n)
 	for step := 1; step <= 50; step++ {
 		k := NewAdamWScalars(0.02, 0.9, 0.95, 1e-8, step)
 		k.GScale = 1 / float32(step)
-		AdamW(s.w, rounded, s.g, s.m, s.v, &k)
+		AdamW(s.w, rounded, image, s.g, s.m, s.v, &k)
 	}
 	for _, x := range [][]float32{s.w, s.m, s.v, rounded} {
 		for i, v := range x {
@@ -245,12 +310,18 @@ func TestAdamWPaddingStaysZero(t *testing.T) {
 			}
 		}
 	}
+	for i, b := range image {
+		if b != 0 {
+			t.Fatalf("pad element %d's image became %#x", i, b)
+		}
+	}
 }
 
 // FuzzAdamW drives one element through the kernel at every position of
 // a ragged buffer: the assembly equals the scalar lane bitwise, the
 // value does not depend on position, the rounded copy is RoundBF16 of
-// the result, and within the kernel's stated range the update is
+// the result, the image is the scalar lane's and ToBF16 of the rounded
+// copy, and within the kernel's stated range the update is
 // within adamwUlpBound of the float64 form.
 func FuzzAdamW(f *testing.F) {
 	f.Add(float32(0.3), float32(1e-3), float32(2e-4), float32(1e-7), 3)
@@ -274,17 +345,23 @@ func FuzzAdamW(f *testing.F) {
 		a := adamwState{fill(w), fill(g), fill(m), fill(v)}
 		b := a.clone()
 		ra, rb := make([]float32, n), make([]float32, n)
+		ia, ib := make([]uint16, n), make([]uint16, n)
 		k := NewAdamWScalars(3e-3, 0.9, 0.95, 1e-8, step)
 		k.Decay = 1.5e-4
-		AdamW(a.w, ra, a.g, a.m, a.v, &k)
-		adamwGo(b.w, rb, b.g, b.m, b.v, &k)
+		AdamW(a.w, ra, ia, a.g, a.m, a.v, &k)
+		adamwGo(b.w, rb, ib, b.g, b.m, b.v, &k)
 		want := make([]float32, n)
 		RoundBF16(want, a.w)
+		wantImage := make([]uint16, n)
+		ToBF16(wantImage, ra)
 		for i := 0; i < n; i++ {
 			for _, p := range [][2]float32{{a.w[i], b.w[0]}, {a.m[i], b.m[0]}, {a.v[i], b.v[0]}, {ra[i], rb[0]}, {ra[i], want[i]}} {
 				if !sameBitsOrNaN(p[0], p[1]) {
 					t.Fatalf("element %d: %g (%#x) vs %g (%#x)", i, p[0], math.Float32bits(p[0]), p[1], math.Float32bits(p[1]))
 				}
+			}
+			if ia[i] != ib[0] || ia[i] != wantImage[i] {
+				t.Fatalf("element %d: image %#x, scalar lane %#x, ToBF16(rounded) %#x", i, ia[i], ib[0], wantImage[i])
 			}
 		}
 		// The bound is stated for normal-range intermediates: gradients

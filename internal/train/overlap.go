@@ -102,8 +102,9 @@ type syncEngine struct {
 	buckets []gradBucket
 	own     []opt.Span // owned pieces, ascending, adjacent ones merged
 
+	flatW []float32 // the rank's padded flat weights, all-gathered in place
 	flatG []float32 // the rank's padded flat gradient, reduced in place
-	dim   int       // its unpadded length: [dim, len(flatG)) is the zero pad tail
+	dim   int       // their unpadded length: [dim, len(flatG)) is the zero pad tail
 	wire  []uint16  // bf16 wire scratch (nil under fp32)
 
 	segStart []int // flat frontier after each backward segment
@@ -115,8 +116,11 @@ type syncEngine struct {
 	timer *phaseTimer
 
 	// per-step state
-	gScale  float32
-	next    int
+	gScale float32
+	next   int
+	// handles are the collectives in flight in the current phase — a
+	// step's gradient reductions, or a parameter gather — drained by
+	// wait.
 	handles []*dist.Handle
 }
 
@@ -124,11 +128,11 @@ type syncEngine struct {
 // backward-segment contract against the flat packing order.
 func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap bool,
 	shardGroup, replGroup *dist.Group,
-	flatG []float32, wire []uint16, timer *phaseTimer, bucketElems int) (*syncEngine, error) {
+	flatW, flatG []float32, wire []uint16, timer *phaseTimer, bucketElems int) (*syncEngine, error) {
 
 	e := &syncEngine{
 		r: r, overlap: overlap, shardGroup: shardGroup, replGroup: replGroup,
-		flatG: flatG, dim: nn.CountParams(params), wire: wire, timer: timer,
+		flatW: flatW, flatG: flatG, dim: nn.CountParams(params), wire: wire, timer: timer,
 	}
 	idx := shardGroup.RankOf(r)
 	for _, sp := range makeBuckets(len(flatG), bucketElems) {
@@ -186,7 +190,6 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param, overlap b
 func (e *syncEngine) beginStep(gScale float32) {
 	e.gScale = gScale
 	e.next = len(e.buckets) - 1
-	e.handles = e.handles[:0]
 }
 
 // onSegment is the mae.BackwardStepLayers callback: segment k's
@@ -247,22 +250,39 @@ func (e *syncEngine) finishBackward() {
 		e.launch(e.buckets[e.next])
 		e.next--
 	}
+	e.wait()
+}
+
+// gather issues bucket k's parameter all-gather over the shard group:
+// the other members' chunks of the bucket land in flatW, and on the
+// bf16 wire the rank's own chunk goes out as the image its wire slots
+// already hold (see rankState.image). It is not waited here.
+func (e *syncEngine) gather(k int) {
+	sp := e.buckets[k].span
+	e.handles = append(e.handles, e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpAllGather,
+		Buf: e.flatW[sp.Lo:sp.Hi], Wire: e.wireOf(sp)}))
+}
+
+// wait blocks until every collective issued in the current phase has
+// completed. Only this blocking is exposed communication: issuing is
+// not timed, so a phase's collectives overlap each other and whatever
+// the rank computes between issue and wait.
+func (e *syncEngine) wait() {
 	e.timer.comm(func() {
 		for _, h := range e.handles {
 			h.Wait()
 		}
 	})
+	e.handles = e.handles[:0]
 }
 
-// allGatherParams re-assembles the updated flat parameters bucket by
-// bucket — the post-optimizer all-gather of the sharded schedules
-// (doubling as the next forward's eager parameter gather), and the
-// FULL_SHARD backward re-gather.
-func (e *syncEngine) allGatherParams(flatW []float32) {
-	e.timer.comm(func() {
-		for _, b := range e.buckets {
-			e.shardGroup.Do(e.r, dist.Collective{Op: dist.OpAllGather,
-				Buf: flatW[b.span.Lo:b.span.Hi], Wire: e.wireOf(b.span)}).Wait()
-		}
-	})
+// allGatherParams re-assembles the flat parameters — the FULL_SHARD
+// backward re-gather — issuing every bucket's gather before waiting on
+// any. (The post-optimizer gather issues bucket by bucket behind AdamW;
+// see rankState.step.)
+func (e *syncEngine) allGatherParams() {
+	for k := range e.buckets {
+		e.gather(k)
+	}
+	e.wait()
 }

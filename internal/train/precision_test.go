@@ -168,9 +168,14 @@ func TestBF16FullShardMatchesZeRO1Bitwise(t *testing.T) {
 // until the scale is finite in float32), after which training proceeds
 // and the parameters stay finite. Skipped steps still run the full
 // collective schedule, so the measured bytes stay pinned to the
-// simulator's accounting even across the backoff window.
+// simulator's accounting even across the backoff window. On every
+// sharded plan a skipped step's parameter all-gather publishes an image
+// of the unchanged working weights that no AdamW wrote — under
+// HYBRID_SHARD over wire slots the replica all-reduce just filled with
+// gradient bits — so the replicas must still end bitwise equal.
 func TestBF16LossScaleBackoff(t *testing.T) {
-	for _, plan := range []fsdp.Plan{fsdp.DefaultDDP(), fsdp.BestPractice(fsdp.ShardGradOp, 0)} {
+	for _, plan := range []fsdp.Plan{fsdp.DefaultDDP(), fsdp.BestPractice(fsdp.ShardGradOp, 0),
+		fsdp.BestPractice(fsdp.FullShard, 0), fsdp.BestPractice(fsdp.HybridShard, 2)} {
 		t.Run(plan.Name(), func(t *testing.T) {
 			cfg := tinyDistConfig(4, plan)
 			cfg.Epochs = 4 // 16 steps: ~6 skip while the scale descends, the rest train
@@ -196,6 +201,11 @@ func TestBF16LossScaleBackoff(t *testing.T) {
 			opt.PackValues(w, res.Model.Params())
 			if opt.HasNonFinite(w) {
 				t.Fatal("non-finite parameters after overflow recovery")
+			}
+			for rank := 1; rank < len(res.replicas); rank++ {
+				if !bitsEqual(packedParams(res.replicas[rank]), w) {
+					t.Fatalf("rank %d's parameters differ from rank 0's after skipped steps", rank)
+				}
 			}
 			// Uniform per-step traffic even with skips.
 			steps := float64(res.Steps)

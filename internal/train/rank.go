@@ -68,6 +68,12 @@ type rankState struct {
 	// FP32, a shard-local buffer (SpansLen(own) long) under BF16, where
 	// flatW holds its bf16 rounding.
 	master []float32
+	// image, sharded BF16 only, is the bf16 wire scratch, whose owned
+	// spans always hold the bf16 bits of the owned working weights: the
+	// contribution the parameter all-gather publishes as it lies. AdamW
+	// writes it beside the working copy; refreshImage rewrites it where
+	// AdamW did not run.
+	image  []uint16
 	optim  *opt.ShardedAdamW
 	scaler *opt.LossScaler // BF16 only
 }
@@ -116,7 +122,7 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	var err error
 	s.eng, err = newSyncEngine(r, model, params, cfg.Overlap,
 		run.world.Subgroup(strided(r.ID()/g*g, g, 1)), run.world.Subgroup(strided(r.ID()%g, n/g, g)),
-		s.flatG, wire, s.timer,
+		s.flatW, s.flatG, wire, s.timer,
 		bucketElemsFor(cfg.BucketBytes, run.plan.DDPBucketBytes,
 			run.plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded))
 	if err != nil {
@@ -145,6 +151,10 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 		s.master = make([]float32, opt.SpansLen(s.own))
 		opt.GatherSpans(s.master, s.flatW, s.own)
 		tensor.RoundBF16(s.flatW, s.flatW)
+		if s.sharded {
+			s.image = wire
+			s.refreshImage()
+		}
 	}
 	s.optim = opt.NewShardedAdamWSpans(params, cfg.WeightDecay, s.own)
 	if resume != nil {
@@ -205,7 +215,7 @@ func (s *rankState) train() {
 				// model and the loss trajectory (checked against the
 				// single-rank run) would diverge.
 				opt.ScrubOutsideSpans(s.flatW, s.own)
-				s.eng.allGatherParams(s.flatW)
+				s.eng.allGatherParams()
 			}
 			if !final {
 				// Accumulation micro-step: gradients pile up in the
@@ -306,12 +316,15 @@ func (s *rankState) train() {
 // gradient once: overflow verdict, unscale and Σg². Pass 2 is the AdamW
 // kernel on the fp32 master with the clip factor folded into its read
 // of the gradient and, under BF16, the rounded working weights written
-// beside the master. Then (sharded) all-gather the working weights,
-// which the model's tensors are windows of. invScale undoes the loss
-// scale the gradients were reduced with. From finishBackward until the
-// next ZeroGrads the parameters' Grad tensors hold the reduced gradient
-// on the owned spans and reduce-scatter residue elsewhere; nothing may
-// read them as local gradients.
+// beside the master (and, sharded, their bf16 image into the wire
+// slots the all-gather publishes). Sharded, each bucket's all-gather of
+// the working weights, which the model's tensors are windows of, is
+// issued as soon as AdamW has written the rank's piece of it, and all
+// are waited at the end. invScale undoes the loss scale the gradients
+// were reduced with. From finishBackward until the next ZeroGrads the
+// parameters' Grad tensors hold the reduced gradient on the owned spans
+// and reduce-scatter residue elsewhere; nothing may read them as local
+// gradients.
 func (s *rankState) step(lr float64, invScale float32) {
 	clip := s.run.cfg.ClipNorm
 	sq, overflow := s.reduceGrads(invScale, clip > 0)
@@ -342,17 +355,45 @@ func (s *rankState) step(lr float64, invScale float32) {
 		if s.scaler != nil {
 			working = s.flatW
 		}
-		s.optim.StepScaled(lr, s.master, s.flatG, gScale, working)
+		var spanDone func(int)
+		if s.sharded {
+			// Owned span k is bucket k's piece (a group of two or more
+			// never owns adjacent pieces, so none merged): its gather is
+			// issued the moment AdamW has written it and runs while AdamW
+			// updates the pieces above it.
+			spanDone = s.eng.gather
+		}
+		s.optim.StepScaled(lr, s.master, s.flatG, gScale, working, s.image, spanDone)
+	} else if s.sharded {
+		s.refreshImage()
+		for k := range s.eng.buckets {
+			s.eng.gather(k)
+		}
 	}
 	if s.sharded {
-		// Re-assemble the updated parameters. For the resharded
+		// Wait for the re-assembled parameters. For the resharded
 		// strategies this is the next forward's parameter gather executed
 		// eagerly (the executed analog of FSDP's prefetching). It runs
 		// even on skipped steps — idempotently, the working copy being
 		// unchanged — so every optimizer step moves exactly the wire
 		// bytes fsdp.TrafficPerStep charges and ends with bit-identical
 		// assembled replicas.
-		s.eng.allGatherParams(s.flatW)
+		s.eng.wait()
+	}
+}
+
+// refreshImage rewrites the owned spans of the bf16 image from the
+// working weights (a no-op unless sharded BF16): at rank init and
+// resume, and on a skipped step, where AdamW wrote no image and
+// HYBRID_SHARD's replica all-reduce has reused those wire slots for
+// gradient bits. The working copy is bf16-valued, so this is its exact
+// image.
+func (s *rankState) refreshImage() {
+	if s.image == nil {
+		return
+	}
+	for _, sp := range s.own {
+		tensor.ToBF16(s.image[sp.Lo:sp.Hi], s.flatW[sp.Lo:sp.Hi])
 	}
 }
 
