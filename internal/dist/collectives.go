@@ -170,14 +170,14 @@ func (c Collective) outgoing(chunk, n int, round bool) view {
 	return view{u16: w}
 }
 
-// accumulate adds a received chunk into acc. bf16 payloads are widened
-// through the vector kernel in stack-buffer blocks and added in fp32 —
-// this loop is every ring hop of every bf16 gradient reduction.
+// accumulate adds a received chunk into acc: acc[j] + in[j], one fp32
+// add per element through tensor's vector kernel, serially on the
+// calling queue worker. bf16 payloads are widened through the vector
+// kernel in stack-buffer blocks first — this is every ring hop of
+// every gradient reduction.
 func accumulate(acc []float32, in view) {
 	if in.u16 == nil {
-		for j, v := range in.f32 {
-			acc[j] += v
-		}
+		tensor.AddSerial(acc, acc, in.f32)
 		return
 	}
 	var wide [512]float32
@@ -186,9 +186,7 @@ func accumulate(acc []float32, in view) {
 		w := wide[:end-off]
 		tensor.FromBF16(w, in.u16[off:end])
 		a := acc[off:end]
-		for j := range a {
-			a[j] += w[j]
-		}
+		tensor.AddSerial(a, a, w)
 	}
 }
 

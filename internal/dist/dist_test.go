@@ -388,6 +388,53 @@ func TestReduceScatterBF16AccumulatesInFP32(t *testing.T) {
 	}
 }
 
+// TestAccumulateMatchesScalarLoop holds a ring hop's accumulate — the
+// vector add, on either wire — to the scalar loop acc[j] += in[j] it
+// replaced, bit for bit: lengths 1 to 41 around the eight-lane edge and
+// across the bf16 widening block, each at every offset into a larger
+// buffer, so neither side starts aligned; the elements just outside the
+// chunk must not move.
+func TestAccumulateMatchesScalarLoop(t *testing.T) {
+	r := rng.New(41)
+	lengths := []int{511, 512, 513, 1100}
+	for n := 1; n <= 41; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			for _, bf16 := range []bool{false, true} {
+				base := make([]float32, off+n+1)
+				r.FillNormal(base, 0, 1)
+				f32 := make([]float32, off+n)
+				r.FillNormal(f32, 0, 1)
+				u16 := make([]uint16, off+n)
+				for j := range u16 {
+					u16[j] = tensor.BF16FromF32(f32[j])
+				}
+				in := view{f32: f32[off:]}
+				if bf16 {
+					in = view{u16: u16[off:]}
+				}
+				want := append([]float32(nil), base...)
+				for j := 0; j < n; j++ {
+					v := f32[off+j]
+					if bf16 {
+						v = tensor.F32FromBF16(u16[off+j])
+					}
+					want[off+j] += v
+				}
+				got := append([]float32(nil), base...)
+				accumulate(got[off:off+n], in)
+				for j := range got {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("n=%d off=%d bf16=%v: acc[%d] = %v, scalar loop gives %v", n, off, bf16, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAllReduceScalar(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		outs := make([]float64, n)

@@ -161,7 +161,7 @@ func flashAttnFwd(o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scal
 	packABlockN(kA, k, 0, t, 0, d, ldqkv)
 	packABlockT(vA, v, 0, d, 0, t, ldqkv)
 	for ip := 0; ip*nr < t; ip++ {
-		packBPanelT(qT[ip*d*nr:], q, d, ldqkv, 0, ip*nr, min(nr, t-ip*nr))
+		packBPanelT(qT[ip*d*nr:], q, nr, d, ldqkv, 0, ip*nr, min(nr, t-ip*nr))
 	}
 
 	negInf := float32(math.Inf(-1))
@@ -267,8 +267,8 @@ func flashAttnBwd(dq, dk, dv []float32, lddqkv int, do_, o []float32, ldo int, q
 
 	for jp := 0; jp*nr < t; jp++ {
 		jw := min(nr, t-jp*nr)
-		packBPanelT(kT[jp*d*nr:], k, d, ldqkv, 0, jp*nr, jw)
-		packBPanelT(vT[jp*d*nr:], v, d, ldqkv, 0, jp*nr, jw)
+		packBPanelT(kT[jp*d*nr:], k, nr, d, ldqkv, 0, jp*nr, jw)
+		packBPanelT(vT[jp*d*nr:], v, nr, d, ldqkv, 0, jp*nr, jw)
 	}
 	packABlockN(qA, q, 0, t, 0, d, ldqkv)
 	packABlockN(doA, do_, 0, t, 0, d, ldo)

@@ -36,10 +36,10 @@ func matMulBF16(c, a []float32, b []uint16, bias []float32, m, k, n, lda, ldb, l
 	if k > 0 && m*k*n >= smallGEMMFlops {
 		// gemmBlocked's opNN path with the B pack stage widening bf16
 		// panels; a bf16 B is never read in place.
-		bbuf := packB(k, n, 0, func(dst []float32, p0, kcEff, j0, jw int) {
+		bbuf := packB(k, n, nr, 0, func(dst []float32, p0, kcEff, j0, jw int) {
 			packBPanelNBF16(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		})
-		gemmCompute(c, a, nil, *bbuf, bias, m, k, n, lda, 0, ldc, 0, acc, opNN, false)
+		gemmCompute(c, a, nil, *bbuf, bias, m, k, n, lda, 0, ldc, 0, acc, opNN)
 		packBPool.Put(bbuf)
 		return
 	}

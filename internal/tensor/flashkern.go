@@ -18,7 +18,8 @@ import "math"
 //   - flashTranspose16: one nr×nr block transpose, the only repack of
 //     a probability-sized operand left on the fused path (dS for dQ).
 //
-// On amd64 with AVX2+FMA these run in assembly (flashkern_amd64.s);
+// On amd64 with AVX2+FMA these run in assembly (flashkern_amd64.s;
+// the transpose is gemm_kernel_amd64.s's 8×8 block, transpose8);
 // the *Go functions below are the portable twins and the definition
 // the assembly matches bit for bit. Max, sums and the Jacobian
 // products are unfused on both sides; the exponential fuses exactly
@@ -136,13 +137,14 @@ func flashJacobianGo(s, dp []float32, rows int, scale float32, stat []float32) {
 	}
 }
 
-// flashTranspose16Go writes the transpose of the contiguous nr×nr
-// block src into the contiguous nr×nr block dst.
-func flashTranspose16Go(dst, src []float32) {
+// flashTranspose16 writes the transpose of the contiguous nr×nr block
+// src into the contiguous nr×nr block dst, as four strided 8×8
+// transposes: source block (R, C) lands in destination block (C, R).
+func flashTranspose16(dst, src []float32) {
 	_, _ = dst[nr*nr-1], src[nr*nr-1]
-	for i := 0; i < nr; i++ {
-		for j := 0; j < nr; j++ {
-			dst[j*nr+i] = src[i*nr+j]
+	for r := 0; r < nr; r += t8 {
+		for c := 0; c < nr; c += t8 {
+			transpose8(dst[c*nr+r:], nr, src[r*nr+c:], nr)
 		}
 	}
 }

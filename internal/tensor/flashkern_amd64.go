@@ -11,9 +11,6 @@ func flashSoftmaxColsAVX2(s *float32, rows int, scale float32, ml, acc *float32,
 //go:noescape
 func flashJacobianAVX2(s, dp *float32, rows int, scale float32, stat *float32)
 
-//go:noescape
-func flashTranspose16AVX2(dst, src *float32)
-
 func flashSoftmaxCols(s []float32, rows int, scale float32, ml *[2 * nr]float32, acc []float32) {
 	if !haveFMA {
 		flashSoftmaxColsGo(s, rows, scale, ml, acc)
@@ -30,13 +27,4 @@ func flashJacobian(s, dp []float32, rows int, scale float32, stat []float32) {
 	}
 	_, _, _ = s[rows*nr-1], dp[rows*nr-1], stat[3*rows-1]
 	flashJacobianAVX2(&s[0], &dp[0], rows, scale, &stat[0])
-}
-
-func flashTranspose16(dst, src []float32) {
-	if !haveFMA {
-		flashTranspose16Go(dst, src)
-		return
-	}
-	_, _ = dst[nr*nr-1], src[nr*nr-1]
-	flashTranspose16AVX2(&dst[0], &src[0])
 }

@@ -296,62 +296,3 @@ jacloop:
 jacdone:
 	VZEROUPPER
 	RET
-
-// TRANSPOSE8 transposes the 8×8 block at byte offset so from SI (rows
-// 64 bytes apart) into the block at offset do from DI: unpack pairs of
-// rows, shuffle pairs of pairs, then exchange 128-bit halves.
-#define TRANSPOSE8(so, do) \
-	VMOVUPS    (so+0)(SI), Y0;      \
-	VMOVUPS    (so+64)(SI), Y1;     \
-	VMOVUPS    (so+128)(SI), Y2;    \
-	VMOVUPS    (so+192)(SI), Y3;    \
-	VMOVUPS    (so+256)(SI), Y4;    \
-	VMOVUPS    (so+320)(SI), Y5;    \
-	VMOVUPS    (so+384)(SI), Y6;    \
-	VMOVUPS    (so+448)(SI), Y7;    \
-	VUNPCKLPS  Y1, Y0, Y8;          \
-	VUNPCKHPS  Y1, Y0, Y9;          \
-	VUNPCKLPS  Y3, Y2, Y10;         \
-	VUNPCKHPS  Y3, Y2, Y11;         \
-	VUNPCKLPS  Y5, Y4, Y12;         \
-	VUNPCKHPS  Y5, Y4, Y13;         \
-	VUNPCKLPS  Y7, Y6, Y14;         \
-	VUNPCKHPS  Y7, Y6, Y15;         \
-	VSHUFPS    $0x44, Y10, Y8, Y0;  \
-	VSHUFPS    $0xee, Y10, Y8, Y1;  \
-	VSHUFPS    $0x44, Y11, Y9, Y2;  \
-	VSHUFPS    $0xee, Y11, Y9, Y3;  \
-	VSHUFPS    $0x44, Y14, Y12, Y4; \
-	VSHUFPS    $0xee, Y14, Y12, Y5; \
-	VSHUFPS    $0x44, Y15, Y13, Y6; \
-	VSHUFPS    $0xee, Y15, Y13, Y7; \
-	VPERM2F128 $0x20, Y4, Y0, Y8;   \
-	VPERM2F128 $0x20, Y5, Y1, Y9;   \
-	VPERM2F128 $0x20, Y6, Y2, Y10;  \
-	VPERM2F128 $0x20, Y7, Y3, Y11;  \
-	VPERM2F128 $0x31, Y4, Y0, Y12;  \
-	VPERM2F128 $0x31, Y5, Y1, Y13;  \
-	VPERM2F128 $0x31, Y6, Y2, Y14;  \
-	VPERM2F128 $0x31, Y7, Y3, Y15;  \
-	VMOVUPS    Y8, (do+0)(DI);      \
-	VMOVUPS    Y9, (do+64)(DI);     \
-	VMOVUPS    Y10, (do+128)(DI);   \
-	VMOVUPS    Y11, (do+192)(DI);   \
-	VMOVUPS    Y12, (do+256)(DI);   \
-	VMOVUPS    Y13, (do+320)(DI);   \
-	VMOVUPS    Y14, (do+384)(DI);   \
-	VMOVUPS    Y15, (do+448)(DI)
-
-// func flashTranspose16AVX2(dst, src *float32)
-//
-// dst = srcᵀ for contiguous 16×16 float32 blocks, as four 8×8
-// transposes: source block (R, C) lands in destination block (C, R).
-TEXT ·flashTranspose16AVX2(SB), NOSPLIT, $0-16
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	TRANSPOSE8(0, 0)
-	TRANSPOSE8(32, 512)
-	TRANSPOSE8(512, 32)
-	TRANSPOSE8(544, 544)
-	VZEROUPPER
-	RET

@@ -9,5 +9,3 @@ func flashSoftmaxCols(s []float32, rows int, scale float32, ml *[2 * nr]float32,
 func flashJacobian(s, dp []float32, rows int, scale float32, stat []float32) {
 	flashJacobianGo(s, dp, rows, scale, stat)
 }
-
-func flashTranspose16(dst, src []float32) { flashTranspose16Go(dst, src) }

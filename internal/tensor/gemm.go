@@ -16,13 +16,15 @@ import (
 //     strides (gemm_kernel.go), so it reads a packed panel or the
 //     caller's matrix alike, and its write-back either stores the
 //     strip's sums or adds them to C, then optionally adds a bias row.
-//     There is one such loop; the transposed variants (MatMulTA,
-//     MatMulTB), the bf16-weight GEMM and the attention tiles all run
-//     it. On amd64 with AVX2+FMA it is hand-written assembly
-//     (gemm_kernel_amd64.s); elsewhere the portable kern6x16go runs,
-//     and the two give the same bits. Which path a product takes
-//     depends on its shape alone, so every build blocks, packs and
-//     rounds alike.
+//     The transposed variants (MatMulTA, MatMulTB), the bf16-weight
+//     GEMM and the attention tiles all run this one loop (over two rows,
+//     kern2x16, for a short ragged panel); only the swapped-orientation
+//     MatMulTB below runs a second, square t8×t8 tile (kern8x8) that
+//     writes C transposed. On amd64 with AVX2+FMA these are hand-written
+//     assembly (gemm_kernel_amd64.s); elsewhere the portable kern6x16go,
+//     kern2x16go and kern8x8go run, and each pair gives the same bits.
+//     Which path a product takes depends on its shape alone, so every
+//     build blocks, packs and rounds alike.
 //   - The driver only multiplies. The first K strip of C = A·B stores
 //     (nothing pre-zeroes C), later strips add, and the last strip's
 //     write-back adds the bias of MatMulBias, so x·W + b is one pass
@@ -32,20 +34,26 @@ import (
 //     per panel: packing it would copy each element for every
 //     (row slab, K strip) to save nothing the hardware prefetcher does
 //     not already give. Only a ragged bottom panel (m mod mr rows) is
-//     packed, zero-padded, so the kernel never reads past A. Transposed
+//     packed, zero-padded, so the kernel never reads past A — unless it
+//     has 2 or 4 rows and every B panel is nr wide (pairs2x16): then
+//     it runs on its valid rows in place, two at a time. Transposed
 //     A (MatMulTA, stored k×m) is packed per mcBlock×kcBlock slab by
 //     each worker: in place a K step would touch a new cache line for
 //     24 bytes, once per B panel.
 //   - B (k×n) is re-read once per mr-row panel of A, so a packed copy
 //     of B is amortised over ⌈m/mr⌉ panels. bf16 B (MatMulBF16) is
 //     always packed — the pack is where the widening happens.
-//     Transposed B (MatMulTB) is packed, the pack being the transpose,
-//     unless A has fewer rows than B and only a few row panels
-//     (tbSwapped): then the product runs as Cᵀ = B·Aᵀ — B's rows read in
-//     place as the A side, A packed as the transposed B side, every tile
-//     written back into C transposed. That is the input-gradient GEMM
-//     dx = dy·Wᵀ at a few dozen rows, where transposing the whole
-//     weight for two to six row panels cost more than the product.
+//     Transposed B (MatMulTB) is packed, the pack being the transpose
+//     (8×8 vector block transposes, transpose8), unless A has fewer
+//     rows than B and only a few row panels (tbSwapped): then the
+//     product runs as Cᵀ = B·Aᵀ (gemmSwapped) — B's rows read in place
+//     as the A side, A packed t8 wide as the transposed B side by the
+//     same block transposes, and every 8×8 tile of kern8x8 turned in
+//     registers and written into C as eight vector rows. That is the
+//     input-gradient GEMM dx = dy·Wᵀ at a few dozen rows, where
+//     transposing the whole weight for two to six row panels cost more
+//     than the product; t8 tokens to a tile wastes no lane at the 8 or
+//     32 rows a rank of the 2-rank workloads multiplies.
 //     Row-major B is packed into contiguous nr-wide panels when many
 //     row panels reuse it or its rows are far apart (bInPlace), and
 //     read in place otherwise: the weight-gradient GEMMs dW = xᵀ·dy
@@ -67,6 +75,7 @@ import (
 const (
 	mr = 6  // micro-kernel rows (A panel height)
 	nr = 16 // micro-kernel cols (B panel width, 2×8 float32 lanes)
+	t8 = 8  // the swapped path's square tile (kern8x8) and transpose block
 
 	// kcBlock is the K strip length: an A micro-panel (mr×kcBlock
 	// ≈ 6 KiB) stays L1-resident and a packed B micro-panel
@@ -262,12 +271,12 @@ const (
 // orientation, Cᵀ = B·Aᵀ, from the shape alone. Packing B copies k·n
 // floats, transposing them, for ⌈m/mr⌉ row panels of A to reuse;
 // swapped, B's rows are read in place and the copy is A's k·m floats,
-// reused by ⌈n/mr⌉ panels — but every element of C then costs a scalar
-// transposed store per K strip. On the 2-core Sapphire Rapids-class VM
+// reused by ⌈n/t8⌉ tiles. On the 2-core Sapphire Rapids-class VM
 // the constant was measured on (one worker, k ∈ 48…768, n ∈ 48…1024;
-// the TB rows of BenchmarkGEMM), the swap wins ×1.2–×3.8 at up to 6
-// row panels and ×0.96–×1.7 at 8, and from 11 panels on it loses as
-// often as it wins.
+// the TB rows of BenchmarkGEMM), the swap — then a 6×16 tile with a
+// scalar transposed write-back — won ×1.2–×3.8 at up to 6 row panels
+// and ×0.96–×1.7 at 8, and from 11 panels on it lost as often as it
+// won.
 func tbSwapped(m, n int) bool {
 	return m < n && (m+mr-1)/mr <= tbSwapMaxPanels
 }
@@ -279,49 +288,125 @@ const tbSwapMaxPanels = 8
 // left in place (see the package header).
 func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp) {
 	if op == opTB && tbSwapped(m, n) {
-		// Cᵀ = B·Aᵀ: B's rows are the A-side panels, read in place like
-		// row-major A; A, stored m×k, is the transposed B-side operand,
-		// packed; every tile lands in C transposed.
-		abuf := packB(k, m, 0, func(dst []float32, p0, kcEff, j0, jw int) {
-			packBPanelT(dst, a, kcEff, lda, p0, j0, jw)
-		})
-		gemmCompute(c, b, nil, *abuf, bias, n, k, m, ldb, 0, ldc, 0, acc, opNN, true)
-		packBPool.Put(abuf)
+		gemmSwapped(c, a, b, bias, m, k, n, lda, ldb, ldc, acc)
 		return
 	}
 	firstPacked := 0
 	if op != opTB && bInPlace(m, ldb) {
 		firstPacked = n / nr
 	}
-	bbuf := packB(k, n, firstPacked, func(dst []float32, p0, kcEff, j0, jw int) {
+	bbuf := packB(k, n, nr, firstPacked, func(dst []float32, p0, kcEff, j0, jw int) {
 		if op == opTB {
-			packBPanelT(dst, b, kcEff, ldb, p0, j0, jw)
+			packBPanelT(dst, b, nr, kcEff, ldb, p0, j0, jw)
 		} else {
 			packBPanelN(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		}
 	})
-	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op, false)
+	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op)
 	packBPool.Put(bbuf)
 }
 
-// packB packs the nr-column panels firstPacked, firstPacked+1, … of a
+// gemmSwapped computes C = A·Bᵀ (+ bias) in the other orientation,
+// Cᵀ = B·Aᵀ (tbSwapped). The product P = B·Aᵀ is n×m: its rows are B's
+// rows, read in place as kern8x8's A side, and its columns are A's m
+// rows, packed t8 wide by 8×8 transposes as the B side. kern8x8 writes
+// each t8×t8 tile of P into C transposed with vector stores; only
+// ragged tiles — a last panel of fewer than t8 B rows (packed,
+// zero-padded, so the kernel never reads past B) or of fewer than t8
+// A rows — go through a scratch tile and writeBack. The bias, indexed
+// by C's column, is added in the last strip's write-back. Work is
+// split over tiles of P's rows, which are column ranges of C.
+func gemmSwapped(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool) {
+	abuf := packB(k, m, t8, 0, func(dst []float32, p0, kcEff, j0, jw int) {
+		packBPanelT(dst, a, t8, kcEff, lda, p0, j0, jw)
+	})
+	ap := *abuf
+	jPanels := (m + t8 - 1) / t8
+	grain := max(1, rowsGrain(k, m)/t8)
+	parallel.RangeGrain((n+t8-1)/t8, grain, func(tlo, thi int) {
+		var wp []float32
+		if thi*t8 > n {
+			wbuf := getPack(&packAPool, t8*kcBlock)
+			defer packAPool.Put(wbuf)
+			wp = *wbuf
+		}
+		var tile [t8 * t8]float32
+		for p0 := 0; p0 < k; p0 += kcBlock {
+			kcEff := min(kcBlock, k-p0)
+			// The first strip stores, every other strip adds, the last
+			// adds the bias after its sums.
+			accStrip := acc || p0 > 0
+			var stripBias []float32
+			if p0+kcEff == k {
+				stripBias = bias
+			}
+			strip := ap[p0*jPanels*t8:]
+			for ti := tlo; ti < thi; ti++ {
+				i := ti * t8
+				rw := min(t8, n-i)
+				// In place, B element (r, kk) of a full tile is
+				// b[(i+r)*ldb+p0+kk] with i+t8 ≤ n: at most
+				// (n-1)*ldb+k-1, inside what checkGEMMLd proved.
+				wpanel, wrs := (*float32)(nil), ldb
+				if rw == t8 {
+					wpanel = &b[i*ldb+p0]
+				} else {
+					for r := 0; r < t8; r++ {
+						d := wp[r*kcEff : (r+1)*kcEff]
+						if r < rw {
+							copy(d, b[(i+r)*ldb+p0:])
+						} else {
+							clear(d)
+						}
+					}
+					wpanel, wrs = &wp[0], kcEff
+				}
+				var bi []float32
+				if stripBias != nil {
+					bi = stripBias[i:]
+				}
+				for jp := 0; jp < jPanels; jp++ {
+					j0 := jp * t8
+					jw := min(t8, m-j0)
+					bpanel := &strip[jp*kcEff*t8]
+					if rw == t8 && jw == t8 {
+						var bias8 *float32
+						if bi != nil {
+							bias8 = &bi[0]
+						}
+						microKern8x8(kcEff, wpanel, wrs, 1, bpanel, t8, &c[j0*ldc+i], ldc, accStrip, bias8)
+						continue
+					}
+					microKern8x8(kcEff, wpanel, wrs, 1, bpanel, t8, &tile[0], t8, false, nil)
+					for j := 0; j < jw; j++ {
+						writeBack(c[(j0+j)*ldc+i:], tile[j*t8:j*t8+rw], accStrip, bi)
+					}
+				}
+			}
+		}
+	})
+	packBPool.Put(abuf)
+}
+
+// packB packs the w-column panels firstPacked, firstPacked+1, … of a
 // k×n B into pooled scratch, blocked by K strip then by panel: panel
 // jp of the strip starting at row p0 lies at
-// p0·np·nr + (jp−firstPacked)·kcEff·nr, np being the number of packed
-// panels. Panels are disjoint, so the pack runs on the pool rather
-// than as a serial prefix ahead of the compute workers. The caller
-// returns the buffer to packBPool.
-func packB(k, n, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, jw int)) *[]float32 {
-	np := (n+nr-1)/nr - firstPacked
-	bbuf := getPack(&packBPool, k*np*nr)
+// p0·np·w + (jp−firstPacked)·kcEff·w, np being the number of packed
+// panels; w is nr for the micro-kernel, t8 for the swapped path.
+// Panels are disjoint, so the pack runs on the pool rather than as a
+// serial prefix ahead of the compute workers. The caller returns the
+// buffer to packBPool.
+func packB(k, n, w, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, jw int)) *[]float32 {
+	np := (n+w-1)/w - firstPacked
+	bbuf := getPack(&packBPool, k*np*w)
 	bp := *bbuf
 	nStrips := (k + kcBlock - 1) / kcBlock
 	parallel.ForGrain(nStrips*np, 8, func(idx int) {
 		p0 := (idx / np) * kcBlock
 		jp := firstPacked + idx%np
 		kcEff := min(kcBlock, k-p0)
-		j0 := jp * nr
-		packPanel(bp[p0*np*nr+(jp-firstPacked)*kcEff*nr:], p0, kcEff, j0, min(nr, n-j0))
+		j0 := jp * w
+		packPanel(bp[p0*np*w+(jp-firstPacked)*kcEff*w:], p0, kcEff, j0, min(w, n-j0))
 	})
 	return bbuf
 }
@@ -332,12 +417,7 @@ func packB(k, n, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, j
 // so alternate B encodings — the bf16 weight path widens during
 // packing — share one compute stage, which is also what makes
 // MatMulBF16 bitwise equal to MatMul on pre-widened weights.
-//
-// With ct set the loop computes the m×n product into C stored
-// transposed: product element (i, j) is c[j·ldc+i], and the bias is
-// indexed by the product's row. Every tile then takes the edge-tile
-// path, and writeBackT stores it with writeBack's additions.
-func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp, ct bool) {
+func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
 	nPanels := (n + nr - 1) / nr
 	np := nPanels - firstPacked
 	// Parallel split is over mr-row micro-panel tiles, not raw rows, so
@@ -348,9 +428,9 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 	parallel.RangeGrain(mTiles, grain, func(tlo, thi int) {
 		lo, hi := tlo*mr, min(thi*mr, m)
 		// Packed A: the whole slab when A is transposed, otherwise only
-		// a ragged bottom panel.
+		// a ragged bottom panel that pairs2x16 cannot run in place.
 		var ap []float32
-		if op == opTA || hi%mr != 0 {
+		if op == opTA || (hi%mr != 0 && !pairs2x16(hi%mr, n)) {
 			abuf := getPack(&packAPool, mcBlock*kcBlock)
 			defer packAPool.Put(abuf)
 			ap = *abuf
@@ -372,7 +452,7 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 				}
 				if op == opTA {
 					packABlockT(ap, a, i0, mcEff, p0, kcEff, lda)
-				} else if rw := mcEff % mr; rw != 0 {
+				} else if rw := mcEff % mr; rw != 0 && !pairs2x16(rw, n) {
 					packABlockN(ap, a, i0+mcEff-rw, rw, p0, kcEff, lda)
 				}
 				for jp := 0; jp < nPanels; jp++ {
@@ -389,7 +469,7 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 						bpanel = &bp[p0*np*nr+(jp-firstPacked)*kcEff*nr]
 					}
 					var bj []float32
-					if stripBias != nil && !ct {
+					if stripBias != nil {
 						bj = stripBias[j0:]
 					}
 					for ip := 0; ip < mPanels; ip++ {
@@ -402,32 +482,41 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 						switch {
 						case op == opTA:
 							apanel = &ap[ip*mr*kcEff]
-						case rw < mr:
+						case rw < mr && !pairs2x16(rw, n):
 							apanel = &ap[0]
 						default:
 							apanel, ars, aks = &a[i*lda+p0], lda, 1
 						}
-						if rw == mr && jw == nr && !ct {
-							var bias16 *float32
-							if bj != nil {
-								bias16 = &bj[0]
-							}
+						var bias16 *float32
+						if bj != nil {
+							bias16 = &bj[0]
+						}
+						if rw == mr && jw == nr {
 							microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &c[i*ldc+j0], ldc, accStrip, bias16)
 							continue
 						}
-						// Edge tile, or any tile of a transposed C: run
-						// the full-size kernel into a scratch tile (packed
-						// panels are zero-padded) and write the valid
-						// region back the way the kernel would have.
-						microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &tile[0], nr, false, nil)
-						if ct {
-							var bi []float32
-							if stripBias != nil {
-								bi = stripBias[i:]
+						if pairs2x16(rw, n) {
+							// A ragged bottom panel of 2 or 4 rows runs
+							// only its valid rows, two at a time, straight
+							// into C: packed like the slab when A is
+							// transposed, in place otherwise (at most
+							// (m-1)*lda+k-1 again).
+							for rp := 0; rp < rw; rp += 2 {
+								var ar *float32
+								if op == opTA {
+									ar = &ap[ip*mr*kcEff+rp]
+								} else {
+									ar = &a[(i+rp)*lda+p0]
+								}
+								microKern2x16(kcEff, ar, ars, aks, bpanel, bks, &c[(i+rp)*ldc+j0], ldc, accStrip, bias16)
 							}
-							writeBackT(c[j0*ldc+i:], tile[:], rw, jw, ldc, accStrip, bi)
 							continue
 						}
+						// Edge tile: run the full-size kernel into a
+						// scratch tile (packed panels are zero-padded) and
+						// write the valid region back the way the kernel
+						// would have.
+						microKernStrided(kcEff, apanel, ars, aks, bpanel, bks, &tile[0], nr, false, nil)
 						for r := 0; r < rw; r++ {
 							writeBack(c[(i+r)*ldc+j0:], tile[r*nr:r*nr+jw], accStrip, bj)
 						}
@@ -436,6 +525,15 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 			}
 		}
 	})
+}
+
+// pairs2x16 is the rule for a ragged bottom panel of rw < mr rows, from
+// the shape alone: when rw is even and every B panel is nr wide, the
+// panel runs as rw/2 two-row kernels on its valid rows instead of one
+// 6-row kernel on a zero-padded copy — at 8 rows (the encoder's tokens
+// per rank of the 2-rank workloads) that computes 8 rows, not 12.
+func pairs2x16(rw, n int) bool {
+	return rw%2 == 0 && n%nr == 0
 }
 
 // Packing scratch is recycled across GEMM calls and workers. A-slabs
@@ -469,19 +567,37 @@ func packBPanelN(dst, b []float32, kcEff, ldb, j0, jw int) {
 	}
 }
 
-// packBPanelT packs the same logical panel when B is stored transposed
-// (n×k): logical B[kk, j0+j] lives at b[(j0+j)*ldb + p0+kk], so each
-// destination column is a contiguous read along K.
-func packBPanelT(dst, b []float32, kcEff, ldb, p0, j0, jw int) {
-	for j := 0; j < jw; j++ {
-		col := b[(j0+j)*ldb+p0:]
-		for kk := 0; kk < kcEff; kk++ {
-			dst[kk*nr+j] = col[kk]
+// packBPanelT packs the same logical panel, w columns wide (a multiple
+// of t8: nr for the micro-kernel, t8 for the swapped path), when B is
+// stored transposed (n×k): logical B[kk, j0+j] lives at
+// b[(j0+j)*ldb + p0+kk], and dst[kk*w+j] receives it. Every whole
+// t8-column group is packed by 8×8 block transposes over the first
+// kcEff rounded down to t8 K steps; the rest — those groups' last K
+// steps, a partial group's columns, and the zeros past jw — is filled
+// one destination row at a time.
+func packBPanelT(dst, b []float32, w, kcEff, ldb, p0, j0, jw int) {
+	g8, k8 := jw&^(t8-1), kcEff&^(t8-1)
+	for g := 0; g < g8; g += t8 {
+		src := b[(j0+g)*ldb+p0:]
+		for kk := 0; kk < k8; kk += t8 {
+			transpose8(dst[kk*w+g:], w, src[kk:], ldb)
 		}
 	}
-	for j := jw; j < nr; j++ {
-		for kk := 0; kk < kcEff; kk++ {
-			dst[kk*nr+j] = 0
+	kk := 0
+	if g8 == w {
+		kk = k8
+	}
+	for ; kk < kcEff; kk++ {
+		row := dst[kk*w : kk*w+w]
+		j := 0
+		if kk < k8 {
+			j = g8
+		}
+		for i := (j0+j)*ldb + p0 + kk; j < jw; j, i = j+1, i+ldb {
+			row[j] = b[i]
+		}
+		if jw < w {
+			clear(row[jw:])
 		}
 	}
 }

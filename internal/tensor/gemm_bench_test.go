@@ -62,19 +62,27 @@ func BenchmarkGEMM(b *testing.B) {
 	// dW = xᵀ·dy — few row panels against thousands of tokens, the side
 	// of bInPlace that reads B where it lies — and the input gradient
 	// dx = dy·Wᵀ; then a wide, heavily reused B on the packed side.
-	// The small-m input gradients are the 2-rank workloads' (8 encoder
-	// or 32 decoder rows per rank): tbSwapped runs them as Cᵀ = B·Aᵀ up
-	// to TB48x288x96 and packs B again from TB64x288x96 on.
+	// The small-m GEMMs are the 2-rank workloads' per-rank shapes (8
+	// encoder or 32 decoder rows per rank): the forward, the weight
+	// gradient over those rows, and the input gradient, which tbSwapped
+	// runs as Cᵀ = B·Aᵀ up to TB48x288x96 and packs B again from
+	// TB64x288x96 on.
 	bias := make([]float32, 288)
+	nnBias := func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }
+	ta := func(c, a, bb []float32, m, k, n int) { MatMulTA(c, a, bb, m, k, n, true) }
 	tb := func(c, a, bb []float32, m, k, n int) { MatMulTB(c, a, bb, m, k, n, false) }
 	for _, sh := range []struct {
 		name    string
 		m, k, n int
 		call    func(c, a, bb []float32, m, k, n int)
 	}{
-		{"NNBias", 4096, 96, 288, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
-		{"NNBias", 2048, 64, 192, func(c, a, bb []float32, m, k, n int) { MatMulBias(c, a, bb, bias, m, k, n, false) }},
-		{"TA", 96, 4096, 288, func(c, a, bb []float32, m, k, n int) { MatMulTA(c, a, bb, m, k, n, true) }},
+		{"NNBias", 4096, 96, 288, nnBias},
+		{"NNBias", 2048, 64, 192, nnBias},
+		{"NNBias", 8, 96, 288, nnBias},
+		{"NNBias", 32, 48, 192, nnBias},
+		{"TA", 96, 4096, 288, ta},
+		{"TA", 96, 8, 288, ta},
+		{"TA", 48, 32, 192, ta},
 		{"TB", 4096, 288, 96, tb},
 		{"TB", 8, 288, 96, tb},
 		{"TB", 8, 96, 288, tb},

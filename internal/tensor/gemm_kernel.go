@@ -29,16 +29,28 @@ import "unsafe"
 // scalars are what keeps the inner loop out of memory. Packed panels
 // are L1-resident, making the extra panel re-reads cheap.
 func kern6x16go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *float32, ldc int, acc bool, biasf *float32) {
+	kernRowsx16go(mr, kc, af, ars, aks, bf, bks, cf, ldc, acc, biasf)
+}
+
+// kern2x16go is kern6x16go over two rows, the definition of the
+// assembly kern2x16: the driver runs it on the valid rows of a ragged
+// bottom panel of 2 or 4 rows instead of a zero-padded 6-row panel.
+func kern2x16go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *float32, ldc int, acc bool, biasf *float32) {
+	kernRowsx16go(2, kc, af, ars, aks, bf, bks, cf, ldc, acc, biasf)
+}
+
+// kernRowsx16go is kern6x16go's body over an even number of rows.
+func kernRowsx16go(rows, kc int, af *float32, ars, aks int, bf *float32, bks int, cf *float32, ldc int, acc bool, biasf *float32) {
 	var a, b, bias []float32
 	if kc > 0 {
-		a = unsafe.Slice(af, (mr-1)*ars+(kc-1)*aks+1)
+		a = unsafe.Slice(af, (rows-1)*ars+(kc-1)*aks+1)
 		b = unsafe.Slice(bf, (kc-1)*bks+nr)
 	}
 	if biasf != nil {
 		bias = unsafe.Slice(biasf, nr)
 	}
-	c := unsafe.Slice(cf, (mr-1)*ldc+nr)
-	for rr := 0; rr < mr; rr += 2 {
+	c := unsafe.Slice(cf, (rows-1)*ldc+nr)
+	for rr := 0; rr < rows; rr += 2 {
 		for jj := 0; jj < nr; jj += 8 {
 			var s00, s01, s02, s03, s04, s05, s06, s07 float32
 			var s10, s11, s12, s13, s14, s15, s16, s17 float32
@@ -77,9 +89,9 @@ func kern6x16go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *flo
 }
 
 // writeBack is the micro-kernel's write-back over one run of a C row:
-// Σ or C + Σ, then + bias. The driver's edge tiles (gemm.go) go through
-// it too, so there is one statement of the order of the additions;
-// writeBackT repeats it for a C stored transposed.
+// Σ or C + Σ, then + bias. The driver's edge tiles (gemm.go) and
+// kern8x8go go through it too, so there is one statement of the order
+// of the additions.
 func writeBack(c, sums []float32, acc bool, bias []float32) {
 	c = c[:len(sums)]
 	for j, v := range sums {
@@ -93,26 +105,58 @@ func writeBack(c, sums []float32, acc bool, bias []float32) {
 	}
 }
 
-// writeBackT is the driver's write-back of a tile whose C is stored
-// transposed: sum (r, j) of the tile's rows×cols valid region (row
-// stride nr) is C element c[j·ldc+r], and the bias is indexed by the
-// tile's row. The additions are writeBack's, in its order.
-//
-// Kept out of line: inlined into the driver's task closure, its loop
-// state spills to the stack and the loop runs several times slower.
-//
-//go:noinline
-func writeBackT(c, sums []float32, rows, cols, ldc int, acc bool, bias []float32) {
-	for r := 0; r < rows; r++ {
-		for j, v := range sums[r*nr : r*nr+cols] {
-			p := &c[j*ldc+r]
-			if acc {
-				v = *p + v
-			}
-			if bias != nil {
-				v += bias[r]
-			}
-			*p = v
+// kern8x8go is the portable tile of the swapped-orientation product
+// Cᵀ = B·Aᵀ (gemm.go), and the definition the assembly kern8x8 matches
+// bit for bit: the 8×8 product tile P = A·B over kc K steps — A element
+// (r, kk) at a[r*ars+kk*aks], B row kk the t8 floats at b[kk*bks] —
+// written back into C transposed: C row j, t8 contiguous floats at
+// c[j*ldc], is P's column j, stored (acc false) or added to C (acc
+// true) by writeBack, which then adds a non-nil bias's t8 floats (the
+// bias of P's rows) to every C row. Each sum is kern6x16go's chain,
+// fma32 in K order from +0.
+func kern8x8go(kc int, af *float32, ars, aks int, bf *float32, bks int, cf *float32, ldc int, acc bool, biasf *float32) {
+	var a, b, bias []float32
+	if kc > 0 {
+		a = unsafe.Slice(af, (t8-1)*ars+(kc-1)*aks+1)
+		b = unsafe.Slice(bf, (kc-1)*bks+t8)
+	}
+	if biasf != nil {
+		bias = unsafe.Slice(biasf, t8)
+	}
+	c := unsafe.Slice(cf, (t8-1)*ldc+t8)
+	var pt [t8 * t8]float32 // Pᵀ: pt[j*t8+r] = P[r][j]
+	for r := 0; r < t8; r++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		ia, ib := r*ars, 0
+		for kk := 0; kk < kc; kk++ {
+			ar := a[ia]
+			bk := b[ib : ib+t8 : ib+t8]
+			s0 = fma32(ar, bk[0], s0)
+			s1 = fma32(ar, bk[1], s1)
+			s2 = fma32(ar, bk[2], s2)
+			s3 = fma32(ar, bk[3], s3)
+			s4 = fma32(ar, bk[4], s4)
+			s5 = fma32(ar, bk[5], s5)
+			s6 = fma32(ar, bk[6], s6)
+			s7 = fma32(ar, bk[7], s7)
+			ia += aks
+			ib += bks
+		}
+		pt[r], pt[t8+r], pt[2*t8+r], pt[3*t8+r] = s0, s1, s2, s3
+		pt[4*t8+r], pt[5*t8+r], pt[6*t8+r], pt[7*t8+r] = s4, s5, s6, s7
+	}
+	for j := 0; j < t8; j++ {
+		writeBack(c[j*ldc:], pt[j*t8:j*t8+t8], acc, bias)
+	}
+}
+
+// transpose8Go is the portable strided 8×8 block transpose:
+// dst[c·ldd + r] = src[r·lds + c] for r, c < 8.
+func transpose8Go(dst []float32, ldd int, src []float32, lds int) {
+	_, _ = dst[7*ldd+7], src[7*lds+7]
+	for r := 0; r < t8; r++ {
+		for c, v := range src[r*lds : r*lds+t8] {
+			dst[c*ldd+r] = v
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -81,29 +82,104 @@ func TestStridedKernelMatchesPacked(t *testing.T) {
 	}
 }
 
-// TestAsmKernelMatchesGeneric holds the dispatched micro-kernel — the
-// AVX2+FMA assembly where the CPU has it — bitwise to the portable
-// kern6x16go on identical packed panels, including kc values off the
-// unroll boundary, a strided C and every write-back mode.
+// TestAsmKernelMatchesGeneric holds the dispatched micro-kernels — the
+// AVX2+FMA assembly where the CPU has it — bitwise to their portable
+// twins: kern6x16 and the ragged panels' kern2x16 on identical packed
+// panels, and the swapped path's kern8x8 on A rows read in place,
+// including kc values off the unroll boundary, a strided C and every
+// write-back mode.
 func TestAsmKernelMatchesGeneric(t *testing.T) {
 	r := rng.New(5)
+	type kernel func(kc int, a *float32, ars, aks int, b *float32, bks int, c *float32, ldc int, acc bool, bias *float32)
+	for _, kn := range []struct {
+		rows          int
+		dispatched, g kernel
+	}{{mr, microKernStrided, kern6x16go}, {2, microKern2x16, kern2x16go}} {
+		for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
+			for _, ldc := range []int{nr, nr + 5, 40} {
+				for mode := 0; mode < 4; mode++ {
+					acc := mode&1 != 0
+					var bias *float32
+					if mode&2 != 0 {
+						bias = &randMat(r, nr)[0]
+					}
+					ap := randMat(r, kc*mr)
+					bp := randMat(r, kc*nr)
+					got := randMat(r, (kn.rows-1)*ldc+nr)
+					want := append([]float32(nil), got...)
+					kn.dispatched(kc, &ap[0], 1, mr, &bp[0], nr, &got[0], ldc, acc, bias)
+					kn.g(kc, &ap[0], 1, mr, &bp[0], nr, &want[0], ldc, acc, bias)
+					if i, ok := bitsEqual32(got, want); !ok {
+						t.Fatalf("%dx16 kc=%d ldc=%d acc=%v bias=%v: element %d = %v, portable kernel gives %v",
+							kn.rows, kc, ldc, acc, bias != nil, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
 	for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
-		for _, ldc := range []int{nr, nr + 5, 40} {
+		for _, ldc := range []int{t8, t8 + 5, 40} {
 			for mode := 0; mode < 4; mode++ {
 				acc := mode&1 != 0
 				var bias *float32
 				if mode&2 != 0 {
-					bias = &randMat(r, nr)[0]
+					bias = &randMat(r, t8)[0]
 				}
-				ap := randMat(r, kc*mr)
-				bp := randMat(r, kc*nr)
-				got := randMat(r, (mr-1)*ldc+nr)
+				ars := kc + 3
+				a := randMat(r, (t8-1)*ars+kc)
+				bp := randMat(r, kc*t8)
+				got := randMat(r, (t8-1)*ldc+t8)
 				want := append([]float32(nil), got...)
-				microKernStrided(kc, &ap[0], 1, mr, &bp[0], nr, &got[0], ldc, acc, bias)
-				kern6x16go(kc, &ap[0], 1, mr, &bp[0], nr, &want[0], ldc, acc, bias)
+				microKern8x8(kc, &a[0], ars, 1, &bp[0], t8, &got[0], ldc, acc, bias)
+				kern8x8go(kc, &a[0], ars, 1, &bp[0], t8, &want[0], ldc, acc, bias)
 				if i, ok := bitsEqual32(got, want); !ok {
-					t.Fatalf("kc=%d ldc=%d acc=%v bias=%v: element %d = %v, portable kernel gives %v",
+					t.Fatalf("8x8 kc=%d ldc=%d acc=%v bias=%v: element %d = %v, portable kernel gives %v",
 						kc, ldc, acc, bias != nil, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPackBPanelTMatchesScalar holds the transposed-panel pack — 8×8
+// vector transposes where a column group is whole — to its scalar
+// definition, dst[kk·w + j] = b[(j0+j)·ldb + p0+kk] for j < jw and +0
+// for jw ≤ j < w, at both panel widths (the swapped path's t8, the
+// micro-kernel's and attention's nr), every ragged jw, K strips of 1 to
+// 257 and odd leading dimensions. The source's gutters — the columns
+// around the strip and the rows around the panel — are NaN, so a read
+// outside the logical panel shows; so is the destination beforehand,
+// so a slot left unwritten shows.
+func TestPackBPanelTMatchesScalar(t *testing.T) {
+	r := rng.New(37)
+	nan := float32(math.NaN())
+	const p0, j0 = 3, 5
+	for _, w := range []int{t8, nr} {
+		for kcEff := 1; kcEff <= kcBlock+1; kcEff++ {
+			ldb := p0 + kcEff + 2 | 1
+			for jw := 1; jw <= w; jw++ {
+				rows := j0 + jw + 1
+				b := make([]float32, rows*ldb)
+				for i := range b {
+					b[i] = nan
+				}
+				for j := 0; j < jw; j++ {
+					copy(b[(j0+j)*ldb+p0:], randMat(r, kcEff))
+				}
+				got := make([]float32, kcEff*w)
+				for i := range got {
+					got[i] = nan
+				}
+				packBPanelT(got, b, w, kcEff, ldb, p0, j0, jw)
+				want := make([]float32, kcEff*w)
+				for kk := 0; kk < kcEff; kk++ {
+					for j := 0; j < jw; j++ {
+						want[kk*w+j] = b[(j0+j)*ldb+p0+kk]
+					}
+				}
+				if i, ok := bitsEqual32(got, want); !ok {
+					t.Fatalf("w=%d kcEff=%d jw=%d ldb=%d: dst[%d] (kk %d, j %d) = %v, want %v",
+						w, kcEff, jw, ldb, i, i/w, i%w, got[i], want[i])
 				}
 			}
 		}
@@ -164,7 +240,7 @@ func packedReference(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bo
 					packABlockN(ap, a, i, rw, p0, kcEff, lda)
 				}
 				if op == opTB {
-					packBPanelT(bp, b, kcEff, ldb, p0, j0, jw)
+					packBPanelT(bp, b, nr, kcEff, ldb, p0, j0, jw)
 				} else {
 					packBPanelN(bp, b[p0*ldb:], kcEff, ldb, j0, jw)
 				}
@@ -189,28 +265,48 @@ func packedReference(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bo
 // bias-afterwards driver produced — for the three variants, both acc
 // modes, with and without a bias, ragged and exact m and n, padded
 // leading dimensions, one to three K strips, row-major B on both sides
-// of the in-place rule and MatMulTB on both sides of the swap rule.
+// of the in-place rule, ragged bottom panels on both sides of the
+// two-row rule, MatMulTB on both sides of the swap rule and the swapped
+// path's 8×8 tile at its edges.
 func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 	r := rng.New(23)
-	type shape struct{ m, n, ldbPad int }
+	type shape struct {
+		m, n, ldbPad int
+		ks           []int // nil: 64, 96, 288, 513
+	}
+	tileKs := []int{1, kcBlock - 1, kcBlock, kcBlock + 1}
 	shapes := []shape{
-		{6, 16, 0}, {61, 41, 0}, {72, 48, 0}, {7, 33, 0}, // B in place where row-major
-		{61, 41, bInPlaceMaxLd},               // rows too far apart: packed
-		{(bInPlaceMaxPanels + 1) * mr, 20, 0}, // too many row panels: packed
+		{6, 16, 0, nil}, {61, 41, 0, nil}, {72, 48, 0, nil}, {7, 33, 0, nil}, // B in place where row-major
+		{61, 41, bInPlaceMaxLd, nil},               // rows too far apart: packed
+		{(bInPlaceMaxPanels + 1) * mr, 20, 0, nil}, // too many row panels: packed
 		// The input-gradient shapes of the 2-rank workloads' models:
 		// MatMulTB computes them as Cᵀ = B·Aᵀ.
-		{8, 48, 0}, {8, 96, 0}, {8, 288, 0},
-		{16, 48, 0}, {16, 96, 0}, {16, 288, 0},
-		{32, 48, 0}, {32, 96, 0}, {32, 288, 0},
+		{8, 48, 0, nil}, {8, 96, 0, nil}, {8, 288, 0, nil},
+		{16, 48, 0, nil}, {16, 96, 0, nil}, {16, 288, 0, nil},
+		{32, 48, 0, nil}, {32, 96, 0, nil}, {32, 288, 0, nil},
+		// Their forward (x·W + b over 8 or 32 rows) and weight-gradient
+		// (dW = xᵀ·dy, k = 8 or 32 rows) shapes.
+		{8, 288, 0, []int{96}}, {8, 96, 0, []int{96, 288}},
+		{32, 192, 0, []int{48}}, {32, 144, 0, []int{48}}, {32, 48, 0, []int{48, 192}},
+		{96, 288, 0, []int{8}}, {288, 96, 0, []int{8}},
+		{48, 192, 0, []int{32}}, {192, 48, 0, []int{32}},
+		// The 8×8 tile's edges: 7, 8 and 9 token columns against whole
+		// and ragged tiles of weight rows, one to two K strips.
+		{7, 16, 0, tileKs}, {8, 16, 0, tileKs}, {9, 16, 0, tileKs},
+		{7, 21, 0, tileKs}, {8, 21, 0, tileKs}, {9, 21, 0, tileKs},
 		// The swap rule's edges: m = n and m = n−1, and the last and
 		// first row-panel counts on either side of tbSwapMaxPanels.
-		{40, 40, 0}, {39, 40, 0},
-		{tbSwapMaxPanels * mr, tbSwapMaxPanels*mr + 30, 0},
-		{tbSwapMaxPanels*mr + 1, tbSwapMaxPanels*mr + 30, 0},
+		{40, 40, 0, nil}, {39, 40, 0, nil},
+		{tbSwapMaxPanels * mr, tbSwapMaxPanels*mr + 30, 0, nil},
+		{tbSwapMaxPanels*mr + 1, tbSwapMaxPanels*mr + 30, 0, nil},
 	}
-	var inPlace, packed, swapped, packedTB int
+	var inPlace, packed, swapped, packedTB, pairs, padded int
 	for _, sh := range shapes {
-		for _, k := range []int{64, 96, 288, 513} {
+		ks := sh.ks
+		if ks == nil {
+			ks = []int{64, 96, 288, 513}
+		}
+		for _, k := range ks {
 			for op := opNN; op <= opTB; op++ {
 				m, n := sh.m, sh.n
 				lda, ldb := k+3, n+sh.ldbPad
@@ -220,6 +316,13 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 				}
 				if op == opTB {
 					ldb, bLen = k+sh.ldbPad, n*(k+sh.ldbPad)
+				}
+				if rw := m % mr; rw != 0 && !(op == opTB && tbSwapped(m, n)) {
+					if pairs2x16(rw, n) {
+						pairs++
+					} else {
+						padded++
+					}
 				}
 				switch {
 				case op == opTB && tbSwapped(m, n):
@@ -256,6 +359,9 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 	if inPlace == 0 || packed == 0 {
 		t.Fatalf("shapes cover one side of the in-place rule only (%d in place, %d packed)", inPlace, packed)
 	}
+	if pairs == 0 || padded == 0 {
+		t.Fatalf("shapes cover one side of the two-row rule only (%d in pairs, %d padded)", pairs, padded)
+	}
 	if swapped == 0 || packedTB == 0 {
 		t.Fatalf("shapes cover one side of the swap rule only (%d swapped, %d packed)", swapped, packedTB)
 	}
@@ -266,27 +372,29 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 // C's columns run on one task or are cut across three, and those bits
 // are the packed reference's on every build.
 func TestMatMulTBProcsMatchPackedReference(t *testing.T) {
-	const m, k, n = 8, 288, 96
-	if !tbSwapped(m, n) {
-		t.Fatalf("(%d, %d, %d) is not on the swapped side of the rule", m, k, n)
-	}
-	r := rng.New(31)
-	a, b := randMat(r, m*k), randMat(r, n*k)
-	want := make([]float32, m*n)
-	packedReference(want, a, b, nil, m, k, n, k, k, n, false, opTB)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var first []float32
-	for _, procs := range []int{1, 3} {
-		runtime.GOMAXPROCS(procs)
-		got := randMat(r, m*n)
-		MatMulTB(got, a, b, m, k, n, false)
-		if first == nil {
-			first = got
-		} else if i, ok := bitsEqual32(got, first); !ok {
-			t.Fatalf("GOMAXPROCS=%d: element %d = %v, GOMAXPROCS=1 gives %v", procs, i, got[i], first[i])
+	r := rng.New(31)
+	for _, sh := range [][3]int{{8, 288, 96}, {32, 144, 48}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		if !tbSwapped(m, n) {
+			t.Fatalf("(%d, %d, %d) is not on the swapped side of the rule", m, k, n)
 		}
-		if i, ok := bitsEqual32(got, want); !ok {
-			t.Fatalf("GOMAXPROCS=%d: element %d = %v, packed reference gives %v", procs, i, got[i], want[i])
+		a, b := randMat(r, m*k), randMat(r, n*k)
+		want := make([]float32, m*n)
+		packedReference(want, a, b, nil, m, k, n, k, k, n, false, opTB)
+		var first []float32
+		for _, procs := range []int{1, 3} {
+			runtime.GOMAXPROCS(procs)
+			got := randMat(r, m*n)
+			MatMulTB(got, a, b, m, k, n, false)
+			if first == nil {
+				first = got
+			} else if i, ok := bitsEqual32(got, first); !ok {
+				t.Fatalf("%v GOMAXPROCS=%d: element %d = %v, GOMAXPROCS=1 gives %v", sh, procs, i, got[i], first[i])
+			}
+			if i, ok := bitsEqual32(got, want); !ok {
+				t.Fatalf("%v GOMAXPROCS=%d: element %d = %v, packed reference gives %v", sh, procs, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -17,6 +17,15 @@ func Add(dst, a, b []float32) {
 	})
 }
 
+// AddSerial is Add on the calling goroutine, for callers that must not
+// hand work to the pool: the same eight-lane kernel, the same bits (one
+// float32 sum per element). Every ring hop of a collective accumulates
+// through it on its queue worker.
+func AddSerial(dst, a, b []float32) {
+	checkLen3(dst, a, b)
+	add(dst, a, b)
+}
+
 // Scale computes dst = alpha * a elementwise (dst may alias a), eight
 // lanes at a time where the sumsq.go kernels run in assembly: the clip
 // and the gradient pack-and-scale are walks of the whole parameter
