@@ -17,6 +17,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags purego ./...
 
 test:
 	$(GO) test -short ./...

@@ -8,7 +8,7 @@
 //
 //	go run ./cmd/statgate              # analyze the enclosing module
 //	go run ./cmd/statgate -root DIR    # analyze the module rooted at DIR
-//	go run ./cmd/statgate -run floateq,mustwait
+//	go run ./cmd/statgate -run floateq,orderedreduce
 //	go run ./cmd/statgate -list        # print the analyzer suite
 //
 // Findings are suppressible only via an explicit pragma on the

@@ -5,21 +5,17 @@
 // cmd/statgate.
 //
 // Each analyzer mechanically enforces a convention that earlier PRs
-// established by hand and that code review alone does not scale to:
+// established by hand, and each is kept because it covers sites no
+// other gate does: a violation seeded there fails statgate's own
+// TestTreeClean and nothing else in tier-1, the purego build,
+// `go vet -tags purego`, GOMAXPROCS=4 or the race job.
+// Conventions those gates do police have no analyzer: the asm/purego
+// kernel pairing (the purego build and vet reject a broken one) and
+// waiting on collective handles (the suites and the rank-exit
+// ErrAborted backstop catch a dropped Wait). A loader batch needs no
+// release call at all: dataload takes each batch back when its loop
+// body returns.
 //
-//   - asmpair: every *_amd64.s / *_amd64.go kernel file has a
-//     *_generic.go purego twin declaring the same bodied function set,
-//     with the amd64 side gated `amd64 && !purego` and the generic
-//     side `!amd64 || purego` (the PR 1/4/9 kernel dispatch pattern).
-//   - mustwait: a locally created dist async collective handle must
-//     reach Wait (directly or via ...After chaining) or escape the
-//     function on every path — abandoned handles are failed with
-//     ErrAborted at rank exit (PR 5), so a dropped handle is a bug.
-//   - lifecycle: function-local acquisitions of pooled or arena
-//     resources (dataload batches from Epoch/EpochN, nn arenas)
-//     must be released (Recycle / Release) or escape on every path;
-//     PR 5's double-put guard and PR 9's scratch-growth fix were both
-//     slips of exactly this kind.
 //   - panicprefix: panic string literals in internal/* start with
 //     "<pkg>: " so a crash names its layer.
 //   - floateq: == / != on floating-point operands outside sanctioned
@@ -53,18 +49,13 @@ import (
 	"sort"
 )
 
-// An Analyzer checks one repo invariant. Exactly one of Run and RunDir
-// is set: Run receives a fully type-checked package (the default build
-// context's non-test files); RunDir receives every parsed non-test Go
-// file in a directory regardless of build constraints, for checks —
-// like the asm/purego pairing — that must see all build variants of a
-// package at once.
+// An Analyzer checks one repo invariant. Run receives a fully
+// type-checked package: the default build context's non-test files.
 type Analyzer struct {
 	Name string
 	// Doc is the one-line invariant description shown by statgate -list.
-	Doc    string
-	Run    func(*Pass)
-	RunDir func(*DirPass)
+	Doc string
+	Run func(*Pass)
 }
 
 // A Pass presents one type-checked package to an Analyzer.Run.
@@ -73,8 +64,7 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Dir is the package directory on disk; Path its import path.
-	Dir  string
+	// Path is the package's import path.
 	Path string
 
 	report func(token.Pos, string)
@@ -83,34 +73,6 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(pos, fmt.Sprintf(format, args...))
-}
-
-// A DirPass presents one directory's full file set (every non-test .go
-// file, all build variants, syntax only) to an Analyzer.RunDir.
-type DirPass struct {
-	Fset *token.FileSet
-	Dir  string
-	// Files maps base filename to its parsed syntax tree.
-	Files map[string]*ast.File
-	// AsmFiles lists base filenames of *.s files in the directory.
-	AsmFiles []string
-
-	report func(token.Pos, string)
-}
-
-// Reportf records a finding at pos.
-func (p *DirPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, fmt.Sprintf(format, args...))
-}
-
-// ReportFile records a finding against a file as a whole (line 1),
-// used when the offense is the file set itself (a missing twin).
-func (p *DirPass) ReportFile(name, msg string) {
-	if f, ok := p.Files[name]; ok {
-		p.report(f.Package, msg)
-		return
-	}
-	p.report(token.NoPos, name+": "+msg)
 }
 
 // A Finding is one analyzer diagnostic, already pragma-filtered by the
@@ -128,9 +90,6 @@ func (f Finding) String() string {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AsmPair,
-		MustWait,
-		Lifecycle,
 		PanicPrefix,
 		FloatEq,
 		ErrSentinel,

@@ -37,10 +37,6 @@ func TestPanicPrefixFixture(t *testing.T) { runFixture(t, "panicprefix", []*Anal
 
 func TestErrSentinelFixture(t *testing.T) { runFixture(t, "errsentinel", []*Analyzer{ErrSentinel}) }
 
-func TestMustWaitFixture(t *testing.T) { runFixture(t, "mustwait", []*Analyzer{MustWait}) }
-
-func TestLifecycleFixture(t *testing.T) { runFixture(t, "lifecycle", []*Analyzer{Lifecycle}) }
-
 func TestOrderedReduceFixture(t *testing.T) {
 	runFixture(t, "orderedreduce", []*Analyzer{OrderedReduce})
 }
@@ -49,16 +45,10 @@ func TestOrderedReduceFixture(t *testing.T) {
 // synthetic pragma analyzer and do not suppress anything.
 func TestPragmaFixture(t *testing.T) { runFixture(t, "pragma", []*Analyzer{FloatEq}) }
 
-func TestAsmPairFixtures(t *testing.T) {
-	for _, name := range []string{"asmpair_ok", "asmpair_missing_twin", "asmpair_bad"} {
-		t.Run(name, func(t *testing.T) { runFixture(t, name, []*Analyzer{AsmPair}) })
-	}
-}
-
 // TestByName pins the CLI's -run resolution.
 func TestByName(t *testing.T) {
-	as, err := ByName([]string{"floateq", "asmpair"})
-	if err != nil || len(as) != 2 || as[0] != FloatEq || as[1] != AsmPair {
+	as, err := ByName([]string{"floateq", "orderedreduce"})
+	if err != nil || len(as) != 2 || as[0] != FloatEq || as[1] != OrderedReduce {
 		t.Fatalf("ByName = %v, %v", as, err)
 	}
 	if _, err := ByName([]string{"nosuch"}); err == nil {

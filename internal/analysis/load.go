@@ -151,33 +151,26 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 }
 
 // ParseDirAll parses every non-test .go file in dir regardless of
-// build constraints (syntax only) and lists the *.s files — the raw
-// material for directory-scope analyzers.
-func (l *Loader) ParseDirAll(dir string) (map[string]*ast.File, []string, error) {
+// build constraints (syntax only), so pragmas in every build variant
+// of a package are seen.
+func (l *Loader) ParseDirAll(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: %w", err)
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	files := map[string]*ast.File{}
-	var asm []string
+	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, "_test.go"):
-		case strings.HasSuffix(name, ".go"):
-			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, nil, fmt.Errorf("analysis: %w", err)
-			}
-			files[name] = f
-		case strings.HasSuffix(name, ".s"):
-			asm = append(asm, name)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
 		}
+		files = append(files, f)
 	}
-	return files, asm, nil
+	return files, nil
 }
 
 // GoDirs walks root and returns every directory holding non-test .go

@@ -65,18 +65,14 @@ func analyzeDir(loader *Loader, dir string, analyzers []*Analyzer, sup suppressi
 		path = loader.ModulePath + "/" + filepath.ToSlash(rel)
 	}
 
-	allFiles, asmFiles, err := loader.ParseDirAll(dir)
+	allFiles, err := loader.ParseDirAll(dir)
 	if err != nil {
 		return nil, err
 	}
 	var findings []Finding
 	record := func(analyzer string) func(token.Pos, string) {
 		return func(pos token.Pos, msg string) {
-			p := loader.Fset.Position(pos)
-			if !pos.IsValid() {
-				p = token.Position{Filename: dir}
-			}
-			findings = append(findings, Finding{Pos: p, Analyzer: analyzer, Message: msg})
+			findings = append(findings, Finding{Pos: loader.Fset.Position(pos), Analyzer: analyzer, Message: msg})
 		}
 	}
 	// Pragmas come from every build variant of the directory, so a
@@ -95,34 +91,19 @@ func analyzeDir(loader *Loader, dir string, analyzers []*Analyzer, sup suppressi
 		}
 	}
 
-	var typed *Package
+	typed, err := loader.LoadDir(dir, path)
+	if err != nil {
+		return nil, err
+	}
 	for _, a := range analyzers {
-		switch {
-		case a.RunDir != nil:
-			a.RunDir(&DirPass{
-				Fset:     loader.Fset,
-				Dir:      dir,
-				Files:    allFiles,
-				AsmFiles: asmFiles,
-				report:   record(a.Name),
-			})
-		case a.Run != nil:
-			if typed == nil {
-				typed, err = loader.LoadDir(dir, path)
-				if err != nil {
-					return nil, err
-				}
-			}
-			a.Run(&Pass{
-				Fset:   loader.Fset,
-				Files:  typed.Files,
-				Pkg:    typed.Pkg,
-				Info:   typed.Info,
-				Dir:    dir,
-				Path:   path,
-				report: record(a.Name),
-			})
-		}
+		a.Run(&Pass{
+			Fset:   loader.Fset,
+			Files:  typed.Files,
+			Pkg:    typed.Pkg,
+			Info:   typed.Info,
+			Path:   path,
+			report: record(a.Name),
+		})
 	}
 	return findings, nil
 }

@@ -17,8 +17,8 @@
 package dataload
 
 import (
+	"iter"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -36,18 +36,14 @@ type Source interface {
 }
 
 // Batch is one delivered mini-batch. Images holds Size contiguous
-// samples; Labels holds the Size labels. Return exhausted batches to
-// the loader with Recycle to avoid reallocation.
+// samples; Labels holds the Size labels. A batch is valid only inside
+// the loop body that receives it: the loader takes its buffers back
+// for a later batch as soon as that body returns, so a caller that
+// needs the samples afterwards copies them.
 type Batch struct {
 	Images []float32
 	Labels []int
 	Size   int
-
-	// inPool guards against double-Recycle: a batch returned to the
-	// pool twice could be handed to two workers at once, which would
-	// race on Images and deliver a corrupted batch. Flipped by Recycle
-	// and cleared when a worker takes the batch back out.
-	inPool atomic.Bool
 }
 
 // prefetch is how many rendered batches may wait for the consumer;
@@ -143,21 +139,6 @@ func (l *Loader) BatchesPerEpoch() int {
 	return n
 }
 
-// Recycle returns a batch's buffers to the loader pool. The batch must
-// not be touched afterwards — a loader worker may immediately reuse it
-// for an in-flight batch. Recycling the same batch twice panics: a
-// double-put would let two workers write the same buffers
-// concurrently and deliver corrupted samples.
-func (l *Loader) Recycle(b *Batch) {
-	if b == nil {
-		return
-	}
-	if b.inPool.Swap(true) {
-		panic("dataload: batch recycled twice (still owned by the pool)")
-	}
-	l.pool.Put(b)
-}
-
 // batchJob is one batch's work order plus its completion signal.
 type batchJob struct {
 	indices []int
@@ -167,16 +148,13 @@ type batchJob struct {
 
 // SkipEpochs advances the loader's shuffle stream as if k epochs had
 // been drawn and fully discarded — no samples are rendered and no
-// workers launch, so it is safe with any Workers setting: the batch
-// pool is untouched (nothing to double-put) and no recycled batch can
-// still be held by a worker, because workers only exist while an
-// Epoch/EpochN is being drained. Call it before the first epoch (as
-// the resume path does), not while one is in flight — the shuffle
-// stream is not synchronized against a concurrent EpochN. A run
-// resuming from a step-k·BatchesPerEpoch checkpoint calls this once so
-// its subsequent epochs reproduce the exact per-epoch sample orders
-// the uninterrupted run saw (the shuffle consumes the deterministic
-// seed stream per epoch, independent of the array contents).
+// workers launch. Call it before the first epoch (as the resume path
+// does), not from inside an epoch's loop body — the shuffle stream is
+// not synchronized against a concurrent EpochN. A run resuming from a
+// step-k·BatchesPerEpoch checkpoint calls this once so its subsequent
+// epochs reproduce the exact per-epoch sample orders the uninterrupted
+// run saw (the shuffle consumes the deterministic seed stream per
+// epoch, independent of the array contents).
 func (l *Loader) SkipEpochs(k int) {
 	if !l.shuffle || k <= 0 {
 		return
@@ -187,18 +165,81 @@ func (l *Loader) SkipEpochs(k int) {
 	}
 }
 
-// Epoch launches workers for one pass over the data and returns a
-// channel of batches in deterministic order. The caller must drain the
-// channel (or consume it fully) for the workers to exit.
-func (l *Loader) Epoch() <-chan *Batch {
-	return l.EpochN(0)
+// EpochN is one pass over the data, truncated to at most maxBatches
+// batches (0 = all), as a sequence of batches in deterministic order.
+// Each range over it draws a new epoch: the shuffle permutes the whole
+// dataset, so successive truncated epochs draw different subsets — how
+// a capped steps-per-epoch schedule samples a large corpus.
+//
+// The loop body runs on the caller's goroutine while the workers render
+// the batches behind it. Each batch is valid only inside the body that
+// receives it: the loader reuses its buffers as soon as that body
+// returns. A body that stops the loop early (break, return, panic)
+// stops the dispatch; the loop then ends once every worker has
+// finished its current batch and exited.
+func (l *Loader) EpochN(maxBatches int) iter.Seq[*Batch] {
+	return func(yield func(*Batch) bool) {
+		jobs := l.jobs(maxBatches)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		stop := make(chan struct{})
+		defer close(stop)
+
+		jobCh := make(chan *batchJob)
+		imgLen := l.src.ImageLen()
+		wg.Add(l.workers + 1)
+		for w := 0; w < l.workers; w++ {
+			go func() {
+				defer wg.Done()
+				for j := range jobCh {
+					b := l.pool.Get().(*Batch)
+					b.Size = len(j.indices)
+					b.Images = b.Images[:b.Size*imgLen]
+					b.Labels = b.Labels[:b.Size]
+					for k, idx := range j.indices {
+						b.Labels[k] = l.src.Sample(idx, b.Images[k*imgLen:(k+1)*imgLen])
+					}
+					j.out = b
+					close(j.done)
+				}
+			}()
+		}
+
+		// A job is dispatched only while fewer than prefetch+workers
+		// batches are dispatched and not yet delivered; the slot frees
+		// on delivery, so the workers render ahead while the body runs.
+		slots := make(chan struct{}, prefetch+l.workers)
+		go func() {
+			defer wg.Done()
+			defer close(jobCh)
+			for _, j := range jobs {
+				select {
+				case slots <- struct{}{}:
+				case <-stop:
+					return
+				}
+				select {
+				case jobCh <- j:
+				case <-stop:
+					return
+				}
+			}
+		}()
+
+		for _, j := range jobs {
+			<-j.done
+			<-slots
+			more := yield(j.out)
+			l.pool.Put(j.out)
+			if !more {
+				return
+			}
+		}
+	}
 }
 
-// EpochN is Epoch truncated to at most maxBatches batches (0 = all).
-// The shuffle still permutes the whole dataset, so successive truncated
-// epochs draw different subsets — how a capped steps-per-epoch schedule
-// samples a large corpus.
-func (l *Loader) EpochN(maxBatches int) <-chan *Batch {
+// jobs draws one epoch's order and cuts it into this rank's batches.
+func (l *Loader) jobs(maxBatches int) []*batchJob {
 	n := l.src.Len()
 	order := make([]int, n)
 	for i := range order {
@@ -233,49 +274,7 @@ func (l *Loader) EpochN(maxBatches int) <-chan *Batch {
 			done:    make(chan struct{}),
 		})
 	}
-
-	jobCh := make(chan *batchJob)
-	imgLen := l.src.ImageLen()
-	for w := 0; w < l.workers; w++ {
-		go func() {
-			for j := range jobCh {
-				b := l.pool.Get().(*Batch)
-				b.inPool.Store(false)
-				b.Size = len(j.indices)
-				b.Images = b.Images[:b.Size*imgLen]
-				b.Labels = b.Labels[:b.Size]
-				for k, idx := range j.indices {
-					b.Labels[k] = l.src.Sample(idx, b.Images[k*imgLen:(k+1)*imgLen])
-				}
-				j.out = b
-				close(j.done)
-			}
-		}()
-	}
-
-	// A job is dispatched only while fewer than prefetch+workers batches
-	// are dispatched and not yet delivered. The slot frees on delivery,
-	// not on Recycle, so a consumer that keeps its batches cannot stall
-	// the epoch.
-	slots := make(chan struct{}, prefetch+l.workers)
-	go func() {
-		for _, j := range jobs {
-			slots <- struct{}{}
-			jobCh <- j
-		}
-		close(jobCh)
-	}()
-
-	out := make(chan *Batch)
-	go func() {
-		for _, j := range jobs {
-			<-j.done
-			out <- j.out
-			<-slots
-		}
-		close(out)
-	}()
-	return out
+	return jobs
 }
 
 // TrainSplit adapts a geodata-style dataset's training split to the

@@ -1,6 +1,7 @@
 package dataload
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,9 +35,8 @@ func TestEpochCoversEverySampleOnce(t *testing.T) {
 	src := newCountingSource(103, 4)
 	l := New(src, Config{BatchSize: 8, Workers: 4, Shuffle: true, Seed: 1})
 	total := 0
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		total += b.Size
-		l.Recycle(b)
 	}
 	if total != 103 {
 		t.Fatalf("delivered %d samples, want 103", total)
@@ -55,12 +55,11 @@ func TestDropLast(t *testing.T) {
 		t.Fatalf("BatchesPerEpoch=%d want 12", l.BatchesPerEpoch())
 	}
 	batches := 0
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		if b.Size != 8 {
 			t.Fatalf("batch size %d with DropLast", b.Size)
 		}
 		batches++
-		l.Recycle(b)
 	}
 	if batches != 12 {
 		t.Fatalf("batches=%d", batches)
@@ -74,9 +73,8 @@ func TestNoDropLastKeepsPartial(t *testing.T) {
 		t.Fatalf("BatchesPerEpoch=%d", l.BatchesPerEpoch())
 	}
 	sizes := []int{}
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		sizes = append(sizes, b.Size)
-		l.Recycle(b)
 	}
 	if len(sizes) != 3 || sizes[2] != 2 {
 		t.Fatalf("sizes=%v", sizes)
@@ -90,9 +88,8 @@ func TestOrderDeterministicAcrossWorkerCounts(t *testing.T) {
 		src := newCountingSource(40, 2)
 		l := New(src, Config{BatchSize: 8, Workers: workers, Shuffle: true, Seed: 99})
 		var all [][]int
-		for b := range l.Epoch() {
+		for b := range l.EpochN(0) {
 			all = append(all, append([]int(nil), b.Labels...))
-			l.Recycle(b)
 		}
 		return all
 	}
@@ -113,18 +110,21 @@ func TestOrderDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestShuffleChangesOrderAcrossEpochs(t *testing.T) {
 	src := newCountingSource(64, 1)
 	l := New(src, Config{BatchSize: 64, Workers: 2, Shuffle: true, Seed: 5})
-	first := <-l.Epoch()
-	order1 := append([]float32(nil), first.Images...)
-	l.Recycle(first)
-	second := <-l.Epoch()
-	same := true
-	for i := range order1 {
-		if order1[i] != second.Images[i] {
-			same = false
-			break
-		}
+	var order1 []float32
+	for b := range l.EpochN(0) {
+		order1 = append(order1, b.Images...)
+		break
 	}
-	l.Recycle(second)
+	same := true
+	for b := range l.EpochN(0) {
+		for i := range order1 {
+			if order1[i] != b.Images[i] {
+				same = false
+				break
+			}
+		}
+		break
+	}
 	if same {
 		t.Fatal("two shuffled epochs had identical order")
 	}
@@ -134,14 +134,13 @@ func TestNoShuffleIsSequential(t *testing.T) {
 	src := newCountingSource(12, 1)
 	l := New(src, Config{BatchSize: 4, Workers: 3, Seed: 5})
 	want := float32(0)
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		for i := 0; i < b.Size; i++ {
 			if b.Images[i] != want {
 				t.Fatalf("got sample %v want %v", b.Images[i], want)
 			}
 			want++
 		}
-		l.Recycle(b)
 	}
 }
 
@@ -162,23 +161,26 @@ func TestGeodataSplitsThroughLoader(t *testing.T) {
 
 	l := New(tr, Config{BatchSize: 6, Workers: 2, Shuffle: true, Seed: 2})
 	seen := 0
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		seen += b.Size
 		for i := 0; i < b.Size; i++ {
 			if b.Labels[i] < 0 || b.Labels[i] >= 5 {
 				t.Fatalf("label %d out of range", b.Labels[i])
 			}
 		}
-		l.Recycle(b)
 	}
 	if seen != 20 {
 		t.Fatalf("train samples seen=%d", seen)
 	}
 
 	lt := New(te, Config{BatchSize: 10, Workers: 2, Seed: 2})
-	bt := <-lt.Epoch()
-	if bt.Size != 10 {
-		t.Fatalf("test batch size %d", bt.Size)
+	size := 0
+	for bt := range lt.EpochN(0) {
+		size = bt.Size
+		break
+	}
+	if size != 10 {
+		t.Fatalf("test batch size %d", size)
 	}
 }
 
@@ -189,8 +191,7 @@ func BenchmarkLoaderThroughput(b *testing.B) {
 	l := New(src, Config{BatchSize: 32, Workers: 4, Shuffle: true, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for batch := range l.Epoch() {
-			l.Recycle(batch)
+		for range l.EpochN(0) {
 		}
 	}
 }
@@ -199,18 +200,16 @@ func TestEpochNTruncates(t *testing.T) {
 	src := newCountingSource(100, 2)
 	l := New(src, Config{BatchSize: 10, Workers: 3, Shuffle: true, Seed: 4})
 	batches := 0
-	for b := range l.EpochN(3) {
+	for range l.EpochN(3) {
 		batches++
-		l.Recycle(b)
 	}
 	if batches != 3 {
 		t.Fatalf("batches=%d want 3", batches)
 	}
 	// Zero means the full epoch.
 	full := 0
-	for b := range l.EpochN(0) {
+	for range l.EpochN(0) {
 		full++
-		l.Recycle(b)
 	}
 	if full != 10 {
 		t.Fatalf("full=%d want 10", full)
@@ -228,7 +227,6 @@ func TestEpochNDrawsDifferentSubsets(t *testing.T) {
 			for i := 0; i < b.Size; i++ {
 				seen[b.Images[i]] = true
 			}
-			l.Recycle(b)
 		}
 		return seen
 	}
@@ -254,10 +252,9 @@ func TestShardedPartitionsGlobalBatches(t *testing.T) {
 	src := newCountingSource(70, 2) // 70 % 16 != 0: partial global batch dropped
 	ref := New(src, Config{BatchSize: local * world, Workers: 2, Shuffle: true, DropLast: true, Seed: 9})
 	var want [][]float32
-	for b := range ref.Epoch() {
+	for b := range ref.EpochN(0) {
 		row := append([]float32(nil), b.Images[:b.Size*2]...)
 		want = append(want, row)
-		ref.Recycle(b)
 	}
 
 	for rank := 0; rank < world; rank++ {
@@ -267,7 +264,7 @@ func TestShardedPartitionsGlobalBatches(t *testing.T) {
 			t.Fatalf("rank %d BatchesPerEpoch=%d want %d", rank, got, len(want))
 		}
 		g := 0
-		for b := range l.Epoch() {
+		for b := range l.EpochN(0) {
 			if b.Size != local {
 				t.Fatalf("rank %d batch size %d", rank, b.Size)
 			}
@@ -277,7 +274,6 @@ func TestShardedPartitionsGlobalBatches(t *testing.T) {
 					t.Fatalf("rank %d global batch %d differs at %d", rank, g, j)
 				}
 			}
-			l.Recycle(b)
 			g++
 		}
 		if g != len(want) {
@@ -292,11 +288,10 @@ func TestShardedAlwaysDropsPartialGlobalBatch(t *testing.T) {
 	src := newCountingSource(70, 2)
 	l := New(src, Config{BatchSize: 4, Workers: 1, Seed: 3, ShardRank: 1, ShardWorld: 4})
 	n := 0
-	for b := range l.Epoch() {
+	for b := range l.EpochN(0) {
 		if b.Size != 4 {
 			t.Fatalf("partial batch of %d delivered", b.Size)
 		}
-		l.Recycle(b)
 		n++
 	}
 	if n != 70/16 {
@@ -311,9 +306,8 @@ func TestShardedAlwaysDropsPartialGlobalBatch(t *testing.T) {
 func TestSkipEpochsMatchesDrainedEpochs(t *testing.T) {
 	labels := func(l *Loader) []int {
 		var out []int
-		for b := range l.Epoch() {
+		for b := range l.EpochN(0) {
 			out = append(out, b.Labels[:b.Size]...)
-			l.Recycle(b)
 		}
 		return out
 	}
@@ -322,8 +316,7 @@ func TestSkipEpochsMatchesDrainedEpochs(t *testing.T) {
 
 	ref := New(src, cfg)
 	for i := 0; i < 2; i++ { // drain two epochs the slow way
-		for b := range ref.Epoch() {
-			ref.Recycle(b)
+		for range ref.EpochN(0) {
 		}
 	}
 	want := labels(ref) // the third epoch's order
@@ -351,36 +344,17 @@ func TestSkipEpochsMatchesDrainedEpochs(t *testing.T) {
 	}
 }
 
-// TestRecycleTwicePanics pins the double-put guard: returning the same
-// batch to the pool twice would let two workers write its buffers
-// concurrently, so Recycle must fail fast instead.
-func TestRecycleTwicePanics(t *testing.T) {
-	src := newCountingSource(16, 4)
-	l := New(src, Config{BatchSize: 4, Workers: 2, Seed: 1})
-	var batches []*Batch
-	for b := range l.Epoch() {
-		batches = append(batches, b)
-	}
-	l.Recycle(batches[0])
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Recycle of the same batch did not panic")
-		}
-	}()
-	l.Recycle(batches[0])
-}
-
-// TestRecycledBatchReuseIsExclusive hammers the pool under Workers>1
-// with immediate recycling (the training loop's pattern): every
-// delivered batch must carry exactly its own samples — a batch handed
-// back out while still held by a worker, or handed to two workers,
-// corrupts the payload. Run under -race this also proves the pool
-// handoff is properly synchronized.
+// TestRecycledBatchReuseIsExclusive hammers the pool under Workers>1,
+// where the loader takes each batch back the moment its loop body
+// returns: every delivered batch must carry exactly its own samples —
+// a batch handed back out while still held by a worker or the body, or
+// handed to two workers, corrupts the payload. Run under -race this
+// also proves the pool handoff is properly synchronized.
 func TestRecycledBatchReuseIsExclusive(t *testing.T) {
 	src := newCountingSource(256, 8)
 	l := New(src, Config{BatchSize: 4, Workers: 4, Shuffle: true, Seed: 7})
 	for epoch := 0; epoch < 3; epoch++ {
-		for b := range l.Epoch() {
+		for b := range l.EpochN(0) {
 			for k := 0; k < b.Size; k++ {
 				idx := b.Images[k*8] // Sample fills dst with float32(i), labels i%7
 				if int(idx)%7 != b.Labels[k] {
@@ -393,25 +367,23 @@ func TestRecycledBatchReuseIsExclusive(t *testing.T) {
 					}
 				}
 			}
-			l.Recycle(b)
 		}
 	}
 }
 
-// TestSkipEpochsThenWorkersBitwise is the PR 4 resume-path regression:
+// TestSkipEpochsThenWorkersBitwise is the resume-path regression:
 // SkipEpochs followed by multi-worker epochs must deliver exactly the
-// sample orders the uninterrupted multi-worker run saw — no recycled
-// batch delivered while a worker still held it, no pool double-put
-// (the Recycle guard panics on one), and identical payload bytes.
+// sample orders the uninterrupted multi-worker run saw — no reused
+// batch delivered while a worker still held it, and identical payload
+// bytes.
 func TestSkipEpochsThenWorkersBitwise(t *testing.T) {
 	const epochs = 4
 	drain := func(l *Loader, n int) [][]int {
 		var all [][]int
 		for e := 0; e < n; e++ {
 			var labels []int
-			for b := range l.Epoch() {
+			for b := range l.EpochN(0) {
 				labels = append(labels, b.Labels[:b.Size]...)
-				l.Recycle(b)
 			}
 			all = append(all, labels)
 		}
@@ -448,26 +420,52 @@ func (s *filledSource) Sample(i int, dst []float32) int {
 	return s.countingSource.Sample(i, dst)
 }
 
-// TestPrefetchIsBounded: once the consumer has taken one batch, the
-// workers fill the prefetch+Workers slots behind it and render no
-// further — not the whole epoch — and a consumer that keeps every
-// batch instead of recycling it still drains the epoch.
+// TestPrefetchIsBounded: while the first loop body runs, the workers
+// fill the prefetch+Workers slots behind it and render no further —
+// not the whole epoch — and the epoch still drains.
 func TestPrefetchIsBounded(t *testing.T) {
 	const workers, batches = 2, 100
 	limit := int32(1 + prefetch + workers)
 	src := &filledSource{countingSource: newCountingSource(batches, 4), fill: limit, filled: make(chan struct{})}
 	l := New(src, Config{BatchSize: 1, Workers: workers, Seed: 1})
-	ch := l.Epoch()
-	kept := []*Batch{<-ch}
-	<-src.filled
-	time.Sleep(20 * time.Millisecond) // room for an unbounded loader to run ahead
-	if got := src.rendered.Load(); got > limit {
-		t.Fatalf("%d batches rendered after one was consumed, bound %d", got, limit)
+	delivered := 0
+	for range l.EpochN(0) {
+		if delivered == 0 {
+			<-src.filled
+			time.Sleep(20 * time.Millisecond) // room for an unbounded loader to run ahead
+			if got := src.rendered.Load(); got > limit {
+				t.Fatalf("%d batches rendered while the first was in the body, bound %d", got, limit)
+			}
+		}
+		delivered++
 	}
-	for b := range ch {
-		kept = append(kept, b)
+	if delivered != batches {
+		t.Fatalf("delivered %d batches, want %d", delivered, batches)
 	}
-	if len(kept) != batches {
-		t.Fatalf("kept %d batches, want %d", len(kept), batches)
+}
+
+// TestBreakLeavesNoGoroutine: a body that stops after the first batch
+// stops the dispatch, and every loader goroutine exits.
+func TestBreakLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	src := newCountingSource(400, 64)
+	l := New(src, Config{BatchSize: 4, Workers: 4, Shuffle: true, Seed: 3})
+	for range l.EpochN(0) {
+		break
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running after break, %d before the epoch",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rendered := 0
+	for i := range src.hits {
+		rendered += int(src.hits[i].Load())
+	}
+	if rendered >= src.n {
+		t.Fatalf("rendered %d of %d samples after break: the dispatch did not stop", rendered, src.n)
 	}
 }

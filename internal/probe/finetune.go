@@ -57,7 +57,6 @@ func FineTune(cfg FineTuneConfig, model *mae.Model, ds *geodata.Dataset) (*FineT
 	r := rng.New(cfg.Seed)
 	head := nn.NewLinear("finetune.head", width, classes, r)
 	ctx := nn.NewTrainCtx()
-	defer ctx.Release()
 
 	params := append(model.EncoderParams(), head.Params()...)
 	optim := opt.NewAdamW(params, cfg.WeightDecay)

@@ -150,7 +150,6 @@ func fit(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset, t t
 	head := nn.NewLinear("probe.head", featDim, t.classes, r)
 	head.W.Value.Zero()
 	ctx := nn.NewTrainCtx()
-	defer ctx.Release()
 	params := head.Params()
 	optim := opt.NewLARS(params, 0)
 

@@ -131,9 +131,6 @@ func (s *Server) launchIdle(now float64) {
 func (s *Server) engine(e int) {
 	defer s.wg.Done()
 	ctx := nn.NewInferCtx()
-	// An engine that served one oversized batch would otherwise pin that
-	// batch's activation footprint until process exit.
-	defer ctx.Release()
 	for job := range s.jobs[e] {
 		for job != nil {
 			s.model.Fill(ctx, job.reqs, job.resps)

@@ -223,7 +223,6 @@ func (s *rankState) train() {
 				// modes keep the assembled parameters resident (the
 				// executed no_sync window).
 				model.BackwardStep()
-				loader.Recycle(batch)
 				micro++
 				continue
 			}
@@ -247,7 +246,6 @@ func (s *rankState) train() {
 			}
 			s.eng.beginStep(gScale)
 			model.BackwardStepLayers(s.eng.onSegment)
-			loader.Recycle(batch)
 			s.eng.finishBackward()
 			s.step(run.sched.LR(step), invScale)
 

@@ -48,7 +48,6 @@ func referencePretrain(t *testing.T, cfg PretrainConfig, ds *geodata.Dataset, on
 				}
 			}
 			optim.Step(sched.LR(step))
-			loader.Recycle(batch)
 		}
 	}
 	return losses, packedParams(model)

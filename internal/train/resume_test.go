@@ -474,9 +474,9 @@ func TestStampedCheckpointLoads(t *testing.T) {
 // paper's configuration) — here additionally under overlap and a
 // 2-micro-step accumulation window — must be bitwise identical to the
 // uninterrupted run. The hazards this pins down: dataload.SkipEpochs
-// must not disturb the batch pool (a double-put panics the run via the
-// Recycle guard), and no recycled batch may be delivered while a
-// worker still holds it (run under -race in CI, which would flag the
+// must reproduce the skipped epochs' shuffle draws exactly, and no
+// reused batch may be delivered while a worker or the previous loop
+// body still holds it (run under -race in CI, which would flag the
 // overlapping writes).
 func TestResumeWithWorkersBitwise(t *testing.T) {
 	base := tinyDistConfig(4, fsdp.BestPractice(fsdp.HybridShard, 2))
