@@ -59,6 +59,9 @@ func main() {
 // run probes the checkpointed (or seed-initialized) encoder and reports
 // to w (factored out so tests can drive the command).
 func run(o options, w io.Writer) error {
+	if err := o.mae.Validate(); err != nil {
+		return err
+	}
 	enc := o.mae.Encoder
 	m := mae.New(o.mae, rng.New(o.seed))
 	if o.checkpoint != "" {

@@ -27,7 +27,8 @@ func tinyProbeOptions() options {
 // TestProbeFromCheckpoint: -checkpoint probes the weights of the
 // TrainState a real pretraining run wrote — the per-epoch report differs
 // from the random-weight baseline's and names the run's step — and a
-// state of another architecture, or an unknown dataset, fails by name.
+// state of another architecture, a one-token grid or an unknown dataset
+// fails by name.
 func TestProbeFromCheckpoint(t *testing.T) {
 	o := tinyProbeOptions()
 	var baseline strings.Builder
@@ -67,6 +68,11 @@ func TestProbeFromCheckpoint(t *testing.T) {
 	wider.mae.Encoder.Width, wider.mae.Encoder.MLP = 24, 48
 	if err := run(wider, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "wrong architecture") {
 		t.Errorf("checkpoint of another architecture: got %v", err)
+	}
+	oneToken := o
+	oneToken.mae.Encoder.PatchSize = oneToken.mae.Encoder.ImageSize
+	if err := run(oneToken, &strings.Builder{}); err == nil || !strings.HasPrefix(err.Error(), "mae: 1 patch token") {
+		t.Errorf("one-token grid: got %v", err)
 	}
 	o.dataset = "EuroSAT"
 	if err := run(o, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), `unknown dataset "EuroSAT"`) {

@@ -127,6 +127,9 @@ func run(o options, w io.Writer) error {
 	if err := o.cfg.Validate(); err != nil {
 		return err
 	}
+	if err := o.mae.Validate(); err != nil {
+		return err
+	}
 	for _, r := range o.rates {
 		if badRate(r) {
 			return fmt.Errorf("bad arrival rate %v", r)

@@ -237,8 +237,8 @@ func FuzzServeCheckpoint(f *testing.F) {
 }
 
 // TestServeBadMode pins the fail-fast on an unknown -mode (and on an
-// unusable batcher setting, arrival rate or think time): the error
-// comes before any work, so nothing is printed.
+// unusable batcher setting, arrival rate, think time or model geometry):
+// the error comes before any work, so nothing is printed.
 func TestServeBadMode(t *testing.T) {
 	badMode, nanWait := tinyServeOptions(), tinyServeOptions()
 	badMode.mode = "batch"
@@ -248,6 +248,8 @@ func TestServeBadMode(t *testing.T) {
 	infRate.rates = []float64{math.Inf(1)}
 	nanThink.loop.ThinkSec = math.NaN()
 	negThink.loop.ThinkSec = -1e-3
+	oneToken := tinyServeOptions()
+	oneToken.mae.Encoder.PatchSize = oneToken.mae.Encoder.ImageSize
 	for _, c := range []struct {
 		o    options
 		want string
@@ -258,6 +260,7 @@ func TestServeBadMode(t *testing.T) {
 		{infRate, "bad arrival rate +Inf"},
 		{nanThink, "bad -think NaN"},
 		{negThink, "bad -think -0.001"},
+		{oneToken, "mae: 1 patch token"},
 	} {
 		var b strings.Builder
 		if err := run(c.o, &b); err == nil || !strings.Contains(err.Error(), c.want) {

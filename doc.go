@@ -149,8 +149,8 @@
 // no AVX2 — dispatch keeps the scalar streaming kernels instead of the
 // blocked path). The kernel accumulates a C tile over a 256-long K
 // strip and addresses both operands by strides, so all three variants
-// (MatMul, MatMulTA, MatMulTB), their strided MatMul*Ld forms, the
-// bf16-weight GEMM and the attention tiles share one inner loop
+// (MatMul, MatMulTA, MatMulTB), their strided MatMul*Ld forms and the
+// attention tiles share one inner loop
 // whether it reads a packed, zero-padded panel or the caller's matrix
 // where it lies. The driver only multiplies: the first strip's
 // write-back stores (C is never pre-zeroed), later strips add, and the
@@ -201,11 +201,9 @@
 // dVᵀ += dOᵀ·P and dKᵀ += Qᵀ·dS, and transposes dS in 16×16 blocks —
 // the one repack of a probability-sized operand — for dQᵀ += Kᵀ·dSᵀ.
 // Non-finite scores reach the output instead of being flushed, which
-// the bf16 loss scaler's skip decision depends on. For bf16-stored
-// weights the inference path multiplies packed bf16 operands directly:
-// tensor.MatMulBF16 widens bf16 to fp32 inside the panel-packing
-// stage, bit-for-bit equal to the plain GEMM over pre-widened
-// weights.
+// the bf16 loss scaler's skip decision depends on. bf16 serving
+// rounds weights and inputs to bf16 values held in float32 slots and
+// runs them through the same fp32 GEMM.
 //
 // The non-GEMM passes that used to dominate a step run through one
 // AVX2 elementwise family with scalar twins (tensor/gelu.go,

@@ -190,19 +190,12 @@ func accumulate(acc []float32, in view) {
 	}
 }
 
-// begin starts model/wall accounting for one call. Stats keeps world
-// rank 0's view of the SPMD schedule, so only calls entered by world
-// rank 0 are recorded (see Stats).
-func (m member) begin() time.Time {
+// end accounts one finished call. Stats keeps world rank 0's view of
+// the SPMD schedule, so only calls entered by world rank 0 are recorded
+// (see Stats).
+func (m member) end(op Op, c comm.Cost) {
 	if m.r.id == 0 {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-func (m member) end(op Op, c comm.Cost, t0 time.Time) {
-	if m.r.id == 0 {
-		m.g.w.record(op, c, time.Since(t0))
+		m.g.w.record(op, c)
 	}
 	// Congested-link mode: realize the modeled cost as wall time on
 	// every rank, so executed step times carry the α–β collective cost
@@ -228,7 +221,6 @@ func (m member) run(c Collective) (shard []float32) {
 		elemBytes = 2
 	}
 	wireBytes := float64(len(c.Buf) * elemBytes)
-	t0 := m.begin()
 	var cost comm.Cost
 	switch c.Op {
 	case OpAllReduce:
@@ -253,7 +245,7 @@ func (m member) run(c Collective) (shard []float32) {
 		m.broadcast(c)
 		cost = comm.Broadcast(wireBytes, n, link)
 	}
-	m.end(c.Op, cost, t0)
+	m.end(c.Op, cost)
 	return shard
 }
 
@@ -318,11 +310,10 @@ func (m member) allReduceScalar(v float64) float64 {
 	g := m.g
 	if g.n == 1 {
 		if m.r.id == 0 {
-			g.w.record(OpScalar, comm.Cost{}, 0)
+			g.w.record(OpScalar, comm.Cost{})
 		}
 		return v
 	}
-	t0 := m.begin()
 	g.scalars[m.id] = v
 	g.bar.wait()
 	var total float64
@@ -331,7 +322,7 @@ func (m member) allReduceScalar(v float64) float64 {
 	}
 	g.bar.wait() // the slot table may be reused after every member has read it
 	m.r.sentBytes[OpScalar].Add(8)
-	m.end(OpScalar, comm.AllReduce(8, g.n, g.link), t0)
+	m.end(OpScalar, comm.AllReduce(8, g.n, g.link))
 	return total
 }
 

@@ -96,7 +96,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/hw"
@@ -184,11 +183,6 @@ type OpStats struct {
 	// ModelTime is the α–β predicted total duration (seconds) on the
 	// configured link.
 	ModelTime float64
-	// WallTime is the measured in-process duration (seconds, rank 0).
-	// In-process channel hops are not a GPU fabric; WallTime is
-	// reported for completeness, the byte counters are the quantities
-	// tests pin down.
-	WallTime float64
 }
 
 // Stats is the per-op accounting of a World.
@@ -247,7 +241,6 @@ type World struct {
 	calls     [numOps]int
 	modelB    [numOps]float64
 	modelT    [numOps]float64
-	wall      [numOps]float64
 	statsOnce sync.Mutex // guards Stats() against torn reads mid-run
 }
 
@@ -393,7 +386,6 @@ func (w *World) Stats() Stats {
 			MeasuredWireBytes: maxSent,
 			ModelWireBytes:    w.modelB[o],
 			ModelTime:         w.modelT[o],
-			WallTime:          w.wall[o],
 		}
 	}
 	s.AllReduce = fill(OpAllReduce)
@@ -404,14 +396,13 @@ func (w *World) Stats() Stats {
 	return s
 }
 
-// record is called by rank 0 on collective entry/exit to accumulate the
-// modeled cost and wall time of one call.
-func (w *World) record(o Op, c comm.Cost, wall time.Duration) {
+// record is called by rank 0 on collective exit to accumulate the
+// modeled cost of one call.
+func (w *World) record(o Op, c comm.Cost) {
 	w.statsOnce.Lock()
 	w.calls[o]++
 	w.modelB[o] += c.WireBytes
 	w.modelT[o] += c.Time
-	w.wall[o] += wall.Seconds()
 	w.statsOnce.Unlock()
 }
 

@@ -104,7 +104,7 @@ func gridWorkloads() []perfmodel.Workload {
 // fingerprint unchanged; a deliberate model change re-records it. The
 // grid runs on every core, each result landing in its own slot.
 func TestSimulateGridFingerprint(t *testing.T) {
-	const want = uint64(0x210403c7cacd0e7c)
+	const want = uint64(0xafeef57cd6ea8441)
 	calibrated := frontier
 	calibrated.Calibrated = true
 	type config struct {

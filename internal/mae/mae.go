@@ -60,6 +60,9 @@ func (c Config) Validate() error {
 	if err := c.Encoder.Validate(); err != nil {
 		return err
 	}
+	if t := c.Encoder.Tokens(); t < 2 {
+		return fmt.Errorf("mae: %d patch token(s) per image, want at least 2 (one kept, one masked)", t)
+	}
 	if c.MaskRatio <= 0 || c.MaskRatio >= 1 {
 		return fmt.Errorf("mae: mask ratio %v outside (0,1)", c.MaskRatio)
 	}
@@ -83,24 +86,6 @@ func (c Config) KeepTokens() int {
 		keep = t - 1
 	}
 	return keep
-}
-
-// NumParams returns the analytic parameter count of the full MAE model
-// (encoder + decoder + mask token + projections), mirrored by the live
-// model in tests.
-func (c Config) NumParams() int64 {
-	enc := c.Encoder.EncoderParams()
-	w := int64(c.Encoder.Width)
-	dw := int64(c.DecoderWidth)
-	dm := 4 * dw
-	pd := int64(c.Encoder.PatchDim())
-	dec := w*dw + dw // encoder→decoder projection
-	blk := vit.Config{Width: int(dw), MLP: int(dm)}.BlockParams()
-	dec += int64(c.DecoderDepth) * blk
-	dec += 2 * dw     // decoder final norm
-	dec += dw*pd + pd // prediction head
-	dec += dw         // mask token
-	return enc + dec
 }
 
 // Model is the trainable MAE.

@@ -2,6 +2,7 @@ package mae
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -53,23 +54,21 @@ func TestKeepTokens(t *testing.T) {
 }
 
 func TestValidateRejectsBadRatio(t *testing.T) {
-	c := tinyCfg()
-	c.MaskRatio = 1.5
-	if err := c.Validate(); err == nil {
-		t.Fatal("mask ratio 1.5 accepted")
-	}
-	c.MaskRatio = 0
-	if err := c.Validate(); err == nil {
-		t.Fatal("mask ratio 0 accepted")
-	}
-}
-
-func TestNumParamsMatchesLiveModel(t *testing.T) {
-	c := tinyCfg()
-	m := New(c, rng.New(1))
-	live := int64(nn.CountParams(m.Params()))
-	if live != c.NumParams() {
-		t.Fatalf("live %d != analytic %d", live, c.NumParams())
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"mask ratio 1.5", func(c *Config) { c.MaskRatio = 1.5 }},
+		{"mask ratio 0", func(c *Config) { c.MaskRatio = 0 }},
+		{"zero patch", func(c *Config) { c.Encoder.PatchSize = 0 }},
+		{"one-token grid", func(c *Config) { c.Encoder.PatchSize = c.Encoder.ImageSize }},
+	} {
+		c := tinyCfg()
+		tc.edit(&c)
+		err := c.Validate()
+		if err == nil || !(strings.HasPrefix(err.Error(), "mae: ") || strings.HasPrefix(err.Error(), "vit: ")) {
+			t.Errorf("%s: Validate = %v, want a mae: or vit: error", tc.name, err)
+		}
 	}
 }
 

@@ -312,32 +312,3 @@ func TestBlockRetainedFloats(t *testing.T) {
 		}
 	}
 }
-
-// TestLinearInferBF16Bitwise checks the serving weight contract: with
-// W pre-rounded to bf16, a frozen pass through the packed 2-byte shadow
-// is bitwise a frozen pass through the fp32 weights, and a recording
-// pass reads Value, never the shadow.
-func TestLinearInferBF16Bitwise(t *testing.T) {
-	const rows, in, out = 9, 37, 23
-	r := rng.New(3)
-	l := NewLinear("lin", in, out, r)
-	tensor.RoundBF16(l.W.Value.Data, l.W.Value.Data)
-	x := make([]float32, rows*in)
-	r.FillNormal(x, 0, 1)
-
-	frozen := NewInferCtx()
-	want := l.Apply(frozen, x, rows)
-	ShadowBF16(l.Params())
-	if l.W.BF16 == nil || l.B.BF16 != nil {
-		t.Fatal("ShadowBF16 must shadow the weight matrix and only it")
-	}
-	if got := l.Apply(frozen, x, rows); !bitsEqual(got, want) {
-		t.Fatal("bf16 frozen pass differs from the fp32 one (must be bitwise equal)")
-	}
-	clear(l.W.Value.Data) // the shadow is now stale
-	for i, v := range l.Apply(NewTrainCtx(), x, rows) {
-		if v != 0 {
-			t.Fatalf("recording pass [%d] = %v with zeroed weights and bias: it read the stale shadow", i, v)
-		}
-	}
-}

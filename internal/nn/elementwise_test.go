@@ -111,8 +111,8 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 // every tile sees the same K strips in the same order wherever the cut
 // falls, so a Linear layer — bias folded into the last strip's
 // write-back, one to three strips deep, ragged at both edges — gives
-// the same bits forward, through both frozen weight modes and backward
-// at every worker count.
+// the same bits forward, frozen and recording, and backward at every
+// worker count.
 func TestLinearProcsIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, s := range []struct{ rows, in, out int }{{515, 96, 70}, {300, 513, 33}, {1024, 288, 96}} {
@@ -124,19 +124,13 @@ func TestLinearProcsIndependent(t *testing.T) {
 		run := func() (out [][]float32) {
 			l := NewLinear("l", s.in, s.out, rng.New(3))
 			rng.New(4).FillNormal(l.B.Value.Data, 0, 1)
-			tensor.RoundBF16(l.W.Value.Data, l.W.Value.Data) // so the bf16 shadow is exact
 			y := l.Apply(NewTrainCtx(), x, s.rows)
 			if yf := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(yf, y) {
 				t.Errorf("GOMAXPROCS=%d %+v: frozen pass differs from the recording pass", runtime.GOMAXPROCS(0), s)
 			}
 			dx := make([]float32, len(x))
 			l.Backprop(dx, dy)
-			out = append(out, y, dx, l.W.Grad.Data, l.B.Grad.Data)
-			ShadowBF16(l.Params())
-			if yf := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(yf, y) {
-				t.Errorf("GOMAXPROCS=%d %+v: bf16-weight frozen pass differs from the recording pass", runtime.GOMAXPROCS(0), s)
-			}
-			return out
+			return append(out, y, dx, l.W.Grad.Data, l.B.Grad.Data)
 		}
 		var want [][]float32
 		for _, procs := range []int{1, 2, 3, 7} {

@@ -36,19 +36,11 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Apply computes y = x·W + b for rows input rows into ctx. On a frozen
-// arena a weight with a bf16 shadow (ShadowBF16) streams its 2-byte
-// encoding through the bf16-input GEMM, which widens panels in its pack
-// stage, so no fp32 round-trip buffer of the weights exists on that
-// path; a recording arena always reads Value, so training never sees a
-// stale shadow.
+// Apply computes y = x·W + b for rows input rows into ctx, one
+// MatMulBias over the fp32 weights on either kind of arena.
 func (l *Linear) Apply(ctx *Arena, x []float32, rows int) []float32 {
 	checkRows(len(x), rows, l.In, "Linear.Apply")
 	y := ctx.Take(rows * l.Out)
-	if w := l.W.BF16; w != nil && !ctx.recording {
-		tensor.MatMulBF16Bias(y, x, w, l.B.Value.Data, rows, l.In, l.Out, false)
-		return y
-	}
 	if ctx.recording {
 		l.x, l.rows = x, rows
 	}

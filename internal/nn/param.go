@@ -43,11 +43,6 @@ type Param struct {
 	// AdamW must exclude from decoupled weight decay, following the
 	// MAE recipe.
 	NoWeightDecay bool
-	// BF16, when non-nil, is a bf16 encoding of Value that Linear.Apply
-	// on a frozen arena streams through the bf16-input GEMM instead of
-	// the fp32 weights — half the weight-read bandwidth. Set by
-	// ShadowBF16; training always reads Value.
-	BF16 []uint16
 }
 
 // NewParam allocates a parameter and matching zero gradient.
@@ -64,24 +59,6 @@ func (p *Param) NumEl() int { return p.Value.NumEl() }
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
-// ShadowBF16 packs the BF16 shadow of every 2-D parameter in ps — the
-// weight matrices; vectors (biases, norm gains) get none. When Value
-// already holds bf16-resolution numbers (tensor.RoundBF16 first), the
-// encoding is exact and frozen passes are bitwise unchanged:
-// MatMulBF16 equals MatMul over the widened shadow. Call it again after
-// any change to the values.
-func ShadowBF16(ps []*Param) {
-	for _, p := range ps {
-		if p.Value.Rank() != 2 {
-			continue
-		}
-		if len(p.BF16) != p.NumEl() {
-			p.BF16 = make([]uint16, p.NumEl())
-		}
-		tensor.ToBF16(p.BF16, p.Value.Data)
-	}
-}
 
 // CountParams sums the element counts over params.
 func CountParams(ps []*Param) int {

@@ -297,8 +297,9 @@ func (w Workload) Units() []Unit {
 				BwdFLOPs: df * bwd,
 			})
 		}
-		// Decoder embed + prediction head, folded into one unit.
-		headParams := int64(w.Model.Width)*int64(dw) + int64(dw) +
+		// Decoder embed, mask token, the decoder's final LayerNorm and
+		// the prediction head, folded into one unit.
+		headParams := int64(w.Model.Width)*int64(dw) + int64(dw) + 3*int64(dw) +
 			int64(dw)*int64(w.Model.PatchDim()) + int64(w.Model.PatchDim())
 		headFLOPs := 2 * float64(w.LocalBatch) * float64(w.Model.Tokens()) *
 			float64(dw) * float64(w.Model.PatchDim())

@@ -28,12 +28,6 @@ type FineTuneConfig struct {
 	Log         io.Writer
 }
 
-// DefaultFineTune mirrors common MAE fine-tuning settings scaled to the
-// analog regime.
-func DefaultFineTune() FineTuneConfig {
-	return FineTuneConfig{Epochs: 10, BatchSize: 16, BaseLR: 1e-3, WeightDecay: 0.05, Seed: 7}
-}
-
 // FineTuneResult reports fine-tuning quality per epoch.
 type FineTuneResult struct {
 	Dataset   string

@@ -147,48 +147,6 @@ func TestServeBF16(t *testing.T) {
 	}
 }
 
-// TestServeBF16PackedWeightsBitwise pins the bf16 compute contract:
-// RoundBF16 packs a 2-byte shadow on exactly the encoder's weight
-// matrices — the patch projection and each block's QKV, Out, FC1 and
-// FC2 — and serving through them (tensor.MatMulBF16, widen-in-pack) is
-// bitwise identical to serving through the rounded fp32 weights. This
-// is what lets the packed mode drop the fp32 weight round-trip without
-// perturbing a single served value.
-func TestServeBF16PackedWeightsBitwise(t *testing.T) {
-	serveOne := func(m *Model, img []float32) *Response {
-		reqs := []*Request{{ID: 0, Kind: Embed, Img: img}}
-		resps := []*Response{{ID: 0, Kind: Embed}}
-		m.Fill(nn.NewInferCtx(), reqs, resps)
-		return resps[0]
-	}
-	m := tinyModel(7)
-	m.RoundBF16()
-	want := map[*nn.Param]bool{m.MAE.Embed.Proj.W: true}
-	for _, b := range m.MAE.Encoder.Blocks {
-		for _, l := range []*nn.Linear{b.Attn.QKV, b.Attn.Out, b.MLP.FC1, b.MLP.FC2} {
-			want[l.W] = true
-		}
-	}
-	for _, p := range m.MAE.Params() {
-		if (p.BF16 != nil) != want[p] {
-			t.Fatalf("%s: bf16 shadow packed = %v, want %v", p.Name, p.BF16 != nil, want[p])
-		}
-	}
-	img := imageFn(m, 24)(0)
-
-	packed := serveOne(m, img)
-	for p := range want {
-		p.BF16 = nil
-	}
-	fp32 := serveOne(m, img)
-	for j := range packed.Embedding {
-		if packed.Embedding[j] != fp32.Embedding[j] {
-			t.Fatalf("embedding[%d]: packed bf16 %v, fp32 %v (must be bitwise equal)",
-				j, packed.Embedding[j], fp32.Embedding[j])
-		}
-	}
-}
-
 // FuzzInferBF16 fuzzes single-image payloads through the bf16 serving
 // mode and asserts the boundary properties that must hold for *any*
 // finite input: input rounding is idempotent, outputs are finite, and

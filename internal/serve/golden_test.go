@@ -11,7 +11,7 @@ import (
 
 // TestFillGolden pins every bit of a mixed Embed/Classify/Segment batch
 // served at one and four workers, from fp32 weights and from weights
-// rounded to bf16 (served through the packed 2-byte shadows).
+// rounded to bf16 (the same fp32 GEMM over bf16-valued weights).
 func TestFillGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	fill := func(bf16 bool) uint64 {

@@ -25,13 +25,9 @@ type Model struct {
 	// them with ErrNoHead.
 	Seg *probe.Head
 	// BF16 marks the reduced-precision serving mode: weights were
-	// rounded to bf16 once at load (RoundBF16), request images are
-	// rounded at ingest, and the encoder's weight matrices carry packed
-	// 2-byte shadows (nn.Param.BF16) that the inference GEMM widens in
-	// its pack stage (tensor.MatMulBF16) — no fp32 copy of those weights
-	// is materialized on the serving path. Accumulation stays fp32, and
-	// because the weights are pre-rounded the bf16-input GEMM is
-	// bitwise identical to the fp32 GEMM over the rounded values.
+	// rounded to bf16 once at load (RoundBF16) and request images are
+	// rounded at ingest. The bf16 values stay in their float32 slots and
+	// go through the same fp32 GEMM, which accumulates in fp32.
 	BF16 bool
 }
 
@@ -61,12 +57,9 @@ func (m *Model) AttachHeads(cls, seg *probe.Head) {
 }
 
 // RoundBF16 rounds every model weight and head weight to bfloat16
-// (round-to-nearest-even) in place, packs the bf16 shadows of the
-// encoder's weight matrices (nn.ShadowBF16 over EncoderParams: the
-// patch projection and each block's QKV, Out, FC1 and FC2), and flags
-// the model, so the serving path answers from bf16-resolution
-// parameters without widening them back to fp32. Call once at load
-// time, before the first request.
+// (round-to-nearest-even) in place and flags the model, so the serving
+// path answers from bf16-resolution parameters. Call once at load time,
+// before the first request.
 func (m *Model) RoundBF16() {
 	for _, p := range m.MAE.Params() {
 		tensor.RoundBF16(p.Value.Data, p.Value.Data)
@@ -77,7 +70,6 @@ func (m *Model) RoundBF16() {
 			tensor.RoundBF16(h.B, h.B)
 		}
 	}
-	nn.ShadowBF16(m.MAE.EncoderParams())
 	m.BF16 = true
 }
 

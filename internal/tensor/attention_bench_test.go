@@ -88,31 +88,3 @@ func BenchmarkFlashAttnGEMM(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBF16GEMM measures the bf16-input GEMM (widen-in-pack)
-// against the fp32 GEMM plus an explicit whole-matrix widen — the
-// round trip the serving path performed before the packed mode.
-func BenchmarkBF16GEMM(b *testing.B) {
-	const m, k, n = 197, 768, 768
-	r := rand.New(rand.NewSource(9))
-	a := randSlice(r, m*k, 1)
-	w32 := randSlice(r, k*n, 1)
-	w16 := make([]uint16, k*n)
-	ToBF16(w16, w32)
-	c := make([]float32, m*n)
-
-	b.Run("Packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulBF16(c, a, w16, m, k, n, false)
-		}
-		b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	})
-	b.Run("WidenThenFP32", func(b *testing.B) {
-		wide := make([]float32, k*n)
-		for i := 0; i < b.N; i++ {
-			FromBF16(wide, w16)
-			MatMul(c, a, wide, m, k, n, false)
-		}
-		b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	})
-}

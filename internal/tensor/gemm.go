@@ -16,11 +16,10 @@ import (
 //     strides (gemm_kernel.go), so it reads a packed panel or the
 //     caller's matrix alike, and its write-back either stores the
 //     strip's sums or adds them to C, then optionally adds a bias row.
-//     The transposed variants (MatMulTA, MatMulTB), the bf16-weight
-//     GEMM and the attention tiles all run this one loop (over two rows,
-//     kern2x16, for a short ragged panel); only the swapped-orientation
-//     MatMulTB below runs a second, square t8×t8 tile (kern8x8) that
-//     writes C transposed. On amd64 with AVX2+FMA these are hand-written
+//     The transposed variants (MatMulTA, MatMulTB) and the attention
+//     tiles all run this one loop (over two rows, kern2x16, for a short
+//     ragged panel); only the swapped-orientation MatMulTB below runs a
+//     second, square t8×t8 tile (kern8x8) that writes C transposed. On amd64 with AVX2+FMA these are hand-written
 //     assembly (gemm_kernel_amd64.s); elsewhere the portable kern6x16go,
 //     kern2x16go and kern8x8go run, and each pair gives the same bits.
 //     Which path a product takes depends on its shape alone, so every
@@ -30,7 +29,7 @@ import (
 //     write-back adds the bias of MatMulBias, so x·W + b is one pass
 //     over C.
 //   - A (m×k) is re-read once per nr-column panel of B. Row-major A
-//     (MatMul, MatMulTB, MatMulBF16) is read in place, six row streams
+//     (MatMul, MatMulTB) is read in place, six row streams
 //     per panel: packing it would copy each element for every
 //     (row slab, K strip) to save nothing the hardware prefetcher does
 //     not already give. Only a ragged bottom panel (m mod mr rows) is
@@ -41,8 +40,7 @@ import (
 //     each worker: in place a K step would touch a new cache line for
 //     24 bytes, once per B panel.
 //   - B (k×n) is re-read once per mr-row panel of A, so a packed copy
-//     of B is amortised over ⌈m/mr⌉ panels. bf16 B (MatMulBF16) is
-//     always packed — the pack is where the widening happens.
+//     of B is amortised over ⌈m/mr⌉ panels.
 //     Transposed B (MatMulTB) is packed, the pack being the transpose
 //     (8×8 vector block transposes, transpose8), unless A has fewer
 //     rows than B and only a few row panels (tbSwapped): then the
@@ -413,10 +411,7 @@ func packB(k, n, w, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0
 
 // gemmCompute runs the register-blocked compute loop. Panels of B
 // before firstPacked are read in place from the row-major b (stride
-// ldb); the rest come from bp, the layout packB produces. Factored out
-// so alternate B encodings — the bf16 weight path widens during
-// packing — share one compute stage, which is also what makes
-// MatMulBF16 bitwise equal to MatMul on pre-widened weights.
+// ldb); the rest come from bp, the layout packB produces.
 func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
 	nPanels := (n + nr - 1) / nr
 	np := nPanels - firstPacked

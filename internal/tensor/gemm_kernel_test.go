@@ -443,9 +443,6 @@ func TestMatMulBiasShortBiasPanics(t *testing.T) {
 		call func(c, a, b, bias []float32)
 	}{
 		{"MatMulBias", func(c, a, b, bias []float32) { MatMulBias(c, a, b, bias, 2, 3, 4, false) }},
-		{"MatMulBF16Bias", func(c, a, b, bias []float32) {
-			MatMulBF16Bias(c, a, make([]uint16, len(b)), bias, 2, 3, 4, false)
-		}},
 	} {
 		c := []float32{9, 9, 9, 9, 9, 9, 9, 9}
 		func() {

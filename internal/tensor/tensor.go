@@ -49,15 +49,6 @@
 // arithmetic wherever a caller cuts the buffer, so results do not
 // depend on GOMAXPROCS; and the assembly uses unfused multiplies and
 // adds in the scalar lanes' order, so both builds agree bitwise.
-//
-// # bf16 compute GEMM
-//
-// MatMulBF16 (bf16gemm.go) accepts the B operand as packed bfloat16
-// and widens it inside the GEMM's panel-packing stage, so bf16-stored
-// weights are multiplied without ever materializing an fp32 copy of
-// the matrix. Widening is exact and the compute stage is shared with
-// MatMul, making MatMulBF16 bit-for-bit equal to MatMul over
-// pre-widened weights on every build.
 package tensor
 
 import (

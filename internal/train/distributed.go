@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/comm"
@@ -284,6 +285,14 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	}
 	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
 		return nil, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
+	}
+	if math.IsNaN(cfg.BaseLR) || math.IsInf(cfg.BaseLR, 0) {
+		return nil, fmt.Errorf("train: non-finite BaseLR %v", cfg.BaseLR)
+	}
+	for _, v := range []float64{cfg.WeightDecay, cfg.ClipNorm} {
+		if !(v >= 0) || math.IsInf(v, 1) { // !(v >= 0) catches NaN
+			return nil, fmt.Errorf("train: WeightDecay %v or ClipNorm %v not finite and non-negative", cfg.WeightDecay, cfg.ClipNorm)
+		}
 	}
 	n := cfg.Ranks
 	run := &distRun{cfg: cfg, plan: plan, ds: ds, accum: max(cfg.AccumSteps, 1)}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fsdp"
 	"repro/internal/geodata"
 	"repro/internal/mae"
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/vit"
@@ -143,6 +144,48 @@ func TestPretrainValidation(t *testing.T) {
 	small := PretrainConfig{MAE: tinyMAE(), BatchSize: 64, Epochs: 1}
 	if _, err := Pretrain(small, tinyDataset(8)); err == nil {
 		t.Fatal("dataset smaller than batch accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*PretrainConfig)
+	}{
+		{"NaN BaseLR", func(c *PretrainConfig) { c.BaseLR = nan }},
+		{"-Inf BaseLR", func(c *PretrainConfig) { c.BaseLR = -inf }},
+		{"NaN WeightDecay", func(c *PretrainConfig) { c.WeightDecay = nan }},
+		{"+Inf WeightDecay", func(c *PretrainConfig) { c.WeightDecay = inf }},
+		{"negative WeightDecay", func(c *PretrainConfig) { c.WeightDecay = -0.05 }},
+		{"NaN ClipNorm", func(c *PretrainConfig) { c.ClipNorm = nan }},
+		{"+Inf ClipNorm", func(c *PretrainConfig) { c.ClipNorm = inf }},
+		{"negative ClipNorm", func(c *PretrainConfig) { c.ClipNorm = -1 }},
+	} {
+		cfg := PretrainConfig{MAE: tinyMAE(), BatchSize: 8, Epochs: 1, BaseLR: 1e-4, Workers: 1, Seed: 1, MaxStepsPerEpoch: 1}
+		tc.edit(&cfg)
+		_, err := Pretrain(cfg, tinyDataset(16))
+		if err == nil || !strings.HasPrefix(err.Error(), "train: ") {
+			t.Errorf("%s: err = %v, want a train: error", tc.name, err)
+		}
+	}
+}
+
+// TestWorkloadParamsMatchLiveModel: the simulator's unit list prices
+// every parameter PretrainDistributed builds — the decoder's final
+// LayerNorm and the mask token included — for each analog.
+func TestWorkloadParamsMatchLiveModel(t *testing.T) {
+	fam, err := vit.AnalogFamily(32, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range fam {
+		cfg := DistConfig{PretrainConfig: PretrainConfig{MAE: mae.Default(enc), BatchSize: 1}, Ranks: 1}
+		w, err := WorkloadFor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := int64(nn.CountParams(mae.New(cfg.MAE, rng.New(1)).Params()))
+		if got := w.TotalParams(); got != live {
+			t.Errorf("%s: WorkloadFor counts %d parameters, the live model has %d", enc.Name, got, live)
+		}
 	}
 }
 

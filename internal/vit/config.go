@@ -38,6 +38,9 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.Depth <= 0 || c.MLP <= 0 || c.Heads <= 0 {
 		return fmt.Errorf("vit: non-positive dimension in %+v", c)
 	}
+	if c.PatchSize <= 0 || c.ImageSize <= 0 || c.Channels <= 0 {
+		return fmt.Errorf("vit: non-positive patch %d, image %d or channels %d", c.PatchSize, c.ImageSize, c.Channels)
+	}
 	if c.Width%c.Heads != 0 {
 		return fmt.Errorf("vit: width %d not divisible by heads %d", c.Width, c.Heads)
 	}

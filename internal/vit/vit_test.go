@@ -2,6 +2,7 @@ package vit
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -49,13 +50,27 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s invalid: %v", cfg.Name, err)
 		}
 	}
-	bad := Config{Name: "bad", Width: 10, Depth: 1, MLP: 4, Heads: 3, PatchSize: 4, ImageSize: 16, Channels: 3}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("indivisible heads accepted")
+	ok := Config{Name: "ok", Width: 8, Depth: 1, MLP: 4, Heads: 2, PatchSize: 4, ImageSize: 16, Channels: 3}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"indivisible heads", func(c *Config) { c.Width, c.Heads = 10, 3 }},
+		{"indivisible image/patch", func(c *Config) { c.PatchSize = 5 }},
+		{"zero patch", func(c *Config) { c.PatchSize = 0 }},
+		{"negative patch", func(c *Config) { c.PatchSize = -4 }},
+		{"zero image", func(c *Config) { c.ImageSize = 0 }},
+		{"zero channels", func(c *Config) { c.Channels = 0 }},
+	} {
+		c := ok
+		tc.edit(&c)
+		err := c.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "vit: ") {
+			t.Errorf("%s: Validate = %v, want a vit: error", tc.name, err)
+		}
 	}
-	bad2 := Config{Name: "bad2", Width: 8, Depth: 1, MLP: 4, Heads: 2, PatchSize: 5, ImageSize: 16, Channels: 3}
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("indivisible image/patch accepted")
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
 	}
 }
 
