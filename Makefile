@@ -1,8 +1,9 @@
 # Developer entry points for the repro tree. CI runs vet+build+test
 # (also under -tags purego), the arm64 no-fused-multiply-add check
-# (`make nofma`), a -race job over the distributed layer, the statgate static-analysis
-# gate (`make analyze`), and the docs gate (see
-# .github/workflows/ci.yml); `make bench` records the GEMM,
+# (`make nofma`), a -race job over the distributed layer, and the docs
+# gate (`make docs`: the statgate static-analysis gate `make analyze`,
+# then gofmt, vet and docgate; see .github/workflows/ci.yml); `make
+# bench` records the GEMM,
 # attention and elementwise (GELU, LayerNorm, AdamW, Σx²) kernel throughput into BENCH_gemm.json, `make bench-dist`
 # the multi-rank training throughput into BENCH_dist.json, and `make
 # bench-serve` the inference-serving latency percentiles into

@@ -135,6 +135,12 @@ func run(o options, w io.Writer) error {
 			return fmt.Errorf("bad arrival rate %v", r)
 		}
 	}
+	if o.n < 1 {
+		return fmt.Errorf("bad -n %d: want at least 1 request per run", o.n)
+	}
+	if o.closed && (o.loop.Clients < 1 || o.loop.PerClient < 1) {
+		return fmt.Errorf("bad closed loop -clients %d -per-client %d: want at least 1 of each", o.loop.Clients, o.loop.PerClient)
+	}
 	if t := o.loop.ThinkSec; o.closed && (!(t >= 0) || math.IsInf(t, 1)) {
 		return fmt.Errorf("bad -think %v: want a finite non-negative time", t)
 	}

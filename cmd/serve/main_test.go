@@ -237,7 +237,8 @@ func FuzzServeCheckpoint(f *testing.F) {
 }
 
 // TestServeBadMode pins the fail-fast on an unknown -mode (and on an
-// unusable batcher setting, arrival rate, think time or model geometry):
+// unusable batcher setting, arrival rate, request count, closed-loop
+// client count, think time or model geometry):
 // the error comes before any work, so nothing is printed.
 func TestServeBadMode(t *testing.T) {
 	badMode, nanWait := tinyServeOptions(), tinyServeOptions()
@@ -250,6 +251,11 @@ func TestServeBadMode(t *testing.T) {
 	negThink.loop.ThinkSec = -1e-3
 	oneToken := tinyServeOptions()
 	oneToken.mae.Encoder.PatchSize = oneToken.mae.Encoder.ImageSize
+	zeroN, negN, noClients, negPerClient := tinyServeOptions(), tinyServeOptions(), tinyServeOptions(), tinyServeOptions()
+	zeroN.n = 0
+	negN.n = -5
+	noClients.loop.Clients = 0
+	negPerClient.loop.PerClient = -1
 	for _, c := range []struct {
 		o    options
 		want string
@@ -261,6 +267,10 @@ func TestServeBadMode(t *testing.T) {
 		{nanThink, "bad -think NaN"},
 		{negThink, "bad -think -0.001"},
 		{oneToken, "mae: 1 patch token"},
+		{zeroN, "bad -n 0"},
+		{negN, "bad -n -5"},
+		{noClients, "bad closed loop -clients 0"},
+		{negPerClient, "-per-client -1"},
 	} {
 		var b strings.Builder
 		if err := run(c.o, &b); err == nil || !strings.Contains(err.Error(), c.want) {

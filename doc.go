@@ -146,8 +146,8 @@
 // The GEMMs use the blocked GotoBLAS structure around one 6×16
 // register-tiled micro-kernel (AVX2+FMA assembly on amd64, selected by
 // CPUID at startup; without it — non-amd64, the `purego` build tag, or
-// no AVX2 — dispatch keeps the scalar streaming kernels instead of the
-// blocked path). The kernel accumulates a C tile over a 256-long K
+// no AVX2 — its portable Go twin, which gives the same bits, runs the
+// same blocked path). The kernel accumulates a C tile over a 256-long K
 // strip and addresses both operands by strides, so all three variants
 // (MatMul, MatMulTA, MatMulTB), their strided MatMul*Ld forms and the
 // attention tiles share one inner loop
@@ -158,8 +158,7 @@
 // x·W + b is one pass over C. Packing is a copy that pays only when
 // the other dimension's panel count amortises it: row-major A is read
 // in place (only a ragged bottom panel is packed); transposed A is
-// packed per 72-row slab by each worker; bf16 B is always packed, the
-// pack being where the widening happens; transposed B is packed, the
+// packed per 72-row slab by each worker; transposed B is packed, the
 // pack being the transpose, unless A has fewer rows than B and only a
 // few row panels — the input-gradient GEMM dx = dy·Wᵀ at a few dozen
 // rows — where the product runs as Cᵀ = B·Aᵀ instead: the weight's rows
@@ -169,8 +168,8 @@
 // apart, and read in place otherwise — the weight-gradient GEMMs
 // dW = xᵀ·dy, whose few hundred output rows cannot amortise a copy of
 // thousands of token rows. None of these choices changes a bit of the
-// result. Problems under ~32k multiply-adds skip the blocked path and
-// run row-streaming axpy/dot kernels instead.
+// result, and every product, down to a single multiply-add, takes this
+// one path.
 //
 // Parallel loops split output rows into deterministic contiguous
 // ranges (parallel.Split) sized to at least 2^16 multiply-adds per
@@ -230,8 +229,8 @@
 // neither GOMAXPROCS nor the build.
 //
 // Benchmarks: `go test -bench 'GEMM|GELU|LayerNorm|AdamW|SumSq' ./internal/tensor/
-// ./internal/nn/` reports achieved GFLOP/s (against the pre-blocking
-// streaming baseline, BenchmarkGEMMStream) and GB/s for the
+// ./internal/nn/` reports achieved GFLOP/s (against the unblocked
+// triple loop, BenchmarkGEMMNaiveBaseline) and GB/s for the
 // elementwise kernels; `make bench` records the numbers into
 // BENCH_gemm.json for the cross-PR perf trajectory.
 package repro

@@ -54,14 +54,14 @@ func TestFittedHeadsGolden(t *testing.T) {
 		want uint64
 		fit  func() (uint64, error)
 	}{
-		{"classify/pixels-b12", 0x4e611725c415eeca, classify(Config{BatchSize: 12, Epochs: 5, BaseLR: 0.1, Seed: 1},
+		{"classify/pixels-b12", 0xd9d7ccac3f6335cb, classify(Config{BatchSize: 12, Epochs: 5, BaseLR: 0.1, Seed: 1},
 			pixelFeatures(pixels.Gen.ImageLen(), 16), 16, pixels)},
-		{"classify/mae-b6", 0x411ae939122cebac, classify(Config{BatchSize: 6, Epochs: 4, BaseLR: 0.1, Seed: 3},
+		{"classify/mae-b6", 0xa8536dc3f07f6d07, classify(Config{BatchSize: 6, Epochs: 4, BaseLR: 0.1, Seed: 3},
 			model.Features, 16, split(4, 24, 12, 5))},
-		{"classify/pixels-b40-wrap", 0x3f9c766dfe5d5192, classify(Config{BatchSize: 40, Epochs: 3, BaseLR: 0.1, Seed: 5},
+		{"classify/pixels-b40-wrap", 0xef452ced5cf9306f, classify(Config{BatchSize: 40, Epochs: 3, BaseLR: 0.1, Seed: 5},
 			pixelFeatures(pixels.Gen.ImageLen(), 8), 8, split(3, 15, 9, 9))},
-		{"segment/b4", 0x66b7ff1a64cb17ea, segment(Config{BatchSize: 4, Epochs: 4, BaseLR: 0.1, Seed: 1}, split(4, 16, 70, 11))},
-		{"segment/b24-wrap", 0x608e0768667b508b, segment(Config{BatchSize: 24, Epochs: 3, BaseLR: 0.1, Seed: 2}, split(3, 8, 6, 13))},
+		{"segment/b4", 0xd23a63d486a67340, segment(Config{BatchSize: 4, Epochs: 4, BaseLR: 0.1, Seed: 1}, split(4, 16, 70, 11))},
+		{"segment/b24-wrap", 0x53628d5034b215b4, segment(Config{BatchSize: 24, Epochs: 3, BaseLR: 0.1, Seed: 2}, split(3, 8, 6, 13))},
 	}
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)

@@ -105,9 +105,8 @@ func FitHead(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset)
 type task struct {
 	classes  int
 	perImage int // feature rows, and labels, per image
-	// evalRows is the test rows per evaluation forward. It is part of
-	// the result: the chunk's shape picks the streaming or the blocked
-	// GEMM, whose logits may differ in the last bit.
+	// evalRows is the test rows per evaluation forward. It bounds the
+	// arena an evaluation takes; a row's logits do not depend on it.
 	evalRows int
 	// sample renders image i of the train (or test) split into img and
 	// writes its perImage labels.

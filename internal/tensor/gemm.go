@@ -64,9 +64,8 @@ import (
 // Work is split across the persistent pool in internal/parallel by
 // contiguous row ranges of C (column ranges when C is computed
 // transposed), with the grain chosen so each task is at least
-// gemmGrainFlops multiply-adds. Problems below smallGEMMFlops skip the
-// blocked path entirely and run the row-streaming kernels (axpy/dot
-// forms, unfused). Which operand is packed, which orientation and how
+// gemmGrainFlops multiply-adds. Every product, however small, takes
+// this one path. Which operand is packed, which orientation and how
 // the rows are split never change a result's bits: every element sees
 // the same FMAs in the same k order (FMA(a, b, c) = FMA(b, a, c)), then
 // the same additions.
@@ -84,11 +83,6 @@ const (
 	// moving to the next (mcBlock×kcBlock ≈ 72 KiB of A, sized for L2).
 	// Must be a multiple of mr.
 	mcBlock = 72
-
-	// smallGEMMFlops is the m·k·n cutoff below which the blocked
-	// driver's overhead outweighs the micro-kernel's throughput and the
-	// streaming kernels are used instead.
-	smallGEMMFlops = 1 << 15
 )
 
 // The A-panel packers' full-panel fast paths (packABlockN/T) name the
@@ -115,7 +109,7 @@ const (
 // A of shape (m×k), B of shape (k×n) and C of shape (m×n), all
 // contiguous row-major.
 func MatMul(c, a, b []float32, m, k, n int, acc bool) {
-	matMul(c, a, b, nil, m, k, n, k, n, n, acc, "MatMul")
+	gemm(c, a, b, nil, m, k, n, k, n, n, acc, opNN, "MatMul")
 }
 
 // MatMulBias is MatMul followed by C[i][j] += bias[j] on every row —
@@ -123,7 +117,7 @@ func MatMul(c, a, b []float32, m, k, n int, acc bool) {
 // bits are those of MatMul and then the serial bias loop. A nil bias
 // adds nothing; otherwise it must hold at least n values.
 func MatMulBias(c, a, b, bias []float32, m, k, n int, acc bool) {
-	matMul(c, a, b, bias, m, k, n, k, n, n, acc, "MatMulBias")
+	gemm(c, a, b, bias, m, k, n, k, n, n, acc, opNN, "MatMulBias")
 }
 
 // MatMulLd is MatMul with explicit leading dimensions (row strides in
@@ -131,119 +125,47 @@ func MatMulBias(c, a, b, bias []float32, m, k, n int, acc bool) {
 // buffers — for example one attention head's slice of a fused
 // (tokens × 3·width) projection — can be multiplied without copying.
 func MatMulLd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	matMul(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, "MatMul")
-}
-
-func matMul(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, name string) {
-	if gemmDispatch(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, opNN, name) {
-		return
-	}
-	grain := rowsGrain(k, n)
-	parallel.RangeGrain(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			if !acc {
-				for j := range ci {
-					ci[j] = 0
-				}
-			}
-			ai := a[i*lda : i*lda+k]
-			for kk, av := range ai {
-				//statgate:allow floateq — sparsity skip: only an exactly-zero multiplier is safe to elide
-				if av == 0 {
-					continue
-				}
-				axpy(av, b[kk*ldb:kk*ldb+n], ci)
-			}
-		}
-		addBiasRows(c[lo*ldc:], bias, hi-lo, n, ldc)
-	})
+	gemm(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opNN, "MatMul")
 }
 
 // MatMulTB computes C = A·Bᵀ (or C += A·Bᵀ) with A (m×k), B (n×k),
 // C (m×n). When A has fewer rows than B and few row panels it runs as
 // Cᵀ = B·Aᵀ, copying A instead of B; the bits are the same either way.
 func MatMulTB(c, a, b []float32, m, k, n int, acc bool) {
-	MatMulTBLd(c, a, b, m, k, n, k, k, n, acc)
+	gemm(c, a, b, nil, m, k, n, k, k, n, acc, opTB, "MatMulTB")
 }
 
 // MatMulTBLd is MatMulTB with explicit leading dimensions.
 func MatMulTBLd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	if gemmDispatch(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTB, "MatMulTB") {
-		return
-	}
-	grain := rowsGrain(k, n)
-	parallel.RangeGrain(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a[i*lda : i*lda+k]
-			ci := c[i*ldc : i*ldc+n]
-			for j := 0; j < n; j++ {
-				s := dot(ai, b[j*ldb:j*ldb+k])
-				if acc {
-					ci[j] += s
-				} else {
-					ci[j] = s
-				}
-			}
-		}
-	})
+	gemm(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTB, "MatMulTB")
 }
 
 // MatMulTA computes C = Aᵀ·B (or C += Aᵀ·B) with A (k×m), B (k×n),
 // C (m×n). Each worker owns a contiguous row range of C, so no worker
 // ever writes another's rows.
 func MatMulTA(c, a, b []float32, m, k, n int, acc bool) {
-	MatMulTALd(c, a, b, m, k, n, m, n, n, acc)
+	gemm(c, a, b, nil, m, k, n, m, n, n, acc, opTA, "MatMulTA")
 }
 
 // MatMulTALd is MatMulTA with explicit leading dimensions.
 func MatMulTALd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	if gemmDispatch(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTA, "MatMulTA") {
-		return
-	}
-	grain := rowsGrain(k, n)
-	parallel.RangeGrain(m, grain, func(lo, hi int) {
-		if !acc {
-			for i := lo; i < hi; i++ {
-				ci := c[i*ldc : i*ldc+n]
-				for j := range ci {
-					ci[j] = 0
-				}
-			}
-		}
-		for kk := 0; kk < k; kk++ {
-			ak := a[kk*lda : kk*lda+m]
-			bk := b[kk*ldb : kk*ldb+n]
-			for i := lo; i < hi; i++ {
-				//statgate:allow floateq — sparsity skip: only an exactly-zero multiplier is safe to elide
-				if av := ak[i]; av != 0 {
-					axpy(av, bk, c[i*ldc:i*ldc+n])
-				}
-			}
-		}
-	})
+	gemm(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTA, "MatMulTA")
 }
 
-// gemmDispatch is the prologue shared by the Ld entry points: shape
-// validation, degenerate shapes, and routing to the blocked path. It
-// reports whether the product (bias included) was fully handled; on
-// false the caller runs its variant-specific streaming kernel.
-func gemmDispatch(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp, name string) bool {
+// gemm is the prologue shared by every entry point: shape validation,
+// degenerate shapes, then the blocked path, whatever the size.
+func gemm(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp, name string) {
 	checkGEMMLd(len(c), len(a), len(b), m, k, n, lda, ldb, ldc, op, name)
 	checkGEMMBias(bias, n, name)
 	if m <= 0 || n <= 0 {
-		return true
+		return
 	}
 	if k <= 0 {
 		zeroC(c, m, n, ldc, acc)
 		addBiasRows(c, bias, m, n, ldc)
-		return true
+		return
 	}
-	if m*k*n >= smallGEMMFlops {
-		gemmBlocked(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, op)
-		return true
-	}
-	return false
+	gemmBlocked(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, op)
 }
 
 // bInPlace is the rule for reading row-major B where it lies instead
@@ -680,8 +602,8 @@ func zeroC(c []float32, m, n, ldc int, acc bool) {
 }
 
 // addBiasRows adds bias to rows rows of c (stride ldc, n wide); a nil
-// bias adds nothing. It is the bias step of the paths that do not run
-// the micro-kernel.
+// bias adds nothing. It is the bias step of the k==0 case, which runs
+// no micro-kernel.
 func addBiasRows(c, bias []float32, rows, n, ldc int) {
 	if bias == nil {
 		return
@@ -745,28 +667,10 @@ func checkGEMMBias(bias []float32, n int, name string) {
 	}
 }
 
-// axpy computes y += alpha*x over equal-length slices. Unrolled by four
-// to expose instruction-level parallelism to the compiler. Here and in
-// dot each product is rounded before its add (float32(a*b)), so that no
-// compiler fuses the two: the streaming kernels round alike on every
-// GOARCH.
-func axpy(alpha float32, x, y []float32) {
-	n := len(y)
-	_ = x[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += float32(alpha * x[i])
-		y[i+1] += float32(alpha * x[i+1])
-		y[i+2] += float32(alpha * x[i+2])
-		y[i+3] += float32(alpha * x[i+3])
-	}
-	for ; i < n; i++ {
-		y[i] += float32(alpha * x[i])
-	}
-}
-
 // dot returns the inner product of equal-length slices, with four
-// independent accumulators to break the dependency chain.
+// independent accumulators to break the dependency chain. Each product
+// is rounded before its add (float32(a*b)), so that no compiler fuses
+// the two: dot rounds alike on every GOARCH.
 func dot(x, y []float32) float32 {
 	n := len(x)
 	var s0, s1, s2, s3 float32

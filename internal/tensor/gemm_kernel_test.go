@@ -399,8 +399,45 @@ func TestMatMulTBProcsMatchPackedReference(t *testing.T) {
 	}
 }
 
+// TestSmallGEMMMatchesPackedReference: a product of fewer than 32,768
+// multiply-adds — a probe head on one request, a tile-sized or a
+// single-element product — is the packed reference's bits through
+// every public entry point, both acc modes, with and without a bias:
+// small products round once per multiply-add, like every other.
+func TestSmallGEMMMatchesPackedReference(t *testing.T) {
+	r := rng.New(37)
+	for _, sh := range [][3]int{{1, 64, 8}, {4, 32, 10}, {16, 32, 32}, {1, 1, 1}, {3, 5, 7}, {2, 512, 21}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		bias := randMat(r, n)
+		for _, tc := range []struct {
+			name     string
+			op       gemmOp
+			lda, ldb int
+			bias     []float32
+			call     func(c, a, b []float32, acc bool)
+		}{
+			{"MatMul", opNN, k, n, nil, func(c, a, b []float32, acc bool) { MatMul(c, a, b, m, k, n, acc) }},
+			{"MatMulBias", opNN, k, n, bias, func(c, a, b []float32, acc bool) { MatMulBias(c, a, b, bias, m, k, n, acc) }},
+			{"MatMulBias/nil", opNN, k, n, nil, func(c, a, b []float32, acc bool) { MatMulBias(c, a, b, nil, m, k, n, acc) }},
+			{"MatMulTA", opTA, m, n, nil, func(c, a, b []float32, acc bool) { MatMulTA(c, a, b, m, k, n, acc) }},
+			{"MatMulTB", opTB, k, k, nil, func(c, a, b []float32, acc bool) { MatMulTB(c, a, b, m, k, n, acc) }},
+		} {
+			a, b := randMat(r, m*k), randMat(r, k*n)
+			for _, acc := range []bool{false, true} {
+				got := randMat(r, m*n)
+				want := append([]float32(nil), got...)
+				tc.call(got, a, b, acc)
+				packedReference(want, a, b, tc.bias, m, k, n, tc.lda, tc.ldb, n, acc, tc.op)
+				if i, ok := bitsEqual32(got, want); !ok {
+					t.Fatalf("%s %v acc=%v: element %d = %v, packed reference gives %v", tc.name, sh, acc, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulBiasMatchesBiasLoop: through the public entry points, on
-// both dispatch tiers and every build, MatMulBias is bitwise MatMul
+// every build, MatMulBias is bitwise MatMul
 // followed by the serial bias loop — k = 0 included — and a nil bias is
 // MatMul.
 func TestMatMulBiasMatchesBiasLoop(t *testing.T) {

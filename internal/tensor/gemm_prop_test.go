@@ -49,8 +49,8 @@ func naiveRef(c, a, b []float32, m, k, n int, acc bool, op gemmOp) {
 }
 
 // TestBlockedGEMMProperty drives all three kernels across ragged shapes
-// straddling the blocking boundaries (micro-tile edges, K-strip edges,
-// the small-GEMM cutoff) with m·k·n up to ~1e6, in both acc modes,
+// straddling the blocking boundaries (micro-tile edges, K-strip edges)
+// with m·k·n from 1 up to ~1e6, in both acc modes,
 // comparing against the naive reference within relTol.
 func TestBlockedGEMMProperty(t *testing.T) {
 	r := rng.New(42)

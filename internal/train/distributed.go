@@ -286,6 +286,9 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
 		return nil, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
 	}
+	if cfg.MaxStepsPerEpoch < 0 {
+		return nil, fmt.Errorf("train: negative MaxStepsPerEpoch %d", cfg.MaxStepsPerEpoch)
+	}
 	if math.IsNaN(cfg.BaseLR) || math.IsInf(cfg.BaseLR, 0) {
 		return nil, fmt.Errorf("train: non-finite BaseLR %v", cfg.BaseLR)
 	}
