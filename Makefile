@@ -35,10 +35,12 @@ race:
 # No fused multiply-adds: the Go kernels define the bits on every
 # build, and the arm64 compiler fuses x*y+z (amd64's does not). Cross-
 # build the commands for arm64 and fail if any function of the training
-# and serving packages or of the cost model holds an FMADD/FMSUB/
-# FNMADD/FNMSUB; a product that feeds a sum is written float32(a*b) + c
-# (float64(a*b) + c in the cost model).
-NOFMA_PKGS = tensor|nn|vit|mae|opt|train|dist|dataload|geodata|rng|probe|serve|metrics|fsdp|comm|perfmodel|hw|sim|trace
+# and serving packages, of the cost model or of the calibration that
+# prices it (a stored hwprofile.json must give the same machine on every
+# GOARCH) holds an FMADD/FMSUB/FNMADD/FNMSUB; a product that feeds a sum
+# is written float32(a*b) + c (float64(a*b) + c in the cost model and
+# calibration).
+NOFMA_PKGS = tensor|nn|vit|mae|opt|train|dist|dataload|geodata|rng|probe|serve|metrics|fsdp|comm|perfmodel|hw|sim|trace|calib
 
 nofma:
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \

@@ -37,6 +37,9 @@ func main() {
 	validate := flag.Bool("validate", false, "run the executed simulator-validation matrix")
 	steps := flag.Int("steps", 0, "validation steps per case (0 = default)")
 	flag.Parse()
+	if err := checkFlags(*ranks, *steps); err != nil {
+		fatal(err)
+	}
 
 	var p *calib.HardwareProfile
 	var err error
@@ -68,6 +71,19 @@ func main() {
 			fatal(fmt.Errorf("%d validation case(s) outside tolerance", n))
 		}
 	}
+}
+
+// checkFlags rejects, before anything is measured, the -ranks and
+// -steps values the command could otherwise only replace with a default
+// or discover after the sweeps have run.
+func checkFlags(ranks, steps int) error {
+	if ranks < 2 {
+		return fmt.Errorf("bad -ranks %d (want at least 2)", ranks)
+	}
+	if steps < 0 {
+		return fmt.Errorf("bad -steps %d (want 0 for the default, or more)", steps)
+	}
+	return nil
 }
 
 // printSummary renders the profile's headline numbers: the roofline

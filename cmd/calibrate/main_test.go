@@ -64,6 +64,32 @@ func TestPrintSummaryNamesEveryInstrument(t *testing.T) {
 	}
 }
 
+// TestCheckFlags pins the fail-fast on -ranks and -steps: a world of
+// fewer than two ranks, which Measure would replace (0) or reject only
+// after the roofline and STREAM (1, negative), and a negative step count
+// are named before anything runs.
+func TestCheckFlags(t *testing.T) {
+	for _, ok := range []struct{ ranks, steps int }{{2, 0}, {4, 0}, {4, 6}} {
+		if err := checkFlags(ok.ranks, ok.steps); err != nil {
+			t.Errorf("checkFlags(%d, %d): %v", ok.ranks, ok.steps, err)
+		}
+	}
+	for _, bad := range []struct {
+		ranks, steps int
+		want         string
+	}{
+		{0, 0, "bad -ranks 0"},
+		{1, 0, "bad -ranks 1"},
+		{-2, 0, "bad -ranks -2"},
+		{4, -3, "bad -steps -3"},
+	} {
+		err := checkFlags(bad.ranks, bad.steps)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("checkFlags(%d, %d) = %v, want an error naming %q", bad.ranks, bad.steps, err, bad.want)
+		}
+	}
+}
+
 // TestProfileFileRoundTripThroughCLIHelpers: the file the command
 // writes must load back verbatim through the same loader -validate
 // uses.

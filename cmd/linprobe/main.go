@@ -59,6 +59,9 @@ func main() {
 // run probes the checkpointed (or seed-initialized) encoder and reports
 // to w (factored out so tests can drive the command).
 func run(o options, w io.Writer) error {
+	if o.scale < 1 {
+		return fmt.Errorf("bad -scale %d (want at least 1)", o.scale)
+	}
 	if err := o.mae.Validate(); err != nil {
 		return err
 	}

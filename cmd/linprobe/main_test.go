@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,6 +22,23 @@ func tinyProbeOptions() options {
 		mae: mae.Config{Encoder: enc,
 			DecoderWidth: 8, DecoderDepth: 1, DecoderHeads: 2, MaskRatio: 0.75},
 		scale: 10, dataset: "UCM", epochs: 4, batch: 8, seed: 1,
+	}
+}
+
+// TestRunRejectsBadScale: a -scale below 1 fails by name before any
+// output, instead of probing the datasets -scale 1 would.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []int{0, -2} {
+		o := tinyProbeOptions()
+		o.scale = scale
+		var b strings.Builder
+		want := fmt.Sprintf("bad -scale %d", scale)
+		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-scale %d: got %v, want an error naming %q", scale, err, want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-scale %d: output written before failing:\n%s", scale, b.String())
+		}
 	}
 }
 

@@ -137,6 +137,9 @@ func (o options) distConfig() train.DistConfig {
 // run trains and reports to w (factored out so tests can drive the
 // command and read what -out wrote).
 func run(o options, w io.Writer) error {
+	if o.scale < 1 {
+		return fmt.Errorf("bad -scale %d (want at least 1)", o.scale)
+	}
 	if err := checkWorld(o.ranks, o.batch); err != nil {
 		return err
 	}

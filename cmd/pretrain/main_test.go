@@ -229,6 +229,23 @@ func TestCheckWorld(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadScale: a -scale below 1 fails by name before any
+// output, instead of training on the full corpus as -scale 1 would.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []int{0, -2} {
+		o := tinyOptions(1, train.FP32)
+		o.scale = scale
+		var b strings.Builder
+		want := fmt.Sprintf("bad -scale %d", scale)
+		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-scale %d: got %v, want an error naming %q", scale, err, want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-scale %d: output written before failing:\n%s", scale, b.String())
+		}
+	}
+}
+
 // TestCommTableGoldenBF16 is the bf16 twin of TestCommTableGolden: the
 // identical 4-rank HYBRID_2GPUs run under -precision bf16 must report
 // exactly half the per-step wire bytes on every gradient/parameter

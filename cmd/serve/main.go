@@ -138,6 +138,9 @@ func run(o options, w io.Writer) error {
 	if o.n < 1 {
 		return fmt.Errorf("bad -n %d: want at least 1 request per run", o.n)
 	}
+	if o.scale < 1 {
+		return fmt.Errorf("bad -scale %d (want at least 1)", o.scale)
+	}
 	if o.closed && (o.loop.Clients < 1 || o.loop.PerClient < 1) {
 		return fmt.Errorf("bad closed loop -clients %d -per-client %d: want at least 1 of each", o.loop.Clients, o.loop.PerClient)
 	}

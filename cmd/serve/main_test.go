@@ -238,7 +238,7 @@ func FuzzServeCheckpoint(f *testing.F) {
 
 // TestServeBadMode pins the fail-fast on an unknown -mode (and on an
 // unusable batcher setting, arrival rate, request count, closed-loop
-// client count, think time or model geometry):
+// client count, think time, dataset scale or model geometry):
 // the error comes before any work, so nothing is printed.
 func TestServeBadMode(t *testing.T) {
 	badMode, nanWait := tinyServeOptions(), tinyServeOptions()
@@ -256,6 +256,9 @@ func TestServeBadMode(t *testing.T) {
 	negN.n = -5
 	noClients.loop.Clients = 0
 	negPerClient.loop.PerClient = -1
+	zeroScale, negScale := tinyServeOptions(), tinyServeOptions()
+	zeroScale.scale = 0
+	negScale.scale = -2
 	for _, c := range []struct {
 		o    options
 		want string
@@ -271,6 +274,8 @@ func TestServeBadMode(t *testing.T) {
 		{negN, "bad -n -5"},
 		{noClients, "bad closed loop -clients 0"},
 		{negPerClient, "-per-client -1"},
+		{zeroScale, "bad -scale 0"},
+		{negScale, "bad -scale -2"},
 	} {
 		var b strings.Builder
 		if err := run(c.o, &b); err == nil || !strings.Contains(err.Error(), c.want) {

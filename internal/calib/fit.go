@@ -57,15 +57,15 @@ func FitAlphaBeta(bytes, secs []float64) (alpha, beta float64, err error) {
 	var sxx, sxy float64
 	for i := range bytes {
 		dx := bytes[i] - mx
-		sxx += dx * dx
-		sxy += dx * (secs[i] - my)
+		sxx += float64(dx * dx)
+		sxy += float64(dx * (secs[i] - my))
 	}
 	//statgate:allow floateq — exact degeneracy test: sxx is 0 only when every sweep point coincides
 	if sxx == 0 {
 		return 0, 0, fmt.Errorf("%w: all %d points at %v bytes", ErrSweepDegenerate, len(bytes), bytes[0])
 	}
 	beta = sxy / sxx
-	alpha = my - beta*mx
+	alpha = my - float64(beta*mx)
 	if beta <= 0 {
 		return 0, 0, fmt.Errorf("%w: β = %v s/B over [%v, %v] bytes", ErrFitNonPhysical, beta, bytes[0], bytes[len(bytes)-1])
 	}

@@ -62,7 +62,7 @@ func (r Roofline) GFLOPSAt(dim float64) float64 {
 		}
 		d0, d1 := math.Log(lo.Dim()), math.Log(hi.Dim())
 		t := (math.Log(dim) - d0) / (d1 - d0)
-		return lo.GFLOPS + t*(hi.GFLOPS-lo.GFLOPS)
+		return lo.GFLOPS + float64(t*(hi.GFLOPS-lo.GFLOPS))
 	}
 	return last.GFLOPS
 }
@@ -159,7 +159,7 @@ func CharacteristicGEMMDim(w perfmodel.Workload) float64 {
 			continue
 		}
 		dim := math.Cbrt(float64(f.m) * float64(f.k) * float64(f.n))
-		logSum += f.weight * math.Log(dim)
+		logSum += float64(f.weight * math.Log(dim))
 		wSum += f.weight
 	}
 	//statgate:allow floateq — exact: wSum stays 0 only when no family passed the filter

@@ -65,7 +65,7 @@ func MeasureStream(elems, reps int) StreamResult {
 	res.TriadBW = run(3*4*float64(elems), func() {
 		parallel.Range(elems, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				a[i] = b[i] + q*c[i]
+				a[i] = b[i] + float32(q*c[i])
 			}
 		})
 	})

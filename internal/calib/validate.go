@@ -133,6 +133,9 @@ func validationPlans(bucketBytes int) []fsdp.Plan {
 // composes with backward compute, what overlap hides, what stays
 // exposed — against ground-truth execution.
 func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
+	if opts.Steps < 0 {
+		return nil, fmt.Errorf("calib: negative validation Steps %d", opts.Steps)
+	}
 	if opts.Steps == 0 {
 		opts.Steps = 6
 	}
@@ -258,7 +261,7 @@ func Validate(p *HardwareProfile, opts ValidateOptions) (*Report, error) {
 				// lost, up to (1 − 1/Contention) of predicted compute on top
 				// of the predicted exposure. The step wall-clock — the sum —
 				// has no such ambiguity and stays a point comparison.
-				exposedHi := predExposed + (1-1/cont)*predCompute
+				exposedHi := predExposed + float64((1-1/cont)*predCompute)
 				cr.OK = cr.Step.Within(tolStep) &&
 					bandWithin(cr.Compute.MeasuredSec, predCompute/cont, predCompute, tolCompute) &&
 					((cr.Exposed.MeasuredSec <= floor && predExposed <= floor) ||

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,6 +27,15 @@ func TestSimulatorValidation(t *testing.T) {
 	t.Logf("\n%s", rep)
 	if n := rep.Failures(); n > 0 {
 		t.Fatalf("%d/%d cases outside tolerance", n, len(rep.Cases))
+	}
+}
+
+// TestValidateRejectsNegativeSteps: a negative step count is named as
+// the option it is, before any case executes.
+func TestValidateRejectsNegativeSteps(t *testing.T) {
+	_, err := Validate(testProfile(), ValidateOptions{Steps: -3})
+	if err == nil || !strings.HasPrefix(err.Error(), "calib: ") || !strings.Contains(err.Error(), "Steps -3") {
+		t.Fatalf("got %v, want a calib: error naming Steps -3", err)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestPoisonedArenas(t *testing.T) {
 			m.BackwardStep()
 		}
 		for _, p := range m.Params() {
-			parts = append(parts, p.Grad.Data)
+			parts = append(parts, p.Grad)
 		}
 		return golden.Fingerprint(append(parts, m.Features(imgs, batch), m.TokenFeatures(imgs, batch))...)
 	}

@@ -58,10 +58,10 @@ func TestFrozenPassMatchesRecordingPass(t *testing.T) {
 	// frozen pass must read the live values, not a stale copy.
 	m.Step(imgs, batch)
 	for _, p := range m.Params() {
-		for i, g := range p.Grad.Data {
-			p.Value.Data[i] -= 0.01 * g
+		for i, g := range p.Grad {
+			p.Value[i] -= 0.01 * g
 		}
-		p.Grad.Fill(0)
+		p.ZeroGrad()
 	}
 	check("after sgd step")
 }

@@ -31,7 +31,7 @@ func TestFrozenFeaturesGolden(t *testing.T) {
 			parts := []any{m.FeaturesWithGrad(imgs, batch)}
 			m.BackwardFeatures(dPooled)
 			for _, p := range m.EncoderParams() {
-				parts = append(parts, p.Grad.Data)
+				parts = append(parts, p.Grad)
 			}
 			return golden.Fingerprint(parts...)
 		}},
@@ -78,7 +78,7 @@ func TestStepGradientsGolden(t *testing.T) {
 			}
 			parts := []any{losses}
 			for _, p := range m.Params() {
-				parts = append(parts, p.Grad.Data)
+				parts = append(parts, p.Grad)
 			}
 			if got := golden.Fingerprint(parts...); got != c.want {
 				t.Errorf("GOMAXPROCS=%d %s: fingerprint %#x, want %#x", procs, c.name, got, c.want)

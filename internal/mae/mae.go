@@ -135,7 +135,7 @@ func New(cfg Config, r *rng.RNG) *Model {
 		frozen:    nn.NewInferCtx(),
 	}
 	m.MaskToken.NoWeightDecay = true
-	m.MaskToken.Value.RandnInit(r, 0.02)
+	r.FillNormal(m.MaskToken.Value, 0, 0.02)
 	m.Decoder = vit.NewStack("mae.dec", cfg.DecoderWidth, cfg.DecoderDepth, 4*cfg.DecoderWidth, cfg.DecoderHeads, r)
 	return m
 }
@@ -367,7 +367,7 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	// scatter encoded visible tokens back to their grid positions, then
 	// add decoder positional encodings.
 	decIn := ctx.Take(batch * t * dw)
-	mt := m.MaskToken.Value.Data
+	mt := m.MaskToken.Value
 	for row := 0; row < batch*t; row++ {
 		copy(decIn[row*dw:(row+1)*dw], mt)
 	}
@@ -449,7 +449,7 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	// Split it: visible positions flow to the encoder path, all other
 	// positions accumulate into the mask token.
 	visMask := m.tokenMask()
-	mtGrad := m.MaskToken.Grad.Data
+	mtGrad := m.MaskToken.Grad
 	for b := 0; b < batch; b++ {
 		clear(visMask)
 		for i, g := range m.keepIdx[b] {

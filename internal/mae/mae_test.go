@@ -162,8 +162,8 @@ func TestStepReducesLossOverTraining(t *testing.T) {
 		nn.ZeroGrads(ps)
 		last = step()
 		for _, p := range ps {
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= lr * g
+			for i, g := range p.Grad {
+				p.Value[i] -= lr * g
 			}
 		}
 	}
@@ -197,14 +197,14 @@ func TestFullModelGradientCheck(t *testing.T) {
 	probes := []*nn.Param{ps[0], m.MaskToken, ps[len(ps)/2], ps[len(ps)-1]}
 	for _, p := range probes {
 		for _, idx := range []int{0, p.NumEl() / 2} {
-			orig := p.Value.Data[idx]
-			p.Value.Data[idx] = orig + h
+			orig := p.Value[idx]
+			p.Value[idx] = orig + h
 			lp := lossAt()
-			p.Value.Data[idx] = orig - h
+			p.Value[idx] = orig - h
 			lm := lossAt()
-			p.Value.Data[idx] = orig
+			p.Value[idx] = orig
 			num := (lp - lm) / (2 * h)
-			got := float64(p.Grad.Data[idx])
+			got := float64(p.Grad[idx])
 			scale := math.Max(0.05, math.Max(math.Abs(num), math.Abs(got)))
 			if math.Abs(num-got)/scale > 5e-2 {
 				t.Errorf("%s[%d]: numeric %v analytic %v", p.Name, idx, num, got)
@@ -290,7 +290,7 @@ func TestFineTuneGradientFlowsToEncoder(t *testing.T) {
 	m.BackwardFeatures(d)
 	var norm float64
 	for _, p := range m.EncoderParams() {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Grad {
 			norm += float64(g) * float64(g)
 		}
 	}
@@ -315,7 +315,7 @@ func TestFeaturesBetweenForwardAndBackward(t *testing.T) {
 		m.BackwardStep()
 		var g []float32
 		for _, p := range m.Params() {
-			g = append(g, p.Grad.Data...)
+			g = append(g, p.Grad...)
 		}
 		return g
 	}
@@ -338,7 +338,7 @@ func TestBackwardStepConcurrentReplicas(t *testing.T) {
 	grads := func(m *Model) []float32 {
 		var g []float32
 		for _, p := range m.Params() {
-			g = append(g, p.Grad.Data...)
+			g = append(g, p.Grad...)
 		}
 		return g
 	}
@@ -471,7 +471,7 @@ func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 				// Snapshot this segment's gradients at emission.
 				var snap []float32
 				for _, p := range segs[k] {
-					snap = append(snap, p.Grad.Data...)
+					snap = append(snap, p.Grad...)
 				}
 				snapshots[k] = snap
 				events++
@@ -480,7 +480,7 @@ func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 			for k, seg := range segs {
 				var now []float32
 				for _, p := range seg {
-					now = append(now, p.Grad.Data...)
+					now = append(now, p.Grad...)
 				}
 				for i := range now {
 					if math.Float32bits(now[i]) != math.Float32bits(snapshots[k][i]) {
@@ -493,7 +493,7 @@ func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 		}
 		var flat []float32
 		for _, p := range params {
-			flat = append(flat, p.Grad.Data...)
+			flat = append(flat, p.Grad...)
 		}
 		return flat, events
 	}

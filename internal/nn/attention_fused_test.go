@@ -53,7 +53,7 @@ func runAttn(materialized bool, batch, tokens, width, heads int, x, dy []float32
 		a.Backprop(ctx, dx, dy)
 	}
 	for _, p := range a.Params() {
-		grads = append(grads, p.Grad.Data...)
+		grads = append(grads, p.Grad...)
 	}
 	return y, dx, grads
 }
@@ -179,7 +179,7 @@ func TestFrozenBlockMatchesRecording(t *testing.T) {
 		b.Backprop(ctx, dx, dy)
 		out := [][]float32{y, dx}
 		for _, p := range b.Params() {
-			out = append(out, p.Grad.Data)
+			out = append(out, p.Grad)
 		}
 		return out
 	}
@@ -207,7 +207,7 @@ func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 	run := func() (out [][]float32) {
 		a := NewMultiHeadAttention("attn", width, heads, rng.New(5))
 		ln := NewLayerNorm("ln", width)
-		rng.New(6).FillNormal(ln.Gamma.Value.Data, 1, 0.1)
+		rng.New(6).FillNormal(ln.Gamma.Value, 1, 0.1)
 		ctx, frozen := NewTrainCtx(), NewInferCtx()
 		y := a.Apply(ctx, ln.Apply(ctx, x, batch*tokens), batch, tokens)
 		if yf := a.Apply(frozen, ln.Apply(frozen, x, batch*tokens), batch, tokens); !bitsEqual(yf, y) {
@@ -218,7 +218,7 @@ func TestAttentionAndLayerNormProcsIndependent(t *testing.T) {
 		ln.Backprop(dx, dh)
 		out = append(out, y, dx)
 		for _, p := range append(a.Params(), ln.Params()...) {
-			out = append(out, p.Grad.Data)
+			out = append(out, p.Grad)
 		}
 		return out
 	}

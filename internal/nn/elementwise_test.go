@@ -67,17 +67,17 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 		for _, s := range []struct{ rows, in, out int }{{1, 3, 5}, {7, 16, 33}, {300, 24, 192}, {2050, 8, 67}} {
 			r := rng.New(uint64(11 + s.rows))
 			l := NewLinear("l", s.in, s.out, r)
-			r.FillNormal(l.B.Value.Data, 0, 1)
+			r.FillNormal(l.B.Value, 0, 1)
 			x := make([]float32, s.rows*s.in)
 			dy := make([]float32, s.rows*s.out)
 			r.FillNormal(x, 0, 1)
 			r.FillNormal(dy, 0, 1)
-			r.FillNormal(l.B.Grad.Data, 0, 1) // reductions accumulate onto what is there
+			r.FillNormal(l.B.Grad, 0, 1) // reductions accumulate onto what is there
 
 			wantY := make([]float32, s.rows*s.out)
-			tensor.MatMul(wantY, x, l.W.Value.Data, s.rows, s.in, s.out, false)
-			serialAddBias(wantY, l.B.Value.Data, s.rows)
-			wantDB := append([]float32(nil), l.B.Grad.Data...)
+			tensor.MatMul(wantY, x, l.W.Value, s.rows, s.in, s.out, false)
+			serialAddBias(wantY, l.B.Value, s.rows)
+			wantDB := append([]float32(nil), l.B.Grad...)
 			serialColumnSums(wantDB, dy, s.rows)
 
 			ctx := NewTrainCtx()
@@ -88,19 +88,19 @@ func TestBiasAndParamGradsMatchSerialLoops(t *testing.T) {
 				t.Errorf("procs=%d %+v: frozen Linear.Apply differs from the serial bias loop", procs, s)
 			}
 			l.Backprop(nil, dy)
-			if !bitsEqual(l.B.Grad.Data, wantDB) {
+			if !bitsEqual(l.B.Grad, wantDB) {
 				t.Errorf("procs=%d %+v: Linear.Backprop bias grad differs from the serial column sums", procs, s)
 			}
 
 			ln := NewLayerNorm("ln", s.out)
-			r.FillNormal(ln.Gamma.Grad.Data, 0, 1)
-			r.FillNormal(ln.Beta.Grad.Data, 0, 1)
+			r.FillNormal(ln.Gamma.Grad, 0, 1)
+			r.FillNormal(ln.Beta.Grad, 0, 1)
 			ln.Apply(ctx, wantY, s.rows)
-			wantDG := append([]float32(nil), ln.Gamma.Grad.Data...)
-			wantDBeta := append([]float32(nil), ln.Beta.Grad.Data...)
+			wantDG := append([]float32(nil), ln.Gamma.Grad...)
+			wantDBeta := append([]float32(nil), ln.Beta.Grad...)
 			serialLayerNormParamGrads(wantDG, wantDBeta, dy, ln.xhat, s.rows)
 			ln.Backprop(make([]float32, len(dy)), dy)
-			if !bitsEqual(ln.Gamma.Grad.Data, wantDG) || !bitsEqual(ln.Beta.Grad.Data, wantDBeta) {
+			if !bitsEqual(ln.Gamma.Grad, wantDG) || !bitsEqual(ln.Beta.Grad, wantDBeta) {
 				t.Errorf("procs=%d %+v: LayerNorm.Backprop dγ/dβ differ from the serial loop", procs, s)
 			}
 		}
@@ -123,14 +123,14 @@ func TestLinearProcsIndependent(t *testing.T) {
 		r.FillNormal(dy, 0, 1)
 		run := func() (out [][]float32) {
 			l := NewLinear("l", s.in, s.out, rng.New(3))
-			rng.New(4).FillNormal(l.B.Value.Data, 0, 1)
+			rng.New(4).FillNormal(l.B.Value, 0, 1)
 			y := l.Apply(NewTrainCtx(), x, s.rows)
 			if yf := l.Apply(NewInferCtx(), x, s.rows); !bitsEqual(yf, y) {
 				t.Errorf("GOMAXPROCS=%d %+v: frozen pass differs from the recording pass", runtime.GOMAXPROCS(0), s)
 			}
 			dx := make([]float32, len(x))
 			l.Backprop(dx, dy)
-			return append(out, y, dx, l.W.Grad.Data, l.B.Grad.Data)
+			return append(out, y, dx, l.W.Grad, l.B.Grad)
 		}
 		var want [][]float32
 		for _, procs := range []int{1, 2, 3, 7} {

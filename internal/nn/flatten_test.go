@@ -39,8 +39,8 @@ func fuzzShapes(seed uint64) []*nn.Param {
 		}
 	}
 	for _, p := range ps {
-		r.FillUniform(p.Value.Data, -2, 2)
-		r.FillUniform(p.Grad.Data, -0.1, 0.1)
+		r.FillUniform(p.Value, -2, 2)
+		r.FillUniform(p.Grad, -0.1, 0.1)
 	}
 	return ps
 }
@@ -55,8 +55,8 @@ func concat(ps []*nn.Param, field func(*nn.Param) []float32) []float32 {
 	return out
 }
 
-func values(p *nn.Param) []float32 { return p.Value.Data }
-func grads(p *nn.Param) []float32  { return p.Grad.Data }
+func values(p *nn.Param) []float32 { return p.Value }
+func grads(p *nn.Param) []float32  { return p.Grad }
 
 // checkFlattened asserts FlattenParams' contract on its result: the
 // windows tile [0, CountParams) of each buffer in Params() order
@@ -74,7 +74,7 @@ func checkFlattened(t *testing.T, ps []*nn.Param, flatW, flatG, wantW, wantG []f
 		for _, f := range []struct {
 			name       string
 			data, flat []float32
-		}{{"Value", p.Value.Data, flatW}, {"Grad", p.Grad.Data, flatG}} {
+		}{{"Value", p.Value, flatW}, {"Grad", p.Grad, flatG}} {
 			if cap(f.data) != len(f.data) {
 				t.Fatalf("param %d %s: cap %d != len %d — an append would write into the neighbour", i, f.name, cap(f.data), len(f.data))
 			}
@@ -82,8 +82,8 @@ func checkFlattened(t *testing.T, ps []*nn.Param, flatW, flatG, wantW, wantG []f
 				t.Fatalf("param %d %s does not start at flat element %d", i, f.name, off)
 			}
 		}
-		if len(p.Grad.Data) != len(p.Value.Data) {
-			t.Fatalf("param %d: %d values, %d gradients", i, len(p.Value.Data), len(p.Grad.Data))
+		if len(p.Grad) != len(p.Value) {
+			t.Fatalf("param %d: %d values, %d gradients", i, len(p.Value), len(p.Grad))
 		}
 		off += p.NumEl()
 	}
@@ -115,21 +115,21 @@ func TestFlattenParamsContract(t *testing.T) {
 	// A write through a tensor is visible in the flat buffer, and the
 	// reverse.
 	last := ps[len(ps)-1]
-	last.Value.Data[last.NumEl()-1] = 42
-	ps[0].Grad.Data[0] = -7
+	last.Value[last.NumEl()-1] = 42
+	ps[0].Grad[0] = -7
 	if flatW[dim-1] != 42 || flatG[0] != -7 {
 		t.Fatalf("tensor writes not visible in the flat buffers: %v %v", flatW[dim-1], flatG[0])
 	}
 	flatW[0], flatG[dim-1] = 3, 9
-	if ps[0].Value.Data[0] != 3 || last.Grad.Data[last.NumEl()-1] != 9 {
+	if ps[0].Value[0] != 3 || last.Grad[last.NumEl()-1] != 9 {
 		t.Fatal("flat writes not visible through the tensors")
 	}
 
 	// An append to one window reallocates instead of overwriting the
 	// neighbour's first element.
-	before := ps[1].Value.Data[0]
-	_ = append(ps[0].Value.Data, before+1)
-	if ps[1].Value.Data[0] != before {
+	before := ps[1].Value[0]
+	_ = append(ps[0].Value, before+1)
+	if ps[1].Value[0] != before {
 		t.Fatal("append through a window wrote into the next parameter")
 	}
 

@@ -66,7 +66,7 @@ func gradCheck(t *testing.T, name string, x []float32, outLen int,
 
 	for _, p := range params {
 		pi := sampleIdx(r, p.NumEl(), 8)
-		check(p.Name, p.Value.Data, p.Grad.Data, pi)
+		check(p.Name, p.Value, p.Grad, pi)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestLayerNormGradients(t *testing.T) {
 	const rows, dim = 6, 8
 	ln := NewLayerNorm("ln", dim)
 	// Non-trivial gamma/beta so their gradients are exercised.
-	ln.Gamma.Value.RandnInit(r, 1)
-	ln.Beta.Value.RandnInit(r, 1)
+	r.FillNormal(ln.Gamma.Value, 0, 1)
+	r.FillNormal(ln.Beta.Value, 0, 1)
 	x := make([]float32, rows*dim)
 	r.FillNormal(x, 0, 2)
 	fwd, _ := recorded(func(ctx *Arena, x []float32) []float32 { return ln.Apply(ctx, x, rows) })

@@ -29,7 +29,9 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 	ln.Gamma.NoWeightDecay = true
 	ln.Beta.NoWeightDecay = true
-	ln.Gamma.Value.Fill(1)
+	for i := range ln.Gamma.Value {
+		ln.Gamma.Value[i] = 1
+	}
 	return ln
 }
 
@@ -47,7 +49,7 @@ func (ln *LayerNorm) Apply(ctx *Arena, x []float32, rows int) []float32 {
 		xhat, invStd = ctx.Take(rows*d), ctx.Take(rows)
 		ln.rows, ln.xhat, ln.invStd = rows, xhat, invStd
 	}
-	tensor.LayerNorm(y, xhat, invStd, x, ln.Gamma.Value.Data, ln.Beta.Value.Data, rows, d, ln.Eps)
+	tensor.LayerNorm(y, xhat, invStd, x, ln.Gamma.Value, ln.Beta.Value, rows, d, ln.Eps)
 	return y
 }
 
@@ -58,6 +60,6 @@ func (ln *LayerNorm) Backprop(dx, dy []float32) {
 	d := ln.Dim
 	rows := ln.rows
 	checkRows(len(dy), rows, d, "LayerNorm.Backprop")
-	tensor.LayerNormParamGrads(ln.Gamma.Grad.Data, ln.Beta.Grad.Data, dy, ln.xhat, rows, d)
-	tensor.LayerNormBackward(dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value.Data, rows, d)
+	tensor.LayerNormParamGrads(ln.Gamma.Grad, ln.Beta.Grad, dy, ln.xhat, rows, d)
+	tensor.LayerNormBackward(dx, dy, ln.xhat, ln.invStd, ln.Gamma.Value, rows, d)
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -29,7 +31,8 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 		B:   NewParam(name+".bias", out),
 	}
 	l.B.NoWeightDecay = true
-	l.W.Value.XavierInit(r, in, out)
+	limit := float32(math.Sqrt(6.0 / float64(in+out)))
+	r.FillUniform(l.W.Value, -limit, limit)
 	return l
 }
 
@@ -44,7 +47,7 @@ func (l *Linear) Apply(ctx *Arena, x []float32, rows int) []float32 {
 	if ctx.recording {
 		l.x, l.rows = x, rows
 	}
-	tensor.MatMulBias(y, x, l.W.Value.Data, l.B.Value.Data, rows, l.In, l.Out, false)
+	tensor.MatMulBias(y, x, l.W.Value, l.B.Value, rows, l.In, l.Out, false)
 	return y
 }
 
@@ -55,10 +58,10 @@ func (l *Linear) Backprop(dx, dy []float32) {
 	rows := l.rows
 	checkRows(len(dy), rows, l.Out, "Linear.Backprop")
 	// dW += xᵀ·dy : (in × rows)·(rows × out)
-	tensor.MatMulTA(l.W.Grad.Data, l.x, dy, l.In, rows, l.Out, true)
-	tensor.ColumnSums(l.B.Grad.Data, dy, rows, l.Out)
+	tensor.MatMulTA(l.W.Grad, l.x, dy, l.In, rows, l.Out, true)
+	tensor.ColumnSums(l.B.Grad, dy, rows, l.Out)
 	if dx != nil {
 		// dx = dy·Wᵀ : W stored (in × out) so this is the TB kernel.
-		tensor.MatMulTB(dx, dy, l.W.Value.Data, rows, l.Out, l.In, false)
+		tensor.MatMulTB(dx, dy, l.W.Value, rows, l.Out, l.In, false)
 	}
 }

@@ -15,12 +15,27 @@ func TestParamHelpers(t *testing.T) {
 	if p.NumEl() != 12 {
 		t.Fatalf("NumEl=%d", p.NumEl())
 	}
-	p.Grad.Fill(2)
+	for i := range p.Grad {
+		p.Grad[i] = 2
+	}
 	p.ZeroGrad()
-	for _, v := range p.Grad.Data {
+	for _, v := range p.Grad {
 		if v != 0 {
 			t.Fatal("ZeroGrad failed")
 		}
+	}
+}
+
+func TestXavierInitRange(t *testing.T) {
+	l := NewLinear("w", 64, 64, rng.New(1))
+	limit := math.Sqrt(6.0 / 128.0)
+	for _, v := range l.W.Value {
+		if float64(v) < -limit || float64(v) >= limit {
+			t.Fatalf("value %v outside Xavier bound %v", v, limit)
+		}
+	}
+	if m := tensor.Mean(l.W.Value); m > 0.02 || m < -0.02 {
+		t.Fatalf("Xavier mean %v not centered", m)
 	}
 }
 
@@ -39,7 +54,7 @@ func TestCollectAndCount(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 4)
-	copy(p.Grad.Data, []float32{3, 4, 0, 0}) // norm 5
+	copy(p.Grad, []float32{3, 4, 0, 0}) // norm 5
 	ps := []*Param{p}
 	pre := ClipGradNorm(ps, 1.0)
 	if math.Abs(pre-5) > 1e-6 {
@@ -49,7 +64,7 @@ func TestClipGradNorm(t *testing.T) {
 		t.Fatalf("post-clip norm %v", post)
 	}
 	// Below the threshold nothing changes.
-	copy(p.Grad.Data, []float32{0.3, 0.4, 0, 0})
+	copy(p.Grad, []float32{0.3, 0.4, 0, 0})
 	ClipGradNorm(ps, 1.0)
 	if math.Abs(GradL2Norm(ps)-0.5) > 1e-6 {
 		t.Fatal("clip modified small gradient")
@@ -66,9 +81,9 @@ func TestGradL2NormMatchesFlatWalk(t *testing.T) {
 	var flat []float32
 	for _, n := range []int{5, 64, 1, 129, 7, 2048, 3, 31} {
 		p := NewParam("p", n)
-		r.FillNormal(p.Grad.Data, 0, 0.3)
+		r.FillNormal(p.Grad, 0, 0.3)
 		ps = append(ps, p)
-		flat = append(flat, p.Grad.Data...)
+		flat = append(flat, p.Grad...)
 	}
 	flat = append(flat, 0, 0, 0) // a pad tail adds nothing
 	want := math.Float64bits(GradL2Norm(ps))
@@ -88,8 +103,8 @@ func TestGradL2NormMatchesFlatWalk(t *testing.T) {
 func TestLinearForwardKnown(t *testing.T) {
 	r := rng.New(2)
 	l := NewLinear("l", 2, 2, r)
-	copy(l.W.Value.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]] (in×out)
-	copy(l.B.Value.Data, []float32{10, 20})
+	copy(l.W.Value, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]] (in×out)
+	copy(l.B.Value, []float32{10, 20})
 	y := l.Apply(NewInferCtx(), []float32{1, 1}, 1)
 	// y = [1+3+10, 2+4+20] = [14, 26]
 	if y[0] != 14 || y[1] != 26 {

@@ -33,32 +33,35 @@ import (
 	"repro/internal/tensor"
 )
 
-// Param is a trainable tensor with its gradient accumulator. Optimizers
-// consume pairs of (Value, Grad) slices.
+// Param is a named trainable window of float32 values with its
+// gradient accumulator of the same length. Layers read Value as a
+// row-major matrix of the shape they were built with; after
+// FlattenParams both slices are windows of the rank's flat buffers.
 type Param struct {
 	Name  string
-	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	Value []float32
+	Grad  []float32
 	// NoWeightDecay marks parameters (biases, LayerNorm gains) that
 	// AdamW must exclude from decoupled weight decay, following the
 	// MAE recipe.
 	NoWeightDecay bool
 }
 
-// NewParam allocates a parameter and matching zero gradient.
+// NewParam allocates a zero parameter and matching zero gradient with
+// as many elements as the product of shape.
 func NewParam(name string, shape ...int) *Param {
-	return &Param{
-		Name:  name,
-		Value: tensor.New(shape...),
-		Grad:  tensor.New(shape...),
+	n := 1
+	for _, d := range shape {
+		n *= d
 	}
+	return &Param{Name: name, Value: make([]float32, n), Grad: make([]float32, n)}
 }
 
 // NumEl returns the parameter's element count.
-func (p *Param) NumEl() int { return p.Value.NumEl() }
+func (p *Param) NumEl() int { return len(p.Value) }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() { clear(p.Grad) }
 
 // CountParams sums the element counts over params.
 func CountParams(ps []*Param) int {
@@ -70,12 +73,12 @@ func CountParams(ps []*Param) int {
 }
 
 // FlattenParams re-homes ps into two contiguous buffers of n elements —
-// FSDP's FlatParameter: every Value.Data and Grad.Data becomes a window
-// of values / grads, in order, contents preserved, so the model computes
+// FSDP's FlatParameter: every Value and Grad becomes a window of
+// values / grads, in order, contents preserved, so the model computes
 // on and accumulates into the very buffers a collective reduces or
 // gathers and an optimizer steps, with no copy in between. n may exceed
 // CountParams(ps) (padding to a ring-divisible length); the tail stays
-// zero. The windows are cap-limited, so an append to one tensor cannot
+// zero. The windows are cap-limited, so an append to one parameter cannot
 // write into its neighbour.
 func FlattenParams(ps []*Param, n int) (values, grads []float32) {
 	if dim := CountParams(ps); n < dim {
@@ -85,9 +88,9 @@ func FlattenParams(ps []*Param, n int) (values, grads []float32) {
 	off := 0
 	for _, p := range ps {
 		end := off + p.NumEl()
-		copy(values[off:end], p.Value.Data)
-		copy(grads[off:end], p.Grad.Data)
-		p.Value.Data, p.Grad.Data = values[off:end:end], grads[off:end:end]
+		copy(values[off:end], p.Value)
+		copy(grads[off:end], p.Grad)
+		p.Value, p.Grad = values[off:end:end], grads[off:end:end]
 		off = end
 	}
 	return values, grads
@@ -108,8 +111,8 @@ func GradL2Norm(ps []*Param) float64 {
 	var s tensor.SumSq
 	off := 0
 	for _, p := range ps {
-		s.Add(p.Grad.Data, off)
-		off += len(p.Grad.Data)
+		s.Add(p.Grad, off)
+		off += len(p.Grad)
 	}
 	return math.Sqrt(s.Sum())
 }
@@ -121,7 +124,7 @@ func ClipGradNorm(ps []*Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := float32(maxNorm / norm)
 		for _, p := range ps {
-			tensor.Scale(p.Grad.Data, p.Grad.Data, scale)
+			tensor.Scale(p.Grad, p.Grad, scale)
 		}
 	}
 	return norm

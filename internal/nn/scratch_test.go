@@ -66,7 +66,7 @@ func (rp *replica) step() [][]float32 {
 	out := [][]float32{append([]float32(nil), d...)}
 	for _, b := range append(rp.enc, rp.dec) {
 		for _, p := range b.Params() {
-			out = append(out, append([]float32(nil), p.Grad.Data...))
+			out = append(out, append([]float32(nil), p.Grad...))
 		}
 	}
 	return out
@@ -142,7 +142,7 @@ func TestBlockBackwardOverwritesScratch(t *testing.T) {
 		b.Backprop(ctx, dx, dy)
 		out = append(out, dx)
 		for _, p := range b.Params() {
-			out = append(out, p.Grad.Data)
+			out = append(out, p.Grad)
 		}
 		return out
 	}

@@ -107,25 +107,25 @@ func GatherSpans(dst, src []float32, spans []Span) {
 // region are left untouched (a padded tail stays zero if it started
 // zero, which keeps ring reductions over the pad exact).
 func PackGrads(dst []float32, params []*nn.Param) {
-	packTensors(dst, params, func(p *nn.Param) []float32 { return p.Grad.Data })
+	packTensors(dst, params, func(p *nn.Param) []float32 { return p.Grad })
 }
 
 // UnpackGrads copies the packed flat gradient back into every
 // parameter's gradient tensor.
 func UnpackGrads(params []*nn.Param, src []float32) {
-	unpackTensors(src, params, func(p *nn.Param) []float32 { return p.Grad.Data })
+	unpackTensors(src, params, func(p *nn.Param) []float32 { return p.Grad })
 }
 
 // PackValues copies every parameter's value into dst in parameter
 // order.
 func PackValues(dst []float32, params []*nn.Param) {
-	packTensors(dst, params, func(p *nn.Param) []float32 { return p.Value.Data })
+	packTensors(dst, params, func(p *nn.Param) []float32 { return p.Value })
 }
 
 // UnpackValues copies the packed flat values back into every
 // parameter's value tensor.
 func UnpackValues(params []*nn.Param, src []float32) {
-	unpackTensors(src, params, func(p *nn.Param) []float32 { return p.Value.Data })
+	unpackTensors(src, params, func(p *nn.Param) []float32 { return p.Value })
 }
 
 func packTensors(dst []float32, params []*nn.Param, field func(*nn.Param) []float32) {

@@ -13,8 +13,8 @@ func randParams(r *rng.RNG) []*nn.Param {
 	var ps []*nn.Param
 	for i, s := range shapes {
 		p := nn.NewParam("p", s...)
-		r.FillUniform(p.Value.Data, -1, 1)
-		r.FillUniform(p.Grad.Data, -0.1, 0.1)
+		r.FillUniform(p.Value, -1, 1)
+		r.FillUniform(p.Grad, -0.1, 0.1)
 		if i%2 == 1 {
 			p.NoWeightDecay = true
 		}
@@ -35,8 +35,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	// Mutate the params, then restore from the flat copy.
 	orig := append([]float32(nil), flat[:dim]...)
 	for _, p := range ps {
-		for i := range p.Value.Data {
-			p.Value.Data[i] = -99
+		for i := range p.Value {
+			p.Value[i] = -99
 		}
 	}
 	UnpackValues(ps, flat)
@@ -49,10 +49,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 
 	PackGrads(flat, ps)
-	g0 := ps[0].Grad.Data[0]
-	ps[0].Grad.Data[0] = 1234
+	g0 := ps[0].Grad[0]
+	ps[0].Grad[0] = 1234
 	UnpackGrads(ps, flat)
-	if ps[0].Grad.Data[0] != g0 {
+	if ps[0].Grad[0] != g0 {
 		t.Fatalf("grad round trip differs")
 	}
 }
@@ -97,8 +97,8 @@ func TestShardedAdamWMatchesAdamW(t *testing.T) {
 	for s := 0; s < steps; s++ {
 		// Fresh identical gradients on both sides.
 		for i, p := range ref {
-			r.FillUniform(p.Grad.Data, -0.2, 0.2)
-			copy(shard[i].Grad.Data, p.Grad.Data)
+			r.FillUniform(p.Grad, -0.2, 0.2)
+			copy(shard[i].Grad, p.Grad)
 		}
 		lr := 0.01 * float64(s+1)
 		refOpt.Step(lr)
@@ -111,10 +111,10 @@ func TestShardedAdamWMatchesAdamW(t *testing.T) {
 	}
 	UnpackValues(shard, flatW)
 	for i := range ref {
-		for j := range ref[i].Value.Data {
-			if ref[i].Value.Data[j] != shard[i].Value.Data[j] {
+		for j := range ref[i].Value {
+			if ref[i].Value[j] != shard[i].Value[j] {
 				t.Fatalf("param %d elem %d: AdamW %v, sharded %v",
-					i, j, ref[i].Value.Data[j], shard[i].Value.Data[j])
+					i, j, ref[i].Value[j], shard[i].Value[j])
 			}
 		}
 	}

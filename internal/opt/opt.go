@@ -60,7 +60,7 @@ func (a *AdamW) Step(lr float64) {
 		if p.NoWeightDecay {
 			k.Decay = 0
 		}
-		tensor.AdamW(p.Value.Data, nil, nil, p.Grad.Data, a.m[pi], a.v[pi], &k)
+		tensor.AdamW(p.Value, nil, nil, p.Grad, a.m[pi], a.v[pi], &k)
 	}
 }
 
@@ -90,8 +90,8 @@ func NewLARS(params []*nn.Param, weightDecay float64) *LARS {
 // Step applies one LARS update.
 func (l *LARS) Step(lr float64) {
 	for pi, p := range l.params {
-		w := p.Value.Data
-		g := p.Grad.Data
+		w := p.Value
+		g := p.Grad
 		wd := l.WeightDecay
 		if p.NoWeightDecay {
 			wd = 0

@@ -14,12 +14,12 @@ func quadratic(t *testing.T, n int, seed uint64) (*nn.Param, []float32, func()) 
 	t.Helper()
 	r := rng.New(seed)
 	p := nn.NewParam("w", n)
-	p.Value.RandnInit(r, 1)
+	r.FillNormal(p.Value, 0, 1)
 	target := make([]float32, n)
 	r.FillNormal(target, 0, 1)
 	grad := func() {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = p.Value.Data[i] - target[i]
+		for i := range p.Grad {
+			p.Grad[i] = p.Value[i] - target[i]
 		}
 	}
 	return p, target, grad
@@ -27,7 +27,7 @@ func quadratic(t *testing.T, n int, seed uint64) (*nn.Param, []float32, func()) 
 
 func distance(p *nn.Param, target []float32) float64 {
 	var s float64
-	for i, v := range p.Value.Data {
+	for i, v := range p.Value {
 		d := float64(v) - float64(target[i])
 		s += d * d
 	}
@@ -62,14 +62,16 @@ func TestLARSConvergesOnQuadratic(t *testing.T) {
 
 func TestAdamWWeightDecayShrinksWeights(t *testing.T) {
 	p := nn.NewParam("w", 8)
-	p.Value.Fill(1)
+	for i := range p.Value {
+		p.Value[i] = 1
+	}
 	a := NewAdamW([]*nn.Param{p}, 0.5)
 	// Zero gradient: only decay acts.
 	for i := 0; i < 10; i++ {
 		p.ZeroGrad()
 		a.Step(0.1)
 	}
-	for _, v := range p.Value.Data {
+	for _, v := range p.Value {
 		if v >= 1 {
 			t.Fatalf("decay did not shrink weight: %v", v)
 		}
@@ -79,13 +81,15 @@ func TestAdamWWeightDecayShrinksWeights(t *testing.T) {
 func TestAdamWRespectsNoWeightDecayFlag(t *testing.T) {
 	p := nn.NewParam("bias", 4)
 	p.NoWeightDecay = true
-	p.Value.Fill(1)
+	for i := range p.Value {
+		p.Value[i] = 1
+	}
 	a := NewAdamW([]*nn.Param{p}, 0.5)
 	for i := 0; i < 10; i++ {
 		p.ZeroGrad()
 		a.Step(0.1)
 	}
-	for _, v := range p.Value.Data {
+	for _, v := range p.Value {
 		if v != 1 {
 			t.Fatalf("NoWeightDecay param modified: %v", v)
 		}
@@ -95,10 +99,12 @@ func TestAdamWRespectsNoWeightDecayFlag(t *testing.T) {
 func TestLARSZeroWeightSafe(t *testing.T) {
 	// Trust ratio must not divide by zero when ‖w‖ = 0.
 	p := nn.NewParam("w", 4)
-	p.Grad.Fill(1)
+	for i := range p.Grad {
+		p.Grad[i] = 1
+	}
 	l := NewLARS([]*nn.Param{p}, 0)
 	l.Step(0.1)
-	for _, v := range p.Value.Data {
+	for _, v := range p.Value {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("non-finite after zero-norm step: %v", v)
 		}

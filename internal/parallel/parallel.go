@@ -225,43 +225,3 @@ func workersFor(n, grain int) int {
 	}
 	return p
 }
-
-// Do runs the given closures concurrently and waits for all of them.
-// It is a convenience for forking a small, fixed set of tasks. Unlike
-// For/Range, Do guarantees each closure its own goroutine (closures may
-// legitimately block on one another), so it does not use the pool; it
-// is not for hot paths.
-func Do(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fns) - 1)
-	for _, fn := range fns[1:] {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	fns[0]()
-	wg.Wait()
-}
-
-// Counter is a lock-free monotonically increasing counter shared across
-// workers; used by data loaders to hand out sample indices.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Next returns the next index, starting from 0.
-func (c *Counter) Next() int64 { return c.v.Add(1) - 1 }
-
-// Load returns the number of indices handed out so far.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }

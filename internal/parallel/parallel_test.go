@@ -137,45 +137,6 @@ func TestRangeSerialSmall(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b, c atomic.Int32
-	Do(
-		func() { a.Store(1) },
-		func() { b.Store(2) },
-		func() { c.Store(3) },
-	)
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Fatal("not all closures ran")
-	}
-	Do() // must not panic
-	ran := false
-	Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single closure did not run")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	const workers, per = 8, 1000
-	seen := make([]atomic.Int32, workers*per)
-	ForGrain(workers*per, 1, func(int) {
-		seen[c.Next()].Add(1)
-	})
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("counter value %d handed out %d times", i, seen[i].Load())
-		}
-	}
-	if c.Load() != workers*per {
-		t.Fatalf("Load=%d", c.Load())
-	}
-	c.Reset()
-	if c.Next() != 0 {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
 // TestNestedParallel exercises a parallel loop whose body issues
 // further parallel loops (the attention layer's shape: ForGrain over
 // heads, GEMM RangeGrain inside). The submitter-helps design must

@@ -26,8 +26,8 @@ func newHead(l *nn.Linear, mean, invStd []float64) *Head {
 	return &Head{
 		Dim:     l.In,
 		Classes: l.Out,
-		W:       append([]float32(nil), l.W.Value.Data...),
-		B:       append([]float32(nil), l.B.Value.Data...),
+		W:       append([]float32(nil), l.W.Value...),
+		B:       append([]float32(nil), l.B.Value...),
 		Mean:    append([]float64(nil), mean...),
 		InvStd:  append([]float64(nil), invStd...),
 	}

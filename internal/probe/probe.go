@@ -147,7 +147,7 @@ func fit(cfg Config, features FeatureFunc, featDim int, ds *geodata.Dataset, t t
 	// they advance r and so fix every batch permutation after them.
 	r := rng.New(cfg.Seed)
 	head := nn.NewLinear("probe.head", featDim, t.classes, r)
-	head.W.Value.Zero()
+	clear(head.W.Value)
 	ctx := nn.NewTrainCtx()
 	params := head.Params()
 	optim := opt.NewLARS(params, 0)

@@ -62,7 +62,7 @@ func (m *Model) AttachHeads(cls, seg *probe.Head) {
 // before the first request.
 func (m *Model) RoundBF16() {
 	for _, p := range m.MAE.Params() {
-		tensor.RoundBF16(p.Value.Data, p.Value.Data)
+		tensor.RoundBF16(p.Value, p.Value)
 	}
 	for _, h := range []*probe.Head{m.Cls, m.Seg} {
 		if h != nil {

@@ -25,11 +25,11 @@ func liveSeedValues() []float32 {
 	m.Step(imgs, 4)
 	var vals []float32
 	for _, p := range m.Params() {
-		if len(p.Grad.Data) > 0 {
-			vals = append(vals, p.Grad.Data[0], p.Grad.Data[len(p.Grad.Data)/2])
+		if len(p.Grad) > 0 {
+			vals = append(vals, p.Grad[0], p.Grad[len(p.Grad)/2])
 		}
-		if len(p.Value.Data) > 0 {
-			vals = append(vals, p.Value.Data[0])
+		if len(p.Value) > 0 {
+			vals = append(vals, p.Value[0])
 		}
 		if len(vals) >= 48 {
 			break

@@ -289,8 +289,8 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	if cfg.MaxStepsPerEpoch < 0 {
 		return nil, fmt.Errorf("train: negative MaxStepsPerEpoch %d", cfg.MaxStepsPerEpoch)
 	}
-	if math.IsNaN(cfg.BaseLR) || math.IsInf(cfg.BaseLR, 0) {
-		return nil, fmt.Errorf("train: non-finite BaseLR %v", cfg.BaseLR)
+	if !(cfg.BaseLR >= 0) || math.IsInf(cfg.BaseLR, 1) { // !(lr >= 0) catches NaN
+		return nil, fmt.Errorf("train: BaseLR %v not finite and non-negative", cfg.BaseLR)
 	}
 	for _, v := range []float64{cfg.WeightDecay, cfg.ClipNorm} {
 		if !(v >= 0) || math.IsInf(v, 1) { // !(v >= 0) catches NaN

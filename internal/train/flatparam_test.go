@@ -10,8 +10,8 @@ import (
 
 // TestReplicaTensorsAreFlatViews: a distributed rank keeps its
 // parameters and gradients once. After a run every replica's
-// Value.Data windows are consecutive in memory, in Params() order, and
-// so are its Grad.Data windows — the tensors the model computes on are
+// Value windows are consecutive in memory, in Params() order, and
+// so are its Grad windows — the slices the model computes on are
 // the flat buffers the collectives and the optimizer work on, not a
 // mirror copied to and from them every step.
 func TestReplicaTensorsAreFlatViews(t *testing.T) {
@@ -28,7 +28,7 @@ func TestReplicaTensorsAreFlatViews(t *testing.T) {
 				for rank, m := range res.replicas {
 					var nextW, nextG unsafe.Pointer
 					for i, p := range m.Params() {
-						w, g := p.Value.Data, p.Grad.Data
+						w, g := p.Value, p.Grad
 						if i > 0 && (unsafe.Pointer(unsafe.SliceData(w)) != nextW || unsafe.Pointer(unsafe.SliceData(g)) != nextG) {
 							t.Fatalf("rank %d: parameter %d (%s) does not start where parameter %d ends", rank, i, p.Name, i-1)
 						}

@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements executed communication–computation overlap: the
-// flat gradient buffer the model's Grad tensors are windows of is split
+// flat gradient buffer the model's Grad slices are windows of is split
 // into wire buckets, the layer-granular
 // backward (mae.BackwardStepLayers) reports each unit's gradients the
 // moment they are final, and the engine launches the covering buckets'

@@ -60,9 +60,9 @@ type rankState struct {
 	own     []opt.Span // owned spans of the padded flat space, ascending
 
 	// flatW and flatG, padded, are the only home of the rank's parameters
-	// and gradients: nn.FlattenParams made the model's tensors windows of
-	// them, so forward, backward, the collectives and the optimizer all
-	// work on the same bytes, in place.
+	// and gradients: nn.FlattenParams made every Param's Value and Grad
+	// windows of them, so forward, backward, the collectives and the
+	// optimizer all work on the same bytes, in place.
 	flatW, flatG []float32
 	// master is the fp32 master of the owned spans: flatW itself under
 	// FP32, a shard-local buffer (SpansLen(own) long) under BF16, where

@@ -105,7 +105,7 @@ func TestPretrainProcsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range res.Model.Params() {
-			params = append(params, p.Value.Data...)
+			params = append(params, p.Value...)
 		}
 		return res.LossCurve.Y, params
 	}
@@ -152,6 +152,8 @@ func TestPretrainValidation(t *testing.T) {
 	}{
 		{"NaN BaseLR", func(c *PretrainConfig) { c.BaseLR = nan }},
 		{"-Inf BaseLR", func(c *PretrainConfig) { c.BaseLR = -inf }},
+		{"+Inf BaseLR", func(c *PretrainConfig) { c.BaseLR = inf }},
+		{"negative BaseLR", func(c *PretrainConfig) { c.BaseLR = -1e-4 }},
 		{"NaN WeightDecay", func(c *PretrainConfig) { c.WeightDecay = nan }},
 		{"+Inf WeightDecay", func(c *PretrainConfig) { c.WeightDecay = inf }},
 		{"negative WeightDecay", func(c *PretrainConfig) { c.WeightDecay = -0.05 }},

@@ -78,14 +78,14 @@ func TestModelEndToEndGradient(t *testing.T) {
 	const h = 1e-2
 	for _, p := range []*nn.Param{ps[0], ps[len(ps)/2], ps[len(ps)-1]} {
 		for _, idx := range []int{0, p.NumEl() - 1} {
-			orig := p.Value.Data[idx]
-			p.Value.Data[idx] = orig + h
+			orig := p.Value[idx]
+			p.Value[idx] = orig + h
 			lp := loss()
-			p.Value.Data[idx] = orig - h
+			p.Value[idx] = orig - h
 			lm := loss()
-			p.Value.Data[idx] = orig
+			p.Value[idx] = orig
 			num := (lp - lm) / (2 * h)
-			got := float64(p.Grad.Data[idx])
+			got := float64(p.Grad[idx])
 			scale := math.Max(1, math.Abs(num))
 			if math.Abs(num-got)/scale > 3e-2 {
 				t.Errorf("%s[%d]: numeric %v analytic %v", p.Name, idx, num, got)
