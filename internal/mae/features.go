@@ -4,7 +4,8 @@ import "repro/internal/nn"
 
 // Encode is the encoder pass over every patch (no masking): patchify,
 // embed and encode the full grid, every activation in ctx. It returns
-// the (batch·Tokens × width) token matrix, valid until ctx is reset. On
+// the (batch·Tokens × width) token matrix, a scratch slot of ctx valid
+// until ctx is reset or rewound below it. On
 // a frozen arena (nn.NewInferCtx) it writes nothing in the model, so one
 // Model serves concurrent workers that each bring their own — serving's
 // batch (serve.Model.Fill) and the probes' Features and TokenFeatures
@@ -65,8 +66,8 @@ func (m *Model) BackwardFeatures(dPooled []float32) {
 	batch := m.batch
 	ctx := m.ctx
 	mark := ctx.Mark()
-	dTokens := ctx.Take(batch * t * w)
-	dx := ctx.Take(batch * t * w)
+	dTokens := ctx.Scratch(batch * t * w)
+	dx := ctx.Scratch(batch * t * w)
 	inv := float32(1) / float32(t)
 	for b := 0; b < batch; b++ {
 		src := dPooled[b*w : (b+1)*w]

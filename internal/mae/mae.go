@@ -150,6 +150,11 @@ func (m *Model) Params() []*nn.Param {
 	return append(ps, m.Pred.Params()...)
 }
 
+// ActivationBytes returns the bytes the model's recording arena holds
+// (nn.Arena.Bytes): after a training step, the step's activation
+// footprint.
+func (m *Model) ActivationBytes() int { return m.ctx.Bytes() }
+
 // EncoderParams returns only the encoder-side parameters (embed +
 // trunk), i.e. what survives into downstream adaptation.
 func (m *Model) EncoderParams() []*nn.Param {
@@ -330,8 +335,11 @@ func (m *Model) BackwardStepLayers(onSegment func(k int)) {
 }
 
 // forward is a step's forward half on the model's recording arena,
-// which it resets: every activation, every cache the backward re-reads
-// and the loss gradient stay there until the next forward.
+// which it resets. What the backward reads stays kept until the next
+// forward: the patches, every layer's caches, the two stacks' outputs
+// and the loss gradient. Everything else — the embedding, its visible
+// rows, the decoder input, the prediction, the targets and the masked
+// gathers — is scratch, handed back before forward returns.
 func (m *Model) forward(imgs []float32, batch int) float64 {
 	cfg := m.Cfg
 	enc := cfg.Encoder
@@ -343,22 +351,25 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	m.batch = batch
 	ctx := m.ctx
 	ctx.Reset()
+	mark := ctx.Mark()
 
-	// 1. Patchify and build normalized-pixel targets.
+	// 1. Patchify; the patch embedding's weight gradient reads the
+	// patches.
 	patches := ctx.Take(batch * t * pd)
 	nn.Patchify(patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
-	target := ctx.Take(batch * t * pd)
-	nn.NormalizePatches(target, patches, batch*t, pd, 1e-6)
 
 	// 2. Embed all patches (with positional encodings), gather visible.
 	emb := m.Embed.Apply(ctx, patches, batch)
-	visible := ctx.Take(batch * keep * w)
+	visible := ctx.Scratch(batch * keep * w)
 	for b := 0; b < batch; b++ {
 		tensor.GatherRows(visible[b*keep*w:], emb[b*t*w:], m.keepIdx[b], w)
 	}
 
-	// 3. Encode visible tokens.
-	encOut := m.Encoder.Apply(ctx, visible, batch, keep)
+	// 3. Encode visible tokens in place; DecEmbed's weight gradient
+	// reads the output.
+	encOut := ctx.Take(batch * keep * w)
+	copy(encOut, m.Encoder.Apply(ctx, visible, batch, keep))
+	ctx.Rewind(mark)
 
 	// 4. Project to decoder width.
 	decVis := m.DecEmbed.Apply(ctx, encOut, batch*keep)
@@ -366,7 +377,7 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	// 5. Assemble full decoder sequence: mask tokens everywhere, then
 	// scatter encoded visible tokens back to their grid positions, then
 	// add decoder positional encodings.
-	decIn := ctx.Take(batch * t * dw)
+	decIn := ctx.Scratch(batch * t * dw)
 	mt := m.MaskToken.Value
 	for row := 0; row < batch*t; row++ {
 		copy(decIn[row*dw:(row+1)*dw], mt)
@@ -384,19 +395,27 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 		}
 	}
 
-	// 6. Decode and predict pixels for every token.
-	pred := m.Pred.Apply(ctx, m.Decoder.Apply(ctx, decIn, batch, t), batch*t)
+	// 6. Decode in place (Pred's weight gradient reads the output) and
+	// predict pixels for every token.
+	decOut := ctx.Take(batch * t * dw)
+	copy(decOut, m.Decoder.Apply(ctx, decIn, batch, t))
+	ctx.Rewind(mark)
+	pred := m.Pred.Apply(ctx, decOut, batch*t)
 
-	// 7. Loss on masked positions only.
+	// 7. Normalized-pixel targets, and the loss on masked positions only.
+	target := ctx.Scratch(batch * t * pd)
+	nn.NormalizePatches(target, patches, batch*t, pd, 1e-6)
 	nMask := t - keep
-	predMask := ctx.Take(batch * nMask * pd)
-	tgtMask := ctx.Take(batch * nMask * pd)
+	predMask := ctx.Scratch(batch * nMask * pd)
+	tgtMask := ctx.Scratch(batch * nMask * pd)
 	for b := 0; b < batch; b++ {
 		tensor.GatherRows(predMask[b*nMask*pd:], pred[b*t*pd:], m.maskIdx[b], pd)
 		tensor.GatherRows(tgtMask[b*nMask*pd:], target[b*t*pd:], m.maskIdx[b], pd)
 	}
 	m.dPred = ctx.Take(batch * nMask * pd)
-	return nn.MSE(predMask, tgtMask, m.dPred)
+	loss := nn.MSE(predMask, tgtMask, m.dPred)
+	ctx.Rewind(mark)
+	return loss
 }
 
 func (m *Model) backward(batch int) {
@@ -406,9 +425,9 @@ func (m *Model) backward(batch int) {
 // backwardLayers is the single backward implementation, emitting a
 // completion event per BackwardSegments unit (events are counted even
 // with a nil callback so segment indices stay aligned). It takes every
-// gradient that passes between units from the recording arena's top
-// first, so the blocks' transients above them sit at one top that
-// encoder and decoder blocks share, and rewinds to the forward's end.
+// gradient that passes between units from the recording arena's
+// scratch first, so the blocks' transients above them sit at one top
+// that encoder and decoder blocks share, and hands them all back.
 func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	seg := 0
 	emit := func() {
@@ -427,13 +446,13 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	nMask := t - keep
 	ctx := m.ctx
 	mark := ctx.Mark()
-	dFull := ctx.Take(batch * t * pd) // the masked-pixel gradient over every token
-	dNormed := ctx.Take(batch * t * dw)
-	dDec := ctx.Take(batch * t * dw)
-	dVisible := ctx.Take(batch * keep * dw)
-	dEnc := ctx.Take(batch * keep * w)
-	dVis := ctx.Take(batch * keep * w)
-	dEmbed := ctx.Take(batch * t * w)
+	dFull := ctx.Scratch(batch * t * pd) // the masked-pixel gradient over every token
+	dNormed := ctx.Scratch(batch * t * dw)
+	dDec := ctx.Scratch(batch * t * dw)
+	dVisible := ctx.Scratch(batch * keep * dw)
+	dEnc := ctx.Scratch(batch * keep * w)
+	dVis := ctx.Scratch(batch * keep * w)
+	dEmbed := ctx.Scratch(batch * t * w)
 
 	// Scatter masked-pixel gradient into the full prediction grid
 	// (visible positions receive zero).

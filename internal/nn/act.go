@@ -22,15 +22,26 @@ func NewGELU() *GELU { return &GELU{} }
 // Params returns nil: GELU has no trainable parameters.
 func (g *GELU) Params() []*Param { return nil }
 
-// Apply applies the activation elementwise into ctx.
+// Apply applies the activation elementwise into a scratch slot of ctx.
+// A recording arena records x, which the caller keeps until Backprop.
 func (g *GELU) Apply(ctx *Arena, x []float32) []float32 {
+	y := ctx.Scratch(len(x))
+	g.apply(ctx, y, x)
+	return y
+}
+
+// apply is Apply into the caller's y, recording x on a recording arena:
+// the MLP keeps x, its pre-activation, and not y.
+func (g *GELU) apply(ctx *Arena, y, x []float32) {
 	if ctx.recording {
 		g.x = x
 	}
-	y := ctx.Take(len(x))
 	tensor.GELU(y, x)
-	return y
 }
+
+// output regenerates the last recording Apply's output GELU(x) from the
+// recorded x into the caller's y: the same kernel, so the same bits.
+func (g *GELU) output(y []float32) { tensor.GELU(y, g.x) }
 
 // Backprop multiplies dy by the activation derivative, recomputed from
 // the recorded input, into the caller's dx, which may alias dy: the MLP

@@ -64,22 +64,40 @@ func (a *MultiHeadAttention) Params() []*Param {
 }
 
 // Apply runs self-attention over batch sequences of tokens tokens
-// each; x has shape (batch·tokens × width). Both intermediates (the
-// fused QKV projection and the merged head output) are taken from ctx,
-// and a recording arena also takes the softmax statistics — never a
-// (T×T) buffer, which is what keeps a serving worker's footprint
-// independent of the score matrix size.
+// each; x has shape (batch·tokens × width), and the output is a scratch
+// slot of ctx. A recording arena keeps the fused QKV projection, the
+// merged head output and the softmax statistics — never a (T×T)
+// buffer, which is what keeps a serving worker's footprint independent
+// of the score matrix size — and records x, which the caller keeps
+// until Backprop.
 func (a *MultiHeadAttention) Apply(ctx *Arena, x []float32, batch, tokens int) []float32 {
-	checkRows(len(x), batch*tokens, a.Width, "MultiHeadAttention.Apply")
-	qkv := a.QKV.Apply(ctx, x, batch*tokens)
-	attnOut := ctx.Take(batch * tokens * a.Width)
+	y := ctx.Scratch(len(x))
+	a.apply(ctx, y, x, batch, tokens)
+	if ctx.recording {
+		a.QKV.x = x
+	}
+	return y
+}
+
+// apply is Apply into the caller's y, which may alias x: the QKV
+// projection has read x before the output projection writes y. On a
+// frozen arena the projection and the merged heads are scratch, handed
+// back before apply returns.
+func (a *MultiHeadAttention) apply(ctx *Arena, y, x []float32, batch, tokens int) {
+	rows := batch * tokens
+	checkRows(len(x), rows, a.Width, "MultiHeadAttention.Apply")
+	mark := ctx.Mark()
+	qkv := ctx.keep(rows * 3 * a.Width)
+	a.QKV.apply(ctx, qkv, x, rows)
+	attnOut := ctx.keep(rows * a.Width)
 	var stats []float32
 	if ctx.recording {
 		stats = ctx.Take(batch * a.Heads * 2 * tokens)
 		a.batch, a.tokens, a.qkv, a.attnOut, a.stats = batch, tokens, qkv, attnOut, stats
 	}
 	a.attend(attnOut, stats, qkv, batch, tokens)
-	return a.Out.Apply(ctx, attnOut, batch*tokens)
+	a.Out.apply(ctx, y, attnOut, rows)
+	ctx.Rewind(mark)
 }
 
 // attend is Apply's attention core: per (b, h) it runs the fused
@@ -106,22 +124,26 @@ func (a *MultiHeadAttention) attend(attnOut, stats, qkv []float32, batch, tokens
 
 // Backprop propagates through the attention layer, accumulating
 // projection gradients and writing dL/dx into the caller's dx. The
-// fused QKV gradient is a transient at ctx's top.
+// fused QKV gradient is a scratch transient.
 func (a *MultiHeadAttention) Backprop(ctx *Arena, dx, dy []float32) {
 	mark := ctx.Mark()
-	a.backprop(dx, dy, ctx.Take(3*len(dy)))
+	dqkv := ctx.Scratch(3 * len(dy))
+	a.backpropHeads(dx, dy, dqkv)
+	a.QKV.Backprop(dx, dqkv)
 	ctx.Rewind(mark)
 }
 
-// backprop is Backprop with the caller's (B·T × 3W) dqkv transient for
-// the fused QKV gradient. dx, the caller's (B·T × W) input gradient,
-// first holds the output projection's gradient (every head's dO).
-// Neither may alias dy, and both are fully overwritten.
-func (a *MultiHeadAttention) backprop(dx, dy, dqkv []float32) {
+// backpropHeads is Backprop up to the QKV projection's backward: the
+// output projection's input gradient (every head's dO) into the
+// caller's (B·T × W) dAttn, then the fused (B·T × 3W) gradient of the
+// projection output into dqkv, which QKV's backward consumes. Neither
+// may alias dy, both are fully overwritten, and dAttn is not read
+// again after it returns.
+func (a *MultiHeadAttention) backpropHeads(dAttn, dy, dqkv []float32) {
 	w, h, d := a.Width, a.Heads, a.HeadDim
 	batch, tokens := a.batch, a.tokens
 	checkRows(len(dy), batch*tokens, w, "MultiHeadAttention.Backprop")
-	a.Out.Backprop(dx, dy) // dx holds dAttn (B·T × W) until QKV's backward
+	a.Out.backprop(dAttn, dy, a.attnOut)
 	qkv := a.qkv
 	scale := float32(1 / math.Sqrt(float64(d)))
 	parallel.ForGrain(batch*h, 1, func(i int) {
@@ -133,9 +155,8 @@ func (a *MultiHeadAttention) backprop(dx, dy, dqkv []float32) {
 		src := qkv[(b*tokens)*3*w+hh*d:]
 		dst := dqkv[(b*tokens)*3*w+hh*d:]
 		tensor.FlashAttnBwdLd(dst, dst[w:], dst[2*w:], 3*w,
-			dx[(b*tokens)*w+hh*d:], a.attnOut[(b*tokens)*w+hh*d:], w,
+			dAttn[(b*tokens)*w+hh*d:], a.attnOut[(b*tokens)*w+hh*d:], w,
 			src, src[w:], src[2*w:], 3*w, tokens, d, scale,
 			a.stats[i*2*tokens:(i+1)*2*tokens])
 	})
-	a.QKV.Backprop(dx, dqkv)
 }

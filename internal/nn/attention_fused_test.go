@@ -167,13 +167,13 @@ func TestFrozenBlockMatchesRecording(t *testing.T) {
 	run := func(interleave bool) [][]float32 {
 		b := NewBlock("blk", width, hidden, heads, rng.New(8))
 		ctx := NewTrainCtx()
-		y := b.Apply(ctx, x, batch, tokens)
+		y := blockOut(ctx, b, x, batch, tokens)
 		if interleave {
 			frozen := NewInferCtx()
-			if yf := b.Apply(frozen, x, batch, tokens); !bitsEqual(yf, y) {
+			if yf := blockOut(frozen, b, x, batch, tokens); !bitsEqual(yf, y) {
 				t.Fatal("frozen block output differs from the recording pass's")
 			}
-			b.Apply(frozen, other, 1, 2*tokens)
+			blockOut(frozen, b, other, 1, 2*tokens)
 		}
 		dx := make([]float32, len(x))
 		b.Backprop(ctx, dx, dy)
@@ -276,14 +276,16 @@ func TestFusedAttentionScratchFootprint(t *testing.T) {
 // one arena — to its closed form in floats (R = B·T rows, H the MLP
 // width, Hd the heads):
 //
-//	12·R·W + 2·R·H + 2·R + 2·B·Hd·T  +  R·max(H, 3·W) + R·W
+//	6·R·W + R·H + 2·R + 2·B·Hd·T  +  R·W + R·max(H, 3·W)
 //
-// The first term is what the forward keeps: two LayerNorms' x̂, 1/σ and
-// output, the fused QKV output, the merged heads, the softmax
-// statistics, the output projection's, FC1's, GELU's and FC2's outputs
-// and the two residual sums. The second is the backward's two
-// transients, wide and narrow, which every child's input gradient
-// reuses; the block's own input gradient is the caller's. The shapes
+// The first term is what the forward keeps, exactly what the backward
+// reads: two LayerNorms' x̂ and 1/σ, the fused QKV output, the merged
+// heads, the softmax statistics and FC1's pre-activation. The second is
+// the scratch: the backward's two transients, narrow and wide, which
+// every child's input gradient and the two regenerated tensors (the
+// LayerNorm outputs, GELU's output) reuse, and inside which the
+// forward's working set (one R·W slot, then GELU's R·H output) fits.
+// The block's input and its input gradient are the caller's. The shapes
 // put H on both sides of 3·W.
 func TestBlockRetainedFloats(t *testing.T) {
 	for _, s := range []struct{ batch, tokens, width, hidden, heads int }{
@@ -302,11 +304,11 @@ func TestBlockRetainedFloats(t *testing.T) {
 		dx := make([]float32, len(x))
 		for step := 0; step < 2; step++ {
 			ctx.Reset()
-			b.Apply(ctx, x, s.batch, s.tokens)
+			blockOut(ctx, b, x, s.batch, s.tokens)
 			b.Backprop(ctx, dx, dy)
 		}
-		floats := 12*rows*s.width + 2*rows*s.hidden + 2*rows + 2*s.batch*s.heads*s.tokens +
-			rows*max(s.hidden, 3*s.width) + rows*s.width
+		floats := 6*rows*s.width + rows*s.hidden + 2*rows + 2*s.batch*s.heads*s.tokens +
+			rows*s.width + rows*max(s.hidden, 3*s.width)
 		if got := ctx.Bytes(); got != 4*floats {
 			t.Fatalf("%+v: block holds %d bytes, want %d (%d floats)", s, got, 4*floats, floats)
 		}

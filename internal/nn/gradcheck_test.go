@@ -159,7 +159,7 @@ func TestBlockGradients(t *testing.T) {
 	b := NewBlock("blk", width, hidden, heads, r)
 	x := make([]float32, batch*tokens*width)
 	r.FillNormal(x, 0, 1)
-	fwd, ctx := recorded(func(ctx *Arena, x []float32) []float32 { return b.Apply(ctx, x, batch, tokens) })
+	fwd, ctx := recorded(func(ctx *Arena, x []float32) []float32 { return blockOut(ctx, b, x, batch, tokens) })
 	gradCheck(t, "Block", x, batch*tokens*width, fwd,
 		into(len(x), func(dx, dy []float32) { b.Backprop(ctx, dx, dy) }), b.Params(), 3e-2)
 }

@@ -38,19 +38,33 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Params returns γ and β.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
-// Apply normalizes each of the rows rows of x into ctx. A recording
-// arena also takes x̂ and 1/σ, which the same kernel call fills.
+// Apply normalizes each of the rows rows of x into a scratch slot of
+// ctx. A recording arena also keeps x̂ and 1/σ, which the same kernel
+// call fills.
 func (ln *LayerNorm) Apply(ctx *Arena, x []float32, rows int) []float32 {
+	y := ctx.Scratch(rows * ln.Dim)
+	ln.apply(ctx, y, x, rows)
+	return y
+}
+
+// apply is Apply into the caller's (rows × Dim) y.
+func (ln *LayerNorm) apply(ctx *Arena, y, x []float32, rows int) {
 	d := ln.Dim
 	checkRows(len(x), rows, d, "LayerNorm.Apply")
-	y := ctx.Take(rows * d)
 	var xhat, invStd []float32
 	if ctx.recording {
 		xhat, invStd = ctx.Take(rows*d), ctx.Take(rows)
 		ln.rows, ln.xhat, ln.invStd = rows, xhat, invStd
 	}
 	tensor.LayerNorm(y, xhat, invStd, x, ln.Gamma.Value, ln.Beta.Value, rows, d, ln.Eps)
-	return y
+}
+
+// output regenerates the last recording Apply's output y = γ·x̂ + β
+// from the kept x̂ into the caller's y (tensor.LayerNormAffine, the
+// forward kernel's own arithmetic): bitwise what Apply wrote, so a
+// block keeps x̂ instead of y.
+func (ln *LayerNorm) output(y []float32) {
+	tensor.LayerNormAffine(y, ln.xhat, ln.Gamma.Value, ln.Beta.Value, ln.rows, ln.Dim)
 }
 
 // Backprop computes the LayerNorm gradient from the recorded x̂ and 1/σ

@@ -16,7 +16,7 @@ type Linear struct {
 	W, B    *Param
 
 	// the input and row count Backprop re-reads, recorded by Apply on a
-	// recording arena
+	// recording arena (apply records the row count alone)
 	x    []float32
 	rows int
 }
@@ -39,26 +39,43 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Apply computes y = x·W + b for rows input rows into ctx, one
-// MatMulBias over the fp32 weights on either kind of arena.
+// Apply computes y = x·W + b for rows input rows into a scratch slot of
+// ctx, one MatMulBias over the fp32 weights on either kind of arena. A
+// recording arena records x, which the caller keeps until Backprop.
 func (l *Linear) Apply(ctx *Arena, x []float32, rows int) []float32 {
-	checkRows(len(x), rows, l.In, "Linear.Apply")
-	y := ctx.Take(rows * l.Out)
+	y := ctx.Scratch(rows * l.Out)
+	l.apply(ctx, y, x, rows)
 	if ctx.recording {
-		l.x, l.rows = x, rows
+		l.x = x
+	}
+	return y
+}
+
+// apply is Apply into the caller's (rows × Out) y, which must not alias
+// x, recording the row count only: a composite layer that does not keep
+// x hands it to backprop itself.
+func (l *Linear) apply(ctx *Arena, y, x []float32, rows int) {
+	checkRows(len(x), rows, l.In, "Linear.Apply")
+	if ctx.recording {
+		l.rows = rows
 	}
 	tensor.MatMulBias(y, x, l.W.Value, l.B.Value, rows, l.In, l.Out, false)
-	return y
 }
 
 // Backprop consumes dL/dy of the last recording Apply, accumulates
 // dL/dW and dL/db, and writes dL/dx into the caller's (rows × In) dx,
 // which must not alias dy; a nil dx skips the input gradient.
-func (l *Linear) Backprop(dx, dy []float32) {
+func (l *Linear) Backprop(dx, dy []float32) { l.backprop(dx, dy, l.x) }
+
+// backprop is Backprop against the caller's x, the forward's input or a
+// regeneration of it. x is read only for dW, before dx is written, so
+// dx may alias x: a block regenerates a LayerNorm output into the
+// buffer that then receives the input gradient.
+func (l *Linear) backprop(dx, dy, x []float32) {
 	rows := l.rows
 	checkRows(len(dy), rows, l.Out, "Linear.Backprop")
 	// dW += xᵀ·dy : (in × rows)·(rows × out)
-	tensor.MatMulTA(l.W.Grad, l.x, dy, l.In, rows, l.Out, true)
+	tensor.MatMulTA(l.W.Grad, x, dy, l.In, rows, l.Out, true)
 	tensor.ColumnSums(l.B.Grad, dy, rows, l.Out)
 	if dx != nil {
 		// dx = dy·Wᵀ : W stored (in × out) so this is the TB kernel.

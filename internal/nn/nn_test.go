@@ -452,12 +452,14 @@ func BenchmarkBlockForwardBackward(b *testing.B) {
 	r.FillNormal(x, 0, 1)
 	dy := make([]float32, batch*tokens*width)
 	r.FillNormal(dy, 0, 1)
-	dx := make([]float32, len(x))
+	h, dx := make([]float32, len(x)), make([]float32, len(x))
 	ctx := NewTrainCtx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Reset()
-		blk.Apply(ctx, x, batch, tokens)
+		copy(h, x)
+		blk.Apply(ctx, h, batch, tokens)
 		blk.Backprop(ctx, dx, dy)
 	}
+	b.ReportMetric(float64(ctx.Bytes()), "arena-B")
 }

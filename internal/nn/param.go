@@ -13,17 +13,19 @@
 // *inside* the kernels (see internal/tensor and internal/parallel).
 //
 // Ownership: every activation lives in an Arena the caller owns
-// (arena.go). Apply takes its outputs there and, on a recording arena,
-// the caches its backward re-reads, noting in the layer which slices
-// those are (so a layer runs one recording pass at a time); on a frozen
-// arena it notes nothing, so a frozen pass is the recording pass with
-// no layer state written, and one read-only model serves concurrent
-// workers. A backward takes its transients from the arena's top and
-// rewinds: inside Block.Backprop every child's input gradient is one of
-// two transients that every block backpropagated at the same top
-// shares, and a stack of blocks runs in place over one input gradient.
-// A training step's activation footprint is therefore its recording
-// arena's Bytes.
+// (arena.go). Apply takes its outputs and working buffers from the
+// arena's scratch stack and, on a recording arena, keeps exactly what
+// its backward re-reads on the kept stack, noting in the layer which
+// slices those are (so a layer runs one recording pass at a time); on a
+// frozen arena it keeps and notes nothing, so a frozen pass is the
+// recording pass with no layer state written, and one read-only model
+// serves concurrent workers. A backward takes its transients from the
+// scratch top and rewinds: inside Block.Backprop every child's input
+// gradient, and each forward tensor the block regenerates rather than
+// keeps, is one of two transients that every block backpropagated at
+// the same top shares, and a stack of blocks runs in place over one
+// input gradient. A training step's activation footprint is therefore
+// its recording arena's Bytes.
 package nn
 
 import (

@@ -52,11 +52,14 @@ func newReplica() *replica {
 func (rp *replica) step() [][]float32 {
 	ctx := rp.ctx
 	ctx.Reset()
-	h := rp.x
+	h := ctx.Take(len(rp.x))
+	copy(h, rp.x)
 	for _, b := range rp.enc {
-		h = b.Apply(ctx, h, repBatch, repEncTokens)
+		b.Apply(ctx, h, repBatch, repEncTokens)
 	}
-	rp.dec.Apply(ctx, rp.xDec, repBatch, repDecTokens)
+	hDec := ctx.Take(len(rp.xDec))
+	copy(hDec, rp.xDec)
+	rp.dec.Apply(ctx, hDec, repBatch, repDecTokens)
 	d := ctx.Take(len(rp.dy))
 	rp.dec.Backprop(ctx, d, rp.dy)
 	d = d[:len(h)]
@@ -74,7 +77,7 @@ func (rp *replica) step() [][]float32 {
 
 // TestSharedScratchConcurrentReplicas: two replicas stepping
 // concurrently — as in-process ranks do — each take their backward
-// transients from their own arena's top, so every step's gradients are
+// transients from their own arena's scratch top, so every step's gradients are
 // bitwise those of a replica stepping alone. Run under -race it also
 // checks that no two replicas ever share activation memory.
 func TestSharedScratchConcurrentReplicas(t *testing.T) {
@@ -108,17 +111,27 @@ func TestSharedScratchConcurrentReplicas(t *testing.T) {
 	}
 }
 
-// poison fills slots slots of a with NaN at n floats each — more than
-// any pass below takes — and resets it, so every slot a pass then takes
-// is reused, stale and oversized.
+// poison fills slots slots of each of a's stacks with NaN at n floats
+// each — more than any pass below takes — and resets it, so every slot
+// a pass then takes, kept or scratch, is reused, stale and oversized.
 func poison(a *Arena, slots, n int) *Arena {
 	for i := 0; i < slots; i++ {
-		for j, buf := 0, a.Take(n); j < n; j++ {
-			buf[j] = float32(math.NaN())
+		for _, buf := range [][]float32{a.Take(n), a.Scratch(n)} {
+			for j := range buf {
+				buf[j] = float32(math.NaN())
+			}
 		}
 	}
 	a.Reset()
 	return a
+}
+
+// blockOut runs b over a copy of x on ctx and returns the copy, now the
+// block's output: Apply out of place, for tests that reuse x.
+func blockOut(ctx *Arena, b *Block, x []float32, batch, tokens int) []float32 {
+	y := append([]float32(nil), x...)
+	b.Apply(ctx, y, batch, tokens)
+	return y
 }
 
 // TestBlockBackwardOverwritesScratch: an arena hands out slots holding
@@ -136,8 +149,7 @@ func TestBlockBackwardOverwritesScratch(t *testing.T) {
 		dy := make([]float32, batch*tokens*width)
 		r.FillNormal(x, 0, 1)
 		r.FillNormal(dy, 0, 1)
-		y := b.Apply(ctx, x, batch, tokens)
-		out := [][]float32{append([]float32(nil), y...), b.Apply(frozen, x, batch, tokens)}
+		out := [][]float32{blockOut(ctx, b, x, batch, tokens), blockOut(frozen, b, x, batch, tokens)}
 		dx := make([]float32, len(x))
 		b.Backprop(ctx, dx, dy)
 		out = append(out, dx)
@@ -155,7 +167,60 @@ func TestBlockBackwardOverwritesScratch(t *testing.T) {
 			t.Fatalf("result %d differs on a poisoned arena", i)
 		}
 	}
-	if ctx.Bytes() != 4*slots*n || frozen.Bytes() != 4*slots*n {
+	if ctx.Bytes() != 8*slots*n || frozen.Bytes() != 8*slots*n {
 		t.Fatal("a take outgrew the poisoned slots")
+	}
+}
+
+// poisonScratch overwrites every slot of a's scratch stack, at its full
+// capacity, with NaN and leaves the stack's top where it was.
+func poisonScratch(a *Arena) {
+	mark := a.Mark()
+	for {
+		buf := a.Scratch(0)
+		if cap(buf) == 0 {
+			break
+		}
+		buf = buf[:cap(buf)]
+		for j := range buf {
+			buf[j] = float32(math.NaN())
+		}
+	}
+	a.Rewind(mark)
+}
+
+// TestBackwardReadsOnlyRetained: a block's backward reads only what its
+// forward kept. With every scratch slot overwritten with NaN between
+// the forward and the backward — the LayerNorm and GELU outputs, the
+// projections and the residual sums the forward left there — the input
+// gradient and every parameter gradient are bitwise those of an
+// unpoisoned run.
+func TestBackwardReadsOnlyRetained(t *testing.T) {
+	const batch, tokens, width, hidden, heads = 2, 19, 24, 96, 4
+	run := func(poisoned bool) [][]float32 {
+		r := rng.New(43)
+		b := NewBlock("blk", width, hidden, heads, r)
+		x := make([]float32, batch*tokens*width)
+		dy := make([]float32, batch*tokens*width)
+		r.FillNormal(x, 0, 1)
+		r.FillNormal(dy, 0, 1)
+		ctx := NewTrainCtx()
+		y := blockOut(ctx, b, x, batch, tokens)
+		if poisoned {
+			poisonScratch(ctx)
+		}
+		dx := make([]float32, len(x))
+		b.Backprop(ctx, dx, dy)
+		out := [][]float32{y, dx}
+		for _, p := range b.Params() {
+			out = append(out, p.Grad)
+		}
+		return out
+	}
+	want, got := run(false), run(true)
+	for i := range want {
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("result %d differs when the forward's scratch is poisoned before the backward", i)
+		}
 	}
 }

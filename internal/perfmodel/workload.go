@@ -333,16 +333,18 @@ func (w Workload) TotalParams() int64 {
 // two per-row softmax statistics, 2·b·h·t·cb per block, recomputing
 // probability tiles during backward.
 //
-// Against the executed path (nn.Block): kAct = 8 is exactly the
-// (B·T·W)-sized buffers its backward re-reads — two LayerNorm x̂ and
-// two LayerNorm outputs, the fused QKV output (3, read in place as
-// every head's Q, K, V), the merged head output. A block keeps 13 for
-// the whole step: those 8, four outputs the forward reads once (the
-// output projection's, FC2's, both residual sums) and its own input
-// gradient. It also keeps 2·B·T·MLP (FC1's and GELU's outputs, which
-// backward re-reads) that the kAct term leaves out — 21 (B·T·W)
-// equivalents at MLP = 4·W. Every other input gradient is a transient
-// in one B·T·(max(MLP, 3·W) + W) scratch shared by all blocks.
+// Against the executed path (nn.Block): a block keeps exactly the
+// (B·T·W)-sized buffers its backward re-reads — two LayerNorm x̂, the
+// fused QKV output (3, read in place as every head's Q, K, V) and the
+// merged head output, 6 in all — plus B·T·MLP (FC1's pre-activation,
+// which GELU's backward reads), 10 (B·T·W) equivalents at MLP = 4·W,
+// where kAct = 8 counts the LayerNorm outputs instead of the
+// pre-activation. The LayerNorm outputs, the output projection's,
+// GELU's and FC2's outputs and both residual sums live in one scratch
+// working set that every block reuses; backward regenerates the two it
+// needs (the LayerNorm outputs and GELU's) into its transients, one
+// B·T·(max(MLP, 3·W) + W) pair shared by all blocks, which also holds
+// every input gradient.
 func (w Workload) ActivationBytes() float64 {
 	b := float64(w.LocalBatch)
 	t := float64(w.EncoderTokens)

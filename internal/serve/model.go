@@ -166,6 +166,9 @@ func (m *Model) Fill(ctx *nn.Arena, reqs []*Request, resps []*Response) {
 	pooled := ctx.Take(n * w)
 	m.MAE.PoolTokens(pooled, tok, n)
 
+	// Each request's head buffers are scratch above the token matrix,
+	// handed back before the next request's.
+	mark := ctx.Mark()
 	for i, r := range reqs {
 		resp := resps[i]
 		switch r.Kind {
@@ -174,19 +177,18 @@ func (m *Model) Fill(ctx *nn.Arena, reqs []*Request, resps []*Response) {
 		case Classify:
 			h := m.Cls
 			logits := make([]float32, h.Classes)
-			scratch := ctx.Take(w)
-			h.LogitsInto(logits, pooled[i*w:(i+1)*w], scratch, 1)
+			h.LogitsInto(logits, pooled[i*w:(i+1)*w], ctx.Scratch(w), 1)
 			resp.Logits = logits
 		case Segment:
 			h := m.Seg
-			logits := ctx.Take(t * h.Classes)
-			scratch := ctx.Take(t * w)
-			h.LogitsInto(logits, tok[i*t*w:(i+1)*t*w], scratch, t)
+			logits := ctx.Scratch(t * h.Classes)
+			h.LogitsInto(logits, tok[i*t*w:(i+1)*t*w], ctx.Scratch(t*w), t)
 			labels := make([]uint8, t)
 			for j := range labels {
 				labels[j] = uint8(probe.Argmax(logits[j*h.Classes : (j+1)*h.Classes]))
 			}
 			resp.Labels = labels
 		}
+		ctx.Rewind(mark)
 	}
 }

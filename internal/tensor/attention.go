@@ -198,15 +198,25 @@ func flashAttnFwd(o []float32, ldo int, q, k, v []float32, ldqkv, t, d int, scal
 		}
 
 		// Deferred normalization on the transposing write-out: one
-		// 1/l multiply per output element.
-		for lane := 0; lane < min(nr, t-i0); lane++ {
-			i := i0 + lane
-			invL := 1 / ml[nr+lane]
-			orow := o[i*ldo : i*ldo+d]
-			for j := range orow {
-				orow[j] = acc[j*nr+lane] * invL
+		// 1/l multiply per output element, every accumulator row scaled
+		// in place by the per-lane 1/l vector, then transposed into the
+		// panel's rows of O. Padded lanes are scaled too and never
+		// written.
+		var invL [nr]float32
+		for lane := range invL {
+			invL[lane] = 1 / ml[nr+lane]
+		}
+		for j := 0; j < d; j++ {
+			row := (*[nr]float32)(acc[j*nr:])
+			for lane, v := range row {
+				row[lane] = v * invL[lane]
 			}
-			if stats != nil {
+		}
+		lanes := min(nr, t-i0)
+		transposeOut(o[i0*ldo:], ldo, acc, nr, d, lanes)
+		if stats != nil {
+			for lane := 0; lane < lanes; lane++ {
+				i := i0 + lane
 				stats[2*i], stats[2*i+1] = ml[lane], ml[nr+lane]
 			}
 		}
@@ -330,13 +340,34 @@ func flashAttnBwd(dq, dk, dv []float32, lddqkv int, do_, o []float32, ldo int, q
 		}
 	}
 
-	for i := 0; i < t; i++ {
-		qrow, krow, vrow := dq[i*lddqkv:i*lddqkv+d], dk[i*lddqkv:i*lddqkv+d], dv[i*lddqkv:i*lddqkv+d]
-		for j := range qrow {
-			qrow[j], krow[j], vrow[j] = dqT[j*tPadN+i], dkT[j*tPadN+i], dvT[j*tPadN+i]
+	transposeOut(dq, lddqkv, dqT, tPadN, d, t)
+	transposeOut(dk, lddqkv, dkT, tPadN, d, t)
+	transposeOut(dv, lddqkv, dvT, tPadN, d, t)
+	flashPool.Put(buf)
+}
+
+// transposeOut writes dst[c·ldd + r] = src[r·lds + c] for r < rows and
+// c < cols: the write-outs that turn a transposed (d × tokens)
+// accumulator back into row-major token rows. Whole 8×8 blocks go
+// through transpose8 and the ragged edges element by element; each
+// element is one copy either way.
+func transposeOut(dst []float32, ldd int, src []float32, lds, rows, cols int) {
+	r8, c8 := rows&^(t8-1), cols&^(t8-1)
+	for r := 0; r < r8; r += t8 {
+		for c := 0; c < c8; c += t8 {
+			transpose8(dst[c*ldd+r:], ldd, src[r*lds+c:], lds)
 		}
 	}
-	flashPool.Put(buf)
+	for c := 0; c < cols; c++ {
+		r0 := r8
+		if c >= c8 {
+			r0 = 0
+		}
+		drow := dst[c*ldd : c*ldd+rows]
+		for r := r0; r < rows; r++ {
+			drow[r] = src[r*lds+c]
+		}
+	}
 }
 
 // flashPool recycles the fused-attention packing/accumulator scratch

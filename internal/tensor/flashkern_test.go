@@ -153,3 +153,30 @@ func TestFlashTranspose16(t *testing.T) {
 		}
 	}
 }
+
+// TestTransposeOut holds the attention write-out — whole 8×8 blocks
+// through transpose8, ragged edges element by element — to its
+// definition at strided shapes on both sides of every block edge, and
+// checks it writes nothing outside the rows × cols tile.
+func TestTransposeOut(t *testing.T) {
+	for _, sh := range []struct{ rows, cols int }{{1, 1}, {6, 16}, {8, 8}, {12, 13}, {16, 16}, {17, 9}, {64, 256}} {
+		lds, ldd := sh.cols+3, sh.rows+5
+		src := make([]float32, sh.rows*lds)
+		for i := range src {
+			src[i] = float32(i + 1)
+		}
+		dst := make([]float32, sh.cols*ldd)
+		transposeOut(dst, ldd, src, lds, sh.rows, sh.cols)
+		for c := 0; c < sh.cols; c++ {
+			for r := 0; r < ldd; r++ {
+				want := float32(0)
+				if r < sh.rows {
+					want = src[r*lds+c]
+				}
+				if dst[c*ldd+r] != want {
+					t.Fatalf("%+v: dst[%d][%d] = %v, want %v", sh, c, r, dst[c*ldd+r], want)
+				}
+			}
+		}
+	}
+}

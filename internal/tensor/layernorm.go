@@ -43,6 +43,23 @@ func LayerNorm(y, xhat, invStd, x, gamma, beta []float32, rows, d int, eps float
 	})
 }
 
+// LayerNormAffine writes y = γ·x̂ + β over rows rows of d from the x̂
+// LayerNorm cached: the forward's last step, the same rounded product
+// and sum per element, so y is bitwise the y that LayerNorm wrote. A
+// backward that needs the normalized output regenerates it this way
+// instead of keeping it.
+func LayerNormAffine(y, xhat, gamma, beta []float32, rows, d int) {
+	if rows < 0 || d <= 0 {
+		panic(fmt.Sprintf("tensor: LayerNormAffine invalid shape rows=%d d=%d", rows, d))
+	}
+	if len(y) < rows*d || len(xhat) < rows*d || len(gamma) < d || len(beta) < d {
+		panic("tensor: LayerNormAffine buffer too small")
+	}
+	parallel.RangeGrain(rows, 1+parallel.MinGrain/(d+1), func(lo, hi int) {
+		layerNormAffineRows(y[lo*d:hi*d], xhat[lo*d:hi*d], gamma[:d], beta[:d], hi-lo, d)
+	})
+}
+
 // LayerNormBackward computes the input gradient from the x̂ and 1/σ
 // LayerNorm cached:
 //
@@ -108,8 +125,8 @@ func laneSum(s *[8]float32) float32 {
 	return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
 }
 
-// layerNormRowsGo, layerNormBwdRowsGo, layerNormColSumsGo and colSumsGo
-// are the scalar lanes — the reference the assembly is held to bit for bit.
+// layerNormRowsGo, layerNormAffineRowsGo, layerNormBwdRowsGo,
+// layerNormColSumsGo and colSumsGo are the scalar lanes — the reference the assembly is held to bit for bit.
 // Every product is rounded explicitly (float32(a*b)) so compilers that
 // fuse x*y+z cannot.
 func layerNormRowsGo(y, xhat, invStd, x, g, b []float32, rows, d int, eps float32) {
@@ -136,6 +153,15 @@ func layerNormRowsGo(y, xhat, invStd, x, g, b []float32, rows, d int, eps float3
 			if xhat != nil {
 				xhat[r*d+j] = h
 			}
+			yi[j] = float32(g[j]*h) + b[j]
+		}
+	}
+}
+
+func layerNormAffineRowsGo(y, xhat, g, b []float32, rows, d int) {
+	for r := 0; r < rows; r++ {
+		yi, hi := y[r*d:(r+1)*d], xhat[r*d:(r+1)*d]
+		for j, h := range hi {
 			yi[j] = float32(g[j]*h) + b[j]
 		}
 	}

@@ -9,6 +9,9 @@ package tensor
 func layerNormFwdAVX2(y, xhat, invStd, x, gamma, beta *float32, rows, d int, eps float32)
 
 //go:noescape
+func layerNormAffineAVX2(y, xhat, gamma, beta *float32, rows, d int)
+
+//go:noescape
 func layerNormBwdAVX2(dx, dy, xhat, invStd, gamma *float32, rows, d int)
 
 // layerNormColSumsAVX2 adds rows ≥ 1 rows, ld floats apart, into the
@@ -30,6 +33,14 @@ func layerNormRows(y, xhat, invStd, x, g, b []float32, rows, d int, eps float32)
 		is = &invStd[0]
 	}
 	layerNormFwdAVX2(&y[0], xh, is, &x[0], &g[0], &b[0], rows, d, eps)
+}
+
+func layerNormAffineRows(y, xhat, g, b []float32, rows, d int) {
+	if !haveFMA || d&7 != 0 || rows == 0 {
+		layerNormAffineRowsGo(y, xhat, g, b, rows, d)
+		return
+	}
+	layerNormAffineAVX2(&y[0], &xhat[0], &g[0], &b[0], rows, d)
 }
 
 func layerNormBwdRows(dx, dy, xhat, invStd, g []float32, rows, d int) {

@@ -103,6 +103,38 @@ fwdnext:
 	VZEROUPPER
 	RET
 
+// func layerNormAffineAVX2(y, xhat, gamma, beta *float32, rows, d int)
+//
+// Per row: y = g·x̂ + b, fwdout's last two steps. d is a positive
+// multiple of 8.
+TEXT ·layerNormAffineAVX2(SB), NOSPLIT, $0-48
+	MOVQ y+0(FP), DI
+	MOVQ xhat+8(FP), SI
+	MOVQ gamma+16(FP), R10
+	MOVQ beta+24(FP), R11
+	MOVQ rows+32(FP), CX
+	MOVQ d+40(FP), DX
+	SHLQ $2, DX
+
+affrow:
+	XORQ AX, AX
+
+affout:
+	VMOVUPS (SI)(AX*1), Y2
+	VMULPS  (R10)(AX*1), Y2, Y2
+	VADDPS  (R11)(AX*1), Y2, Y2
+	VMOVUPS Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, DX
+	JLT     affout
+
+	ADDQ DX, SI
+	ADDQ DX, DI
+	DECQ CX
+	JNZ  affrow
+	VZEROUPPER
+	RET
+
 // func layerNormBwdAVX2(dx, dy, xhat, invStd, gamma *float32, rows, d int)
 //
 // Per row, with dx̂ = dy·g: a = Σdx̂/d, c = Σ(dx̂·x̂)/d,

@@ -6,6 +6,10 @@ func layerNormRows(y, xhat, invStd, x, g, b []float32, rows, d int, eps float32)
 	layerNormRowsGo(y, xhat, invStd, x, g, b, rows, d, eps)
 }
 
+func layerNormAffineRows(y, xhat, g, b []float32, rows, d int) {
+	layerNormAffineRowsGo(y, xhat, g, b, rows, d)
+}
+
 func layerNormBwdRows(dx, dy, xhat, invStd, g []float32, rows, d int) {
 	layerNormBwdRowsGo(dx, dy, xhat, invStd, g, rows, d)
 }

@@ -86,7 +86,8 @@ func TestLayerNormAccuracy(t *testing.T) {
 
 // TestLayerNormAsmMatchesGeneric holds the dispatched kernels to the
 // scalar lanes bit for bit (trivially true on purego builds), with and
-// without the x̂/invStd outputs.
+// without the x̂/invStd outputs, and the affine pass over the cached x̂
+// to the forward's y.
 func TestLayerNormAsmMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	for _, sh := range lnShapes {
@@ -105,6 +106,16 @@ func TestLayerNormAsmMatchesGeneric(t *testing.T) {
 		layerNormRows(yInfer, nil, nil, x, g, b, rows, d, 1e-6)
 		if i, ok := bitsEqual32(yInfer, y); !ok {
 			t.Fatalf("rows=%d d=%d: y[%d] changes when x̂/invStd are not requested", rows, d, i)
+		}
+
+		yAff, yAffGo := make([]float32, rows*d), make([]float32, rows*d)
+		layerNormAffineRows(yAff, xhat, g, b, rows, d)
+		layerNormAffineRowsGo(yAffGo, xhat, g, b, rows, d)
+		if i, ok := bitsEqual32(yAff, yAffGo); !ok {
+			t.Fatalf("rows=%d d=%d: affine y[%d]: kernel %v != scalar lane %v", rows, d, i, yAff[i], yAffGo[i])
+		}
+		if i, ok := bitsEqual32(yAff, y); !ok {
+			t.Fatalf("rows=%d d=%d: y[%d] regenerated from x̂ differs from the forward's", rows, d, i)
 		}
 
 		dx, dxGo := make([]float32, rows*d), make([]float32, rows*d)
@@ -216,6 +227,7 @@ func TestLayerNormPoisonAndPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"LayerNorm short y":         func() { LayerNorm(y[:d], nil, nil, x, g, b, 2, d, 1e-6) },
 		"LayerNorm zero width":      func() { LayerNorm(y, nil, nil, x, g, b, 2, 0, 1e-6) },
+		"LayerNormAffine short":     func() { LayerNormAffine(y, x[:d], g, b, 2, d) },
 		"LayerNormBackward short":   func() { LayerNormBackward(y, x, x, g[:1], g, 2, d) },
 		"LayerNormParamGrads short": func() { LayerNormParamGrads(g[:d-1], b, x, x, 2, d) },
 	} {

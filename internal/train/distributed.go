@@ -169,6 +169,10 @@ type DistResult struct {
 	FinalLossScale float64
 	ScaleBackoffs  int
 	SkippedSteps   int
+	// ActivationBytes is rank 0's recording-arena footprint after the
+	// run (mae.Model.ActivationBytes): the activation memory one
+	// step's forward and backward hold on a rank.
+	ActivationBytes int
 	// State is the complete training state at the end of the run —
 	// feed it to DistConfig.Resume (or SaveTrainStateFile) to continue
 	// training bitwise-identically.
@@ -359,6 +363,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	}
 
 	res.Model = res.replicas[0]
+	res.ActivationBytes = res.Model.ActivationBytes()
 	res.Comm = run.world.Stats()
 	res.CollectiveCalls = run.world.CollectiveCalls(0)
 	res.Traffic = fsdp.TrafficPerStep(plan, n, len(res.State.Master), cfg.Precision.WireBytes())

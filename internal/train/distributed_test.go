@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/fsdp"
+	"repro/internal/geodata"
+	"repro/internal/mae"
 	"repro/internal/opt"
+	"repro/internal/vit"
 )
 
 func tinyDistConfig(ranks int, plan fsdp.Plan) DistConfig {
@@ -230,5 +233,28 @@ func TestDistributedRejectsInvalidPlans(t *testing.T) {
 	if _, err := PretrainDistributed(tinyDistConfig(0, fsdp.Plan{}), tinyDataset(64)); err == nil ||
 		!strings.Contains(err.Error(), "non-positive rank count") {
 		t.Errorf("zero ranks: err = %v, want a non-positive rank count error", err)
+	}
+}
+
+// TestActivationBytes: DistResult.ActivationBytes is rank 0's
+// recording-arena footprint after the run. At pretrain_compute's shape
+// (ViT-3B analog, 64-pixel images in 4-pixel patches, batch 16, one
+// rank) it is mae's closed form for a step (stepFloats, pinned by
+// mae's TestStepActivationBytes): 58 880 000 bytes, 56.15 MiB.
+func TestActivationBytes(t *testing.T) {
+	enc, err := vit.Analog("ViT-3B", 64, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultPretrain(mae.Default(enc))
+	cfg.BatchSize, cfg.Epochs, cfg.MaxStepsPerEpoch, cfg.Workers, cfg.Seed = 16, 1, 1, 1, 1
+	ds := &geodata.Dataset{Name: "pretrain_compute", Gen: geodata.NewSceneGen(8, 64, 3, 5), TrainCount: 16}
+	res, err := PretrainDistributed(DistConfig{PretrainConfig: cfg, Ranks: 1}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 58880000
+	if res.ActivationBytes != want {
+		t.Fatalf("ActivationBytes %d, want %d", res.ActivationBytes, want)
 	}
 }

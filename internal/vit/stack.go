@@ -35,14 +35,16 @@ func (s *Stack) Params() []*nn.Param {
 	return append(ps, s.Norm.Params()...)
 }
 
-// Apply runs the stack over batch sequences of tokens tokens each,
-// every activation in ctx.
+// Apply runs the stack over batch sequences of tokens tokens each and
+// returns the final norm's output, a scratch slot of ctx. The blocks run
+// in place over x, the residual stream, which holds the last block's
+// output afterwards: every block reuses one scratch working set, and a
+// frozen pass keeps nothing else.
 func (s *Stack) Apply(ctx *nn.Arena, x []float32, batch, tokens int) []float32 {
-	h := x
 	for _, b := range s.Blocks {
-		h = b.Apply(ctx, h, batch, tokens)
+		b.Apply(ctx, x, batch, tokens)
 	}
-	return s.Norm.Apply(ctx, h, batch*tokens)
+	return s.Norm.Apply(ctx, x, batch*tokens)
 }
 
 // Backprop propagates dy back through the stack and writes dL/dx into
