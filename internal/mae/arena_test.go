@@ -39,33 +39,35 @@ func deepest(passes ...[]int) int {
 }
 
 // stepFloats is a training step's activation footprint in floats: what
-// the backward reads, kept — the patches, every block's and both final
-// norms' caches, the two stacks' outputs and the loss gradient — and
-// the scratch stack that every phase reuses from its bottom.
+// a later phase reads, kept — the patches, the visible patches, every
+// block's and both final norms' caches, the two stacks' outputs and the
+// loss gradient — and the scratch stack that every phase reuses from
+// its bottom.
 func stepFloats(cfg Config, batch int) int {
 	enc := cfg.Encoder
 	t, k, pd, w, dw := enc.Tokens(), cfg.KeepTokens(), enc.PatchDim(), enc.Width, cfg.DecoderWidth
 	// re and rd are the encoder's and the decoder's rows, rm the masked
 	// rows.
 	re, rd, rm := batch*k, batch*t, batch*(t-k)
-	kept := rd*pd + // patches
+	kept := rd*pd + re*pd + // patches, visible patches
 		enc.Depth*blockFloats(batch, k, w, enc.MLP, enc.Heads) + re*w + re + re*w + // encoder, its norm, its output
 		cfg.DecoderDepth*blockFloats(batch, t, dw, 4*dw, cfg.DecoderHeads) + rd*dw + rd + rd*dw + // decoder, its norm, its output
 		rm*pd // the loss gradient
 	scratch := deepest(
-		// the embedding, its visible rows (the encoder's residual
-		// stream), a block's (R × W) slot, then the norm's output, and
-		// its GELU output
-		[]int{rd * w, re * w, re * w, re * enc.MLP},
+		// the embedded visible patches (the encoder's residual stream),
+		// a block's (R × W) slot, then the norm's output, and its GELU
+		// output
+		[]int{re * w, re * w, re * enc.MLP},
 		// the decoder embedding, the assembled decoder input (its
 		// stream), a block's slot and its GELU output
 		[]int{re * dw, rd * dw, rd * dw, rd * 4 * dw},
 		// the prediction, the targets, the masked prediction and target
 		[]int{rd * pd, rd * pd, rm * pd, rm * pd},
-		// the backward: dFull, the decoder's two, dVisible, the
-		// encoder's two, dEmbed, then the blocks' narrow and wide
-		// transients at the larger of the two stacks' sizes
-		[]int{rd * pd, rd * dw, rd * dw, re * dw, re * w, re * w, rd * w,
+		// the backward: g0 (the Pred's, the split's and the encoder's
+		// input gradients), g1 (dFull, the decoder's, DecEmbed's), then
+		// the blocks' narrow and wide transients at the larger of the
+		// two stacks' sizes
+		[]int{max(rd*dw, re*dw, re*w), max(rd*pd, rd*dw, re*w),
 			max(rd*dw, re*w), max(rd*4*dw, re*max(enc.MLP, 3*w))},
 	)
 	return kept + scratch
@@ -119,8 +121,8 @@ func poison(a *nn.Arena, slots, n int) {
 
 // TestPoisonedArenas: the model's arenas hand out slots holding
 // whatever the previous pass left, so every buffer a step or a frozen
-// pass takes — the forward's outputs and caches, decIn, dFull, dEmbed
-// and the blocks' transients — must be overwritten, never accumulated
+// pass takes — the forward's outputs and caches, decIn, g0, g1 and the
+// blocks' transients — must be overwritten, never accumulated
 // into. With both arenas poisoned with NaN, two steps' losses and
 // gradients and the frozen features are bitwise those of fresh arenas,
 // and the poisoned arenas do not grow.

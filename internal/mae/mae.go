@@ -110,6 +110,7 @@ type Model struct {
 	batch   int
 	keepIdx [][]int // visible patch indices per image (sorted)
 	maskIdx [][]int // masked patch indices per image
+	visRows []int   // the visible patches' positions in the batch's grid
 	visMask []bool
 	dPred   []float32 // the loss gradient forward leaves in ctx for backward
 }
@@ -235,9 +236,17 @@ func (m *Model) SkipMasks(batches, batch int) {
 }
 
 // SetMask overrides the random mask with explicit per-image visible
-// indices; used by tests for reproducible gradient checks.
+// indices, each image's ascending (as DrawMasks returns them); used by
+// tests for reproducible gradient checks.
 func (m *Model) SetMask(keep [][]int) {
 	t := m.Cfg.Encoder.Tokens()
+	for b, kv := range keep {
+		for i, k := range kv {
+			if k < 0 || k >= t || (i > 0 && k <= kv[i-1]) {
+				panic(fmt.Sprintf("mae: image %d's visible indices %v do not ascend strictly in [0, %d)", b, kv, t))
+			}
+		}
+	}
 	m.keepIdx = keep
 	if cap(m.maskIdx) < len(keep) {
 		m.maskIdx = make([][]int, len(keep))
@@ -335,11 +344,14 @@ func (m *Model) BackwardStepLayers(onSegment func(k int)) {
 }
 
 // forward is a step's forward half on the model's recording arena,
-// which it resets. What the backward reads stays kept until the next
-// forward: the patches, every layer's caches, the two stacks' outputs
-// and the loss gradient. Everything else — the embedding, its visible
-// rows, the decoder input, the prediction, the targets and the masked
-// gathers — is scratch, handed back before forward returns.
+// which it resets. Only the visible patches are embedded: the encoder
+// never reads the masked ones. What a later phase reads stays kept
+// until the next forward: the patches (the targets read them), the
+// visible patches (the patch embedding's weight gradient), every
+// layer's caches, the two stacks' outputs and the loss gradient.
+// Everything else — the embedded visible patches, the decoder input,
+// the prediction, the targets and the masked gathers — is scratch,
+// handed back before forward returns.
 func (m *Model) forward(imgs []float32, batch int) float64 {
 	cfg := m.Cfg
 	enc := cfg.Encoder
@@ -353,17 +365,22 @@ func (m *Model) forward(imgs []float32, batch int) float64 {
 	ctx.Reset()
 	mark := ctx.Mark()
 
-	// 1. Patchify; the patch embedding's weight gradient reads the
-	// patches.
+	// 1. Patchify; the targets read every patch.
 	patches := ctx.Take(batch * t * pd)
 	nn.Patchify(patches, imgs, batch, enc.ImageSize, enc.ImageSize, enc.Channels, enc.PatchSize)
 
-	// 2. Embed all patches (with positional encodings), gather visible.
-	emb := m.Embed.Apply(ctx, patches, batch)
-	visible := ctx.Scratch(batch * keep * w)
+	// 2. Gather the visible patches and embed them alone, each with its
+	// grid position's encoding: the encoder's residual stream.
+	visPatches := ctx.Take(batch * keep * pd)
+	rows := m.visRows[:0]
 	for b := 0; b < batch; b++ {
-		tensor.GatherRows(visible[b*keep*w:], emb[b*t*w:], m.keepIdx[b], w)
+		tensor.GatherRows(visPatches[b*keep*pd:], patches[b*t*pd:], m.keepIdx[b], pd)
+		for _, g := range m.keepIdx[b] {
+			rows = append(rows, b*t+g)
+		}
 	}
+	m.visRows = rows
+	visible := m.Embed.ApplyRows(ctx, visPatches, rows, batch)
 
 	// 3. Encode visible tokens in place; DecEmbed's weight gradient
 	// reads the output.
@@ -424,10 +441,13 @@ func (m *Model) backward(batch int) {
 
 // backwardLayers is the single backward implementation, emitting a
 // completion event per BackwardSegments unit (events are counted even
-// with a nil callback so segment indices stay aligned). It takes every
-// gradient that passes between units from the recording arena's
-// scratch first, so the blocks' transients above them sit at one top
-// that encoder and decoder blocks share, and hands them all back.
+// with a nil callback so segment indices stay aligned). Every gradient
+// that passes between units lives in one of two scratch buffers, g0
+// and g1, taken first and each sized by the largest role it plays: a
+// unit reads one and writes the other. The blocks' narrow and wide
+// transients above them then sit at the scratch depths of a decoder
+// block's forward working set, one top that encoder and decoder blocks
+// share; all of it is handed back at the end.
 func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	seg := 0
 	emit := func() {
@@ -446,27 +466,27 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 	nMask := t - keep
 	ctx := m.ctx
 	mark := ctx.Mark()
-	dFull := ctx.Scratch(batch * t * pd) // the masked-pixel gradient over every token
-	dNormed := ctx.Scratch(batch * t * dw)
-	dDec := ctx.Scratch(batch * t * dw)
-	dVisible := ctx.Scratch(batch * keep * dw)
-	dEnc := ctx.Scratch(batch * keep * w)
-	dVis := ctx.Scratch(batch * keep * w)
-	dEmbed := ctx.Scratch(batch * t * w)
+	re, rd := batch*keep, batch*t // the encoder's and the decoder's rows
+	g0 := ctx.Scratch(max(rd*dw, re*dw, re*w))
+	g1 := ctx.Scratch(max(rd*pd, rd*dw, re*w))
 
 	// Scatter masked-pixel gradient into the full prediction grid
 	// (visible positions receive zero).
+	dFull := g1[:rd*pd]
 	clear(dFull)
 	for b := 0; b < batch; b++ {
 		tensor.ScatterRowsAdd(dFull[b*t*pd:], m.dPred[b*nMask*pd:], m.maskIdx[b], pd)
 	}
+	dNormed := g0[:rd*dw]
 	m.Pred.Backprop(dNormed, dFull)
 	emit()
+	dDec := g1[:rd*dw]
 	m.Decoder.Backprop(ctx, dDec, dNormed, emit)
 
 	// dDec now holds the gradient w.r.t. the decoder input sequence.
 	// Split it: visible positions flow to the encoder path, all other
 	// positions accumulate into the mask token.
+	dVisible := g0[:re*dw]
 	visMask := m.tokenMask()
 	mtGrad := m.MaskToken.Grad
 	for b := 0; b < batch; b++ {
@@ -485,17 +505,15 @@ func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
 		}
 	}
 
+	dEnc := g1[:re*w]
 	m.DecEmbed.Backprop(dEnc, dVisible)
 	emit() // DecEmbed + MaskToken (accumulated in the split above)
+	dVis := g0[:re*w]
 	m.Encoder.Backprop(ctx, dVis, dEnc, emit)
 
-	// Scatter visible-token gradients back into the full embedding grid
-	// (masked positions receive zero) and finish with the patch embed.
-	clear(dEmbed)
-	for b := 0; b < batch; b++ {
-		tensor.ScatterRowsAdd(dEmbed[b*t*w:], dVis[b*keep*w:], m.keepIdx[b], w)
-	}
-	m.Embed.Backprop(dEmbed)
+	// The patch embedding embedded the visible patches alone, so its
+	// weight gradient runs over their rows.
+	m.Embed.Backprop(dVis)
 	emit()
 	ctx.Rewind(mark)
 }

@@ -1,6 +1,7 @@
 package mae
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -508,5 +509,23 @@ func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 		if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 			t.Fatalf("layered backward gradient differs at flat element %d", i)
 		}
+	}
+}
+
+// TestSetMaskRejectsUnsortedIndices: a step embeds the visible patches
+// by their grid positions, which must ascend, so SetMask names an image
+// whose visible indices do not — unsorted, repeated or off the grid —
+// before any layer runs.
+func TestSetMaskRejectsUnsortedIndices(t *testing.T) {
+	m := New(tinyCfg(), rng.New(1))
+	for _, keep := range [][]int{{3, 1, 5, 7}, {1, 1, 5, 7}, {-1, 1, 5, 7}, {1, 3, 5, 9}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "mae: image 1's visible indices") {
+					t.Errorf("SetMask with image 1 visible at %v: panic %v", keep, r)
+				}
+			}()
+			m.SetMask([][]int{{0, 2, 4, 6}, keep})
+		}()
 	}
 }

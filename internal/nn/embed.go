@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // Patchify rearranges a batch of channel-last images, stored as
@@ -71,6 +72,12 @@ type PatchEmbed struct {
 	Tokens          int // grid positions per image
 	Proj            *Linear
 	Pos             []float32 // (Tokens × Width), fixed
+
+	// rows and grid, recorded by ApplyRows on a recording arena (Apply
+	// clears rows), are where each embedded row lies in the batch's
+	// grid of grid patches.
+	rows []int
+	grid int
 }
 
 // NewPatchEmbed builds the embedding for a (gridH × gridW) patch grid.
@@ -93,24 +100,64 @@ func (pe *PatchEmbed) Params() []*Param { return pe.Proj.Params() }
 // positional encodings in place.
 func (pe *PatchEmbed) Apply(ctx *Arena, patches []float32, batch int) []float32 {
 	y := pe.Proj.Apply(ctx, patches, batch*pe.Tokens)
+	if ctx.recording {
+		pe.rows = nil
+	}
+	pe.addPos(y, nil)
+	return y
+}
+
+// ApplyRows embeds some of a batch's patches: row i of patches is the
+// patch at position rows[i] of the batch's (batch·Tokens) grid, and
+// rows ascends strictly. Each output row is bitwise the row Apply gives
+// that patch, its grid position's encoding added. A recording arena
+// records patches and rows, which the caller keeps until Backprop: the
+// weight gradient then runs over these rows alone, bitwise the
+// full-grid product with a zero gradient on every other row.
+func (pe *PatchEmbed) ApplyRows(ctx *Arena, patches []float32, rows []int, batch int) []float32 {
+	y := pe.Proj.Apply(ctx, patches, len(rows))
+	if ctx.recording {
+		pe.rows, pe.grid = rows, batch*pe.Tokens
+	}
+	pe.addPos(y, rows)
+	return y
+}
+
+// addPos adds to each row r of y the encoding of its grid position:
+// rows[r] mod Tokens, or r mod Tokens when rows is nil.
+func (pe *PatchEmbed) addPos(y []float32, rows []int) {
 	w := pe.Width
 	parallel.RangeGrain(len(y)/w, 1+parallel.MinGrain/(w+1), func(lo, hi int) {
-		for rIdx := lo; rIdx < hi; rIdx++ {
-			pos := pe.Pos[(rIdx%pe.Tokens)*w : (rIdx%pe.Tokens+1)*w]
-			yi := y[rIdx*w : (rIdx+1)*w]
+		for r := lo; r < hi; r++ {
+			g := r
+			if rows != nil {
+				g = rows[r]
+			}
+			g %= pe.Tokens
+			pos := pe.Pos[g*w : (g+1)*w]
+			yi := y[r*w : (r+1)*w]
 			for j := range yi {
 				yi[j] += pos[j]
 			}
 		}
 	})
-	return y
 }
 
 // Backprop accumulates the projection's parameter gradients
 // (positional embeddings are constant, so the gradient passes through
-// unchanged to Proj). Nothing upstream of the patches is trained, so
+// unchanged to Proj) from dy, one row per row the last recording Apply
+// or ApplyRows embedded. Nothing upstream of the patches is trained, so
 // no pixel gradient is computed.
-func (pe *PatchEmbed) Backprop(dy []float32) { pe.Proj.Backprop(nil, dy) }
+func (pe *PatchEmbed) Backprop(dy []float32) {
+	if pe.rows == nil {
+		pe.Proj.Backprop(nil, dy)
+		return
+	}
+	l := pe.Proj
+	checkRows(len(dy), len(pe.rows), l.Out, "PatchEmbed.Backprop")
+	tensor.MatMulTARows(l.W.Grad, l.x, dy, pe.rows, l.In, pe.grid, l.Out, true)
+	tensor.ColumnSums(l.B.Grad, dy, len(pe.rows), l.Out)
+}
 
 // SinCos2D returns the fixed 2-D sine-cosine positional embedding table
 // of shape (gridH·gridW × dim), matching the get_2d_sincos_pos_embed

@@ -176,6 +176,60 @@ func TestPatchEmbedGradients(t *testing.T) {
 		pe.Params(), 1e-2)
 }
 
+// TestPatchEmbedApplyRowsMatchesFullGrid: embedding a subset of a
+// batch's patches gives, bit for bit, the rows the full-grid Apply gives
+// them, and its Backprop the parameter gradients of the full grid's
+// with a zero gradient on every other row — over a grid of three K
+// strips, rows straddling their boundaries. A recording Apply after
+// ApplyRows backpropagates over the full grid again.
+func TestPatchEmbedApplyRowsMatchesFullGrid(t *testing.T) {
+	r := rng.New(12)
+	const batch, grid, patchDim, width = 3, 16, 12, 16
+	pe := NewPatchEmbed("pe", patchDim, width, grid, grid, r)
+	tokens := grid * grid
+	patches := make([]float32, batch*tokens*patchDim)
+	r.FillNormal(patches, 0, 1)
+	var rows []int
+	for p := 0; p < batch*tokens; p++ {
+		if r.Intn(4) == 0 {
+			rows = append(rows, p)
+		}
+	}
+	sub := make([]float32, len(rows)*patchDim)
+	dySub := make([]float32, len(rows)*width)
+	r.FillNormal(dySub, 0, 1)
+	dyFull := make([]float32, batch*tokens*width)
+	for i, p := range rows {
+		copy(sub[i*patchDim:], patches[p*patchDim:(p+1)*patchDim])
+		copy(dyFull[p*width:], dySub[i*width:(i+1)*width])
+	}
+
+	grads := func(fwd func(ctx *Arena) []float32, dy []float32) ([]float32, []float32) {
+		ZeroGrads(pe.Params())
+		y := append([]float32(nil), fwd(NewTrainCtx())...)
+		pe.Backprop(dy)
+		var g []float32
+		for _, p := range pe.Params() {
+			g = append(g, p.Grad...)
+		}
+		return y, g
+	}
+	ySub, gSub := grads(func(ctx *Arena) []float32 { return pe.ApplyRows(ctx, sub, rows, batch) }, dySub)
+	yFull, gFull := grads(func(ctx *Arena) []float32 { return pe.Apply(ctx, patches, batch) }, dyFull)
+	for i, p := range rows {
+		for j := 0; j < width; j++ {
+			if a, b := ySub[i*width+j], yFull[p*width+j]; math.Float32bits(a) != math.Float32bits(b) {
+				t.Fatalf("row %d (grid position %d) column %d: ApplyRows %v, Apply %v", i, p, j, a, b)
+			}
+		}
+	}
+	for i := range gFull {
+		if math.Float32bits(gSub[i]) != math.Float32bits(gFull[i]) {
+			t.Fatalf("gradient element %d: over the rows %v, over the full grid %v", i, gSub[i], gFull[i])
+		}
+	}
+}
+
 func TestCrossEntropyGradient(t *testing.T) {
 	r := rng.New(8)
 	const batch, classes = 6, 5

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/parallel"
@@ -152,6 +153,72 @@ func MatMulTALd(c, a, b []float32, m, k, n, lda, ldb, ldc int, acc bool) {
 	gemm(c, a, b, nil, m, k, n, lda, ldb, ldc, acc, opTA, "MatMulTA")
 }
 
+// MatMulTARows is MatMulTA over a K axis of length k of which only the
+// rows at positions pos (strictly ascending, each in [0, k)) are
+// stored: A (len(pos)×m) and B (len(pos)×n) hold those rows, and every
+// other row of both operands is zero. The result is bitwise MatMulTA's
+// over the zero-padded (k×m) and (k×n) operands. The K strips are cut
+// where the padded product cuts them, at multiples of kcBlock on the
+// padded axis, so every strip's sums — and the additions that fold the
+// strips into C — are the padded product's; within a strip, a zero row
+// only adds ±0 to a running sum that is never −0 short of an underflow
+// (kern6x16go), which leaves it unchanged. A strip holding no stored row stores or adds the
+// +0 sums the kernel would. It is the weight gradient of a layer that
+// ran on a subset of a batch's rows, without the zero-filled full grid.
+func MatMulTARows(c, a, b []float32, pos []int, m, k, n int, acc bool) {
+	const name = "MatMulTARows"
+	checkGEMMLd(len(c), len(a), len(b), m, len(pos), n, m, n, n, opTA, name)
+	for i, p := range pos {
+		if p < 0 || p >= k || (i > 0 && p <= pos[i-1]) {
+			panic(fmt.Sprintf("tensor: %s row %d at position %d: positions must ascend strictly in [0, %d)", name, i, p, k))
+		}
+	}
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if k <= 0 {
+		zeroC(c, m, n, n, acc)
+		return
+	}
+	if pos == nil {
+		pos = []int{} // a subset with no rows, not the dense axis
+	}
+	gemmBlocked(c, a, b, nil, m, kAxis{pad: k, pos: pos}, n, m, n, n, acc, opTA)
+}
+
+// kAxis is a product's K axis as the blocked GEMM cuts it into strips: the
+// strips are kcBlock long on an axis of length pad, and pos gives the
+// position on it of each row the operands hold — nil when they hold
+// every row, as in every product but MatMulTARows'.
+type kAxis struct {
+	pad int
+	pos []int
+}
+
+// denseK is the K axis of an ordinary product: k rows, all stored.
+func denseK(k int) kAxis { return kAxis{pad: k} }
+
+// rows returns the number of rows the operands hold.
+func (ax kAxis) rows() int {
+	if ax.pos == nil {
+		return ax.pad
+	}
+	return len(ax.pos)
+}
+
+// strips returns the number of K strips.
+func (ax kAxis) strips() int { return (ax.pad + kcBlock - 1) / kcBlock }
+
+// strip returns the stored rows [lo, hi) of strip s: every row whose
+// position lies in [s·kcBlock, (s+1)·kcBlock). A strip of a subset axis
+// may be empty.
+func (ax kAxis) strip(s int) (lo, hi int) {
+	if ax.pos == nil {
+		return s * kcBlock, min((s+1)*kcBlock, ax.pad)
+	}
+	return sort.SearchInts(ax.pos, s*kcBlock), sort.SearchInts(ax.pos, (s+1)*kcBlock)
+}
+
 // gemm is the prologue shared by every entry point: shape validation,
 // degenerate shapes, then the blocked path, whatever the size.
 func gemm(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp, name string) {
@@ -165,7 +232,7 @@ func gemm(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemm
 		addBiasRows(c, bias, m, n, ldc)
 		return
 	}
-	gemmBlocked(c, a, b, bias, m, k, n, lda, ldb, ldc, acc, op)
+	gemmBlocked(c, a, b, bias, m, denseK(k), n, lda, ldb, ldc, acc, op)
 }
 
 // bInPlace is the rule for reading row-major B where it lies instead
@@ -206,23 +273,23 @@ const tbSwapMaxPanels = 8
 // gemmBlocked is the register-blocked path shared by all three kernel
 // variants: op selects how the operands are read, and B is packed or
 // left in place (see the package header).
-func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, op gemmOp) {
+func gemmBlocked(c, a, b, bias []float32, m int, ax kAxis, n, lda, ldb, ldc int, acc bool, op gemmOp) {
 	if op == opTB && tbSwapped(m, n) {
-		gemmSwapped(c, a, b, bias, m, k, n, lda, ldb, ldc, acc)
+		gemmSwapped(c, a, b, bias, m, ax.pad, n, lda, ldb, ldc, acc)
 		return
 	}
 	firstPacked := 0
 	if op != opTB && bInPlace(m, ldb) {
 		firstPacked = n / nr
 	}
-	bbuf := packB(k, n, nr, firstPacked, func(dst []float32, p0, kcEff, j0, jw int) {
+	bbuf := packB(ax, n, nr, firstPacked, func(dst []float32, p0, kcEff, j0, jw int) {
 		if op == opTB {
 			packBPanelT(dst, b, nr, kcEff, ldb, p0, j0, jw)
 		} else {
 			packBPanelN(dst, b[p0*ldb:], kcEff, ldb, j0, jw)
 		}
 	})
-	gemmCompute(c, a, b, *bbuf, bias, m, k, n, lda, ldb, ldc, firstPacked, acc, op)
+	gemmCompute(c, a, b, *bbuf, bias, m, ax, n, lda, ldb, ldc, firstPacked, acc, op)
 	packBPool.Put(bbuf)
 }
 
@@ -237,7 +304,7 @@ func gemmBlocked(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool, 
 // by C's column, is added in the last strip's write-back. Work is
 // split over tiles of P's rows, which are column ranges of C.
 func gemmSwapped(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool) {
-	abuf := packB(k, m, t8, 0, func(dst []float32, p0, kcEff, j0, jw int) {
+	abuf := packB(denseK(k), m, t8, 0, func(dst []float32, p0, kcEff, j0, jw int) {
 		packBPanelT(dst, a, t8, kcEff, lda, p0, j0, jw)
 	})
 	ap := *abuf
@@ -309,22 +376,24 @@ func gemmSwapped(c, a, b, bias []float32, m, k, n, lda, ldb, ldc int, acc bool) 
 }
 
 // packB packs the w-column panels firstPacked, firstPacked+1, … of a
-// k×n B into pooled scratch, blocked by K strip then by panel: panel
-// jp of the strip starting at row p0 lies at
+// B of ax.rows() rows × n into pooled scratch, blocked by K strip then by
+// panel: panel jp of the strip starting at row p0 lies at
 // p0·np·w + (jp−firstPacked)·kcEff·w, np being the number of packed
 // panels; w is nr for the micro-kernel, t8 for the swapped path.
 // Panels are disjoint, so the pack runs on the pool rather than as a
 // serial prefix ahead of the compute workers. The caller returns the
 // buffer to packBPool.
-func packB(k, n, w, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, jw int)) *[]float32 {
+func packB(ax kAxis, n, w, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0, jw int)) *[]float32 {
 	np := (n+w-1)/w - firstPacked
-	bbuf := getPack(&packBPool, k*np*w)
+	bbuf := getPack(&packBPool, ax.rows()*np*w)
 	bp := *bbuf
-	nStrips := (k + kcBlock - 1) / kcBlock
-	parallel.ForGrain(nStrips*np, 8, func(idx int) {
-		p0 := (idx / np) * kcBlock
+	parallel.ForGrain(ax.strips()*np, 8, func(idx int) {
+		p0, p1 := ax.strip(idx / np)
+		if p0 == p1 {
+			return
+		}
 		jp := firstPacked + idx%np
-		kcEff := min(kcBlock, k-p0)
+		kcEff := p1 - p0
 		j0 := jp * w
 		packPanel(bp[p0*np*w+(jp-firstPacked)*kcEff*w:], p0, kcEff, j0, min(w, n-j0))
 	})
@@ -334,14 +403,14 @@ func packB(k, n, w, firstPacked int, packPanel func(dst []float32, p0, kcEff, j0
 // gemmCompute runs the register-blocked compute loop. Panels of B
 // before firstPacked are read in place from the row-major b (stride
 // ldb); the rest come from bp, the layout packB produces.
-func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
+func gemmCompute(c, a, b, bp, bias []float32, m int, ax kAxis, n, lda, ldb, ldc, firstPacked int, acc bool, op gemmOp) {
 	nPanels := (n + nr - 1) / nr
 	np := nPanels - firstPacked
 	// Parallel split is over mr-row micro-panel tiles, not raw rows, so
 	// every interior task boundary is micro-kernel aligned and only the
 	// true bottom edge of C ever takes the partial-tile path.
 	mTiles := (m + mr - 1) / mr
-	grain := max(1, rowsGrain(k, n)/mr)
+	grain := max(1, rowsGrain(ax.rows(), n)/mr)
 	parallel.RangeGrain(mTiles, grain, func(tlo, thi int) {
 		lo, hi := tlo*mr, min(thi*mr, m)
 		// Packed A: the whole slab when A is transposed, otherwise only
@@ -356,16 +425,32 @@ func gemmCompute(c, a, b, bp, bias []float32, m, k, n, lda, ldb, ldc, firstPacke
 		for i0 := lo; i0 < hi; i0 += mcBlock {
 			mcEff := min(mcBlock, hi-i0)
 			mPanels := (mcEff + mr - 1) / mr
-			for p0 := 0; p0 < k; p0 += kcBlock {
-				kcEff := min(kcBlock, k-p0)
+			for s, nStrips := 0, ax.strips(); s < nStrips; s++ {
+				p0, p1 := ax.strip(s)
+				kcEff := p1 - p0
 				// The first strip of C = A·B stores, every other strip
 				// adds; the last one adds the bias after its sums, which
 				// is (C + Σ_last) + b — the order of a bias loop run
 				// after the product.
-				accStrip := acc || p0 > 0
+				accStrip := acc || s > 0
 				var stripBias []float32
-				if p0+kcEff == k {
+				if s == nStrips-1 {
 					stripBias = bias
+				}
+				if kcEff == 0 {
+					// A strip with no stored row (MatMulTARows): its
+					// sums are +0, written back as the kernel would.
+					var zeros [nr]float32
+					for i := i0; i < i0+mcEff; i++ {
+						for j0 := 0; j0 < n; j0 += nr {
+							var bj []float32
+							if stripBias != nil {
+								bj = stripBias[j0:]
+							}
+							writeBack(c[i*ldc+j0:], zeros[:min(nr, n-j0)], accStrip, bj)
+						}
+					}
+					continue
 				}
 				if op == opTA {
 					packABlockT(ap, a, i0, mcEff, p0, kcEff, lda)

@@ -346,7 +346,7 @@ func TestBlockedDriverMatchesPackedReference(t *testing.T) {
 					ldc := n + 2
 					got := randMat(r, m*ldc)
 					want := append([]float32(nil), got...)
-					gemmBlocked(got, a, b, bs, m, k, n, lda, ldb, ldc, acc, op)
+					gemmBlocked(got, a, b, bs, m, denseK(k), n, lda, ldb, ldc, acc, op)
 					packedReference(want, a, b, bs, m, k, n, lda, ldb, ldc, acc, op)
 					if i, ok := bitsEqual32(got, want); !ok {
 						t.Fatalf("%+v k=%d op=%d acc=%v bias=%v: element %d = %v, packed reference gives %v",

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fsdp"
 	"repro/internal/geodata"
 	"repro/internal/mae"
+	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/trace"
 )
@@ -280,6 +281,14 @@ func (run *distRun) checkResume() error {
 // trajectories, and measured wire bytes stay exactly equal to
 // fsdp.TrafficPerStep per optimizer step.
 func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, error) {
+	return pretrainDistributed(cfg, ds, true)
+}
+
+// pretrainDistributed is PretrainDistributed. With capture false the
+// run neither allocates nor fills DistResult.State, which stays nil —
+// three flat copies of the parameter space that Pretrain would only
+// throw away — so cfg must not ask for periodic checkpoints.
+func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*DistResult, error) {
 	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("train: non-positive batch size or epochs")
 	}
@@ -343,7 +352,10 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		ThrottleSkew: cfg.ThrottleSkew,
 		Fault:        cfg.Fault,
 	})
-	res := &DistResult{Ranks: n, Precision: cfg.Precision, State: &TrainState{}}
+	res := &DistResult{Ranks: n, Precision: cfg.Precision}
+	if capture {
+		res.State = &TrainState{}
+	}
 	res.LossCurve.Name = cfg.MAE.Encoder.Name + " pretrain loss"
 	res.EpochLoss.Name = cfg.MAE.Encoder.Name + " epoch loss"
 	res.replicas = make([]*mae.Model, n)
@@ -366,7 +378,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	res.ActivationBytes = res.Model.ActivationBytes()
 	res.Comm = run.world.Stats()
 	res.CollectiveCalls = run.world.CollectiveCalls(0)
-	res.Traffic = fsdp.TrafficPerStep(plan, n, len(res.State.Master), cfg.Precision.WireBytes())
+	res.Traffic = fsdp.TrafficPerStep(plan, n, nn.CountParams(res.Model.Params()), cfg.Precision.WireBytes())
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		res.ImagesPerSec = float64(res.Steps*cfg.BatchSize*run.accum) / elapsed

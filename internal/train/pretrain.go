@@ -66,9 +66,10 @@ type PretrainResult struct {
 // returns the model plus loss curves: PretrainDistributed on a world of
 // one rank under the default plan, where every collective is a no-op
 // that moves no bytes (the paper's single GPU as the degenerate cell of
-// the FSDP matrix).
+// the FSDP matrix). It captures no TrainState: a run that is to be
+// resumed calls PretrainDistributed.
 func Pretrain(cfg PretrainConfig, ds *geodata.Dataset) (*PretrainResult, error) {
-	res, err := PretrainDistributed(DistConfig{PretrainConfig: cfg, Ranks: 1}, ds)
+	res, err := pretrainDistributed(DistConfig{PretrainConfig: cfg, Ranks: 1}, ds, false)
 	if err != nil {
 		return nil, err
 	}

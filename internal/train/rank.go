@@ -35,7 +35,7 @@ type distRun struct {
 	world *dist.World
 	res   *DistResult
 	// stOnce allocates res.State's tensors once a rank knows the flat
-	// dimension.
+	// dimension, if the run captures state (res.State non-nil).
 	stOnce sync.Once
 }
 
@@ -98,8 +98,9 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	params := model.Params()
 	dim := nn.CountParams(params)
 	run.stOnce.Do(func() {
-		st := run.res.State
-		st.Master, st.OptM, st.OptV = make([]float32, dim), make([]float32, dim), make([]float32, dim)
+		if st := run.res.State; st != nil {
+			st.Master, st.OptM, st.OptV = make([]float32, dim), make([]float32, dim), make([]float32, dim)
+		}
 	})
 	if resume != nil && len(resume.Master) != dim {
 		return nil, fmt.Errorf("train: resume state has %d master values, model has %d", len(resume.Master), dim)
@@ -422,10 +423,10 @@ func (s *rankState) reduceGrads(invScale float32, clips bool) (sumSq float64, ov
 // sharded); each span is clipped at the unpadded dimension, so the pad
 // tail never reaches the state. The caller separates these writes from
 // rank 0's read (end of run: Run's join; mid-run checkpoints: an
-// explicit barrier).
+// explicit barrier). A run that captures no state skips it.
 func (s *rankState) capture() {
 	st := s.run.res.State
-	if s.r.ID() >= s.eng.shardGroup.Size() {
+	if st == nil || s.r.ID() >= s.eng.shardGroup.Size() {
 		return
 	}
 	dim, off := len(st.Master), 0
@@ -448,6 +449,9 @@ func (s *rankState) capture() {
 // freeze.
 func (s *rankState) stamp(stepNow, epochsDone int) {
 	st := s.run.res.State
+	if st == nil {
+		return
+	}
 	st.Step = stepNow
 	st.Epoch = epochsDone
 	st.Precision = s.run.cfg.Precision

@@ -86,6 +86,38 @@ func TestPretrainDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestPretrainCapturesNoState: the run Pretrain makes neither
+// allocates nor fills a TrainState, which it would throw away, and
+// trains PretrainDistributed's trajectory, whose State is complete.
+func TestPretrainCapturesNoState(t *testing.T) {
+	cfg := PretrainConfig{
+		MAE: tinyMAE(), BatchSize: 8, Epochs: 2, BaseLR: 1.5e-4,
+		WeightDecay: 0.05, WarmupEpochs: 1, ClipNorm: 5, Workers: 1, Seed: 5,
+	}
+	dc := DistConfig{PretrainConfig: cfg, Ranks: 1}
+	bare, err := pretrainDistributed(dc, tinyDataset(32), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.State != nil {
+		t.Fatalf("Pretrain's run captured a TrainState of %d master values", len(bare.State.Master))
+	}
+	full, err := PretrainDistributed(dc, tinyDataset(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := nn.CountParams(full.Model.Params())
+	if st := full.State; st == nil || len(st.Master) != dim || st.Step != full.Steps || st.Epoch != cfg.Epochs {
+		t.Fatalf("PretrainDistributed's State is incomplete: %+v", st)
+	}
+	if i := sameLosses(bare.LossCurve.Y, full.LossCurve.Y); i >= 0 || len(bare.LossCurve.Y) != len(full.LossCurve.Y) {
+		t.Fatalf("the runs with and without state capture trained different losses (first difference at step %d)", i)
+	}
+	if bare.Traffic != full.Traffic {
+		t.Fatalf("traffic %+v without state capture, %+v with", bare.Traffic, full.Traffic)
+	}
+}
+
 // TestPretrainProcsIndependent: the same three steps give the same
 // losses and the same parameters, bit for bit, at any GOMAXPROCS. The
 // kernels have always been cut-independent; the reported loss was not
