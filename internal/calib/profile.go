@@ -234,13 +234,33 @@ func UnmarshalProfile(data []byte) (*HardwareProfile, error) {
 	return &p, nil
 }
 
-// SaveProfileFile writes the envelope to path.
+// SaveProfileFile writes the envelope to path atomically: to a
+// temporary file, fsynced, then renamed over path, so a crash or a full
+// disk mid-write leaves the previous profile intact.
 func SaveProfileFile(path string, p *HardwareProfile) error {
 	data, err := MarshalProfile(p)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // LoadProfileFile reads and verifies an envelope from path.

@@ -1,7 +1,10 @@
 package calib
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -56,6 +59,50 @@ func testWorkload() perfmodel.Workload {
 	return perfmodel.Workload{
 		Model: enc, LocalBatch: 4, EncoderTokens: 4, MAE: true,
 		DecWidth: 64, DecDepth: 2, Prec: perfmodel.FP32Precision(),
+	}
+}
+
+// TestSaveProfileFileReplacesAtomically: saving over an existing
+// profile replaces the file rather than rewriting it in place, so a
+// reader holding the old file still reads the old profile whole, and a
+// save that dies mid-write cannot leave a truncated one behind.
+func TestSaveProfileFileReplacesAtomically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hwprofile.json")
+	old := testProfile()
+	if err := SaveProfileFile(path, old); err != nil {
+		t.Fatal(err)
+	}
+	want, err := MarshalProfile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	next := testProfile()
+	next.Ranks, next.Contention = 8, 1.5
+	if err := SaveProfileFile(path, next); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the held file changed under the save: read %d bytes, want the old %d", len(got), len(want))
+	}
+	q, err := LoadProfileFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(q, next) {
+		t.Fatalf("path holds %+v, want the new profile", q)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
 	}
 }
 

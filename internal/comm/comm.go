@@ -126,13 +126,3 @@ func ParamsFromAlphaBeta(alpha, beta float64, ranks int, phases float64) (Params
 	n := float64(ranks)
 	return Params{Bandwidth: phases * (n - 1) / n / beta, Launch: alpha}, nil
 }
-
-// BusBandwidth converts a measured collective time back into the
-// "bus bandwidth" figure of merit RCCL reports; used by tests to check
-// the model against algorithmic limits.
-func BusBandwidth(c Cost, bytes float64) float64 {
-	if c.Time <= 0 {
-		return 0
-	}
-	return bytes / c.Time
-}

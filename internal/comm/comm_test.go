@@ -45,7 +45,7 @@ func TestBandwidthAsymptote(t *testing.T) {
 	// bandwidth ≈ link bandwidth.
 	const bytes = 100e9
 	c := AllGather(bytes, 64, fast)
-	bus := BusBandwidth(c, bytes*63/64)
+	bus := bytes * 63 / 64 / c.Time // the bus bandwidth RCCL reports
 	if bus < 0.95*fast.Bandwidth {
 		t.Fatalf("large-message bus bandwidth %v below 95%% of link %v", bus, fast.Bandwidth)
 	}
@@ -127,11 +127,5 @@ func TestInvalidParamsPanic(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestBusBandwidthZeroTime(t *testing.T) {
-	if BusBandwidth(Cost{Time: 0}, 100) != 0 {
-		t.Fatal("zero-time bus bandwidth should be 0")
 	}
 }

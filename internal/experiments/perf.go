@@ -291,7 +291,7 @@ func Fig4TraceExperiment() ([]trace.Trace, Table, error) {
 		if err != nil {
 			return nil, t, err
 		}
-		tr := trace.FromResult(r, m, trace.DefaultOptions())
+		tr := trace.FromResult(r, m)
 		traces = append(traces, tr)
 		t.AddRow(plan.Name(), f0(r.ImagesPerSec), f1(tr.MeanPower()), f1(tr.MeanUtil()), gb(r.MemoryPerGPU))
 	}

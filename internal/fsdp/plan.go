@@ -3,7 +3,7 @@
 // behaviour — the per-unit all-gather / reduce-scatter / all-reduce
 // schedule of each sharding strategy, backward prefetching policies,
 // the limit_all_gathers rate limiter, and DDP's fixed-size gradient
-// buckets — as a discrete-event task graph over one compute stream and
+// buckets — as a task graph over one compute stream and
 // one communication stream per rank (ranks are symmetric, so one
 // representative rank is simulated).
 //

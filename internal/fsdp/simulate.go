@@ -256,7 +256,7 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 	stateLocal := float64(w.TotalParams()) * w.Prec.StateBytesPerParam / float64(shardRanks)
 	e.Task("opt", comp, 3*stateLocal/m.HBMBandwidth, cb[0], lastSync)
 
-	makespan := e.Run()
+	makespan := e.Makespan()
 	computeBusy := e.BusyTime(comp)
 	commBusy := e.BusyTime(cm)
 	exposed := makespan - computeBusy

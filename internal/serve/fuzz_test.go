@@ -83,8 +83,8 @@ func checkInvariants(t *testing.T, cfg Config, res *RunResult) {
 }
 
 // simulate runs the serving simulator and holds its schedule to an
-// independent oracle: a replay through the internal/sim discrete-event
-// engine (the machinery the FSDP training simulator runs on). Each
+// independent oracle: a replay through the internal/sim stream
+// scheduler (the machinery the FSDP training simulator runs on). Each
 // batch becomes a task on its engine's FIFO stream, gated by a
 // dependency that finishes at the batch's close time and priced by the
 // same LatencyModel.BatchSec call; both engines compute start/end
@@ -110,7 +110,6 @@ func simulate(t testing.TB, cfg Config, lat LatencyModel, arrivals []Arrival) (*
 		closers[i] = eng.Task(fmt.Sprintf("close%d", b.Seq), eng.Resource(fmt.Sprintf("closer%d", b.Seq)), b.CloseSec)
 		tasks[i] = eng.Task(fmt.Sprintf("batch%d", b.Seq), engines[b.Engine], lat.BatchSec(b.Kinds), closers[i])
 	}
-	eng.Run()
 	waits := make([]float64, len(tasks))
 	for i, task := range tasks {
 		b := res.Batches[i]

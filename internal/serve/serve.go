@@ -26,7 +26,7 @@
 //     compute at all. Virtual runs must match it exactly; wall-clock
 //     runs are held to it within a tolerance band by the validation
 //     suite; and the tests replay its schedules through the
-//     internal/sim discrete-event engine as an independent oracle.
+//     internal/sim stream scheduler as an independent oracle.
 //
 // Per-request latency is traced at four points (admission, batch
 // close, compute launch, completion) as a trace.RequestTrace, which is

@@ -11,7 +11,7 @@ func TestSerialChain(t *testing.T) {
 	a := e.Task("a", r, 1)
 	b := e.Task("b", r, 2, a)
 	c := e.Task("c", r, 3, b)
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != 6 {
 		t.Fatalf("makespan=%v want 6", ms)
 	}
@@ -26,7 +26,7 @@ func TestFIFOWithoutExplicitDeps(t *testing.T) {
 	r := e.Resource("stream")
 	e.Task("a", r, 5)
 	b := e.Task("b", r, 1)
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != 6 || b.Start != 5 {
 		t.Fatalf("FIFO violated: makespan=%v b.Start=%v", ms, b.Start)
 	}
@@ -39,7 +39,7 @@ func TestTwoStreamsOverlap(t *testing.T) {
 	comm := e.Resource("comm")
 	e.Task("c1", comp, 4)
 	e.Task("m1", comm, 3)
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != 4 {
 		t.Fatalf("makespan=%v want 4 (full overlap)", ms)
 	}
@@ -55,7 +55,7 @@ func TestCrossStreamDependency(t *testing.T) {
 	comm := e.Resource("comm")
 	g := e.Task("gather", comm, 2)
 	c := e.Task("block", comp, 3, g)
-	ms := e.Run()
+	ms := e.Makespan()
 	if c.Start != 2 || ms != 5 {
 		t.Fatalf("start=%v makespan=%v", c.Start, ms)
 	}
@@ -78,7 +78,7 @@ func TestPrefetchPatternOverlapsCommWithCompute(t *testing.T) {
 		}
 		prevCompute = e.Task("c", comp, 1, deps...)
 	}
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != L+1 {
 		t.Fatalf("pipelined makespan=%v want %d", ms, L+1)
 	}
@@ -101,7 +101,7 @@ func TestSerializedPatternNoOverlap(t *testing.T) {
 		}
 		prev = e.Task("c", comp, 1, ag)
 	}
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != 2*L {
 		t.Fatalf("serialized makespan=%v want %d", ms, 2*L)
 	}
@@ -116,7 +116,6 @@ func TestDeterministicTieBreak(t *testing.T) {
 		t2 := e.Task("t2", b, 1)
 		t3 := e.Task("t3", a, 1, t2)
 		t4 := e.Task("t4", b, 1, t1)
-		e.Run()
 		return []float64{t1.Start, t2.Start, t3.Start, t4.Start}
 	}
 	x, y := run(), run()
@@ -127,22 +126,33 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestCycleDetection(t *testing.T) {
-	e := New()
-	r := e.Resource("r")
-	q := e.Resource("q")
-	// a (on r) depends on b (on q), b depends on a: deadlock.
-	a := &Task{}
-	b := e.Task("b", q, 1, a)
-	*a = Task{Name: "a", Res: r, Dur: 1, Deps: []*Task{b}}
-	r.tasks = append(r.tasks, a)
-	e.tasks = append(e.tasks, a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cycle not detected")
+func TestTimesIndependentOfStreamInterleaving(t *testing.T) {
+	// A task's times depend only on its stream predecessor and its
+	// dependencies, so two topological submission orders of one graph
+	// give the same schedule.
+	run := func(aFirst bool) []float64 {
+		e := New()
+		a := e.Resource("a")
+		b := e.Resource("b")
+		var t1, t2 *Task
+		if aFirst {
+			t1 = e.Task("t1", a, 1)
+			t2 = e.Task("t2", b, 2)
+		} else {
+			t2 = e.Task("t2", b, 2)
+			t1 = e.Task("t1", a, 1)
 		}
-	}()
-	e.Run()
+		t3 := e.Task("t3", a, 1, t2)
+		t4 := e.Task("t4", b, 1, t1)
+		return []float64{t1.Start, t2.Start, t3.Start, t4.Start, e.Makespan()}
+	}
+	x, y := run(true), run(false)
+	want := []float64{0, 0, 2, 2, 3}
+	for i := range want {
+		if x[i] != want[i] || y[i] != want[i] {
+			t.Fatalf("schedules %v and %v, want %v", x, y, want)
+		}
+	}
 }
 
 func TestInvalidDurationPanics(t *testing.T) {
@@ -160,25 +170,12 @@ func TestInvalidDurationPanics(t *testing.T) {
 	}
 }
 
-func TestRunTwicePanics(t *testing.T) {
-	e := New()
-	r := e.Resource("r")
-	e.Task("a", r, 1)
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Run accepted")
-		}
-	}()
-	e.Run()
-}
-
 func TestZeroDurationTasks(t *testing.T) {
 	e := New()
 	r := e.Resource("r")
 	a := e.Task("a", r, 0)
 	b := e.Task("b", r, 0, a)
-	if ms := e.Run(); ms != 0 {
+	if ms := e.Makespan(); ms != 0 {
 		t.Fatalf("makespan=%v", ms)
 	}
 	if b.Start != 0 {
@@ -196,7 +193,7 @@ func TestMakespanEqualsCriticalPath(t *testing.T) {
 	b := e.Task("b", r1, 3, a)
 	c := e.Task("c", r2, 5, a)
 	d := e.Task("d", r2, 1, b, c)
-	ms := e.Run()
+	ms := e.Makespan()
 	if ms != 2+5+1 {
 		t.Fatalf("makespan=%v want 8", ms)
 	}

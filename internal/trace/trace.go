@@ -30,30 +30,18 @@ type Trace struct {
 	Samples []Sample
 }
 
-// Options controls trace synthesis.
-type Options struct {
-	// DurationSec is the wall-clock window to cover.
-	DurationSec float64
-	// IntervalSec is the sampling cadence (rocm-smi default ≈ 1 s).
-	IntervalSec float64
-	Seed        uint64
-}
-
-// DefaultOptions mirrors the paper's trace window.
-func DefaultOptions() Options {
-	return Options{DurationSec: 120, IntervalSec: 1, Seed: 17}
-}
+// The paper's trace window: 120 s sampled at rocm-smi's ≈ 1 s cadence,
+// with a fixed jitter seed.
+const (
+	windowSec   = 120
+	intervalSec = 1
+	jitterSeed  = 17
+)
 
 // FromResult synthesizes a telemetry trace for the training
-// configuration summarized by r.
-func FromResult(r fsdp.Result, m hw.Machine, opts Options) Trace {
-	if opts.IntervalSec <= 0 {
-		opts.IntervalSec = 1
-	}
-	if opts.DurationSec <= 0 {
-		opts.DurationSec = 60
-	}
-	g := rng.New(opts.Seed ^ uint64(len(r.Plan.Name())))
+// configuration summarized by r over the paper's trace window.
+func FromResult(r fsdp.Result, m hw.Machine) Trace {
+	g := rng.New(jitterSeed ^ uint64(len(r.Plan.Name())))
 	tr := Trace{Label: r.Plan.Name()}
 
 	// Phase fractions of one step: forward (compute ramp), backward
@@ -71,7 +59,7 @@ func FromResult(r fsdp.Result, m hw.Machine, opts Options) Trace {
 		bwdFrac = 0
 	}
 
-	for t := 0.0; t < opts.DurationSec; t += opts.IntervalSec {
+	for t := 0.0; t < windowSec; t += intervalSec {
 		phase := (t / step) - float64(int(t/step)) // position within a step
 		var power, util float64
 		switch {

@@ -23,7 +23,7 @@ func sampleResult(t *testing.T, plan fsdp.Plan) (fsdp.Result, hw.Machine) {
 
 func TestTraceBounds(t *testing.T) {
 	r, m := sampleResult(t, fsdp.BestPractice(fsdp.HybridShard, 2))
-	tr := FromResult(r, m, DefaultOptions())
+	tr := FromResult(r, m)
 	if len(tr.Samples) != 120 {
 		t.Fatalf("samples=%d want 120", len(tr.Samples))
 	}
@@ -42,8 +42,8 @@ func TestTraceBounds(t *testing.T) {
 
 func TestTraceDeterministic(t *testing.T) {
 	r, m := sampleResult(t, fsdp.BestPractice(fsdp.FullShard, 0))
-	a := FromResult(r, m, DefaultOptions())
-	b := FromResult(r, m, DefaultOptions())
+	a := FromResult(r, m)
+	b := FromResult(r, m)
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatal("trace not deterministic")
@@ -54,7 +54,7 @@ func TestTraceDeterministic(t *testing.T) {
 func TestHighUtilizationMatchesPaper(t *testing.T) {
 	// Paper: "GPU utilization is approximately 100%" for synthetic runs.
 	r, m := sampleResult(t, fsdp.BestPractice(fsdp.ShardGradOp, 0))
-	tr := FromResult(r, m, DefaultOptions())
+	tr := FromResult(r, m)
 	if tr.MeanUtil() < 80 {
 		t.Fatalf("mean util %v, want ≈100%%", tr.MeanUtil())
 	}
@@ -64,8 +64,8 @@ func TestPowerOrderingMatchesThroughput(t *testing.T) {
 	// Figure 4: SHARD_GRAD_OP draws more power than FULL_SHARD.
 	rs, m := sampleResult(t, fsdp.BestPractice(fsdp.ShardGradOp, 0))
 	rf, _ := sampleResult(t, fsdp.BestPractice(fsdp.FullShard, 0))
-	ts := FromResult(rs, m, DefaultOptions())
-	tf := FromResult(rf, m, DefaultOptions())
+	ts := FromResult(rs, m)
+	tf := FromResult(rf, m)
 	if rs.ImagesPerSec > rf.ImagesPerSec && ts.MeanPower() <= tf.MeanPower() {
 		t.Fatalf("power ordering: SHARD_GRAD_OP %.1f W ≤ FULL_SHARD %.1f W despite higher throughput",
 			ts.MeanPower(), tf.MeanPower())
@@ -74,7 +74,7 @@ func TestPowerOrderingMatchesThroughput(t *testing.T) {
 
 func TestMemoryTraceMatchesModel(t *testing.T) {
 	r, m := sampleResult(t, fsdp.BestPractice(fsdp.HybridShard, 2))
-	tr := FromResult(r, m, DefaultOptions())
+	tr := FromResult(r, m)
 	for _, s := range tr.Samples {
 		rel := s.MemoryBytes / r.MemoryPerGPU
 		if rel < 0.95 || rel > 1.05 {
@@ -85,20 +85,12 @@ func TestMemoryTraceMatchesModel(t *testing.T) {
 
 func TestRenderCSV(t *testing.T) {
 	r, m := sampleResult(t, fsdp.BestPractice(fsdp.HybridShard, 2))
-	csv := FromResult(r, m, Options{DurationSec: 3, IntervalSec: 1, Seed: 1}).RenderCSV()
+	csv := FromResult(r, m).RenderCSV()
 	if !strings.Contains(csv, "time_s,power_w,memory_gb,gpu_util_pct") {
 		t.Fatal("missing header")
 	}
-	if strings.Count(csv, "\n") != 5 { // comment + header + 3 rows
+	if strings.Count(csv, "\n") != 122 { // comment + header + 120 one-second rows
 		t.Fatalf("unexpected line count in:\n%s", csv)
-	}
-}
-
-func TestOptionDefaultsApplied(t *testing.T) {
-	r, m := sampleResult(t, fsdp.BestPractice(fsdp.HybridShard, 2))
-	tr := FromResult(r, m, Options{Seed: 1}) // zero duration/interval
-	if len(tr.Samples) != 60 {
-		t.Fatalf("default window gave %d samples", len(tr.Samples))
 	}
 }
 

@@ -136,9 +136,9 @@ func TestClipEngagedFullShardMatchesZeRO1Bitwise(t *testing.T) {
 	}
 }
 
-// TestClipEngagedResumeBitwise: a clipping run interrupted at an epoch
-// boundary, checkpointed through the on-disk encoding and resumed ends
-// on the uninterrupted run's exact losses, parameters and moments.
+// TestClipEngagedResumeBitwise: a clipping run's epoch-2 snapshot,
+// checkpointed through the on-disk encoding and resumed, ends on the
+// uninterrupted run's exact losses, parameters and moments.
 func TestClipEngagedResumeBitwise(t *testing.T) {
 	for _, c := range []struct {
 		plan fsdp.Plan
@@ -151,12 +151,9 @@ func TestClipEngagedResumeBitwise(t *testing.T) {
 		name := fmt.Sprintf("%s/%s", c.plan.Name(), c.prec)
 		base := clippedDistConfig(4, c.plan, c.prec)
 		base.Epochs = 4
-		ref := mustPretrainDistributed(t, base, 32)
-
-		legA := base
-		legA.StopAfterEpoch = 2
+		ref, st := snapshotAt(t, base, 32, 2)
 		var file bytes.Buffer
-		if err := SaveTrainState(&file, mustPretrainDistributed(t, legA, 32).State); err != nil {
+		if err := SaveTrainState(&file, st); err != nil {
 			t.Fatal(err)
 		}
 		legB := base

@@ -144,13 +144,16 @@ func BenchmarkElasticRestart(b *testing.B) {
 	plan := fsdp.BestPractice(fsdp.HybridShard, 2)
 	base := tinyDistConfig(4, plan)
 	base.Epochs = 4
+	// A 1-epoch probe enters the init broadcast and one epoch's
+	// collectives; the kill lands a quarter past the epoch-2 boundary.
 	probe := base
-	probe.StopAfterEpoch = 2
+	probe.Epochs = 1
 	p, err := PretrainDistributed(probe, tinyDataset(32))
 	if err != nil {
 		b.Fatal(err)
 	}
-	killAt := p.CollectiveCalls + p.CollectiveCalls/4
+	epoch2 := 2*p.CollectiveCalls - 1
+	killAt := epoch2 + epoch2/4
 	var ckSec, rsSec, lostSec float64
 	var cks int
 	b.ResetTimer()

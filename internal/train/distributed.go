@@ -77,8 +77,8 @@ type DistConfig struct {
 	// verdict and growth/backoff apply once per optimizer step — over
 	// the whole accumulation window — never per micro-step.
 	LossScale LossScaleConfig
-	// Resume restores the training state captured by a previous run
-	// (DistResult.State, possibly round-tripped through
+	// Resume restores a periodic snapshot of a previous run (the state
+	// OnCheckpoint received, possibly round-tripped through
 	// SaveTrainState/LoadTrainState) and continues from its epoch
 	// boundary. The model, schedule, precision and accumulation window
 	// must match the interrupted run's; the world and plan are free — the
@@ -88,12 +88,6 @@ type DistConfig struct {
 	// stopped. No init broadcast is sent on resume: every rank restores
 	// the identical state deterministically.
 	Resume *TrainState
-	// StopAfterEpoch interrupts the run once that many epochs have
-	// completed (0 = run all cfg.Epochs). The learning-rate schedule,
-	// sampler and mask streams are still laid out for the full
-	// cfg.Epochs, so the returned State resumes the remainder of the
-	// same run — the checkpoint/restart pattern.
-	StopAfterEpoch int
 	// CheckpointEvery captures a TrainState snapshot after every epoch
 	// whose 1-based number divides by it (0 disables) and hands it to
 	// OnCheckpoint. The final epoch is not re-captured —
@@ -302,6 +296,9 @@ func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*Di
 	if cfg.MaxStepsPerEpoch < 0 {
 		return nil, fmt.Errorf("train: negative MaxStepsPerEpoch %d", cfg.MaxStepsPerEpoch)
 	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("train: negative Workers %d", cfg.Workers)
+	}
 	if !(cfg.BaseLR >= 0) || math.IsInf(cfg.BaseLR, 1) { // !(lr >= 0) catches NaN
 		return nil, fmt.Errorf("train: BaseLR %v not finite and non-negative", cfg.BaseLR)
 	}
@@ -332,13 +329,6 @@ func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*Di
 		if s <= 0 {
 			return nil, fmt.Errorf("train: non-positive throttle skew %g for rank %d", s, rk)
 		}
-	}
-	run.lastEpoch = cfg.Epochs
-	if cfg.StopAfterEpoch > 0 && cfg.StopAfterEpoch < cfg.Epochs {
-		run.lastEpoch = cfg.StopAfterEpoch
-	}
-	if run.lastEpoch <= run.startEpoch {
-		return nil, fmt.Errorf("train: stop epoch %d does not advance past resume epoch %d", run.lastEpoch, run.startEpoch)
 	}
 	run.sched = opt.CosineSchedule{
 		Base:        opt.ScaledLR(cfg.BaseLR, cfg.BatchSize*run.accum),

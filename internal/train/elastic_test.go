@@ -44,20 +44,16 @@ func TestElasticShrinkBitwise(t *testing.T) {
 			base.Epochs = 4
 			base.Precision = c.prec
 
-			// Leg A doubles as probe and reference source: an
-			// uninterrupted 4-rank run stopped at the epoch-2 boundary
-			// gives both the collective-entry count to aim the fault
-			// past (×1.25 lands mid-epoch 3) and the checkpoint the
-			// reference run resumes from.
-			legA := base
-			legA.StopAfterEpoch = 2
-			a, err := PretrainDistributed(legA, tinyDataset(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			killAt := a.CollectiveCalls + a.CollectiveCalls/4
-			if killAt <= a.CollectiveCalls {
-				t.Fatalf("degenerate fault site %d (leg A entered %d)", killAt, a.CollectiveCalls)
+			// The uninterrupted 4-rank run gives both the epoch-2
+			// snapshot the elastic run must resume from and the fault
+			// site: it enters the init broadcast and four epochs'
+			// collectives, so epoch 2 ends at entry (calls+1)/2, and
+			// ×1.25 past it lands mid-epoch 3.
+			full, want := snapshotAt(t, base, 32, 2)
+			epoch2 := (full.CollectiveCalls + 1) / 2
+			killAt := epoch2 + epoch2/4
+			if killAt <= epoch2 {
+				t.Fatalf("degenerate fault site %d (epoch 2 ends at entry %d)", killAt, epoch2)
 			}
 
 			// Elastic run: checkpoint every epoch, kill rank 1 mid-epoch
@@ -85,10 +81,9 @@ func TestElasticShrinkBitwise(t *testing.T) {
 					e.CheckpointSec, e.RestartSec, e.LostWorkSec)
 			}
 
-			// The elastic resume point must be exactly leg A's state:
-			// the mid-run checkpoint equals the StopAfterEpoch capture,
-			// and the shrunk leg resumes it as it is.
-			want := a.State
+			// The elastic resume point must be exactly the uninterrupted
+			// run's epoch-2 snapshot, and the shrunk leg resumes it as
+			// it is.
 			if !bitsEqual(e.Checkpoint.Master, want.Master) ||
 				!bitsEqual(e.Checkpoint.OptM, want.OptM) ||
 				!bitsEqual(e.Checkpoint.OptV, want.OptV) {
@@ -102,7 +97,7 @@ func TestElasticShrinkBitwise(t *testing.T) {
 			}
 
 			// Reference: an uninterrupted 2-rank run resumed directly
-			// from leg A's state.
+			// from that snapshot.
 			refCfg := base
 			refCfg.Ranks = 2
 			refCfg.Resume = want
@@ -188,14 +183,11 @@ func TestElasticMaxRestarts(t *testing.T) {
 	// Probe one epoch's collective count to aim the kill at epoch 2,
 	// after the first checkpoint exists.
 	probe := base
-	probe.StopAfterEpoch = 1
-	p, err := PretrainDistributed(probe, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe.Epochs = 1
+	calls := mustPretrainDistributed(t, probe, 32).CollectiveCalls
 	ecfg := ElasticConfig{DistConfig: base, MaxRestarts: 1}
 	ecfg.CheckpointEvery = 1
-	ecfg.Fault = dist.FaultPlan{Rank: 0, Call: p.CollectiveCalls + p.CollectiveCalls/2}
+	ecfg.Fault = dist.FaultPlan{Rank: 0, Call: calls + calls/2}
 	e, err := PretrainElastic(ecfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)

@@ -28,9 +28,9 @@ type distRun struct {
 	plan fsdp.Plan // cfg.Plan, resolved
 	ds   *geodata.Dataset
 
-	accum, stepsPerEpoch  int
-	startEpoch, lastEpoch int
-	sched                 opt.CosineSchedule
+	accum, stepsPerEpoch int
+	startEpoch           int
+	sched                opt.CosineSchedule
 
 	world *dist.World
 	res   *DistResult
@@ -168,7 +168,7 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	return s, nil
 }
 
-// train runs the rank's epoch loop from run.startEpoch to run.lastEpoch
+// train runs the rank's epoch loop from run.startEpoch to cfg.Epochs
 // and captures the end-of-run state.
 func (s *rankState) train() {
 	run, cfg, r, model := s.run, &s.run.cfg, s.r, s.model
@@ -192,7 +192,7 @@ func (s *rankState) train() {
 	invAccum := float64(1) / float64(accum)
 	loopStart := time.Now()
 	step := run.startEpoch * run.stepsPerEpoch
-	for epoch := run.startEpoch; epoch < run.lastEpoch; epoch++ {
+	for epoch := run.startEpoch; epoch < cfg.Epochs; epoch++ {
 		var epochLoss metrics.Meter
 		micro := 0
 		var lossSum float64
@@ -274,7 +274,7 @@ func (s *rankState) train() {
 		// snapshots, a second barrier holds the next epoch's writes back
 		// until the snapshot is taken. No collectives — the fault plan's
 		// indices are checkpoint-invariant.
-		if ce := cfg.CheckpointEvery; ce > 0 && (epoch+1)%ce == 0 && epoch+1 < run.lastEpoch {
+		if ce := cfg.CheckpointEvery; ce > 0 && (epoch+1)%ce == 0 && epoch+1 < cfg.Epochs {
 			ckStart := time.Now()
 			s.capture()
 			r.Barrier()
@@ -299,7 +299,7 @@ func (s *rankState) train() {
 		res.WallSec = b.WallSec
 		res.ExposedCommSec = b.ExposedCommSec
 		res.ComputeSec = b.ComputeSec
-		s.stamp(step, run.lastEpoch)
+		s.stamp(step, cfg.Epochs)
 		if s.scaler != nil {
 			res.FinalLossScale = s.scaler.Scale
 			res.ScaleBackoffs = s.scaler.Backoffs()

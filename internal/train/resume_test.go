@@ -9,19 +9,39 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fsdp"
 	"repro/internal/opt"
 )
 
-// TestResumeBitwiseIdentical is the checkpoint acceptance bar: a run
-// interrupted at an epoch boundary (StopAfterEpoch), its TrainState
-// round-tripped through the gob checkpoint encoding, and resumed in a
-// fresh PretrainDistributed must produce the exact final parameters and
-// the exact per-step losses of a run that never stopped — for fp32 and
-// bf16, replicated and sharded strategies alike. Any drift in the
-// master weights, Adam moments, step counter, loss scale, mask stream
-// or sampler order fails bit-for-bit.
+// snapshotAt runs cfg uninterrupted with a snapshot after every epoch
+// and returns the run and the snapshot OnCheckpoint received at the end
+// of epoch k: the state a run interrupted there would resume from.
+func snapshotAt(t *testing.T, cfg DistConfig, samples, k int) (*DistResult, *TrainState) {
+	t.Helper()
+	var st *TrainState
+	cfg.CheckpointEvery = 1
+	cfg.OnCheckpoint = func(s *TrainState, _ time.Duration) {
+		if s.Epoch == k {
+			st = s
+		}
+	}
+	res := mustPretrainDistributed(t, cfg, samples)
+	if st == nil {
+		t.Fatalf("no snapshot at epoch %d of %d", k, cfg.Epochs)
+	}
+	return res, st
+}
+
+// TestResumeBitwiseIdentical is the checkpoint acceptance bar: the
+// epoch-2 snapshot of a 4-epoch run, round-tripped through the gob
+// checkpoint encoding and resumed in a fresh PretrainDistributed, must
+// produce the exact final parameters and the exact per-step losses of
+// the run that never stopped — for fp32 and bf16, replicated and
+// sharded strategies alike. Any drift in the master weights, Adam
+// moments, step counter, loss scale, mask stream or sampler order fails
+// bit-for-bit.
 func TestResumeBitwiseIdentical(t *testing.T) {
 	cases := []struct {
 		plan fsdp.Plan
@@ -38,31 +58,14 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 			base.Epochs = 4
 			base.Precision = c.prec
 
-			ref, err := PretrainDistributed(base, tinyDataset(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Leg A: same configuration, interrupted after 2 epochs.
-			legA := base
-			legA.StopAfterEpoch = 2
-			a, err := PretrainDistributed(legA, tinyDataset(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.State.Epoch != 2 || a.State.Step != ref.State.Step/2 {
-				t.Fatalf("leg A state: epoch %d step %d", a.State.Epoch, a.State.Step)
-			}
-			// Its loss curve must be the first half of the reference's.
-			for i := range a.LossCurve.Y {
-				if a.LossCurve.Y[i] != ref.LossCurve.Y[i] {
-					t.Fatalf("leg A loss differs at step %d", i)
-				}
+			ref, st := snapshotAt(t, base, 32, 2)
+			if st.Step != ref.State.Step/2 {
+				t.Fatalf("epoch-2 snapshot at step %d, want %d", st.Step, ref.State.Step/2)
 			}
 
 			// The state survives the on-disk encoding bit-for-bit.
 			var buf bytes.Buffer
-			if err := SaveTrainState(&buf, a.State); err != nil {
+			if err := SaveTrainState(&buf, st); err != nil {
 				t.Fatal(err)
 			}
 			restored, err := LoadTrainState(&buf)
@@ -77,8 +80,8 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Steps != ref.Steps-a.Steps {
-				t.Fatalf("leg B ran %d steps, want %d", b.Steps, ref.Steps-a.Steps)
+			if b.Steps != ref.Steps-st.Step {
+				t.Fatalf("leg B ran %d steps, want %d", b.Steps, ref.Steps-st.Step)
 			}
 			// No init broadcast on resume.
 			if b.Comm.Broadcast.Calls != 0 {
@@ -133,28 +136,23 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 func TestTrainStateFileRoundTrip(t *testing.T) {
 	cfg := tinyDistConfig(2, fsdp.DefaultDDP())
 	cfg.Epochs = 2
-	cfg.StopAfterEpoch = 1
-	res, err := PretrainDistributed(cfg, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, saved := snapshotAt(t, cfg, 32, 1)
 	path := filepath.Join(t.TempDir(), "state.gob")
-	if err := SaveTrainStateFile(path, res.State); err != nil {
+	if err := SaveTrainStateFile(path, saved); err != nil {
 		t.Fatal(err)
 	}
 	st, err := LoadTrainStateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch != res.State.Epoch || st.Step != res.State.Step || st.OptStep != res.State.OptStep {
+	if st.Epoch != saved.Epoch || st.Step != saved.Step || st.OptStep != saved.OptStep {
 		t.Fatalf("counters drifted through the file: %+v", st)
 	}
-	for i := range res.State.Master {
-		if math.Float32bits(st.Master[i]) != math.Float32bits(res.State.Master[i]) {
+	for i := range saved.Master {
+		if math.Float32bits(st.Master[i]) != math.Float32bits(saved.Master[i]) {
 			t.Fatalf("master differs at %d after file round trip", i)
 		}
 	}
-	cfg.StopAfterEpoch = 0
 	cfg.Resume = st
 	if _, err := PretrainDistributed(cfg, tinyDataset(32)); err != nil {
 		t.Fatal(err)
@@ -184,8 +182,7 @@ func TestTrainStateRejectsGarbage(t *testing.T) {
 // prevents truncation by crash; this covers the storage layer.)
 func TestTrainStateCorruptionDetected(t *testing.T) {
 	cfg := tinyDistConfig(2, fsdp.DefaultDDP())
-	cfg.Epochs = 2
-	cfg.StopAfterEpoch = 1
+	cfg.Epochs = 1
 	res, err := PretrainDistributed(cfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
@@ -232,16 +229,10 @@ func TestTrainStateCorruptionDetected(t *testing.T) {
 func TestResumeValidation(t *testing.T) {
 	cfg := tinyDistConfig(2, fsdp.DefaultDDP())
 	cfg.Epochs = 2
-	cfg.StopAfterEpoch = 1
-	res, err := PretrainDistributed(cfg, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.State
+	_, st := snapshotAt(t, cfg, 32, 1)
 
 	// Epoch beyond the schedule.
 	c := cfg
-	c.StopAfterEpoch = 0
 	c.Epochs = 1
 	c.Resume = st
 	if _, err := PretrainDistributed(c, tinyDataset(32)); err == nil {
@@ -249,7 +240,6 @@ func TestResumeValidation(t *testing.T) {
 	}
 	// Step count inconsistent with the schedule.
 	c = cfg
-	c.StopAfterEpoch = 0
 	broken := *st
 	broken.Step++
 	c.Resume = &broken
@@ -258,7 +248,6 @@ func TestResumeValidation(t *testing.T) {
 	}
 	// Wrong model size.
 	c = cfg
-	c.StopAfterEpoch = 0
 	short := *st
 	short.Master = short.Master[:10]
 	short.OptM = short.OptM[:10]
@@ -302,7 +291,6 @@ func TestResumeValidation(t *testing.T) {
 		b.LossScale = opt.DefaultLossScale
 		bad.corrupt(&b)
 		c = cfg
-		c.StopAfterEpoch = 0
 		c.Precision = bad.prec
 		c.Resume = &b
 		_, err := PretrainDistributed(c, tinyDataset(32))
@@ -321,7 +309,6 @@ func TestResumeValidation(t *testing.T) {
 	// so resuming it under BF16 must fail fast rather than train with a
 	// zero scale.
 	c = cfg
-	c.StopAfterEpoch = 0
 	c.Precision = BF16
 	c.Resume = st // captured under FP32
 	if _, err := PretrainDistributed(c, tinyDataset(32)); err == nil {
@@ -333,7 +320,6 @@ func TestResumeValidation(t *testing.T) {
 	// stream. (MaxStepsPerEpoch pins stepsPerEpoch so the Step check
 	// alone cannot catch it.)
 	c = cfg
-	c.StopAfterEpoch = 0
 	c.MaxStepsPerEpoch = 1
 	c.AccumSteps = 2
 	mismatch := *st
@@ -350,21 +336,13 @@ func TestResumeValidation(t *testing.T) {
 }
 
 // captureDDP2 runs the 2-rank DDP configuration every cross-topology
-// test continues — uninterrupted, and stopped at its epoch-2 boundary —
-// and returns both results.
-func captureDDP2(t *testing.T) (cfg DistConfig, full, half *DistResult) {
+// test continues and returns the uninterrupted run and its epoch-2
+// snapshot.
+func captureDDP2(t *testing.T) (cfg DistConfig, full *DistResult, half *TrainState) {
 	t.Helper()
 	cfg = tinyDistConfig(2, fsdp.DefaultDDP())
 	cfg.Epochs = 4
-	full, err := PretrainDistributed(cfg, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legA := cfg
-	legA.StopAfterEpoch = 2
-	if half, err = PretrainDistributed(legA, tinyDataset(32)); err != nil {
-		t.Fatal(err)
-	}
+	full, half = snapshotAt(t, cfg, 32, 2)
 	return cfg, full, half
 }
 
@@ -409,7 +387,7 @@ func TestResumeAnyTopology(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s/world=%d", c.plan.Name(), c.ranks), func(t *testing.T) {
 			legB := cfg
-			legB.Ranks, legB.Plan, legB.Resume = c.ranks, c.plan, a.State
+			legB.Ranks, legB.Plan, legB.Resume = c.ranks, c.plan, a
 			b, err := PretrainDistributed(legB, tinyDataset(32))
 			if err != nil {
 				t.Fatal(err)
@@ -438,8 +416,7 @@ type legacyTrainState struct {
 // states carried topology stamps still loads — gob skips the fields the
 // state no longer has — to the same state, and resumes at another world.
 func TestStampedCheckpointLoads(t *testing.T) {
-	cfg, full, a := captureDDP2(t)
-	st := a.State
+	cfg, full, st := captureDDP2(t)
 	old := legacyTrainState{
 		Format: trainStateFormat, Step: st.Step, Epoch: st.Epoch, Precision: st.Precision,
 		AccumSteps: st.AccumSteps, World: 2, Strategy: "DDP",
@@ -485,18 +462,9 @@ func TestResumeWithWorkersBitwise(t *testing.T) {
 	base.Overlap = true
 	base.AccumSteps = 2
 
-	ref, err := PretrainDistributed(base, tinyDataset(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legA := base
-	legA.StopAfterEpoch = 2
-	a, err := PretrainDistributed(legA, tinyDataset(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, st := snapshotAt(t, base, 64, 2)
 	var buf bytes.Buffer
-	if err := SaveTrainState(&buf, a.State); err != nil {
+	if err := SaveTrainState(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadTrainState(&buf)

@@ -193,6 +193,7 @@ func TestPretrainValidation(t *testing.T) {
 		{"+Inf ClipNorm", func(c *PretrainConfig) { c.ClipNorm = inf }},
 		{"negative ClipNorm", func(c *PretrainConfig) { c.ClipNorm = -1 }},
 		{"negative MaxStepsPerEpoch", func(c *PretrainConfig) { c.MaxStepsPerEpoch = -1 }},
+		{"negative Workers", func(c *PretrainConfig) { c.Workers = -3 }},
 	} {
 		cfg := PretrainConfig{MAE: tinyMAE(), BatchSize: 8, Epochs: 1, BaseLR: 1e-4, Workers: 1, Seed: 1, MaxStepsPerEpoch: 1}
 		tc.edit(&cfg)
