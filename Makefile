@@ -29,7 +29,7 @@ test-all:
 race:
 	$(GO) test -race ./internal/dist/ ./internal/train/ ./internal/opt/ ./internal/mae/ ./internal/dataload/ ./internal/probe/ ./internal/serve/ ./cmd/pretrain/ ./cmd/serve/ ./cmd/linprobe/ ./cmd/repro/
 	$(GO) test -race -run 'BF16|Flash|SoftmaxScaled|GELU|LayerNorm|AdamW|SumSq|ColumnSums|MatMulBias|PackedReference|AsmKernel|PackBPanelT' ./internal/tensor/
-	$(GO) test -race ./internal/nn/ ./internal/vit/
+	$(GO) test -race ./internal/nn/ ./internal/vit/ ./internal/parallel/
 	$(GO) test -race -short ./internal/calib/ ./internal/sim/ ./internal/trace/ ./internal/perfmodel/
 
 # No fused multiply-adds: the Go kernels define the bits on every

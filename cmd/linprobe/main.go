@@ -62,10 +62,27 @@ func run(o options, w io.Writer) error {
 	if o.scale < 1 {
 		return fmt.Errorf("bad -scale %d (want at least 1)", o.scale)
 	}
+	if o.batch < 1 {
+		return fmt.Errorf("bad -batch %d (want at least 1)", o.batch)
+	}
+	if o.epochs < 1 {
+		return fmt.Errorf("bad -epochs %d (want at least 1)", o.epochs)
+	}
 	if err := o.mae.Validate(); err != nil {
 		return err
 	}
 	enc := o.mae.Encoder
+	suite := geodata.NewSuite(o.scale, enc.ImageSize, enc.Channels, o.seed)
+	var ds *geodata.Dataset
+	for _, d := range suite.Probe {
+		if d.Name == o.dataset {
+			ds = d
+		}
+	}
+	if ds == nil {
+		return fmt.Errorf("unknown dataset %q (want MillionAID, UCM, AID or NWPU)", o.dataset)
+	}
+
 	m := mae.New(o.mae, rng.New(o.seed))
 	if o.checkpoint != "" {
 		st, err := train.LoadTrainStateFile(o.checkpoint)
@@ -78,17 +95,6 @@ func run(o options, w io.Writer) error {
 		fmt.Fprintf(w, "restored %s at step %d\n", o.checkpoint, st.Step)
 	} else {
 		fmt.Fprintln(w, "no checkpoint: probing random-weight features (baseline)")
-	}
-
-	suite := geodata.NewSuite(o.scale, enc.ImageSize, enc.Channels, o.seed)
-	var ds *geodata.Dataset
-	for _, d := range suite.Probe {
-		if d.Name == o.dataset {
-			ds = d
-		}
-	}
-	if ds == nil {
-		return fmt.Errorf("unknown dataset %q (want MillionAID, UCM, AID or NWPU)", o.dataset)
 	}
 
 	cfg := probe.Default(o.batch)

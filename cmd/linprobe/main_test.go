@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,19 +24,33 @@ func tinyProbeOptions() options {
 	}
 }
 
-// TestRunRejectsBadScale: a -scale below 1 fails by name before any
-// output, instead of probing the datasets -scale 1 would.
-func TestRunRejectsBadScale(t *testing.T) {
-	for _, scale := range []int{0, -2} {
+// TestRunRejectsBadFlags: a -scale below 1 (which would probe the
+// datasets -scale 1 does), an unknown -dataset, a non-positive -batch
+// or -epochs fails by name before the command loads a checkpoint or
+// prints anything (not after "no checkpoint: probing…").
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		want string
+	}{
+		{"scale 0", func(o *options) { o.scale = 0 }, "bad -scale 0"},
+		{"scale -2", func(o *options) { o.scale = -2 }, "bad -scale -2"},
+		{"dataset FOO", func(o *options) { o.dataset = "FOO" }, `unknown dataset "FOO"`},
+		{"batch 0", func(o *options) { o.batch = 0 }, "bad -batch 0"},
+		{"batch -4", func(o *options) { o.batch = -4 }, "bad -batch -4"},
+		{"epochs 0", func(o *options) { o.epochs = 0 }, "bad -epochs 0"},
+		{"epochs -1", func(o *options) { o.epochs = -1 }, "bad -epochs -1"},
+	} {
 		o := tinyProbeOptions()
-		o.scale = scale
+		o.checkpoint = filepath.Join(t.TempDir(), "missing.state")
+		c.set(&o)
 		var b strings.Builder
-		want := fmt.Sprintf("bad -scale %d", scale)
-		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("-scale %d: got %v, want an error naming %q", scale, err, want)
+		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
 		}
 		if b.Len() != 0 {
-			t.Errorf("-scale %d: output written before failing:\n%s", scale, b.String())
+			t.Errorf("%s: output written before failing:\n%s", c.name, b.String())
 		}
 	}
 }

@@ -140,13 +140,13 @@ func run(o options, w io.Writer) error {
 	if o.scale < 1 {
 		return fmt.Errorf("bad -scale %d (want at least 1)", o.scale)
 	}
-	if err := checkWorld(o.ranks, o.batch); err != nil {
+	cfg := o.distConfig()
+	if _, err := cfg.Resolve(); err != nil {
 		return err
 	}
+	cfg.Log = w
 	enc := o.mae.Encoder
 	suite := geodata.NewSuite(o.scale, enc.ImageSize, enc.Channels, o.seed)
-	cfg := o.distConfig()
-	cfg.Log = w
 	if o.profile != "" {
 		link, err := calibratedLink(o.profile, o.prec)
 		if err != nil {
@@ -201,19 +201,6 @@ func parsePrecision(s string) (train.Precision, error) {
 	default:
 		return train.FP32, fmt.Errorf("unknown -precision %q (want %s)", s, acceptedPrecisions)
 	}
-}
-
-// checkWorld validates the -ranks/-batch pair: a world needs at least
-// one rank (0 or a negative count must not fall through to single-rank
-// training) and the global batch must split evenly across it.
-func checkWorld(ranks, batch int) error {
-	if ranks < 1 {
-		return fmt.Errorf("bad -ranks %d (want at least 1)", ranks)
-	}
-	if batch%ranks != 0 {
-		return fmt.Errorf("-batch %d does not divide evenly across -ranks %d", batch, ranks)
-	}
-	return nil
 }
 
 // parsePlan maps a -strategy spelling onto its fsdp plan.

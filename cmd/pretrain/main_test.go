@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/fsdp"
 	"repro/internal/geodata"
 	"repro/internal/mae"
@@ -160,7 +161,7 @@ func TestCommTableGolden(t *testing.T) {
 		Plan:           plan,
 		// A fixed link so the modeled times are independent of the
 		// hw.Frontier defaults.
-		Link: comm.Params{Bandwidth: 50e9, HopLat: 1e-6, Launch: 2e-5},
+		Options: dist.Options{Link: comm.Params{Bandwidth: 50e9, HopLat: 1e-6, Launch: 2e-5}},
 	}
 	suite := geodata.NewSuite(1000, 12, 3, 1)
 	res, err := train.PretrainDistributed(dcfg, suite.Pretrain)
@@ -204,44 +205,37 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
-// TestCheckWorld pins the -ranks/-batch fail-fast: a non-positive world
-// and an uneven batch split are rejected by name before anything divides
-// by the rank count or quietly trains single-rank.
-func TestCheckWorld(t *testing.T) {
-	for _, ok := range []struct{ ranks, batch int }{{1, 16}, {4, 16}, {3, 6}, {16, 16}} {
-		if err := checkWorld(ok.ranks, ok.batch); err != nil {
-			t.Errorf("checkWorld(%d, %d): %v", ok.ranks, ok.batch, err)
-		}
-	}
-	for _, bad := range []struct {
-		ranks, batch int
-		want         string
+// TestRunRejectsBadFlags: a flag set no run can execute — a -scale
+// below 1 (which would train on the full corpus as -scale 1 does), a
+// non-positive world, a batch that does not split evenly across it, a
+// negative worker count or accumulation window, no epochs — fails by
+// name before the command prints anything (not after both banners,
+// which once reported a negative -accum as "accum 1").
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		want string
 	}{
-		{0, 16, "-ranks 0"},
-		{-3, 16, "-ranks -3"},
-		{3, 16, "-batch 16 does not divide evenly across -ranks 3"},
-		{32, 16, "-batch 16 does not divide evenly across -ranks 32"},
+		{"scale 0", func(o *options) { o.scale = 0 }, "bad -scale 0"},
+		{"scale -2", func(o *options) { o.scale = -2 }, "bad -scale -2"},
+		{"ranks 0", func(o *options) { o.ranks = 0 }, "non-positive rank count 0"},
+		{"ranks -3", func(o *options) { o.ranks = -3 }, "non-positive rank count -3"},
+		{"uneven batch", func(o *options) { o.ranks = 3 }, "global batch 8 not divisible by 3 ranks"},
+		{"world above batch", func(o *options) { o.ranks = 16 }, "global batch 8 not divisible by 16 ranks"},
+		{"workers -3", func(o *options) { o.workers = -3 }, "negative Workers -3"},
+		{"accum -2", func(o *options) { o.accum = -2 }, "negative AccumSteps"},
+		{"epochs 0", func(o *options) { o.epochs = 0 }, "non-positive batch size or epochs"},
+		{"steps -1", func(o *options) { o.steps = -1 }, "negative MaxStepsPerEpoch -1"},
 	} {
-		err := checkWorld(bad.ranks, bad.batch)
-		if err == nil || !strings.Contains(err.Error(), bad.want) {
-			t.Errorf("checkWorld(%d, %d) = %v, want an error naming %q", bad.ranks, bad.batch, err, bad.want)
-		}
-	}
-}
-
-// TestRunRejectsBadScale: a -scale below 1 fails by name before any
-// output, instead of training on the full corpus as -scale 1 would.
-func TestRunRejectsBadScale(t *testing.T) {
-	for _, scale := range []int{0, -2} {
 		o := tinyOptions(1, train.FP32)
-		o.scale = scale
+		c.set(&o)
 		var b strings.Builder
-		want := fmt.Sprintf("bad -scale %d", scale)
-		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("-scale %d: got %v, want an error naming %q", scale, err, want)
+		if err := run(o, &b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
 		}
 		if b.Len() != 0 {
-			t.Errorf("-scale %d: output written before failing:\n%s", scale, b.String())
+			t.Errorf("%s: output written before failing:\n%s", c.name, b.String())
 		}
 	}
 }
@@ -273,7 +267,7 @@ func TestCommTableGoldenBF16(t *testing.T) {
 		Ranks:          4,
 		Plan:           plan,
 		Precision:      prec,
-		Link:           comm.Params{Bandwidth: 50e9, HopLat: 1e-6, Launch: 2e-5},
+		Options:        dist.Options{Link: comm.Params{Bandwidth: 50e9, HopLat: 1e-6, Launch: 2e-5}},
 	}
 	suite := geodata.NewSuite(1000, 12, 3, 1)
 	res, err := train.PretrainDistributed(dcfg, suite.Pretrain)

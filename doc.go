@@ -96,10 +96,11 @@
 // optimizer firing once per window, leaving per-optimizer-step traffic
 // exactly at fsdp.TrafficPerStep.
 //
-// The exposed-comm decomposition: rank 0 times every per-step
-// collective block and handle wait, and DistResult reports WallSec =
-// ComputeSec + ExposedCommSec (trace.ExecBreakdown) — the executed
-// counterpart of the simulator's ComputeTime/ExposedComm split. With
+// The exposed-comm decomposition: every rank times each per-step
+// scalar all-reduce and handle wait, and DistResult reports rank 0's
+// WallSec = ComputeSec + ExposedCommSec (trace.ExecBreakdown) — the
+// executed counterpart of the simulator's ComputeTime/ExposedComm
+// split. With
 // dist.Options.Throttle the α–β modeled cost of each collective
 // becomes real executed delay, so on a congested link the overlapped
 // schedule's exposed-communication time drops strictly below the

@@ -159,7 +159,7 @@ func Simulate(w perfmodel.Workload, m hw.Machine, nodes int, plan Plan) (Result,
 		return addComm(comm.AllGather(float64(units[i].Params)*cBytes, shardRanks, gatherLink), deps...)
 	}
 	// reduce issues one gradient bucket by the executed schedule's rule
-	// (internal/train's syncEngine.launch): reduce-scatter over the
+	// (internal/train's rankState.launch): reduce-scatter over the
 	// shard group, then all-reduce the owned shard over the replica
 	// group. A one-member group moves nothing, but a bucket always
 	// issues at least one call.

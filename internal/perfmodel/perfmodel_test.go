@@ -100,32 +100,6 @@ func TestActivationBytesCheckpointingShrinks(t *testing.T) {
 	}
 }
 
-func TestActivationBytesFusedAttention(t *testing.T) {
-	w := ViTWorkload(vit.ViT1B, 16)
-	mat := w.ActivationBytes()
-	w.FusedAttention = true
-	fused := w.ActivationBytes()
-	// Fused attention swaps the per-block b·h·t² probability term for
-	// 2·b·h·t statistics; everything else is identical.
-	b, h := float64(w.LocalBatch), float64(w.Model.Heads)
-	tt := float64(w.EncoderTokens)
-	wantDelta := b * h * tt * (tt - 2) * w.Prec.ComputeBytes * float64(w.Model.Depth)
-	if math.Abs((mat-fused)-wantDelta) > 1e-6*mat {
-		t.Fatalf("fused delta %v, want %v", mat-fused, wantDelta)
-	}
-
-	// Same swap inside the checkpointed working set (one block).
-	w.FusedAttention = false
-	w.ActCheckpoint = true
-	matC := w.ActivationBytes()
-	w.FusedAttention = true
-	fusedC := w.ActivationBytes()
-	wantDeltaC := b * h * tt * (tt - 2) * w.Prec.ComputeBytes
-	if math.Abs((matC-fusedC)-wantDeltaC) > 1e-6*matC {
-		t.Fatalf("checkpointed fused delta %v, want %v", matC-fusedC, wantDeltaC)
-	}
-}
-
 func TestActivationBytesScaleWithBatch(t *testing.T) {
 	a := ViTWorkload(vit.ViT1B, 16).ActivationBytes()
 	b := ViTWorkload(vit.ViT1B, 32).ActivationBytes()

@@ -99,17 +99,7 @@ type Workload struct {
 	// shrink to block boundaries, backward recomputes forward (+1×
 	// forward FLOPs).
 	ActCheckpoint bool
-	// FusedAttention prices the tiled-attention memory profile
-	// (tensor.FlashAttnFwd/Bwd): the (T×T) probability matrices are
-	// never materialized, so attention retains only the per-row
-	// (max, exp-sum) statistics — O(B·H·T) instead of O(B·H·T²) — and
-	// backward recomputes probability tiles on the fly. FLOPs are
-	// unchanged (the recompute is the same exp work the materialized
-	// path amortizes through memory). Off by default so existing
-	// calibrated profiles and goldens keep the materialized
-	// accounting.
-	FusedAttention bool
-	Prec           Precision
+	Prec          Precision
 }
 
 // ViTWorkload is the plain supervised-ViT profile used in Sections
@@ -326,12 +316,8 @@ func (w Workload) TotalParams() int64 {
 // checkpointing the dominant terms are kAct buffers of (B·T·W) per
 // block plus the attention state; with checkpointing only
 // block-boundary activations plus one block's working set remain.
-//
-// The attention state depends on the kernel: the materialized path
-// retains the (T×T) probabilities per (batch, head) — b·h·t²·cb per
-// block — while the fused tiled path (FusedAttention) retains only the
-// two per-row softmax statistics, 2·b·h·t·cb per block, recomputing
-// probability tiles during backward.
+// The attention state is the materialized (T×T) probabilities per
+// (batch, head): b·h·t²·cb per block.
 //
 // Against the executed path (nn.Block): a block keeps exactly the
 // (B·T·W)-sized buffers its backward re-reads — two LayerNorm x̂, the
@@ -354,9 +340,6 @@ func (w Workload) ActivationBytes() float64 {
 	cb := w.Prec.ComputeBytes
 	const kAct = 8                           // linear-term buffers retained per block for backward
 	attnState := float64(b * h * t * t * cb) // per block, materialized path
-	if w.FusedAttention {
-		attnState = float64(2 * b * h * t * cb)
-	}
 	if w.ActCheckpoint {
 		boundaries := float64(b * t * wd * d * cb)
 		working := float64(b*t*(float64(6*wd)+float64(w.Model.MLP))*cb) + attnState

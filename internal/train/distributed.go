@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/fsdp"
 	"repro/internal/geodata"
@@ -66,11 +65,17 @@ type DistConfig struct {
 	// — DDP buckets by Plan.DDPBucketBytes, the sharded strategies use
 	// one whole-buffer bucket.
 	BucketBytes int
-	// Throttle > 0 realizes each collective's α–β modeled time as an
-	// executed delay (dist.Options.Throttle): the congested-link mode
-	// under which overlap's hidden latency becomes measurable in
-	// ExposedCommSec and the bench-dist records.
-	Throttle float64
+	// Options configure the world the ranks run in, as dist.New takes
+	// them: Link prices each executed collective (dist.Stats measured vs
+	// modeled; zero defaults to dist.DefaultLink(Ranks)); Throttle > 0
+	// realizes each collective's α–β modeled time as an executed delay,
+	// the congested-link mode under which overlap's hidden latency
+	// becomes measurable in ExposedCommSec and the bench-dist records;
+	// ThrottleSkew multiplies Throttle per rank (stragglers); Fault arms
+	// the planned rank death that exercises the abort machinery
+	// deterministically, so the run returns an error wrapping
+	// dist.ErrInjectedFault, which PretrainElastic catches to resume.
+	dist.Options
 	// LossScale tunes the BF16 dynamic loss scaler; zero fields take
 	// the opt package defaults (2¹⁶ initial, ×2 growth, ×0.5 backoff,
 	// growth interval 2000). Under AccumSteps the scaler's overflow
@@ -100,18 +105,6 @@ type DistConfig struct {
 	// cost of capturing it. Called on rank 0's goroutine while the other
 	// ranks wait at a barrier; nil discards the snapshots.
 	OnCheckpoint func(st *TrainState, captureWall time.Duration)
-	// Fault arms dist.Options.Fault: the planned rank death that
-	// exercises the abort machinery deterministically (see
-	// dist.FaultPlan). The run returns an error wrapping
-	// dist.ErrInjectedFault; PretrainElastic catches it and resumes.
-	Fault dist.FaultPlan
-	// ThrottleSkew arms dist.Options.ThrottleSkew: per-rank multipliers
-	// on Throttle realizing stragglers (requires Throttle > 0).
-	ThrottleSkew map[int]float64
-	// Link is the α–β link model used to price each executed collective
-	// (dist.Stats measured vs modeled). Zero defaults to
-	// dist.DefaultLink(Ranks).
-	Link comm.Params
 }
 
 // DefaultDistPretrain returns the paper's recipe for the given MAE
@@ -185,12 +178,17 @@ func (r *DistResult) Breakdown(label string) trace.ExecBreakdown {
 	return trace.NewExecBreakdown(label, r.Steps, r.WallSec, r.ExposedCommSec)
 }
 
-// resolve is the preamble PretrainDistributed and WorkloadFor share:
-// the model, world, plan, global-batch split and precision must be
-// executable. It returns the plan normalized (zero value → DefaultDDP,
-// DDP's default bucket size).
-func (cfg DistConfig) resolve() (fsdp.Plan, error) {
+// Resolve checks every field of cfg that needs no dataset — the model,
+// world, plan, global-batch split, precision, the schedule and
+// optimizer numbers, the fault and straggler targets — and returns the
+// plan normalized (zero value → DefaultDDP, DDP's default bucket size).
+// PretrainDistributed and WorkloadFor call it first; a command calls it
+// to reject bad flags before it prints or loads anything.
+func (cfg DistConfig) Resolve() (fsdp.Plan, error) {
 	plan := cfg.Plan
+	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
+		return plan, fmt.Errorf("train: non-positive batch size or epochs")
+	}
 	if err := cfg.MAE.Validate(); err != nil {
 		return plan, fmt.Errorf("train: %w", err)
 	}
@@ -211,6 +209,34 @@ func (cfg DistConfig) resolve() (fsdp.Plan, error) {
 	}
 	if !cfg.Precision.valid() {
 		return plan, fmt.Errorf("train: unknown precision %v", cfg.Precision)
+	}
+	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
+		return plan, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
+	}
+	if cfg.MaxStepsPerEpoch < 0 {
+		return plan, fmt.Errorf("train: negative MaxStepsPerEpoch %d", cfg.MaxStepsPerEpoch)
+	}
+	if cfg.Workers < 0 {
+		return plan, fmt.Errorf("train: negative Workers %d", cfg.Workers)
+	}
+	if !(cfg.BaseLR >= 0) || math.IsInf(cfg.BaseLR, 1) { // !(lr >= 0) catches NaN
+		return plan, fmt.Errorf("train: BaseLR %v not finite and non-negative", cfg.BaseLR)
+	}
+	for _, v := range []float64{cfg.WeightDecay, cfg.ClipNorm} {
+		if !(v >= 0) || math.IsInf(v, 1) { // !(v >= 0) catches NaN
+			return plan, fmt.Errorf("train: WeightDecay %v or ClipNorm %v not finite and non-negative", cfg.WeightDecay, cfg.ClipNorm)
+		}
+	}
+	if cfg.Fault.Armed() && (cfg.Fault.Rank < 0 || cfg.Fault.Rank >= cfg.Ranks) {
+		return plan, fmt.Errorf("train: fault plan targets rank %d of a %d-rank world", cfg.Fault.Rank, cfg.Ranks)
+	}
+	for rk, s := range cfg.ThrottleSkew {
+		if rk < 0 || rk >= cfg.Ranks {
+			return plan, fmt.Errorf("train: throttle skew targets rank %d of a %d-rank world", rk, cfg.Ranks)
+		}
+		if s <= 0 {
+			return plan, fmt.Errorf("train: non-positive throttle skew %g for rank %d", s, rk)
+		}
 	}
 	return plan, nil
 }
@@ -283,29 +309,9 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 // three flat copies of the parameter space that Pretrain would only
 // throw away — so cfg must not ask for periodic checkpoints.
 func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*DistResult, error) {
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("train: non-positive batch size or epochs")
-	}
-	plan, err := cfg.resolve()
+	plan, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
-		return nil, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
-	}
-	if cfg.MaxStepsPerEpoch < 0 {
-		return nil, fmt.Errorf("train: negative MaxStepsPerEpoch %d", cfg.MaxStepsPerEpoch)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("train: negative Workers %d", cfg.Workers)
-	}
-	if !(cfg.BaseLR >= 0) || math.IsInf(cfg.BaseLR, 1) { // !(lr >= 0) catches NaN
-		return nil, fmt.Errorf("train: BaseLR %v not finite and non-negative", cfg.BaseLR)
-	}
-	for _, v := range []float64{cfg.WeightDecay, cfg.ClipNorm} {
-		if !(v >= 0) || math.IsInf(v, 1) { // !(v >= 0) catches NaN
-			return nil, fmt.Errorf("train: WeightDecay %v or ClipNorm %v not finite and non-negative", cfg.WeightDecay, cfg.ClipNorm)
-		}
 	}
 	n := cfg.Ranks
 	run := &distRun{cfg: cfg, plan: plan, ds: ds, accum: max(cfg.AccumSteps, 1)}
@@ -319,29 +325,13 @@ func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*Di
 	if err := run.checkResume(); err != nil {
 		return nil, err
 	}
-	if cfg.Fault.Armed() && (cfg.Fault.Rank < 0 || cfg.Fault.Rank >= n) {
-		return nil, fmt.Errorf("train: fault plan targets rank %d of a %d-rank world", cfg.Fault.Rank, n)
-	}
-	for rk, s := range cfg.ThrottleSkew {
-		if rk < 0 || rk >= n {
-			return nil, fmt.Errorf("train: throttle skew targets rank %d of a %d-rank world", rk, n)
-		}
-		if s <= 0 {
-			return nil, fmt.Errorf("train: non-positive throttle skew %g for rank %d", s, rk)
-		}
-	}
 	run.sched = opt.CosineSchedule{
 		Base:        opt.ScaledLR(cfg.BaseLR, cfg.BatchSize*run.accum),
 		MinLR:       0,
 		WarmupSteps: cfg.WarmupEpochs * run.stepsPerEpoch,
 		TotalSteps:  cfg.Epochs * run.stepsPerEpoch,
 	}
-	run.world = dist.New(n, dist.Options{
-		Link:         cfg.Link,
-		Throttle:     cfg.Throttle,
-		ThrottleSkew: cfg.ThrottleSkew,
-		Fault:        cfg.Fault,
-	})
+	run.world = dist.New(n, cfg.Options)
 	res := &DistResult{Ranks: n, Precision: cfg.Precision}
 	if capture {
 		res.State = &TrainState{}

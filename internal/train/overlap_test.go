@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/fsdp"
 	"repro/internal/geodata"
 	"repro/internal/mae"
@@ -161,8 +162,7 @@ func overlapBenchConfig(overlap bool, accum int) (DistConfig, int) {
 		// A link slow enough (vs the model's per-step backward) that
 		// collective latency is worth hiding, but hideable within the
 		// backward compute; Throttle executes the modeled time.
-		Link:     comm.Params{Bandwidth: 400e6, HopLat: 5e-6, Launch: 2e-5},
-		Throttle: 1,
+		Options: dist.Options{Link: comm.Params{Bandwidth: 400e6, HopLat: 5e-6, Launch: 2e-5}, Throttle: 1},
 	}
 	return cfg, 16 * 4 // dataset images per step headroom
 }
@@ -224,6 +224,45 @@ func TestOverlapHidesExposedCommOnCongestedLink(t *testing.T) {
 	}
 	if bOn.ExposedFrac() >= bOff.ExposedFrac() {
 		t.Errorf("exposed fraction did not drop: %.2f vs %.2f", bOn.ExposedFrac(), bOff.ExposedFrac())
+	}
+}
+
+// TestExposedCommCoversThrottledWaits holds the exposed-communication
+// accounting to a bound that holds on any host. With Overlap off every
+// in-loop collective is waited where it is issued, and under Throttle
+// each one sleeps at least Throttle × its modeled time before its wait
+// returns, so rank 0's ExposedCommSec is at least Throttle × the
+// modeled time of every collective but the init broadcast, the one
+// outside the loop. The link is slow enough that these sleeps dwarf
+// the in-process ring itself: a wait or a scalar all-reduce left
+// untimed drops the exposed time below the bound.
+func TestExposedCommCoversThrottledWaits(t *testing.T) {
+	cfg := DistConfig{
+		PretrainConfig: PretrainConfig{MAE: tinyMAE(), BatchSize: 8, Epochs: 1, BaseLR: 0.02,
+			ClipNorm: 1, Workers: 1, Seed: 1, MaxStepsPerEpoch: 4},
+		Ranks:   2,
+		Plan:    fsdp.DefaultDDP(),
+		Options: dist.Options{Link: comm.Params{Bandwidth: 100e6, HopLat: 1e-4, Launch: 1e-3}, Throttle: 1},
+	}
+	res, err := PretrainDistributed(cfg, tinyDataset(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Comm
+	if c.AllReduce.Calls == 0 || c.Scalar.Calls == 0 {
+		t.Fatalf("no gradient or scalar all-reduce ran: %+v", c)
+	}
+	modeled := c.AllReduce.ModelTime + c.ReduceScatter.ModelTime + c.AllGather.ModelTime + c.Scalar.ModelTime
+	// Each sleep is its modeled time truncated to whole nanoseconds.
+	calls := c.AllReduce.Calls + c.ReduceScatter.Calls + c.AllGather.Calls + c.Scalar.Calls
+	if want := cfg.Throttle*modeled - float64(calls)*1e-9; res.ExposedCommSec < want {
+		t.Errorf("ExposedCommSec %.6fs below the %.6fs the %d throttled in-loop collectives slept",
+			res.ExposedCommSec, want, calls)
+	}
+	// ComputeSec is WallSec − ExposedCommSec: equal up to the rounding
+	// of that one subtraction.
+	if d := res.ComputeSec + res.ExposedCommSec - res.WallSec; math.Abs(d) > 1e-12*res.WallSec {
+		t.Errorf("ComputeSec %v + ExposedCommSec %v != WallSec %v", res.ComputeSec, res.ExposedCommSec, res.WallSec)
 	}
 }
 

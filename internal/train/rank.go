@@ -50,32 +50,55 @@ type rankState struct {
 	r      *dist.Rank
 	model  *mae.Model
 	params []*nn.Param
-	eng    *syncEngine
-	timer  *phaseTimer // rank 0's compute/exposed-comm stopwatch, nil elsewhere
+
+	// A gradient bucket is reduce-scattered over the shard group, then
+	// its owned piece all-reduced over the replica group; a one-member
+	// group has nothing to do, which is the whole difference between
+	// the strategies (replicated: replica group only; ZeRO-1/FULL_SHARD:
+	// shard group only; HYBRID: both).
+	shardGroup, replGroup *dist.Group
+	buckets               []gradBucket
+	segStart              []int // flat frontier after each backward segment
 
 	// sharded: the shard group has more than one member, so owned state
 	// is partial — norms and verdicts reduce over the group, updated
 	// parameters are all-gathered.
 	sharded bool
-	own     []opt.Span // owned spans of the padded flat space, ascending
+	// own is the owned spans of the padded flat space, ascending: the
+	// rank's piece of every bucket, adjacent pieces merged.
+	own []opt.Span
 
 	// flatW and flatG, padded, are the only home of the rank's parameters
 	// and gradients: nn.FlattenParams made every Param's Value and Grad
 	// windows of them, so forward, backward, the collectives and the
-	// optimizer all work on the same bytes, in place.
+	// optimizer all work on the same bytes, in place. dim is their
+	// unpadded length: [dim, padded) is the zero pad tail.
 	flatW, flatG []float32
+	dim          int
+	wire         []uint16 // bf16 wire scratch (nil under FP32)
 	// master is the fp32 master of the owned spans: flatW itself under
 	// FP32, a shard-local buffer (SpansLen(own) long) under BF16, where
 	// flatW holds its bf16 rounding.
 	master []float32
-	// image, sharded BF16 only, is the bf16 wire scratch, whose owned
-	// spans always hold the bf16 bits of the owned working weights: the
-	// contribution the parameter all-gather publishes as it lies. AdamW
-	// writes it beside the working copy; refreshImage rewrites it where
-	// AdamW did not run.
+	// image, sharded BF16 only, is wire, whose owned spans always hold
+	// the bf16 bits of the owned working weights: the contribution the
+	// parameter all-gather publishes as it lies. AdamW writes it beside
+	// the working copy; refreshImage rewrites it where AdamW did not run.
 	image  []uint16
 	optim  *opt.ShardedAdamW
 	scaler *opt.LossScaler // BF16 only
+
+	// per-step state: the gradient scale, the next bucket to launch, and
+	// the collectives in flight in the current phase — a step's gradient
+	// reductions, or a parameter gather — drained by wait.
+	gScale  float32
+	next    int
+	handles []*dist.Handle
+	// exposed is the rank's exposed communication: the time it spent
+	// blocked in handle waits and scalar all-reduces, each timed around
+	// the blocking call (the init broadcast is not). The rest of the
+	// training loop is compute (+ input pipeline).
+	exposed time.Duration
 }
 
 // strided returns count ranks starting at first, stride apart.
@@ -110,26 +133,18 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 	// placement); replica groups stride across them. Either may be a
 	// single rank: the plan's whole strategy is the two sizes.
 	g := run.plan.ShardRanks(n)
-	s := &rankState{run: run, r: r, model: model, params: params, sharded: g > 1}
-	if r.ID() == 0 {
-		s.timer = &phaseTimer{}
-	}
+	s := &rankState{run: run, r: r, model: model, params: params, dim: dim, sharded: g > 1,
+		shardGroup: run.world.Subgroup(strided(r.ID()/g*g, g, 1)),
+		replGroup:  run.world.Subgroup(strided(r.ID()%g, n/g, g))}
 	padded := opt.PadTo(dim, n) // the whole world: divides at both communicator levels
 	s.flatW, s.flatG = nn.FlattenParams(params, padded)
-	var wire []uint16
 	if cfg.Precision == BF16 {
-		wire = make([]uint16, padded)
+		s.wire = make([]uint16, padded)
 	}
-	var err error
-	s.eng, err = newSyncEngine(r, model, params, cfg.Overlap,
-		run.world.Subgroup(strided(r.ID()/g*g, g, 1)), run.world.Subgroup(strided(r.ID()%g, n/g, g)),
-		s.flatW, s.flatG, wire, s.timer,
-		bucketElemsFor(cfg.BucketBytes, run.plan.DDPBucketBytes,
-			run.plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded))
-	if err != nil {
+	if err := s.layBuckets(bucketElemsFor(cfg.BucketBytes, run.plan.DDPBucketBytes,
+		run.plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded)); err != nil {
 		return nil, err
 	}
-	s.own = s.eng.own
 
 	// The weights start as the fp32 state every rank must agree on: rank
 	// 0's initialization, broadcast over whatever each replica's own init
@@ -153,7 +168,7 @@ func (run *distRun) newRank(r *dist.Rank) (*rankState, error) {
 		opt.GatherSpans(s.master, s.flatW, s.own)
 		tensor.RoundBF16(s.flatW, s.flatW)
 		if s.sharded {
-			s.image = wire
+			s.image = s.wire
 			s.refreshImage()
 		}
 	}
@@ -216,7 +231,7 @@ func (s *rankState) train() {
 				// model and the loss trajectory (checked against the
 				// single-rank run) would diverge.
 				opt.ScrubOutsideSpans(s.flatW, s.own)
-				s.eng.allGatherParams()
+				s.allGatherParams()
 			}
 			if !final {
 				// Accumulation micro-step: gradients pile up in the
@@ -245,15 +260,14 @@ func (s *rankState) train() {
 			if accum > 1 {
 				gScale *= 1 / float32(accum)
 			}
-			s.eng.beginStep(gScale)
-			model.BackwardStepLayers(s.eng.onSegment)
-			s.eng.finishBackward()
+			s.beginStep(gScale)
+			model.BackwardStepLayers(s.onSegment)
+			s.finishBackward()
 			s.step(run.sched.LR(step), invScale)
 
-			var gLoss float64
-			s.timer.comm(func() {
-				gLoss = r.AllReduceScalar(lossSum*invAccum) / float64(n)
-			})
+			t0 := time.Now()
+			gLoss := r.AllReduceScalar(lossSum*invAccum) / float64(n)
+			s.exposed += time.Since(t0)
 			lossSum = 0
 			micro = 0
 			if r.ID() == 0 {
@@ -295,7 +309,7 @@ func (s *rankState) train() {
 		res.Steps = step - run.startEpoch*run.stepsPerEpoch
 		// One source of truth for the decomposition (incl. the
 		// negative-residual clamp): the trace constructor.
-		b := trace.NewExecBreakdown("", res.Steps, time.Since(loopStart).Seconds(), s.timer.exposed.Seconds())
+		b := trace.NewExecBreakdown("", res.Steps, time.Since(loopStart).Seconds(), s.exposed.Seconds())
 		res.WallSec = b.WallSec
 		res.ExposedCommSec = b.ExposedCommSec
 		res.ComputeSec = b.ComputeSec
@@ -332,7 +346,9 @@ func (s *rankState) step(lr float64, invScale float32) {
 		if s.sharded {
 			// Unsharded, the all-reduce left every rank bit-identical
 			// gradients and the local verdict is already the global one.
-			s.timer.comm(func() { overflow = s.r.AllReduceScalar(boolFlag(overflow)) > 0 })
+			t0 := time.Now()
+			overflow = s.r.AllReduceScalar(boolFlag(overflow)) > 0
+			s.exposed += time.Since(t0)
 		}
 		skip = s.scaler.Update(overflow)
 	}
@@ -344,7 +360,9 @@ func (s *rankState) step(lr float64, invScale float32) {
 		gScale := float32(1)
 		if clip > 0 {
 			if s.sharded {
-				s.timer.comm(func() { sq = s.eng.shardGroup.AllReduceScalar(s.r, sq) })
+				t0 := time.Now()
+				sq = s.shardGroup.AllReduceScalar(s.r, sq)
+				s.exposed += time.Since(t0)
 			}
 			if norm := math.Sqrt(sq); norm > clip && norm > 0 {
 				gScale = float32(clip / norm)
@@ -360,13 +378,13 @@ func (s *rankState) step(lr float64, invScale float32) {
 			// never owns adjacent pieces, so none merged): its gather is
 			// issued the moment AdamW has written it and runs while AdamW
 			// updates the pieces above it.
-			spanDone = s.eng.gather
+			spanDone = s.gather
 		}
 		s.optim.StepScaled(lr, s.master, s.flatG, gScale, working, s.image, spanDone)
 	} else if s.sharded {
 		s.refreshImage()
-		for k := range s.eng.buckets {
-			s.eng.gather(k)
+		for k := range s.buckets {
+			s.gather(k)
 		}
 	}
 	if s.sharded {
@@ -377,7 +395,7 @@ func (s *rankState) step(lr float64, invScale float32) {
 		// unchanged — so every optimizer step moves exactly the wire
 		// bytes fsdp.TrafficPerStep charges and ends with bit-identical
 		// assembled replicas.
-		s.eng.wait()
+		s.wait()
 	}
 }
 
@@ -403,8 +421,7 @@ func (s *rankState) refreshImage() {
 // wrote; under FP32 it only sums, and only if the step clips. Spans
 // enter the accumulator at their flat offsets, so the sum is
 // nn.GradL2Norm's bit for bit however the space is bucketed (the zero
-// pad tail adds nothing). A function of its own so the accumulator stays
-// on the stack: what step's comm-timer closures capture lives on the heap.
+// pad tail adds nothing).
 func (s *rankState) reduceGrads(invScale float32, clips bool) (sumSq float64, overflow bool) {
 	var sq tensor.SumSq
 	for _, sp := range s.own {
@@ -426,7 +443,7 @@ func (s *rankState) reduceGrads(invScale float32, clips bool) (sumSq float64, ov
 // explicit barrier). A run that captures no state skips it.
 func (s *rankState) capture() {
 	st := s.run.res.State
-	if st == nil || s.r.ID() >= s.eng.shardGroup.Size() {
+	if st == nil || s.r.ID() >= s.shardGroup.Size() {
 		return
 	}
 	dim, off := len(st.Master), 0

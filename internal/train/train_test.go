@@ -213,7 +213,7 @@ func TestWorkloadParamsMatchLiveModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enc := range fam {
-		cfg := DistConfig{PretrainConfig: PretrainConfig{MAE: mae.Default(enc), BatchSize: 1}, Ranks: 1}
+		cfg := DistConfig{PretrainConfig: PretrainConfig{MAE: mae.Default(enc), BatchSize: 1, Epochs: 1}, Ranks: 1}
 		w, err := WorkloadFor(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import "repro/internal/perfmodel"
 // one micro-step's compute and one optimizer step's communication, the
 // same convention as fsdp.TrafficPerStep.
 func WorkloadFor(cfg DistConfig) (perfmodel.Workload, error) {
-	if _, err := cfg.resolve(); err != nil {
+	if _, err := cfg.Resolve(); err != nil {
 		return perfmodel.Workload{}, err
 	}
 	prec := perfmodel.FP32Precision()
