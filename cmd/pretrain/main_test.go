@@ -205,29 +205,20 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a flag set no run can execute — a -scale
-// below 1 (which would train on the full corpus as -scale 1 does), a
-// non-positive world, a batch that does not split evenly across it, a
-// negative worker count or accumulation window, no epochs — fails by
-// name before the command prints anything (not after both banners,
-// which once reported a negative -accum as "accum 1").
-func TestRunRejectsBadFlags(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		set  func(*options)
-		want string
-	}{
-		{"scale 0", func(o *options) { o.scale = 0 }, "bad -scale 0"},
-		{"scale -2", func(o *options) { o.scale = -2 }, "bad -scale -2"},
-		{"ranks 0", func(o *options) { o.ranks = 0 }, "non-positive rank count 0"},
-		{"ranks -3", func(o *options) { o.ranks = -3 }, "non-positive rank count -3"},
-		{"uneven batch", func(o *options) { o.ranks = 3 }, "global batch 8 not divisible by 3 ranks"},
-		{"world above batch", func(o *options) { o.ranks = 16 }, "global batch 8 not divisible by 16 ranks"},
-		{"workers -3", func(o *options) { o.workers = -3 }, "negative Workers -3"},
-		{"accum -2", func(o *options) { o.accum = -2 }, "negative AccumSteps"},
-		{"epochs 0", func(o *options) { o.epochs = 0 }, "non-positive batch size or epochs"},
-		{"steps -1", func(o *options) { o.steps = -1 }, "negative MaxStepsPerEpoch -1"},
-	} {
+// rejectCase is one flag set run must refuse: set edits the tiny
+// options, want is what the error must name.
+type rejectCase struct {
+	name string
+	set  func(*options)
+	want string
+}
+
+// wantRejected runs each case and checks it fails by name before the
+// command prints anything (not after both banners, which once reported
+// a negative -accum as "accum 1").
+func wantRejected(t *testing.T, cases []rejectCase) {
+	t.Helper()
+	for _, c := range cases {
 		o := tinyOptions(1, train.FP32)
 		c.set(&o)
 		var b strings.Builder
@@ -238,6 +229,47 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("%s: output written before failing:\n%s", c.name, b.String())
 		}
 	}
+}
+
+// TestCheckWorld pins the -ranks/-batch fail-fast: a non-positive world
+// and an uneven batch split are rejected by name before anything divides
+// by the rank count or quietly trains single-rank, and the worlds that
+// split the batch evenly resolve.
+func TestCheckWorld(t *testing.T) {
+	for _, ok := range []struct{ ranks, batch int }{{1, 16}, {4, 16}, {3, 6}, {16, 16}} {
+		o := tinyOptions(ok.ranks, train.FP32)
+		o.batch = ok.batch
+		if _, err := o.distConfig().Resolve(); err != nil {
+			t.Errorf("-ranks %d -batch %d: %v", ok.ranks, ok.batch, err)
+		}
+	}
+	wantRejected(t, []rejectCase{
+		{"ranks 0", func(o *options) { o.ranks = 0 }, "non-positive rank count 0"},
+		{"ranks -3", func(o *options) { o.ranks = -3 }, "non-positive rank count -3"},
+		{"uneven batch", func(o *options) { o.ranks = 3 }, "global batch 8 not divisible by 3 ranks"},
+		{"world above batch", func(o *options) { o.ranks = 16 }, "global batch 8 not divisible by 16 ranks"},
+	})
+}
+
+// TestRunRejectsBadScale: a -scale below 1 fails by name before any
+// output, instead of training on the full corpus as -scale 1 would.
+func TestRunRejectsBadScale(t *testing.T) {
+	wantRejected(t, []rejectCase{
+		{"scale 0", func(o *options) { o.scale = 0 }, "bad -scale 0"},
+		{"scale -2", func(o *options) { o.scale = -2 }, "bad -scale -2"},
+	})
+}
+
+// TestRunRejectsBadFlags: the rest of the flag sets no run can execute —
+// a negative worker count or accumulation window, no epochs, a negative
+// step cap — fail by name before the command prints anything.
+func TestRunRejectsBadFlags(t *testing.T) {
+	wantRejected(t, []rejectCase{
+		{"workers -3", func(o *options) { o.workers = -3 }, "negative Workers -3"},
+		{"accum -2", func(o *options) { o.accum = -2 }, "negative AccumSteps"},
+		{"epochs 0", func(o *options) { o.epochs = 0 }, "non-positive batch size or epochs"},
+		{"steps -1", func(o *options) { o.steps = -1 }, "negative MaxStepsPerEpoch -1"},
+	})
 }
 
 // TestCommTableGoldenBF16 is the bf16 twin of TestCommTableGolden: the
