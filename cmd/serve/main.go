@@ -163,9 +163,11 @@ func loadModel(o options) (*serve.Model, string, error) {
 	if o.ckpt == "" {
 		return serve.NewModel(o.mae, o.seed), fmt.Sprintf("serving %s with seed-%d weights (no checkpoint)", name, o.seed), nil
 	}
-	// One format, the TrainState cmd/pretrain -out writes; anything else
-	// fails with LoadTrainState's own diagnosis (not an envelope, unknown
-	// version, checksum mismatch, malformed state).
+	// One format, the geofm-trainstate-v3 TrainState cmd/pretrain -out
+	// writes, streamed from the file into the state's tensors; anything
+	// else fails with the loader's own diagnosis (not a train-state file,
+	// a retired v2 checkpoint, truncated, checksum mismatch, malformed
+	// state).
 	st, err := train.LoadTrainStateFile(o.ckpt)
 	var m *serve.Model
 	if err == nil {

@@ -168,7 +168,7 @@ func TestServeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x10 // inside the payload: the envelope header is a few dozen bytes
+	raw[len(raw)/2] ^= 0x10 // inside a tensor: the header is 75 bytes
 	flipped := t.TempDir() + "/flipped.state"
 	garbage := t.TempDir() + "/garbage.state"
 	for file, content := range map[string][]byte{flipped: raw, garbage: []byte("not a checkpoint")} {
@@ -182,9 +182,9 @@ func TestServeFromCheckpoint(t *testing.T) {
 		name, ckpt, want string
 		o                options
 	}{
-		{"one payload byte flipped", flipped, "checksum mismatch", o},
+		{"one tensor byte flipped", flipped, "checksum mismatch", o},
 		{"another architecture", path, "wrong architecture", wider},
-		{"not a checkpoint", garbage, "decoding train-state envelope", o},
+		{"not a checkpoint", garbage, "not a train-state file", o},
 	} {
 		c.o.ckpt = c.ckpt
 		if err := run(c.o, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), c.want) {

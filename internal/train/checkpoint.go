@@ -2,12 +2,13 @@ package train
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -23,7 +24,6 @@ import (
 // DistConfig.Resume continues it at any world under any plan, every
 // rank cutting its own spans out of the same tensors.
 type TrainState struct {
-	Format string
 	// Step is the absolute number of completed optimizer steps; Epoch
 	// the number of completed epochs (Step == Epoch·stepsPerEpoch — the
 	// state is captured at epoch boundaries).
@@ -35,12 +35,11 @@ type TrainState struct {
 	// vice versa) would silently train a different trajectory.
 	Precision Precision
 	// AccumSteps is the gradient-accumulation window the state was
-	// captured under (0 is read as 1, so states from before
-	// accumulation existed resume as unaccumulated runs). A resume
-	// validates it against the configuration: Step counts optimizer
-	// steps, so the mask/sample fast-forward consumes Step×AccumSteps
-	// micro-batches — a mismatched window would silently resume on a
-	// misaligned mask stream.
+	// captured under (0 is read as 1). A resume validates it against
+	// the configuration: Step counts optimizer steps, so the mask/sample
+	// fast-forward consumes Step×AccumSteps micro-batches — a
+	// mismatched window would silently resume on a misaligned mask
+	// stream.
 	AccumSteps int
 	// Master holds the fp32 master weights (for FP32 runs, simply the
 	// parameters). OptM/OptV are the Adam moments; OptStep the shared
@@ -54,72 +53,154 @@ type TrainState struct {
 	ScaleGoodSteps int
 }
 
-// trainStateFormat is the current on-disk format: a checksummed
-// envelope (v2) around the gob-encoded TrainState. v1 wrote the bare
-// TrainState gob; its Format field decodes into the envelope by field
-// name, so a v1 stream is recognized and rejected with a clear
-// format error rather than misread. v2 payloads written while the state
-// still carried World/Strategy topology stamps decode unchanged: gob
-// skips fields the struct no longer has. The name is historical and is
-// kept for compatibility: every checkpoint written under it still loads.
-const trainStateFormat = "geofm-trainstate-v2"
+// trainStateFormat names the on-disk layout and opens every file. All
+// of it is little-endian:
+//
+//	header   trainStateFormat; Step, Epoch, Precision, AccumSteps,
+//	         OptStep and ScaleGoodSteps as int64; LossScale's float64 bits
+//	Master   a uint64 float count, then that many float32 bits
+//	OptM     likewise
+//	OptV     likewise
+//	trailer  the FNV-64a hash of every byte before it
+//
+// Files of the gob formats before it are rejected; v2, the checksummed
+// envelope, by name.
+const trainStateFormat = "geofm-trainstate-v3"
 
-// stateEnvelope is the on-disk frame of a train state: the payload is
-// the gob-encoded TrainState and Checksum is its FNV-64a hash, so a
-// truncated or bit-flipped checkpoint file fails LoadTrainState with a
-// clear error instead of a gob panic or silently corrupted state.
-type stateEnvelope struct {
-	Format   string
-	Checksum uint64
-	Payload  []byte
+// headerBytes is the size of the fixed header; ckptChunk is the size of
+// the one buffer a save encodes into and a load decodes from.
+const (
+	headerBytes = len(trainStateFormat) + 7*8
+	ckptChunk   = 32 << 10
+)
+
+// ints lists the state's integer scalars in header order.
+func (st *TrainState) ints() []*int {
+	return []*int{&st.Step, &st.Epoch, (*int)(&st.Precision), &st.AccumSteps, &st.OptStep, &st.ScaleGoodSteps}
 }
 
-func stateChecksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
+// section is one of the state's tensors, by name.
+type section struct {
+	name string
+	x    *[]float32
 }
 
-// SaveTrainState writes a resumable training state to w: the state's
-// gob encoding wrapped in a checksummed envelope (format version
-// geofm-trainstate-v2).
+// sections lists the state's tensors in file order.
+func (st *TrainState) sections() []section {
+	return []section{{"Master", &st.Master}, {"OptM", &st.OptM}, {"OptV", &st.OptV}}
+}
+
+// SaveTrainState writes a resumable training state to w in format
+// geofm-trainstate-v3. Each section is encoded once, through one
+// fixed-size buffer whose every flush also feeds the checksum, so a
+// save holds no copy of the state.
 func SaveTrainState(w io.Writer, st *TrainState) error {
-	cp := *st
-	cp.Format = trainStateFormat
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(cp); err != nil {
-		return fmt.Errorf("train: encoding train state: %w", err)
+	h := fnv.New64a()
+	out, le := io.MultiWriter(w, h), binary.LittleEndian
+	var err error
+	b := append(make([]byte, 0, ckptChunk), trainStateFormat...)
+	flush := func() {
+		if err == nil {
+			_, err = out.Write(b)
+		}
+		b = b[:0]
 	}
-	env := stateEnvelope{
-		Format:   trainStateFormat,
-		Checksum: stateChecksum(body.Bytes()),
-		Payload:  body.Bytes(),
+	for _, p := range st.ints() {
+		b = le.AppendUint64(b, uint64(*p))
 	}
-	return gob.NewEncoder(w).Encode(env)
+	b = le.AppendUint64(b, math.Float64bits(st.LossScale))
+	for _, s := range st.sections() {
+		b = le.AppendUint64(b, uint64(len(*s.x)))
+		for _, v := range *s.x {
+			if len(b) > cap(b)-8 { // room for this float and the next length
+				flush()
+			}
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	flush()
+	b = le.AppendUint64(b, h.Sum64())
+	flush()
+	if err != nil {
+		return fmt.Errorf("train: writing train state: %w", err)
+	}
+	return nil
 }
 
-// LoadTrainState reads a training state written by SaveTrainState,
-// verifying the envelope's format version and payload checksum before
-// decoding: truncation and bit flips fail here with a clear error, not
-// downstream as garbage state.
-func LoadTrainState(r io.Reader) (*TrainState, error) {
-	var env stateEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("train: decoding train-state envelope (truncated or not a train state): %w", err)
+// LoadTrainState reads a training state written by SaveTrainState from
+// memory (a bytes.Reader or bytes.Buffer, whose Len bounds what a length
+// prefix may claim); LoadTrainStateFile reads one from a file.
+func LoadTrainState(r interface {
+	io.Reader
+	Len() int
+}) (*TrainState, error) {
+	return readTrainState(r, int64(r.Len()))
+}
+
+// readTrainState decodes a state from r, which holds size bytes: each
+// section straight into its slice, never allocating for more floats
+// than the bytes left can hold, then the checksum, then validate —
+// truncation and bit flips fail here with a named error, not downstream
+// as garbage state.
+func readTrainState(r io.Reader, size int64) (*TrainState, error) {
+	h := fnv.New64a()
+	in, le := io.TeeReader(r, h), binary.LittleEndian // hashes all but the trailer
+	buf := make([]byte, ckptChunk)
+	fill := func(b []byte, what string) error {
+		if _, err := io.ReadFull(in, b); err != nil {
+			return fmt.Errorf("train: reading train-state %s (truncated file?): %w", what, err)
+		}
+		return nil
 	}
-	if env.Format != trainStateFormat {
-		return nil, fmt.Errorf("train: unknown train-state format %q (want %q)", env.Format, trainStateFormat)
+	hdr := buf[:headerBytes]
+	n, err := io.ReadFull(in, hdr)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF { // a failed read, not a short file
+		return nil, fmt.Errorf("train: reading train-state header: %w", err)
 	}
-	if got := stateChecksum(env.Payload); got != env.Checksum {
-		return nil, fmt.Errorf("train: train-state checksum mismatch (%#016x, envelope says %#016x): corrupted checkpoint",
-			got, env.Checksum)
+	if !bytes.HasPrefix(hdr[:n], []byte(trainStateFormat)) {
+		if bytes.Contains(hdr[:n], []byte("stateEnvelope")) { // the type gob names first
+			return nil, fmt.Errorf("train: checkpoint is a retired geofm-trainstate-v2 gob envelope; this build reads %s", trainStateFormat)
+		}
+		return nil, fmt.Errorf("train: not a train-state file (it does not open with %q)", trainStateFormat)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("train: reading train-state header (truncated file?): %w", err)
 	}
 	var st TrainState
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("train: decoding train state: %w", err)
+	for i, p := range st.ints() {
+		*p = int(int64(le.Uint64(hdr[len(trainStateFormat)+8*i:])))
 	}
-	if st.Format != trainStateFormat {
-		return nil, fmt.Errorf("train: unknown train-state format %q", st.Format)
+	st.LossScale = math.Float64frombits(le.Uint64(hdr[headerBytes-8:]))
+	left := size - int64(headerBytes) - 8 // the bytes between header and trailer
+	for _, s := range st.sections() {
+		if err := fill(buf[:8], s.name+" length"); err != nil {
+			return nil, err
+		}
+		n := le.Uint64(buf)
+		left -= 8
+		if left < 0 || n > uint64(left)/4 {
+			return nil, fmt.Errorf("train: train-state %s claims %d floats, more than the %d bytes before the checksum hold (truncated file?)",
+				s.name, n, max(left, 0))
+		}
+		left -= 4 * int64(n)
+		*s.x = make([]float32, n)
+		for x := *s.x; len(x) > 0; {
+			b := buf[:4*min(len(x), ckptChunk/4)]
+			if err := fill(b, s.name); err != nil {
+				return nil, err
+			}
+			for i := range len(b) / 4 {
+				x[i] = math.Float32frombits(le.Uint32(b[4*i:]))
+			}
+			x = x[len(b)/4:]
+		}
+	}
+	sum := h.Sum64()
+	if err := fill(buf[:8], "checksum"); err != nil {
+		return nil, err
+	}
+	if want := le.Uint64(buf); sum != want {
+		return nil, fmt.Errorf("train: train-state checksum mismatch (%#016x, file says %#016x): corrupted checkpoint", sum, want)
 	}
 	if err := st.validate(); err != nil {
 		return nil, err
@@ -147,12 +228,9 @@ func (st *TrainState) validate() error {
 	}
 	// AdamW runs in float32 and takes √v there: a non-finite tensor or
 	// a negative second moment would turn into NaN weights a step later.
-	for _, f := range []struct {
-		name string
-		x    []float32
-	}{{"Master", st.Master}, {"OptM", st.OptM}, {"OptV", st.OptV}} {
-		if opt.HasNonFinite(f.x) {
-			return fmt.Errorf("train: state %s holds a non-finite value", f.name)
+	for _, t := range st.sections() {
+		if opt.HasNonFinite(*t.x) {
+			return fmt.Errorf("train: state %s holds a non-finite value", t.name)
 		}
 	}
 	for i, v := range st.OptV {
@@ -170,9 +248,9 @@ func (st *TrainState) validate() error {
 // snapshot stays frozen while training mutates the live buffers.
 func (st *TrainState) clone() *TrainState {
 	cp := *st
-	cp.Master = append([]float32(nil), st.Master...)
-	cp.OptM = append([]float32(nil), st.OptM...)
-	cp.OptV = append([]float32(nil), st.OptV...)
+	for _, s := range cp.sections() {
+		*s.x = slices.Clone(*s.x)
+	}
 	return &cp
 }
 
@@ -216,12 +294,17 @@ func SaveTrainStateFile(path string, st *TrainState) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadTrainStateFile reads a training state from path.
+// LoadTrainStateFile reads a training state from path, streaming it
+// from the file: its size bounds what the length prefixes may claim.
 func LoadTrainStateFile(path string) (*TrainState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadTrainState(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readTrainState(f, fi.Size())
 }

@@ -2,7 +2,6 @@ package train
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -35,7 +34,7 @@ func snapshotAt(t *testing.T, cfg DistConfig, samples, k int) (*DistResult, *Tra
 }
 
 // TestResumeBitwiseIdentical is the checkpoint acceptance bar: the
-// epoch-2 snapshot of a 4-epoch run, round-tripped through the gob
+// epoch-2 snapshot of a 4-epoch run, round-tripped through the
 // checkpoint encoding and resumed in a fresh PretrainDistributed, must
 // produce the exact final parameters and the exact per-step losses of
 // the run that never stopped — for fp32 and bf16, replicated and
@@ -137,7 +136,7 @@ func TestTrainStateFileRoundTrip(t *testing.T) {
 	cfg := tinyDistConfig(2, fsdp.DefaultDDP())
 	cfg.Epochs = 2
 	_, saved := snapshotAt(t, cfg, 32, 1)
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := SaveTrainStateFile(path, saved); err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +164,11 @@ func TestTrainStateRejectsGarbage(t *testing.T) {
 	if _, err := LoadTrainState(bytes.NewReader([]byte("not a train state"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A read that fails is reported as such, not as a file of the wrong
+	// format.
+	if _, err := LoadTrainStateFile(t.TempDir()); err == nil || !strings.Contains(err.Error(), "reading train-state header") {
+		t.Errorf("loading a directory: err = %v, want the read's own failure", err)
+	}
 	// Moments not matching the master length.
 	var buf bytes.Buffer
 	bad := &TrainState{Master: make([]float32, 4), OptM: make([]float32, 2), OptV: make([]float32, 4)}
@@ -176,8 +180,8 @@ func TestTrainStateRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestTrainStateCorruptionDetected: the checksummed envelope turns the
-// two silent on-disk failure modes — truncation and bit flips — into
+// TestTrainStateCorruptionDetected: the length prefixes and the checksum
+// turn the two silent on-disk failure modes — truncation and bit flips — into
 // clean LoadTrainState errors. (The atomic temp-file rename already
 // prevents truncation by crash; this covers the storage layer.)
 func TestTrainStateCorruptionDetected(t *testing.T) {
@@ -187,7 +191,7 @@ func TestTrainStateCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := SaveTrainStateFile(path, res.State); err != nil {
 		t.Fatal(err)
 	}
@@ -196,24 +200,23 @@ func TestTrainStateCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncation at any depth — mid-envelope and mid-payload.
+	// Truncation at any depth — mid-header and mid-tensor.
 	for _, keep := range []int{1, len(blob) / 4, len(blob) - 1} {
 		if _, err := LoadTrainState(bytes.NewReader(blob[:keep])); err == nil {
 			t.Errorf("state truncated to %d/%d bytes accepted", keep, len(blob))
 		}
 	}
 
-	// A single flipped bit deep in the tensor payload. Without the
-	// checksum gob would decode this into silently wrong weights; the
-	// envelope must reject it, naming the corruption.
+	// A single flipped bit deep in a tensor. Without the checksum it
+	// would load as silently wrong weights; the load must reject it,
+	// naming the corruption.
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/2] ^= 0x10
 	_, err = LoadTrainState(bytes.NewReader(flipped))
 	if err == nil {
 		t.Fatal("bit-flipped state accepted")
 	}
-	if !strings.Contains(err.Error(), "corrupt") && !strings.Contains(err.Error(), "checksum") &&
-		!strings.Contains(err.Error(), "decoding") {
+	if !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Errorf("corruption error does not explain itself: %v", err)
 	}
 
@@ -262,7 +265,9 @@ func TestResumeValidation(t *testing.T) {
 	// negative second moment (the float32 AdamW kernel takes its root) —
 	// are named train: errors from the preamble, not a rank's
 	// slice-bounds or NaN failure, and the same error from every door a
-	// state comes in by: DistConfig.Resume and LoadTrainState.
+	// state comes in by: DistConfig.Resume and LoadTrainState (each
+	// tensor carries its own length prefix, so moments that do not match
+	// the master save and load intact and reach validate).
 	poked := func(x []float32, v float64) []float32 {
 		cp := append([]float32(nil), x...)
 		cp[len(cp)/2] = float32(v)
@@ -397,53 +402,14 @@ func TestResumeAnyTopology(t *testing.T) {
 	}
 }
 
-// legacyTrainState is TrainState as it was when checkpoints still
-// stamped the World and Strategy they were captured under.
-type legacyTrainState struct {
-	Format             string
-	Step, Epoch        int
-	Precision          Precision
-	AccumSteps         int
-	World              int
-	Strategy           string
-	Master, OptM, OptV []float32
-	OptStep            int
-	LossScale          float64
-	ScaleGoodSteps     int
-}
-
-// TestStampedCheckpointLoads: a geofm-trainstate-v2 file written while
-// states carried topology stamps still loads — gob skips the fields the
-// state no longer has — to the same state, and resumes at another world.
-func TestStampedCheckpointLoads(t *testing.T) {
-	cfg, full, st := captureDDP2(t)
-	old := legacyTrainState{
-		Format: trainStateFormat, Step: st.Step, Epoch: st.Epoch, Precision: st.Precision,
-		AccumSteps: st.AccumSteps, World: 2, Strategy: "DDP",
-		Master: st.Master, OptM: st.OptM, OptV: st.OptV, OptStep: st.OptStep,
-		LossScale: st.LossScale, ScaleGoodSteps: st.ScaleGoodSteps,
+// TestTrainStateV2Rejected: a checkpoint of the retired gob format
+// (testdata/trainstate-v2.ckpt, written by its SaveTrainState) fails to
+// load with an error that names the format, not as garbage bytes.
+func TestTrainStateV2Rejected(t *testing.T) {
+	_, err := LoadTrainStateFile(filepath.Join("testdata", "trainstate-v2.ckpt"))
+	if err == nil || !strings.HasPrefix(err.Error(), "train: ") || !strings.Contains(err.Error(), "geofm-trainstate-v2") {
+		t.Fatalf("v2 checkpoint: err = %v, want a train: error naming geofm-trainstate-v2", err)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTrainState(bytes.NewReader(envelopeAround(t, body.Bytes())))
-	if err != nil {
-		t.Fatalf("stamped checkpoint rejected: %v", err)
-	}
-	if loaded.Step != st.Step || loaded.Epoch != st.Epoch || loaded.OptStep != st.OptStep ||
-		loaded.AccumSteps != st.AccumSteps || loaded.Precision != st.Precision ||
-		!bitsEqual(loaded.Master, st.Master) || !bitsEqual(loaded.OptM, st.OptM) || !bitsEqual(loaded.OptV, st.OptV) {
-		t.Fatalf("stamped checkpoint loaded as a different state: step %d epoch %d (want %d/%d)",
-			loaded.Step, loaded.Epoch, st.Step, st.Epoch)
-	}
-	legB := cfg
-	legB.Ranks, legB.Resume = 4, loaded
-	b, err := PretrainDistributed(legB, tinyDataset(32))
-	if err != nil {
-		t.Fatalf("stamped world-2 checkpoint did not resume at world 4: %v", err)
-	}
-	checkContinuation(t, b, full)
 }
 
 // TestResumeWithWorkersBitwise is the PR 4 fast-forward audit's
