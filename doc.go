@@ -82,9 +82,10 @@
 // re-raised by Wait.
 //
 // train.PretrainDistributed drives the protocol from the
-// layer-granular backward (mae.BackwardStepLayers /
-// mae.BackwardSegments, whose completion events tile the flat
-// parameter space in reverse): the moment a wire bucket's gradient
+// unit-granular backward (mae.BackwardStepLayers, whose event k
+// finalizes unit L−1−k of perfmodel.Workload.Units, the one unit table
+// the simulator prices too, so the events tile the flat parameter
+// space in reverse): the moment a wire bucket's gradient
 // range is final it is packed, scaled and launched, and the loop waits
 // on all handles only before clipping and the optimizer — FSDP's
 // overlapped per-unit reduction, really run, for every strategy and

@@ -309,38 +309,20 @@ func (m *Model) BackwardStep() {
 	m.backward(m.batch)
 }
 
-// BackwardSegments returns the model's parameters grouped into the
-// gradient-completion units of the layer-granular backward pass, in
-// completion order: when BackwardStepLayers invokes its callback with
-// index k, every parameter of segment k (and of all earlier segments)
-// has final accumulated gradients and is never touched again this
-// step.
-//
-// Because parameters pack in forward order (Params) and backward
-// finalizes them in exact reverse order, the segments tile the flat
-// parameter space contiguously from the top down — segment k covers
-// the flat range immediately below segment k−1 — which is what lets a
-// distributed executor map completion events onto flat gradient
-// buckets and launch each bucket's collective as soon as its range is
-// final (the executed form of FSDP's per-unit overlapped
-// reduce-scatter).
-func (m *Model) BackwardSegments() [][]*nn.Param {
-	segs := append([][]*nn.Param{m.Pred.Params()}, m.Decoder.Segments()...)
-	// The mask-token gradient finishes accumulating in the decoder
-	// input split, just before DecEmbed's backward — one completion
-	// unit covering the contiguous [DecEmbed, MaskToken] flat range.
-	segs = append(segs, append(m.DecEmbed.Params(), m.MaskToken))
-	segs = append(segs, m.Encoder.Segments()...)
-	return append(segs, m.Embed.Params())
-}
-
-// BackwardStepLayers is BackwardStep at layer granularity: onSegment
-// (if non-nil) runs after each BackwardSegments unit's gradients
-// become final, with the unit's index. BackwardStep delegates here
-// with a nil callback, so overlapped and synchronous schedules run
-// identical arithmetic.
-func (m *Model) BackwardStepLayers(onSegment func(k int)) {
-	m.backwardLayers(m.batch, onSegment)
+// BackwardStepLayers is BackwardStep at unit granularity: onUnit (if
+// non-nil) runs with index k once unit L−1−k of the unit table
+// (perfmodel.Workload.Units, L units in flat order) has final
+// gradients. Parameters pack in flat order (Params) and backward
+// finalizes them in reverse, so at event k every flat gradient from
+// that unit's start up is final: a distributed executor launches each
+// bucket's collective then (FSDP's per-unit overlapped reduce-scatter,
+// executed). The events run pred, dec_norm, the decoder blocks top
+// down, dec_embed (with the mask token, whose gradient finishes in the
+// decoder input split), enc_norm, the encoder blocks top down, embed.
+// BackwardStep delegates here with a nil callback, so overlapped and
+// synchronous schedules run identical arithmetic.
+func (m *Model) BackwardStepLayers(onUnit func(k int)) {
+	m.backwardLayers(m.batch, onUnit)
 }
 
 // forward is a step's forward half on the model's recording arena,
@@ -440,21 +422,21 @@ func (m *Model) backward(batch int) {
 }
 
 // backwardLayers is the single backward implementation, emitting a
-// completion event per BackwardSegments unit (events are counted even
-// with a nil callback so segment indices stay aligned). Every gradient
+// completion event per unit (events are counted even with a nil
+// callback so unit indices stay aligned). Every gradient
 // that passes between units lives in one of two scratch buffers, g0
 // and g1, taken first and each sized by the largest role it plays: a
 // unit reads one and writes the other. The blocks' narrow and wide
 // transients above them then sit at the scratch depths of a decoder
 // block's forward working set, one top that encoder and decoder blocks
 // share; all of it is handed back at the end.
-func (m *Model) backwardLayers(batch int, onSegment func(k int)) {
-	seg := 0
+func (m *Model) backwardLayers(batch int, onUnit func(k int)) {
+	event := 0
 	emit := func() {
-		if onSegment != nil {
-			onSegment(seg)
+		if onUnit != nil {
+			onUnit(event)
 		}
-		seg++
+		event++
 	}
 	cfg := m.Cfg
 	enc := cfg.Encoder

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/vit"
 )
@@ -401,94 +402,133 @@ func TestDrawMasksTracksStep(t *testing.T) {
 	}
 }
 
+// unitGroups lists m's parameters grouped by unit, in flat order: the
+// groups perfmodel.Workload.Units names, built from the model's layers.
+func unitGroups(m *Model) [][]*nn.Param {
+	groups := [][]*nn.Param{m.Embed.Params()}
+	stack := func(s *vit.Stack) {
+		for _, b := range s.Blocks {
+			groups = append(groups, b.Params())
+		}
+		groups = append(groups, s.Norm.Params())
+	}
+	stack(m.Encoder)
+	groups = append(groups, append(m.DecEmbed.Params(), m.MaskToken))
+	stack(m.Decoder)
+	return append(groups, m.Pred.Params())
+}
+
+// unitConfigs is tinyCfg followed by the default MAE of every analog.
+func unitConfigs(t *testing.T) []Config {
+	fam, err := vit.AnalogFamily(32, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{tinyCfg()}
+	for _, enc := range fam {
+		cfgs = append(cfgs, Default(enc))
+	}
+	return cfgs
+}
+
 // TestBackwardSegmentsTileFlatSpace pins the layer-granular backward
-// contract the overlapped executor builds on: BackwardSegments covers
-// every trainable parameter exactly once, and in completion order the
-// segments tile the flat packed parameter space contiguously from the
-// top down (segment k sits immediately below segment k−1).
+// contract the overlapped executor builds on, for tinyCfg and every
+// analog: the unit groups are Params in order, BackwardStepLayers
+// emits one event per group, and in completion order the groups tile
+// the flat packed parameter space from the top down — group L−1−k's
+// flat gradient range is final at event k.
 func TestBackwardSegmentsTileFlatSpace(t *testing.T) {
-	m := New(tinyCfg(), rng.New(1))
-	params := m.Params()
-	offs := make(map[*nn.Param]int, len(params))
-	dim := 0
-	for _, p := range params {
-		offs[p] = dim
-		dim += p.NumEl()
-	}
-	cursor := dim
-	for k, seg := range m.BackwardSegments() {
-		if len(seg) == 0 {
-			t.Fatalf("segment %d empty", k)
+	for _, cfg := range unitConfigs(t) {
+		name := cfg.Encoder.Name
+		m := New(cfg, rng.New(1))
+		params := m.Params()
+		groups := unitGroups(m)
+		lo := make([]int, len(groups)+1) // group i's flat range is [lo[i], lo[i+1])
+		var flat []*nn.Param
+		for i, g := range groups {
+			lo[i+1] = lo[i] + nn.CountParams(g)
+			flat = append(flat, g...)
 		}
-		lo, total := cursor, 0
-		for _, p := range seg {
-			off, ok := offs[p]
-			if !ok {
-				t.Fatalf("segment %d holds a parameter (%s) outside Params, or a duplicate", k, p.Name)
+		for i, p := range params {
+			if i >= len(flat) || flat[i] != p {
+				t.Fatalf("%s: parameter %d (%s) is not at its place in the unit groups", name, i, p.Name)
 			}
-			delete(offs, p)
-			if off < lo {
-				lo = off
+		}
+		if len(flat) != len(params) {
+			t.Fatalf("%s: the unit groups hold %d parameters, Params %d", name, len(flat), len(params))
+		}
+
+		_, grads := nn.FlattenParams(params, lo[len(groups)])
+		enc := cfg.Encoder
+		imgs := make([]float32, 2*enc.ImageSize*enc.ImageSize*enc.Channels)
+		rng.New(9).FillNormal(imgs, 0, 1)
+		m.ForwardWithMask(imgs, 2, m.DrawMasks(2))
+		var snaps [][]float32
+		m.BackwardStepLayers(func(k int) {
+			u := len(groups) - 1 - k
+			if k != len(snaps) || u < 0 {
+				t.Fatalf("%s: event %d emitted after %d events of %d groups", name, k, len(snaps), len(groups))
 			}
-			total += p.NumEl()
+			snaps = append(snaps, append([]float32(nil), grads[lo[u]:lo[u+1]]...))
+		})
+		if len(snaps) != len(groups) {
+			t.Fatalf("%s: BackwardStepLayers emitted %d events for %d groups", name, len(snaps), len(groups))
 		}
-		if lo+total != cursor {
-			t.Fatalf("segment %d covers [%d, %d+%d), want it to end at the previous frontier %d",
-				k, lo, lo, total, cursor)
+		for k, snap := range snaps {
+			u := len(groups) - 1 - k
+			for i, g := range grads[lo[u]:lo[u+1]] {
+				if math.Float32bits(g) != math.Float32bits(snap[i]) {
+					t.Fatalf("%s: group %d gradient changed after event %d", name, u, k)
+				}
+			}
 		}
-		cursor = lo
 	}
-	if cursor != 0 {
-		t.Fatalf("segments stop at flat offset %d, want 0", cursor)
-	}
-	if len(offs) != 0 {
-		t.Fatalf("%d parameters not covered by any segment", len(offs))
+}
+
+// TestUnitTableMatchesLiveModel ties perfmodel's unit table — the cut
+// the simulator prices and the overlapped executor maps backward
+// events with — to the live model, for tinyCfg and every analog: unit
+// i's Params is the size of the live parameter group i, so the table's
+// flat ranges are the ones TestBackwardSegmentsTileFlatSpace checks.
+func TestUnitTableMatchesLiveModel(t *testing.T) {
+	for _, cfg := range unitConfigs(t) {
+		name := cfg.Encoder.Name
+		units := perfmodel.Workload{Model: cfg.Encoder, LocalBatch: 1, EncoderTokens: cfg.KeepTokens(),
+			MAE: true, DecWidth: cfg.DecoderWidth, DecDepth: cfg.DecoderDepth, Prec: perfmodel.FP32Precision()}.Units()
+		groups := unitGroups(New(cfg, rng.New(1)))
+		if len(groups) != len(units) {
+			t.Fatalf("%s: the unit table lists %d units, the model has %d parameter groups", name, len(units), len(groups))
+		}
+		for i, u := range units {
+			if live := int64(nn.CountParams(groups[i])); u.Params != live {
+				t.Errorf("%s: unit %d (%s) prices %d parameters, the live group holds %d", name, i, u.Name, u.Params, live)
+			}
+		}
 	}
 }
 
 // TestBackwardStepLayersMatchesBackwardStep: the callback-granular
 // backward must accumulate bit-identical gradients to the monolithic
-// one, emit one event per segment in order, and each event's segment
-// gradients must already be final at emission time.
+// one, emitting its events in order.
 func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 	cfg := tinyCfg()
 	imgs := make([]float32, 4*cfg.Encoder.ImageSize*cfg.Encoder.ImageSize*cfg.Encoder.Channels)
 	rng.New(9).FillNormal(imgs, 0, 1)
 
-	run := func(layered bool) ([]float32, int) {
+	run := func(layered bool) []float32 {
 		m := New(cfg, rng.New(1))
 		params := m.Params()
 		nn.ZeroGrads(params)
 		keep := m.DrawMasks(4)
 		m.ForwardWithMask(imgs, 4, keep)
-		events := 0
 		if layered {
-			segs := m.BackwardSegments()
-			snapshots := make([][]float32, len(segs))
+			events := 0
 			m.BackwardStepLayers(func(k int) {
 				if k != events {
-					t.Fatalf("segment %d emitted out of order (expected %d)", k, events)
+					t.Fatalf("event %d emitted out of order (expected %d)", k, events)
 				}
-				// Snapshot this segment's gradients at emission.
-				var snap []float32
-				for _, p := range segs[k] {
-					snap = append(snap, p.Grad...)
-				}
-				snapshots[k] = snap
 				events++
 			})
-			// Final check: emission-time gradients were already final.
-			for k, seg := range segs {
-				var now []float32
-				for _, p := range seg {
-					now = append(now, p.Grad...)
-				}
-				for i := range now {
-					if math.Float32bits(now[i]) != math.Float32bits(snapshots[k][i]) {
-						t.Fatalf("segment %d gradient changed after its completion event", k)
-					}
-				}
-			}
 		} else {
 			m.BackwardStep()
 		}
@@ -496,15 +536,10 @@ func TestBackwardStepLayersMatchesBackwardStep(t *testing.T) {
 		for _, p := range params {
 			flat = append(flat, p.Grad...)
 		}
-		return flat, events
+		return flat
 	}
 
-	ref, _ := run(false)
-	got, events := run(true)
-	m := New(cfg, rng.New(1))
-	if want := len(m.BackwardSegments()); events != want {
-		t.Fatalf("emitted %d events, want %d", events, want)
-	}
+	ref, got := run(false), run(true)
 	for i := range ref {
 		if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 			t.Fatalf("layered backward gradient differs at flat element %d", i)

@@ -33,12 +33,12 @@ func TestUnitsParamsMatchEncoderParams(t *testing.T) {
 
 func TestUnitsCount(t *testing.T) {
 	w := ViTWorkload(vit.ViTBase, 32)
-	if len(w.Units()) != 1+12 {
-		t.Fatalf("units=%d want 13 (embed + 12 blocks)", len(w.Units()))
+	if len(w.Units()) != 1+12+1 {
+		t.Fatalf("units=%d want 14 (embed + 12 blocks + enc_norm)", len(w.Units()))
 	}
 	wm := MAEWorkload(vit.ViT3B, 32, 0.75)
-	if len(wm.Units()) != 1+32+8+1 {
-		t.Fatalf("MAE units=%d want 42", len(wm.Units()))
+	if len(wm.Units()) != 1+32+1+1+8+1+1 {
+		t.Fatalf("MAE units=%d want 45", len(wm.Units()))
 	}
 }
 

@@ -224,12 +224,11 @@ func (w Workload) BackwardMultiplier() float64 {
 	return 2
 }
 
-// TotalForwardFLOPs sums embed + encoder + decoder forward FLOPs.
+// TotalForwardFLOPs sums the units' forward FLOPs.
 func (w Workload) TotalForwardFLOPs() float64 {
-	total := float64(w.EmbedForwardFLOPs()) +
-		float64(float64(w.Model.Depth)*w.EncoderBlockForwardFLOPs())
-	if w.MAE {
-		total += float64(float64(w.decoderDepth()) * w.DecoderBlockForwardFLOPs())
+	var total float64
+	for _, u := range w.Units() {
+		total += u.FwdFLOPs
 	}
 	return total
 }
@@ -240,7 +239,9 @@ func (w Workload) TotalStepFLOPs() float64 {
 }
 
 // Unit is one FSDP flat-parameter unit (≈ one transformer block): the
-// granularity at which FSDP shards, gathers and reduce-scatters.
+// granularity at which FSDP shards, gathers and reduce-scatters, and
+// the one at which the executed backward (mae.BackwardStepLayers)
+// finalizes gradients.
 type Unit struct {
 	Name string
 	// Params is the unit's parameter count.
@@ -250,57 +251,38 @@ type Unit struct {
 	BwdFLOPs float64
 }
 
-// Units returns the per-step FSDP unit list: the patch embedding
-// (folded with the final norm), encoder blocks, and — for MAE — decoder
-// blocks plus prediction head. This list is what the FSDP simulator
-// iterates to build task graphs.
+// Units returns the model's unit table in flat (forward) order: the
+// patch projection (embed), the encoder blocks, the encoder's final
+// norm (enc_norm) and — for MAE — the decoder embedding with the mask
+// token (dec_embed), the decoder blocks, the decoder's final norm
+// (dec_norm) and the prediction head (pred). Parameters pack in this
+// order (mae.Model.Params), so unit k's flat range starts at the sum
+// of the Params before it. The FSDP simulator iterates this list to
+// build its task graphs, and the executed overlap path maps backward
+// completion events onto flat ranges with it. The norms and dec_embed
+// are priced at zero FLOPs.
 func (w Workload) Units() []Unit {
 	bwd := w.BackwardMultiplier()
-	var units []Unit
-	embedParams := int64(w.Model.PatchDim())*int64(w.Model.Width) + int64(w.Model.Width) + 2*int64(w.Model.Width)
-	units = append(units, Unit{
-		Name:     "embed",
-		Params:   embedParams,
-		FwdFLOPs: w.EmbedForwardFLOPs(),
-		BwdFLOPs: w.EmbedForwardFLOPs() * bwd,
-	})
-	bf := w.EncoderBlockForwardFLOPs()
-	bp := w.Model.BlockParams()
+	unit := func(name string, params int64, fwd float64) Unit {
+		return Unit{Name: name, Params: params, FwdFLOPs: fwd, BwdFLOPs: fwd * bwd}
+	}
+	wd, pd := int64(w.Model.Width), int64(w.Model.PatchDim())
+	units := []Unit{unit("embed", pd*wd+wd, w.EmbedForwardFLOPs())}
 	for i := 0; i < w.Model.Depth; i++ {
-		units = append(units, Unit{
-			Name:     fmt.Sprintf("enc%d", i),
-			Params:   bp,
-			FwdFLOPs: bf,
-			BwdFLOPs: bf * bwd,
-		})
+		units = append(units, unit(fmt.Sprintf("enc%d", i), w.Model.BlockParams(), w.EncoderBlockForwardFLOPs()))
 	}
-	if w.MAE {
-		df := w.DecoderBlockForwardFLOPs()
-		dw := w.decoderWidth()
-		dcfg := vit.Config{Width: dw, MLP: 4 * dw}
-		dp := dcfg.BlockParams()
-		for i := 0; i < w.decoderDepth(); i++ {
-			units = append(units, Unit{
-				Name:     fmt.Sprintf("dec%d", i),
-				Params:   dp,
-				FwdFLOPs: df,
-				BwdFLOPs: df * bwd,
-			})
-		}
-		// Decoder embed, mask token, the decoder's final LayerNorm and
-		// the prediction head, folded into one unit.
-		headParams := int64(w.Model.Width)*int64(dw) + int64(dw) + 3*int64(dw) +
-			int64(dw)*int64(w.Model.PatchDim()) + int64(w.Model.PatchDim())
-		headFLOPs := 2 * float64(w.LocalBatch) * float64(w.Model.Tokens()) *
-			float64(dw) * float64(w.Model.PatchDim())
-		units = append(units, Unit{
-			Name:     "dec_head",
-			Params:   headParams,
-			FwdFLOPs: headFLOPs,
-			BwdFLOPs: headFLOPs * bwd,
-		})
+	units = append(units, unit("enc_norm", 2*wd, 0))
+	if !w.MAE {
+		return units
 	}
-	return units
+	dw := int64(w.decoderWidth())
+	units = append(units, unit("dec_embed", wd*dw+dw+dw, 0))
+	dp := vit.Config{Width: int(dw), MLP: 4 * int(dw)}.BlockParams()
+	for i := 0; i < w.decoderDepth(); i++ {
+		units = append(units, unit(fmt.Sprintf("dec%d", i), dp, w.DecoderBlockForwardFLOPs()))
+	}
+	headFLOPs := 2 * float64(w.LocalBatch) * float64(w.Model.Tokens()) * float64(dw) * float64(pd)
+	return append(units, unit("dec_norm", 2*dw, 0), unit("pred", dw*pd+pd, headFLOPs))
 }
 
 // TotalParams sums the unit parameter counts.

@@ -314,7 +314,8 @@ func pretrainDistributed(cfg DistConfig, ds *geodata.Dataset, capture bool) (*Di
 		return nil, err
 	}
 	n := cfg.Ranks
-	run := &distRun{cfg: cfg, plan: plan, ds: ds, accum: max(cfg.AccumSteps, 1)}
+	run := &distRun{cfg: cfg, plan: plan, ds: ds, accum: max(cfg.AccumSteps, 1),
+		frontier: backwardFrontiers(cfg.workload())}
 	run.stepsPerEpoch = ds.TrainCount / (cfg.BatchSize * run.accum)
 	if cfg.MaxStepsPerEpoch > 0 && run.stepsPerEpoch > cfg.MaxStepsPerEpoch {
 		run.stepsPerEpoch = cfg.MaxStepsPerEpoch

@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
 // This file implements executed communication–computation overlap: the
 // flat gradient buffer the model's Grad slices are windows of is split
-// into wire buckets, the layer-granular
+// into wire buckets, the unit-granular
 // backward (mae.BackwardStepLayers) reports each unit's gradients the
 // moment they are final, and the rank launches the covering buckets'
 // collectives on internal/dist's issue queues while the
@@ -65,10 +65,25 @@ func bucketElemsFor(bucketBytes int, ddpBucketBytes float64, isDDP bool, wireByt
 	return elems
 }
 
+// backwardFrontiers walks w's unit table (perfmodel.Workload.Units, in
+// flat order) top down: entry 0 is the table's parameter total, and
+// entry k+1 is unit L−1−k's flat start — the frontier below which
+// gradients are still open after mae.BackwardStepLayers' event k.
+func backwardFrontiers(w perfmodel.Workload) []int {
+	units, f := w.Units(), []int{int(w.TotalParams())}
+	for i := len(units) - 1; i >= 0; i-- {
+		f = append(f, f[len(f)-1]-int(units[i].Params))
+	}
+	return f
+}
+
 // layBuckets tiles the padded flat space into gradient buckets of
-// bucketElems, takes the rank's piece of each as its owned spans, and
-// maps the model's backward segments onto the flat packing order.
+// bucketElems and takes the rank's piece of each as its owned spans.
+// The run's backward frontiers must walk the model's whole flat space.
 func (s *rankState) layBuckets(bucketElems int) error {
+	if total := s.run.frontier[0]; total != s.dim {
+		return fmt.Errorf("train: the unit table holds %d parameters, the model %d", total, s.dim)
+	}
 	idx := s.shardGroup.RankOf(s.r)
 	for _, sp := range makeBuckets(len(s.flatG), bucketElems) {
 		cl := sp.Len() / s.shardGroup.Size()
@@ -82,39 +97,6 @@ func (s *rankState) layBuckets(bucketElems int) error {
 			s.own = append(s.own, piece)
 		}
 	}
-
-	// Map backward segments onto the flat space: completion events walk
-	// the frontier down from dim to 0, so each segment must sit
-	// immediately below its predecessor.
-	offs := make(map[*nn.Param]int, len(s.params))
-	off := 0
-	for _, p := range s.params {
-		offs[p] = off
-		off += p.NumEl()
-	}
-	cursor := s.dim
-	for k, seg := range s.model.BackwardSegments() {
-		lo, total := cursor, 0
-		for _, p := range seg {
-			po, ok := offs[p]
-			if !ok {
-				return fmt.Errorf("train: backward segment %d holds an unknown parameter %q", k, p.Name)
-			}
-			if po < lo {
-				lo = po
-			}
-			total += p.NumEl()
-		}
-		if lo+total != cursor {
-			return fmt.Errorf("train: backward segment %d covers [%d, %d), not contiguous below frontier %d",
-				k, lo, lo+total, cursor)
-		}
-		s.segStart = append(s.segStart, lo)
-		cursor = lo
-	}
-	if cursor != 0 {
-		return fmt.Errorf("train: backward segments leave [0, %d) uncovered", cursor)
-	}
 	return nil
 }
 
@@ -127,11 +109,11 @@ func (s *rankState) beginStep(gScale float32) {
 	s.next = len(s.buckets) - 1
 }
 
-// onSegment is the mae.BackwardStepLayers callback: segment k's
-// gradients are final, so every bucket lying entirely above the new
+// onUnit is the mae.BackwardStepLayers callback: event k's unit has
+// final gradients, so every bucket lying entirely above the new
 // frontier launches now.
-func (s *rankState) onSegment(k int) {
-	f := s.segStart[k]
+func (s *rankState) onUnit(k int) {
+	f := s.run.frontier[k+1]
 	for s.next >= 0 && s.buckets[s.next].span.Lo >= f {
 		s.launch(s.buckets[s.next])
 		s.next--
@@ -154,7 +136,7 @@ func (s *rankState) wireOf(sp opt.Span) []uint16 {
 // schedule); either way completion order and arithmetic are identical.
 // Under Overlap a queue worker reduces the bucket while backward keeps
 // accumulating into flatG below the frontier — disjoint ranges, by
-// onSegment's "entirely above the frontier" rule.
+// onUnit's "entirely above the frontier" rule.
 func (s *rankState) launch(b gradBucket) {
 	sp := b.span
 	// The scale stops at dim: the pad tail must stay exactly zero, and an
@@ -181,7 +163,7 @@ func (s *rankState) launch(b gradBucket) {
 // finishBackward flushes and waits every in-flight bucket — the
 // barrier before overflow detection, clipping and the optimizer. The
 // frontier reaching 0 guarantees flushing is a no-op; it is kept as a
-// safety net for a segment contract violation.
+// safety net for a unit-table contract violation.
 func (s *rankState) finishBackward() {
 	for s.next >= 0 {
 		s.launch(s.buckets[s.next])

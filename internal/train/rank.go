@@ -32,6 +32,10 @@ type distRun struct {
 	startEpoch           int
 	sched                opt.CosineSchedule
 
+	// frontier is the unit table's backwardFrontiers: where each
+	// backward completion event leaves the open flat gradient range.
+	frontier []int
+
 	world *dist.World
 	res   *DistResult
 	// stOnce allocates res.State's tensors once a rank knows the flat
@@ -58,7 +62,6 @@ type rankState struct {
 	// shard group only; HYBRID: both).
 	shardGroup, replGroup *dist.Group
 	buckets               []gradBucket
-	segStart              []int // flat frontier after each backward segment
 
 	// sharded: the shard group has more than one member, so owned state
 	// is partial — norms and verdicts reduce over the group, updated
@@ -261,7 +264,7 @@ func (s *rankState) train() {
 				gScale *= 1 / float32(accum)
 			}
 			s.beginStep(gScale)
-			model.BackwardStepLayers(s.onSegment)
+			model.BackwardStepLayers(s.onUnit)
 			s.finishBackward()
 			s.step(run.sched.LR(step), invScale)
 

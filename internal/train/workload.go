@@ -19,6 +19,11 @@ func WorkloadFor(cfg DistConfig) (perfmodel.Workload, error) {
 	if _, err := cfg.Resolve(); err != nil {
 		return perfmodel.Workload{}, err
 	}
+	return cfg.workload(), nil
+}
+
+// workload is WorkloadFor for a configuration already resolved.
+func (cfg DistConfig) workload() perfmodel.Workload {
 	prec := perfmodel.FP32Precision()
 	if cfg.Precision == BF16 {
 		// The *executed* bf16 recipe: kernels stay fp32 (compute time is
@@ -39,5 +44,5 @@ func WorkloadFor(cfg DistConfig) (perfmodel.Workload, error) {
 		DecWidth:      cfg.MAE.DecoderWidth,
 		DecDepth:      cfg.MAE.DecoderDepth,
 		Prec:          prec,
-	}, nil
+	}
 }

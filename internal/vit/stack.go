@@ -51,11 +51,11 @@ func (s *Stack) Apply(ctx *nn.Arena, x []float32, batch, tokens int) []float32 {
 // the caller's dx, which must not alias dy: the final LayerNorm's
 // backward fills dx, and every block then runs in place over it. yield
 // (if non-nil) runs after the norm's backward and again after each
-// block's, in execution (reverse) order, one call per Segments unit — at
-// each call the unit just completed has final parameter gradients. This
-// is the hook the executed communication-overlap path uses to launch a
-// unit's gradient collective while the remaining blocks keep computing;
-// the arithmetic does not depend on it, so overlapped and synchronous
+// block's, in execution (reverse) order — at each call the norm or
+// block just completed has final parameter gradients. This is the hook
+// the executed communication-overlap path uses to launch a unit's
+// gradient collective while the remaining blocks keep computing; the
+// arithmetic does not depend on it, so overlapped and synchronous
 // schedules train bit-identical trajectories.
 func (s *Stack) Backprop(ctx *nn.Arena, dx, dy []float32, yield func()) {
 	s.Norm.Backprop(dx, dy)
@@ -68,15 +68,4 @@ func (s *Stack) Backprop(ctx *nn.Arena, dx, dy []float32, yield func()) {
 			yield()
 		}
 	}
-}
-
-// Segments returns the stack's parameters grouped into Backprop's
-// completion units, in completion order: the final norm, then the
-// blocks top down.
-func (s *Stack) Segments() [][]*nn.Param {
-	segs := [][]*nn.Param{s.Norm.Params()}
-	for i := len(s.Blocks) - 1; i >= 0; i-- {
-		segs = append(segs, s.Blocks[i].Params())
-	}
-	return segs
 }

@@ -145,8 +145,8 @@ func TestEncoderForwardShape(t *testing.T) {
 	dx := make([]float32, len(x))
 	units := 0
 	e.Backprop(ctx, dx, dy, func() { units++ })
-	if units != len(e.Segments()) {
-		t.Fatalf("Backprop yielded %d times for %d segments", units, len(e.Segments()))
+	if units != 1+cfg.Depth {
+		t.Fatalf("Backprop yielded %d times, want the norm and %d blocks", units, cfg.Depth)
 	}
 }
 
